@@ -6,9 +6,21 @@ self-contained (one-sided Jacobi rotations) so the package carries no
 linear-algebra dependency beyond numpy array arithmetic, and its output is
 deterministic for a fixed input, which the test suite and the model file
 format rely on.
+
+The Jacobi sweep follows the round-robin ordering of Brent and Luk (1985):
+the columns, padded to an even count, meet in rounds of disjoint pairs, so
+every round rotates all of its pairs at once with array operations, and a
+sweep of n - 1 rounds meets every pair once.  A pair is rotated only while
+it is coupled beyond ``JACOBI_TOL`` and both of its columns are above
+``max(m, n) * eps * (largest input column norm)``.  Below that the column
+is zero to working precision (``svd`` drops every column below a cutoff at
+least that large) and its direction is rounding noise, which a purely
+relative test would keep rotating on rank-deficient input until the sweep
+cap.  The orthonormal completion of the left vectors for zero singular
+values uses ``numpy.linalg.qr``: only numpy's own SVD is kept out of this
+package, because the decomposition itself is what this module implements.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -44,47 +56,6 @@ class SvdResult(NamedTuple):
     v: np.ndarray
 
 
-def hadamard(a, b):
-    """Element-wise product of two equally shaped matrices.
-
-    Parameters
-    ----------
-    a, b : array_like, shape (m, n)
-
-    Returns
-    -------
-    ndarray, shape (m, n)
-        ``out[i, j] = a[i, j] * b[i, j]``.
-
-    Raises
-    ------
-    ShapeError
-        If the shapes differ.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard needs equal shapes, got {a.shape} and {b.shape}")
-    return a * b
-
-
-def dot(u, v):
-    """Inner product of two equal-length vectors.
-
-    Raises
-    ------
-    ShapeError
-        If the lengths differ or an argument is not 1-D.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim != 1 or v.ndim != 1:
-        raise ShapeError("dot expects 1-D vectors")
-    if u.shape != v.shape:
-        raise ShapeError(f"dot needs equal lengths, got {u.shape[0]} and {v.shape[0]}")
-    return float(np.dot(u, v))
-
-
 def cosine(u, v):
     """Cosine similarity ``<u, v> / (||u|| ||v||)``, clipped to [-1, 1].
 
@@ -108,83 +79,118 @@ def cosine(u, v):
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
+def _round_robin(n):
+    """Brent-Luk round-robin seatings for one sweep over ``n`` columns.
+
+    ``n`` is padded to an even ``size`` with one dummy column when odd.
+    Seating ``r`` lists the columns in the row order of round ``r``: rows
+    ``2k`` and ``2k + 1`` form a pair, so each round holds ``size / 2``
+    disjoint pairs and over the ``size - 1`` rounds every pair meets once.
+    """
+    size = n + n % 2
+    ring = np.arange(1, size)
+    seatings = []
+    for r in range(size - 1):
+        seats = np.concatenate(([0], np.roll(ring, r)))
+        top, bottom = seats[: size // 2], seats[size // 2:][::-1]
+        seatings.append(np.column_stack((top, bottom)).ravel())
+    return seatings
+
+
+def _row_dots(x, y):
+    return np.einsum("ij,ij->i", x, y)
+
+
 def _jacobi_tall(a):
     """One-sided Jacobi SVD of ``a`` with at least as many rows as columns.
 
     Works on the transposed copy so every column of ``a`` is a contiguous
     row.  Returns (w, v, sweeps) where the rows of ``w`` are the rotated
-    columns (pairwise orthogonal on success) and the rows of ``v`` are the
-    accumulated right singular vectors.
+    columns (pairwise orthogonal on success), the rows of ``v`` are the
+    accumulated right singular vectors and ``sweeps`` counts the sweeps run.
+
+    Raises ConvergenceError when the sweep cap is reached and a pair of
+    nonzero columns is still coupled beyond ``JACOBI_TOL``.
     """
     m, n = a.shape
-    # explicit copy: a.T can alias the caller's array and must not be mutated
-    w = np.array(a.T, dtype=float, order="C", copy=True)
-    v = np.eye(n)
-    for sweep in range(JACOBI_MAX_SWEEPS):
+    seatings = _round_robin(n)
+    size = seatings[0].size
+    # Row j holds column j of a followed by row j of v, so one rotation
+    # moves both; an odd n gets a zero padding row, which never rotates.
+    wv = np.zeros((size, m + n))
+    wv[:n, :m] = a.T
+    wv[:n, m:] = np.eye(n)
+    # Columns at or below this norm are zero to working precision; their
+    # direction is rounding noise, so they take part in no rotation.
+    zero = max(m, n) * np.finfo(float).eps * float(np.linalg.norm(a, axis=0).max())
+    # moves[r] reorders the rows from seating r to seating r + 1 (cyclic)
+    moves = [
+        np.argsort(seatings[r])[seatings[(r + 1) % len(seatings)]]
+        for r in range(len(seatings))
+    ]
+    wv = wv[seatings[0]]
+    buf = np.empty_like(wv)
+    half = size // 2
+    for sweep in range(1, JACOBI_MAX_SWEEPS + 1):
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = float(np.dot(w[p], w[p]))
-                beta = float(np.dot(w[q], w[q]))
-                scale = math.sqrt(alpha * beta)
-                if scale == 0.0:
-                    continue
-                gamma = float(np.dot(w[p], w[q]))
-                if abs(gamma) <= JACOBI_TOL * scale:
-                    continue
+        for move in moves:
+            pairs = wv.reshape(half, 2, m + n)
+            wp, wq = pairs[:, 0, :m], pairs[:, 1, :m]
+            alpha = _row_dots(wp, wp)
+            beta = _row_dots(wq, wq)
+            gamma = _row_dots(wp, wq)
+            act = (
+                (np.abs(gamma) > JACOBI_TOL * np.sqrt(alpha * beta))
+                & (np.sqrt(alpha) > zero)
+                & (np.sqrt(beta) > zero)
+            )
+            if act.any():
                 rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                wp = w[p].copy()
-                w[p] = c * wp - s * w[q]
-                w[q] = s * wp + c * w[q]
-                vp = v[p].copy()
-                v[p] = c * vp - s * v[q]
-                v[q] = s * vp + c * v[q]
+                zeta = (beta[act] - alpha[act]) / (2.0 * gamma[act])
+                t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+                c = np.ones(half)
+                s = np.zeros(half)
+                c[act] = 1.0 / np.sqrt(1.0 + t * t)
+                s[act] = c[act] * t
+                # per pair: p <- c p - s q, q <- s p + c q; idle pairs get I
+                rot = np.stack((np.stack((c, -s), 1), np.stack((s, c), 1)), 1)
+                np.matmul(rot, pairs, out=buf.reshape(half, 2, m + n))
+            else:
+                buf, wv = wv, buf
+            # mode="clip": with the default mode, take() buffers all of out
+            np.take(buf, move, axis=0, out=wv, mode="clip")
         if not rotated:
-            return w, v
-    # Sweep cap reached with rotations still firing; report how far off the
-    # worst remaining pair is.
-    worst = 0.0
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            scale = float(np.linalg.norm(w[p]) * np.linalg.norm(w[q]))
-            if scale == 0.0:
-                continue
-            worst = max(worst, abs(float(np.dot(w[p], w[q]))) / scale)
-    if worst <= JACOBI_TOL:
-        return w, v
-    raise ConvergenceError(
-        f"jacobi svd did not converge in {JACOBI_MAX_SWEEPS} sweeps, "
-        f"worst off-diagonal ratio {worst:.3e}",
-        off_diagonal=worst,
-    )
+            break
+    else:
+        # Sweep cap reached with rotations still firing; report how far off
+        # the worst remaining pair of nonzero columns is.
+        w = wv[:, :m]
+        norms = np.sqrt(_row_dots(w, w))
+        live = norms > zero
+        ratio = np.abs(w[live] @ w[live].T) / np.outer(norms[live], norms[live])
+        np.fill_diagonal(ratio, 0.0)
+        worst = float(ratio.max()) if ratio.size else 0.0
+        if worst > JACOBI_TOL:
+            raise ConvergenceError(
+                f"jacobi svd did not converge in {JACOBI_MAX_SWEEPS} sweeps, "
+                f"worst off-diagonal ratio {worst:.3e}",
+                off_diagonal=worst,
+            )
+    # back from seating 0 to row j = column j, padding row dropped
+    wv = wv[np.argsort(seatings[0])][:n]
+    return wv[:, :m].copy(), wv[:, m:].copy(), sweep
 
 
-def _complete_basis(ut, filled, m):
+def _complete_basis(ut, filled):
     """Fill unfilled rows of ``ut`` with unit vectors orthogonal to the rest.
 
-    Gram-Schmidt against the standard basis; used for singular values that
-    are numerically zero, where the rotated column carries no direction.
+    Used for singular values that are numerically zero, where the rotated
+    column carries no direction.  The trailing columns of a complete QR
+    factorization of the filled rows span their orthogonal complement.
     """
-    have = [ut[j] for j in range(ut.shape[0]) if filled[j]]
-    for j in range(ut.shape[0]):
-        if filled[j]:
-            continue
-        for k in range(m):
-            cand = np.zeros(m)
-            cand[k] = 1.0
-            for b in have:
-                cand -= np.dot(cand, b) * b
-            norm = float(np.linalg.norm(cand))
-            if norm > 0.5:
-                ut[j] = cand / norm
-                have.append(ut[j])
-                break
-        else:  # pragma: no cover - m independent vectors always exist
-            raise ConvergenceError("could not complete an orthonormal basis")
+    k = int(filled.sum())
+    q, _ = np.linalg.qr(ut[filled].T, mode="complete")
+    ut[~filled] = q[:, k:ut.shape[0]].T
     return ut
 
 
@@ -222,7 +228,7 @@ def svd(a):
     work = a.T if transposed else a
     rows, cols = work.shape  # rows >= cols
 
-    w, vt = _jacobi_tall(work)
+    w, vt, _ = _jacobi_tall(work)
     norms = np.linalg.norm(w, axis=1)
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]
@@ -233,9 +239,9 @@ def svd(a):
     cutoff = max(rows, cols) * np.finfo(float).eps * smax
     ut = np.zeros((cols, rows))
     filled = norms > cutoff
-    for j in np.flatnonzero(filled):
-        ut[j] = w[j] / norms[j]
-    ut = _complete_basis(ut, filled, rows)
+    ut[filled] = w[filled] / norms[filled, None]
+    if not filled.all():
+        ut = _complete_basis(ut, filled)
 
     u = ut.T
     v = vt.T

@@ -1,12 +1,19 @@
 """JSON model files: save and load every trained model type.
 
-A model file is a single JSON document (format_version 1) holding the
+A model file is a single JSON document (format_version 2) holding the
 algorithm tag, creation metadata, the rating scale, the token index maps,
 the algorithm's parameter block, and, when present, the feature-encoder
 spec and an ensemble description with nested member blocks. Keys are
 sorted and numbers use Python's shortest round-trip decimals, so saving
 the same model twice yields byte-identical files except for the
 "created" timestamp, and loading reproduces predictions exactly.
+
+The svd block stores the rank-f factors "u" (m x f), "s" (f) and "v"
+(n x f) plus "rated", each user's observed item indices; loading rebuilds
+the dense reconstruction with the same function training used and the
+0/1 mask from the index lists. Version 1 files, whose svd block holds the
+dense "r_star" and "mask" matrices, still load; a model built by hand
+without factors is written in that dense form.
 """
 
 import json
@@ -21,9 +28,12 @@ from .ensemble import BlendModel
 from .errors import PersistenceError, ValidationError
 from .factor import FactorModel, ItemCfModel
 from .fm import EncoderSpec, FfmModel, FmModel, encode
-from .svdcf import SvdCfModel
+from .linalg import SvdResult
+from .svdcf import SvdCfModel, reconstruct
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# version 1 stored the svd block as the dense r_star and mask
+READABLE_VERSIONS = (1, FORMAT_VERSION)
 ALGORITHMS = ("svd", "funk", "svdpp", "itemcf", "fm", "ffm", "ensemble")
 
 
@@ -169,13 +179,21 @@ def _encoder_from(doc):
 
 def _parameters(algorithm, model, observed=None):
     if algorithm == "svd":
-        return {
-            "r_star": _nested(model.r_star),
-            "mask": _nested(model.mask),
+        block = {
             "f": int(model.f),
             "similarity_mode": model.similarity_mode,
             "neighborhood": model.neighborhood,
         }
+        if model.factors is None:
+            block.update(r_star=_nested(model.r_star), mask=_nested(model.mask))
+        else:
+            block.update(
+                u=_nested(model.factors.u),
+                s=_nested(model.factors.s),
+                v=_nested(model.factors.v),
+                rated=[np.flatnonzero(row).tolist() for row in model.mask],
+            )
+        return block
     if algorithm == "funk":
         return {
             "p": _nested(model.P),
@@ -219,14 +237,30 @@ def _parameters(algorithm, model, observed=None):
 
 def _model_from(algorithm, block, scale):
     if algorithm == "svd":
-        return SvdCfModel(
-            r_star=np.array(block["r_star"], dtype=float),
-            mask=np.array(block["mask"], dtype=float),
-            f=int(block["f"]),
-            similarity_mode=block["similarity_mode"],
-            scale=scale,
-            neighborhood=block["neighborhood"],
+        common = {
+            "f": int(block["f"]),
+            "similarity_mode": block["similarity_mode"],
+            "scale": scale,
+            "neighborhood": block["neighborhood"],
+        }
+        if "r_star" in block:  # version 1, or a model built without factors
+            return SvdCfModel(
+                r_star=np.array(block["r_star"], dtype=float),
+                mask=np.array(block["mask"], dtype=float),
+                **common,
+            )
+        factors = SvdResult(
+            u=np.array(block["u"], dtype=float),
+            s=np.array(block["s"], dtype=float),
+            v=np.array(block["v"], dtype=float),
         )
+        if len(block["rated"]) != factors.u.shape[0]:
+            raise ValueError("svd block lists rated items for the wrong number of users")
+        mask = np.zeros((factors.u.shape[0], factors.v.shape[0]))
+        for user, items in enumerate(block["rated"]):
+            mask[user, np.asarray(items, dtype=np.int64)] = 1.0
+        return SvdCfModel(r_star=reconstruct(factors), mask=mask,
+                          factors=factors, **common)
     if algorithm in ("funk", "svdpp"):
         rated = block.get("rated")
         n_sets = None
@@ -355,9 +389,10 @@ def load_model(path):
     if not isinstance(raw, dict):
         raise PersistenceError(f"model file {path} is not a JSON object")
     version = raw.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise PersistenceError(
-            f"unsupported format_version {version!r}, expected {FORMAT_VERSION}"
+            f"unsupported format_version {version!r}, "
+            f"expected one of {', '.join(map(str, READABLE_VERSIONS))}"
         )
     algorithm = raw.get("algorithm")
     if algorithm not in ALGORITHMS:

@@ -84,6 +84,9 @@ class SvdCfModel:
         scale: rating scale carried from the training data.
         neighborhood: optional top-K cut on neighbors per prediction;
             None means all items participate.
+        factors: the rank-f triplets (u (m, f), s (f,), v (n, f)) that
+            r_star was built from by reconstruct(); set by fit, None for
+            a model built from r_star alone.
     """
 
     r_star: np.ndarray
@@ -92,6 +95,7 @@ class SvdCfModel:
     similarity_mode: str = "paper-dot"
     scale: tuple = (1.0, 5.0)
     neighborhood: int | None = None
+    factors: linalg.SvdResult | None = None
 
     def __post_init__(self):
         self.r_star = np.asarray(self.r_star, dtype=float)
@@ -143,15 +147,25 @@ def fit(ds, impute_strategy="user", rank_rule="energy:0.95",
     else:
         f = value
     u_f, s_f, v_f = linalg.truncate(res, f)
-    r_star = u_f @ s_f @ v_f.T
+    factors = linalg.SvdResult(u=u_f, s=np.diag(s_f).copy(), v=v_f)
     return SvdCfModel(
-        r_star=r_star,
+        r_star=reconstruct(factors),
         mask=mask,
         f=f,
         similarity_mode=similarity_mode,
         scale=ds.scale,
         neighborhood=neighborhood,
+        factors=factors,
     )
+
+
+def reconstruct(factors):
+    """The rank-f matrix ``u @ diag(s) @ v.T`` of truncated SVD factors.
+
+    fit and the model-file loader both build r_star here, so a reloaded
+    model reproduces the trained reconstruction bit for bit.
+    """
+    return (factors.u * factors.s) @ factors.v.T
 
 
 def masked_item_similarity(model, i, j):

@@ -1,55 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentrec import linalg
 from latentrec.errors import (
     ConvergenceError,
     DegenerateSpectrumError,
-    ShapeError,
     ZeroNormError,
 )
-
-
-class TestHadamard:
-    def test_identity_with_ones(self):
-        a = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(linalg.hadamard(a, np.ones((3, 4))), a)
-
-    def test_zeros_annihilate(self):
-        a = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(linalg.hadamard(a, np.zeros((2, 3))), np.zeros((2, 3)))
-
-    def test_masked_column(self, four_by_four):
-        # column 2 of the reconstruction masked down to its observed cells
-        col = four_by_four["r_star"][:, 1]
-        mask_col = four_by_four["mask"][:, 1]
-        out = linalg.hadamard(col.reshape(-1, 1), mask_col.reshape(-1, 1)).ravel()
-        np.testing.assert_allclose(out, [2.87, 0.0, 0.0, 0.0])
-
-    def test_commutes(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = rng.normal(size=(4, 5))
-            b = rng.normal(size=(4, 5))
-            np.testing.assert_array_equal(linalg.hadamard(a, b), linalg.hadamard(b, a))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            linalg.hadamard(np.ones((2, 2)), np.ones((2, 3)))
-
-
-class TestDot:
-    def test_masked_column_products(self):
-        masked_i = np.array([2.87, 0.0, 0.0, 0.0])
-        assert linalg.dot(masked_i, np.array([3.88, 4.46, 0.76, 4.71])) == pytest.approx(11.1356)
-        assert linalg.dot(masked_i, np.array([0.0, 4.32, 1.45, 4.33])) == 0.0
-
-    def test_orthogonal(self):
-        assert linalg.dot(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            linalg.dot(np.ones(3), np.ones(4))
 
 
 class TestCosine:
@@ -179,6 +138,42 @@ class TestSvd:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             linalg.svd(bad)
+
+    @pytest.mark.parametrize("name", ["duplicated_profiles", "rank5_120x60"])
+    def test_rank_deficient_converges(self, name):
+        if name == "duplicated_profiles":
+            # users copying 12 profiles: noise columns shrink to ~1e-130
+            # while staying correlated with the large columns
+            a = np.repeat(np.random.default_rng(1).uniform(1, 5, (6, 30)), 10, axis=0)
+        else:
+            rng = np.random.default_rng(9)
+            a = rng.normal(size=(120, 5)) @ rng.normal(size=(5, 60))
+        res = linalg.svd(a)
+        assert reconstruction_error(a, res) <= 1e-8
+        assert max_orthonormality_defect(res) <= 1e-10
+        np.testing.assert_allclose(res.s, np.linalg.svd(a, compute_uv=False), atol=1e-9)
+        _, _, sweeps = linalg._jacobi_tall(a)  # both inputs are tall
+        assert sweeps < linalg.JACOBI_MAX_SWEEPS
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        rank=st.integers(0, 4),
+        copies=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    )
+    def test_property_low_rank_with_duplicates(self, seed, shape, rank, copies):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-5, 5, (shape[0], rank)) @ rng.uniform(-5, 5, (rank, shape[1]))
+        rows = rng.integers(1, copies[0] + 1, size=shape[0])
+        cols = rng.integers(1, copies[1] + 1, size=shape[1])
+        a = np.repeat(np.repeat(base, rows, axis=0), cols, axis=1)
+        res = linalg.svd(a)
+        assert max_orthonormality_defect(res) <= 1e-10
+        assert reconstruction_error(a, res) <= 1e-8
+        scale = max(1.0, float(res.s[0]))
+        np.testing.assert_allclose(res.s, np.linalg.svd(a, compute_uv=False), atol=1e-9 * scale)
+        assert np.sum(res.s > 1e-9 * scale) <= rank
 
     def test_worked_example_spectrum(self, four_by_four):
         # user-mean imputation, then the full decomposition

@@ -73,6 +73,18 @@ def fm_bundle(algo="fm"):
     ), ds
 
 
+def svd_bundle():
+    ds = dataset_from_dense(FOUR_BY_FOUR)
+    model = svdcf.fit(ds, impute_strategy="user", rank_rule="fixed:2")
+    return ModelBundle(
+        algorithm="svd",
+        model=model,
+        user_index=ds.user_index,
+        item_index=ds.item_index,
+        scale=ds.scale,
+    ), ds
+
+
 def assert_predictions_match(before, after, ds, tol=1e-12):
     for u in ds.user_index:
         for i in ds.item_index:
@@ -81,20 +93,50 @@ def assert_predictions_match(before, after, ds, tol=1e-12):
 
 class TestRoundTrip:
     def test_svd(self, tmp_path):
-        ds = dataset_from_dense(FOUR_BY_FOUR)
-        model = svdcf.fit(ds, impute_strategy="user", rank_rule="fixed:2")
-        bundle = ModelBundle(
-            algorithm="svd",
-            model=model,
-            user_index=ds.user_index,
-            item_index=ds.item_index,
-            scale=ds.scale,
-        )
+        bundle, ds = svd_bundle()
+        model = bundle.model
         loaded = load_model(save_model(bundle, tmp_path / "m.json"))
         assert loaded.algorithm == "svd"
         assert loaded.model.f == 2
         assert loaded.model.similarity_mode == model.similarity_mode
         assert_predictions_match(bundle, loaded, ds)
+
+    def test_svd_stores_factors_and_rebuilds_exactly(self, tmp_path):
+        bundle, ds = svd_bundle()
+        path = save_model(bundle, tmp_path / "m.json")
+        block = json.loads(path.read_text())["parameters"]
+        assert "r_star" not in block and "mask" not in block
+        assert np.array(block["u"]).shape == (4, 2)
+        assert np.array(block["v"]).shape == (4, 2)
+        loaded = load_model(path).model
+        assert np.array_equal(loaded.r_star, bundle.model.r_star)
+        assert np.array_equal(loaded.mask, bundle.model.mask)
+        assert_predictions_match(bundle, load_model(path), ds, tol=0.0)
+
+    def test_svd_resave_is_byte_identical(self, tmp_path):
+        bundle, _ = svd_bundle()
+        first = save_model(bundle, tmp_path / "a.json")
+        second = save_model(load_model(first), tmp_path / "b.json")
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_svd_version_1_document_loads(self, tmp_path):
+        bundle, ds = svd_bundle()
+        doc = document(bundle)
+        block = doc["parameters"]
+        for key in ("u", "s", "v", "rated"):
+            del block[key]
+        block["r_star"] = bundle.model.r_star.tolist()
+        block["mask"] = bundle.model.mask.tolist()
+        doc["format_version"] = 1
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        loaded = load_model(path)
+        assert loaded.model.factors is None
+        assert_predictions_match(bundle, loaded, ds, tol=0.0)
+        # without factors the model is written back in the dense form
+        resaved = document(loaded)
+        assert resaved["format_version"] == 2
+        assert resaved["parameters"]["r_star"] == block["r_star"]
 
     def test_funk(self, tmp_path):
         bundle, ds = funk_bundle()
@@ -185,7 +227,7 @@ class TestFileFormat:
     def test_header_fields(self):
         bundle, _ = funk_bundle()
         doc = document(bundle)
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["algorithm"] == "funk"
         assert doc["created"]
         assert doc["scale"] == [1.0, 5.0]
@@ -220,7 +262,7 @@ class TestFileFormat:
         path = tmp_path / "m.json"
         save_model(bundle, path)
         doc = json.loads(path.read_text())
-        doc["format_version"] = 2
+        doc["format_version"] = 3
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="format_version"):
             load_model(path)

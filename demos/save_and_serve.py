@@ -11,6 +11,7 @@ the command line:
     latentrec evaluate m.json --test holdout.csv
 """
 
+import json
 import tempfile
 
 from latentrec import (
@@ -52,9 +53,13 @@ def main():
     with tempfile.TemporaryDirectory() as outdir:
         path = save_model(bundle, f"{outdir}/funk.json")
         with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        print(f"wrote {path}: {len(lines)} lines of JSON")
-        print("\n".join(lines[:6]) + "\n  ...")
+            text = handle.read()
+        doc = json.loads(text)
+        print(f"wrote {path}: {len(text.encode('utf-8'))} bytes of JSON "
+              "on one line (pretty-print it with python -m json.tool)")
+        for key in ("format_version", "algorithm", "library", "scale"):
+            print(f"  {key}: {doc[key]}")
+        print(f"  parameters: {', '.join(sorted(doc['parameters']))}")
 
         reloaded = load_model(path)
 

@@ -34,7 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import optim
-from .errors import DivergenceError, GradientError, ValidationError
+from .data import DENSE_CELL_CAP
+from .errors import CapacityError, DivergenceError, GradientError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -472,31 +473,57 @@ class ItemCfPrediction(NamedTuple):
     empty_neighborhood: bool
 
 
-def itemcf_similarity(ds, k=None):
-    """Overlap similarity W[i, j] = |N(i) & N(j)| / |N(i)| from a dataset.
+def overlap_weights(ratings, n):
+    """Overlap similarity W[i, j] = |N(i) & N(j)| / |N(i)| from rating maps.
 
-    N(i) collects the users with a triple for item i (implicit zeros do
-    not count as raters). The diagonal is forced to zero and items with no
-    raters get all-zero rows. k sets the prediction neighborhood size and
-    defaults to n - 1, meaning every other item.
+    ratings holds one dict per user whose keys are the item indices that
+    user rated, so N(i) is the set of users whose dict has key i. The
+    co-occurrence counts are exact integers, the diagonal is forced to
+    zero and items with no raters get all-zero rows. Training and model
+    loading both build W here, so a loaded model has the trained weights.
+
+    Raises:
+        CapacityError: n x n exceeds DENSE_CELL_CAP; checked before
+            anything is allocated.
+        IndexError: an item index lies outside [0, n).
     """
-    users, items, ratings = ds.indexed()
-    m, n = ds.n_users, ds.n_items
-    b = np.zeros((m, n))
-    positive = ratings != 0.0 if ds.kind == "implicit" else slice(None)
-    b[users[positive], items[positive]] = 1.0
-    counts = b.T @ b
+    if n * n > DENSE_CELL_CAP:
+        raise CapacityError(
+            f"item overlap matrix of {n} x {n} = {n * n} cells exceeds the "
+            f"cap of {DENSE_CELL_CAP}; use a factor model instead"
+        )
+    counts = np.zeros((n, n))
+    for user in ratings:
+        idx = np.fromiter(user, dtype=np.int64, count=len(user))
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise IndexError(f"item index out of range for {n} items")
+        counts[np.ix_(idx, idx)] += 1.0
     raters = np.diag(counts).copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         w = counts / raters[:, None]
     w[raters == 0.0, :] = 0.0
     np.fill_diagonal(w, 0.0)
-    maps = [{} for _ in range(m)]
-    for t in range(len(users)):
+    return w
+
+
+def itemcf_similarity(ds, k=None):
+    """ItemCF model with overlap weights (see overlap_weights) from a dataset.
+
+    N(i) collects the users with a triple for item i (implicit zeros do
+    not count as raters). k sets the prediction neighborhood size and
+    defaults to n - 1, meaning every other item.
+    """
+    users, items, ratings = ds.indexed()
+    n = ds.n_items
+    maps = [{} for _ in range(ds.n_users)]
+    # item order, as model files store them, so that a loaded model sums
+    # each user's ratings in the same order and predicts bit for bit alike
+    for t in np.lexsort((items, users)):
         if ds.kind == "implicit" and ratings[t] == 0.0:
             continue
         maps[users[t]][int(items[t])] = float(ratings[t])
-    return ItemCfModel(W=w, K=k if k is not None else max(n - 1, 1), ratings=maps)
+    return ItemCfModel(W=overlap_weights(maps, n),
+                       K=k if k is not None else max(n - 1, 1), ratings=maps)
 
 
 def itemcf_predict_with_info(model, ds, u, j):

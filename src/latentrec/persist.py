@@ -1,19 +1,27 @@
 """JSON model files: save and load every trained model type.
 
-A model file is a single JSON document (format_version 2) holding the
+A model file is a single JSON document (format_version 3) holding the
 algorithm tag, creation metadata, the rating scale, the token index maps,
 the algorithm's parameter block, and, when present, the feature-encoder
-spec and an ensemble description with nested member blocks. Keys are
-sorted and numbers use Python's shortest round-trip decimals, so saving
-the same model twice yields byte-identical files except for the
+spec and an ensemble description with nested member blocks. It is written
+on one compact line (pretty-print it with ``python -m json.tool``). Keys
+are sorted and numbers use Python's shortest round-trip decimals, so
+saving the same model twice yields byte-identical files except for the
 "created" timestamp, and loading reproduces predictions exactly.
 
 The svd block stores the rank-f factors "u" (m x f), "s" (f) and "v"
 (n x f) plus "rated", each user's observed item indices; loading rebuilds
 the dense reconstruction with the same function training used and the
-0/1 mask from the index lists. Version 1 files, whose svd block holds the
-dense "r_star" and "mask" matrices, still load; a model built by hand
-without factors is written in that dense form.
+0/1 mask from the index lists. A model built by hand without factors is
+written with the dense "r_star" and "mask" matrices instead.
+
+The itemcf block stores "k" and each user's "ratings"; loading rebuilds
+the overlap weights W with factor.overlap_weights, the function training
+used, so saving refuses a model whose W does not follow from its ratings.
+
+Versions 1 and 2 still load: version 1 stored the svd block as the dense
+"r_star" and "mask", and version 2 itemcf blocks carry "w", which is read
+as stored.
 """
 
 import json
@@ -25,15 +33,16 @@ import numpy as np
 
 from . import __version__
 from .ensemble import BlendModel
-from .errors import PersistenceError, ValidationError
-from .factor import FactorModel, ItemCfModel
+from .errors import CapacityError, PersistenceError, ValidationError
+from .factor import FactorModel, ItemCfModel, overlap_weights
 from .fm import EncoderSpec, FfmModel, FmModel, encode
 from .linalg import SvdResult
 from .svdcf import SvdCfModel, reconstruct
 
-FORMAT_VERSION = 2
-# version 1 stored the svd block as the dense r_star and mask
-READABLE_VERSIONS = (1, FORMAT_VERSION)
+FORMAT_VERSION = 3
+# version 1 stored the svd block as the dense r_star and mask; version 2
+# stored the itemcf weights "w"
+READABLE_VERSIONS = (1, 2, FORMAT_VERSION)
 ALGORITHMS = ("svd", "funk", "svdpp", "itemcf", "fm", "ffm", "ensemble")
 
 
@@ -213,8 +222,13 @@ def _parameters(algorithm, model, observed=None):
             "rated": _int_rows(model.N),
         }
     if algorithm == "itemcf":
+        if not np.array_equal(model.W, overlap_weights(model.ratings,
+                                                       model.n_items)):
+            raise PersistenceError(
+                "itemcf weights do not follow from the stored ratings; "
+                "the file could not reproduce them on load"
+            )
         return {
-            "w": _nested(model.W),
             "k": int(model.K),
             "ratings": [
                 sorted([int(i), float(r)] for i, r in user.items())
@@ -235,7 +249,7 @@ def _parameters(algorithm, model, observed=None):
     raise PersistenceError(f"no parameter block for algorithm {algorithm!r}")
 
 
-def _model_from(algorithm, block, scale):
+def _model_from(algorithm, block, scale, n_items):
     if algorithm == "svd":
         common = {
             "f": int(block["f"]),
@@ -282,13 +296,14 @@ def _model_from(algorithm, block, scale):
             )
         return FactorModel(**common)
     if algorithm == "itemcf":
-        return ItemCfModel(
-            W=np.array(block["w"], dtype=float),
-            K=int(block["k"]),
-            ratings=[
-                {int(i): float(r) for i, r in user} for user in block["ratings"]
-            ],
-        )
+        ratings = [
+            {int(i): float(r) for i, r in user} for user in block["ratings"]
+        ]
+        if "w" in block:  # version 2
+            w = np.array(block["w"], dtype=float)
+        else:
+            w = overlap_weights(ratings, n_items)
+        return ItemCfModel(W=w, K=int(block["k"]), ratings=ratings)
     if algorithm == "fm":
         return FmModel(
             w0=float(block["w0"]),
@@ -325,7 +340,7 @@ def _member_doc(member):
 def _member_from(doc, scale, user_tokens, item_tokens):
     algorithm = doc["algorithm"]
     block = doc["parameters"]
-    model = _model_from(algorithm, block, scale)
+    model = _model_from(algorithm, block, scale, len(item_tokens))
     encoder = _encoder_from(doc["encoder"]) if "encoder" in doc else None
     observed = block.get("observed")
     return IndexedModel(
@@ -370,8 +385,12 @@ def document(bundle):
 
 
 def save_model(bundle, path):
-    """Write the bundle to path; returns the path."""
-    text = json.dumps(document(bundle), sort_keys=True, indent=2) + "\n"
+    """Write the bundle to path as one compact JSON line; returns the path.
+
+    Raises PersistenceError for a model the file format cannot reproduce.
+    """
+    text = json.dumps(document(bundle), sort_keys=True,
+                      separators=(",", ":")) + "\n"
     Path(path).write_text(text, encoding="utf-8")
     return path
 
@@ -380,7 +399,8 @@ def load_model(path):
     """Read a model file back into a ModelBundle.
 
     Raises PersistenceError for unreadable JSON, an unsupported
-    format_version, or an unknown algorithm tag.
+    format_version, or an unknown algorithm tag, and CapacityError when
+    the itemcf weights to rebuild exceed the dense cell cap.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -419,9 +439,11 @@ def load_model(path):
             observed = None
         else:
             block = raw["parameters"]
-            model = _model_from(algorithm, block, scale)
+            model = _model_from(algorithm, block, scale, len(item_index))
             encoder = _encoder_from(raw["encoder"]) if "encoder" in raw else None
             observed = block.get("observed")
+    except CapacityError:
+        raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise PersistenceError(f"malformed model file {path}: {exc}") from exc
     return ModelBundle(

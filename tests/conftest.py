@@ -8,6 +8,8 @@ prediction 1.4 for cell (3, 2)) were derived from these matrices by hand
 and cross-checked with an independent implementation.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,10 @@ def dataset_from_dense(ratings, scale=(1.0, 5.0)):
         if ratings[u, i] != 0
     ]
     return RatingDataset.from_triples(triples, kind="explicit", scale=scale)
+
+
+def without_created(text):
+    """Model file text with the "created" value blanked; it must be there once."""
+    kept, hits = re.subn(r'"created":"[^"]*"', '"created":""', text)
+    assert hits == 1
+    return kept

@@ -12,7 +12,11 @@ import pytest
 from latentrec.cli import main
 from latentrec.data import split
 from latentrec.persist import load_model
-from tests.conftest import FOUR_BY_FOUR_CSV, make_rank2_ratings
+from tests.conftest import (
+    FOUR_BY_FOUR_CSV,
+    make_rank2_ratings,
+    without_created,
+)
 
 IMPLICIT_CSV = (
     "user,item,rating\n"
@@ -237,9 +241,7 @@ class TestTrain:
             assert code == 0
         text_a = first.read_text().replace(str(first), "MODEL")
         text_b = second.read_text().replace(str(second), "MODEL")
-        kept_a = [l for l in text_a.splitlines() if '"created"' not in l]
-        kept_b = [l for l in text_b.splitlines() if '"created"' not in l]
-        assert kept_a == kept_b
+        assert without_created(text_a) == without_created(text_b)
 
     def test_bad_rank_rule_is_an_argument_error(self, capsys, tmp_path):
         data = write_ratings(tmp_path)

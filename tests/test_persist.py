@@ -4,15 +4,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latentrec import svdcf
+from latentrec import factor, svdcf
 from latentrec.data import RatingDataset
 from latentrec.ensemble import BlendModel, stack_fit
-from latentrec.errors import PersistenceError, ValidationError
+from latentrec.errors import CapacityError, PersistenceError, ValidationError
 from latentrec.factor import (
+    ItemCfModel,
     TrainConfig,
     funk_train,
     itemcf_similarity,
+    overlap_weights,
     svdpp_train,
 )
 from latentrec.fm import EncoderSpec, encode, ffm_train, fm_train
@@ -23,7 +27,11 @@ from latentrec.persist import (
     load_model,
     save_model,
 )
-from tests.conftest import dataset_from_dense, make_rank2_ratings
+from tests.conftest import (
+    dataset_from_dense,
+    make_rank2_ratings,
+    without_created,
+)
 
 FOUR_BY_FOUR = np.array([
     [1.0, 3.0, 0.0, 4.0],
@@ -135,7 +143,7 @@ class TestRoundTrip:
         assert_predictions_match(bundle, loaded, ds, tol=0.0)
         # without factors the model is written back in the dense form
         resaved = document(loaded)
-        assert resaved["format_version"] == 2
+        assert resaved["format_version"] == 3
         assert resaved["parameters"]["r_star"] == block["r_star"]
 
     def test_funk(self, tmp_path):
@@ -223,11 +231,196 @@ class TestRoundTrip:
         assert_predictions_match(bundle, loaded, ds)
 
 
+def implicit_dataset():
+    """0/1 data with zeros; nobody rated item z and user d rated nothing."""
+    return RatingDataset([
+        ("a", "w", 1.0), ("a", "x", 1.0), ("a", "y", 0.0),
+        ("b", "x", 1.0), ("b", "y", 1.0), ("b", "z", 0.0),
+        ("c", "w", 1.0), ("c", "y", 1.0), ("c", "z", 0.0),
+        ("d", "w", 0.0), ("d", "x", 0.0),
+        ("e", "w", 1.0), ("e", "x", 1.0), ("e", "y", 1.0),
+    ], kind="implicit")
+
+
+def itemcf_bundle(kind, k=None):
+    if kind == "implicit":
+        ds = implicit_dataset()
+    else:
+        ds = small_dataset()
+        if kind == "reversed":  # each user's items in descending order
+            ds = RatingDataset(reversed(ds.triples), item_index=ds.item_index)
+    return ModelBundle(
+        algorithm="itemcf",
+        model=itemcf_similarity(ds, k=k),
+        user_index=ds.user_index,
+        item_index=ds.item_index,
+        scale=ds.scale,
+    ), ds
+
+
+def blend_bundle(kind):
+    wide, ds = itemcf_bundle(kind)
+    narrow, _ = itemcf_bundle(kind, k=2)
+    return ModelBundle(
+        algorithm="ensemble",
+        model=BlendModel(members=[wide.scorer, narrow.scorer],
+                         weights=[0.6, 0.4]),
+        user_index=ds.user_index,
+        item_index=ds.item_index,
+        scale=ds.scale,
+    ), ds
+
+
+def old_overlap_weights(ds):
+    """W built from the dense m x n 0/1 rater matrix, as format 2 did."""
+    users, items, ratings = ds.indexed()
+    b = np.zeros((ds.n_users, ds.n_items))
+    positive = ratings != 0.0 if ds.kind == "implicit" else slice(None)
+    b[users[positive], items[positive]] = 1.0
+    counts = b.T @ b
+    raters = np.diag(counts).copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = counts / raters[:, None]
+    w[raters == 0.0, :] = 0.0
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def itemcf_models(bundle):
+    if bundle.algorithm == "ensemble":
+        return [member.model for member in bundle.model.members]
+    return [bundle.model]
+
+
+class TestItemCfFiles:
+    @pytest.mark.parametrize("kind", ["explicit", "reversed", "implicit"])
+    @pytest.mark.parametrize("make", [itemcf_bundle, blend_bundle])
+    def test_round_trip_rebuilds_weights(self, make, kind, tmp_path):
+        bundle, ds = make(kind)
+        first = save_model(bundle, tmp_path / "a.json")
+        doc = json.loads(first.read_text())
+        blocks = [m["parameters"] for m in doc["ensemble"]["members"]] \
+            if "ensemble" in doc else [doc["parameters"]]
+        assert all(set(block) == {"k", "ratings"} for block in blocks)
+        loaded = load_model(first)
+        for before, after in zip(itemcf_models(bundle), itemcf_models(loaded)):
+            assert np.array_equal(after.W, before.W)
+        for user in ds.user_index:
+            assert loaded.recommend(user, ds.n_items) == \
+                bundle.recommend(user, ds.n_items)
+        assert_predictions_match(bundle, loaded, ds, tol=0.0)
+        second = save_model(loaded, tmp_path / "b.json")
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_unrated_item_has_zero_row_after_load(self, tmp_path):
+        bundle, ds = itemcf_bundle("implicit")
+        loaded = load_model(save_model(bundle, tmp_path / "m.json"))
+        assert np.all(loaded.model.W[ds.item_index["z"]] == 0.0)
+        assert loaded.model.ratings[ds.user_index["d"]] == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 7),
+        n=st.integers(1, 7),
+        kind=st.sampled_from(["explicit", "implicit"]),
+        cells=st.data(),
+    )
+    def test_property_rebuilt_weights_match_dense_counts(
+            self, m, n, kind, cells, tmp_path_factory):
+        values = [0.0, 1.0] if kind == "implicit" else [1.0, 2.5, 5.0]
+        grid = cells.draw(st.lists(
+            st.lists(st.one_of(st.none(), st.sampled_from(values)),
+                     min_size=n, max_size=n),
+            min_size=m, max_size=m,
+        ))
+        triples = [(f"u{u}", f"i{i}", r) for u, row in enumerate(grid)
+                   for i, r in enumerate(row) if r is not None]
+        if not triples:
+            triples = [("u0", "i0", values[-1])]
+        ds = RatingDataset(triples, kind=kind,
+                           item_index={f"i{i}": i for i in range(n)})
+        expected = old_overlap_weights(ds)
+        bundle = ModelBundle(algorithm="itemcf", model=itemcf_similarity(ds),
+                             user_index=ds.user_index,
+                             item_index=ds.item_index, scale=ds.scale)
+        assert np.array_equal(bundle.model.W, expected)
+        path = tmp_path_factory.mktemp("itemcf") / "m.json"
+        assert np.array_equal(load_model(save_model(bundle, path)).model.W,
+                              expected)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_version_2_document_with_w_loads_as_stored(self, scale, tmp_path):
+        bundle, ds = itemcf_bundle("explicit")
+        doc = document(bundle)
+        stored = bundle.model.W * scale
+        doc["format_version"] = 2
+        doc["parameters"]["w"] = stored.tolist()
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        loaded = load_model(path)
+        assert np.array_equal(loaded.model.W, stored)
+        for u in ds.user_index:
+            for i in ds.item_index:
+                assert loaded.predict(u, i) == scale * bundle.predict(u, i)
+        if scale == 1.0:
+            assert document(loaded)["format_version"] == 3
+        else:
+            # these weights do not follow from the ratings, so no
+            # version 3 file can hold them
+            with pytest.raises(PersistenceError, match="weights"):
+                save_model(loaded, tmp_path / "resaved.json")
+
+    @pytest.mark.parametrize("as_member", [False, True])
+    def test_save_refuses_weights_the_ratings_do_not_give(self, as_member,
+                                                          tmp_path):
+        bundle, ds = itemcf_bundle("explicit")
+        model = bundle.model
+        tampered = ItemCfModel(W=model.W * 0.5, K=model.K,
+                               ratings=model.ratings)
+        bundle.model = tampered
+        if as_member:
+            bundle = ModelBundle(
+                algorithm="ensemble",
+                model=BlendModel(members=[bundle.scorer], weights=[1.0]),
+                user_index=ds.user_index,
+                item_index=ds.item_index,
+                scale=ds.scale,
+            )
+        path = tmp_path / "m.json"
+        with pytest.raises(PersistenceError, match="weights"):
+            save_model(bundle, path)
+        assert not path.exists()
+
+    def test_overlap_cap_checked_before_allocating(self):
+        # 10001^2 cells exceed DENSE_CELL_CAP; no matrix is built
+        with pytest.raises(CapacityError, match="cap"):
+            overlap_weights([], 10_001)
+
+    def test_overlap_cap_applies_to_train_and_load(self, monkeypatch,
+                                                   tmp_path):
+        bundle, ds = itemcf_bundle("explicit")
+        path = save_model(bundle, tmp_path / "m.json")
+        monkeypatch.setattr(factor, "DENSE_CELL_CAP", ds.n_items ** 2 - 1)
+        with pytest.raises(CapacityError):
+            itemcf_similarity(ds)
+        with pytest.raises(CapacityError):
+            load_model(path)
+
+    def test_out_of_range_rating_index_is_malformed(self, tmp_path):
+        bundle, ds = itemcf_bundle("explicit")
+        doc = document(bundle)
+        doc["parameters"]["ratings"][0].append([ds.n_items, 3.0])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="malformed"):
+            load_model(path)
+
+
 class TestFileFormat:
     def test_header_fields(self):
         bundle, _ = funk_bundle()
         doc = document(bundle)
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
         assert doc["algorithm"] == "funk"
         assert doc["created"]
         assert doc["scale"] == [1.0, 5.0]
@@ -245,9 +438,7 @@ class TestFileFormat:
         b = (tmp_path / "b.json")
         save_model(fresh(), a)
         save_model(fresh(), b)
-        kept_a = [l for l in a.read_text().splitlines() if '"created"' not in l]
-        kept_b = [l for l in b.read_text().splitlines() if '"created"' not in l]
-        assert kept_a == kept_b
+        assert without_created(a.read_text()) == without_created(b.read_text())
 
     def test_created_survives_reload(self, tmp_path):
         bundle, _ = funk_bundle()
@@ -262,7 +453,7 @@ class TestFileFormat:
         path = tmp_path / "m.json"
         save_model(bundle, path)
         doc = json.loads(path.read_text())
-        doc["format_version"] = 3
+        doc["format_version"] = 4
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="format_version"):
             load_model(path)

@@ -113,10 +113,6 @@ class RatingDataset:
         self.metadata = dict(metadata or {})
         self._arrays = None
 
-    @classmethod
-    def from_triples(cls, triples, kind="explicit", scale=(1.0, 5.0)):
-        return cls(triples, kind=kind, scale=scale)
-
     @property
     def n_users(self):
         return len(self.user_index)

@@ -65,7 +65,9 @@ class DivergenceError(LatentRecError, RuntimeError):
     """Training loss became non-finite.
 
     Attributes:
-        epoch: 1-based epoch at which divergence was detected.
+        epoch: 0-based index of the epoch in which divergence was
+            detected; sequential funk counts epochs across features, so
+            feature k's first epoch is k * epochs.
     """
 
     def __init__(self, message, epoch=None):

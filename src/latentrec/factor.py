@@ -24,6 +24,14 @@ differences can check them coordinate by coordinate.
 The regularizer is summed per training pair, not per parameter, so
 frequently observed users and items are penalized more often. That is the
 documented behavior, kept as written.
+
+Every per-sample trainer (funk, svdpp and the fm machines) runs through
+run_epochs, passing two closures: visit makes one pass over the samples
+and loss returns the epoch's trace figure (training RMSE, or the mean
+sample loss). Passes run under np.errstate(over="ignore", invalid="ignore").
+A non-finite error, prediction or gradient raises GradientError inside the
+pass; it, or a non-finite epoch loss, becomes DivergenceError naming the
+0-based epoch (sequential funk counts epochs across features).
 """
 
 import logging
@@ -36,6 +44,7 @@ import numpy as np
 from . import optim
 from .data import DENSE_CELL_CAP
 from .errors import CapacityError, DivergenceError, GradientError, ValidationError
+from .metrics import top_k
 
 log = logging.getLogger(__name__)
 
@@ -184,16 +193,11 @@ class FactorModel:
         Highest score first, ties broken by ascending item index. Items in
         N(u) are excluded; with no N recorded every item is a candidate.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         if not 0 <= u < self.n_users:
             raise IndexError(f"user index {u} out of range for {self.n_users}")
         rated = set() if self.N is None else set(self.N[u].tolist())
-        scored = [
-            (i, self.predict(u, i)) for i in range(self.n_items) if i not in rated
-        ]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:k]
+        candidates = [i for i in range(self.n_items) if i not in rated]
+        return top_k(candidates, lambda i: self.predict(u, i), k)
 
 
 def _check_pair(model, u, i):
@@ -243,27 +247,42 @@ def funk_loss_gradient(model, triples, lam):
     return dP, dQ
 
 
-def _epoch_rmse(ratings, preds, epoch, alpha):
-    err = ratings - preds
-    value = float(np.sqrt(np.mean(err * err)))
-    if not math.isfinite(value):
-        raise DivergenceError(
-            f"training diverged at epoch {epoch} (non-finite loss); "
-            f"try a smaller learning rate than {alpha}",
-            epoch=epoch,
-        )
-    return value
-
-
-def _diverged(epoch, alpha, cause=None):
-    exc = DivergenceError(
+def _diverged(epoch, alpha):
+    return DivergenceError(
         f"training diverged at epoch {epoch} (non-finite values); "
         f"try a smaller learning rate than {alpha}",
         epoch=epoch,
     )
-    if cause is not None:
-        raise exc from cause
-    raise exc
+
+
+def run_epochs(config, visit, loss, first=0):
+    """Run config.epochs passes of a per-sample trainer; returns the trace.
+
+    visit() makes one pass over the samples, updating the parameters in
+    place; it raises GradientError as soon as an error, a prediction or a
+    gradient turns non-finite. loss() returns the epoch's figure for the
+    trace. Epochs are numbered first, first + 1, ... (0-based), and either
+    failure raises DivergenceError naming the epoch in which it happened.
+    """
+    trace = []
+    for epoch in range(first, first + config.epochs):
+        # overflow on the way to divergence is expected; the isfinite
+        # checks and the GradientError handler turn it into a clean error
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                visit()
+        except GradientError as exc:
+            raise _diverged(epoch, config.alpha) from exc
+        value = loss()
+        if not math.isfinite(value):
+            raise _diverged(epoch, config.alpha)
+        trace.append(value)
+    return trace
+
+
+def _rmse(targets, preds):
+    err = targets - preds
+    return float(np.sqrt(np.mean(err * err)))
 
 
 def funk_train(ds, config, init=None):
@@ -313,10 +332,10 @@ def funk_train(ds, config, init=None):
     )
 
 
-def _make_factor_states(config, shapes_names):
+def _make_factor_states(config, shapes_names, kind=None):
     return [
         optim.make_state(
-            config.optimizer,
+            kind if kind is not None else config.optimizer,
             shape,
             config.alpha,
             beta1=config.beta1,
@@ -329,38 +348,34 @@ def _make_factor_states(config, shapes_names):
 
 
 def _funk_train_all(config, users, items, ratings, pt, qt):
-    alpha, lam = config.alpha, config.lam
+    lam = config.lam
     st_p, st_q = _make_factor_states(
         config, [(pt.shape, "P"), (qt.shape, "Q")]
     )
-    trace = []
     count = len(users)
-    for epoch in range(config.epochs):
-        # overflow on the way to divergence is expected; the isfinite
-        # checks and the GradientError handler turn it into a clean error
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for t in range(count):
-                    u = users[t]
-                    i = items[t]
-                    p = pt[u]
-                    q = qt[i]
-                    err = ratings[t] - float(np.dot(p, q))
-                    if not math.isfinite(err):
-                        _diverged(epoch, alpha)
-                    g_p = lam * p - err * q
-                    if config.simultaneous:
-                        g_q = lam * q - err * p
-                        optim.step(st_p, pt, g_p, rows=u)
-                    else:
-                        optim.step(st_p, pt, g_p, rows=u)
-                        g_q = lam * q - err * pt[u]
-                    optim.step(st_q, qt, g_q, rows=i)
-        except GradientError as exc:
-            _diverged(epoch, alpha, cause=exc)
-        preds = np.einsum("tf,tf->t", pt[users], qt[items])
-        trace.append(_epoch_rmse(ratings, preds, epoch, alpha))
-    return trace
+
+    def visit():
+        for t in range(count):
+            u = users[t]
+            i = items[t]
+            p = pt[u]
+            q = qt[i]
+            err = ratings[t] - float(np.dot(p, q))
+            if not math.isfinite(err):
+                raise GradientError("non-finite prediction error")
+            g_p = lam * p - err * q
+            if config.simultaneous:
+                g_q = lam * q - err * p
+                optim.step(st_p, pt, g_p, rows=u)
+            else:
+                optim.step(st_p, pt, g_p, rows=u)
+                g_q = lam * q - err * pt[u]
+            optim.step(st_q, qt, g_q, rows=i)
+
+    def loss():
+        return _rmse(ratings, np.einsum("tf,tf->t", pt[users], qt[items]))
+
+    return run_epochs(config, visit, loss)
 
 
 def _funk_train_sequential(config, users, items, ratings, pt, qt):
@@ -370,9 +385,10 @@ def _funk_train_sequential(config, users, items, ratings, pt, qt):
     left over from features 0..k-1, then its contribution is shifted onto
     the pile. The trace logs the residual RMSE including the feature in
     training, so the final entry is the usual full-model training RMSE.
-    Gradients outside the active feature are zero.
+    Gradients outside the active feature are zero. Epochs are numbered
+    across features, so feature k's first epoch is k * config.epochs.
     """
-    alpha, lam = config.alpha, config.lam
+    lam = config.lam
     f = config.f
     st_p, st_q = _make_factor_states(
         config, [(pt.shape, "P"), (qt.shape, "Q")]
@@ -381,27 +397,26 @@ def _funk_train_sequential(config, users, items, ratings, pt, qt):
     count = len(users)
     res = ratings.astype(float).copy()
     for k in range(f):
-        for epoch in range(config.epochs):
-            overall = len(trace)
-            try:
-                for t in range(count):
-                    u = users[t]
-                    i = items[t]
-                    pk = pt[u, k]
-                    qk = qt[i, k]
-                    err = res[t] - pk * qk
-                    if not math.isfinite(err):
-                        _diverged(overall, alpha)
-                    g_p = np.zeros(f)
-                    g_q = np.zeros(f)
-                    g_p[k] = lam * pk - err * qk
-                    optim.step(st_p, pt, g_p, rows=u)
-                    g_q[k] = lam * qk - err * pt[u, k]
-                    optim.step(st_q, qt, g_q, rows=i)
-            except GradientError as exc:
-                _diverged(overall, alpha, cause=exc)
-            preds = pt[users, k] * qt[items, k]
-            trace.append(_epoch_rmse(res, preds, overall, alpha))
+        def visit():
+            for t in range(count):
+                u = users[t]
+                i = items[t]
+                pk = pt[u, k]
+                qk = qt[i, k]
+                err = res[t] - pk * qk
+                if not math.isfinite(err):
+                    raise GradientError("non-finite prediction error")
+                g_p = np.zeros(f)
+                g_q = np.zeros(f)
+                g_p[k] = lam * pk - err * qk
+                optim.step(st_p, pt, g_p, rows=u)
+                g_q[k] = lam * qk - err * pt[u, k]
+                optim.step(st_q, qt, g_q, rows=i)
+
+        def loss():
+            return _rmse(res, pt[users, k] * qt[items, k])
+
+        trace += run_epochs(config, visit, loss, first=len(trace))
         res = res - pt[users, k] * qt[items, k]
     return trace
 
@@ -447,16 +462,11 @@ class ItemCfModel:
 
     def recommend(self, u, k):
         """Top-k unrated items by the neighborhood score."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         if not 0 <= u < self.n_users:
             raise IndexError(f"user index {u} out of range for {self.n_users}")
         rated = self.ratings[u]
-        scored = [
-            (j, self.predict(u, j)) for j in range(self.n_items) if j not in rated
-        ]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:k]
+        candidates = [j for j in range(self.n_items) if j not in rated]
+        return top_k(candidates, lambda j: self.predict(u, j), k)
 
 
 class ItemCfPrediction(NamedTuple):
@@ -688,7 +698,7 @@ def svdpp_train(ds, config, freeze_y=False):
         raise ValidationError("gradient factorization needs an explicit dataset")
     users, items, ratings = ds.indexed()
     m, n, f = ds.n_users, ds.n_items, config.f
-    alpha, lam = config.alpha, config.lam
+    lam = config.lam
     mu = float(ratings.mean())
     rng = np.random.default_rng(config.seed)
     root = math.sqrt(f)
@@ -706,38 +716,36 @@ def svdpp_train(ds, config, freeze_y=False):
     )
     flat_users = np.repeat(np.arange(m), [s.size for s in sets])
     flat_items = np.concatenate([s for s in sets if s.size]) if len(ds) else flat_users
-    trace = []
     count = len(users)
-    for epoch in range(config.epochs):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for t in range(count):
-                    u = users[t]
-                    i = items[t]
-                    nu = sets[u]
-                    s = ninv[u]
-                    p = pt[u]
-                    q = qt[i]
-                    z = p + s * yt[nu].sum(axis=0) if nu.size else p.copy()
-                    err = ratings[t] - (mu + b_u[u] + b_i[i] + float(np.dot(q, z)))
-                    if not math.isfinite(err):
-                        _diverged(epoch, alpha)
-                    g_bu = lam * b_u[u] - err
-                    g_bi = lam * b_i[i] - err
-                    g_p = lam * p - err * q
-                    g_q = lam * q - err * z
-                    if not freeze_y and nu.size:
-                        g_y = lam * yt[nu] - (err * s) * q
-                    else:
-                        g_y = None
-                    optim.step(st_bu, b_u, g_bu, rows=u)
-                    optim.step(st_bi, b_i, g_bi, rows=i)
-                    optim.step(st_p, pt, g_p, rows=u)
-                    optim.step(st_q, qt, g_q, rows=i)
-                    if g_y is not None:
-                        optim.step(st_y, yt, g_y, rows=nu)
-        except GradientError as exc:
-            _diverged(epoch, alpha, cause=exc)
+
+    def visit():
+        for t in range(count):
+            u = users[t]
+            i = items[t]
+            nu = sets[u]
+            s = ninv[u]
+            p = pt[u]
+            q = qt[i]
+            z = p + s * yt[nu].sum(axis=0) if nu.size else p.copy()
+            err = ratings[t] - (mu + b_u[u] + b_i[i] + float(np.dot(q, z)))
+            if not math.isfinite(err):
+                raise GradientError("non-finite prediction error")
+            g_bu = lam * b_u[u] - err
+            g_bi = lam * b_i[i] - err
+            g_p = lam * p - err * q
+            g_q = lam * q - err * z
+            if not freeze_y and nu.size:
+                g_y = lam * yt[nu] - (err * s) * q
+            else:
+                g_y = None
+            optim.step(st_bu, b_u, g_bu, rows=u)
+            optim.step(st_bi, b_i, g_bi, rows=i)
+            optim.step(st_p, pt, g_p, rows=u)
+            optim.step(st_q, qt, g_q, rows=i)
+            if g_y is not None:
+                optim.step(st_y, yt, g_y, rows=nu)
+
+    def loss():
         impl = np.zeros((m, f))
         np.add.at(impl, flat_users, yt[flat_items])
         impl *= ninv[:, None]
@@ -747,7 +755,9 @@ def svdpp_train(ds, config, freeze_y=False):
             + b_i[items]
             + np.einsum("tf,tf->t", pt[users] + impl[users], qt[items])
         )
-        trace.append(_epoch_rmse(ratings, preds, epoch, alpha))
+        return _rmse(ratings, preds)
+
+    trace = run_epochs(config, visit, loss)
     return FactorModel(
         kind="svdpp",
         P=pt.T.copy(),

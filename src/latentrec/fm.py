@@ -16,9 +16,10 @@ identity, so its pair loop is quadratic in the nonzero count.
 
 Everything is sparse-first: predictors and gradients only ever walk the
 nonzero entries, and dense inputs are converted up front. Training runs
-per-sample gradient descent through the optim module; the squared loss
-uses the same halved-gradient convention as the factor trainers, the
-logistic loss uses the exact log-loss slope sigma(y) - target.
+per-sample gradient descent through the optim module, epoch by epoch in
+factor.run_epochs; the squared loss uses the same halved-gradient
+convention as the factor trainers, the logistic loss uses the exact
+log-loss slope sigma(y) - target.
 """
 
 import math
@@ -29,13 +30,12 @@ import numpy as np
 
 from . import optim
 from .errors import (
-    DivergenceError,
     EncodingError,
     GradientError,
     ShapeError,
     ValidationError,
 )
-from .factor import TrainConfig
+from .factor import TrainConfig, _make_factor_states, run_epochs
 
 LOSSES = ("squared", "logistic")
 
@@ -214,6 +214,7 @@ class FmGradient(NamedTuple):
 
     w0 is the scalar bias derivative (always 1); w and v align with
     indices: w[a] = d(y)/d(w_{indices[a]}), v[a] = d(y)/d(V[indices[a]]).
+    Both machine variants return it; v[a] is shaped like V[indices[a]].
     """
 
     w0: float
@@ -263,17 +264,12 @@ def _checked_fields(model, x):
     return x.fields
 
 
-class FfmGradient(NamedTuple):
-    """Sparse field-aware gradient; v[a] is d(y)/d(V[indices[a]])."""
-
-    w0: float
-    w: np.ndarray
-    v: np.ndarray
-    indices: np.ndarray
-
-
 def ffm_gradient(model, x):
-    """Analytic field-aware score gradient over the nonzeros of x."""
+    """Analytic field-aware score gradient over the nonzeros of x.
+
+    Returns an FmGradient whose v has shape (nnz, n_fields, k): v[a, f]
+    is d(y)/d(V[indices[a], f]). The plain machine's v is (nnz, k).
+    """
     x = _as_features(x, model.n)
     fields = _checked_fields(model, x)
     gv = np.zeros((x.nnz, model.n_fields, model.k))
@@ -282,7 +278,7 @@ def ffm_gradient(model, x):
             coeff = x.values[a] * x.values[b]
             gv[a, fields[b]] += coeff * model.V[x.indices[b], fields[a]]
             gv[b, fields[a]] += coeff * model.V[x.indices[a], fields[b]]
-    return FfmGradient(1.0, x.values.copy(), gv, x.indices)
+    return FmGradient(1.0, x.values.copy(), gv, x.indices)
 
 
 def _sigmoid(z):
@@ -325,55 +321,36 @@ def _train_machine(samples, loss, config, optimizer, gradient_fn, make_model):
     """Shared per-sample descent loop for both machine variants."""
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}; pick from {LOSSES}")
-    kind = optimizer if optimizer is not None else config.optimizer
     samples, n = _check_samples(samples, loss)
     model = make_model(n)
     w0 = np.array([model.w0])
-    states = [
-        optim.make_state(kind, w0.shape, config.alpha, beta1=config.beta1,
-                         beta2=config.beta2, eps=config.eps, name="w0"),
-        optim.make_state(kind, model.w.shape, config.alpha, beta1=config.beta1,
-                         beta2=config.beta2, eps=config.eps, name="w"),
-        optim.make_state(kind, model.V.shape, config.alpha, beta1=config.beta1,
-                         beta2=config.beta2, eps=config.eps, name="V"),
-    ]
-    st_w0, st_w, st_v = states
-    lam = config.lam
-    for epoch in range(config.epochs):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for x, y in samples:
-                    pred = model.predict(x)
-                    if not math.isfinite(pred):
-                        _diverged(epoch, config.alpha)
-                    slope = _loss_slope(pred, y, loss)
-                    grad = gradient_fn(model, x)
-                    optim.step(st_w0, w0, np.array([slope * grad.w0]))
-                    if grad.indices.size:
-                        g_w = slope * grad.w + lam * model.w[grad.indices]
-                        g_v = slope * grad.v + lam * model.V[grad.indices]
-                        optim.step(st_w, model.w, g_w, rows=grad.indices)
-                        optim.step(st_v, model.V, g_v, rows=grad.indices)
-                    model.w0 = float(w0[0])
-        except GradientError as exc:
-            _diverged(epoch, config.alpha, cause=exc)
-        mean = sum(_sample_loss(model.predict(x), y, loss) for x, y in samples)
-        mean /= len(samples)
-        if not math.isfinite(mean):
-            _diverged(epoch, config.alpha)
-        model.trace.append(mean)
-    return model
-
-
-def _diverged(epoch, alpha, cause=None):
-    exc = DivergenceError(
-        f"training diverged at epoch {epoch} (non-finite values); "
-        f"try a smaller learning rate than {alpha}",
-        epoch=epoch,
+    st_w0, st_w, st_v = _make_factor_states(
+        config, [(w0.shape, "w0"), (model.w.shape, "w"), (model.V.shape, "V")],
+        kind=optimizer,
     )
-    if cause is not None:
-        raise exc from cause
-    raise exc
+    lam = config.lam
+
+    def visit():
+        for x, y in samples:
+            pred = model.predict(x)
+            if not math.isfinite(pred):
+                raise GradientError("non-finite prediction")
+            slope = _loss_slope(pred, y, loss)
+            grad = gradient_fn(model, x)
+            optim.step(st_w0, w0, np.array([slope * grad.w0]))
+            if grad.indices.size:
+                g_w = slope * grad.w + lam * model.w[grad.indices]
+                g_v = slope * grad.v + lam * model.V[grad.indices]
+                optim.step(st_w, model.w, g_w, rows=grad.indices)
+                optim.step(st_v, model.V, g_v, rows=grad.indices)
+            model.w0 = float(w0[0])
+
+    def mean_loss():
+        total = sum(_sample_loss(model.predict(x), y, loss) for x, y in samples)
+        return total / len(samples)
+
+    model.trace = run_epochs(config, visit, mean_loss)
+    return model
 
 
 def fm_train(samples, loss="squared", config=None, optimizer=None):

@@ -85,6 +85,22 @@ def topn_metrics(recommendations, positives, k):
     return precision, recall
 
 
+def top_k(candidates, score, k):
+    """The k best candidates as (candidate, score(candidate)) pairs.
+
+    Highest score first, ties broken by ascending candidate index. Every
+    recommend method ranks through here, so they all share this rule.
+
+    Raises:
+        ValueError: k < 1.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    scored = [(c, score(c)) for c in candidates]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
 @dataclass
 class MetricReport:
     """Bundle of accuracy numbers for one evaluation run.

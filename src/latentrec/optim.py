@@ -86,39 +86,18 @@ def step(state, params, grads, rows=None):
         raise GradientError(f"non-finite gradient for tensor {state.name!r}")
     state.t += 1
     if rows is None:
-        if state.kind == "sgd":
-            state.m[...] = grads
-            params -= state.alpha * grads
-        elif state.kind == "momentum":
-            state.m *= state.beta1
-            state.m += (1.0 - state.beta1) * grads
-            params -= state.alpha * state.m
-        else:
-            state.m *= state.beta1
-            state.m += (1.0 - state.beta1) * grads
-            state.v *= state.beta2
-            state.v += (1.0 - state.beta2) * grads * grads
-            params -= state.alpha * state.m / (np.sqrt(state.v) + state.eps)
+        rows = slice(None)
+    if state.kind == "sgd":
+        state.m[rows] = grads
+        params[rows] -= state.alpha * grads
+    elif state.kind == "momentum":
+        m = state.beta1 * state.m[rows] + (1.0 - state.beta1) * grads
+        state.m[rows] = m
+        params[rows] -= state.alpha * m
     else:
-        if state.kind == "sgd":
-            state.m[rows] = grads
-            params[rows] -= state.alpha * grads
-        elif state.kind == "momentum":
-            m = state.beta1 * state.m[rows] + (1.0 - state.beta1) * grads
-            state.m[rows] = m
-            params[rows] -= state.alpha * m
-        else:
-            m = state.beta1 * state.m[rows] + (1.0 - state.beta1) * grads
-            v = state.beta2 * state.v[rows] + (1.0 - state.beta2) * grads * grads
-            state.m[rows] = m
-            state.v[rows] = v
-            params[rows] -= state.alpha * m / (np.sqrt(v) + state.eps)
+        m = state.beta1 * state.m[rows] + (1.0 - state.beta1) * grads
+        v = state.beta2 * state.v[rows] + (1.0 - state.beta2) * grads * grads
+        state.m[rows] = m
+        state.v[rows] = v
+        params[rows] -= state.alpha * m / (np.sqrt(v) + state.eps)
     return params
-
-
-def reset(state):
-    """Zero the momenta and the step counter; returns the state."""
-    state.m[...] = 0.0
-    state.v[...] = 0.0
-    state.t = 0
-    return state

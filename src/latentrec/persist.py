@@ -37,6 +37,7 @@ from .errors import CapacityError, PersistenceError, ValidationError
 from .factor import FactorModel, ItemCfModel, overlap_weights
 from .fm import EncoderSpec, FfmModel, FmModel, encode
 from .linalg import SvdResult
+from .metrics import top_k
 from .svdcf import SvdCfModel, reconstruct
 
 FORMAT_VERSION = 3
@@ -72,16 +73,9 @@ class IndexedModel:
 
     def recommend(self, u, k):
         if self.algorithm in ("fm", "ffm"):
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
             rated = set() if self.observed is None else set(self.observed[u])
-            scored = [
-                (i, self.predict(u, i))
-                for i in range(len(self.item_tokens))
-                if i not in rated
-            ]
-            scored.sort(key=lambda pair: (-pair[1], pair[0]))
-            return scored[:k]
+            candidates = [i for i in range(len(self.item_tokens)) if i not in rated]
+            return top_k(candidates, lambda i: self.predict(u, i), k)
         return self.model.recommend(u, k)
 
 

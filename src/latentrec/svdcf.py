@@ -21,6 +21,7 @@ import numpy as np
 from . import linalg
 from .data import impute, to_dense
 from .errors import ValidationError, ZeroNormError
+from .metrics import top_k
 
 log = logging.getLogger(__name__)
 
@@ -255,12 +256,8 @@ def recommend(model, u, k):
     ties broken by ascending item index. Users with nothing unobserved get
     an empty list.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     m = model.r_star.shape[0]
     if not 0 <= u < m:
         raise ValueError(f"user index {u} out of range for {m} users")
-    candidates = np.flatnonzero(model.mask[u] == 0.0)
-    scored = [(int(i), predict(model, u, int(i))) for i in candidates]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+    candidates = np.flatnonzero(model.mask[u] == 0.0).tolist()
+    return top_k(candidates, lambda i: predict(model, u, i), k)

@@ -128,7 +128,7 @@ def make_rank2_ratings(m=50, n=40, density=0.6, seed=42, noise=0.0, scale=(1.0, 
         for i in range(n)
         if observed[u, i]
     ]
-    ds = RatingDataset.from_triples(triples, kind="explicit", scale=scale)
+    ds = RatingDataset(triples, kind="explicit", scale=scale)
     return ds, full
 
 
@@ -172,7 +172,7 @@ def make_svdpp_ratings(m=30, n=20, density=0.7, seed=3):
         for i in range(n)
         if observed[u, i]
     ]
-    ds = RatingDataset.from_triples(triples, kind="explicit", scale=(lo, hi))
+    ds = RatingDataset(triples, kind="explicit", scale=(lo, hi))
     return ds, full
 
 
@@ -187,7 +187,7 @@ def dataset_from_dense(ratings, scale=(1.0, 5.0)):
         for i in range(n)
         if ratings[u, i] != 0
     ]
-    return RatingDataset.from_triples(triples, kind="explicit", scale=scale)
+    return RatingDataset(triples, kind="explicit", scale=scale)
 
 
 def without_created(text):

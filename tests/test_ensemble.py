@@ -51,7 +51,7 @@ def grid_dataset(m, n, seed):
             r = float(rng.uniform(1, 5))
             triples.append((f"u{u:03d}", f"i{i:03d}", r))
             table[(u, i)] = r
-    return RatingDataset.from_triples(triples), table
+    return RatingDataset(triples), table
 
 
 class TestBlendModel:
@@ -193,7 +193,7 @@ class TestBagTrain:
 
     def test_single_triple_resample_is_identity(self):
         """With one triple every bootstrap draw reproduces the dataset."""
-        ds = RatingDataset.from_triples([("u", "i", 3.0)])
+        ds = RatingDataset([("u", "i", 3.0)])
         direct = funk_train(ds, TrainConfig(f=2, alpha=0.01, lam=0.0,
                                             epochs=20, seed=1))
         bag = bag_train(
@@ -250,7 +250,7 @@ class TestStackFit:
             stack_fit([], ds)
 
     def test_needs_enough_holdout_points(self):
-        ds = RatingDataset.from_triples([("u", "i", 3.0)])
+        ds = RatingDataset([("u", "i", 3.0)])
         with pytest.raises(ValidationError):
             stack_fit([Stub(value=1.0), Stub(value=2.0)], ds)
 

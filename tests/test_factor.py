@@ -1,12 +1,13 @@
 """Tests for the learned factor models and the item-neighborhood baseline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from latentrec.data import RatingDataset, split
-from latentrec.errors import DivergenceError, ValidationError
+from latentrec.errors import DivergenceError, GradientError, ValidationError
 from latentrec.factor import (
     FactorModel,
     ItemCfModel,
@@ -18,6 +19,7 @@ from latentrec.factor import (
     itemcf_predict,
     itemcf_predict_with_info,
     itemcf_similarity,
+    run_epochs,
     svdpp_implicit_predict,
     svdpp_loss,
     svdpp_loss_gradient,
@@ -698,3 +700,65 @@ class TestSvdppTrain:
         ds = RatingDataset([("a", "x", 1.0)], kind="implicit")
         with pytest.raises(ValidationError):
             svdpp_train(ds, TrainConfig())
+
+
+class TestRunEpochs:
+    def test_gradient_error_names_the_epoch_from_first(self):
+        passes = []
+
+        def visit():
+            passes.append(len(passes))
+            if len(passes) == 3:
+                raise GradientError("non-finite gradient")
+
+        with pytest.raises(DivergenceError, match="epoch 12") as info:
+            run_epochs(TrainConfig(epochs=5), visit, lambda: 0.5, first=10)
+        assert info.value.epoch == 12
+        assert isinstance(info.value.__cause__, GradientError)
+        assert passes == [0, 1, 2]
+
+    def test_non_finite_loss_names_the_epoch(self):
+        losses = iter([1.0, math.inf])
+        with pytest.raises(DivergenceError, match="non-finite values") as info:
+            run_epochs(TrainConfig(epochs=4), lambda: None, lambda: next(losses))
+        assert info.value.epoch == 1
+
+    def test_trace_and_silent_overflow(self):
+        def visit():
+            assert np.float64(1e308) * 10.0 == math.inf
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_epochs(TrainConfig(epochs=3), visit, lambda: 2.0)
+        assert trace == [2.0, 2.0, 2.0]
+        assert run_epochs(TrainConfig(epochs=0), visit, lambda: 2.0) == []
+
+
+class TestDivergenceEpoch:
+    """DivergenceError.epoch is the 0-based index of the failing epoch."""
+
+    @pytest.mark.parametrize("strategy", ["all", "sequential"])
+    @pytest.mark.parametrize("alpha, epoch", [(0.3, 1), (5.0, 0)])
+    def test_funk(self, alpha, epoch, strategy):
+        ds, _ = make_rank2_ratings(m=10, n=8, density=0.8, seed=5)
+        cfg = TrainConfig(f=2, alpha=alpha, lam=0.0, epochs=50, seed=9,
+                          strategy=strategy)
+        with pytest.raises(DivergenceError) as info:
+            funk_train(ds, cfg)
+        assert info.value.epoch == epoch
+
+    def test_svdpp_first_epoch(self):
+        ds, _ = make_svdpp_ratings(m=8, n=6, density=0.8, seed=5)
+        cfg = TrainConfig(f=2, alpha=8.0, lam=0.0, epochs=40, seed=2)
+        with pytest.raises(DivergenceError) as info:
+            svdpp_train(ds, cfg)
+        assert info.value.epoch == 0
+
+    def test_sequential_funk_raises_without_a_warning(self):
+        ds, _ = make_rank2_ratings(m=10, n=8, density=0.8, seed=5)
+        cfg = TrainConfig(f=2, alpha=0.3, lam=0.0, epochs=50, seed=9,
+                          strategy="sequential")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                funk_train(ds, cfg)

@@ -19,6 +19,7 @@ from latentrec.fm import (
     EncoderSpec,
     FeatureVector,
     FfmModel,
+    FmGradient,
     FmModel,
     encode,
     ffm_gradient,
@@ -279,6 +280,16 @@ class TestFfmGradient:
                         fd = (up - down) / (2 * h)
                         assert abs(grad.v[a, f, c] - fd) <= 1e-6 * (1.0 + abs(fd))
 
+    def test_same_gradient_type_as_plain_machine(self):
+        model = FfmModel(w0=0.0, w=np.zeros(4), V=np.ones((4, 2, 3)), k=3,
+                         n_fields=2)
+        x = FeatureVector([0, 2], [1.0, 2.0], 4, fields=[0, 1])
+        grad = ffm_gradient(model, x)
+        assert type(grad) is FmGradient
+        assert grad.v.shape == (2, 2, 3)
+        assert type(fm_gradient(FmModel(0.0, np.zeros(4), np.ones((4, 3)), 3),
+                                x)) is FmGradient
+
 
 class TestFmTrain:
     def ctr_samples(self):
@@ -366,6 +377,12 @@ class TestFmTrain:
         with pytest.raises(DivergenceError) as info:
             fm_train(samples, loss="squared", config=cfg)
         assert info.value.epoch is not None
+
+    def test_divergence_epoch_is_zero_based(self):
+        cfg = TrainConfig(f=2, alpha=200.0, lam=0.0, epochs=100, seed=1)
+        with pytest.raises(DivergenceError) as info:
+            fm_train(self.ctr_samples(), loss="squared", config=cfg)
+        assert info.value.epoch == 0
 
     def test_optimizer_override_argument(self):
         samples = self.ctr_samples()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from latentrec.errors import NoDataError, ShapeError, ValidationError
-from latentrec.metrics import MetricReport, mae, rmse, topn_metrics
+from latentrec.metrics import MetricReport, mae, rmse, top_k, topn_metrics
 
 
 class TestRmse:
@@ -116,6 +116,20 @@ class TestTopnMetrics:
     def test_bad_cutoff_rejected(self):
         with pytest.raises(ValidationError):
             topn_metrics({0: [1]}, {0: {1}}, 0)
+
+
+class TestTopK:
+    def test_score_descending_then_index_ascending(self):
+        scores = {4: 1.0, 0: 2.0, 3: 2.0, 1: -1.0, 2: 1.0}
+        assert top_k([4, 0, 3, 1, 2], scores.get, 3) == [(0, 2.0), (3, 2.0), (2, 1.0)]
+
+    def test_k_beyond_candidates_returns_all(self):
+        assert top_k(range(3), float, 10) == [(2, 2.0), (1, 1.0), (0, 0.0)]
+        assert top_k([], float, 1) == []
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            top_k(range(3), float, 0)
 
 
 class TestMetricReport:

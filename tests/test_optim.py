@@ -116,40 +116,6 @@ class TestRowUpdates:
         assert state.m[1, 0] == pytest.approx(0.5)
 
 
-class TestReset:
-    def test_reset_then_step_equals_fresh(self):
-        used = optim.make_state("adaptive", (3,), alpha=0.1)
-        params_a = np.zeros(3)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            optim.step(used, params_a, rng.normal(size=3))
-        optim.reset(used)
-        fresh = optim.make_state("adaptive", (3,), alpha=0.1)
-        a = np.ones(3)
-        b = np.ones(3)
-        g = np.array([0.3, -0.4, 0.5])
-        optim.step(used, a, g)
-        optim.step(fresh, b, g)
-        np.testing.assert_array_equal(a, b)
-
-    def test_idempotent(self):
-        state = optim.make_state("momentum", (2,), alpha=0.1)
-        optim.step(state, np.zeros(2), np.ones(2))
-        optim.reset(state)
-        snapshot = (state.m.copy(), state.v.copy(), state.t)
-        optim.reset(state)
-        np.testing.assert_array_equal(state.m, snapshot[0])
-        np.testing.assert_array_equal(state.v, snapshot[1])
-        assert state.t == snapshot[2] == 0
-
-    def test_momenta_all_zero_after_reset(self):
-        state = optim.make_state("adaptive", (2, 2), alpha=0.1)
-        optim.step(state, np.zeros((2, 2)), np.ones((2, 2)))
-        optim.reset(state)
-        assert not state.m.any()
-        assert not state.v.any()
-
-
 class TestValidation:
     def test_non_finite_gradient_names_tensor(self):
         state = optim.make_state("sgd", (2,), alpha=0.1, name="item_factors")

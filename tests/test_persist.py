@@ -565,3 +565,62 @@ class TestBundleQueries:
         for u, i, _ in list(ds.triples)[:5]:
             assert scorer.predict(ds.user_index[u], ds.item_index[i]) == \
                 bundle.predict(u, i)
+
+
+def trained_bundle(algo, ds):
+    """A bundle of algo trained on ds, laid out as `train` saves it."""
+    config = TrainConfig(f=2, alpha=0.02, lam=0.01, epochs=3, seed=5)
+    encoder = observed = None
+    if algo == "svd":
+        model = svdcf.fit(ds)
+    elif algo == "itemcf":
+        model = itemcf_similarity(ds)
+    elif algo == "funk":
+        model = funk_train(ds, config)
+    elif algo == "svdpp":
+        model = svdpp_train(ds, config)
+    else:
+        encoder = EncoderSpec([
+            ("user", "categorical", sorted(ds.user_index)),
+            ("item", "categorical", sorted(ds.item_index)),
+        ])
+        samples = [(encode((u, i), encoder), r) for u, i, r in ds.triples]
+        train = fm_train if algo == "fm" else ffm_train
+        model = train(samples, loss="squared", config=config)
+        observed = [row.tolist() for row in ds.items_by_user()]
+    return ModelBundle(algorithm=algo, model=model, user_index=ds.user_index,
+                       item_index=ds.item_index, scale=ds.scale,
+                       encoder=encoder, observed=observed)
+
+
+class TestRecommendMatchesPredict:
+    @settings(max_examples=40, deadline=None)
+    @given(grid=st.integers(2, 6).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.none(), st.sampled_from([1.0, 2.0, 3.0, 5.0])),
+                 min_size=n, max_size=n),
+        min_size=2, max_size=6,
+    )))
+    def test_property_recommend_sorts_predict_over_unseen(self, grid):
+        # every user and every item gets at least one rating
+        grid = [list(row) for row in grid]
+        m, n = len(grid), len(grid[0])
+        for u in range(m):
+            if all(r is None for r in grid[u]):
+                grid[u][u % n] = 4.0
+        for i in range(n):
+            if all(row[i] is None for row in grid):
+                grid[i % m][i] = 4.0
+        ds = RatingDataset([(f"u{u}", f"i{i}", r) for u, row in enumerate(grid)
+                            for i, r in enumerate(row) if r is not None])
+        rated = ds.items_by_user()
+        tokens = sorted(ds.item_index, key=ds.item_index.get)
+        for algo in ("svd", "funk", "svdpp", "itemcf", "fm", "ffm"):
+            bundle = trained_bundle(algo, ds)
+            for user, u in ds.user_index.items():
+                unseen = [i for i in range(ds.n_items) if i not in set(rated[u])]
+                scored = sorted(
+                    ((i, bundle.predict(user, tokens[i])) for i in unseen),
+                    key=lambda pair: (-pair[1], pair[0]),
+                )
+                expected = [(tokens[i], score) for i, score in scored]
+                assert bundle.recommend(user, ds.n_items) == expected, algo

@@ -41,14 +41,14 @@ def main():
     # one scored cell with its diagnostics
     u = train.user_index["u03"]
     j = train.item_index["i05"]
-    info = itemcf_predict_with_info(model, None, u, j)
+    info = itemcf_predict_with_info(model, u, j)
     print(f"\nscore for u03 on i05: {info.value:.3f} "
           f"from {info.used} rated neighbors")
 
     # a tiny neighborhood can leave nothing to sum over
     starved = itemcf_similarity(train, k=1)
     flags = sum(
-        itemcf_predict_with_info(starved, None, u, j).empty_neighborhood
+        itemcf_predict_with_info(starved, u, j).empty_neighborhood
         for u in range(train.n_users)
         for j in range(train.n_items)
     )

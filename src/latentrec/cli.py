@@ -32,7 +32,7 @@ from .errors import (
 from .factor import TrainConfig, funk_train, itemcf_similarity, svdpp_train
 from .fm import EncoderSpec, encode, ffm_train, fm_train
 from .metrics import MetricReport, mae, rmse, topn_metrics
-from .persist import IndexedModel, ModelBundle, load_model, save_model
+from .persist import ModelBundle, load_model, save_model
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -262,8 +262,10 @@ def _train_config(values):
         raise ConfigError(str(exc)) from exc
 
 
-def _train_algorithm(algo, ds, values):
-    """Train one model; returns (model, encoder, observed, trace)."""
+def _train_bundle(algo, ds, values):
+    """Train one model on ds; returns (ModelBundle, per-epoch trace)."""
+    encoder = observed = None
+    trace = []
     if algo == "svd":
         try:
             svdcf.parse_rank_rule(values["rank_rule"])
@@ -276,28 +278,36 @@ def _train_algorithm(algo, ds, values):
             similarity_mode=values["similarity_mode"],
             neighborhood=values["neighborhood"],
         )
-        return model, None, None, []
-    if algo == "itemcf":
+    elif algo == "itemcf":
         model = itemcf_similarity(ds, k=values["neighborhood"])
-        return model, None, None, []
-    config = _train_config(values)
-    if algo == "funk":
-        model = funk_train(ds, config)
-        return model, None, None, model.trace
-    if algo == "svdpp":
-        model = svdpp_train(ds, config)
-        return model, None, None, model.trace
-    if algo in ("fm", "ffm"):
-        spec = EncoderSpec([
-            ("user", "categorical", sorted(ds.user_index)),
-            ("item", "categorical", sorted(ds.item_index)),
-        ])
-        samples = [(encode((u, i), spec), r) for u, i, r in ds.triples]
-        trainer = fm_train if algo == "fm" else ffm_train
-        model = trainer(samples, loss=values["loss"], config=config)
-        observed = [row.tolist() for row in ds.items_by_user()]
-        return model, spec, observed, model.trace
-    raise ConfigError(f"unknown algorithm {algo!r}")
+    elif algo in ("funk", "svdpp", "fm", "ffm"):
+        config = _train_config(values)
+        if algo == "funk":
+            model = funk_train(ds, config)
+        elif algo == "svdpp":
+            model = svdpp_train(ds, config)
+        else:
+            encoder = EncoderSpec([
+                ("user", "categorical", sorted(ds.user_index)),
+                ("item", "categorical", sorted(ds.item_index)),
+            ])
+            samples = [(encode((u, i), encoder), r) for u, i, r in ds.triples]
+            trainer = fm_train if algo == "fm" else ffm_train
+            model = trainer(samples, loss=values["loss"], config=config)
+            observed = [row.tolist() for row in ds.items_by_user()]
+        trace = model.trace
+    else:
+        raise ConfigError(f"unknown algorithm {algo!r}")
+    bundle = ModelBundle(
+        algorithm=algo,
+        model=model,
+        user_index=ds.user_index,
+        item_index=ds.item_index,
+        scale=ds.scale,
+        encoder=encoder,
+        observed=observed,
+    )
+    return bundle, trace
 
 
 def _print_trace(trace):
@@ -318,26 +328,17 @@ def cmd_train(args):
             raise ConfigError("--neg-ratio requires --kind implicit")
         ds = negative_sample(ds, ratio=values["neg_ratio"], seed=values["seed"])
     algo = values["algo"]
-    model, encoder, observed, trace = _train_algorithm(algo, ds, values)
+    bundle, trace = _train_bundle(algo, ds, values)
     _print_trace(trace)
-    bundle = ModelBundle(
-        algorithm=algo,
-        model=model,
-        user_index=ds.user_index,
-        item_index=ds.item_index,
-        scale=ds.scale,
-        encoder=encoder,
-        observed=observed,
-    )
     save_model(bundle, values["output"])
     print(f"trained {algo}: {ds.n_users} users x {ds.n_items} items, "
           f"{len(ds)} ratings")
     if trace:
         print(f"final loss {trace[-1]:.6f}")
     elif algo == "svd":
-        print(f"retained rank {model.f}")
+        print(f"retained rank {bundle.model.f}")
     elif algo == "itemcf":
-        print(f"neighborhood size {model.K}")
+        print(f"neighborhood size {bundle.model.K}")
     print(f"wrote {values['output']}")
     return EXIT_OK
 
@@ -469,15 +470,10 @@ def cmd_ensemble_bag(args):
         raise ConfigError(f"--members must be >= 1, got {values['members']}")
     schema = CsvSchema(kind=values["kind"], scale=values["scale"])
     ds = _read_ratings(values["input"], schema)
-    algo = values["algo"]
-    user_tokens = [t for t, _ in sorted(ds.user_index.items(), key=lambda kv: kv[1])]
-    item_tokens = [t for t, _ in sorted(ds.item_index.items(), key=lambda kv: kv[1])]
 
     def trainer(resampled):
-        model, encoder, observed, _ = _train_algorithm(algo, resampled, values)
-        return IndexedModel(algo, model, encoder=encoder,
-                            user_tokens=user_tokens, item_tokens=item_tokens,
-                            observed=observed)
+        bundle, _ = _train_bundle(values["algo"], resampled, values)
+        return bundle.scorer
 
     bag = bag_train(trainer, ds, b=values["members"], seed=values["seed"])
     _save_ensemble(bag, ds, values["output"])
@@ -515,8 +511,8 @@ def build_parser():
     )
     commands = parser.add_subparsers(dest="command", metavar="command")
 
-    def command(name, handler, options=(), positionals=(), help=""):
-        sub = commands.add_parser(name, help=help)
+    def command(group, name, handler, options=(), positionals=(), help=""):
+        sub = group.add_parser(name, help=help)
         for spec in positionals:
             sub.add_argument(**spec)
         sub.add_argument("--config", default=None,
@@ -524,53 +520,30 @@ def build_parser():
         for opt in options:
             opt.add_to(sub)
         sub.set_defaults(handler=handler)
-        return sub
 
-    command("train", cmd_train, TRAIN_OPTIONS, help="train a model from a csv")
-    command(
-        "predict", cmd_predict,
-        positionals=(
-            {"dest": "model", "help": "model file"},
-            {"dest": "user", "help": "user token"},
-            {"dest": "item", "help": "item token"},
-        ),
-        help="print one prediction",
-    )
-    command(
-        "recommend", cmd_recommend, RECOMMEND_OPTIONS,
-        positionals=(
-            {"dest": "model", "help": "model file"},
-            {"dest": "user", "help": "user token"},
-        ),
-        help="print top-N unseen items",
-    )
-    command(
-        "evaluate", cmd_evaluate, EVALUATE_OPTIONS,
-        positionals=({"dest": "model", "help": "model file"},),
-        help="score a model on held-out ratings",
-    )
+    model = {"dest": "model", "help": "model file"}
+    user = {"dest": "user", "help": "user token"}
+    command(commands, "train", cmd_train, TRAIN_OPTIONS,
+            help="train a model from a csv")
+    command(commands, "predict", cmd_predict,
+            positionals=(model, user, {"dest": "item", "help": "item token"}),
+            help="print one prediction")
+    command(commands, "recommend", cmd_recommend, RECOMMEND_OPTIONS,
+            positionals=(model, user), help="print top-N unseen items")
+    command(commands, "evaluate", cmd_evaluate, EVALUATE_OPTIONS,
+            positionals=(model,), help="score a model on held-out ratings")
 
     ensemble = commands.add_parser("ensemble", help="combine trained models")
-    subcommands = ensemble.add_subparsers(dest="subcommand", metavar="method")
-
-    def ensemble_command(name, handler, options, with_members=True, help=""):
-        sub = subcommands.add_parser(name, help=help)
-        if with_members:
-            sub.add_argument("members", nargs="+", help="member model files")
-        sub.add_argument("--config", default=None,
-                         help="key=value file providing flag defaults")
-        for opt in options:
-            opt.add_to(sub)
-        sub.set_defaults(handler=handler)
-
-    ensemble_command("blend", cmd_ensemble_blend, BLEND_OPTIONS,
-                     help="weighted average of member predictions")
-    ensemble_command("vote", cmd_ensemble_vote, VOTE_OPTIONS,
-                     help="rank items by member top-k votes")
-    ensemble_command("bag", cmd_ensemble_bag, BAG_OPTIONS, with_members=False,
-                     help="train members on bootstrap resamples")
-    ensemble_command("stack", cmd_ensemble_stack, STACK_OPTIONS,
-                     help="fit least-squares blend coefficients on a holdout")
+    methods = ensemble.add_subparsers(dest="subcommand", metavar="method")
+    members = ({"dest": "members", "nargs": "+", "help": "member model files"},)
+    command(methods, "blend", cmd_ensemble_blend, BLEND_OPTIONS, members,
+            help="weighted average of member predictions")
+    command(methods, "vote", cmd_ensemble_vote, VOTE_OPTIONS, members,
+            help="rank items by member top-k votes")
+    command(methods, "bag", cmd_ensemble_bag, BAG_OPTIONS,
+            help="train members on bootstrap resamples")
+    command(methods, "stack", cmd_ensemble_stack, STACK_OPTIONS, members,
+            help="fit least-squares blend coefficients on a holdout")
     return parser
 
 

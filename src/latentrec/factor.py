@@ -458,7 +458,7 @@ class ItemCfModel:
         return len(self.ratings)
 
     def predict(self, u, j):
-        return itemcf_predict(self, None, u, j)
+        return itemcf_predict(self, u, j)
 
     def recommend(self, u, k):
         """Top-k unrated items by the neighborhood score."""
@@ -536,32 +536,20 @@ def itemcf_similarity(ds, k=None):
                        K=k if k is not None else max(n - 1, 1), ratings=maps)
 
 
-def itemcf_predict_with_info(model, ds, u, j):
+def itemcf_predict_with_info(model, u, j):
     """Unnormalized neighborhood score for (u, j) with diagnostics.
 
     The score is sum over i in N(u) & S(j, K) of W[j, i] * r_ui, where
     S(j, K) holds the K items most similar to j (descending weight, ties
-    by ascending index, j itself excluded). The ratings come from ds when
-    given, else from the maps stored at fit time. An empty intersection
-    scores 0 with the empty_neighborhood flag set.
+    by ascending index, j itself excluded). An empty intersection scores 0
+    with the empty_neighborhood flag set.
     """
     n = model.n_items
     if not 0 <= j < n:
         raise IndexError(f"item index {j} out of range for {n}")
-    if ds is None:
-        if not 0 <= u < model.n_users:
-            raise IndexError(f"user index {u} out of range for {model.n_users}")
-        rated = model.ratings[u]
-    else:
-        users, items, ratings = ds.indexed()
-        if not 0 <= u < ds.n_users:
-            raise IndexError(f"user index {u} out of range for {ds.n_users}")
-        mine = users == u
-        rated = {
-            int(i): float(r)
-            for i, r in zip(items[mine], ratings[mine])
-            if not (ds.kind == "implicit" and r == 0.0)
-        }
+    if not 0 <= u < model.n_users:
+        raise IndexError(f"user index {u} out of range for {model.n_users}")
+    rated = model.ratings[u]
     weights = model.W[j].copy()
     weights[j] = 0.0
     order = np.lexsort((np.arange(n), -weights))
@@ -576,9 +564,9 @@ def itemcf_predict_with_info(model, ds, u, j):
     return ItemCfPrediction(value, used, used == 0)
 
 
-def itemcf_predict(model, ds, u, j):
+def itemcf_predict(model, u, j):
     """Neighborhood score for (u, j); see itemcf_predict_with_info."""
-    return itemcf_predict_with_info(model, ds, u, j).value
+    return itemcf_predict_with_info(model, u, j).value
 
 
 class SvdppPrediction(NamedTuple):

@@ -1,13 +1,17 @@
 """JSON model files: save and load every trained model type.
 
-A model file is a single JSON document (format_version 3) holding the
-algorithm tag, creation metadata, the rating scale, the token index maps,
-the algorithm's parameter block, and, when present, the feature-encoder
-spec and an ensemble description with nested member blocks. It is written
-on one compact line (pretty-print it with ``python -m json.tool``). Keys
-are sorted and numbers use Python's shortest round-trip decimals, so
-saving the same model twice yields byte-identical files except for the
-"created" timestamp, and loading reproduces predictions exactly.
+A model file is a single JSON document (format_version 3): a header
+(algorithm tag, creation metadata, rating scale, token index maps) and
+member blocks. A member block holds "algorithm", the "parameters" block
+and, for fm and ffm, the feature "encoder". A single-model file is the
+header plus one member block; an ensemble file lists one per member under
+"ensemble", beside its kind, weights and intercept. It is written on one
+compact line (pretty-print it with ``python -m json.tool``). Keys are
+sorted and numbers use Python's shortest round-trip decimals, so saving
+the same model twice yields byte-identical files except for the "created"
+timestamp, and loading reproduces predictions exactly. Loading rejects
+per-user index lists that do not fit the index maps: fm/ffm "observed"
+and svd "rated" need one list per user, each index in [0, n_items).
 
 The svd block stores the rank-f factors "u" (m x f), "s" (f) and "v"
 (n x f) plus "rated", each user's observed item indices; loading rebuilds
@@ -67,12 +71,14 @@ class IndexedModel:
 
     def predict(self, u, i):
         if self.algorithm in ("fm", "ffm"):
-            x = encode((self.user_tokens[u], self.item_tokens[i]), self.encoder)
-            return float(self.model.predict(x))
+            pair = (_token(self.user_tokens, u, "user"),
+                    _token(self.item_tokens, i, "item"))
+            return float(self.model.predict(encode(pair, self.encoder)))
         return float(self.model.predict(u, i))
 
     def recommend(self, u, k):
         if self.algorithm in ("fm", "ffm"):
+            _token(self.user_tokens, u, "user")
             rated = set() if self.observed is None else set(self.observed[u])
             candidates = [i for i in range(len(self.item_tokens)) if i not in rated]
             return top_k(candidates, lambda i: self.predict(u, i), k)
@@ -144,6 +150,20 @@ class ModelBundle:
         if token not in index:
             raise ValidationError(f"unknown {role} {token!r}")
         return index[token]
+
+
+def _token(tokens, at, role):
+    """tokens[at], refusing the negative indices Python would wrap."""
+    if not 0 <= at < len(tokens):
+        raise IndexError(f"{role} index {at} out of range for {len(tokens)}")
+    return tokens[at]
+
+
+def _index_lists(rows, n_rows, n_items, name):
+    """Check per-user item index lists: n_rows of them, each in [0, n_items)."""
+    if len(rows) != n_rows or any(not 0 <= i < n_items for row in rows for i in row):
+        raise ValueError(f"{name} must hold {n_rows} lists of item indices "
+                         f"in [0, {n_items})")
 
 
 def _tokens_by_index(index):
@@ -262,8 +282,7 @@ def _model_from(algorithm, block, scale, n_items):
             s=np.array(block["s"], dtype=float),
             v=np.array(block["v"], dtype=float),
         )
-        if len(block["rated"]) != factors.u.shape[0]:
-            raise ValueError("svd block lists rated items for the wrong number of users")
+        _index_lists(block["rated"], factors.u.shape[0], n_items, "svd rated")
         mask = np.zeros((factors.u.shape[0], factors.v.shape[0]))
         for user, items in enumerate(block["rated"]):
             mask[user, np.asarray(items, dtype=np.int64)] = 1.0
@@ -337,6 +356,8 @@ def _member_from(doc, scale, user_tokens, item_tokens):
     model = _model_from(algorithm, block, scale, len(item_tokens))
     encoder = _encoder_from(doc["encoder"]) if "encoder" in doc else None
     observed = block.get("observed")
+    if observed is not None:
+        _index_lists(observed, len(user_tokens), len(item_tokens), "observed")
     return IndexedModel(
         algorithm,
         model,
@@ -370,11 +391,7 @@ def document(bundle):
             "members": [_member_doc(m) for m in model.members],
         }
     else:
-        doc["parameters"] = _parameters(
-            bundle.algorithm, bundle.model, observed=bundle.observed
-        )
-        if bundle.encoder is not None:
-            doc["encoder"] = _encoder_doc(bundle.encoder)
+        doc.update(_member_doc(bundle.scorer))
     return doc
 
 
@@ -393,8 +410,10 @@ def load_model(path):
     """Read a model file back into a ModelBundle.
 
     Raises PersistenceError for unreadable JSON, an unsupported
-    format_version, or an unknown algorithm tag, and CapacityError when
-    the itemcf weights to rebuild exceed the dense cell cap.
+    format_version, an unknown algorithm tag, or a malformed member block
+    (a missing key, a per-user index list that does not fit the index
+    maps), and CapacityError when the itemcf weights to rebuild exceed the
+    dense cell cap.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -429,13 +448,10 @@ def load_model(path):
                 intercept=float(spec["intercept"]),
                 kind=spec["kind"],
             )
-            encoder = None
-            observed = None
+            encoder = observed = None
         else:
-            block = raw["parameters"]
-            model = _model_from(algorithm, block, scale, len(item_index))
-            encoder = _encoder_from(raw["encoder"]) if "encoder" in raw else None
-            observed = block.get("observed")
+            member = _member_from(raw, scale, user_tokens, item_tokens)
+            model, encoder, observed = member.model, member.encoder, member.observed
     except CapacityError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:

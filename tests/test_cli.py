@@ -311,6 +311,18 @@ class TestRecommend:
         code, _, _ = run(capsys, "recommend", model, "ghost", "--k", "2")
         assert code == 3
 
+    def test_truncated_observed_lists_exit_3(self, capsys, tmp_path):
+        model = train_fixture_model(capsys, tmp_path, "fm")
+        with open(model) as handle:
+            doc = json.load(handle)
+        doc["parameters"]["observed"] = doc["parameters"]["observed"][:2]
+        with open(model, "w") as handle:
+            json.dump(doc, handle)
+        code, stdout, err = run(capsys, "recommend", model, "4", "--k", "2")
+        assert code == 3
+        assert stdout == ""
+        assert "malformed model file" in err
+
 
 class TestEvaluate:
     def test_training_subset_matches_training_error(self, capsys, tmp_path):

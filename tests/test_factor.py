@@ -416,16 +416,7 @@ class TestItemCfPredict:
     def test_single_overlap_term(self):
         ds = self.overlap_fixture()
         model = itemcf_similarity(ds)
-        assert itemcf_predict(model, ds, 0, 0) == 0.5 * 4.0
-
-    def test_stored_maps_match_dataset_path(self):
-        ds = self.overlap_fixture()
-        model = itemcf_similarity(ds)
-        for u in range(ds.n_users):
-            for j in range(ds.n_items):
-                assert itemcf_predict(model, None, u, j) == itemcf_predict(
-                    model, ds, u, j
-                )
+        assert itemcf_predict(model, 0, 0) == 0.5 * 4.0
 
     def test_user_with_no_ratings_scores_zero(self):
         ds = RatingDataset(
@@ -433,7 +424,7 @@ class TestItemCfPredict:
             user_index={"a": 0, "b": 1},
         )
         model = itemcf_similarity(ds)
-        info = itemcf_predict_with_info(model, ds, 1, 0)
+        info = itemcf_predict_with_info(model, 1, 0)
         assert info.value == 0.0
         assert info.empty_neighborhood
 
@@ -442,7 +433,7 @@ class TestItemCfPredict:
         dense = np.array([[0.0, 2.0, 3.0], [4.0, 5.0, 1.0], [2.0, 2.0, 2.0]])
         ds = dataset_from_dense(dense)
         model = itemcf_similarity(ds)
-        assert itemcf_predict(model, ds, 0, 0) == 2.0 + 3.0
+        assert itemcf_predict(model, 0, 0) == 2.0 + 3.0
 
     def test_neighborhood_cut(self):
         # item 2 is more similar to 1 than to 0; K=1 keeps only item 1
@@ -453,8 +444,8 @@ class TestItemCfPredict:
         wide = itemcf_similarity(ds)
         narrow = itemcf_similarity(ds, k=1)
         assert narrow.K == 1
-        full = itemcf_predict(wide, ds, 3, 2)
-        cut = itemcf_predict(narrow, ds, 3, 2)
+        full = itemcf_predict(wide, 3, 2)
+        cut = itemcf_predict(narrow, 3, 2)
         assert cut == wide.W[2, 1] * 3.0
         assert cut < full
 
@@ -469,9 +460,9 @@ class TestItemCfPredict:
         ds = self.overlap_fixture()
         model = itemcf_similarity(ds)
         with pytest.raises(IndexError):
-            itemcf_predict(model, ds, 9, 0)
+            itemcf_predict(model, 9, 0)
         with pytest.raises(IndexError):
-            itemcf_predict(model, ds, 0, 9)
+            itemcf_predict(model, 0, 9)
 
 
 class TestSvdppPredict:

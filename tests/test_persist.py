@@ -494,6 +494,64 @@ class TestFileFormat:
         with pytest.raises(PersistenceError, match="malformed"):
             load_model(path)
 
+    @pytest.mark.parametrize("algo", ["fm", "ffm"])
+    def test_observed_with_too_few_users_rejected(self, tmp_path, algo):
+        bundle, _ = fm_bundle(algo)
+        path = save_model(bundle, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["parameters"]["observed"] = doc["parameters"]["observed"][:2]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="malformed.*observed"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_observed_item_outside_range_rejected(self, tmp_path, bad):
+        bundle, ds = fm_bundle()
+        assert ds.n_items == 6
+        path = save_model(bundle, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["parameters"]["observed"][0].append(bad)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="malformed.*observed"):
+            load_model(path)
+
+    def test_ensemble_member_observed_checked(self, tmp_path):
+        bundle, _ = fm_bundle()
+        blend = ModelBundle(
+            algorithm="ensemble",
+            model=BlendModel(members=[bundle.scorer], weights=[1.0]),
+            user_index=bundle.user_index,
+            item_index=bundle.item_index,
+        )
+        path = save_model(blend, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["ensemble"]["members"][0]["parameters"]["observed"].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="malformed.*observed"):
+            load_model(path)
+
+    def test_svd_negative_rated_index_rejected(self, tmp_path):
+        bundle, _ = svd_bundle()
+        path = save_model(bundle, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["parameters"]["rated"][0].append(-1)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="malformed.*rated"):
+            load_model(path)
+
+
+class TestIndexedModelRange:
+    @pytest.mark.parametrize("algo", ["fm", "ffm"])
+    def test_indices_outside_range_raise(self, algo):
+        bundle, ds = fm_bundle(algo)
+        scorer = bundle.scorer
+        for u, i in [(-1, 0), (0, -1), (ds.n_users, 0), (0, ds.n_items)]:
+            with pytest.raises(IndexError):
+                scorer.predict(u, i)
+        for u in (-1, ds.n_users):
+            with pytest.raises(IndexError):
+                scorer.recommend(u, 2)
+
 
 class TestBundleQueries:
     def test_unknown_tokens_named(self):

@@ -33,6 +33,7 @@ from .fm import (
     FeatureVector,
     FfmModel,
     FmModel,
+    SampleBatch,
     encode,
     ffm_train,
     fm_train,
@@ -57,6 +58,7 @@ __all__ = [
     "MetricReport",
     "ModelBundle",
     "RatingDataset",
+    "SampleBatch",
     "SvdCfModel",
     "TrainConfig",
     "bag_train",

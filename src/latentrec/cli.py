@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .factor import TrainConfig, funk_train, itemcf_similarity, svdpp_train
-from .fm import EncoderSpec, encode, ffm_train, fm_train
+from .fm import EncoderSpec, SampleBatch, encode, ffm_train, fm_train
 from .metrics import MetricReport, mae, rmse, topn_metrics
 from .persist import ModelBundle, load_model, save_model
 
@@ -266,9 +266,14 @@ def _train_bundle(algo, ds, values):
     """Train one model on ds; returns (ModelBundle, per-epoch trace)."""
     encoder = observed = None
     trace = []
+    neighborhood = values["neighborhood"]
+    if algo in ("svd", "itemcf") and neighborhood is not None and neighborhood < 1:
+        raise ConfigError(f"--neighborhood must be >= 1, got {neighborhood}")
     if algo == "svd":
         try:
-            svdcf.parse_rank_rule(values["rank_rule"])
+            svdcf.parse_rank_rule(
+                values["rank_rule"], max_rank=min(ds.n_users, ds.n_items)
+            )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         model = svdcf.fit(
@@ -291,9 +296,15 @@ def _train_bundle(algo, ds, values):
                 ("user", "categorical", sorted(ds.user_index)),
                 ("item", "categorical", sorted(ds.item_index)),
             ])
-            samples = [(encode((u, i), encoder), r) for u, i, r in ds.triples]
             trainer = fm_train if algo == "fm" else ffm_train
-            model = trainer(samples, loss=values["loss"], config=config)
+            # no name holds the batch, so it is freed when training returns
+            model = trainer(
+                SampleBatch.pack(
+                    (encode((u, i), encoder), r) for u, i, r in ds.triples
+                ),
+                loss=values["loss"],
+                config=config,
+            )
             observed = [row.tolist() for row in ds.items_by_user()]
         trace = model.trace
     else:

@@ -76,7 +76,7 @@ class DivergenceError(LatentRecError, RuntimeError):
 
 
 class GradientError(LatentRecError, ValueError):
-    """A gradient passed to the optimizer contains non-finite values."""
+    """A gradient passed to optim.step, or a training prediction, is non-finite."""
 
 
 class EncodingError(LatentRecError, ValueError):

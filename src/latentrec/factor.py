@@ -28,10 +28,12 @@ documented behavior, kept as written.
 Every per-sample trainer (funk, svdpp and the fm machines) runs through
 run_epochs, passing two closures: visit makes one pass over the samples
 and loss returns the epoch's trace figure (training RMSE, or the mean
-sample loss). Passes run under np.errstate(over="ignore", invalid="ignore").
-A non-finite error, prediction or gradient raises GradientError inside the
-pass; it, or a non-finite epoch loss, becomes DivergenceError naming the
-0-based epoch (sequential funk counts epochs across features).
+sample loss). Both run under np.errstate(over="ignore", invalid="ignore").
+Parameters move through optim.updater closures, which do not check the
+gradient: a non-finite error or prediction raises GradientError inside the
+pass, and a non-finite update shows there or, at the latest, in the epoch
+loss, which reads every trained row. Either becomes DivergenceError naming
+the 0-based epoch (sequential funk counts epochs across features).
 """
 
 import logging
@@ -259,21 +261,23 @@ def run_epochs(config, visit, loss, first=0):
     """Run config.epochs passes of a per-sample trainer; returns the trace.
 
     visit() makes one pass over the samples, updating the parameters in
-    place; it raises GradientError as soon as an error, a prediction or a
-    gradient turns non-finite. loss() returns the epoch's figure for the
-    trace. Epochs are numbered first, first + 1, ... (0-based), and either
+    place; it raises GradientError as soon as an error or a prediction
+    turns non-finite. loss() returns the epoch's figure for the trace; it
+    runs under the same np.errstate as visit(), because a non-finite
+    update that no later prediction in the pass read makes it non-finite.
+    Epochs are numbered first, first + 1, ... (0-based), and either
     failure raises DivergenceError naming the epoch in which it happened.
     """
     trace = []
     for epoch in range(first, first + config.epochs):
         # overflow on the way to divergence is expected; the isfinite
         # checks and the GradientError handler turn it into a clean error
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
                 visit()
-        except GradientError as exc:
-            raise _diverged(epoch, config.alpha) from exc
-        value = loss()
+            except GradientError as exc:
+                raise _diverged(epoch, config.alpha) from exc
+            value = loss()
         if not math.isfinite(value):
             raise _diverged(epoch, config.alpha)
         trace.append(value)
@@ -332,26 +336,28 @@ def funk_train(ds, config, init=None):
     )
 
 
-def _make_factor_states(config, shapes_names, kind=None):
+def _make_updaters(config, params_names, kind=None):
+    """One optim.updater per (parameter array, name), fresh momenta each."""
     return [
-        optim.make_state(
-            kind if kind is not None else config.optimizer,
-            shape,
-            config.alpha,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            eps=config.eps,
-            name=name,
+        optim.updater(
+            optim.make_state(
+                kind if kind is not None else config.optimizer,
+                params.shape,
+                config.alpha,
+                beta1=config.beta1,
+                beta2=config.beta2,
+                eps=config.eps,
+                name=name,
+            ),
+            params,
         )
-        for shape, name in shapes_names
+        for params, name in params_names
     ]
 
 
 def _funk_train_all(config, users, items, ratings, pt, qt):
     lam = config.lam
-    st_p, st_q = _make_factor_states(
-        config, [(pt.shape, "P"), (qt.shape, "Q")]
-    )
+    step_p, step_q = _make_updaters(config, [(pt, "P"), (qt, "Q")])
     count = len(users)
 
     def visit():
@@ -366,11 +372,11 @@ def _funk_train_all(config, users, items, ratings, pt, qt):
             g_p = lam * p - err * q
             if config.simultaneous:
                 g_q = lam * q - err * p
-                optim.step(st_p, pt, g_p, rows=u)
+                step_p(u, g_p)
             else:
-                optim.step(st_p, pt, g_p, rows=u)
+                step_p(u, g_p)
                 g_q = lam * q - err * pt[u]
-            optim.step(st_q, qt, g_q, rows=i)
+            step_q(i, g_q)
 
     def loss():
         return _rmse(ratings, np.einsum("tf,tf->t", pt[users], qt[items]))
@@ -390,9 +396,7 @@ def _funk_train_sequential(config, users, items, ratings, pt, qt):
     """
     lam = config.lam
     f = config.f
-    st_p, st_q = _make_factor_states(
-        config, [(pt.shape, "P"), (qt.shape, "Q")]
-    )
+    step_p, step_q = _make_updaters(config, [(pt, "P"), (qt, "Q")])
     trace = []
     count = len(users)
     res = ratings.astype(float).copy()
@@ -409,9 +413,9 @@ def _funk_train_sequential(config, users, items, ratings, pt, qt):
                 g_p = np.zeros(f)
                 g_q = np.zeros(f)
                 g_p[k] = lam * pk - err * qk
-                optim.step(st_p, pt, g_p, rows=u)
+                step_p(u, g_p)
                 g_q[k] = lam * qk - err * pt[u, k]
-                optim.step(st_q, qt, g_q, rows=i)
+                step_q(i, g_q)
 
         def loss():
             return _rmse(res, pt[users, k] * qt[items, k])
@@ -697,10 +701,9 @@ def svdpp_train(ds, config, freeze_y=False):
     b_i = np.zeros(n)
     sets = ds.items_by_user()
     ninv = np.array([1.0 / math.sqrt(s.size) if s.size else 0.0 for s in sets])
-    st_bu, st_bi, st_p, st_q, st_y = _make_factor_states(
+    step_bu, step_bi, step_p, step_q, step_y = _make_updaters(
         config,
-        [((m,), "b_u"), ((n,), "b_i"), (pt.shape, "P"), (qt.shape, "Q"),
-         (yt.shape, "Y")],
+        [(b_u, "b_u"), (b_i, "b_i"), (pt, "P"), (qt, "Q"), (yt, "Y")],
     )
     flat_users = np.repeat(np.arange(m), [s.size for s in sets])
     flat_items = np.concatenate([s for s in sets if s.size]) if len(ds) else flat_users
@@ -726,12 +729,12 @@ def svdpp_train(ds, config, freeze_y=False):
                 g_y = lam * yt[nu] - (err * s) * q
             else:
                 g_y = None
-            optim.step(st_bu, b_u, g_bu, rows=u)
-            optim.step(st_bi, b_i, g_bi, rows=i)
-            optim.step(st_p, pt, g_p, rows=u)
-            optim.step(st_q, qt, g_q, rows=i)
+            step_bu(u, g_bu)
+            step_bi(i, g_bi)
+            step_p(u, g_p)
+            step_q(i, g_q)
             if g_y is not None:
-                optim.step(st_y, yt, g_y, rows=nu)
+                step_y(nu, g_y)
 
     def loss():
         impl = np.zeros((m, f))

@@ -15,9 +15,22 @@ one latent vector per (feature, opposing field) pair and has no such
 identity, so its pair loop is quadratic in the nonzero count.
 
 Everything is sparse-first: predictors and gradients only ever walk the
-nonzero entries, and dense inputs are converted up front. Training runs
-per-sample gradient descent through the optim module, epoch by epoch in
-factor.run_epochs; the squared loss uses the same halved-gradient
+nonzero entries, and dense inputs are converted up front.
+
+Training reads one SampleBatch: the samples' indices, values and field
+ids in flat arrays with row offsets (the CSR layout of the design
+matrix) plus a targets array, checked once, in whole-array operations,
+when the batch is built. A list of (feature vector, target) pairs is
+packed into one first, so there is a single training path, and the CLI
+packs its encoded records as it makes them. Each epoch (factor.run_epochs)
+walks the rows in order; per row, one unchecked kernel call gives the
+score and its latent gradient together (the plain machine computes
+V[indices] and s = sum_j v_j x_j once for both, the field-aware one walks
+the nonzero pairs once), and optim.updater closures move w0, w and V.
+The epoch loss scores with the same kernel. The public predictors and
+gradients wrap the same kernels with their input checks, so training
+from a batch, from a list, or by hand through them and optim.step gives
+bit-identical models. The squared loss uses the same halved-gradient
 convention as the factor trainers, the logistic loss uses the exact
 log-loss slope sigma(y) - target.
 """
@@ -28,14 +41,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import optim
 from .errors import (
     EncodingError,
     GradientError,
     ShapeError,
     ValidationError,
 )
-from .factor import TrainConfig, _make_factor_states, run_epochs
+from .factor import TrainConfig, _make_updaters, run_epochs
 
 LOSSES = ("squared", "logistic")
 
@@ -199,14 +211,29 @@ def fm_predict_naive(model, x):
 def fm_predict_fast(model, x):
     """Score via the squared-sum identity; touches nonzeros only."""
     x = _as_features(x, model.n)
-    if x.nnz == 0:
-        return float(model.w0)
-    rows = model.V[x.indices]
-    vx = x.values[:, None] * rows
+    return _fm_terms(model, x.indices, x.values)[0]
+
+
+def _fm_terms(model, indices, values, fields=None, grad=False):
+    """Score of one sparse sample and, with grad, d(y)/d(V[indices]).
+
+    The unchecked kernel behind fm_predict_fast, fm_gradient and training:
+    rows = V[indices], vx = x * rows and s = sum_a vx[a] feed both the
+    squared-sum identity and the latent gradient x_a * s - v_a * x_a^2.
+    fields is ignored; it is there so that both machines' kernels take
+    the same arguments.
+    """
+    if indices.size == 0:
+        return float(model.w0), (np.zeros((0, model.k)) if grad else None)
+    rows = model.V[indices]
+    vx = values[:, None] * rows
     s = vx.sum(axis=0)
     s2 = (vx * vx).sum(axis=0)
     pair = 0.5 * float((s * s - s2).sum())
-    return float(model.w0 + np.dot(model.w[x.indices], x.values) + pair)
+    score = float(model.w0 + np.dot(model.w[indices], values) + pair)
+    if not grad:
+        return score, None
+    return score, values[:, None] * s[None, :] - rows * (values ** 2)[:, None]
 
 
 class FmGradient(NamedTuple):
@@ -230,38 +257,53 @@ def fm_gradient(model, x):
     d(y)/d(v_if) = x_i * sum_j v_jf x_j - v_if x_i^2.
     """
     x = _as_features(x, model.n)
-    if x.nnz == 0:
-        return FmGradient(1.0, np.zeros(0), np.zeros((0, model.k)), x.indices)
-    rows = model.V[x.indices]
-    s = (x.values[:, None] * rows).sum(axis=0)
-    gv = x.values[:, None] * s[None, :] - rows * (x.values ** 2)[:, None]
+    gv = _fm_terms(model, x.indices, x.values, grad=True)[1]
     return FmGradient(1.0, x.values.copy(), gv, x.indices)
 
 
 def ffm_predict(model, x):
     """Field-aware score: pair (a, b) uses <v_{ja, f_b}, v_{jb, f_a}>."""
     x = _as_features(x, model.n)
-    fields = _checked_fields(model, x)
+    return _ffm_terms(model, x.indices, x.values, _checked_fields(model, x))[0]
+
+
+def _ffm_terms(model, indices, values, fields, grad=False):
+    """Field-aware score of one sample and, with grad, d(y)/d(V[indices]).
+
+    The unchecked kernel behind ffm_predict, ffm_gradient and training.
+    One walk over the nonzero pairs adds each pair's term to the score
+    and, with grad, to the (nnz, n_fields, k) latent gradient.
+    """
+    nnz = indices.size
     total = model.w0
-    for a in range(x.nnz):
-        total += model.w[x.indices[a]] * x.values[a]
-    for a in range(x.nnz):
-        for b in range(a + 1, x.nnz):
-            left = model.V[x.indices[a], fields[b]]
-            right = model.V[x.indices[b], fields[a]]
-            total += float(np.dot(left, right)) * x.values[a] * x.values[b]
-    return float(total)
+    for a in range(nnz):
+        total += model.w[indices[a]] * values[a]
+    gv = np.zeros((nnz, model.n_fields, model.k)) if grad else None
+    for a in range(nnz):
+        for b in range(a + 1, nnz):
+            left = model.V[indices[a], fields[b]]
+            right = model.V[indices[b], fields[a]]
+            total += float(np.dot(left, right)) * values[a] * values[b]
+            if grad:
+                coeff = values[a] * values[b]
+                gv[a, fields[b]] += coeff * right
+                gv[b, fields[a]] += coeff * left
+    return float(total), gv
 
 
 def _checked_fields(model, x):
     if x.fields is None:
         raise EncodingError("field-aware prediction needs field ids on the input")
-    if x.nnz and (x.fields.min() < 0 or x.fields.max() >= model.n_fields):
-        raise EncodingError(
-            f"field ids must lie in [0, {model.n_fields}), got "
-            f"[{x.fields.min()}, {x.fields.max()}]"
-        )
+    _check_field_range(x.fields, model.n_fields)
     return x.fields
+
+
+def _check_field_range(fields, n_fields):
+    if fields.size and (fields.min() < 0 or fields.max() >= n_fields):
+        raise EncodingError(
+            f"field ids must lie in [0, {n_fields}), got "
+            f"[{fields.min()}, {fields.max()}]"
+        )
 
 
 def ffm_gradient(model, x):
@@ -272,12 +314,7 @@ def ffm_gradient(model, x):
     """
     x = _as_features(x, model.n)
     fields = _checked_fields(model, x)
-    gv = np.zeros((x.nnz, model.n_fields, model.k))
-    for a in range(x.nnz):
-        for b in range(a + 1, x.nnz):
-            coeff = x.values[a] * x.values[b]
-            gv[a, fields[b]] += coeff * model.V[x.indices[b], fields[a]]
-            gv[b, fields[a]] += coeff * model.V[x.indices[a], fields[b]]
+    gv = _ffm_terms(model, x.indices, x.values, fields, grad=True)[1]
     return FmGradient(1.0, x.values.copy(), gv, x.indices)
 
 
@@ -303,51 +340,170 @@ def _loss_slope(pred, y, loss):
     return _sigmoid(pred) - y
 
 
-def _check_samples(samples, loss):
-    if not samples:
-        raise ValidationError("training needs at least one sample")
-    n = samples[0][0].n if isinstance(samples[0][0], FeatureVector) else len(samples[0][0])
-    out = []
-    for x, y in samples:
-        fx = _as_features(x, n)
-        y = float(y)
-        if loss == "logistic" and y not in (0.0, 1.0):
-            raise ValidationError(f"logistic targets must be 0 or 1, got {y}")
-        out.append((fx, y))
-    return out, n
+@dataclass
+class SampleBatch:
+    """Training samples packed into flat arrays, one row per sample.
+
+    Row r holds the nonzeros indices[offsets[r]:offsets[r + 1]], with
+    values (and fields, when given) aligned to them, and the target
+    targets[r]: the CSR layout of a sparse design matrix plus its target
+    column. Construction checks every row by the FeatureVector rules, in
+    whole-array operations, and raises the errors FeatureVector raises.
+
+    Args:
+        indices: int64 (nnz,) feature ids, strictly increasing within a
+            row, all in [0, n).
+        values: (nnz,) finite reals aligned with indices.
+        offsets: int64 (rows + 1,) row starts: 0 first, nnz last, never
+            decreasing.
+        targets: (rows,) one target per row; at least one row.
+        n: the full dimension.
+        fields: optional int64 (nnz,) field id per nonzero; the
+            field-aware machine needs them.
+
+    Raises:
+        ShapeError: misaligned arrays or offsets.
+        ValidationError: no rows, a feature id out of range or not
+            strictly increasing within its row, or a non-finite value.
+    """
+
+    indices: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+    targets: np.ndarray
+    n: int
+    fields: np.ndarray = None
+
+    def __post_init__(self):
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=float)
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        self.targets = np.asarray(self.targets, dtype=float)
+        nnz = self.indices.size
+        if self.indices.shape != self.values.shape or self.indices.ndim != 1:
+            raise ShapeError("indices and values must be equal-length 1-d arrays")
+        if self.targets.ndim != 1 or self.offsets.shape != (self.targets.size + 1,):
+            raise ShapeError("offsets must hold one entry more than targets")
+        if self.targets.size == 0:
+            raise ValidationError("training needs at least one sample")
+        if (
+            self.offsets[0] != 0
+            or self.offsets[-1] != nnz
+            or np.any(np.diff(self.offsets) < 0)
+        ):
+            raise ShapeError(f"offsets must rise from 0 to the nonzero count {nnz}")
+        if nnz:
+            low, high = self.indices.min(), self.indices.max()
+            if low < 0 or high >= self.n:
+                raise ValidationError(
+                    f"feature ids must lie in [0, {self.n}), got [{low}, {high}]"
+                )
+            # a step from one row's last id to the next row's first may fall
+            rising = np.diff(self.indices) > 0
+            starts = self.offsets[1:-1]
+            rising[starts[(starts > 0) & (starts < nnz)] - 1] = True
+            if not rising.all():
+                raise ValidationError("feature ids must be strictly increasing")
+        if not np.isfinite(self.values).all():
+            raise ValidationError("feature values must be finite")
+        if self.fields is not None:
+            self.fields = np.asarray(self.fields, dtype=np.int64)
+            if self.fields.shape != self.indices.shape:
+                raise ShapeError("fields must align with indices")
+
+    @classmethod
+    def pack(cls, samples):
+        """Pack (feature vector, target) pairs in one pass over samples.
+
+        samples may be any iterable, a generator included, of pairs whose
+        first item is a FeatureVector or a dense array; dense inputs are
+        converted as the predictors convert them, and the first sample
+        sets the dimension that every other must match. Nothing is kept of
+        a sample but its numbers, so the pairs can be made on the fly.
+        fields is None unless every sample carries field ids.
+
+        Raises:
+            ShapeError: a sample's dimension differs from the first's.
+            ValidationError: samples is empty.
+        """
+        indices, values, fields = bytearray(), bytearray(), bytearray()
+        sizes, targets = [], []
+        n = None
+        for x, y in samples:
+            if n is None:
+                n = x.n if isinstance(x, FeatureVector) else len(x)
+            x = _as_features(x, n)
+            indices += x.indices.tobytes()
+            values += x.values.tobytes()
+            if fields is not None and x.fields is not None:
+                fields += x.fields.tobytes()
+            else:
+                fields = None
+            sizes.append(x.nnz)
+            targets.append(float(y))
+        if n is None:
+            raise ValidationError("training needs at least one sample")
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        return cls(
+            indices=np.frombuffer(indices, dtype=np.int64),
+            values=np.frombuffer(values, dtype=float),
+            offsets=offsets,
+            targets=np.array(targets),
+            n=n,
+            fields=None if fields is None else np.frombuffer(fields, dtype=np.int64),
+        )
 
 
-def _train_machine(samples, loss, config, optimizer, gradient_fn, make_model):
-    """Shared per-sample descent loop for both machine variants."""
+def _as_batch(samples, loss):
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}; pick from {LOSSES}")
-    samples, n = _check_samples(samples, loss)
-    model = make_model(n)
+    batch = samples if isinstance(samples, SampleBatch) else SampleBatch.pack(samples)
+    if loss == "logistic":
+        bad = batch.targets[(batch.targets != 0.0) & (batch.targets != 1.0)]
+        if bad.size:
+            raise ValidationError(f"logistic targets must be 0 or 1, got {bad[0]}")
+    return batch
+
+
+def _train_machine(batch, loss, config, optimizer, model, terms):
+    """Per-sample descent over a SampleBatch, shared by both machines.
+
+    terms is the machine's unchecked kernel (_fm_terms or _ffm_terms). One
+    call per visited sample gives the score and the latent score gradient
+    together; the epoch loss scores with the same kernel.
+    """
+    indices, values, fields = batch.indices, batch.values, batch.fields
+    offsets, targets = batch.offsets, batch.targets
+    count = targets.size
     w0 = np.array([model.w0])
-    st_w0, st_w, st_v = _make_factor_states(
-        config, [(w0.shape, "w0"), (model.w.shape, "w"), (model.V.shape, "V")],
-        kind=optimizer,
+    step_w0, step_w, step_v = _make_updaters(
+        config, [(w0, "w0"), (model.w, "w"), (model.V, "V")], kind=optimizer
     )
     lam = config.lam
 
+    def row(r):
+        a, b = offsets[r], offsets[r + 1]
+        return indices[a:b], values[a:b], None if fields is None else fields[a:b]
+
     def visit():
-        for x, y in samples:
-            pred = model.predict(x)
+        for r in range(count):
+            idx, vals, fld = row(r)
+            pred, g_latent = terms(model, idx, vals, fld, grad=True)
             if not math.isfinite(pred):
                 raise GradientError("non-finite prediction")
-            slope = _loss_slope(pred, y, loss)
-            grad = gradient_fn(model, x)
-            optim.step(st_w0, w0, np.array([slope * grad.w0]))
-            if grad.indices.size:
-                g_w = slope * grad.w + lam * model.w[grad.indices]
-                g_v = slope * grad.v + lam * model.V[grad.indices]
-                optim.step(st_w, model.w, g_w, rows=grad.indices)
-                optim.step(st_v, model.V, g_v, rows=grad.indices)
+            slope = _loss_slope(pred, float(targets[r]), loss)
+            step_w0(0, slope)
+            if idx.size:
+                step_w(idx, slope * vals + lam * model.w[idx])
+                step_v(idx, slope * g_latent + lam * model.V[idx])
             model.w0 = float(w0[0])
 
     def mean_loss():
-        total = sum(_sample_loss(model.predict(x), y, loss) for x, y in samples)
-        return total / len(samples)
+        total = 0
+        for r in range(count):
+            total += _sample_loss(terms(model, *row(r))[0], float(targets[r]), loss)
+        return total / count
 
     model.trace = run_epochs(config, visit, mean_loss)
     return model
@@ -356,55 +512,65 @@ def _train_machine(samples, loss, config, optimizer, gradient_fn, make_model):
 def fm_train(samples, loss="squared", config=None, optimizer=None):
     """Train a 2-way machine by per-sample descent in sample order.
 
-    samples is a sequence of (feature vector, target) pairs; targets must
-    be 0/1 for the logistic loss. config is a factor.TrainConfig whose f
-    field is the latent dimension k; optimizer overrides config.optimizer
-    when given. Latents start uniform(0, 1/sqrt(k)) from the seed, w and
-    w0 at zero; w0 is left unregularized. The per-epoch trace records the
-    mean data loss. Zero epochs return the untouched init.
+    samples is a SampleBatch, or a sequence of (feature vector, target)
+    pairs, which is packed into one first (SampleBatch.pack); targets
+    must be 0/1 for the logistic loss. config is a factor.TrainConfig
+    whose f field is the latent dimension k; optimizer overrides
+    config.optimizer when given. Latents start uniform(0, 1/sqrt(k)) from
+    the seed, w and w0 at zero; w0 is left unregularized. Each visit makes
+    one fused predict-and-gradient call that computes V[indices] and
+    s = sum_j v_j x_j once for both, then moves w0, w[indices] and
+    V[indices] through optim.updater. The per-epoch trace records the mean
+    data loss. Zero epochs return the untouched init.
 
     Raises:
         DivergenceError: when predictions or updates turn non-finite.
     """
     config = config if config is not None else TrainConfig()
-
-    def make_model(n):
-        rng = np.random.default_rng(config.seed)
-        v = rng.random((n, config.f)) / math.sqrt(config.f)
-        return FmModel(w0=0.0, w=np.zeros(n), V=v, k=config.f)
-
-    return _train_machine(samples, loss, config, optimizer, fm_gradient, make_model)
+    batch = _as_batch(samples, loss)
+    rng = np.random.default_rng(config.seed)
+    v = rng.random((batch.n, config.f)) / math.sqrt(config.f)
+    model = FmModel(w0=0.0, w=np.zeros(batch.n), V=v, k=config.f)
+    return _train_machine(batch, loss, config, optimizer, model, _fm_terms)
 
 
 def ffm_train(samples, loss="squared", config=None, optimizer=None, n_fields=None):
     """Train the field-aware variant; see fm_train for the shared contract.
 
-    Every sample must carry field ids. n_fields defaults to one past the
-    largest field id seen in the samples.
+    The batch must carry field ids (every sample of a packed list must).
+    n_fields defaults to one past the batch's largest field id. Each
+    visit walks the sample's nonzero pairs once for the score and the
+    latent gradient together.
+
+    Raises:
+        EncodingError: the batch has no field ids, or one outside
+            [0, n_fields).
     """
     config = config if config is not None else TrainConfig()
-    probe = [x for x, _ in samples if isinstance(x, FeatureVector)]
+    batch = _as_batch(samples, loss)
+    if batch.fields is None or (n_fields is None and not batch.fields.size):
+        raise EncodingError("field-aware training needs field ids on the inputs")
     if n_fields is None:
-        seen = [int(x.fields.max()) for x in probe if x.fields is not None and x.nnz]
-        if not seen:
-            raise EncodingError("field-aware training needs field ids on the inputs")
-        n_fields = max(seen) + 1
-
-    def make_model(n):
-        rng = np.random.default_rng(config.seed)
-        v = rng.random((n, n_fields, config.f)) / math.sqrt(config.f)
-        return FfmModel(w0=0.0, w=np.zeros(n), V=v, k=config.f, n_fields=n_fields)
-
-    return _train_machine(samples, loss, config, optimizer, ffm_gradient, make_model)
+        n_fields = int(batch.fields.max()) + 1
+    _check_field_range(batch.fields, n_fields)
+    rng = np.random.default_rng(config.seed)
+    v = rng.random((batch.n, n_fields, config.f)) / math.sqrt(config.f)
+    model = FfmModel(w0=0.0, w=np.zeros(batch.n), V=v, k=config.f, n_fields=n_fields)
+    return _train_machine(batch, loss, config, optimizer, model, _ffm_terms)
 
 
 @dataclass
 class ColumnSpec:
-    """One raw input column: a categorical one-hot block or a numeric."""
+    """One raw input column: a categorical one-hot block or a numeric.
+
+    slots maps each category to its position in the block; it is built
+    from categories once and takes no part in equality or repr.
+    """
 
     name: str
     kind: str
     categories: tuple = None
+    slots: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("categorical", "numeric"):
@@ -413,7 +579,8 @@ class ColumnSpec:
             if not self.categories:
                 raise ValueError(f"column {self.name!r} needs categories")
             self.categories = tuple(str(c) for c in self.categories)
-            if len(set(self.categories)) != len(self.categories):
+            self.slots = {c: pos for pos, c in enumerate(self.categories)}
+            if len(self.slots) != len(self.categories):
                 raise ValueError(f"column {self.name!r} has duplicate categories")
         elif self.categories is not None:
             raise ValueError(f"numeric column {self.name!r} cannot take categories")
@@ -482,11 +649,7 @@ def encode(record, spec):
     offsets = spec.offsets()
     for pos, (raw, col) in enumerate(zip(record, spec.columns)):
         if col.kind == "categorical":
-            token = str(raw)
-            if token in col.categories:
-                indices.append(offsets[pos] + col.categories.index(token))
-            else:
-                indices.append(offsets[pos] + col.width - 1)
+            indices.append(offsets[pos] + col.slots.get(str(raw), col.width - 1))
             values.append(1.0)
             fields.append(pos)
         else:

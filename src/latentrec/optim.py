@@ -11,8 +11,17 @@ step eta_t = alpha * m_t / (sqrt(V_t) + eps), and move the parameters by
 
 The sgd instantiation is exact textbook SGD on purpose; running it through
 the sqrt(V)+eps denominator would silently rescale the factor-model update
-rules, so the denominator only participates in the adaptive variant. No
-bias correction is applied to the momenta. Momenta start at zero.
+rules, so the denominator only participates in the adaptive variant. Its
+m_t is the gradient itself, so sgd stores nothing and its state.m stays
+zero. No bias correction is applied to the momenta. Momenta start at
+zero.
+
+updater() holds the one update body per kind, as a closure that a
+trainer's inner loop calls without any per-call checks; a trainer that
+uses it finds divergence through its own finiteness checks on
+predictions and on the epoch loss. step() is the checked public form: it
+converts the gradient, rejects non-finite values, then applies the same
+update.
 """
 
 from dataclasses import dataclass, field
@@ -84,20 +93,49 @@ def step(state, params, grads, rows=None):
     grads = np.asarray(grads, dtype=float)
     if not np.isfinite(grads).all():
         raise GradientError(f"non-finite gradient for tensor {state.name!r}")
-    state.t += 1
-    if rows is None:
-        rows = slice(None)
-    if state.kind == "sgd":
-        state.m[rows] = grads
-        params[rows] -= state.alpha * grads
-    elif state.kind == "momentum":
-        m = state.beta1 * state.m[rows] + (1.0 - state.beta1) * grads
-        state.m[rows] = m
-        params[rows] -= state.alpha * m
-    else:
-        m = state.beta1 * state.m[rows] + (1.0 - state.beta1) * grads
-        v = state.beta2 * state.v[rows] + (1.0 - state.beta2) * grads * grads
-        state.m[rows] = m
-        state.v[rows] = v
-        params[rows] -= state.alpha * m / (np.sqrt(v) + state.eps)
+    updater(state, params)(slice(None) if rows is None else rows, grads)
     return params
+
+
+def updater(state, params):
+    """Unchecked row update for a trainer's inner loop: update(rows, grads).
+
+    update(rows, grads) is step(state, params, grads, rows=rows) without
+    step's conversion and finiteness check, and step runs through it, so
+    both give bit-identical parameters and momenta. grads must already be
+    a float ndarray or scalar shaped like params[rows], and rows an int, a
+    unique index array or a slice. A non-finite gradient is applied as it
+    is.
+    """
+    alpha = state.alpha
+    if state.kind == "sgd":
+        def update(rows, grads):
+            state.t += 1
+            params[rows] -= alpha * grads
+
+        return update
+    m_all = state.m
+    beta1 = state.beta1
+    fresh1 = 1.0 - beta1
+    if state.kind == "momentum":
+        def update(rows, grads):
+            state.t += 1
+            m = beta1 * m_all[rows] + fresh1 * grads
+            m_all[rows] = m
+            params[rows] -= alpha * m
+
+        return update
+    v_all = state.v
+    beta2 = state.beta2
+    fresh2 = 1.0 - beta2
+    eps = state.eps
+
+    def update(rows, grads):
+        state.t += 1
+        m = beta1 * m_all[rows] + fresh1 * grads
+        v = beta2 * v_all[rows] + fresh2 * grads * grads
+        m_all[rows] = m
+        v_all[rows] = v
+        params[rows] -= alpha * m / (np.sqrt(v) + eps)
+
+    return update

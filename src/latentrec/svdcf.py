@@ -26,12 +26,17 @@ from .metrics import top_k
 log = logging.getLogger(__name__)
 
 
-def parse_rank_rule(rule):
+def parse_rank_rule(rule, max_rank=None):
     """Normalize a rank rule into a (name, value) pair.
 
     Accepts ("energy", 0.95) style pairs or the compact strings
     "energy:0.95", "ratio:10", "fixed:2"; bare "energy" and "ratio" take
-    their default parameter (0.95 and 10).
+    their default parameter (0.95 and 10). The value must suit its rule:
+    an energy threshold in (0, 1], a positive ratio, a fixed rank of at
+    least 1 and, when max_rank is given, at most max_rank.
+
+    Raises:
+        ValueError: a malformed rule or a value outside its range.
     """
     if isinstance(rule, (tuple, list)) and len(rule) == 2:
         name, value = rule
@@ -54,6 +59,13 @@ def parse_rank_rule(rule):
         value = int(value) if name == "fixed" else float(value)
     except (TypeError, ValueError):
         raise ValueError(f"rank rule {name} has a non-numeric value {value!r}") from None
+    if name == "energy" and not 0.0 < value <= 1.0:
+        raise ValueError(f"rank rule energy needs a threshold in (0, 1], got {value}")
+    if name == "ratio" and not value > 0.0:
+        raise ValueError(f"rank rule ratio needs a positive value, got {value}")
+    if name == "fixed" and (value < 1 or max_rank is not None and value > max_rank):
+        limit = "" if max_rank is None else f" and at most min(m, n) = {max_rank}"
+        raise ValueError(f"rank rule fixed needs a rank of at least 1{limit}, got {value}")
     return name, value
 
 
@@ -137,7 +149,7 @@ def fit(ds, impute_strategy="user", rank_rule="energy:0.95",
     """
     if ds.kind != "explicit":
         raise ValidationError("svd completion expects an explicit dataset")
-    rule, value = parse_rank_rule(rank_rule)
+    rule, value = parse_rank_rule(rank_rule, max_rank=min(ds.n_users, ds.n_items))
     dense, mask = to_dense(ds)
     filled = impute(dense, mask, impute_strategy)
     res = linalg.svd(filled)

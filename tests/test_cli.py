@@ -5,12 +5,13 @@ stderr, and written model files.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from latentrec.cli import main
-from latentrec.data import split
+from latentrec.cli import TRAIN_OPTIONS, _train_bundle, main
+from latentrec.data import RatingDataset, split
 from latentrec.persist import load_model
 from tests.conftest import (
     FOUR_BY_FOUR_CSV,
@@ -242,6 +243,43 @@ class TestTrain:
         text_a = first.read_text().replace(str(first), "MODEL")
         text_b = second.read_text().replace(str(second), "MODEL")
         assert without_created(text_a) == without_created(text_b)
+
+    @pytest.mark.parametrize("algo, flag, value", [
+        ("itemcf", "--neighborhood", "0"),
+        ("itemcf", "--neighborhood", "-3"),
+        ("svd", "--neighborhood", "0"),
+        ("svd", "--neighborhood", "-3"),
+        ("svd", "--rank-rule", "fixed:99"),
+        ("svd", "--rank-rule", "fixed:0"),
+        ("svd", "--rank-rule", "energy:2"),
+        ("svd", "--rank-rule", "ratio:-1"),
+    ])
+    def test_out_of_range_numeric_flag_is_an_argument_error(
+            self, capsys, tmp_path, algo, flag, value):
+        data = write_ratings(tmp_path)
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--algo", algo, "--input", data,
+                           "--output", str(out), flag, value)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_fm_samples_are_packed_not_kept_per_record(self):
+        # 20,000 one-hot (user, item) records; the samples used to live as
+        # one FeatureVector each (about 13 MB here), the packed batch
+        # takes about 1.3 MB
+        ds = RatingDataset([(f"u{c // 150}", f"i{c % 150}", float(1 + c % 5))
+                            for c in range(0, 40000, 2)])
+        values = {opt.name: opt.default for opt in TRAIN_OPTIONS}
+        values["epochs"] = 1
+        tracemalloc.start()
+        try:
+            _train_bundle("fm", ds, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_bad_rank_rule_is_an_argument_error(self, capsys, tmp_path):
         data = write_ratings(tmp_path)

@@ -753,3 +753,16 @@ class TestDivergenceEpoch:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError):
                 funk_train(ds, cfg)
+
+
+class TestEpochLossOverflow:
+    def test_funk_loss_overflow_raises_without_a_warning(self):
+        # the epoch-2 RMSE overflows before any error turns non-finite
+        ds, _ = make_rank2_ratings(m=10, n=8, density=0.8, seed=5)
+        cfg = TrainConfig(f=2, alpha=0.5, lam=0.0, epochs=50, seed=9,
+                          optimizer="momentum")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                funk_train(ds, cfg)
+        assert info.value.epoch == 2

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from latentrec import optim
 from latentrec.data import split
 from latentrec.errors import (
     DivergenceError,
@@ -21,6 +22,7 @@ from latentrec.fm import (
     FfmModel,
     FmGradient,
     FmModel,
+    SampleBatch,
     encode,
     ffm_gradient,
     ffm_predict,
@@ -447,6 +449,168 @@ class TestFfmTrain:
             ffm_train([(x, 1.0)], loss="squared", config=TrainConfig(epochs=1))
 
 
+def batch_from(samples):
+    """The SampleBatch of a list of (FeatureVector, target) pairs, by hand."""
+    xs = [x for x, _ in samples]
+    return SampleBatch(
+        indices=np.concatenate([x.indices for x in xs]),
+        values=np.concatenate([x.values for x in xs]),
+        offsets=np.cumsum([0] + [x.nnz for x in xs]),
+        targets=[y for _, y in samples],
+        n=xs[0].n,
+        fields=np.concatenate([x.fields for x in xs]),
+    )
+
+
+def mixed_samples(logistic):
+    """Field-tagged samples with 0 to 4 nonzeros, one of them empty."""
+    rng = np.random.default_rng(21)
+    field_map = np.array([0, 0, 1, 1, 2, 2])
+    samples = []
+    for t in range(18):
+        x = rng.normal(size=6) * (rng.random(6) < 0.5)
+        if t == 5:
+            x[:] = 0.0
+        y = float(rng.random() < 0.5) if logistic else float(rng.uniform(1, 5))
+        samples.append((FeatureVector.from_dense(x, field_map=field_map), y))
+    return samples
+
+
+def sigmoid(z):
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def hand_trained(samples, loss, config, machine):
+    """Reference loop over the public checked predict, gradient and step."""
+    trainer = fm_train if machine == "fm" else ffm_train
+    model = trainer(samples, loss=loss,
+                    config=TrainConfig(**{**config.__dict__, "epochs": 0}))
+    predict = fm_predict_fast if machine == "fm" else ffm_predict
+    gradient = fm_gradient if machine == "fm" else ffm_gradient
+    w0 = np.array([model.w0])
+    states = [
+        optim.make_state(config.optimizer, p.shape, config.alpha)
+        for p in (w0, model.w, model.V)
+    ]
+    trace = []
+    for _ in range(config.epochs):
+        for x, y in samples:
+            pred = predict(model, x)
+            slope = pred - y if loss == "squared" else sigmoid(pred) - y
+            grad = gradient(model, x)
+            optim.step(states[0], w0, np.array([slope * grad.w0]))
+            if x.nnz:
+                g_w = slope * grad.w + config.lam * model.w[x.indices]
+                g_v = slope * grad.v + config.lam * model.V[x.indices]
+                optim.step(states[1], model.w, g_w, rows=x.indices)
+                optim.step(states[2], model.V, g_v, rows=x.indices)
+            model.w0 = float(w0[0])
+        losses = []
+        for x, y in samples:
+            p = predict(model, x)
+            if loss == "squared":
+                losses.append((y - p) ** 2)
+            else:
+                q = min(max(sigmoid(p), 1e-12), 1.0 - 1e-12)
+                losses.append(-(y * math.log(q) + (1.0 - y) * math.log(1.0 - q)))
+        trace.append(sum(losses) / len(samples))
+    return model, trace
+
+
+class TestSampleBatch:
+    @pytest.mark.parametrize("machine", ["fm", "ffm"])
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("kind", optim.KINDS)
+    def test_batch_list_and_hand_loop_agree_bit_for_bit(self, machine, loss, kind):
+        samples = mixed_samples(loss == "logistic")
+        cfg = TrainConfig(f=2, alpha=0.05, lam=0.01, epochs=3, seed=8,
+                          optimizer=kind)
+        trainer = fm_train if machine == "fm" else ffm_train
+        from_list = trainer(samples, loss=loss, config=cfg)
+        from_batch = trainer(batch_from(samples), loss=loss, config=cfg)
+        hand, trace = hand_trained(samples, loss, cfg, machine)
+        for model in (from_batch, hand):
+            assert np.array_equal(model.V, from_list.V)
+            assert np.array_equal(model.w, from_list.w)
+            assert model.w0 == from_list.w0
+        assert from_batch.trace == from_list.trace == trace
+
+    def test_pack_streams_a_generator(self):
+        samples = mixed_samples(False)
+        batch = SampleBatch.pack(pair for pair in samples)
+        want = batch_from(samples)
+        for name in ("indices", "values", "offsets", "targets", "fields"):
+            assert np.array_equal(getattr(batch, name), getattr(want, name))
+        assert batch.targets.size == len(samples) and batch.n == 6
+
+    def test_pack_drops_fields_unless_every_sample_has_them(self):
+        x = FeatureVector(indices=[0], values=[1.0], n=2, fields=[0])
+        y = FeatureVector(indices=[1], values=[1.0], n=2)
+        assert SampleBatch.pack([(x, 1.0), (y, 1.0)]).fields is None
+        assert SampleBatch.pack([(x, 1.0), (x, 0.0)]).fields.tolist() == [0, 0]
+
+    def test_ids_may_fall_between_rows(self):
+        batch = SampleBatch(indices=[2, 3, 0, 1], values=[1.0] * 4,
+                            offsets=[0, 2, 2, 4], targets=[1.0, 2.0, 3.0], n=4)
+        model = fm_train(batch, config=TrainConfig(epochs=1))
+        assert len(model.trace) == 1
+
+    # each case spoils the first of two samples, or both targets
+    BAD = {
+        "out-of-range index": (ValidationError, "indices", [0, 3]),
+        "non-increasing indices": (ValidationError, "indices", [2, 1]),
+        "repeated index": (ValidationError, "indices", [1, 1]),
+        "non-finite value": (ValidationError, "values", [1.0, np.nan]),
+        "misaligned fields": (ShapeError, "fields", [0]),
+        "logistic target": (ValidationError, "target", 0.5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    @pytest.mark.parametrize("trainer", [fm_train, ffm_train])
+    def test_malformed_batch_raises_like_list(self, case, trainer):
+        error, key, bad = self.BAD[case]
+        rows = dict(indices=[[0, 1], [1, 2]], values=[[1.0, 2.0], [0.5, 1.0]],
+                    fields=[[0, 1], [0, 1]], target=1.0)
+        rows[key] = bad if key == "target" else [bad] + rows[key][1:]
+        cfg = TrainConfig(f=2, epochs=1)
+        with pytest.raises(error):
+            pairs = [
+                (FeatureVector(indices=i, values=v, n=3, fields=f), rows["target"])
+                for i, v, f in zip(rows["indices"], rows["values"], rows["fields"])
+            ]
+            trainer(pairs, loss="logistic", config=cfg)
+        with pytest.raises(error):
+            batch = SampleBatch(
+                indices=np.concatenate(rows["indices"]),
+                values=np.concatenate(rows["values"]),
+                offsets=[0, 2, 4],
+                targets=[rows["target"]] * 2,
+                n=3,
+                fields=np.concatenate(rows["fields"]),
+            )
+            trainer(batch, loss="logistic", config=cfg)
+
+    def test_offsets_checked(self):
+        with pytest.raises(ShapeError):
+            SampleBatch(indices=[0, 1], values=[1.0, 1.0], offsets=[0, 1],
+                        targets=[1.0, 2.0], n=2)
+        with pytest.raises(ShapeError):
+            SampleBatch(indices=[0, 1], values=[1.0, 1.0], offsets=[0, 2, 1],
+                        targets=[1.0, 2.0], n=2)
+        with pytest.raises(ValidationError):
+            SampleBatch(indices=[], values=[], offsets=[0], targets=[], n=2)
+
+    def test_ffm_field_ids_checked_up_front(self):
+        batch = SampleBatch(indices=[0, 1], values=[1.0, 1.0], offsets=[0, 2],
+                            targets=[1.0], n=2, fields=[0, 2])
+        with pytest.raises(EncodingError):
+            ffm_train(batch, config=TrainConfig(epochs=0), n_fields=2)
+        assert ffm_train(batch, config=TrainConfig(epochs=0)).n_fields == 3
+
+
 class TestEncoder:
     def spec(self):
         return EncoderSpec([
@@ -498,3 +662,11 @@ class TestEncoder:
     def test_column_width(self):
         assert ColumnSpec("u", "categorical", ("a", "b")).width == 3
         assert ColumnSpec("x", "numeric").width == 1
+
+    def test_category_slots_stay_out_of_equality_and_repr(self):
+        col = ColumnSpec("u", "categorical", ("b", "a"))
+        assert col.slots == {"b": 0, "a": 1}
+        assert "slots" not in repr(col)
+        other = ColumnSpec("u", "categorical", ("b", "a"))
+        other.slots = {}
+        assert col == other

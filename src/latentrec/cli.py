@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svdcf
-from .data import CsvSchema, RatingDataset, negative_sample, parse_csv
+from .data import CsvSchema, negative_sample, parse_csv
 from .ensemble import BlendModel, bag_train, stack_fit, vote_recommend
 from .errors import (
     ConfigError,
@@ -297,10 +297,12 @@ def _train_bundle(algo, ds, values):
                 ("item", "categorical", sorted(ds.item_index)),
             ])
             trainer = fm_train if algo == "fm" else ffm_train
+            user_tokens, item_tokens = ds.tokens()
             # no name holds the batch, so it is freed when training returns
             model = trainer(
                 SampleBatch.pack(
-                    (encode((u, i), encoder), r) for u, i, r in ds.triples
+                    (encode((user_tokens[u], item_tokens[i]), encoder), r)
+                    for u, i, r in zip(*ds.indexed())
                 ),
                 loss=values["loss"],
                 config=config,
@@ -337,7 +339,10 @@ def cmd_train(args):
     if values["neg_ratio"] is not None:
         if values["kind"] != "implicit":
             raise ConfigError("--neg-ratio requires --kind implicit")
-        ds = negative_sample(ds, ratio=values["neg_ratio"], seed=values["seed"])
+        try:
+            ds = negative_sample(ds, ratio=values["neg_ratio"], seed=values["seed"])
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
     algo = values["algo"]
     bundle, trace = _train_bundle(algo, ds, values)
     _print_trace(trace)
@@ -374,25 +379,26 @@ def cmd_recommend(args):
 
 def cmd_evaluate(args):
     values = resolve(args, EVALUATE_OPTIONS)
+    cutoffs = values["k"] or []
+    if cutoffs and min(cutoffs) < 1:
+        raise ConfigError("top-N cutoffs must be >= 1")
     bundle = load_model(args.model)
     schema = CsvSchema(kind=values["kind"], scale=bundle.scale)
     test = _read_ratings(values["test"], schema)
-    preds = [bundle.predict(u, i) for u, i, _ in test.triples]
-    truth = [r for _, _, r in test.triples]
+    user_tokens, item_tokens = test.tokens()
+    users, items, truth = test.indexed()
+    preds = [bundle.predict(user_tokens[u], item_tokens[i]) for u, i in zip(users, items)]
     precision = {}
     recall = {}
     n_users = 0
-    cutoffs = values["k"] or []
     if cutoffs:
-        if min(cutoffs) < 1:
-            raise ConfigError("top-N cutoffs must be >= 1")
         positives = {}
-        for u, i, r in test.triples:
+        for u, i, r in zip(users, items, truth):
             if r > 0:
-                positives.setdefault(u, set()).add(i)
-        users = sorted({u for u, _, _ in test.triples})
+                positives.setdefault(user_tokens[u], set()).add(item_tokens[i])
         deepest = max(cutoffs)
-        recs = {u: [t for t, _ in bundle.recommend(u, deepest)] for u in users}
+        recs = {u: [t for t, _ in bundle.recommend(u, deepest)]
+                for u in sorted(test.user_index)}
         for k in cutoffs:
             precision[k], recall[k] = topn_metrics(recs, positives, k)
         n_users = len(positives)
@@ -499,13 +505,7 @@ def cmd_ensemble_stack(args):
     first = bundles[0]
     schema = CsvSchema(kind="explicit", scale=first.scale)
     raw = _read_ratings(values["holdout"], schema)
-    holdout = RatingDataset(
-        raw.triples,
-        kind=raw.kind,
-        scale=raw.scale,
-        user_index=first.user_index,
-        item_index=first.item_index,
-    )
+    holdout = raw.replace(user_index=first.user_index, item_index=first.item_index)
     model = stack_fit([b.scorer for b in bundles], holdout)
     _save_ensemble(model, first, values["output"])
     coefficients = ", ".join(f"{w:.6f}" for w in model.weights)

@@ -1,14 +1,18 @@
 """Rating data model: ingestion, dense conversion, imputation, sampling.
 
-A dataset is a list of (user, item, rating) triples over opaque string
-tokens plus dense integer index maps. Index maps are built in sorted token
-order so the same input always produces the same indexing. Datasets are
-treated as immutable after construction; every transformation returns a new
-object.
+A dataset is columnar: three aligned arrays, the user index, the item index
+(both int64) and the rating (float64) of each rating, plus the dense maps
+from opaque string tokens to those indices. Index maps are built in sorted
+token order so the same input always produces the same indexing. Rows keep
+their input order. No Python object is kept per rating: the
+(user, item, rating) tuples of ``RatingDataset.triples`` are built when
+asked for. Datasets are treated as immutable after construction; every
+transformation returns a new object.
 """
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +50,61 @@ class CsvSchema:
     duplicate_policy: str = "last"
 
 
+def tokens_by_index(index):
+    """The tokens of a dense index map, as a list ordered by index."""
+    tokens = [None] * len(index)
+    for token, at in index.items():
+        tokens[at] = token
+    return tokens
+
+
+class _Interner:
+    """Gives each distinct token a code in first-seen order and records the
+    code of every token added."""
+
+    def __init__(self):
+        self.codes = array("q")
+        self.ids = {}
+
+    def add(self, token):
+        self.codes.append(self.ids.setdefault(token, len(self.ids)))
+
+    def columns(self):
+        """(codes as an int64 array, tokens in code order)."""
+        return np.frombuffer(self.codes, dtype=np.int64), list(self.ids)
+
+
+def _pair_runs(users, items, n_items):
+    """Rows stably sorted by (user, item) code pair.
+
+    Returns (order, starts): the row positions in pair order, and a mask
+    over that order that is True at the first row of each pair.
+    """
+    keys = users * n_items + items
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return order, starts
+
+
+def _first_repeat(order, starts):
+    """Earliest row whose pair an earlier row already has, or None."""
+    repeats = order[~starts]
+    return int(repeats.min()) if repeats.size else None
+
+
 class RatingDataset:
-    """Sparse (user, item, rating) triples with dense index maps.
+    """Sparse ratings as aligned index columns with dense index maps.
+
+    Attributes:
+        users / items: int64 arrays, the user and item index of each rating.
+        ratings: float64 array of the rating values.
+        user_index / item_index: token-to-index maps; each maps its n
+            tokens onto 0..n-1.
+        triples: (user_token, item_token, rating) tuples in row order,
+            built on each access for small callers; trainers read
+            ``indexed()``.
 
     Args:
         triples: iterable of (user_token, item_token, rating).
@@ -72,46 +129,82 @@ class RatingDataset:
         metadata=None,
         allow_duplicate_pairs=False,
     ):
-        triples = [(str(u), str(i), float(r)) for u, i, r in triples]
-        if not triples:
+        users, items, ratings = _Interner(), _Interner(), array("d")
+        for u, i, r in triples:
+            users.add(str(u))
+            items.add(str(i))
+            ratings.append(float(r))
+        self._set(users.columns(), items.columns(), np.frombuffer(ratings),
+                  kind, scale, user_index=user_index, item_index=item_index,
+                  metadata=metadata, allow_duplicate_pairs=allow_duplicate_pairs)
+
+    @classmethod
+    def _of(cls, *args, **kwargs):
+        """A dataset from ``_set``'s arguments, validated as __init__ does."""
+        ds = cls.__new__(cls)
+        ds._set(*args, **kwargs)
+        return ds
+
+    def _set(self, users, items, ratings, kind, scale, user_index=None,
+             item_index=None, metadata=None, allow_duplicate_pairs=False):
+        """Validate and store the columns.
+
+        users and items are (codes, tokens) pairs: an int64 array of codes
+        per rating and the list of tokens the codes point into.
+        """
+        (user_codes, user_tokens), (item_codes, item_tokens) = users, items
+
+        def pair(k):
+            return user_tokens[user_codes[k]], item_tokens[item_codes[k]]
+
+        if ratings.size == 0:
             raise NoDataError("dataset has no triples")
         if kind not in ("explicit", "implicit"):
             raise ValidationError(f"unknown dataset kind {kind!r}")
         lo, hi = float(scale[0]), float(scale[1])
         if not lo < hi:
             raise ValidationError(f"scale low must be below high, got [{lo}, {hi}]")
-        for u, i, r in triples:
+        if kind == "explicit":
+            bad = ~((ratings >= lo) & (ratings <= hi))
+        else:
+            bad = (ratings != 0.0) & (ratings != 1.0)
+        if bad.any():
+            k = int(bad.argmax())
+            (u, i), r = pair(k), float(ratings[k])
             if kind == "explicit":
-                if not lo <= r <= hi:
-                    raise ValidationError(
-                        f"rating {r} for ({u}, {i}) outside scale [{lo}, {hi}]"
-                    )
-            elif r not in (0.0, 1.0):
                 raise ValidationError(
-                    f"implicit rating for ({u}, {i}) must be 0 or 1, got {r}"
+                    f"rating {r} for ({u}, {i}) outside scale [{lo}, {hi}]"
                 )
+            raise ValidationError(
+                f"implicit rating for ({u}, {i}) must be 0 or 1, got {r}"
+            )
         if not allow_duplicate_pairs:
-            seen = set()
-            for u, i, _ in triples:
-                if (u, i) in seen:
-                    raise ValidationError(f"duplicate (user, item) pair ({u}, {i})")
-                seen.add((u, i))
+            k = _first_repeat(*_pair_runs(user_codes, item_codes, len(item_tokens)))
+            if k is not None:
+                raise ValidationError("duplicate (user, item) pair ({}, {})".format(*pair(k)))
 
         if user_index is None:
-            user_index = {u: k for k, u in enumerate(sorted({t[0] for t in triples}))}
+            user_index = {u: k for k, u in enumerate(sorted(user_tokens))}
         if item_index is None:
-            item_index = {i: k for k, i in enumerate(sorted({t[1] for t in triples}))}
-        for u, i, _ in triples:
-            if u not in user_index or i not in item_index:
-                raise ValidationError(f"triple ({u}, {i}) not covered by index maps")
-
-        self.triples = tuple(triples)
+            item_index = {i: k for k, i in enumerate(sorted(item_tokens))}
+        user_at = np.array([user_index.get(u, -1) for u in user_tokens], dtype=np.int64)
+        item_at = np.array([item_index.get(i, -1) for i in item_tokens], dtype=np.int64)
+        self.users = user_at[user_codes]
+        self.items = item_at[item_codes]
+        missing = (self.users < 0) | (self.items < 0)
+        if missing.any():
+            raise ValidationError(
+                "triple ({}, {}) not covered by index maps".format(*pair(int(missing.argmax())))
+            )
+        # a copy, so that freezing the columns never freezes a caller's array
+        self.ratings = np.array(ratings, dtype=np.float64)
+        for column in (self.users, self.items, self.ratings):
+            column.flags.writeable = False
         self.kind = kind
         self.scale = (lo, hi)
         self.user_index = dict(user_index)
         self.item_index = dict(item_index)
         self.metadata = dict(metadata or {})
-        self._arrays = None
 
     @property
     def n_users(self):
@@ -122,73 +215,69 @@ class RatingDataset:
         return len(self.item_index)
 
     def __len__(self):
-        return len(self.triples)
+        return self.ratings.size
 
     def indexed(self):
-        """Triples as three aligned arrays (user idx, item idx, rating)."""
-        if self._arrays is None:
-            u = np.fromiter((self.user_index[t[0]] for t in self.triples), dtype=np.int64)
-            i = np.fromiter((self.item_index[t[1]] for t in self.triples), dtype=np.int64)
-            r = np.fromiter((t[2] for t in self.triples), dtype=float)
-            self._arrays = (u, i, r)
-        return self._arrays
+        """The (user index, item index, rating) columns as aligned arrays."""
+        return self.users, self.items, self.ratings
+
+    def tokens(self):
+        """User and item tokens as lists ordered by index."""
+        return tokens_by_index(self.user_index), tokens_by_index(self.item_index)
+
+    @property
+    def triples(self):
+        """(user, item, rating) tuples in row order, built on each access."""
+        user_tokens, item_tokens = self.tokens()
+        return tuple(
+            (user_tokens[u], item_tokens[i], r)
+            for u, i, r in zip(self.users.tolist(), self.items.tolist(),
+                               self.ratings.tolist())
+        )
 
     def items_by_user(self, positive_only=False):
         """Per-user arrays of rated item indices, ascending.
 
-        With positive_only, triples rated 0 (implicit negatives) are left
+        With positive_only, ratings of 0 (implicit negatives) are left
         out; for explicit data the two variants coincide.
         """
-        u, i, r = self.indexed()
-        sets = [[] for _ in range(self.n_users)]
-        for k in range(len(u)):
-            if positive_only and r[k] == 0.0:
-                continue
-            sets[u[k]].append(i[k])
-        return [np.array(sorted(s), dtype=np.int64) for s in sets]
+        u, i = self.users, self.items
+        if positive_only:
+            keep = self.ratings != 0.0
+            u, i = u[keep], i[keep]
+        order = np.lexsort((i, u))
+        counts = np.bincount(u, minlength=self.n_users)
+        return np.split(i[order], np.cumsum(counts)[:-1])
 
-    def replace(self, triples=None, metadata=None, allow_duplicate_pairs=False):
-        """Copy with new triples and/or metadata, keeping the index maps."""
-        return RatingDataset(
-            triples if triples is not None else self.triples,
-            kind=self.kind,
-            scale=self.scale,
-            user_index=self.user_index,
-            item_index=self.item_index,
-            metadata=metadata if metadata is not None else self.metadata,
+    def replace(self, columns=None, metadata=None, allow_duplicate_pairs=False,
+                user_index=None, item_index=None):
+        """Copy with new columns, metadata or index maps.
+
+        columns: (users, items, ratings) arrays under this dataset's index
+        maps, as ``indexed()`` returns them. With new index maps each
+        rating moves to its tokens' indices there; a token a new map lacks
+        raises ValidationError.
+        """
+        users, items, ratings = self.indexed() if columns is None else columns
+        user_tokens, item_tokens = self.tokens()
+        return RatingDataset._of(
+            (np.asarray(users, dtype=np.int64), user_tokens),
+            (np.asarray(items, dtype=np.int64), item_tokens),
+            np.asarray(ratings, dtype=np.float64),
+            self.kind,
+            self.scale,
+            user_index=self.user_index if user_index is None else user_index,
+            item_index=self.item_index if item_index is None else item_index,
+            metadata=self.metadata if metadata is None else metadata,
             allow_duplicate_pairs=allow_duplicate_pairs,
         )
 
 
-def parse_csv(source, schema=None):
-    """Parse "user,item,rating[,timestamp]" lines into a RatingDataset.
-
-    Args:
-        source: a string, or any iterable of lines (e.g. an open file).
-        schema: CsvSchema; defaults to explicit ratings on a 1-5 scale.
-
-    Returns:
-        RatingDataset. Timestamps, when present, are kept in
-        metadata["timestamps"] keyed by (user, item) but play no role in
-        modeling.
-
-    Raises:
-        ParseError: malformed line (with its 1-based line number).
-        ValidationError: out-of-scale rating, or a duplicate pair under the
-            "error" policy.
-        NoDataError: no data lines at all.
-    """
-    schema = schema or CsvSchema()
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
-
-    kept = {}  # (user, item) -> (order, rating)
-    timestamps = {}
-    order = 0
+def _csv_rows(lines, has_header):
+    """Yield (line number, user, item, rating, timestamp or None) for each
+    data line; raise ParseError for a malformed one."""
     saw_data_line = False
-    expect_header = schema.has_header
+    expect_header = has_header
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -229,27 +318,94 @@ def parse_csv(source, schema=None):
                     line_number=line_no,
                 ) from None
         saw_data_line = True
-        key = (user, item)
-        if key in kept:
-            if schema.duplicate_policy == "error":
-                raise ValidationError(
-                    f"line {line_no}: duplicate pair ({user}, {item})"
-                )
-            if schema.duplicate_policy == "first":
-                continue
-            kept[key] = (kept[key][0], rating)  # keep-last: value replaced in place
-        else:
-            kept[key] = (order, rating)
-            order += 1
-        if ts is not None:
-            timestamps[key] = ts
+        yield line_no, user, item, rating, ts
 
-    if not kept:
+
+def parse_csv(source, schema=None):
+    """Parse "user,item,rating[,timestamp]" lines into a RatingDataset.
+
+    Lines are read one at a time; tokens become first-seen codes in typed
+    buffers and duplicate pairs are resolved over the whole column at the
+    end, so nothing is kept per line but the codes, rating and line number.
+
+    Args:
+        source: a string, or any iterable of lines (e.g. an open file).
+        schema: CsvSchema; defaults to explicit ratings on a 1-5 scale.
+
+    Returns:
+        RatingDataset with rows in first-occurrence order. Timestamps, when
+        present, are kept in metadata["timestamps"] keyed by (user, item)
+        but play no role in modeling.
+
+    Raises:
+        ParseError: malformed line (with its 1-based line number).
+        ValidationError: out-of-scale rating, or a duplicate pair under the
+            "error" policy.
+        NoDataError: no data lines at all.
+    """
+    schema = schema or CsvSchema()
+    policy = schema.duplicate_policy
+    lines = source.splitlines() if isinstance(source, str) else source
+    users, items = _Interner(), _Interner()
+    ratings, line_numbers = array("d"), array("q")
+    stamped, stamps = array("q"), array("d")  # row positions with a timestamp
+
+    def runs():
+        user_codes, user_tokens = users.columns()
+        item_codes, item_tokens = items.columns()
+        order, starts = _pair_runs(user_codes, item_codes, len(item_tokens))
+        if policy == "error":
+            row = _first_repeat(order, starts)
+            if row is not None:
+                raise ValidationError(
+                    f"line {line_numbers[row]}: duplicate pair "
+                    f"({user_tokens[user_codes[row]]}, {item_tokens[item_codes[row]]})"
+                )
+        return order, starts
+
+    try:
+        for line_no, user, item, rating, ts in _csv_rows(lines, schema.has_header):
+            if ts is not None:
+                stamped.append(len(ratings))
+                stamps.append(ts)
+            users.add(user)
+            items.add(item)
+            ratings.append(rating)
+            line_numbers.append(line_no)
+    except ParseError:
+        if policy == "error" and ratings:
+            runs()  # a duplicate on an earlier line is reported first
+        raise
+
+    if not ratings:
         raise NoDataError("csv stream contains no rating lines")
-    ordered = sorted(kept.items(), key=lambda kv: kv[1][0])
-    triples = [(u, i, r) for (u, i), (_, r) in ordered]
+    order, starts = runs()
+    first = order[starts]
+    last = order[np.append(starts[1:], True)]
+    by_first = np.argsort(first)
+    kept = first[by_first]
+    values = (first if policy == "first" else last)[by_first]
+
+    user_codes, user_tokens = users.columns()
+    item_codes, item_tokens = items.columns()
+    timestamps = {}
+    if stamped:
+        is_first = np.zeros(len(ratings), dtype=bool)
+        is_first[first] = True
+        for row, ts in zip(stamped, stamps):
+            # "first" skips a repeated line whole, timestamp included
+            if policy != "first" or is_first[row]:
+                key = (user_tokens[user_codes[row]], item_tokens[item_codes[row]])
+                timestamps[key] = ts
     metadata = {"timestamps": timestamps} if timestamps else {}
-    return RatingDataset(triples, kind=schema.kind, scale=schema.scale, metadata=metadata)
+    return RatingDataset._of(
+        (user_codes[kept], user_tokens),
+        (item_codes[kept], item_tokens),
+        np.frombuffer(ratings)[values],
+        schema.kind,
+        schema.scale,
+        metadata=metadata,
+    )
 
 
 def to_dense(ds, cap=DENSE_CELL_CAP):
@@ -319,13 +475,13 @@ def negative_sample(ds, ratio=3.0, seed=0):
 
     Args:
         ds: implicit dataset (positives rated 1).
-        ratio: negatives per positive, default 3.
+        ratio: negatives per positive, default 3; finite and above 0.
         seed: rng seed; the result is a pure function of (ds, ratio, seed).
     """
     if ds.kind != "implicit":
         raise ValidationError("negative sampling needs an implicit dataset")
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise ValidationError(f"negative ratio must be finite and above 0, got {ratio}")
     rng = np.random.default_rng(seed)
     n = ds.n_items
     u_idx, i_idx, r_val = ds.indexed()
@@ -334,11 +490,9 @@ def negative_sample(ds, ratio=3.0, seed=0):
 
     seen = ds.items_by_user(positive_only=False)
     positives = ds.items_by_user(positive_only=True)
-    inv_user = {v: k for k, v in ds.user_index.items()}
-    inv_item = {v: k for k, v in ds.item_index.items()}
 
-    new_triples = list(ds.triples)
-    skipped = capped = added = 0
+    new_users, new_items = array("q"), array("q")
+    skipped = capped = 0
     for u in range(ds.n_users):
         target = _round_half_up(ratio * len(positives[u]))
         if target == 0:
@@ -358,18 +512,24 @@ def negative_sample(ds, ratio=3.0, seed=0):
                 pick = int(rng.choice(candidates.size, p=probs))
             else:
                 pick = int(rng.integers(candidates.size))
-            new_triples.append((inv_user[u], inv_item[int(candidates[pick])], 0.0))
+            new_users.append(u)
+            new_items.append(int(candidates[pick]))
             candidates = np.delete(candidates, pick)
             weights = np.delete(weights, pick)
-            added += 1
 
+    added = len(new_users)
     metadata = dict(ds.metadata)
     metadata.update(
         negative_users_skipped=skipped,
         negative_users_capped=capped,
         negatives_added=added,
     )
-    return ds.replace(triples=new_triples, metadata=metadata)
+    columns = (
+        np.concatenate([u_idx, np.frombuffer(new_users, dtype=np.int64)]),
+        np.concatenate([i_idx, np.frombuffer(new_items, dtype=np.int64)]),
+        np.concatenate([r_val, np.zeros(added)]),
+    )
+    return ds.replace(columns, metadata=metadata)
 
 
 def split(ds, fraction, seed=0):
@@ -386,16 +546,16 @@ def split(ds, fraction, seed=0):
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
-    n_total = len(ds.triples)
-    target = _round_half_up(fraction * n_total)
+    target = _round_half_up(fraction * len(ds))
 
-    by_user = {}
-    for pos, (u, _, _) in enumerate(ds.triples):
-        by_user.setdefault(ds.user_index[u], []).append(pos)
-    users = sorted(by_user)
+    # rows of each user, in dataset order
+    counts = np.bincount(ds.users, minlength=ds.n_users)
+    by_user = np.split(np.argsort(ds.users, kind="stable"), np.cumsum(counts)[:-1])
+    sizes = counts.tolist()
+    users = np.flatnonzero(counts).tolist()
 
-    quotas = {u: fraction * len(by_user[u]) for u in users}
-    base = {u: min(int(math.floor(quotas[u])), len(by_user[u]) - 1) for u in users}
+    quotas = {u: fraction * sizes[u] for u in users}
+    base = {u: min(int(math.floor(quotas[u])), sizes[u] - 1) for u in users}
     remaining = target - sum(base.values())
     by_remainder = sorted(users, key=lambda u: (-(quotas[u] - math.floor(quotas[u])), u))
     progressed = True
@@ -404,29 +564,28 @@ def split(ds, fraction, seed=0):
         for u in by_remainder:
             if remaining == 0:
                 break
-            if base[u] < len(by_user[u]) - 1:
+            if base[u] < sizes[u] - 1:
                 base[u] += 1
                 remaining -= 1
                 progressed = True
 
-    test_positions = set()
+    in_test = np.zeros(len(ds), dtype=bool)
     for u in users:
         take = base[u]
         if take == 0:
             continue
-        perm = rng.permutation(len(by_user[u]))
-        for k in perm[:take]:
-            test_positions.add(by_user[u][k])
+        perm = rng.permutation(sizes[u])
+        in_test[by_user[u][perm[:take]]] = True
 
-    train = [t for p, t in enumerate(ds.triples) if p not in test_positions]
-    test = [t for p, t in enumerate(ds.triples) if p in test_positions]
     metadata = dict(ds.metadata)
     if remaining > 0:
         metadata["stratification_short"] = remaining
-    if not test:
+    if not in_test.any():
         raise ValidationError(
             "holdout fraction leaves an empty test set; every user has a single rating"
         )
-    return ds.replace(triples=train, metadata=metadata), ds.replace(
-        triples=test, metadata=metadata
+    columns = ds.indexed()
+    return (
+        ds.replace([c[~in_test] for c in columns], metadata=metadata),
+        ds.replace([c[in_test] for c in columns], metadata=metadata),
     )

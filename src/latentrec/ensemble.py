@@ -128,7 +128,7 @@ def bag_train(trainer, ds, b=10, seed=42):
 
     Args:
         trainer: closure mapping a RatingDataset to a trained predictor.
-        ds: source dataset; each resample draws len(ds) triples from it
+        ds: source dataset; each resample draws len(ds) ratings from it
             with replacement.
         b: member count, at least 1.
         seed: seeds the resampling stream; member training determinism
@@ -140,12 +140,13 @@ def bag_train(trainer, ds, b=10, seed=42):
     if b < 1:
         raise ValidationError(f"member count must be >= 1, got {b}")
     rng = np.random.default_rng(seed)
-    count = len(ds.triples)
+    count = len(ds)
+    columns = ds.indexed()
     members = []
     for m in range(b):
         picks = rng.integers(0, count, size=count)
         resampled = ds.replace(
-            [ds.triples[j] for j in picks], allow_duplicate_pairs=True
+            [c[picks] for c in columns], allow_duplicate_pairs=True
         )
         try:
             members.append(trainer(resampled))

@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .data import tokens_by_index
 from .ensemble import BlendModel
 from .errors import CapacityError, PersistenceError, ValidationError
 from .factor import FactorModel, ItemCfModel, overlap_weights
@@ -115,8 +116,8 @@ class ModelBundle:
         if self.algorithm in ("fm", "ffm") and self.encoder is None:
             raise ValidationError(f"{self.algorithm} bundles need an encoder spec")
         self.scale = (float(self.scale[0]), float(self.scale[1]))
-        self._user_tokens = _tokens_by_index(self.user_index)
-        self._item_tokens = _tokens_by_index(self.item_index)
+        self._user_tokens = tokens_by_index(self.user_index)
+        self._item_tokens = tokens_by_index(self.item_index)
 
     @property
     def scorer(self):
@@ -164,13 +165,6 @@ def _index_lists(rows, n_rows, n_items, name):
     if len(rows) != n_rows or any(not 0 <= i < n_items for row in rows for i in row):
         raise ValueError(f"{name} must hold {n_rows} lists of item indices "
                          f"in [0, {n_items})")
-
-
-def _tokens_by_index(index):
-    tokens = [None] * len(index)
-    for token, at in index.items():
-        tokens[at] = token
-    return tokens
 
 
 def _nested(a):
@@ -434,8 +428,8 @@ def load_model(path):
         scale = (float(raw["scale"][0]), float(raw["scale"][1]))
         user_index = {str(t): int(v) for t, v in raw["user_index"].items()}
         item_index = {str(t): int(v) for t, v in raw["item_index"].items()}
-        user_tokens = _tokens_by_index(user_index)
-        item_tokens = _tokens_by_index(item_index)
+        user_tokens = tokens_by_index(user_index)
+        item_tokens = tokens_by_index(item_index)
         if algorithm == "ensemble":
             spec = raw["ensemble"]
             members = [

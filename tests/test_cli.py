@@ -265,6 +265,19 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("ratio", ["0", "-1", "nan", "inf"])
+    def test_bad_neg_ratio_is_an_argument_error(self, capsys, tmp_path, ratio):
+        data = write_ratings(tmp_path, "implicit.csv", IMPLICIT_CSV)
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--algo", "fm", "--kind", "implicit",
+                           "--scale", "0:1", "--input", data,
+                           "--output", str(out), "--neg-ratio", ratio)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite and above 0" in err
+        assert not out.exists()
+
     def test_fm_samples_are_packed_not_kept_per_record(self):
         # 20,000 one-hot (user, item) records; the samples used to live as
         # one FeatureVector each (about 13 MB here), the packed batch
@@ -391,6 +404,13 @@ class TestEvaluate:
         assert code == 0
         for label in ("precision@5", "recall@5", "precision@10", "recall@10"):
             assert label in stdout
+
+    def test_bad_cutoff_fails_before_any_io(self, capsys, tmp_path):
+        # neither the model nor the test file exists: the cutoff is checked first
+        code, _, err = run(capsys, "evaluate", str(tmp_path / "m.json"),
+                           "--test", str(tmp_path / "missing.csv"), "--k", "0")
+        assert code == 2
+        assert err == "error: top-N cutoffs must be >= 1\n"
 
     def test_empty_test_exits_3(self, capsys, tmp_path):
         model = train_fixture_model(capsys, tmp_path)

@@ -1,5 +1,11 @@
+import io
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentrec.data import (
     CsvSchema,
@@ -80,6 +86,122 @@ class TestParseCsv:
             parse_csv("u1,i1,3", CsvSchema(kind="implicit"))
         ds = parse_csv("u1,i1,1\nu1,i2,0", CsvSchema(kind="implicit"))
         assert ds.kind == "implicit"
+
+
+def reference_parse(text, has_header, policy):
+    """The dict-based parse that columnar parse_csv replaced.
+
+    Returns (triples, timestamps, duplicate_line); duplicate_line is the
+    line the "error" policy stops at, or None.
+    """
+    kept = {}  # (user, item) -> (order, rating)
+    timestamps = {}
+    expect_header = has_header
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if expect_header is not False:
+            expect_header = False
+            try:
+                float(parts[2])
+                numeric = True
+            except ValueError:
+                numeric = False
+            if has_header or not numeric:
+                continue
+        key = (parts[0], parts[1])
+        if key in kept:
+            if policy == "error":
+                return None, None, line_no
+            if policy == "first":
+                continue
+            kept[key] = (kept[key][0], float(parts[2]))
+        else:
+            kept[key] = (len(kept), float(parts[2]))
+        if len(parts) == 4:
+            timestamps[key] = float(parts[3])
+    ordered = sorted(kept.items(), key=lambda kv: kv[1][0])
+    return [(u, i, r) for (u, i), (_, r) in ordered], timestamps, None
+
+
+@st.composite
+def csv_cases(draw):
+    kind = draw(st.sampled_from(["explicit", "implicit"]))
+    values = ["0", "1"] if kind == "implicit" else ["1", "2.5", "3", "4", "5"]
+    row = st.builds(
+        lambda u, i, r, ts: f" {u} ,{i},{r}" + ("" if ts is None else f",{ts}"),
+        st.sampled_from(["u1", "u2", "u10", "b"]),
+        st.sampled_from(["i1", "i2", "i3", "a", "i20"]),
+        st.sampled_from(values),
+        st.none() | st.integers(0, 10**9),
+    )
+    lines = draw(st.lists(row | st.sampled_from(["", "# comment", "  "]), max_size=30))
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, "user,item,rating")
+    has_header = draw(st.sampled_from([None, header]))
+    policy = draw(st.sampled_from(["last", "first", "error"]))
+    return "\n".join(lines), kind, has_header, policy
+
+
+class TestParseCsvProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_cases())
+    def test_matches_dict_reference(self, case):
+        text, kind, has_header, policy = case
+        schema = CsvSchema(kind=kind, has_header=has_header, duplicate_policy=policy)
+        triples, timestamps, duplicate_line = reference_parse(text, has_header, policy)
+        for source in (text, io.StringIO(text)):
+            if duplicate_line is not None:
+                with pytest.raises(ValidationError,
+                                   match=f"^line {duplicate_line}: duplicate pair"):
+                    parse_csv(source, schema)
+                continue
+            if not triples:
+                with pytest.raises(NoDataError):
+                    parse_csv(source, schema)
+                continue
+            ds = parse_csv(source, schema)
+            assert ds.triples == tuple(triples)
+            users = sorted({u for u, _, _ in triples})
+            items = sorted({i for _, i, _ in triples})
+            assert ds.user_index == {u: k for k, u in enumerate(users)}
+            assert ds.item_index == {i: k for k, i in enumerate(items)}
+            assert list(ds.metadata.get("timestamps", {}).items()) == list(timestamps.items())
+            again = RatingDataset(ds.triples, kind=kind, scale=ds.scale)
+            assert again.triples == ds.triples
+            assert again.user_index == ds.user_index
+            assert again.item_index == ds.item_index
+            for a, b in zip(again.indexed(), ds.indexed()):
+                np.testing.assert_array_equal(a, b)
+
+    def test_parse_keeps_no_per_row_objects(self):
+        # 20,000 distinct pairs from a file handle; the dict-and-tuple parse
+        # peaked near 770 B and kept about 215 B per row
+        rows = 20_000
+        text = "user,item,rating\n" + "".join(
+            f"u{c // 40},i{(c % 40) * 7 + (c // 40) % 7},{1 + c % 5}\n"
+            for c in range(rows)
+        )
+        source = io.StringIO(text)
+        tracemalloc.start()
+        try:
+            ds = parse_csv(source, CsvSchema(has_header=True))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == rows
+        assert peak / rows < 400
+        assert retained / rows < 80
+
+    def test_parse_error_after_duplicate_reports_the_duplicate(self):
+        with pytest.raises(ValidationError, match="^line 2: duplicate pair"):
+            parse_csv("u1,i1,2\nu1,i1,5\nu2;i2;3", CsvSchema(duplicate_policy="error"))
+        with pytest.raises(ParseError) as err:
+            parse_csv("u1,i1,2\nu2;i2;3\nu1,i1,5", CsvSchema(duplicate_policy="error"))
+        assert err.value.line_number == 2
 
 
 class TestToDense:
@@ -246,6 +368,12 @@ class TestNegativeSample:
         with pytest.raises(ValidationError):
             negative_sample(ds, ratio=1.0)
 
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan, math.inf])
+    def test_ratio_must_be_finite_and_positive(self, ratio):
+        ds = implicit_dataset([("u1", "a")], extra_items=["b", "c"])
+        with pytest.raises(ValidationError, match="finite and above 0"):
+            negative_sample(ds, ratio=ratio)
+
     def test_popularity_bias(self):
         # Items A and B with global popularity 9 and 1; 10,000 users each
         # draw one negative from {A, B}. The multinomial expectation puts A
@@ -350,3 +478,36 @@ class TestDatasetInvariants:
         pos_items = ds.items_by_user(positive_only=True)
         assert all_items[0].tolist() == [0, 1]
         assert pos_items[0].tolist() == [1]
+
+    def test_items_by_user_keeps_repeats_and_unrated_users(self):
+        ds = RatingDataset(
+            [("u2", "b", 1.0), ("u0", "c", 1.0), ("u2", "a", 1.0), ("u2", "b", 1.0)],
+            kind="implicit",
+            user_index={"u0": 0, "u1": 1, "u2": 2},
+            allow_duplicate_pairs=True,
+        )
+        assert [s.tolist() for s in ds.items_by_user()] == [[2], [], [0, 1, 1]]
+
+    def test_columns_are_read_only(self):
+        ds = RatingDataset([("u1", "i1", 3.0)])
+        for column in ds.indexed():
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_replace_validates_new_columns(self):
+        ds = RatingDataset([("u1", "i1", 3.0), ("u2", "i2", 4.0)])
+        with pytest.raises(ValidationError, match="duplicate"):
+            ds.replace(([0, 0], [1, 1], [2.0, 2.0]))
+        with pytest.raises(ValidationError, match="outside scale"):
+            ds.replace(([0], [1], [7.0]))
+        assert ds.replace(([1], [0], [2.0])).triples == (("u2", "i1", 2.0),)
+
+    def test_replace_moves_ratings_to_new_maps(self):
+        ds = RatingDataset([("b", "y", 3.0), ("a", "x", 4.0)])
+        moved = ds.replace(user_index={"z": 0, "a": 1, "b": 2},
+                           item_index={"y": 0, "x": 1})
+        assert moved.triples == ds.triples
+        assert moved.users.tolist() == [2, 1]
+        assert moved.items.tolist() == [0, 1]
+        with pytest.raises(ValidationError, match=r"triple \(a, x\) not covered"):
+            ds.replace(user_index={"b": 0})

@@ -492,9 +492,11 @@ def overlap_weights(ratings, n):
 
     ratings holds one dict per user whose keys are the item indices that
     user rated, so N(i) is the set of users whose dict has key i. The
-    co-occurrence counts are exact integers, the diagonal is forced to
-    zero and items with no raters get all-zero rows. Training and model
-    loading both build W here, so a loaded model has the trained weights.
+    co-occurrence counts are exact integers, divided by the rater counts
+    in place, so the counts array becomes W and no second n x n array is
+    made; the diagonal is forced to zero and items with no raters get
+    all-zero rows. Training, model loading and the save check all build W
+    here, so a loaded model has the trained weights.
 
     Raises:
         CapacityError: n x n exceeds DENSE_CELL_CAP; checked before
@@ -514,10 +516,10 @@ def overlap_weights(ratings, n):
         counts[np.ix_(idx, idx)] += 1.0
     raters = np.diag(counts).copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = counts / raters[:, None]
-    w[raters == 0.0, :] = 0.0
-    np.fill_diagonal(w, 0.0)
-    return w
+        np.divide(counts, raters[:, None], out=counts)
+    counts[raters == 0.0, :] = 0.0
+    np.fill_diagonal(counts, 0.0)
+    return counts
 
 
 def itemcf_similarity(ds, k=None):

@@ -21,8 +21,10 @@ Training reads one SampleBatch: the samples' indices, values and field
 ids in flat arrays with row offsets (the CSR layout of the design
 matrix) plus a targets array, checked once, in whole-array operations,
 when the batch is built. A list of (feature vector, target) pairs is
-packed into one first, so there is a single training path, and the CLI
-packs its encoded records as it makes them. Each epoch (factor.run_epochs)
+packed into one first, so there is a single training path; records of
+categorical columns given as token codes, the CLI's user/item layout,
+become one straight from the code arrays (SampleBatch.from_codes), with
+no per-record vector. Each epoch (factor.run_epochs)
 walks the rows in order; per row, one unchecked kernel call gives the
 score and its latent gradient together (the plain machine computes
 V[indices] and s = sum_j v_j x_j once for both, the field-aware one walks
@@ -452,6 +454,47 @@ class SampleBatch:
             targets=np.array(targets),
             n=n,
             fields=None if fields is None else np.frombuffer(fields, dtype=np.int64),
+        )
+
+    @classmethod
+    def from_codes(cls, spec, columns, targets):
+        """One-hot rows for records of categorical columns, given as codes.
+
+        columns holds one (tokens, codes) pair per spec column: record r's
+        raw value in column c is tokens[codes[r]]. Each row gets one
+        nonzero per column, value 1.0 and field c, at the index encode
+        gives that value (the block's reserved last index for an unseen
+        one). The batch equals SampleBatch.pack over encode of the same
+        records, array for array, but is made in whole-array operations
+        with one category lookup per token and no per-record vector.
+
+        Raises:
+            EncodingError: the column count differs from the spec's, or a
+                spec column is not categorical.
+            ValidationError: there are no records.
+        """
+        if len(columns) != len(spec.columns):
+            raise EncodingError(
+                f"records have {len(columns)} columns, encoder expects "
+                f"{len(spec.columns)}"
+            )
+        width = len(columns)
+        indices = np.empty((len(targets), width), dtype=np.int64)
+        for c, (col, start, (tokens, codes)) in enumerate(
+            zip(spec.columns, spec.offsets(), columns)
+        ):
+            if col.kind != "categorical":
+                raise EncodingError(f"column {col.name!r} is not categorical")
+            slots = np.array([col.slots.get(str(t), col.width - 1) for t in tokens],
+                             dtype=np.int64)
+            indices[:, c] = start + slots[codes]
+        return cls(
+            indices=indices.ravel(),
+            values=np.ones(indices.size),
+            offsets=np.arange(0, indices.size + 1, width),
+            targets=targets,
+            n=spec.dimension,
+            fields=np.tile(np.arange(width), len(targets)),
         )
 
 

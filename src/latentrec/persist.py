@@ -9,7 +9,12 @@ header plus one member block; an ensemble file lists one per member under
 compact line (pretty-print it with ``python -m json.tool``). Keys are
 sorted and numbers use Python's shortest round-trip decimals, so saving
 the same model twice yields byte-identical files except for the "created"
-timestamp, and loading reproduces predictions exactly. Loading rejects
+timestamp, and loading reproduces predictions exactly. Saving builds the
+whole document and runs every check before the file is opened, so a
+refused save leaves the path as it was; the line is then written a block
+of rows at a time, each block the very text json.dumps gives for that
+part of the document, so no string of the whole file is ever made.
+Loading rejects
 per-user index lists that do not fit the index maps: fm/ffm "observed"
 and svd "rated" need one list per user, each index in [0, n_items).
 
@@ -28,6 +33,7 @@ Versions 1 and 2 still load: version 1 stored the svd block as the dense
 as stored.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -50,6 +56,10 @@ FORMAT_VERSION = 3
 # stored the itemcf weights "w"
 READABLE_VERSIONS = (1, 2, FORMAT_VERSION)
 ALGORITHMS = ("svd", "funk", "svdpp", "itemcf", "fm", "ffm", "ensemble")
+# list items or dict entries that one json.dumps call encodes
+BLOCK_ROWS = 64
+
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
 class IndexedModel:
@@ -389,29 +399,74 @@ def document(bundle):
     return doc
 
 
+def _json_chunks(value):
+    """The compact, key-sorted JSON text of value, in consecutive pieces.
+
+    The pieces join to exactly _dumps(value). A dict holding containers is
+    walked key by key and a list of dicts item by item; any other dict or
+    list goes BLOCK_ROWS items (key-value pairs, rows, numbers) per _dumps
+    call, so no piece holds more than one block.
+    """
+    if isinstance(value, dict):
+        pairs = sorted(value.items())
+        if not any(isinstance(item, (dict, list)) for _, item in pairs):
+            yield from _blocks(pairs, dict, "{}")
+            return
+        yield "{"
+        for n, (key, item) in enumerate(pairs):
+            yield ("," if n else "") + _dumps(key) + ":"
+            yield from _json_chunks(item)
+        yield "}"
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        yield "["
+        for n, item in enumerate(value):
+            yield "," if n else ""
+            yield from _json_chunks(item)
+        yield "]"
+    elif isinstance(value, list):
+        yield from _blocks(value, list, "[]")
+    else:
+        yield _dumps(value)
+
+
+def _blocks(items, container, brackets):
+    yield brackets[0]
+    for start in range(0, len(items), BLOCK_ROWS):
+        block = _dumps(container(items[start:start + BLOCK_ROWS]))
+        yield ("," if start else "") + block[1:-1]
+    yield brackets[1]
+
+
 def save_model(bundle, path):
     """Write the bundle to path as one compact JSON line; returns the path.
 
+    The document is built and checked in full before the file is opened,
+    so a refused save creates no file and leaves an existing one alone.
+    The line is then written a block of rows at a time; the bytes equal
+    json.dumps(document(bundle), sort_keys=True, separators=(",", ":"))
+    plus a newline.
+
     Raises PersistenceError for a model the file format cannot reproduce.
     """
-    text = json.dumps(document(bundle), sort_keys=True,
-                      separators=(",", ":")) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    doc = document(bundle)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(_json_chunks(doc))
+        handle.write("\n")
     return path
 
 
 def load_model(path):
     """Read a model file back into a ModelBundle.
 
-    Raises PersistenceError for unreadable JSON, an unsupported
-    format_version, an unknown algorithm tag, or a malformed member block
-    (a missing key, a per-user index list that does not fit the index
-    maps), and CapacityError when the itemcf weights to rebuild exceed the
-    dense cell cap.
+    Raises PersistenceError for a file that cannot be read or is not
+    UTF-8 JSON, an unsupported format_version, an unknown algorithm tag,
+    or a malformed member block (a missing key, a per-user index list that
+    does not fit the index maps), and CapacityError when the itemcf
+    weights to rebuild exceed the dense cell cap.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise PersistenceError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise PersistenceError(f"model file {path} is not a JSON object")

@@ -10,9 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from latentrec import cli
 from latentrec.cli import TRAIN_OPTIONS, _train_bundle, main
-from latentrec.data import RatingDataset, split
-from latentrec.persist import load_model
+from latentrec.data import RatingDataset, negative_sample, split
+from latentrec.factor import overlap_weights
+from latentrec.fm import SampleBatch, encode
+from latentrec.persist import load_model, save_model
 from tests.conftest import (
     FOUR_BY_FOUR_CSV,
     make_rank2_ratings,
@@ -89,6 +92,17 @@ class TestParsing:
                            "--output", str(tmp_path / "m.json"))
         assert code == 3
         assert "absent.csv" in err
+
+    def test_ratings_file_not_utf8_is_a_data_error(self, capsys, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"user,item,rating\nu1,i1,\xff\xfe\n")
+        out = tmp_path / "m.json"
+        code, stdout, err = run(capsys, "train", "--algo", "funk",
+                                "--input", str(data), "--output", str(out))
+        assert code == 3
+        assert stdout == ""
+        assert "cannot read ratings file" in err and "bad.csv" in err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -294,6 +308,34 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("algo", ["fm", "ffm"])
+    def test_fm_batch_equals_packing_encoded_records(self, algo, monkeypatch):
+        # index order u10, u9, u2 (and b, a, c) differs from the sorted
+        # order that the encoder's categories take
+        ds = RatingDataset([("u10", "b", 4.0), ("u9", "a", 2.0),
+                            ("u2", "c", 5.0), ("u10", "c", 1.0),
+                            ("u2", "b", 3.0), ("u9", "b", 4.0)],
+                           user_index={"u10": 0, "u9": 1, "u2": 2},
+                           item_index={"b": 0, "a": 1, "c": 2})
+        batches = []
+        trainer = getattr(cli, f"{algo}_train")
+
+        def record(batch, **kwargs):
+            batches.append(batch)
+            return trainer(batch, **kwargs)
+
+        monkeypatch.setattr(cli, f"{algo}_train", record)
+        values = {opt.name: opt.default for opt in TRAIN_OPTIONS}
+        values["epochs"] = 1
+        bundle, _ = _train_bundle(algo, ds, values)
+        want = SampleBatch.pack((encode((u, i), bundle.encoder), r)
+                                for u, i, r in ds.triples)
+        got = batches[0]
+        for name in ("indices", "values", "fields", "offsets", "targets"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.n == want.n
+
     def test_bad_rank_rule_is_an_argument_error(self, capsys, tmp_path):
         data = write_ratings(tmp_path)
         code, _, _ = run(capsys, "train", "--algo", "svd", "--input", data,
@@ -374,6 +416,14 @@ class TestRecommend:
         assert stdout == ""
         assert "malformed model file" in err
 
+    def test_model_file_not_utf8_exits_3(self, capsys, tmp_path):
+        model = tmp_path / "bad.json"
+        model.write_bytes(b'{"format_version": 3, "algorithm": "\xff"}\n')
+        code, stdout, err = run(capsys, "recommend", str(model), "u1")
+        assert code == 3
+        assert stdout == ""
+        assert "cannot read model file" in err and "bad.json" in err
+
 
 class TestEvaluate:
     def test_training_subset_matches_training_error(self, capsys, tmp_path):
@@ -453,6 +503,17 @@ class TestEnsemble:
                            "--output", str(tmp_path / "ens.json"))
         assert code == 3
         assert "index maps" in err
+
+    def test_member_not_utf8_exits_3(self, capsys, tmp_path):
+        good = train_fixture_model(capsys, tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        out = tmp_path / "ens.json"
+        code, _, err = run(capsys, "ensemble", "blend", good, str(bad),
+                           "--output", str(out))
+        assert code == 3
+        assert "cannot read model file" in err
+        assert not out.exists()
 
     def test_weight_count_mismatch_exits_2(self, capsys, tmp_path):
         model = train_fixture_model(capsys, tmp_path)
@@ -535,3 +596,48 @@ class TestEnsemble:
             u = users[rng.integers(len(users))]
             i = items[rng.integers(len(items))]
             assert abs(bundle.predict(u, i) - again.predict(u, i)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def implicit_fm():
+    """The logistic fm `train` makes on implicit 500 x 300 data: 5,000
+    positives plus 15,000 sampled negatives, f=8; with its positives."""
+    rng = np.random.default_rng(14)
+    cells = rng.choice(500 * 300, 5000, replace=False)
+    positives = RatingDataset([(f"u{c // 300}", f"i{c % 300}", 1.0) for c in cells],
+                              kind="implicit")
+    values = {opt.name: opt.default for opt in TRAIN_OPTIONS}
+    values.update(kind="implicit", loss="logistic", factors=8, epochs=1)
+    ds = negative_sample(positives, ratio=3, seed=values["seed"])
+    bundle, _ = _train_bundle("fm", ds, values)
+    return bundle, positives
+
+
+def traced_peak(call):
+    """Peak bytes allocated while call() runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    def test_save_model_peak_stays_near_the_document(self, implicit_fm,
+                                                     tmp_path):
+        # writing one string of the whole file peaked at about 2.8 MB
+        bundle, _ = implicit_fm
+        path = tmp_path / "m.json"
+        assert traced_peak(lambda: save_model(bundle, path)) < 2**20
+        assert path.stat().st_size > 200_000
+
+    def test_overlap_weights_builds_one_n_by_n_array(self, implicit_fm):
+        # 300 x 300 doubles are 0.69 MB; a second array made it 1.5 MB
+        _, positives = implicit_fm
+        maps = [{} for _ in range(positives.n_users)]
+        users, items, _ = positives.indexed()
+        for u, i in zip(users.tolist(), items.tolist()):
+            maps[u][i] = 1.0
+        assert positives.n_items == 300
+        assert traced_peak(lambda: overlap_weights(maps, 300)) < 2**20

@@ -603,6 +603,33 @@ class TestSampleBatch:
         with pytest.raises(ValidationError):
             SampleBatch(indices=[], values=[], offsets=[0], targets=[], n=2)
 
+    def test_from_codes_equals_packing_encoded_records(self):
+        spec = EncoderSpec([("user", "categorical", ["u1", "u2", "u3"]),
+                            ("item", "categorical", ["a", "b"])])
+        # "zz" is unseen and takes its block's reserved last index
+        users, items = ["u3", "zz", "u1"], ["b", "a"]
+        codes_u, codes_i = [0, 2, 1, 0], [1, 0, 0, 1]
+        targets = np.array([1.0, 2.0, 3.0, 4.0])
+        batch = SampleBatch.from_codes(spec, [(users, np.array(codes_u)),
+                                              (items, np.array(codes_i))],
+                                       targets)
+        want = SampleBatch.pack(
+            (encode((users[u], items[i]), spec), y)
+            for u, i, y in zip(codes_u, codes_i, targets)
+        )
+        for name in ("indices", "values", "offsets", "targets", "fields"):
+            assert np.array_equal(getattr(batch, name), getattr(want, name))
+        assert batch.indices.tolist()[:6] == [2, 4, 0, 5, 3, 5] and batch.n == 7
+
+    def test_from_codes_needs_categorical_columns_matching_the_spec(self):
+        spec = EncoderSpec([("user", "categorical", ["u1"]),
+                            ("x", "numeric", None)])
+        column = (["u1"], np.array([0]))
+        with pytest.raises(EncodingError, match="columns"):
+            SampleBatch.from_codes(spec, [column], [1.0])
+        with pytest.raises(EncodingError, match="not categorical"):
+            SampleBatch.from_codes(spec, [column, column], [1.0])
+
     def test_ffm_field_ids_checked_up_front(self):
         batch = SampleBatch(indices=[0, 1], values=[1.0, 1.0], offsets=[0, 2],
                             targets=[1.0], n=2, fields=[0, 2])

@@ -1,5 +1,6 @@
 """Round-trip tests for the JSON model file format."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentrec import factor, svdcf
+from latentrec import factor, persist, svdcf
 from latentrec.data import RatingDataset
 from latentrec.ensemble import BlendModel, stack_fit
 from latentrec.errors import CapacityError, PersistenceError, ValidationError
@@ -390,6 +391,11 @@ class TestItemCfFiles:
         with pytest.raises(PersistenceError, match="weights"):
             save_model(bundle, path)
         assert not path.exists()
+        # nor is a file already at the path touched
+        before = save_model(funk_bundle()[0], path).read_bytes()
+        with pytest.raises(PersistenceError, match="weights"):
+            save_model(bundle, path)
+        assert path.read_bytes() == before
 
     def test_overlap_cap_checked_before_allocating(self):
         # 10001^2 cells exceed DENSE_CELL_CAP; no matrix is built
@@ -651,25 +657,33 @@ def trained_bundle(algo, ds):
                        encoder=encoder, observed=observed)
 
 
+# small rating grids, None for a missing rating
+GRIDS = st.integers(2, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.none(), st.sampled_from([1.0, 2.0, 3.0, 5.0])),
+             min_size=n, max_size=n),
+    min_size=2, max_size=6,
+))
+
+
+def grid_dataset(grid, user="u"):
+    """The grid's ratings, every user and every item given at least one."""
+    grid = [list(row) for row in grid]
+    m, n = len(grid), len(grid[0])
+    for u in range(m):
+        if all(r is None for r in grid[u]):
+            grid[u][u % n] = 4.0
+    for i in range(n):
+        if all(row[i] is None for row in grid):
+            grid[i % m][i] = 4.0
+    return RatingDataset([(f"{user}{u}", f"i{i}", r) for u, row in enumerate(grid)
+                          for i, r in enumerate(row) if r is not None])
+
+
 class TestRecommendMatchesPredict:
     @settings(max_examples=40, deadline=None)
-    @given(grid=st.integers(2, 6).flatmap(lambda n: st.lists(
-        st.lists(st.one_of(st.none(), st.sampled_from([1.0, 2.0, 3.0, 5.0])),
-                 min_size=n, max_size=n),
-        min_size=2, max_size=6,
-    )))
+    @given(grid=GRIDS)
     def test_property_recommend_sorts_predict_over_unseen(self, grid):
-        # every user and every item gets at least one rating
-        grid = [list(row) for row in grid]
-        m, n = len(grid), len(grid[0])
-        for u in range(m):
-            if all(r is None for r in grid[u]):
-                grid[u][u % n] = 4.0
-        for i in range(n):
-            if all(row[i] is None for row in grid):
-                grid[i % m][i] = 4.0
-        ds = RatingDataset([(f"u{u}", f"i{i}", r) for u, row in enumerate(grid)
-                            for i, r in enumerate(row) if r is not None])
+        ds = grid_dataset(grid)
         rated = ds.items_by_user()
         tokens = sorted(ds.item_index, key=ds.item_index.get)
         for algo in ("svd", "funk", "svdpp", "itemcf", "fm", "ffm"):
@@ -682,3 +696,39 @@ class TestRecommendMatchesPredict:
                 )
                 expected = [(tokens[i], score) for i, score in scored]
                 assert bundle.recommend(user, ds.n_items) == expected, algo
+
+
+def writer_bundles(ds):
+    """One bundle of every kind the writer meets, trained on ds."""
+    bundles = [trained_bundle(algo, ds)
+               for algo in ("svd", "funk", "svdpp", "itemcf", "fm", "ffm")]
+    svd, funk = bundles[0], bundles[1]
+    dense = svdcf.SvdCfModel(r_star=svd.model.r_star, mask=svd.model.mask,
+                             f=svd.model.f, scale=ds.scale)
+    unrated = dataclasses.replace(funk.model, N=None)
+    bundles += [dataclasses.replace(svd, model=dense),
+                dataclasses.replace(funk, model=unrated)]
+    blend = BlendModel(members=[b.scorer for b in bundles], weights=[0.125] * 8)
+    bundles.append(ModelBundle(algorithm="ensemble", model=blend,
+                               user_index=ds.user_index,
+                               item_index=ds.item_index, scale=ds.scale))
+    return bundles
+
+
+class TestStreamedWriter:
+    @settings(max_examples=25, deadline=None)
+    @given(grid=GRIDS, user=st.sampled_from(["u", "\u00fc", 'q"', "\\", "\u7528"]),
+           block_rows=st.integers(1, 4))
+    def test_property_file_is_the_one_dumps_line(self, grid, user, block_rows,
+                                                 tmp_path_factory):
+        ds = grid_dataset(grid, user)
+        path = tmp_path_factory.mktemp("writer") / "m.json"
+        # blocks of a few rows, so the small grids cross block boundaries
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(persist, "BLOCK_ROWS", block_rows)
+            for bundle in writer_bundles(ds):
+                bundle.created = "2026-01-01T00:00:00+00:00"
+                save_model(bundle, path)
+                want = json.dumps(document(bundle), sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+                assert path.read_bytes() == want.encode("utf-8"), bundle.algorithm

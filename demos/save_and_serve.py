@@ -1,9 +1,10 @@
 """Train a model, save it as JSON, reload it, and serve token queries.
 
 A model file carries the algorithm tag, the rating scale, the token
-index maps, and every learned parameter at full precision, so a reloaded
-model predicts bit-for-bit what the original did. The same files back
-the command line:
+index maps, and every learned parameter at full precision: each float
+array is one block holding its little-endian float64 bytes in base64,
+its dtype "<f8" and its shape, so a reloaded model predicts bit-for-bit
+what the original did. The same files back the command line:
 
     latentrec train --input ratings.csv --output m.json --algo funk
     latentrec predict m.json 4 2
@@ -11,8 +12,11 @@ the command line:
     latentrec evaluate m.json --test holdout.csv
 """
 
+import base64
 import json
 import tempfile
+
+import numpy as np
 
 from latentrec import (
     ModelBundle,
@@ -60,6 +64,12 @@ def main():
         for key in ("format_version", "algorithm", "library", "scale"):
             print(f"  {key}: {doc[key]}")
         print(f"  parameters: {', '.join(sorted(doc['parameters']))}")
+        block = doc["parameters"]["q"]
+        q = np.frombuffer(base64.b64decode(block["data"]), block["dtype"])
+        q = q.reshape(block["shape"])
+        print(f"  q: {block['dtype']} block of shape {block['shape']}, "
+              f"{len(block['data'])} base64 characters; equals the trained Q: "
+              f"{np.array_equal(q, model.Q)}")
 
         reloaded = load_model(path)
 

@@ -186,7 +186,7 @@ def read_config(path):
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     entries = {}
     for line_no, raw in enumerate(lines, start=1):
@@ -263,8 +263,13 @@ def _train_config(values):
         raise ConfigError(str(exc)) from exc
 
 
-def _train_bundle(algo, ds, values):
-    """Train one model on ds; returns (ModelBundle, per-epoch trace)."""
+def _train_bundle(algo, ds, values, rated=None):
+    """Train one model on ds; returns (ModelBundle, per-epoch trace).
+
+    rated, the dataset as read when ds adds sampled negatives to it, gives
+    the fm/ffm lists of items recommend leaves out (default ds), so an
+    item drawn as a negative can still be recommended.
+    """
     encoder = observed = None
     trace = []
     neighborhood = values["neighborhood"]
@@ -308,7 +313,8 @@ def _train_bundle(algo, ds, values):
                 loss=values["loss"],
                 config=config,
             )
-            observed = [row.tolist() for row in ds.items_by_user()]
+            rated = ds if rated is None else rated
+            observed = [row.tolist() for row in rated.items_by_user()]
         trace = model.trace
     else:
         raise ConfigError(f"unknown algorithm {algo!r}")
@@ -336,16 +342,16 @@ def _format_rounded(value):
 def cmd_train(args):
     values = resolve(args, TRAIN_OPTIONS)
     schema = CsvSchema(kind=values["kind"], scale=values["scale"])
-    ds = _read_ratings(values["input"], schema)
+    read = ds = _read_ratings(values["input"], schema)
     if values["neg_ratio"] is not None:
         if values["kind"] != "implicit":
             raise ConfigError("--neg-ratio requires --kind implicit")
         try:
-            ds = negative_sample(ds, ratio=values["neg_ratio"], seed=values["seed"])
+            ds = negative_sample(read, ratio=values["neg_ratio"], seed=values["seed"])
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
     algo = values["algo"]
-    bundle, trace = _train_bundle(algo, ds, values)
+    bundle, trace = _train_bundle(algo, ds, values, rated=read)
     _print_trace(trace)
     save_model(bundle, values["output"])
     print(f"trained {algo}: {ds.n_users} users x {ds.n_items} items, "

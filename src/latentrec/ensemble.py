@@ -35,7 +35,8 @@ class BlendModel:
     Attributes:
         members: predictor objects, at least one.
         weights: per-member coefficients. Blend and bag ensembles keep
-            them nonnegative and normalized to sum 1; stacked ensembles
+            them nonnegative and normalized to sum 1 (a vector already
+            within n * machine epsilon of 1 is kept); stacked ensembles
             carry free-sign least-squares coefficients plus an intercept.
         intercept: additive constant, zero except for stacked ensembles.
         kind: "blend", "bag", or "stack".
@@ -66,7 +67,10 @@ class BlendModel:
             total = float(self.weights.sum())
             if total <= 0:
                 raise ValidationError("blend weights must not all be zero")
-            self.weights = self.weights / total
+            # weights that sum to 1 within rounding are kept as given, so
+            # normalizing twice (at training and again on load) moves no bit
+            if abs(total - 1.0) > self.weights.size * np.finfo(float).eps:
+                self.weights = self.weights / total
             if self.intercept != 0.0:
                 raise ValidationError("only stacked ensembles carry an intercept")
 

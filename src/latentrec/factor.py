@@ -59,8 +59,8 @@ class TrainConfig:
 
     Args:
         f: latent dimension, at least 1.
-        alpha: learning rate, positive.
-        lam: L2 regularization weight, nonnegative.
+        alpha: learning rate, finite and positive.
+        lam: L2 regularization weight, finite and nonnegative.
         epochs: full passes over the training triples; 0 returns the
             freshly initialized model untouched.
         seed: RNG seed for factor initialization.
@@ -91,10 +91,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.f < 1:
             raise ValueError(f"latent dimension must be >= 1, got {self.f}")
-        if self.alpha <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.alpha}")
-        if self.lam < 0:
-            raise ValueError(f"regularization must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValidationError(
+                f"learning rate must be finite and positive, got {self.alpha}"
+            )
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValidationError(
+                f"regularization must be finite and >= 0, got {self.lam}"
+            )
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.optimizer not in optim.KINDS:

@@ -1,22 +1,33 @@
 """JSON model files: save and load every trained model type.
 
-A model file is a single JSON document (format_version 3): a header
+A model file is a single JSON document (format_version 4): a header
 (algorithm tag, creation metadata, rating scale, token index maps) and
 member blocks. A member block holds "algorithm", the "parameters" block
 and, for fm and ffm, the feature "encoder". A single-model file is the
 header plus one member block; an ensemble file lists one per member under
 "ensemble", beside its kind, weights and intercept. It is written on one
-compact line (pretty-print it with ``python -m json.tool``). Keys are
-sorted and numbers use Python's shortest round-trip decimals, so saving
-the same model twice yields byte-identical files except for the "created"
-timestamp, and loading reproduces predictions exactly. Saving builds the
-whole document and runs every check before the file is opened, so a
-refused save leaves the path as it was; the line is then written a block
-of rows at a time, each block the very text json.dumps gives for that
-part of the document, so no string of the whole file is ever made.
-Loading rejects
-per-user index lists that do not fit the index maps: fm/ffm "observed"
-and svd "rated" need one list per user, each index in [0, n_items).
+compact line (pretty-print it with ``python -m json.tool``).
+
+Every float array a model holds (svd "u", "s", "v", or "r_star" and
+"mask"; funk and svdpp "p", "q", "y", "b_u", "b_i"; fm and ffm "w", "v")
+is stored as one float block,
+
+    {"data": <base64 of the little-endian float64 bytes>, "dtype": "<f8",
+     "shape": [...]}
+
+with the values in row-major order, so loading gives back every bit,
+NaN payloads and -0.0 included. Scalars ("mu", "w0", "scale", ensemble
+weights and intercept) are JSON numbers in Python's shortest round-trip
+decimals, and integer index lists stay JSON lists. Keys are sorted, so
+saving the same model twice yields byte-identical files except for the
+"created" timestamp, and loading reproduces predictions exactly. Saving
+builds the whole document and runs every check before the file is
+opened, so a refused save leaves the path as it was; the line is then
+written a piece at a time, each piece the very text json.dumps gives for
+that part of the document, so no string of the whole file is ever made.
+Loading rejects per-user index lists that do not fit the index maps:
+fm/ffm "observed" and svd "rated" need one list per user, each index in
+[0, n_items).
 
 The svd block stores the rank-f factors "u" (m x f), "s" (f) and "v"
 (n x f) plus "rated", each user's observed item indices; loading rebuilds
@@ -28,13 +39,16 @@ The itemcf block stores "k" and each user's "ratings"; loading rebuilds
 the overlap weights W with factor.overlap_weights, the function training
 used, so saving refuses a model whose W does not follow from its ratings.
 
-Versions 1 and 2 still load: version 1 stored the svd block as the dense
-"r_star" and "mask", and version 2 itemcf blocks carry "w", which is read
-as stored.
+Versions 1 to 3 still load; they store each float array as nested JSON
+lists of decimals. Version 1 stored the svd block as the dense "r_star"
+and "mask", and version 2 itemcf blocks carry "w", which is read as
+stored.
 """
 
+import base64
 import functools
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,10 +65,12 @@ from .linalg import SvdResult
 from .metrics import top_k
 from .svdcf import SvdCfModel, reconstruct
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # version 1 stored the svd block as the dense r_star and mask; version 2
-# stored the itemcf weights "w"
-READABLE_VERSIONS = (1, 2, FORMAT_VERSION)
+# stored the itemcf weights "w"; versions 1-3 store floats as nested lists
+READABLE_VERSIONS = (1, 2, 3, FORMAT_VERSION)
+# the one dtype of a float block: little-endian IEEE 754 binary64
+FLOAT_DTYPE = "<f8"
 ALGORITHMS = ("svd", "funk", "svdpp", "itemcf", "fm", "ffm", "ensemble")
 # list items or dict entries that one json.dumps call encodes
 BLOCK_ROWS = 64
@@ -177,8 +193,36 @@ def _index_lists(rows, n_rows, n_items, name):
                          f"in [0, {n_items})")
 
 
-def _nested(a):
-    return np.asarray(a, dtype=float).tolist()
+def _floats(a):
+    """The float block of array a: its float64 bytes in base64."""
+    a = np.asarray(a, dtype=FLOAT_DTYPE)
+    return {
+        "data": base64.b64encode(a.tobytes()).decode("ascii"),
+        "dtype": FLOAT_DTYPE,
+        "shape": list(a.shape),
+    }
+
+
+def _array(value, version):
+    """A stored float array as a writable native float64 array.
+
+    Versions 1 to 3 hold nested lists; version 4 a block from _floats,
+    whose dtype, shape and data length must agree. Raises ValueError
+    (or TypeError, KeyError) for anything else.
+    """
+    if version < 4:
+        return np.array(value, dtype=float)
+    if not isinstance(value, dict) or value.get("dtype") != FLOAT_DTYPE:
+        raise ValueError(f"expected a {FLOAT_DTYPE} float block, got {value!r:.60}")
+    shape = value["shape"]
+    if not (isinstance(shape, list) and all(
+            type(d) is int and d >= 0 for d in shape)):
+        raise ValueError(f"float block shape must be a list of sizes, got {shape!r}")
+    raw = base64.b64decode(value["data"], validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"float block of shape {shape} holds {len(raw)} bytes")
+    # astype copies, so the array owns writable memory in native order
+    return np.frombuffer(raw, dtype=FLOAT_DTYPE).reshape(shape).astype(float)
 
 
 def _int_rows(rows):
@@ -212,29 +256,29 @@ def _parameters(algorithm, model, observed=None):
             "neighborhood": model.neighborhood,
         }
         if model.factors is None:
-            block.update(r_star=_nested(model.r_star), mask=_nested(model.mask))
+            block.update(r_star=_floats(model.r_star), mask=_floats(model.mask))
         else:
             block.update(
-                u=_nested(model.factors.u),
-                s=_nested(model.factors.s),
-                v=_nested(model.factors.v),
+                u=_floats(model.factors.u),
+                s=_floats(model.factors.s),
+                v=_floats(model.factors.v),
                 rated=[np.flatnonzero(row).tolist() for row in model.mask],
             )
         return block
     if algorithm == "funk":
         return {
-            "p": _nested(model.P),
-            "q": _nested(model.Q),
+            "p": _floats(model.P),
+            "q": _floats(model.Q),
             "f": int(model.f),
             "rated": None if model.N is None else _int_rows(model.N),
         }
     if algorithm == "svdpp":
         return {
-            "p": _nested(model.P),
-            "q": _nested(model.Q),
-            "y": _nested(model.Y),
-            "b_u": _nested(model.b_u),
-            "b_i": _nested(model.b_i),
+            "p": _floats(model.P),
+            "q": _floats(model.Q),
+            "y": _floats(model.Y),
+            "b_u": _floats(model.b_u),
+            "b_i": _floats(model.b_i),
             "mu": float(model.mu),
             "f": int(model.f),
             "rated": _int_rows(model.N),
@@ -256,8 +300,8 @@ def _parameters(algorithm, model, observed=None):
     if algorithm in ("fm", "ffm"):
         block = {
             "w0": float(model.w0),
-            "w": _nested(model.w),
-            "v": _nested(model.V),
+            "w": _floats(model.w),
+            "v": _floats(model.V),
             "k": int(model.k),
             "observed": None if observed is None else _int_rows(observed),
         }
@@ -267,7 +311,7 @@ def _parameters(algorithm, model, observed=None):
     raise PersistenceError(f"no parameter block for algorithm {algorithm!r}")
 
 
-def _model_from(algorithm, block, scale, n_items):
+def _model_from(algorithm, block, scale, n_items, version):
     if algorithm == "svd":
         common = {
             "f": int(block["f"]),
@@ -277,14 +321,14 @@ def _model_from(algorithm, block, scale, n_items):
         }
         if "r_star" in block:  # version 1, or a model built without factors
             return SvdCfModel(
-                r_star=np.array(block["r_star"], dtype=float),
-                mask=np.array(block["mask"], dtype=float),
+                r_star=_array(block["r_star"], version),
+                mask=_array(block["mask"], version),
                 **common,
             )
         factors = SvdResult(
-            u=np.array(block["u"], dtype=float),
-            s=np.array(block["s"], dtype=float),
-            v=np.array(block["v"], dtype=float),
+            u=_array(block["u"], version),
+            s=_array(block["s"], version),
+            v=_array(block["v"], version),
         )
         _index_lists(block["rated"], factors.u.shape[0], n_items, "svd rated")
         mask = np.zeros((factors.u.shape[0], factors.v.shape[0]))
@@ -299,17 +343,17 @@ def _model_from(algorithm, block, scale, n_items):
             n_sets = [np.array(row, dtype=np.int64) for row in rated]
         common = {
             "kind": algorithm,
-            "P": np.array(block["p"], dtype=float),
-            "Q": np.array(block["q"], dtype=float),
+            "P": _array(block["p"], version),
+            "Q": _array(block["q"], version),
             "f": int(block["f"]),
             "N": n_sets,
         }
         if algorithm == "svdpp":
             common.update(
                 mu=float(block["mu"]),
-                b_u=np.array(block["b_u"], dtype=float),
-                b_i=np.array(block["b_i"], dtype=float),
-                Y=np.array(block["y"], dtype=float),
+                b_u=_array(block["b_u"], version),
+                b_i=_array(block["b_i"], version),
+                Y=_array(block["y"], version),
             )
         return FactorModel(**common)
     if algorithm == "itemcf":
@@ -317,22 +361,22 @@ def _model_from(algorithm, block, scale, n_items):
             {int(i): float(r) for i, r in user} for user in block["ratings"]
         ]
         if "w" in block:  # version 2
-            w = np.array(block["w"], dtype=float)
+            w = _array(block["w"], version)
         else:
             w = overlap_weights(ratings, n_items)
         return ItemCfModel(W=w, K=int(block["k"]), ratings=ratings)
     if algorithm == "fm":
         return FmModel(
             w0=float(block["w0"]),
-            w=np.array(block["w"], dtype=float),
-            V=np.array(block["v"], dtype=float),
+            w=_array(block["w"], version),
+            V=_array(block["v"], version),
             k=int(block["k"]),
         )
     if algorithm == "ffm":
         return FfmModel(
             w0=float(block["w0"]),
-            w=np.array(block["w"], dtype=float),
-            V=np.array(block["v"], dtype=float),
+            w=_array(block["w"], version),
+            V=_array(block["v"], version),
             k=int(block["k"]),
             n_fields=int(block["n_fields"]),
         )
@@ -354,10 +398,10 @@ def _member_doc(member):
     return doc
 
 
-def _member_from(doc, scale, user_tokens, item_tokens):
+def _member_from(doc, scale, user_tokens, item_tokens, version):
     algorithm = doc["algorithm"]
     block = doc["parameters"]
-    model = _model_from(algorithm, block, scale, len(item_tokens))
+    model = _model_from(algorithm, block, scale, len(item_tokens), version)
     encoder = _encoder_from(doc["encoder"]) if "encoder" in doc else None
     observed = block.get("observed")
     if observed is not None:
@@ -405,7 +449,7 @@ def _json_chunks(value):
     The pieces join to exactly _dumps(value). A dict holding containers is
     walked key by key and a list of dicts item by item; any other dict or
     list goes BLOCK_ROWS items (key-value pairs, rows, numbers) per _dumps
-    call, so no piece holds more than one block.
+    call, and a string (such as the data of a float block) is one piece.
     """
     if isinstance(value, dict):
         pairs = sorted(value.items())
@@ -442,9 +486,10 @@ def save_model(bundle, path):
 
     The document is built and checked in full before the file is opened,
     so a refused save creates no file and leaves an existing one alone.
-    The line is then written a block of rows at a time; the bytes equal
-    json.dumps(document(bundle), sort_keys=True, separators=(",", ":"))
-    plus a newline.
+    The line is then written a piece at a time (the data of a float
+    block is one piece, other lists go BLOCK_ROWS items per piece); the
+    bytes equal json.dumps(document(bundle), sort_keys=True,
+    separators=(",", ":")) plus a newline.
 
     Raises PersistenceError for a model the file format cannot reproduce.
     """
@@ -456,13 +501,18 @@ def save_model(bundle, path):
 
 
 def load_model(path):
-    """Read a model file back into a ModelBundle.
+    """Read a model file of any readable format_version into a ModelBundle.
+
+    Float arrays come back bit for bit as writable float64 arrays: from
+    float blocks in version 4, from nested decimal lists in versions 1-3.
 
     Raises PersistenceError for a file that cannot be read or is not
     UTF-8 JSON, an unsupported format_version, an unknown algorithm tag,
-    or a malformed member block (a missing key, a per-user index list that
-    does not fit the index maps), and CapacityError when the itemcf
-    weights to rebuild exceed the dense cell cap.
+    or a malformed member block (a missing key; a per-user index list that
+    does not fit the index maps; a version-4 float array that is not a
+    block of dtype "<f8" whose base64 data holds exactly its shape's
+    product of 8-byte values), and CapacityError when the itemcf weights
+    to rebuild exceed the dense cell cap.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -488,7 +538,7 @@ def load_model(path):
         if algorithm == "ensemble":
             spec = raw["ensemble"]
             members = [
-                _member_from(m, scale, user_tokens, item_tokens)
+                _member_from(m, scale, user_tokens, item_tokens, version)
                 for m in spec["members"]
             ]
             model = BlendModel(
@@ -499,7 +549,7 @@ def load_model(path):
             )
             encoder = observed = None
         else:
-            member = _member_from(raw, scale, user_tokens, item_tokens)
+            member = _member_from(raw, scale, user_tokens, item_tokens, version)
             model, encoder, observed = member.model, member.encoder, member.observed
     except CapacityError:
         raise

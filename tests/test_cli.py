@@ -12,7 +12,7 @@ import pytest
 
 from latentrec import cli
 from latentrec.cli import TRAIN_OPTIONS, _train_bundle, main
-from latentrec.data import RatingDataset, negative_sample, split
+from latentrec.data import CsvSchema, RatingDataset, negative_sample, parse_csv, split
 from latentrec.factor import overlap_weights
 from latentrec.fm import SampleBatch, encode
 from latentrec.persist import load_model, save_model
@@ -171,6 +171,20 @@ class TestConfigFile:
                            "--algo", "funk", "--input", "x", "--output", "y")
         assert code == 2
 
+    def test_config_file_not_utf8_rejected(self, capsys, tmp_path):
+        data = write_ratings(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs=2\n\xff\xfe\n")
+        out = tmp_path / "m.json"
+        code, stdout, err = run(capsys, "train", "--algo", "funk",
+                                "--input", data, "--output", str(out),
+                                "--config", str(cfg))
+        assert code == 2
+        assert stdout == ""
+        assert "Traceback" not in err
+        assert "cannot read config file" in err and "bad.cfg" in err
+        assert not out.exists()
+
 
 class TestTrain:
     @pytest.mark.parametrize("algo", ["svd", "funk", "svdpp", "itemcf",
@@ -292,6 +306,26 @@ class TestTrain:
         assert "finite and above 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("algo, flag, value", [
+        ("funk", "--alpha", "nan"),
+        ("funk", "--alpha", "inf"),
+        ("funk", "--lambda", "nan"),
+        ("funk", "--lambda", "inf"),
+        ("fm", "--alpha", "inf"),
+        ("fm", "--lambda", "nan"),
+    ])
+    def test_non_finite_rate_or_regularization_is_an_argument_error(
+            self, capsys, tmp_path, algo, flag, value):
+        data = write_ratings(tmp_path)
+        out = tmp_path / "m.json"
+        code, stdout, err = run(capsys, "train", "--algo", algo, "--input", data,
+                                "--output", str(out), flag, value)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+        assert not out.exists()
+
     def test_fm_samples_are_packed_not_kept_per_record(self):
         # 20,000 one-hot (user, item) records; the samples used to live as
         # one FeatureVector each (about 13 MB here), the packed batch
@@ -403,6 +437,28 @@ class TestRecommend:
         model = train_fixture_model(capsys, tmp_path)
         code, _, _ = run(capsys, "recommend", model, "ghost", "--k", "2")
         assert code == 3
+
+    @pytest.mark.parametrize("algo", ["fm", "ffm"])
+    def test_item_drawn_as_a_negative_can_be_recommended(self, capsys,
+                                                         tmp_path, algo):
+        # user a rated x and y; with one negative per positive the only
+        # unseen item, z, is drawn as a's negative
+        data = write_ratings(tmp_path, "implicit.csv", IMPLICIT_CSV)
+        flags = ["--kind", "implicit", "--scale", "0:1", "--neg-ratio", "1"]
+        with open(data, encoding="utf-8") as handle:
+            read = parse_csv(handle, CsvSchema(kind="implicit", scale=(0.0, 1.0)))
+        sampled = negative_sample(read, ratio=1, seed=42)
+        a, z = read.user_index["a"], read.item_index["z"]
+        assert (a, z, 0.0) in set(zip(*(c.tolist() for c in sampled.indexed())))
+        out = str(tmp_path / "m.json")
+        code, _, _ = run(capsys, "train", "--algo", algo, "--input", data,
+                         "--output", out, "--epochs", "3", *flags)
+        assert code == 0
+        assert load_model(out).observed[a] == [read.item_index["x"],
+                                               read.item_index["y"]]
+        code, stdout, _ = run(capsys, "recommend", out, "a", "--k", "3")
+        assert code == 0
+        assert [line.split("\t")[0] for line in stdout.splitlines()] == ["z"]
 
     def test_truncated_observed_lists_exit_3(self, capsys, tmp_path):
         model = train_fixture_model(capsys, tmp_path, "fm")
@@ -609,7 +665,7 @@ def implicit_fm():
     values = {opt.name: opt.default for opt in TRAIN_OPTIONS}
     values.update(kind="implicit", loss="logistic", factors=8, epochs=1)
     ds = negative_sample(positives, ratio=3, seed=values["seed"])
-    bundle, _ = _train_bundle("fm", ds, values)
+    bundle, _ = _train_bundle("fm", ds, values, rated=positives)
     return bundle, positives
 
 
@@ -626,11 +682,12 @@ def traced_peak(call):
 class TestTransientMemory:
     def test_save_model_peak_stays_near_the_document(self, implicit_fm,
                                                      tmp_path):
-        # writing one string of the whole file peaked at about 2.8 MB
+        # writing one string of the whole file peaked at about 2.8 MB;
+        # the streamed writer stays within about five times the file
         bundle, _ = implicit_fm
         path = tmp_path / "m.json"
-        assert traced_peak(lambda: save_model(bundle, path)) < 2**20
-        assert path.stat().st_size > 200_000
+        assert traced_peak(lambda: save_model(bundle, path)) < 2**19
+        assert path.stat().st_size > 100_000
 
     def test_overlap_weights_builds_one_n_by_n_array(self, implicit_fm):
         # 300 x 300 doubles are 0.69 MB; a second array made it 1.5 MB

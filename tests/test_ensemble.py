@@ -79,6 +79,16 @@ class TestBlendModel:
         model = BlendModel(members=[Stub(), Stub()], weights=[2.0, 2.0])
         assert model.weights.tolist() == [0.5, 0.5]
 
+    @pytest.mark.parametrize("raw", [[1.0] * 6, [1.0] * 7, [1, 2, 3, 4, 5, 6],
+                                     [0.1] * 10])
+    def test_normalizing_again_moves_no_bit(self, raw):
+        # 6 * (1/6) is not exactly 1, so dividing by the sum once more
+        # used to change the weights a saved blend reloaded with
+        once = BlendModel(members=[Stub()] * len(raw), weights=raw)
+        twice = BlendModel(members=once.members, weights=once.weights)
+        assert twice.weights.tobytes() == once.weights.tobytes()
+        assert abs(once.weights.sum() - 1.0) <= len(raw) * np.finfo(float).eps
+
     def test_blend_intercept_rejected(self):
         with pytest.raises(ValidationError):
             BlendModel(members=[Stub()], weights=[1.0], intercept=0.3)

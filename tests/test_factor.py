@@ -94,6 +94,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["alpha", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rate_and_regularization(self, name, value):
+        with pytest.raises(ValidationError, match="finite"):
+            TrainConfig(**{name: value})
+
     def test_zero_epochs_allowed(self):
         assert TrainConfig(epochs=0).epochs == 0
 

@@ -2,15 +2,18 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latentrec import factor, persist, svdcf
 from latentrec.data import RatingDataset
-from latentrec.ensemble import BlendModel, stack_fit
+from latentrec.cli import main
+from latentrec.ensemble import BlendModel, bag_train, stack_fit, vote_recommend
 from latentrec.errors import CapacityError, PersistenceError, ValidationError
 from latentrec.factor import (
     ItemCfModel,
@@ -24,6 +27,8 @@ from latentrec.fm import EncoderSpec, encode, ffm_train, fm_train
 from latentrec.persist import (
     IndexedModel,
     ModelBundle,
+    _array,
+    _floats,
     document,
     load_model,
     save_model,
@@ -115,8 +120,8 @@ class TestRoundTrip:
         path = save_model(bundle, tmp_path / "m.json")
         block = json.loads(path.read_text())["parameters"]
         assert "r_star" not in block and "mask" not in block
-        assert np.array(block["u"]).shape == (4, 2)
-        assert np.array(block["v"]).shape == (4, 2)
+        assert block["u"]["shape"] == [4, 2]
+        assert block["v"]["shape"] == [4, 2]
         loaded = load_model(path).model
         assert np.array_equal(loaded.r_star, bundle.model.r_star)
         assert np.array_equal(loaded.mask, bundle.model.mask)
@@ -144,8 +149,8 @@ class TestRoundTrip:
         assert_predictions_match(bundle, loaded, ds, tol=0.0)
         # without factors the model is written back in the dense form
         resaved = document(loaded)
-        assert resaved["format_version"] == 3
-        assert resaved["parameters"]["r_star"] == block["r_star"]
+        assert resaved["format_version"] == 4
+        assert _array(resaved["parameters"]["r_star"], 4).tolist() == block["r_star"]
 
     def test_funk(self, tmp_path):
         bundle, ds = funk_bundle()
@@ -364,10 +369,10 @@ class TestItemCfFiles:
             for i in ds.item_index:
                 assert loaded.predict(u, i) == scale * bundle.predict(u, i)
         if scale == 1.0:
-            assert document(loaded)["format_version"] == 3
+            assert document(loaded)["format_version"] == 4
         else:
-            # these weights do not follow from the ratings, so no
-            # version 3 file can hold them
+            # these weights do not follow from the ratings, so no file
+            # of the current format can hold them
             with pytest.raises(PersistenceError, match="weights"):
                 save_model(loaded, tmp_path / "resaved.json")
 
@@ -426,7 +431,7 @@ class TestFileFormat:
     def test_header_fields(self):
         bundle, _ = funk_bundle()
         doc = document(bundle)
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
         assert doc["algorithm"] == "funk"
         assert doc["created"]
         assert doc["scale"] == [1.0, 5.0]
@@ -459,7 +464,7 @@ class TestFileFormat:
         path = tmp_path / "m.json"
         save_model(bundle, path)
         doc = json.loads(path.read_text())
-        doc["format_version"] = 4
+        doc["format_version"] = 5
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="format_version"):
             load_model(path)
@@ -732,3 +737,212 @@ class TestStreamedWriter:
                 want = json.dumps(document(bundle), sort_keys=True,
                                   separators=(",", ":")) + "\n"
                 assert path.read_bytes() == want.encode("utf-8"), bundle.algorithm
+
+
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
+# any float64 bit pattern: NaN payloads, -0.0, subnormals, infinities
+BIT_PATTERNS = hnp.arrays(np.uint64, SHAPES).map(lambda a: a.view(np.float64))
+VALUES = hnp.arrays(np.float64, SHAPES, elements=st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -2.225073858507201e-308, np.nan, -np.inf]),
+))
+
+
+MALFORMED_BLOCKS = {
+    "bad-base64": lambda b: b.update(data="!" + b["data"][1:]),
+    "unpadded": lambda b: b.update(data=b["data"].rstrip("=")[:-1]),
+    "short-data": lambda b: b.update(data=b["data"][:-4]),
+    "data-not-text": lambda b: b.update(data=7),
+    "no-data": lambda b: b.pop("data"),
+    "f4-dtype": lambda b: b.update(dtype="<f4"),
+    "big-endian": lambda b: b.update(dtype=">f8"),
+    "negative-shape": lambda b: b.update(shape=[-1, 2]),
+    "shape-too-big": lambda b: b.update(shape=[b["shape"][0], b["shape"][1] + 1]),
+    "shape-not-list": lambda b: b.update(shape=b["shape"][0]),
+    "float-shape": lambda b: b.update(shape=[float(d) for d in b["shape"]]),
+    "bool-shape": lambda b: b.update(shape=[True] * len(b["shape"])),
+}
+
+
+class TestFloatBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.one_of(BIT_PATTERNS, VALUES), transpose=st.booleans())
+    def test_property_block_round_trips_every_bit(self, a, transpose):
+        if transpose:  # a non-contiguous view is stored in row-major order
+            a = a.T
+        block = json.loads(json.dumps(_floats(a)))
+        back = _array(block, 4)
+        assert back.shape == a.shape and back.dtype == np.float64
+        assert back.tobytes() == a.tobytes()
+        assert back.flags.writeable and back.flags.c_contiguous
+
+    def test_block_layout(self):
+        block = _floats(np.array([[1.0, -0.0], [0.5, 2.0]]))
+        assert block == {
+            "data": "AAAAAAAA8D8AAAAAAAAAgAAAAAAAAOA/AAAAAAAAAEA=",
+            "dtype": "<f8",
+            "shape": [2, 2],
+        }
+
+    def test_earlier_versions_read_nested_lists(self):
+        for version in (1, 2, 3):
+            a = _array([[1.5, -0.0], [2.0, 3.25]], version)
+            assert a.dtype == np.float64 and a.flags.writeable
+            assert a.tobytes() == np.array([[1.5, -0.0], [2.0, 3.25]]).tobytes()
+
+    @pytest.mark.parametrize("edit", MALFORMED_BLOCKS.values(), ids=MALFORMED_BLOCKS)
+    def test_malformed_block_rejected(self, edit, tmp_path, capsys):
+        bundle, ds = funk_bundle()
+        path = save_model(bundle, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        edit(doc["parameters"]["q"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="malformed model file"):
+            load_model(path)
+        user, item = next(iter(ds.user_index)), next(iter(ds.item_index))
+        assert main(["predict", str(path), user, item]) == 3
+        assert capsys.readouterr().err.startswith("error: malformed model file")
+
+    def test_nested_list_in_version_4_file_rejected(self, tmp_path, capsys):
+        bundle, ds = funk_bundle()
+        path = save_model(bundle, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["parameters"]["q"] = bundle.model.Q.tolist()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="malformed model file"):
+            load_model(path)
+        assert main(["recommend", str(path), next(iter(ds.user_index))]) == 3
+        assert capsys.readouterr().err.startswith("error: malformed model file")
+        # nested lists throughout are a valid version 3 file
+        doc["parameters"]["p"] = bundle.model.P.tolist()
+        doc["format_version"] = 3
+        path.write_text(json.dumps(doc))
+        assert np.array_equal(load_model(path).model.Q, bundle.model.Q)
+
+    def test_ensemble_member_block_checked(self, tmp_path):
+        bundle, ds = fm_bundle()
+        blend = ModelBundle(algorithm="ensemble",
+                            model=BlendModel(members=[bundle.scorer], weights=[1.0]),
+                            user_index=ds.user_index, item_index=ds.item_index)
+        path = save_model(blend, tmp_path / "m.json")
+        doc = json.loads(path.read_text())
+        doc["ensemble"]["members"][0]["parameters"]["v"]["dtype"] = "<f4"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="malformed model file"):
+            load_model(path)
+
+
+def float_arrays(model):
+    """Every float array a model holds, by name."""
+    if isinstance(model, svdcf.SvdCfModel):
+        arrays = {"r_star": model.r_star, "mask": model.mask}
+        if model.factors is not None:
+            arrays.update(u=model.factors.u, s=model.factors.s, v=model.factors.v)
+        return arrays
+    if isinstance(model, factor.FactorModel):
+        arrays = {"p": model.P, "q": model.Q}
+        if model.kind == "svdpp":
+            arrays.update(y=model.Y, b_u=model.b_u, b_i=model.b_i)
+        return arrays
+    if isinstance(model, ItemCfModel):
+        return {"w": model.W}
+    return {"w": model.w, "v": model.V}
+
+
+def every_kind(ds):
+    """A bundle of each algorithm and of each ensemble kind, trained on ds."""
+    singles = {algo: trained_bundle(algo, ds)
+               for algo in ("svd", "funk", "svdpp", "itemcf", "fm", "ffm")}
+    members = [b.scorer for b in singles.values()]
+
+    def ensemble(model):
+        return ModelBundle(algorithm="ensemble", model=model,
+                           user_index=ds.user_index, item_index=ds.item_index,
+                           scale=ds.scale)
+
+    return {
+        **singles,
+        "blend": ensemble(BlendModel(members=members, weights=[1, 2, 3, 4, 5, 6])),
+        "stack": ensemble(stack_fit(members, ds)),
+        "bag": ensemble(bag_train(lambda d: trained_bundle("funk", d).scorer,
+                                  ds, b=3, seed=2)),
+    }
+
+
+class TestExactReload:
+    @pytest.mark.parametrize("kind", ["svd", "funk", "svdpp", "itemcf", "fm",
+                                      "ffm", "blend", "stack", "bag"])
+    def test_reload_predicts_bit_for_bit_and_resaves_identically(self, kind,
+                                                                 tmp_path):
+        ds = small_dataset()
+        bundle = every_kind(ds)[kind]
+        first = save_model(bundle, tmp_path / "a.json")
+        loaded = load_model(first)
+        before, after = itemcf_models(bundle), itemcf_models(loaded)
+        for old, new in zip(before, after):
+            old_arrays, new_arrays = float_arrays(old), float_arrays(new)
+            assert old_arrays.keys() == new_arrays.keys()
+            for name, a in old_arrays.items():
+                assert new_arrays[name].tobytes() == a.tobytes(), name
+        assert_predictions_match(bundle, loaded, ds, tol=0.0)
+        for user in ds.user_index:  # ensembles recommend by member vote
+            assert loaded.recommend(user, ds.n_items) == \
+                bundle.recommend(user, ds.n_items)
+        second = save_model(loaded, tmp_path / "b.json")
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_vote_over_reloaded_members_is_unchanged(self, tmp_path):
+        ds = small_dataset()
+        bundles = [trained_bundle(algo, ds) for algo in ("svd", "funk", "fm")]
+        loaded = [load_model(save_model(b, tmp_path / f"{n}.json"))
+                  for n, b in enumerate(bundles)]
+        for u in range(ds.n_users):
+            assert vote_recommend([b.scorer for b in loaded], u, 3) == \
+                vote_recommend([b.scorer for b in bundles], u, 3)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# float-array keys of the parameter blocks
+FLOAT_KEYS = {"u", "s", "v", "r_star", "mask", "p", "q", "y", "b_u", "b_i", "w"}
+
+
+class TestFormat3File:
+    """format3_blend.json was written at format_version 3: a blend of svd,
+    funk, svdpp, itemcf, fm, ffm and a factorless svd (dense r_star and
+    mask) trained on the 4x4 example, weights 1..7. Beside it are the
+    predictions of each member and of the blend for every (user, item)
+    index pair, and each user's top-3 vote, that the version 3 code
+    computed from the file it had just written.
+    """
+
+    def test_loads_with_the_stored_parameters_and_predictions(self, tmp_path):
+        path = FIXTURES / "format3_blend.json"
+        old = json.loads(path.read_text())
+        want = json.loads((FIXTURES / "format3_blend_predictions.json").read_text())
+        assert old["format_version"] == 3
+        bundle = load_model(path)
+        model = bundle.model
+        m, n = len(bundle.user_index), len(bundle.item_index)
+        for member, preds in zip(model.members, want["members"]):
+            assert [[member.predict(u, i) for i in range(n)]
+                    for u in range(m)] == preds
+        assert [[model.predict(u, i) for i in range(n)]
+                for u in range(m)] == want["blend"]
+        assert [[list(p) for p in model.recommend(u, 3)]
+                for u in range(m)] == want["vote"]
+        # written again at version 4, every stored array is kept exactly
+        new = document(bundle)
+        assert new["format_version"] == 4
+        pairs = zip(old["ensemble"]["members"], new["ensemble"]["members"])
+        compared = 0
+        for before, after in pairs:
+            for key in FLOAT_KEYS & set(before["parameters"]):
+                stored = np.array(before["parameters"][key], dtype=float)
+                assert np.array_equal(_array(after["parameters"][key], 4), stored)
+                compared += 1
+        assert compared == 16
+        again = load_model(save_model(bundle, tmp_path / "v4.json"))
+        assert [[again.predict(u, i) for i in bundle.item_index]
+                for u in bundle.user_index] == \
+            [[bundle.predict(u, i) for i in bundle.item_index]
+             for u in bundle.user_index]

@@ -1,10 +1,13 @@
-"""Train a model, save it as JSON, reload it, and serve token queries.
+"""Train a model, save it as gzip-compressed JSON, reload it, and serve
+token queries.
 
 A model file carries the algorithm tag, the rating scale, the token
 index maps, and every learned parameter at full precision: each float
 array is one block holding its little-endian float64 bytes in base64,
 its dtype "<f8" and its shape, so a reloaded model predicts bit-for-bit
-what the original did. The same files back the command line:
+what the original did. The JSON line is stored in a gzip stream
+(inspect a file with ``zcat m.json | python -m json.tool``). The same
+files back the command line:
 
     latentrec train --input ratings.csv --output m.json --algo funk
     latentrec predict m.json 4 2
@@ -13,6 +16,7 @@ what the original did. The same files back the command line:
 """
 
 import base64
+import gzip
 import json
 import tempfile
 
@@ -56,11 +60,13 @@ def main():
 
     with tempfile.TemporaryDirectory() as outdir:
         path = save_model(bundle, f"{outdir}/funk.json")
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            packed = handle.read()
+        text = gzip.decompress(packed).decode("utf-8")
         doc = json.loads(text)
-        print(f"wrote {path}: {len(text.encode('utf-8'))} bytes of JSON "
-              "on one line (pretty-print it with python -m json.tool)")
+        print(f"wrote {path}: {len(packed)} bytes of gzip holding "
+              f"{len(text.encode('utf-8'))} bytes of JSON on one line "
+              "(inspect it with zcat | python -m json.tool)")
         for key in ("format_version", "algorithm", "library", "scale"):
             print(f"  {key}: {doc[key]}")
         print(f"  parameters: {', '.join(sorted(doc['parameters']))}")

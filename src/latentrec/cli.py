@@ -1,10 +1,11 @@
 """Command line interface: train, predict, recommend, evaluate, ensemble.
 
 Every command is deterministic given its flags (seeds default to 42), and
-identical invocations write byte-identical model files except for the
-creation timestamp. Exit codes: 0 success, 2 argument or config problems,
-3 data problems, 4 training divergence. Per-epoch trace lines go to
-standard error; result summaries go to standard output.
+identical invocations write model files whose (gzip-compressed) JSON is
+byte-identical except for the creation timestamp. Exit codes: 0 success,
+2 argument or config problems, 3 data problems, 4 training divergence.
+Per-epoch trace lines go to standard error; result summaries go to
+standard output.
 
 A flat key=value config file (--config) can hold any flag value; explicit
 command line flags override it. Unknown keys are rejected with a nearest
@@ -339,17 +340,25 @@ def _format_rounded(value):
     return str(int(value)) if float(value).is_integer() else f"{value:g}"
 
 
+def _read_training_data(values):
+    """(ratings as read, training data): the input csv, plus --neg-ratio
+    sampled negatives in the training data when the flag is given."""
+    schema = CsvSchema(kind=values["kind"], scale=values["scale"])
+    read = _read_ratings(values["input"], schema)
+    if values["neg_ratio"] is None:
+        return read, read
+    if values["kind"] != "implicit":
+        raise ConfigError("--neg-ratio requires --kind implicit")
+    try:
+        return read, negative_sample(read, ratio=values["neg_ratio"],
+                                     seed=values["seed"])
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_train(args):
     values = resolve(args, TRAIN_OPTIONS)
-    schema = CsvSchema(kind=values["kind"], scale=values["scale"])
-    read = ds = _read_ratings(values["input"], schema)
-    if values["neg_ratio"] is not None:
-        if values["kind"] != "implicit":
-            raise ConfigError("--neg-ratio requires --kind implicit")
-        try:
-            ds = negative_sample(read, ratio=values["neg_ratio"], seed=values["seed"])
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from exc
+    read, ds = _read_training_data(values)
     algo = values["algo"]
     bundle, trace = _train_bundle(algo, ds, values, rated=read)
     _print_trace(trace)
@@ -492,11 +501,12 @@ def cmd_ensemble_bag(args):
     values = resolve(args, BAG_OPTIONS)
     if values["members"] < 1:
         raise ConfigError(f"--members must be >= 1, got {values['members']}")
-    schema = CsvSchema(kind=values["kind"], scale=values["scale"])
-    ds = _read_ratings(values["input"], schema)
+    # negatives are drawn once, before the bootstrap; every member leaves
+    # out the items each user rated in the input, as a trained model does
+    read, ds = _read_training_data(values)
 
     def trainer(resampled):
-        bundle, _ = _train_bundle(values["algo"], resampled, values)
+        bundle, _ = _train_bundle(values["algo"], resampled, values, rated=read)
         return bundle.scorer
 
     bag = bag_train(trainer, ds, b=values["members"], seed=values["seed"])

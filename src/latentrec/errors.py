@@ -58,7 +58,7 @@ class NoDataError(DataError):
 
 
 class CapacityError(DataError):
-    """Materializing a dense matrix would exceed the configured cell cap."""
+    """A dense matrix or factor table would exceed the configured cell cap."""
 
 
 class DivergenceError(LatentRecError, RuntimeError):

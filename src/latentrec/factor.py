@@ -293,6 +293,20 @@ def _rmse(targets, preds):
     return float(np.sqrt(np.mean(err * err)))
 
 
+def check_table(shape, name):
+    """Refuse a factor table of this shape above DENSE_CELL_CAP cells.
+
+    The trainers call it before allocating anything of the table, so a
+    huge --factors fails at once as a CapacityError rather than in numpy.
+    """
+    cells = math.prod(shape)
+    if cells > DENSE_CELL_CAP:
+        raise CapacityError(
+            f"{name} table of {' x '.join(map(str, shape))} = {cells} cells "
+            f"exceeds the cap of {DENSE_CELL_CAP}; use fewer factors"
+        )
+
+
 def funk_train(ds, config, init=None):
     """Train a plain factor model by per-triple gradient descent.
 
@@ -306,6 +320,7 @@ def funk_train(ds, config, init=None):
     training RMSE trace.
 
     Raises:
+        CapacityError: max(users, items) x f exceeds DENSE_CELL_CAP.
         DivergenceError: if the loss or any update turns non-finite,
             naming the epoch.
     """
@@ -313,6 +328,7 @@ def funk_train(ds, config, init=None):
         raise ValidationError("gradient factorization needs an explicit dataset")
     users, items, ratings = ds.indexed()
     m, n, f = ds.n_users, ds.n_items, config.f
+    check_table((max(m, n), f), "funk factor")
     if init is not None:
         p0, q0 = init
         pt = np.array(p0, dtype=float).T.copy()
@@ -690,12 +706,14 @@ def svdpp_train(ds, config, freeze_y=False):
     two-factor core; useful for equivalence checks.
 
     Raises:
+        CapacityError: max(users, items) x f exceeds DENSE_CELL_CAP.
         DivergenceError: when training turns non-finite, naming the epoch.
     """
     if ds.kind != "explicit":
         raise ValidationError("gradient factorization needs an explicit dataset")
     users, items, ratings = ds.indexed()
     m, n, f = ds.n_users, ds.n_items, config.f
+    check_table((max(m, n), f), "svdpp factor")
     lam = config.lam
     mu = float(ratings.mean())
     rng = np.random.default_rng(config.seed)

@@ -49,7 +49,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .factor import TrainConfig, _make_updaters, run_epochs
+from .factor import TrainConfig, _make_updaters, check_table, run_epochs
 
 LOSSES = ("squared", "logistic")
 
@@ -567,10 +567,12 @@ def fm_train(samples, loss="squared", config=None, optimizer=None):
     data loss. Zero epochs return the untouched init.
 
     Raises:
+        CapacityError: dimension x k exceeds data.DENSE_CELL_CAP.
         DivergenceError: when predictions or updates turn non-finite.
     """
     config = config if config is not None else TrainConfig()
     batch = _as_batch(samples, loss)
+    check_table((batch.n, config.f), "fm latent")
     rng = np.random.default_rng(config.seed)
     v = rng.random((batch.n, config.f)) / math.sqrt(config.f)
     model = FmModel(w0=0.0, w=np.zeros(batch.n), V=v, k=config.f)
@@ -586,6 +588,7 @@ def ffm_train(samples, loss="squared", config=None, optimizer=None, n_fields=Non
     latent gradient together.
 
     Raises:
+        CapacityError: dimension x n_fields x k exceeds data.DENSE_CELL_CAP.
         EncodingError: the batch has no field ids, or one outside
             [0, n_fields).
     """
@@ -596,6 +599,7 @@ def ffm_train(samples, loss="squared", config=None, optimizer=None, n_fields=Non
     if n_fields is None:
         n_fields = int(batch.fields.max()) + 1
     _check_field_range(batch.fields, n_fields)
+    check_table((batch.n, n_fields, config.f), "ffm latent")
     rng = np.random.default_rng(config.seed)
     v = rng.random((batch.n, n_fields, config.f)) / math.sqrt(config.f)
     model = FfmModel(w0=0.0, w=np.zeros(batch.n), V=v, k=config.f, n_fields=n_fields)

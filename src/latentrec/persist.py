@@ -1,12 +1,14 @@
-"""JSON model files: save and load every trained model type.
+"""Model files: save and load every trained model type.
 
-A model file is a single JSON document (format_version 4): a header
-(algorithm tag, creation metadata, rating scale, token index maps) and
-member blocks. A member block holds "algorithm", the "parameters" block
-and, for fm and ffm, the feature "encoder". A single-model file is the
-header plus one member block; an ensemble file lists one per member under
-"ensemble", beside its kind, weights and intercept. It is written on one
-compact line (pretty-print it with ``python -m json.tool``).
+A model file is one gzip-compressed JSON document (format_version 4): a
+header (algorithm tag, creation metadata, rating scale, token index maps)
+and member blocks. A member block holds "algorithm", the "parameters"
+block and, for fm and ffm, the feature "encoder". A single-model file is
+the header plus one member block; an ensemble file lists one per member
+under "ensemble", beside its kind, weights and intercept. The document is
+one compact line of JSON, deflated (RFC 1951) into a single gzip member
+(RFC 1952) at level GZIP_LEVEL with mtime 0; inspect one with
+``zcat model.json | python -m json.tool``.
 
 Every float array a model holds (svd "u", "s", "v", or "r_star" and
 "mask"; funk and svdpp "p", "q", "y", "b_u", "b_i"; fm and ffm "w", "v")
@@ -19,15 +21,18 @@ with the values in row-major order, so loading gives back every bit,
 NaN payloads and -0.0 included. Scalars ("mu", "w0", "scale", ensemble
 weights and intercept) are JSON numbers in Python's shortest round-trip
 decimals, and integer index lists stay JSON lists. Keys are sorted, so
-saving the same model twice yields byte-identical files except for the
-"created" timestamp, and loading reproduces predictions exactly. Saving
-builds the whole document and runs every check before the file is
+saving the same model twice yields the same document except for the
+"created" timestamp, and with the same "created" the same file bytes
+(for one zlib build: the gzip header names the operating system and the
+deflate output is zlib's). Loading reproduces predictions exactly.
+Saving builds the whole document and runs every check before the file is
 opened, so a refused save leaves the path as it was; the line is then
-written a piece at a time, each piece the very text json.dumps gives for
-that part of the document, so no string of the whole file is ever made.
-Loading rejects per-user index lists that do not fit the index maps:
-fm/ffm "observed" and svd "rated" need one list per user, each index in
-[0, n_items).
+compressed a piece at a time, each piece the very text json.dumps gives
+for that part of the document, and float block data is encoded from the
+array a slice at a time, so no string of the whole file or of a whole
+float block is ever made. Loading rejects per-user index lists that do
+not fit the index maps: fm/ffm "observed" and svd "rated" need one list
+per user, each index in [0, n_items).
 
 The svd block stores the rank-f factors "u" (m x f), "s" (f) and "v"
 (n x f) plus "rated", each user's observed item indices; loading rebuilds
@@ -39,7 +44,8 @@ The itemcf block stores "k" and each user's "ratings"; loading rebuilds
 the overlap weights W with factor.overlap_weights, the function training
 used, so saving refuses a model whose W does not follow from its ratings.
 
-Versions 1 to 3 still load; they store each float array as nested JSON
+Uncompressed files of every version still load: the same document as
+plain UTF-8 JSON. Versions 1 to 3 store each float array as nested JSON
 lists of decimals. Version 1 stored the svd block as the dense "r_star"
 and "mask", and version 2 itemcf blocks carry "w", which is read as
 stored.
@@ -49,6 +55,7 @@ import base64
 import functools
 import json
 import math
+import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -72,8 +79,17 @@ READABLE_VERSIONS = (1, 2, 3, FORMAT_VERSION)
 # the one dtype of a float block: little-endian IEEE 754 binary64
 FLOAT_DTYPE = "<f8"
 ALGORITHMS = ("svd", "funk", "svdpp", "itemcf", "fm", "ffm", "ensemble")
-# list items or dict entries that one json.dumps call encodes
+# list items or dict entries that one json.dumps call encodes; float
+# block data goes 3 * BLOCK_ROWS values (a multiple of 3 bytes) per piece
 BLOCK_ROWS = 64
+# deflate level of saved files: on the benchmark's factor-train models,
+# level 9 saves 0.35% of the bytes for 1.3x the time, level 1 writes 4.9%
+# more bytes in 0.4x the time
+GZIP_LEVEL = 6
+# window bits of a gzip member (16 + 15): header and CRC-32 trailer around
+# DEFLATE with a 32 KB window
+GZIP_WBITS = 31
+GZIP_MAGIC = b"\x1f\x8b"
 
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
@@ -194,13 +210,14 @@ def _index_lists(rows, n_rows, n_items, name):
 
 
 def _floats(a):
-    """The float block of array a: its float64 bytes in base64."""
-    a = np.asarray(a, dtype=FLOAT_DTYPE)
-    return {
-        "data": base64.b64encode(a.tobytes()).decode("ascii"),
-        "dtype": FLOAT_DTYPE,
-        "shape": list(a.shape),
-    }
+    """The float block of array a, its data still the array.
+
+    The data is a row-major little-endian float64 array (a itself when it
+    already is one), which the writer encodes in base64 a slice at a time
+    and document() in one piece.
+    """
+    a = np.ascontiguousarray(a, dtype=FLOAT_DTYPE)
+    return {"data": a, "dtype": FLOAT_DTYPE, "shape": list(a.shape)}
 
 
 def _array(value, version):
@@ -416,8 +433,9 @@ def _member_from(doc, scale, user_tokens, item_tokens, version):
     )
 
 
-def document(bundle):
-    """The bundle as a JSON-ready dict; fills a creation timestamp."""
+def _document(bundle):
+    """The bundle's document with float block data still arrays; runs every
+    check and fills a creation timestamp."""
     created = bundle.created or datetime.now(timezone.utc).isoformat(
         timespec="seconds"
     )
@@ -443,17 +461,36 @@ def document(bundle):
     return doc
 
 
+def document(bundle):
+    """The bundle as a JSON-ready dict; fills a creation timestamp."""
+    return _ready(_document(bundle))
+
+
+def _ready(value):
+    """value with the data array of each float block as its base64 text."""
+    if isinstance(value, np.ndarray):
+        return base64.b64encode(value.tobytes()).decode("ascii")
+    if isinstance(value, dict):
+        return {key: _ready(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_ready(item) for item in value]
+    return value
+
+
 def _json_chunks(value):
     """The compact, key-sorted JSON text of value, in consecutive pieces.
 
-    The pieces join to exactly _dumps(value). A dict holding containers is
-    walked key by key and a list of dicts item by item; any other dict or
-    list goes BLOCK_ROWS items (key-value pairs, rows, numbers) per _dumps
-    call, and a string (such as the data of a float block) is one piece.
+    The pieces join to exactly _dumps(_ready(value)). A dict holding
+    containers is walked key by key and a list of dicts item by item; any
+    other dict or list goes BLOCK_ROWS items (key-value pairs, rows,
+    numbers) per _dumps call. The data array of a float block goes
+    3 * BLOCK_ROWS values per piece: 24 * BLOCK_ROWS bytes, a multiple of
+    3, so the base64 pieces join to the base64 of the whole array.
     """
     if isinstance(value, dict):
         pairs = sorted(value.items())
-        if not any(isinstance(item, (dict, list)) for _, item in pairs):
+        if not any(isinstance(item, (dict, list, np.ndarray))
+                   for _, item in pairs):
             yield from _blocks(pairs, dict, "{}")
             return
         yield "{"
@@ -469,6 +506,13 @@ def _json_chunks(value):
         yield "]"
     elif isinstance(value, list):
         yield from _blocks(value, list, "[]")
+    elif isinstance(value, np.ndarray):
+        values = value.reshape(-1)
+        step = 3 * BLOCK_ROWS
+        yield '"'
+        for start in range(0, values.size, step):
+            yield base64.b64encode(values[start:start + step]).decode("ascii")
+        yield '"'
     else:
         yield _dumps(value)
 
@@ -482,32 +526,44 @@ def _blocks(items, container, brackets):
 
 
 def save_model(bundle, path):
-    """Write the bundle to path as one compact JSON line; returns the path.
+    """Write the bundle to path as one gzip-compressed JSON line; returns
+    the path.
 
     The document is built and checked in full before the file is opened,
     so a refused save creates no file and leaves an existing one alone.
-    The line is then written a piece at a time (the data of a float
-    block is one piece, other lists go BLOCK_ROWS items per piece); the
-    bytes equal json.dumps(document(bundle), sort_keys=True,
-    separators=(",", ":")) plus a newline.
+    The line is then fed to one deflate stream a piece at a time (float
+    block data 3 * BLOCK_ROWS values per piece, other lists BLOCK_ROWS
+    items per piece), so the memory a save takes beyond the model is about
+    the document's index lists and token maps plus zlib's fixed state
+    (about 260 KB at these settings).
+    The file inflates to json.dumps(document(bundle), sort_keys=True,
+    separators=(",", ":")) plus a newline, UTF-8 encoded.
 
     Raises PersistenceError for a model the file format cannot reproduce.
     """
-    doc = document(bundle)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_json_chunks(doc))
-        handle.write("\n")
+    doc = _document(bundle)
+    deflate = zlib.compressobj(GZIP_LEVEL, zlib.DEFLATED, GZIP_WBITS)
+    with open(path, "wb") as handle:
+        for piece in _json_chunks(doc):
+            handle.write(deflate.compress(piece.encode("utf-8")))
+        handle.write(deflate.compress(b"\n"))
+        handle.write(deflate.flush())
     return path
 
 
 def load_model(path):
     """Read a model file of any readable format_version into a ModelBundle.
 
-    Float arrays come back bit for bit as writable float64 arrays: from
-    float blocks in version 4, from nested decimal lists in versions 1-3.
+    A file that starts with the gzip magic bytes 1f 8b is inflated first;
+    any other file is read as plain UTF-8 JSON, as every version before
+    compression was written. Float arrays come back bit for bit as
+    writable float64 arrays: from float blocks in version 4, from nested
+    decimal lists in versions 1-3.
 
-    Raises PersistenceError for a file that cannot be read or is not
-    UTF-8 JSON, an unsupported format_version, an unknown algorithm tag,
+    Raises PersistenceError for a file that cannot be read, a gzip stream
+    that is corrupt, truncated or followed by other bytes, a document
+    that is not UTF-8 JSON, a format_version that is not one of the
+    readable ints (a JSON true or 4.0 is not), an unknown algorithm tag,
     or a malformed member block (a missing key; a per-user index list that
     does not fit the index maps; a version-4 float array that is not a
     block of dtype "<f8" whose base64 data holds exactly its shape's
@@ -515,13 +571,21 @@ def load_model(path):
     to rebuild exceed the dense cell cap.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        data = Path(path).read_bytes()
+        if data[:2] == GZIP_MAGIC:
+            inflate = zlib.decompressobj(GZIP_WBITS)
+            data = inflate.decompress(data)
+            if not inflate.eof or inflate.unused_data:
+                raise zlib.error("gzip stream is truncated or followed by "
+                                 "other bytes")
+        raw = json.loads(data.decode("utf-8"))
+    except (OSError, UnicodeDecodeError, zlib.error,
+            json.JSONDecodeError) as exc:
         raise PersistenceError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise PersistenceError(f"model file {path} is not a JSON object")
     version = raw.get("format_version")
-    if version not in READABLE_VERSIONS:
+    if type(version) is not int or version not in READABLE_VERSIONS:
         raise PersistenceError(
             f"unsupported format_version {version!r}, "
             f"expected one of {', '.join(map(str, READABLE_VERSIONS))}"

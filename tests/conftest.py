@@ -8,7 +8,9 @@ prediction 1.4 for cell (3, 2)) were derived from these matrices by hand
 and cross-checked with an independent implementation.
 """
 
+import gzip
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,3 +197,12 @@ def without_created(text):
     kept, hits = re.subn(r'"created":"[^"]*"', '"created":""', text)
     assert hits == 1
     return kept
+
+
+def model_text(path):
+    """The JSON line a saved model file holds, inflated from its gzip stream.
+
+    gzip.decompress raises for a file that is not gzip, so a test reading
+    a saved file through this also checks that it was compressed.
+    """
+    return gzip.decompress(Path(path).read_bytes()).decode("utf-8")

@@ -5,6 +5,7 @@ stderr, and written model files.
 """
 
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from latentrec.persist import load_model, save_model
 from tests.conftest import (
     FOUR_BY_FOUR_CSV,
     make_rank2_ratings,
+    model_text,
     without_created,
 )
 
@@ -268,8 +270,8 @@ class TestTrain:
                              "--input", data, "--output", str(out),
                              "--epochs", "5")
             assert code == 0
-        text_a = first.read_text().replace(str(first), "MODEL")
-        text_b = second.read_text().replace(str(second), "MODEL")
+        text_a = model_text(first).replace(str(first), "MODEL")
+        text_b = model_text(second).replace(str(second), "MODEL")
         assert without_created(text_a) == without_created(text_b)
 
     @pytest.mark.parametrize("algo, flag, value", [
@@ -291,6 +293,21 @@ class TestTrain:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["funk", "svdpp", "fm", "ffm"])
+    def test_huge_factor_table_is_refused_before_allocating(self, capsys,
+                                                            tmp_path, algo):
+        data = write_ratings(tmp_path)
+        out = tmp_path / "m.json"
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "train", "--algo", algo, "--input", data,
+                                "--output", str(out), "--factors", "100000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeds the cap" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("ratio", ["0", "-1", "nan", "inf"])
@@ -462,8 +479,7 @@ class TestRecommend:
 
     def test_truncated_observed_lists_exit_3(self, capsys, tmp_path):
         model = train_fixture_model(capsys, tmp_path, "fm")
-        with open(model) as handle:
-            doc = json.load(handle)
+        doc = json.loads(model_text(model))
         doc["parameters"]["observed"] = doc["parameters"]["observed"][:2]
         with open(model, "w") as handle:
             json.dump(doc, handle)
@@ -617,6 +633,40 @@ class TestEnsemble:
         assert len(bundle.model.members) == 3
         assert np.isfinite(bundle.predict("1", "2"))
 
+    @pytest.mark.parametrize("algo", ["fm", "ffm"])
+    def test_bag_neg_ratio_draws_negatives_once_and_keeps_rated_lists(
+            self, capsys, tmp_path, algo):
+        data = write_ratings(tmp_path, "implicit.csv", IMPLICIT_CSV)
+        with open(data, encoding="utf-8") as handle:
+            read = parse_csv(handle, CsvSchema(kind="implicit", scale=(0.0, 1.0)))
+        rated = [row.tolist() for row in read.items_by_user()]
+        bags = []
+        for extra in ([], ["--neg-ratio", "1"]):
+            out = str(tmp_path / f"bag{len(bags)}.json")
+            code, _, err = run(capsys, "ensemble", "bag", "--input", data,
+                               "--algo", algo, "--kind", "implicit",
+                               "--scale", "0:1", "--members", "3",
+                               "--epochs", "3", "--output", out, *extra)
+            assert code == 0, err
+            bag = load_model(out)
+            # every member leaves out exactly what each user rated, once
+            assert [m.observed for m in bag.model.members] == [rated] * 3
+            bags.append(bag)
+        pairs = [(u, i) for u in read.user_index for i in read.item_index]
+        assert [bags[0].predict(u, i) for u, i in pairs] != \
+            [bags[1].predict(u, i) for u, i in pairs]
+
+    def test_bag_neg_ratio_needs_implicit_data(self, capsys, tmp_path):
+        data = write_ratings(tmp_path)
+        out = tmp_path / "bag.json"
+        code, stdout, err = run(capsys, "ensemble", "bag", "--input", data,
+                                "--algo", "fm", "--neg-ratio", "1",
+                                "--output", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: --neg-ratio requires --kind implicit\n"
+        assert not out.exists()
+
     def test_stack_writes_coefficients_into_file(self, capsys, tmp_path):
         first = train_fixture_model(capsys, tmp_path, "svd")
         second = train_fixture_model(capsys, tmp_path, "funk")
@@ -626,7 +676,7 @@ class TestEnsemble:
                               "--holdout", data, "--output", out)
         assert code == 0
         assert "coefficients" in stdout
-        doc = json.loads((tmp_path / "stack.json").read_text())
+        doc = json.loads(model_text(tmp_path / "stack.json"))
         assert doc["ensemble"]["kind"] == "stack"
         assert len(doc["ensemble"]["weights"]) == 2
         assert "intercept" in doc["ensemble"]
@@ -683,11 +733,12 @@ class TestTransientMemory:
     def test_save_model_peak_stays_near_the_document(self, implicit_fm,
                                                      tmp_path):
         # writing one string of the whole file peaked at about 2.8 MB;
-        # the streamed writer stays within about five times the file
+        # the streamed writer stays within about five times the document
+        # the file inflates to, zlib's deflate state (about 260 KB) included
         bundle, _ = implicit_fm
         path = tmp_path / "m.json"
         assert traced_peak(lambda: save_model(bundle, path)) < 2**19
-        assert path.stat().st_size > 100_000
+        assert len(model_text(path)) > 100_000
 
     def test_overlap_weights_builds_one_n_by_n_array(self, implicit_fm):
         # 300 x 300 doubles are 0.69 MB; a second array made it 1.5 MB

@@ -29,6 +29,8 @@ from latentrec.persist import (
     ModelBundle,
     _array,
     _floats,
+    _json_chunks,
+    _ready,
     document,
     load_model,
     save_model,
@@ -36,6 +38,7 @@ from latentrec.persist import (
 from tests.conftest import (
     dataset_from_dense,
     make_rank2_ratings,
+    model_text,
     without_created,
 )
 
@@ -118,7 +121,7 @@ class TestRoundTrip:
     def test_svd_stores_factors_and_rebuilds_exactly(self, tmp_path):
         bundle, ds = svd_bundle()
         path = save_model(bundle, tmp_path / "m.json")
-        block = json.loads(path.read_text())["parameters"]
+        block = json.loads(model_text(path))["parameters"]
         assert "r_star" not in block and "mask" not in block
         assert block["u"]["shape"] == [4, 2]
         assert block["v"]["shape"] == [4, 2]
@@ -304,7 +307,7 @@ class TestItemCfFiles:
     def test_round_trip_rebuilds_weights(self, make, kind, tmp_path):
         bundle, ds = make(kind)
         first = save_model(bundle, tmp_path / "a.json")
-        doc = json.loads(first.read_text())
+        doc = json.loads(model_text(first))
         blocks = [m["parameters"] for m in doc["ensemble"]["members"]] \
             if "ensemble" in doc else [doc["parameters"]]
         assert all(set(block) == {"k", "ratings"} for block in blocks)
@@ -449,7 +452,7 @@ class TestFileFormat:
         b = (tmp_path / "b.json")
         save_model(fresh(), a)
         save_model(fresh(), b)
-        assert without_created(a.read_text()) == without_created(b.read_text())
+        assert without_created(model_text(a)) == without_created(model_text(b))
 
     def test_created_survives_reload(self, tmp_path):
         bundle, _ = funk_bundle()
@@ -457,23 +460,34 @@ class TestFileFormat:
         second = tmp_path / "b.json"
         save_model(bundle, first)
         save_model(load_model(first), second)
-        assert first.read_text() == second.read_text()
+        assert model_text(first) == model_text(second)
 
     def test_unknown_format_version_rejected(self, tmp_path):
         bundle, _ = funk_bundle()
         path = tmp_path / "m.json"
         save_model(bundle, path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(model_text(path))
         doc["format_version"] = 5
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="format_version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, 4.0, "4"])
+    def test_format_version_must_be_an_int(self, version, tmp_path):
+        # True == 1 and 4.0 == 4, but neither names a format
+        bundle, _ = funk_bundle()
+        doc = json.loads(model_text(save_model(bundle, tmp_path / "m.json")))
+        doc["format_version"] = version
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="unsupported format_version"):
             load_model(path)
 
     def test_unknown_algorithm_rejected(self, tmp_path):
         bundle, _ = funk_bundle()
         path = tmp_path / "m.json"
         save_model(bundle, path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(model_text(path))
         doc["algorithm"] = "mystery"
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="algorithm"):
@@ -499,7 +513,7 @@ class TestFileFormat:
         bundle, _ = funk_bundle()
         path = tmp_path / "m.json"
         save_model(bundle, path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(model_text(path))
         del doc["parameters"]
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed"):
@@ -509,7 +523,7 @@ class TestFileFormat:
     def test_observed_with_too_few_users_rejected(self, tmp_path, algo):
         bundle, _ = fm_bundle(algo)
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(path.read_text())
+        doc = json.loads(model_text(path))
         doc["parameters"]["observed"] = doc["parameters"]["observed"][:2]
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed.*observed"):
@@ -520,7 +534,7 @@ class TestFileFormat:
         bundle, ds = fm_bundle()
         assert ds.n_items == 6
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(path.read_text())
+        doc = json.loads(model_text(path))
         doc["parameters"]["observed"][0].append(bad)
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed.*observed"):
@@ -535,7 +549,7 @@ class TestFileFormat:
             item_index=bundle.item_index,
         )
         path = save_model(blend, tmp_path / "m.json")
-        doc = json.loads(path.read_text())
+        doc = json.loads(model_text(path))
         doc["ensemble"]["members"][0]["parameters"]["observed"].pop()
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed.*observed"):
@@ -544,7 +558,7 @@ class TestFileFormat:
     def test_svd_negative_rated_index_rejected(self, tmp_path):
         bundle, _ = svd_bundle()
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(path.read_text())
+        doc = json.loads(model_text(path))
         doc["parameters"]["rated"][0].append(-1)
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed.*rated"):
@@ -736,7 +750,7 @@ class TestStreamedWriter:
                 save_model(bundle, path)
                 want = json.dumps(document(bundle), sort_keys=True,
                                   separators=(",", ":")) + "\n"
-                assert path.read_bytes() == want.encode("utf-8"), bundle.algorithm
+                assert model_text(path) == want, bundle.algorithm
 
 
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
@@ -766,23 +780,37 @@ MALFORMED_BLOCKS = {
 
 class TestFloatBlocks:
     @settings(max_examples=200, deadline=None)
-    @given(a=st.one_of(BIT_PATTERNS, VALUES), transpose=st.booleans())
-    def test_property_block_round_trips_every_bit(self, a, transpose):
+    @given(a=st.one_of(BIT_PATTERNS, VALUES), transpose=st.booleans(),
+           block_rows=st.integers(1, 4))
+    def test_property_block_round_trips_every_bit(self, a, transpose,
+                                                  block_rows):
         if transpose:  # a non-contiguous view is stored in row-major order
             a = a.T
-        block = json.loads(json.dumps(_floats(a)))
-        back = _array(block, 4)
+        # the writer's pieces of 3 * block_rows values, and document()'s text
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(persist, "BLOCK_ROWS", block_rows)
+            text = "".join(_json_chunks(_floats(a)))
+        assert text == json.dumps(_ready(_floats(a)), sort_keys=True,
+                                  separators=(",", ":"))
+        back = _array(json.loads(text), 4)
         assert back.shape == a.shape and back.dtype == np.float64
         assert back.tobytes() == a.tobytes()
         assert back.flags.writeable and back.flags.c_contiguous
 
     def test_block_layout(self):
-        block = _floats(np.array([[1.0, -0.0], [0.5, 2.0]]))
+        block = _ready(_floats(np.array([[1.0, -0.0], [0.5, 2.0]])))
         assert block == {
             "data": "AAAAAAAA8D8AAAAAAAAAgAAAAAAAAOA/AAAAAAAAAEA=",
             "dtype": "<f8",
             "shape": [2, 2],
         }
+
+    def test_writer_splits_block_data_at_whole_base64_groups(self, monkeypatch):
+        monkeypatch.setattr(persist, "BLOCK_ROWS", 1)
+        pieces = list(_json_chunks(np.arange(7.0)))
+        # 3 values are 24 bytes, 32 base64 characters with no padding
+        assert [len(p) for p in pieces] == [1, 32, 32, 12, 1]
+        assert "".join(pieces) == '"' + _ready(np.arange(7.0)) + '"'
 
     def test_earlier_versions_read_nested_lists(self):
         for version in (1, 2, 3):
@@ -794,7 +822,7 @@ class TestFloatBlocks:
     def test_malformed_block_rejected(self, edit, tmp_path, capsys):
         bundle, ds = funk_bundle()
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(path.read_text())
+        doc = json.loads(model_text(path))
         edit(doc["parameters"]["q"])
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed model file"):
@@ -806,7 +834,7 @@ class TestFloatBlocks:
     def test_nested_list_in_version_4_file_rejected(self, tmp_path, capsys):
         bundle, ds = funk_bundle()
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(path.read_text())
+        doc = json.loads(model_text(path))
         doc["parameters"]["q"] = bundle.model.Q.tolist()
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed model file"):
@@ -825,7 +853,7 @@ class TestFloatBlocks:
                             model=BlendModel(members=[bundle.scorer], weights=[1.0]),
                             user_index=ds.user_index, item_index=ds.item_index)
         path = save_model(blend, tmp_path / "m.json")
-        doc = json.loads(path.read_text())
+        doc = json.loads(model_text(path))
         doc["ensemble"]["members"][0]["parameters"]["v"]["dtype"] = "<f4"
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed model file"):
@@ -946,3 +974,69 @@ class TestFormat3File:
                 for u in bundle.user_index] == \
             [[bundle.predict(u, i) for i in bundle.item_index]
              for u in bundle.user_index]
+
+
+class TestFormat4File:
+    """format4_blend.json is an uncompressed format_version 4 file, written
+    before model files were gzip-compressed: the same seven members as
+    format3_blend.json, trained on the 4x4 example with trained_bundle's
+    settings, weights 1..7. Beside it are the predictions of each member
+    and of the blend for every (user, item) index pair, and each user's
+    top-3 vote, that the code then computed from the file it had written.
+    """
+
+    def test_loads_and_predicts_bit_for_bit(self, tmp_path):
+        path = FIXTURES / "format4_blend.json"
+        want = json.loads((FIXTURES / "format4_blend_predictions.json").read_text())
+        assert path.read_bytes()[:1] == b"{"
+        bundle = load_model(path)
+        model = bundle.model
+        m, n = len(bundle.user_index), len(bundle.item_index)
+        for member, preds in zip(model.members, want["members"]):
+            assert [[member.predict(u, i) for i in range(n)]
+                    for u in range(m)] == preds
+        assert [[model.predict(u, i) for i in range(n)]
+                for u in range(m)] == want["blend"]
+        assert [[list(p) for p in model.recommend(u, 3)]
+                for u in range(m)] == want["vote"]
+        # saved again, the file inflates to exactly the plain file's text
+        again = save_model(bundle, tmp_path / "again.json")
+        assert model_text(again) == path.read_text()
+
+
+class TestGzipContainer:
+    def test_file_is_one_gzip_member_with_no_timestamp(self, tmp_path):
+        bundle, _ = funk_bundle()
+        bundle.created = "2026-01-01T00:00:00+00:00"
+        first = save_model(bundle, tmp_path / "a.json").read_bytes()
+        # magic, deflate method, no flags (no name, no comment), mtime 0
+        assert first[:8] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00"
+        assert save_model(bundle, tmp_path / "b.json").read_bytes() == first
+        assert len(first) < 0.7 * len(model_text(tmp_path / "a.json"))
+
+    @pytest.mark.parametrize("damage", ["truncated", "byte-flipped", "trailing"])
+    def test_damaged_stream_exits_3_without_traceback(self, damage, tmp_path,
+                                                      capsys):
+        bundle, ds = funk_bundle()
+        path = save_model(bundle, tmp_path / "m.json")
+        data = bytearray(path.read_bytes())
+        if damage == "truncated":
+            del data[len(data) // 2:]
+        elif damage == "byte-flipped":
+            data[len(data) // 2] ^= 0x40
+        else:
+            data += b"{}"
+        path.write_bytes(bytes(data))
+        with pytest.raises(PersistenceError, match="cannot read model file"):
+            load_model(path)
+        assert main(["recommend", str(path), next(iter(ds.user_index))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read model file")
+        assert "Traceback" not in captured.err
+
+    def test_plain_json_file_still_loads(self, tmp_path):
+        bundle, ds = funk_bundle()
+        path = tmp_path / "plain.json"
+        path.write_text(model_text(save_model(bundle, tmp_path / "m.json")))
+        assert_predictions_match(bundle, load_model(path), ds, tol=0.0)

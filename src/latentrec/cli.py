@@ -33,7 +33,7 @@ from .errors import (
 from .factor import TrainConfig, funk_train, itemcf_similarity, svdpp_train
 # encode is not called here, but perfbench's tracer counts calls to cli.encode
 from .fm import EncoderSpec, SampleBatch, encode, ffm_train, fm_train  # noqa: F401
-from .metrics import MetricReport, mae, rmse, topn_metrics
+from .metrics import MetricReport, mae, pair_scores, rmse, topn_metrics
 from .persist import ModelBundle, load_model, save_model
 
 EXIT_OK = 0
@@ -403,7 +403,9 @@ def cmd_evaluate(args):
     test = _read_ratings(values["test"], schema)
     user_tokens, item_tokens = test.tokens()
     users, items, truth = test.indexed()
-    preds = [bundle.predict(user_tokens[u], item_tokens[i]) for u, i in zip(users, items)]
+    pairs = np.array([bundle.indices(user_tokens[u], item_tokens[i])
+                      for u, i in zip(users, items)], dtype=np.int64).reshape(-1, 2)
+    preds = pair_scores(bundle.scorer, pairs[:, 0], pairs[:, 1])
     precision = {}
     recall = {}
     n_users = 0

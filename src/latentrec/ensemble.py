@@ -1,6 +1,7 @@
 """Combine trained predictors: weighted blending, voting, bagging, stacking.
 
-A member is any object exposing predict(u, i) -> real and
+A member is any object exposing scores(u, items) -> float array (its
+prediction for each item, in order), predict(u, i) -> real and
 recommend(u, k) -> ranked list; every trained model in this package
 qualifies. Members always see index-space ids.
 """
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, ValidationError
+from .metrics import pair_scores
 
 STACK_RIDGE = 1e-8
 
@@ -74,6 +76,21 @@ class BlendModel:
             if self.intercept != 0.0:
                 raise ValidationError("only stacked ensembles carry an intercept")
 
+    def scores(self, u, items):
+        """Weighted sum of member scores, in member order, plus any
+        stacking intercept, as an array.
+
+        A member failure is re-raised with the member's position in the
+        message.
+        """
+        total = self.intercept
+        for m, (member, weight) in enumerate(zip(self.members, self.weights)):
+            try:
+                total = total + weight * member.scores(u, items)
+            except Exception as exc:
+                raise _member_failure(exc, f"ensemble member {m}") from exc
+        return total
+
     def predict(self, u, i):
         return blend_predict(self, u, i)
 
@@ -83,18 +100,9 @@ class BlendModel:
 
 
 def blend_predict(model, u, i):
-    """Weighted sum of member predictions, plus any stacking intercept.
-
-    A member failure is re-raised with the member's position in the
-    message.
-    """
-    total = model.intercept
-    for m, (member, weight) in enumerate(zip(model.members, model.weights)):
-        try:
-            total += weight * float(member.predict(u, i))
-        except Exception as exc:
-            raise _member_failure(exc, f"ensemble member {m}") from exc
-    return float(total)
+    """The blend's prediction for (u, i); the one-item case of
+    BlendModel.scores."""
+    return float(model.scores(u, [i])[0])
 
 
 def vote_recommend(members, u, k):
@@ -109,7 +117,6 @@ def vote_recommend(members, u, k):
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    votes = {}
     ranks = {}
     for m, member in enumerate(members):
         try:
@@ -118,13 +125,13 @@ def vote_recommend(members, u, k):
             raise _member_failure(exc, f"ensemble member {m}") from exc
         for position, entry in enumerate(list(ranked)[:k]):
             item = entry[0] if isinstance(entry, (tuple, list)) else entry
-            votes[item] = votes.get(item, 0) + 1
             ranks.setdefault(item, []).append(position)
+    # an item's vote count is the number of member ranks it collected
     order = sorted(
-        votes,
-        key=lambda item: (-votes[item], float(np.mean(ranks[item])), item),
+        ranks,
+        key=lambda item: (-len(ranks[item]), float(np.mean(ranks[item])), item),
     )
-    return [(item, votes[item]) for item in order[:k]]
+    return [(item, len(ranks[item])) for item in order[:k]]
 
 
 def bag_train(trainer, ds, b=10, seed=42):
@@ -189,9 +196,7 @@ def stack_fit(members, holdout):
     columns = []
     for m, member in enumerate(members):
         try:
-            columns.append(
-                [float(member.predict(int(u), int(i))) for u, i in zip(users, items)]
-            )
+            columns.append(pair_scores(member, users, items))
         except Exception as exc:
             raise _member_failure(exc, f"ensemble member {m}") from exc
     design = np.column_stack(columns + [np.ones(ratings.size)])

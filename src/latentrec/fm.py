@@ -72,24 +72,10 @@ class FeatureVector:
     fields: np.ndarray = None
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.indices.shape != self.values.shape or self.indices.ndim != 1:
-            raise ShapeError("indices and values must be equal-length 1-d arrays")
-        if self.indices.size:
-            if self.indices[0] < 0 or self.indices[-1] >= self.n:
-                raise ValidationError(
-                    f"feature ids must lie in [0, {self.n}), got "
-                    f"[{self.indices.min()}, {self.indices.max()}]"
-                )
-            if np.any(np.diff(self.indices) <= 0):
-                raise ValidationError("feature ids must be strictly increasing")
-        if not np.isfinite(self.values).all():
-            raise ValidationError("feature values must be finite")
-        if self.fields is not None:
-            self.fields = np.asarray(self.fields, dtype=np.int64)
-            if self.fields.shape != self.indices.shape:
-                raise ShapeError("fields must align with indices")
+        # one row of a SampleBatch, so one validator checks both
+        row = SampleBatch(self.indices, self.values, [0, np.size(self.indices)],
+                          [0.0], self.n, self.fields)
+        self.indices, self.values, self.fields = row.indices, row.values, row.fields
 
     @classmethod
     def from_dense(cls, x, field_map=None):
@@ -119,6 +105,21 @@ def _as_features(x, n):
     return FeatureVector.from_dense(x)
 
 
+def _check_machine(model, middle):
+    """Convert w and V to float arrays and check a machine's parameters:
+    k >= 1, V shaped (w.size, *middle, k), every value finite."""
+    model.w = np.asarray(model.w, dtype=float)
+    model.V = np.asarray(model.V, dtype=float)
+    if model.k < 1:
+        raise ValueError(f"latent dimension must be >= 1, got {model.k}")
+    shape = (model.w.size, *middle, model.k)
+    if model.V.shape != shape:
+        raise ShapeError(f"V must be shaped {shape}, got {model.V.shape}")
+    if not (math.isfinite(model.w0) and np.isfinite(model.w).all()
+            and np.isfinite(model.V).all()):
+        raise ValueError("model parameters must all be finite")
+
+
 @dataclass
 class FmModel:
     """2-way factorization machine parameters.
@@ -133,20 +134,7 @@ class FmModel:
     trace: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        self.V = np.asarray(self.V, dtype=float)
-        if self.k < 1:
-            raise ValueError(f"latent dimension must be >= 1, got {self.k}")
-        if self.V.shape != (self.w.size, self.k):
-            raise ShapeError(
-                f"V must be shaped ({self.w.size}, {self.k}), got {self.V.shape}"
-            )
-        if not (
-            math.isfinite(self.w0)
-            and np.isfinite(self.w).all()
-            and np.isfinite(self.V).all()
-        ):
-            raise ValueError("model parameters must all be finite")
+        _check_machine(self, ())
 
     @property
     def n(self):
@@ -171,23 +159,9 @@ class FfmModel:
     trace: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        self.V = np.asarray(self.V, dtype=float)
-        if self.k < 1:
-            raise ValueError(f"latent dimension must be >= 1, got {self.k}")
         if self.n_fields < 1:
             raise ValueError(f"field count must be >= 1, got {self.n_fields}")
-        if self.V.shape != (self.w.size, self.n_fields, self.k):
-            raise ShapeError(
-                f"V must be shaped ({self.w.size}, {self.n_fields}, {self.k}), "
-                f"got {self.V.shape}"
-            )
-        if not (
-            math.isfinite(self.w0)
-            and np.isfinite(self.w).all()
-            and np.isfinite(self.V).all()
-        ):
-            raise ValueError("model parameters must all be finite")
+        _check_machine(self, (self.n_fields,))
 
     @property
     def n(self):
@@ -349,8 +323,8 @@ class SampleBatch:
     Row r holds the nonzeros indices[offsets[r]:offsets[r + 1]], with
     values (and fields, when given) aligned to them, and the target
     targets[r]: the CSR layout of a sparse design matrix plus its target
-    column. Construction checks every row by the FeatureVector rules, in
-    whole-array operations, and raises the errors FeatureVector raises.
+    column. Construction checks every row in whole-array operations; a
+    FeatureVector is checked as the one row of a batch, by the same code.
 
     Args:
         indices: int64 (nnz,) feature ids, strictly increasing within a
@@ -412,6 +386,15 @@ class SampleBatch:
             self.fields = np.asarray(self.fields, dtype=np.int64)
             if self.fields.shape != self.indices.shape:
                 raise ShapeError("fields must align with indices")
+
+    def rows(self):
+        """(indices, values, fields) of each row in order, as array views;
+        fields is None when the batch has no field ids."""
+        offsets = self.offsets
+        for r in range(self.targets.size):
+            a, b = offsets[r], offsets[r + 1]
+            yield (self.indices[a:b], self.values[a:b],
+                   None if self.fields is None else self.fields[a:b])
 
     @classmethod
     def pack(cls, samples):
@@ -498,6 +481,26 @@ class SampleBatch:
         )
 
 
+def batch_scores(model, batch):
+    """The machine's score of every row of a SampleBatch, as an array.
+
+    Each row goes through the kernel predict runs (_fm_terms or
+    _ffm_terms), so row r scores bit for bit as predict of its vector.
+
+    Raises:
+        ShapeError: the batch dimension differs from the model's.
+        EncodingError: a field-aware model and a batch without field ids,
+            or with one outside [0, n_fields).
+    """
+    if batch.n != model.n:
+        raise ShapeError(f"batch has dimension {batch.n}, model has {model.n}")
+    terms = _fm_terms
+    if isinstance(model, FfmModel):
+        _checked_fields(model, batch)
+        terms = _ffm_terms
+    return np.array([terms(model, *row)[0] for row in batch.rows()])
+
+
 def _as_batch(samples, loss):
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}; pick from {LOSSES}")
@@ -516,8 +519,7 @@ def _train_machine(batch, loss, config, optimizer, model, terms):
     call per visited sample gives the score and the latent score gradient
     together; the epoch loss scores with the same kernel.
     """
-    indices, values, fields = batch.indices, batch.values, batch.fields
-    offsets, targets = batch.offsets, batch.targets
+    targets = batch.targets
     count = targets.size
     w0 = np.array([model.w0])
     step_w0, step_w, step_v = _make_updaters(
@@ -525,17 +527,12 @@ def _train_machine(batch, loss, config, optimizer, model, terms):
     )
     lam = config.lam
 
-    def row(r):
-        a, b = offsets[r], offsets[r + 1]
-        return indices[a:b], values[a:b], None if fields is None else fields[a:b]
-
     def visit():
-        for r in range(count):
-            idx, vals, fld = row(r)
+        for (idx, vals, fld), target in zip(batch.rows(), targets):
             pred, g_latent = terms(model, idx, vals, fld, grad=True)
             if not math.isfinite(pred):
                 raise GradientError("non-finite prediction")
-            slope = _loss_slope(pred, float(targets[r]), loss)
+            slope = _loss_slope(pred, float(target), loss)
             step_w0(0, slope)
             if idx.size:
                 step_w(idx, slope * vals + lam * model.w[idx])
@@ -543,10 +540,8 @@ def _train_machine(batch, loss, config, optimizer, model, terms):
             model.w0 = float(w0[0])
 
     def mean_loss():
-        total = 0
-        for r in range(count):
-            total += _sample_loss(terms(model, *row(r))[0], float(targets[r]), loss)
-        return total / count
+        return sum(_sample_loss(terms(model, *row)[0], float(target), loss)
+                   for row, target in zip(batch.rows(), targets)) / count
 
     model.trace = run_epochs(config, visit, mean_loss)
     return model

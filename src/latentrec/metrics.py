@@ -4,6 +4,13 @@ Rating metrics (rmse, mae) score aligned prediction/truth pairs. Top-N
 metrics are macro averaged: precision is hits/k averaged over the users
 that received recommendations, recall is hits/|positives(u)| averaged
 over the users with held-out positives.
+
+The scoring path every model shares lives here too. A model exposes
+scores(u, items), its predictions for user u at an array of item
+indices (predict of each, bit for bit): in_range checks such indices,
+rank_unseen makes every recommend list from one scores call over the
+user's unseen items and top_k, and pair_scores scores aligned user/item
+pairs with one scores call per distinct user.
 """
 
 import json
@@ -85,20 +92,62 @@ def topn_metrics(recommendations, positives, k):
     return precision, recall
 
 
-def top_k(candidates, score, k):
-    """The k best candidates as (candidate, score(candidate)) pairs.
+def in_range(u, items, n_users, n_items, error=IndexError):
+    """items as an int64 array, once u and every item are valid indices.
 
-    Highest score first, ties broken by ascending candidate index. Every
-    recommend method ranks through here, so they all share this rule.
+    Raises error (IndexError unless given) naming the user or the first
+    item outside [0, n_users) or [0, n_items).
+    """
+    items = np.asarray(items, dtype=np.int64)
+    if not 0 <= u < n_users:
+        raise error(f"user index {u} out of range for {n_users}")
+    bad = items[(items < 0) | (items >= n_items)]
+    if bad.size:
+        raise error(f"item index {bad[0]} out of range for {n_items}")
+    return items
+
+
+def top_k(items, scores, k):
+    """The k best items as (item, score) pairs of Python numbers.
+
+    items (ints) and scores (floats) are aligned arrays. Highest score
+    first, ties broken by ascending item index; rank_unseen ranks every
+    recommend list here, so they all share this rule.
 
     Raises:
         ValueError: k < 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scored = [(c, score(c)) for c in candidates]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+    order = np.lexsort((items, -scores))[:k]
+    return list(zip(items[order].tolist(), scores[order].tolist()))
+
+
+def rank_unseen(model, u, seen, k):
+    """Top-k items for user u outside seen, as top_k's (item, score) pairs.
+
+    The candidates are model.n_items minus seen (item indices, or a
+    boolean row), scored by one model.scores(u, candidates) call.
+    """
+    unseen = np.ones(model.n_items, dtype=bool)
+    unseen[seen] = False
+    items = np.flatnonzero(unseen)
+    return top_k(items, model.scores(u, items), k)
+
+
+def pair_scores(model, users, items):
+    """model's score of each (users[t], items[t]) pair, in pair order.
+
+    users and items are aligned int arrays. One model.scores call per
+    distinct user, over that user's items in pair order; the results are
+    written back to the pairs' positions.
+    """
+    out = np.empty(users.size)
+    order = np.argsort(users, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(users[order])) + 1):
+        if rows.size:
+            out[rows] = model.scores(int(users[rows[0]]), items[rows])
+    return out
 
 
 @dataclass

@@ -32,7 +32,8 @@ for that part of the document, and float block data is encoded from the
 array a slice at a time, so no string of the whole file or of a whole
 float block is ever made. Loading rejects per-user index lists that do
 not fit the index maps: fm/ffm "observed" and svd "rated" need one list
-per user, each index in [0, n_items).
+per user, each index in [0, n_items), and every item index of itemcf
+"ratings" lies in [0, n_items), in version 2 files with "w" too.
 
 The svd block stores the rank-f factors "u" (m x f), "s" (f) and "v"
 (n x f) plus "rated", each user's observed item indices; loading rebuilds
@@ -67,9 +68,11 @@ from .data import tokens_by_index
 from .ensemble import BlendModel
 from .errors import CapacityError, PersistenceError, ValidationError
 from .factor import FactorModel, ItemCfModel, overlap_weights
-from .fm import EncoderSpec, FfmModel, FmModel, encode
+# encode is not called here, but perfbench's tracer counts calls to
+# persist.encode, so the name stays importable from this module
+from .fm import EncoderSpec, FfmModel, FmModel, SampleBatch, batch_scores, encode  # noqa: F401
 from .linalg import SvdResult
-from .metrics import top_k
+from .metrics import in_range, rank_unseen
 from .svdcf import SvdCfModel, reconstruct
 
 FORMAT_VERSION = 4
@@ -97,10 +100,11 @@ _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 class IndexedModel:
     """Uniform index-space view over one trained model.
 
-    The factor and similarity models already speak predict(u, i) and
-    recommend(u, k) in index space; the feature-based models need their
-    inputs encoded first. This wrapper hides the difference so ensembles
-    and the CLI can treat every member alike.
+    The factor and similarity models already speak scores(u, items),
+    predict(u, i) and recommend(u, k) in index space; the feature-based
+    models score one-hot user/item rows built from the token lists. This
+    wrapper hides the difference so ensembles and the CLI can treat every
+    member alike.
     """
 
     def __init__(self, algorithm, model, encoder=None, user_tokens=None,
@@ -112,20 +116,35 @@ class IndexedModel:
         self.item_tokens = item_tokens
         self.observed = observed
 
+    @property
+    def n_items(self):
+        return len(self.item_tokens)
+
+    def scores(self, u, items):
+        """Scores of user u for each item index in items, as an array.
+
+        fm and ffm score the rows SampleBatch.from_codes makes for the
+        (user token, item token) pairs, which are the rows encode makes.
+        """
+        if self.algorithm not in ("fm", "ffm"):
+            return self.model.scores(u, items)
+        items = in_range(u, items, len(self.user_tokens), self.n_items)
+        if not items.size:
+            return np.empty(0)
+        batch = SampleBatch.from_codes(self.encoder, [
+            ([self.user_tokens[u]], np.zeros(items.size, dtype=np.int64)),
+            ([self.item_tokens[i] for i in items.tolist()], np.arange(items.size)),
+        ], np.zeros(items.size))
+        return batch_scores(self.model, batch)
+
     def predict(self, u, i):
-        if self.algorithm in ("fm", "ffm"):
-            pair = (_token(self.user_tokens, u, "user"),
-                    _token(self.item_tokens, i, "item"))
-            return float(self.model.predict(encode(pair, self.encoder)))
-        return float(self.model.predict(u, i))
+        return float(self.scores(u, [i])[0])
 
     def recommend(self, u, k):
-        if self.algorithm in ("fm", "ffm"):
-            _token(self.user_tokens, u, "user")
-            rated = set() if self.observed is None else set(self.observed[u])
-            candidates = [i for i in range(len(self.item_tokens)) if i not in rated]
-            return top_k(candidates, lambda i: self.predict(u, i), k)
-        return self.model.recommend(u, k)
+        if self.algorithm not in ("fm", "ffm"):
+            return self.model.recommend(u, k)
+        in_range(u, [], len(self.user_tokens), self.n_items)
+        return rank_unseen(self, u, [] if self.observed is None else self.observed[u], k)
 
 
 @dataclass
@@ -175,11 +194,15 @@ class ModelBundle:
             observed=self.observed,
         )
 
+    def indices(self, user, item):
+        """(user index, item index) of a token pair; raises ValidationError
+        naming an unknown token, the user's first."""
+        return (self._lookup(self.user_index, user, "user"),
+                self._lookup(self.item_index, item, "item"))
+
     def predict(self, user, item):
         """Raw prediction for a (user token, item token) pair."""
-        u = self._lookup(self.user_index, user, "user")
-        i = self._lookup(self.item_index, item, "item")
-        return self.scorer.predict(u, i)
+        return self.scorer.predict(*self.indices(user, item))
 
     def recommend(self, user, k):
         """Top-k unseen items for a user token as (item token, score)."""
@@ -193,13 +216,6 @@ class ModelBundle:
         if token not in index:
             raise ValidationError(f"unknown {role} {token!r}")
         return index[token]
-
-
-def _token(tokens, at, role):
-    """tokens[at], refusing the negative indices Python would wrap."""
-    if not 0 <= at < len(tokens):
-        raise IndexError(f"{role} index {at} out of range for {len(tokens)}")
-    return tokens[at]
 
 
 def _index_lists(rows, n_rows, n_items, name):
@@ -354,16 +370,12 @@ def _model_from(algorithm, block, scale, n_items, version):
         return SvdCfModel(r_star=reconstruct(factors), mask=mask,
                           factors=factors, **common)
     if algorithm in ("funk", "svdpp"):
-        rated = block.get("rated")
-        n_sets = None
-        if rated is not None:
-            n_sets = [np.array(row, dtype=np.int64) for row in rated]
         common = {
             "kind": algorithm,
             "P": _array(block["p"], version),
             "Q": _array(block["q"], version),
             "f": int(block["f"]),
-            "N": n_sets,
+            "N": block.get("rated"),  # FactorModel makes int64 arrays of them
         }
         if algorithm == "svdpp":
             common.update(
@@ -377,7 +389,8 @@ def _model_from(algorithm, block, scale, n_items, version):
         ratings = [
             {int(i): float(r) for i, r in user} for user in block["ratings"]
         ]
-        if "w" in block:  # version 2
+        if "w" in block:  # version 2; overlap_weights checks the other path
+            _index_lists(ratings, len(ratings), n_items, "itemcf ratings")
             w = _array(block["w"], version)
         else:
             w = overlap_weights(ratings, n_items)

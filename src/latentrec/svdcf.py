@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .data import impute, to_dense
 from .errors import ValidationError, ZeroNormError
-from .metrics import top_k
+from .metrics import in_range, rank_unseen
 
 log = logging.getLogger(__name__)
 
@@ -128,6 +128,15 @@ class SvdCfModel:
     def predict_with_info(self, u, i):
         return predict_with_info(self, u, i)
 
+    def scores(self, u, items):
+        """Predictions for user u at each item index in items, as an array;
+        predict of every (u, i), bit for bit."""
+        return np.array([p.value for p in _predictions(self, u, items)])
+
+    @property
+    def n_items(self):
+        return self.r_star.shape[1]
+
     def recommend(self, u, k):
         return recommend(self, u, k)
 
@@ -204,44 +213,51 @@ def masked_item_similarity(model, i, j):
         return 0.0
 
 
-def _similarity_row(model, i):
-    """Similarities of item i against every item (entry i forced to 0)."""
-    masked = model.r_star * model.mask
-    sims = masked.T @ masked[:, i]
-    if model.similarity_mode == "cosine":
-        norms = np.linalg.norm(masked, axis=0)
-        denom = norms * norms[i]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(denom > 0, sims / denom, 0.0)
-        sims = np.clip(sims, -1.0, 1.0)
-        sims = np.where(sims > 0, sims, 0.0)  # negative neighbors excluded
-    sims[i] = 0.0
-    return sims
-
-
-def predict_with_info(model, u, i):
-    """Weighted-average prediction for cell (u, i) with diagnostics.
+def _predictions(model, u, items):
+    """PredictionInfo of each cell (u, i), i in items, in order.
 
     The prediction is sum_j sim(i, j) * r_star[u, j] / sum_j sim(i, j)
     over all items j != i (optionally the top-K most similar). When the
     similarity total is zero there is nothing to average, so the mean of
     the user's reconstructed row is returned with the fallback flag set.
+    The masked reconstruction (and in cosine mode its column norms) is
+    built once per call; each item then takes its own similarity row.
     """
     m, n = model.r_star.shape
-    if not (0 <= u < m and 0 <= i < n):
-        raise ValueError(f"index ({u}, {i}) out of range for {m} users x {n} items")
-    sims = _similarity_row(model, i)
-    if model.neighborhood is not None and model.neighborhood < n - 1:
-        order = np.lexsort((np.arange(n), -sims))
-        keep = np.zeros(n, dtype=bool)
-        keep[order[: model.neighborhood]] = True
-        sims = np.where(keep, sims, 0.0)
-    total = float(sims.sum())
-    if total == 0.0:
-        log.debug("prediction (%d, %d) fell back to the user mean", u, i)
-        return PredictionInfo(float(model.r_star[u].mean()), 0.0, True)
-    value = float(np.dot(sims, model.r_star[u])) / total
-    return PredictionInfo(value, total, False)
+    items = in_range(u, items, m, n, ValueError)
+    masked = model.r_star * model.mask
+    cosine = model.similarity_mode == "cosine"
+    if cosine:
+        norms = np.linalg.norm(masked, axis=0)
+    out = []
+    for i in items.tolist():
+        sims = masked.T @ masked[:, i]
+        if cosine:
+            denom = norms * norms[i]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                sims = np.where(denom > 0, sims / denom, 0.0)
+            sims = np.clip(sims, -1.0, 1.0)
+            sims = np.where(sims > 0, sims, 0.0)  # negative neighbors excluded
+        sims[i] = 0.0
+        if model.neighborhood is not None and model.neighborhood < n - 1:
+            order = np.lexsort((np.arange(n), -sims))
+            keep = np.zeros(n, dtype=bool)
+            keep[order[: model.neighborhood]] = True
+            sims = np.where(keep, sims, 0.0)
+        total = float(sims.sum())
+        if total == 0.0:
+            log.debug("prediction (%d, %d) fell back to the user mean", u, i)
+            out.append(PredictionInfo(float(model.r_star[u].mean()), 0.0, True))
+        else:
+            value = float(np.dot(sims, model.r_star[u])) / total
+            out.append(PredictionInfo(value, total, False))
+    return out
+
+
+def predict_with_info(model, u, i):
+    """Weighted-average prediction for cell (u, i) with diagnostics; the
+    one-item case of _predictions."""
+    return _predictions(model, u, [i])[0]
 
 
 def predict(model, u, i):
@@ -268,8 +284,5 @@ def recommend(model, u, k):
     ties broken by ascending item index. Users with nothing unobserved get
     an empty list.
     """
-    m = model.r_star.shape[0]
-    if not 0 <= u < m:
-        raise ValueError(f"user index {u} out of range for {m} users")
-    candidates = np.flatnonzero(model.mask[u] == 0.0).tolist()
-    return top_k(candidates, lambda i: predict(model, u, i), k)
+    in_range(u, [], model.r_star.shape[0], model.n_items, ValueError)
+    return rank_unseen(model, u, model.mask[u] != 0.0, k)

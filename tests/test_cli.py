@@ -16,6 +16,7 @@ from latentrec.cli import TRAIN_OPTIONS, _train_bundle, main
 from latentrec.data import CsvSchema, RatingDataset, negative_sample, parse_csv, split
 from latentrec.factor import overlap_weights
 from latentrec.fm import SampleBatch, encode
+from latentrec.metrics import mae, rmse
 from latentrec.persist import load_model, save_model
 from tests.conftest import (
     FOUR_BY_FOUR_CSV,
@@ -548,6 +549,44 @@ class TestEvaluate:
         lines = stdout.splitlines()
         assert lines[0].startswith("rmse")
         assert len({len(line) for line in lines}) == 1
+
+    @pytest.mark.parametrize("algo", ["svd", "svdpp", "itemcf", "fm", "ffm"])
+    def test_rows_not_grouped_by_user_score_as_predict_per_pair(
+            self, capsys, tmp_path, algo):
+        ds, _ = make_rank2_ratings(m=8, n=6, density=0.7, seed=3)
+        train_csv = write_ratings(tmp_path, "train.csv", csv_from(ds))
+        rows = list(ds.triples)
+        rows = [rows[t] for t in np.random.default_rng(4).permutation(len(rows))]
+        runs = 1 + sum(a[0] != b[0] for a, b in zip(rows, rows[1:]))
+        assert runs > len({u for u, _, _ in rows})  # some user's rows are apart
+        test_csv = write_ratings(tmp_path, "test.csv", "user,item,rating\n" + "".join(
+            f"{u},{i},{r}\n" for u, i, r in rows))
+        out = str(tmp_path / "m.json")
+        flags = ["--rank-rule", "fixed:2"] if algo == "svd" else ["--epochs", "3"]
+        code, _, _ = run(capsys, "train", "--algo", algo, "--input", train_csv,
+                         "--output", out, *flags)
+        assert code == 0
+        code, stdout, _ = run(capsys, "evaluate", out, "--test", test_csv, "--json")
+        assert code == 0
+        bundle = load_model(out)
+        preds = [bundle.predict(u, i) for u, i, _ in rows]
+        truth = [r for _, _, r in rows]
+        report = json.loads(stdout)
+        assert report["rmse"] == rmse(preds, truth)
+        assert report["mae"] == mae(preds, truth)
+
+    def test_unknown_test_token_named_in_row_order(self, capsys, tmp_path):
+        model = train_fixture_model(capsys, tmp_path)
+        # row 2 has an unknown item, row 3 an unknown user: row 2 is named
+        test = write_ratings(tmp_path, "test.csv",
+                             "user,item,rating\n1,1,3\n2,ghost,4\nnobody,1,2\n")
+        code, stdout, err = run(capsys, "evaluate", model, "--test", test)
+        assert (code, stdout) == (3, "")
+        assert err == "error: unknown item 'ghost'\n"
+        test = write_ratings(tmp_path, "test.csv",
+                             "user,item,rating\n1,1,3\nnobody,ghost,2\n")
+        code, _, err = run(capsys, "evaluate", model, "--test", test)
+        assert (code, err) == (3, "error: unknown user 'nobody'\n")
 
 
 class TestEnsemble:

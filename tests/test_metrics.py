@@ -120,16 +120,19 @@ class TestTopnMetrics:
 
 class TestTopK:
     def test_score_descending_then_index_ascending(self):
-        scores = {4: 1.0, 0: 2.0, 3: 2.0, 1: -1.0, 2: 1.0}
-        assert top_k([4, 0, 3, 1, 2], scores.get, 3) == [(0, 2.0), (3, 2.0), (2, 1.0)]
+        items = np.array([4, 0, 3, 1, 2])
+        scores = np.array([1.0, 2.0, 2.0, -1.0, 1.0])
+        ranked = top_k(items, scores, 3)
+        assert ranked == [(0, 2.0), (3, 2.0), (2, 1.0)]
+        assert all(type(i) is int and type(s) is float for i, s in ranked)
 
     def test_k_beyond_candidates_returns_all(self):
-        assert top_k(range(3), float, 10) == [(2, 2.0), (1, 1.0), (0, 0.0)]
-        assert top_k([], float, 1) == []
+        assert top_k(np.arange(3), np.arange(3.0), 10) == [(2, 2.0), (1, 1.0), (0, 0.0)]
+        assert top_k(np.array([], dtype=np.int64), np.array([]), 1) == []
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            top_k(range(3), float, 0)
+            top_k(np.arange(3), np.arange(3.0), 0)
 
 
 class TestMetricReport:

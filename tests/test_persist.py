@@ -420,6 +420,26 @@ class TestItemCfFiles:
         with pytest.raises(CapacityError):
             load_model(path)
 
+    @pytest.mark.parametrize("version", [2, 4])
+    @pytest.mark.parametrize("bad", ["-1", "n"])
+    def test_rating_index_outside_items_is_refused(self, bad, version,
+                                                   tmp_path, capsys):
+        # version 2 files carry "w", so no rebuild of W checks the indices
+        bundle, ds = itemcf_bundle("explicit")
+        doc = document(bundle)
+        if version == 2:
+            doc["format_version"] = 2
+            doc["parameters"]["w"] = bundle.model.W.tolist()
+        index = -1 if bad == "-1" else ds.n_items
+        doc["parameters"]["ratings"][0].append([index, 3.0])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="malformed"):
+            load_model(path)
+        user = next(iter(ds.user_index))
+        assert main(["recommend", str(path), user]) == 3
+        assert capsys.readouterr().err.startswith("error: malformed model file")
+
     def test_out_of_range_rating_index_is_malformed(self, tmp_path):
         bundle, ds = itemcf_bundle("explicit")
         doc = document(bundle)
@@ -698,6 +718,17 @@ def grid_dataset(grid, user="u"):
                           for i, r in enumerate(row) if r is not None])
 
 
+def assert_scores_are_predict(scorer, n_users, n_items):
+    """scorer.scores(u, items) is scorer.predict(u, i) item by item, every
+    bit, for items in a shuffled order with a repeat."""
+    items = np.r_[np.arange(n_items)[::-1], 0]
+    for u in range(n_users):
+        want = np.array([scorer.predict(u, i) for i in items.tolist()])
+        got = scorer.scores(u, items)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestRecommendMatchesPredict:
     @settings(max_examples=40, deadline=None)
     @given(grid=GRIDS)
@@ -707,6 +738,7 @@ class TestRecommendMatchesPredict:
         tokens = sorted(ds.item_index, key=ds.item_index.get)
         for algo in ("svd", "funk", "svdpp", "itemcf", "fm", "ffm"):
             bundle = trained_bundle(algo, ds)
+            assert_scores_are_predict(bundle.scorer, ds.n_users, ds.n_items)
             for user, u in ds.user_index.items():
                 unseen = [i for i in range(ds.n_items) if i not in set(rated[u])]
                 scored = sorted(
@@ -715,6 +747,23 @@ class TestRecommendMatchesPredict:
                 )
                 expected = [(tokens[i], score) for i, score in scored]
                 assert bundle.recommend(user, ds.n_items) == expected, algo
+        # the svd similarity modes and cuts, itemcf (one cut leaves
+        # neighbourhoods empty) sorting 2 rows per block, and a weighted
+        # blend of all six
+        svd, itemcf = trained_bundle("svd", ds), trained_bundle("itemcf", ds)
+        variants = [dataclasses.replace(svd, model=dataclasses.replace(
+                        svd.model, similarity_mode=mode, neighborhood=k))
+                    for mode in ("paper-dot", "cosine") for k in (None, 1, 2)]
+        variants += [itemcf, dataclasses.replace(
+            itemcf, model=dataclasses.replace(itemcf.model, K=1))]
+        members = [trained_bundle(algo, ds).scorer
+                   for algo in ("svd", "funk", "svdpp", "itemcf", "fm", "ffm")]
+        variants.append(dataclasses.replace(svd, algorithm="ensemble", model=BlendModel(
+            members=members, weights=[0.3, 0.1, 0.2, 0.15, 0.05, 0.2])))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factor, "SORT_ROWS", 2)
+            for bundle in variants:
+                assert_scores_are_predict(bundle.scorer, ds.n_users, ds.n_items)
 
 
 def writer_bundles(ds):

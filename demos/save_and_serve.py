@@ -4,7 +4,8 @@ token queries.
 A model file carries the algorithm tag, the rating scale, the token
 index maps, and every learned parameter at full precision: each float
 array is one block holding its little-endian float64 bytes in base64,
-its dtype "<f8" and its shape, so a reloaded model predicts bit-for-bit
+grouped in byte planes (byte 0 of every value, then byte 1, ...), its
+dtype "<f8" and its shape, so a reloaded model predicts bit-for-bit
 what the original did. The JSON line is stored in a gzip stream
 (inspect a file with ``zcat m.json | python -m json.tool``). The same
 files back the command line:
@@ -71,11 +72,12 @@ def main():
             print(f"  {key}: {doc[key]}")
         print(f"  parameters: {', '.join(sorted(doc['parameters']))}")
         block = doc["parameters"]["q"]
-        q = np.frombuffer(base64.b64decode(block["data"]), block["dtype"])
-        q = q.reshape(block["shape"])
+        raw = np.frombuffer(base64.b64decode(block["data"]), np.uint8)
+        planes = raw.reshape(8, -1)  # row k: byte k of every value
+        q = planes.T.copy().view(block["dtype"]).reshape(block["shape"])
         print(f"  q: {block['dtype']} block of shape {block['shape']}, "
-              f"{len(block['data'])} base64 characters; equals the trained Q: "
-              f"{np.array_equal(q, model.Q)}")
+              f"{len(block['data'])} base64 characters in byte planes; "
+              f"equals the trained Q: {np.array_equal(q, model.Q)}")
 
         reloaded = load_model(path)
 

@@ -460,7 +460,8 @@ def impute(matrix, mask, strategy="global"):
         for col in range(matrix.shape[1]):
             obs = observed[:, col]
             fill[:, col] = matrix[obs, col].mean() if obs.any() else global_mean
-    return np.where(observed, matrix, fill)
+    np.copyto(fill, matrix, where=observed)
+    return fill
 
 
 def negative_sample(ds, ratio=3.0, seed=0):

@@ -1,55 +1,22 @@
 """Model files: save and load every trained model type.
 
-A model file is one gzip-compressed JSON document (format_version 4): a
-header (algorithm tag, creation metadata, rating scale, token index maps)
-and member blocks. A member block holds "algorithm", the "parameters"
-block and, for fm and ffm, the feature "encoder". A single-model file is
-the header plus one member block; an ensemble file lists one per member
-under "ensemble", beside its kind, weights and intercept. The document is
-one compact line of JSON, deflated (RFC 1951) into a single gzip member
-(RFC 1952) at level GZIP_LEVEL with mtime 0; inspect one with
-``zcat model.json | python -m json.tool``.
+README's model-file paragraph is the one full account of the format
+(format_version 5). What the code here relies on:
 
-Every float array a model holds (svd "u", "s", "v", or "r_star" and
-"mask"; funk and svdpp "p", "q", "y", "b_u", "b_i"; fm and ffm "w", "v")
-is stored as one float block,
-
-    {"data": <base64 of the little-endian float64 bytes>, "dtype": "<f8",
-     "shape": [...]}
-
-with the values in row-major order, so loading gives back every bit,
-NaN payloads and -0.0 included. Scalars ("mu", "w0", "scale", ensemble
-weights and intercept) are JSON numbers in Python's shortest round-trip
-decimals, and integer index lists stay JSON lists. Keys are sorted, so
-saving the same model twice yields the same document except for the
-"created" timestamp, and with the same "created" the same file bytes
-(for one zlib build: the gzip header names the operating system and the
-deflate output is zlib's). Loading reproduces predictions exactly.
-Saving builds the whole document and runs every check before the file is
-opened, so a refused save leaves the path as it was; the line is then
-compressed a piece at a time, each piece the very text json.dumps gives
-for that part of the document, and float block data is encoded from the
-array a slice at a time, so no string of the whole file or of a whole
-float block is ever made. Loading rejects per-user index lists that do
-not fit the index maps: fm/ffm "observed" and svd "rated" need one list
-per user, each index in [0, n_items), and every item index of itemcf
-"ratings" lies in [0, n_items), in version 2 files with "w" too.
-
-The svd block stores the rank-f factors "u" (m x f), "s" (f) and "v"
-(n x f) plus "rated", each user's observed item indices; loading rebuilds
-the dense reconstruction with the same function training used and the
-0/1 mask from the index lists. A model built by hand without factors is
-written with the dense "r_star" and "mask" matrices instead.
-
-The itemcf block stores "k" and each user's "ratings"; loading rebuilds
-the overlap weights W with factor.overlap_weights, the function training
-used, so saving refuses a model whose W does not follow from its ratings.
-
-Uncompressed files of every version still load: the same document as
-plain UTF-8 JSON. Versions 1 to 3 store each float array as nested JSON
-lists of decimals. Version 1 stored the svd block as the dense "r_star"
-and "mask", and version 2 itemcf blocks carry "w", which is read as
-stored.
+- A file is one compact, key-sorted JSON line in a single gzip member
+  (level GZIP_LEVEL, mtime 0). A file without the gzip magic bytes is
+  read as plain UTF-8 JSON, as files were written before compression.
+- Every float array is a float block (_floats, _array): base64 of its
+  row-major "<f8" bytes, grouped in byte planes (byte 0 of every value,
+  then byte 1, ...) from version 5 and value by value in version 4.
+  Versions 1 to 3 hold nested decimal lists. Loading gives every bit back.
+- save_model builds and checks the whole document before it opens the
+  file, then deflates it in pieces (_json_chunks) that join to the one
+  json.dumps of document(); no string of the file or of a whole float
+  block is made.
+- A file stores only what a model cannot rebuild: loading rebuilds svd
+  r_star and mask and the itemcf weights W with the functions training
+  used, and refuses tables or index lists that do not fit the index maps.
 """
 
 import base64
@@ -75,10 +42,11 @@ from .linalg import SvdResult
 from .metrics import in_range, rank_unseen
 from .svdcf import SvdCfModel, reconstruct
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 # version 1 stored the svd block as the dense r_star and mask; version 2
-# stored the itemcf weights "w"; versions 1-3 store floats as nested lists
-READABLE_VERSIONS = (1, 2, 3, FORMAT_VERSION)
+# stored the itemcf weights "w"; versions 1-3 store floats as nested lists,
+# and version 4 float blocks hold their bytes value by value
+READABLE_VERSIONS = (1, 2, 3, 4, FORMAT_VERSION)
 # the one dtype of a float block: little-endian IEEE 754 binary64
 FLOAT_DTYPE = "<f8"
 ALGORITHMS = ("svd", "funk", "svdpp", "itemcf", "fm", "ffm", "ensemble")
@@ -229,19 +197,26 @@ def _floats(a):
     """The float block of array a, its data still the array.
 
     The data is a row-major little-endian float64 array (a itself when it
-    already is one), which the writer encodes in base64 a slice at a time
-    and document() in one piece.
+    already is one), whose byte planes the writer encodes in base64 a
+    piece at a time and document() in one piece.
     """
     a = np.ascontiguousarray(a, dtype=FLOAT_DTYPE)
     return {"data": a, "dtype": FLOAT_DTYPE, "shape": list(a.shape)}
 
 
+def _planes(a):
+    """The 8 x a.size byte planes of a row-major "<f8" array, as a view:
+    row k holds byte k of every value."""
+    return a.reshape(-1).view(np.uint8).reshape(-1, 8).T
+
+
 def _array(value, version):
     """A stored float array as a writable native float64 array.
 
-    Versions 1 to 3 hold nested lists; version 4 a block from _floats,
-    whose dtype, shape and data length must agree. Raises ValueError
-    (or TypeError, KeyError) for anything else.
+    Versions 1 to 3 hold nested lists; later versions a block from
+    _floats, whose dtype, shape and data length must agree, its bytes in
+    value order in version 4 and in byte planes from version 5. Raises
+    ValueError (or TypeError, KeyError) for anything else.
     """
     if version < 4:
         return np.array(value, dtype=float)
@@ -251,11 +226,12 @@ def _array(value, version):
     if not (isinstance(shape, list) and all(
             type(d) is int and d >= 0 for d in shape)):
         raise ValueError(f"float block shape must be a list of sizes, got {shape!r}")
-    raw = base64.b64decode(value["data"], validate=True)
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"float block of shape {shape} holds {len(raw)} bytes")
-    # astype copies, so the array owns writable memory in native order
-    return np.frombuffer(raw, dtype=FLOAT_DTYPE).reshape(shape).astype(float)
+    raw = np.frombuffer(base64.b64decode(value["data"], validate=True), np.uint8)
+    if raw.size != 8 * math.prod(shape):
+        raise ValueError(f"float block of shape {shape} holds {raw.size} bytes")
+    values = raw.reshape(8, -1).T if version >= 5 else raw
+    # the one copy puts the bytes in value order, in memory the array owns
+    return values.copy().view(FLOAT_DTYPE).reshape(shape).astype(float, copy=False)
 
 
 def _int_rows(rows):
@@ -432,6 +408,12 @@ def _member_from(doc, scale, user_tokens, item_tokens, version):
     algorithm = doc["algorithm"]
     block = doc["parameters"]
     model = _model_from(algorithm, block, scale, len(item_tokens), version)
+    # svd, funk, svdpp and itemcf tables hold one row per user and item
+    for role, tokens in (("user", user_tokens), ("item", item_tokens)):
+        held = getattr(model, f"n_{role}s", len(tokens))
+        if held != len(tokens):
+            raise ValueError(f"{algorithm} tables hold {held} {role}s where "
+                             f"the {role} index has {len(tokens)}")
     encoder = _encoder_from(doc["encoder"]) if "encoder" in doc else None
     observed = block.get("observed")
     if observed is not None:
@@ -482,7 +464,7 @@ def document(bundle):
 def _ready(value):
     """value with the data array of each float block as its base64 text."""
     if isinstance(value, np.ndarray):
-        return base64.b64encode(value.tobytes()).decode("ascii")
+        return base64.b64encode(_planes(value).tobytes()).decode("ascii")
     if isinstance(value, dict):
         return {key: _ready(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -496,9 +478,10 @@ def _json_chunks(value):
     The pieces join to exactly _dumps(_ready(value)). A dict holding
     containers is walked key by key and a list of dicts item by item; any
     other dict or list goes BLOCK_ROWS items (key-value pairs, rows,
-    numbers) per _dumps call. The data array of a float block goes
-    3 * BLOCK_ROWS values per piece: 24 * BLOCK_ROWS bytes, a multiple of
-    3, so the base64 pieces join to the base64 of the whole array.
+    numbers) per _dumps call. The byte planes of a float block's data go
+    24 * BLOCK_ROWS bytes per piece, read through the plane view, so a
+    piece may span two planes; each piece but the last is a multiple of 3
+    bytes, so the base64 pieces join to the base64 of all the planes.
     """
     if isinstance(value, dict):
         pairs = sorted(value.items())
@@ -520,11 +503,10 @@ def _json_chunks(value):
     elif isinstance(value, list):
         yield from _blocks(value, list, "[]")
     elif isinstance(value, np.ndarray):
-        values = value.reshape(-1)
-        step = 3 * BLOCK_ROWS
+        planes, step = _planes(value), 24 * BLOCK_ROWS
         yield '"'
-        for start in range(0, values.size, step):
-            yield base64.b64encode(values[start:start + step]).decode("ascii")
+        for start in range(0, planes.size, step):
+            yield base64.b64encode(planes.flat[start:start + step]).decode("ascii")
         yield '"'
     else:
         yield _dumps(value)
@@ -545,8 +527,9 @@ def save_model(bundle, path):
     The document is built and checked in full before the file is opened,
     so a refused save creates no file and leaves an existing one alone.
     The line is then fed to one deflate stream a piece at a time (float
-    block data 3 * BLOCK_ROWS values per piece, other lists BLOCK_ROWS
-    items per piece), so the memory a save takes beyond the model is about
+    block byte planes 24 * BLOCK_ROWS bytes per piece, other lists
+    BLOCK_ROWS items per piece), so the memory a save takes beyond the
+    model is about
     the document's index lists and token maps plus zlib's fixed state
     (about 260 KB at these settings).
     The file inflates to json.dumps(document(bundle), sort_keys=True,
@@ -570,17 +553,19 @@ def load_model(path):
     A file that starts with the gzip magic bytes 1f 8b is inflated first;
     any other file is read as plain UTF-8 JSON, as every version before
     compression was written. Float arrays come back bit for bit as
-    writable float64 arrays: from float blocks in version 4, from nested
-    decimal lists in versions 1-3.
+    writable float64 arrays: from byte-plane float blocks in version 5,
+    from value-order blocks in version 4, from nested decimal lists in
+    versions 1-3.
 
     Raises PersistenceError for a file that cannot be read, a gzip stream
     that is corrupt, truncated or followed by other bytes, a document
     that is not UTF-8 JSON, a format_version that is not one of the
     readable ints (a JSON true or 4.0 is not), an unknown algorithm tag,
-    or a malformed member block (a missing key; a per-user index list that
-    does not fit the index maps; a version-4 float array that is not a
-    block of dtype "<f8" whose base64 data holds exactly its shape's
-    product of 8-byte values), and CapacityError when the itemcf weights
+    or a malformed member block (a missing key; a per-user index list, or
+    an svd, funk, svdpp or itemcf table, that does not fit the index
+    maps; a float array of version 4 or later that is not a block of
+    dtype "<f8" whose base64 data holds exactly its shape's product of
+    8-byte values), and CapacityError when the itemcf weights
     to rebuild exceed the dense cell cap.
     """
     try:

@@ -134,6 +134,10 @@ class SvdCfModel:
         return np.array([p.value for p in _predictions(self, u, items)])
 
     @property
+    def n_users(self):
+        return self.r_star.shape[0]
+
+    @property
     def n_items(self):
         return self.r_star.shape[1]
 
@@ -161,6 +165,7 @@ def fit(ds, impute_strategy="user", rank_rule="energy:0.95",
     rule, value = parse_rank_rule(rank_rule, max_rank=min(ds.n_users, ds.n_items))
     dense, mask = to_dense(ds)
     filled = impute(dense, mask, impute_strategy)
+    del dense  # one m x n array fewer while the SVD runs
     res = linalg.svd(filled)
     if rule == "energy":
         f = linalg.rank_by_energy(res.s, value)
@@ -284,5 +289,5 @@ def recommend(model, u, k):
     ties broken by ascending item index. Users with nothing unobserved get
     an empty list.
     """
-    in_range(u, [], model.r_star.shape[0], model.n_items, ValueError)
+    in_range(u, [], model.n_users, model.n_items, ValueError)
     return rank_unseen(model, u, model.mask[u] != 0.0, k)

@@ -17,7 +17,14 @@ from latentrec.data import CsvSchema, RatingDataset, negative_sample, parse_csv,
 from latentrec.factor import overlap_weights
 from latentrec.fm import SampleBatch, encode
 from latentrec.metrics import mae, rmse
-from latentrec.persist import load_model, save_model
+from latentrec.persist import (
+    FORMAT_VERSION,
+    _array,
+    _floats,
+    _ready,
+    load_model,
+    save_model,
+)
 from tests.conftest import (
     FOUR_BY_FOUR_CSV,
     make_rank2_ratings,
@@ -488,6 +495,32 @@ class TestRecommend:
         assert code == 3
         assert stdout == ""
         assert "malformed model file" in err
+
+    @pytest.mark.parametrize("algo", ["itemcf", "funk", "svdpp", "svd"])
+    def test_per_user_tables_short_of_the_user_index_exit_3(self, capsys,
+                                                             tmp_path, algo):
+        # the last user's entries go from every per-user table; the user
+        # index still names that user
+        model = train_fixture_model(capsys, tmp_path, algo)
+        doc = json.loads(model_text(model))
+        block = doc["parameters"]
+        if algo == "itemcf":
+            block["ratings"].pop()
+        else:
+            block["rated"].pop()
+            user_axis = {"p": 1, "b_u": 0, "u": 0}
+            for key in user_axis.keys() & block.keys():
+                a = _array(block[key], FORMAT_VERSION)
+                block[key] = _ready(_floats(np.delete(a, -1, axis=user_axis[key])))
+        with open(model, "w") as handle:
+            json.dump(doc, handle)
+        last = max(doc["user_index"], key=doc["user_index"].get)
+        code, stdout, err = run(capsys, "recommend", model, last, "--k", "2")
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("error: malformed model file")
+        assert "hold 3 users where the user index has 4" in err
+        assert len(err.splitlines()) == 1
 
     def test_model_file_not_utf8_exits_3(self, capsys, tmp_path):
         model = tmp_path / "bad.json"

@@ -1,12 +1,13 @@
 """Round-trip tests for the JSON model file format."""
 
+import base64
 import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -25,6 +26,7 @@ from latentrec.factor import (
 )
 from latentrec.fm import EncoderSpec, encode, ffm_train, fm_train
 from latentrec.persist import (
+    FORMAT_VERSION,
     IndexedModel,
     ModelBundle,
     _array,
@@ -152,8 +154,9 @@ class TestRoundTrip:
         assert_predictions_match(bundle, loaded, ds, tol=0.0)
         # without factors the model is written back in the dense form
         resaved = document(loaded)
-        assert resaved["format_version"] == 4
-        assert _array(resaved["parameters"]["r_star"], 4).tolist() == block["r_star"]
+        assert resaved["format_version"] == FORMAT_VERSION
+        assert _array(resaved["parameters"]["r_star"], FORMAT_VERSION).tolist() == \
+            block["r_star"]
 
     def test_funk(self, tmp_path):
         bundle, ds = funk_bundle()
@@ -372,7 +375,7 @@ class TestItemCfFiles:
             for i in ds.item_index:
                 assert loaded.predict(u, i) == scale * bundle.predict(u, i)
         if scale == 1.0:
-            assert document(loaded)["format_version"] == 4
+            assert document(loaded)["format_version"] == FORMAT_VERSION
         else:
             # these weights do not follow from the ratings, so no file
             # of the current format can hold them
@@ -454,7 +457,7 @@ class TestFileFormat:
     def test_header_fields(self):
         bundle, _ = funk_bundle()
         doc = document(bundle)
-        assert doc["format_version"] == 4
+        assert doc["format_version"] == FORMAT_VERSION == 5
         assert doc["algorithm"] == "funk"
         assert doc["created"]
         assert doc["scale"] == [1.0, 5.0]
@@ -487,7 +490,7 @@ class TestFileFormat:
         path = tmp_path / "m.json"
         save_model(bundle, path)
         doc = json.loads(model_text(path))
-        doc["format_version"] = 5
+        doc["format_version"] = FORMAT_VERSION + 1
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="format_version"):
             load_model(path)
@@ -582,6 +585,24 @@ class TestFileFormat:
         doc["parameters"]["rated"][0].append(-1)
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed.*rated"):
+            load_model(path)
+
+    @pytest.mark.parametrize("make, key, axis", [(funk_bundle, "q", 1),
+                                                  (svd_bundle, "v", 0)])
+    def test_factor_tables_short_of_the_item_index_rejected(self, make, key,
+                                                            axis, tmp_path):
+        # the last item's factors go, and no rated list names that item
+        bundle, ds = make()
+        path = save_model(bundle, tmp_path / "m.json")
+        doc = json.loads(model_text(path))
+        block = doc["parameters"]
+        a = _array(block[key], FORMAT_VERSION)
+        block[key] = _ready(_floats(np.delete(a, -1, axis=axis)))
+        block["rated"] = [[i for i in row if i < ds.n_items - 1]
+                          for row in block["rated"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match=(
+                f"hold {ds.n_items - 1} items where the item index has {ds.n_items}")):
             load_model(path)
 
 
@@ -811,6 +832,13 @@ VALUES = hnp.arrays(np.float64, SHAPES, elements=st.one_of(
 ))
 
 
+def planes_text(data):
+    """Base64 float block data in value order, rewritten in byte-plane
+    order: byte 0 of every float64, then byte 1 of every one, and so on."""
+    raw = base64.b64decode(data)
+    return base64.b64encode(b"".join(raw[k::8] for k in range(8))).decode("ascii")
+
+
 MALFORMED_BLOCKS = {
     "bad-base64": lambda b: b.update(data="!" + b["data"][1:]),
     "unpadded": lambda b: b.update(data=b["data"].rstrip("=")[:-1]),
@@ -831,28 +859,49 @@ class TestFloatBlocks:
     @settings(max_examples=200, deadline=None)
     @given(a=st.one_of(BIT_PATTERNS, VALUES), transpose=st.booleans(),
            block_rows=st.integers(1, 4))
+    @example(a=np.empty(0), transpose=False, block_rows=1)
+    @example(a=np.array([-0.0]), transpose=False, block_rows=1)
+    @example(a=np.array([np.inf, -np.inf, 5e-324, -0.0, 1.0, np.nan, -5e-324]),
+             transpose=False, block_rows=1)
+    @example(a=np.array([[0x7FF0000000000001, 0xFFF8DEADBEEF0001, 0x000FFFFFFFFFFFFF],
+                         [0x8000000000000000, 0x7FF0000000000000, 1]],
+                        dtype=np.uint64).view(np.float64),
+             transpose=True, block_rows=2)
     def test_property_block_round_trips_every_bit(self, a, transpose,
                                                   block_rows):
         if transpose:  # a non-contiguous view is stored in row-major order
             a = a.T
-        # the writer's pieces of 3 * block_rows values, and document()'s text
+        # the writer's pieces of 24 * block_rows bytes, and document()'s text
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(persist, "BLOCK_ROWS", block_rows)
             text = "".join(_json_chunks(_floats(a)))
         assert text == json.dumps(_ready(_floats(a)), sort_keys=True,
                                   separators=(",", ":"))
-        back = _array(json.loads(text), 4)
-        assert back.shape == a.shape and back.dtype == np.float64
-        assert back.tobytes() == a.tobytes()
-        assert back.flags.writeable and back.flags.c_contiguous
+        block = json.loads(text)
+        value_order = base64.b64encode(a.tobytes()).decode("ascii")
+        assert block["data"] == planes_text(value_order)
+        # the same bytes in value order are a version 4 block
+        for version, stored in ((FORMAT_VERSION, block),
+                                (4, dict(block, data=value_order))):
+            back = _array(stored, version)
+            assert back.shape == a.shape and back.dtype == np.float64
+            assert back.tobytes() == a.tobytes()
+            assert back.flags.writeable and back.flags.c_contiguous
 
     def test_block_layout(self):
-        block = _ready(_floats(np.array([[1.0, -0.0], [0.5, 2.0]])))
+        a = np.array([[1.0, -0.0], [0.5, 2.0]])
+        block = _ready(_floats(a))
+        # bytes 0-5 of each value are zero; byte 6 is f0 00 e0 00 and
+        # byte 7 (sign and high exponent) 3f 80 3f 40
         assert block == {
-            "data": "AAAAAAAA8D8AAAAAAAAAgAAAAAAAAOA/AAAAAAAAAEA=",
+            "data": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA8ADgAD+AP0A=",
             "dtype": "<f8",
             "shape": [2, 2],
         }
+        assert _array(block, FORMAT_VERSION).tobytes() == a.tobytes()
+        # version 4 stored the same bytes value by value
+        v4 = dict(block, data="AAAAAAAA8D8AAAAAAAAAgAAAAAAAAOA/AAAAAAAAAEA=")
+        assert _array(v4, 4).tobytes() == a.tobytes()
 
     def test_writer_splits_block_data_at_whole_base64_groups(self, monkeypatch):
         monkeypatch.setattr(persist, "BLOCK_ROWS", 1)
@@ -937,8 +986,12 @@ def every_kind(ds):
                            user_index=ds.user_index, item_index=ds.item_index,
                            scale=ds.scale)
 
+    svd = singles["svd"].model
+    dense = svdcf.SvdCfModel(r_star=svd.r_star, mask=svd.mask, f=svd.f,
+                             scale=ds.scale)
     return {
         **singles,
+        "svd-dense": dataclasses.replace(singles["svd"], model=dense),
         "blend": ensemble(BlendModel(members=members, weights=[1, 2, 3, 4, 5, 6])),
         "stack": ensemble(stack_fit(members, ds)),
         "bag": ensemble(bag_train(lambda d: trained_bundle("funk", d).scorer,
@@ -947,8 +1000,9 @@ def every_kind(ds):
 
 
 class TestExactReload:
-    @pytest.mark.parametrize("kind", ["svd", "funk", "svdpp", "itemcf", "fm",
-                                      "ffm", "blend", "stack", "bag"])
+    @pytest.mark.parametrize("kind", ["svd", "svd-dense", "funk", "svdpp",
+                                      "itemcf", "fm", "ffm", "blend", "stack",
+                                      "bag"])
     def test_reload_predicts_bit_for_bit_and_resaves_identically(self, kind,
                                                                  tmp_path):
         ds = small_dataset()
@@ -966,6 +1020,8 @@ class TestExactReload:
             assert loaded.recommend(user, ds.n_items) == \
                 bundle.recommend(user, ds.n_items)
         second = save_model(loaded, tmp_path / "b.json")
+        assert json.loads(model_text(first))["format_version"] == FORMAT_VERSION
+        assert model_text(second) == model_text(first)
         assert second.read_bytes() == first.read_bytes()
 
     def test_vote_over_reloaded_members_is_unchanged(self, tmp_path):
@@ -1007,18 +1063,20 @@ class TestFormat3File:
                 for u in range(m)] == want["blend"]
         assert [[list(p) for p in model.recommend(u, 3)]
                 for u in range(m)] == want["vote"]
-        # written again at version 4, every stored array is kept exactly
+        # written again at the current version, every stored array is
+        # kept exactly
         new = document(bundle)
-        assert new["format_version"] == 4
+        assert new["format_version"] == FORMAT_VERSION
         pairs = zip(old["ensemble"]["members"], new["ensemble"]["members"])
         compared = 0
         for before, after in pairs:
             for key in FLOAT_KEYS & set(before["parameters"]):
                 stored = np.array(before["parameters"][key], dtype=float)
-                assert np.array_equal(_array(after["parameters"][key], 4), stored)
+                assert np.array_equal(_array(after["parameters"][key], FORMAT_VERSION),
+                                      stored)
                 compared += 1
         assert compared == 16
-        again = load_model(save_model(bundle, tmp_path / "v4.json"))
+        again = load_model(save_model(bundle, tmp_path / "current.json"))
         assert [[again.predict(u, i) for i in bundle.item_index]
                 for u in bundle.user_index] == \
             [[bundle.predict(u, i) for i in bundle.item_index]
@@ -1049,8 +1107,19 @@ class TestFormat4File:
         assert [[list(p) for p in model.recommend(u, 3)]
                 for u in range(m)] == want["vote"]
         # saved again, the file inflates to exactly the plain file's text
+        # at the current version: each float block holds the same bytes,
+        # in byte planes
         again = save_model(bundle, tmp_path / "again.json")
-        assert model_text(again) == path.read_text()
+        doc = json.loads(path.read_text())
+        doc["format_version"] = FORMAT_VERSION
+        for member in doc["ensemble"]["members"]:
+            block = member["parameters"]
+            for key in FLOAT_KEYS & set(block):
+                block[key]["data"] = planes_text(block[key]["data"])
+        for text, plain in ((model_text(again), doc),
+                            (path.read_text(), json.loads(path.read_text()))):
+            assert text == json.dumps(plain, sort_keys=True,
+                                      separators=(",", ":")) + "\n"
 
 
 class TestGzipContainer:

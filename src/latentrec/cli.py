@@ -315,7 +315,7 @@ def _train_bundle(algo, ds, values, rated=None):
                 config=config,
             )
             rated = ds if rated is None else rated
-            observed = [row.tolist() for row in rated.items_by_user()]
+            observed = rated.items_by_user()
         trace = model.trace
     else:
         raise ConfigError(f"unknown algorithm {algo!r}")

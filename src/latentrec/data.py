@@ -13,6 +13,7 @@ transformation returns a new object.
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -92,6 +93,91 @@ def _first_repeat(order, starts):
     """Earliest row whose pair an earlier row already has, or None."""
     repeats = order[~starts]
     return int(repeats.min()) if repeats.size else None
+
+
+class UserItems:
+    """Per-user item index lists in CSR form.
+
+    User u's items are items[offsets[u]:offsets[u + 1]] (int64), and
+    values, when given, is a float array aligned with items (itemcf's
+    ratings). x[u] is that slice of items, a view; len and iteration go
+    over users, as for a list of arrays.
+    """
+
+    def __init__(self, offsets, items, values=None):
+        self.offsets, self.items, self.values = offsets, items, values
+
+    def __len__(self):
+        return self.offsets.size - 1
+
+    def __getitem__(self, u):
+        # offsets[u + 1] raises IndexError past the last user, which also
+        # ends iteration
+        return self.items[self.offsets[u]:self.offsets[u + 1]]
+
+    def rows(self):
+        """The user index of each entry of items."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def lists(self):
+        """Per-user lists of item indices, or of [item, value] pairs when
+        there are values, as Python numbers: the model-file form."""
+        flat = self.items.tolist()
+        if self.values is not None:
+            flat = [list(pair) for pair in zip(flat, self.values.tolist())]
+        return [flat[a:b] for a, b in pairwise(self.offsets.tolist())]
+
+    @classmethod
+    def from_columns(cls, users, items, n_users, n_items, values=None):
+        """Aligned user and item columns grouped by user, each user's items
+        ascending (a stable sort, so repeats keep column order). With
+        values, a repeated (user, item) pair is held once, with its last
+        value."""
+        order, starts = _pair_runs(users, items, n_items)
+        if values is not None:
+            order = order[np.roll(starts, -1)]  # the last row of each pair
+            values = values[order]
+        return cls(np.searchsorted(users[order], np.arange(n_users + 1)), items[order], values)
+
+    @classmethod
+    def of(cls, rows, n_users, n_items, name="item lists", valued=False):
+        """rows as a checked UserItems: the one check of per-user item
+        lists that come from outside (model files, hand-built models).
+
+        rows is None (returned as is), a UserItems, or a sequence of
+        per-user lists: n_users of them, unless n_users is None. Every
+        item is an int in [0, n_items), never a float, string or null (a
+        list of nothing but bools is refused too; a bool among ints counts
+        as the int it equals in Python). Unvalued rows keep their order
+        and may repeat an item. With valued, a row is a dict from item to
+        value or a list of [item, value] pairs whose values are real
+        numbers; a dict is taken in item order, and the items of every row
+        must be strictly increasing.
+
+        Raises:
+            ValueError: naming name, for any list that breaks these rules.
+        """
+        if rows is None:
+            return None
+        if not isinstance(rows, cls):
+            rows = [sorted(r.items()) if isinstance(r, dict) else r for r in rows]
+            flat = list(chain.from_iterable(rows))
+            items, values = zip(*flat) if valued and flat else (flat, ())
+            rows = cls(np.cumsum([0] + [len(r) for r in rows]), np.array(items),
+                       np.array(values))
+        items, values = rows.items, rows.values
+        # a clause is reached only when all before it are false, so the
+        # key test sees int items in range; row-major keys rise iff the
+        # items of every row do
+        if (n_users not in (None, len(rows)) or items.shape != (rows.offsets[-1],)
+                or items.size and (items.dtype.kind not in "iu" or items.min() < 0
+                                   or items.max() >= n_items)
+                or valued and (values is None or values.dtype.kind not in "iuf"
+                               or np.any(np.diff(rows.rows() * n_items + items) <= 0))):
+            raise ValueError(f"{name} must be one list per user of {'strictly increasing ' * valued}"
+                             f"integer item indices in [0, {n_items})")
+        return cls(rows.offsets, items.astype(np.int64, copy=False),
+                   values.astype(float, copy=False) if valued else None)
 
 
 class RatingDataset:
@@ -235,19 +321,21 @@ class RatingDataset:
                                self.ratings.tolist())
         )
 
-    def items_by_user(self, positive_only=False):
-        """Per-user arrays of rated item indices, ascending.
+    def items_by_user(self, positive_only=False, with_ratings=False):
+        """The items each user rated, as a UserItems: every user's item
+        indices ascending, a repeated pair (in a bootstrap resample) as
+        often as it occurs.
 
         With positive_only, ratings of 0 (implicit negatives) are left
-        out; for explicit data the two variants coincide.
+        out. with_ratings makes the ratings the values, and then each
+        (user, item) pair is held once, with its last row's rating.
         """
-        u, i = self.users, self.items
+        u, i, r = self.indexed()
         if positive_only:
-            keep = self.ratings != 0.0
-            u, i = u[keep], i[keep]
-        order = np.lexsort((i, u))
-        counts = np.bincount(u, minlength=self.n_users)
-        return np.split(i[order], np.cumsum(counts)[:-1])
+            keep = r != 0.0
+            u, i, r = u[keep], i[keep], r[keep]
+        return UserItems.from_columns(u, i, self.n_users, self.n_items,
+                                      r if with_ratings else None)
 
     def replace(self, columns=None, metadata=None, allow_duplicate_pairs=False,
                 user_index=None, item_index=None):

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import optim
-from .data import DENSE_CELL_CAP
+from .data import DENSE_CELL_CAP, UserItems
 from .errors import CapacityError, DivergenceError, GradientError, ValidationError
 from .metrics import in_range, rank_unseen
 
@@ -126,7 +126,10 @@ class FactorModel:
         f: latent dimension.
         mu / b_u / b_i: global mean and bias vectors, svdpp only.
         Y: f x n implicit item factors, svdpp only.
-        N: per-user arrays of rated item indices (ascending).
+        N: the items each user rated (N(u) of svdpp), a UserItems; a
+            plain per-user list is checked and converted here. Trained
+            models hold them ascending, a bootstrap repeat as often as it
+            occurs, which svdpp's implicit sum counts.
         trace: per-epoch training RMSE recorded by the trainer.
     """
 
@@ -138,7 +141,7 @@ class FactorModel:
     b_u: np.ndarray = None
     b_i: np.ndarray = None
     Y: np.ndarray = None
-    N: list = None
+    N: UserItems = None
     trace: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -168,13 +171,7 @@ class FactorModel:
         checked = (self.P, self.Q) + (extra + (self.mu,) if self.kind == "svdpp" else ())
         if not all(np.isfinite(a).all() for a in checked):
             raise ValueError("model entries must all be finite")
-        if self.N is not None:
-            self.N = [np.asarray(s, dtype=np.int64) for s in self.N]
-            if len(self.N) != self.n_users:
-                raise ValueError("N must hold one item set per user")
-            for s in self.N:
-                if s.size and (s.min() < 0 or s.max() >= self.n_items):
-                    raise ValueError("N entries must be valid item indices")
+        self.N = UserItems.of(self.N, self.n_users, self.n_items, "N")
 
     @property
     def n_users(self):
@@ -453,12 +450,17 @@ class ItemCfModel:
             where N(i) is the set of users who rated item i. Items nobody
             rated get an all-zero row (documented, not an error).
         K: neighborhood size used by predict.
-        ratings: per-user dicts mapping item index to rating.
+        ratings: each user's rated items with their ratings as values, a
+            UserItems whose rows hold strictly increasing items (so
+            set(ratings[u]) is the items user u rated). itemcf_similarity
+            holds a pair that a bootstrap resample repeats once, with its
+            last rating. Per-user dicts from item to rating, or lists of
+            [item, rating] pairs, are checked and converted here.
     """
 
     W: np.ndarray
     K: int
-    ratings: list
+    ratings: UserItems
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
@@ -471,6 +473,7 @@ class ItemCfModel:
             raise ValueError("W diagonal must be zero")
         if self.W.min() < 0.0 or self.W.max() > 1.0:
             raise ValueError("W entries must lie in [0, 1]")
+        self.ratings = UserItems.of(self.ratings, None, n, "ratings", valued=True)
 
     @property
     def n_items(self):
@@ -491,7 +494,7 @@ class ItemCfModel:
     def recommend(self, u, k):
         """Top-k unrated items by the neighborhood score."""
         in_range(u, [], self.n_users, self.n_items)
-        return rank_unseen(self, u, list(self.ratings[u]), k)
+        return rank_unseen(self, u, self.ratings[u], k)
 
 
 class ItemCfPrediction(NamedTuple):
@@ -509,31 +512,36 @@ class ItemCfPrediction(NamedTuple):
 
 
 def overlap_weights(ratings, n):
-    """Overlap similarity W[i, j] = |N(i) & N(j)| / |N(i)| from rating maps.
+    """Overlap similarity W[i, j] = |N(i) & N(j)| / |N(i)| from rated items.
 
-    ratings holds one dict per user whose keys are the item indices that
-    user rated, so N(i) is the set of users whose dict has key i. The
+    ratings are itemcf's: each user's distinct items with their ratings,
+    as a UserItems with values, per-user dicts from item to rating or
+    lists of [item, rating] pairs; UserItems.of checks them. N(i) is the
+    set of users whose row holds i; the rating values play no part. The
     co-occurrence counts are exact integers, divided by the rater counts
     in place, so the counts array becomes W and no second n x n array is
     made; the diagonal is forced to zero and items with no raters get
     all-zero rows. Training, model loading and the save check all build W
     here, so a loaded model has the trained weights.
 
+    The counts are added one user at a time, each an np.ix_ block of
+    d_u x d_u cells: one np.bincount over all the pair codes i * n + j
+    would hold the sum of d_u^2 codes and a second n x n array at once.
+
     Raises:
         CapacityError: n x n exceeds DENSE_CELL_CAP; checked before
             anything is allocated.
-        IndexError: an item index lies outside [0, n).
+        ValueError: ratings that UserItems.of refuses (an item that is
+            not an int in [0, n), a row whose items do not rise).
     """
     if n * n > DENSE_CELL_CAP:
         raise CapacityError(
             f"item overlap matrix of {n} x {n} = {n * n} cells exceeds the "
             f"cap of {DENSE_CELL_CAP}; use a factor model instead"
         )
+    ratings = UserItems.of(ratings, None, n, "ratings", valued=True)
     counts = np.zeros((n, n))
-    for user in ratings:
-        idx = np.fromiter(user, dtype=np.int64, count=len(user))
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise IndexError(f"item index out of range for {n} items")
+    for idx in ratings:
         counts[np.ix_(idx, idx)] += 1.0
     raters = np.diag(counts).copy()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -550,17 +558,12 @@ def itemcf_similarity(ds, k=None):
     not count as raters). k sets the prediction neighborhood size and
     defaults to n - 1, meaning every other item.
     """
-    users, items, ratings = ds.indexed()
     n = ds.n_items
-    maps = [{} for _ in range(ds.n_users)]
     # item order, as model files store them, so that a loaded model sums
     # each user's ratings in the same order and predicts bit for bit alike
-    for t in np.lexsort((items, users)):
-        if ds.kind == "implicit" and ratings[t] == 0.0:
-            continue
-        maps[users[t]][int(items[t])] = float(ratings[t])
-    return ItemCfModel(W=overlap_weights(maps, n),
-                       K=k if k is not None else max(n - 1, 1), ratings=maps)
+    ratings = ds.items_by_user(positive_only=ds.kind == "implicit", with_ratings=True)
+    return ItemCfModel(W=overlap_weights(ratings, n),
+                       K=k if k is not None else max(n - 1, 1), ratings=ratings)
 
 
 def itemcf_predictions(model, u, items):
@@ -585,7 +588,9 @@ def itemcf_predictions(model, u, items):
     neighbors[np.arange(items.size), items] = False
     value = np.zeros(items.size)
     used = np.zeros(items.size, dtype=np.int64)
-    for i, r in model.ratings[u].items():
+    row = slice(*model.ratings.offsets[u:u + 2])
+    for i, r in zip(model.ratings.items[row].tolist(),
+                    model.ratings.values[row].tolist()):
         hit = neighbors[:, i]
         value[hit] += model.W[items[hit], i] * r
         used += hit
@@ -742,20 +747,19 @@ def svdpp_train(ds, config, freeze_y=False):
     b_u = np.zeros(m)
     b_i = np.zeros(n)
     sets = ds.items_by_user()
-    ninv = np.array([1.0 / math.sqrt(s.size) if s.size else 0.0 for s in sets])
+    rated = list(sets)  # a list of views: the cheapest N(u) per sample
+    ninv = np.array([1.0 / math.sqrt(s.size) if s.size else 0.0 for s in rated])
     step_bu, step_bi, step_p, step_q, step_y = _make_updaters(
         config,
         [(b_u, "b_u"), (b_i, "b_i"), (pt, "P"), (qt, "Q"), (yt, "Y")],
     )
-    flat_users = np.repeat(np.arange(m), [s.size for s in sets])
-    flat_items = np.concatenate([s for s in sets if s.size]) if len(ds) else flat_users
     count = len(users)
 
     def visit():
         for t in range(count):
             u = users[t]
             i = items[t]
-            nu = sets[u]
+            nu = rated[u]
             s = ninv[u]
             p = pt[u]
             q = qt[i]
@@ -780,7 +784,7 @@ def svdpp_train(ds, config, freeze_y=False):
 
     def loss():
         impl = np.zeros((m, f))
-        np.add.at(impl, flat_users, yt[flat_items])
+        np.add.at(impl, sets.rows(), yt[sets.items])
         impl *= ninv[:, None]
         preds = (
             mu

@@ -16,7 +16,12 @@ README's model-file paragraph is the one full account of the format
   block is made.
 - A file stores only what a model cannot rebuild: loading rebuilds svd
   r_star and mask and the itemcf weights W with the functions training
-  used, and refuses tables or index lists that do not fit the index maps.
+  used, and refuses tables that do not fit the index maps.
+- Models hold every per-user item list (svd rated, funk/svdpp N, itemcf
+  ratings, fm/ffm observed) as a data.UserItems. Its lists() is the JSON
+  form the writer stores, and UserItems.of, the one check of such lists,
+  is the only way the loader reads them back; the svd mask goes to and
+  from its rated lists in one array operation each way.
 """
 
 import base64
@@ -31,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import tokens_by_index
+from .data import UserItems, tokens_by_index
 from .ensemble import BlendModel
 from .errors import CapacityError, PersistenceError, ValidationError
 from .factor import FactorModel, ItemCfModel, overlap_weights
@@ -125,7 +130,8 @@ class ModelBundle:
         user_index / item_index: token -> index maps from training.
         scale: rating bounds used for rounding and recommendation.
         encoder: feature layout, required for fm and ffm.
-        observed: per-user lists of rated item indices; lets the
+        observed: the items each user rated, a UserItems (a plain
+            per-user list is checked and converted here, once); lets the
             feature-based models exclude seen items when recommending.
         created: ISO timestamp; filled at save time when empty.
     """
@@ -136,7 +142,7 @@ class ModelBundle:
     item_index: dict
     scale: tuple = (1.0, 5.0)
     encoder: EncoderSpec = None
-    observed: list = None
+    observed: UserItems = None
     created: str = ""
 
     def __post_init__(self):
@@ -145,6 +151,8 @@ class ModelBundle:
         if self.algorithm in ("fm", "ffm") and self.encoder is None:
             raise ValidationError(f"{self.algorithm} bundles need an encoder spec")
         self.scale = (float(self.scale[0]), float(self.scale[1]))
+        self.observed = UserItems.of(self.observed, len(self.user_index),
+                                     len(self.item_index), "observed")
         self._user_tokens = tokens_by_index(self.user_index)
         self._item_tokens = tokens_by_index(self.item_index)
 
@@ -153,14 +161,8 @@ class ModelBundle:
         """Index-space predictor for this bundle."""
         if self.algorithm == "ensemble":
             return self.model
-        return IndexedModel(
-            self.algorithm,
-            self.model,
-            encoder=self.encoder,
-            user_tokens=self._user_tokens,
-            item_tokens=self._item_tokens,
-            observed=self.observed,
-        )
+        return IndexedModel(self.algorithm, self.model, self.encoder, self._user_tokens,
+                            self._item_tokens, self.observed)
 
     def indices(self, user, item):
         """(user index, item index) of a token pair; raises ValidationError
@@ -184,13 +186,6 @@ class ModelBundle:
         if token not in index:
             raise ValidationError(f"unknown {role} {token!r}")
         return index[token]
-
-
-def _index_lists(rows, n_rows, n_items, name):
-    """Check per-user item index lists: n_rows of them, each in [0, n_items)."""
-    if len(rows) != n_rows or any(not 0 <= i < n_items for row in rows for i in row):
-        raise ValueError(f"{name} must hold {n_rows} lists of item indices "
-                         f"in [0, {n_items})")
 
 
 def _floats(a):
@@ -234,10 +229,6 @@ def _array(value, version):
     return values.copy().view(FLOAT_DTYPE).reshape(shape).astype(float, copy=False)
 
 
-def _int_rows(rows):
-    return [[int(v) for v in row] for row in rows]
-
-
 def _encoder_doc(spec):
     return {
         "columns": [
@@ -271,7 +262,8 @@ def _parameters(algorithm, model, observed=None):
                 u=_floats(model.factors.u),
                 s=_floats(model.factors.s),
                 v=_floats(model.factors.v),
-                rated=[np.flatnonzero(row).tolist() for row in model.mask],
+                rated=UserItems.from_columns(*np.nonzero(model.mask),
+                                             *model.mask.shape).lists(),
             )
         return block
     if algorithm == "funk":
@@ -279,7 +271,7 @@ def _parameters(algorithm, model, observed=None):
             "p": _floats(model.P),
             "q": _floats(model.Q),
             "f": int(model.f),
-            "rated": None if model.N is None else _int_rows(model.N),
+            "rated": None if model.N is None else model.N.lists(),
         }
     if algorithm == "svdpp":
         return {
@@ -290,29 +282,20 @@ def _parameters(algorithm, model, observed=None):
             "b_i": _floats(model.b_i),
             "mu": float(model.mu),
             "f": int(model.f),
-            "rated": _int_rows(model.N),
+            "rated": model.N.lists(),
         }
     if algorithm == "itemcf":
-        if not np.array_equal(model.W, overlap_weights(model.ratings,
-                                                       model.n_items)):
-            raise PersistenceError(
-                "itemcf weights do not follow from the stored ratings; "
-                "the file could not reproduce them on load"
-            )
-        return {
-            "k": int(model.K),
-            "ratings": [
-                sorted([int(i), float(r)] for i, r in user.items())
-                for user in model.ratings
-            ],
-        }
+        if not np.array_equal(model.W, overlap_weights(model.ratings, model.n_items)):
+            raise PersistenceError("itemcf weights do not follow from the stored ratings; "
+                                   "the file could not reproduce them on load")
+        return {"k": int(model.K), "ratings": model.ratings.lists()}
     if algorithm in ("fm", "ffm"):
         block = {
             "w0": float(model.w0),
             "w": _floats(model.w),
             "v": _floats(model.V),
             "k": int(model.k),
-            "observed": None if observed is None else _int_rows(observed),
+            "observed": None if observed is None else observed.lists(),
         }
         if algorithm == "ffm":
             block["n_fields"] = int(model.n_fields)
@@ -339,10 +322,9 @@ def _model_from(algorithm, block, scale, n_items, version):
             s=_array(block["s"], version),
             v=_array(block["v"], version),
         )
-        _index_lists(block["rated"], factors.u.shape[0], n_items, "svd rated")
+        rated = UserItems.of(block["rated"], factors.u.shape[0], n_items, "svd rated")
         mask = np.zeros((factors.u.shape[0], factors.v.shape[0]))
-        for user, items in enumerate(block["rated"]):
-            mask[user, np.asarray(items, dtype=np.int64)] = 1.0
+        mask[rated.rows(), rated.items] = 1.0
         return SvdCfModel(r_star=reconstruct(factors), mask=mask,
                           factors=factors, **common)
     if algorithm in ("funk", "svdpp"):
@@ -351,7 +333,7 @@ def _model_from(algorithm, block, scale, n_items, version):
             "P": _array(block["p"], version),
             "Q": _array(block["q"], version),
             "f": int(block["f"]),
-            "N": block.get("rated"),  # FactorModel makes int64 arrays of them
+            "N": block.get("rated"),  # FactorModel checks and converts them
         }
         if algorithm == "svdpp":
             common.update(
@@ -362,14 +344,10 @@ def _model_from(algorithm, block, scale, n_items, version):
             )
         return FactorModel(**common)
     if algorithm == "itemcf":
-        ratings = [
-            {int(i): float(r) for i, r in user} for user in block["ratings"]
-        ]
-        if "w" in block:  # version 2; overlap_weights checks the other path
-            _index_lists(ratings, len(ratings), n_items, "itemcf ratings")
-            w = _array(block["w"], version)
-        else:
-            w = overlap_weights(ratings, n_items)
+        ratings = UserItems.of(block["ratings"], None, n_items, "itemcf ratings",
+                               valued=True)
+        # version 2 stored W
+        w = _array(block["w"], version) if "w" in block else overlap_weights(ratings, n_items)
         return ItemCfModel(W=w, K=int(block["k"]), ratings=ratings)
     if algorithm == "fm":
         return FmModel(
@@ -415,17 +393,9 @@ def _member_from(doc, scale, user_tokens, item_tokens, version):
             raise ValueError(f"{algorithm} tables hold {held} {role}s where "
                              f"the {role} index has {len(tokens)}")
     encoder = _encoder_from(doc["encoder"]) if "encoder" in doc else None
-    observed = block.get("observed")
-    if observed is not None:
-        _index_lists(observed, len(user_tokens), len(item_tokens), "observed")
-    return IndexedModel(
-        algorithm,
-        model,
-        encoder=encoder,
-        user_tokens=user_tokens,
-        item_tokens=item_tokens,
-        observed=observed,
-    )
+    observed = UserItems.of(block.get("observed"), len(user_tokens),
+                            len(item_tokens), "observed")
+    return IndexedModel(algorithm, model, encoder, user_tokens, item_tokens, observed)
 
 
 def _document(bundle):
@@ -561,12 +531,13 @@ def load_model(path):
     that is corrupt, truncated or followed by other bytes, a document
     that is not UTF-8 JSON, a format_version that is not one of the
     readable ints (a JSON true or 4.0 is not), an unknown algorithm tag,
-    or a malformed member block (a missing key; a per-user index list, or
-    an svd, funk, svdpp or itemcf table, that does not fit the index
-    maps; a float array of version 4 or later that is not a block of
-    dtype "<f8" whose base64 data holds exactly its shape's product of
-    8-byte values), and CapacityError when the itemcf weights
-    to rebuild exceed the dense cell cap.
+    or a malformed member block (a missing key; a per-user index list
+    that UserItems.of refuses, such as one holding 1.5, "3" or null, or
+    an itemcf list that repeats an item; an svd, funk, svdpp or itemcf
+    table that does not fit the index maps; a float array of version 4
+    or later that is not a block of dtype "<f8" whose base64 data holds
+    exactly its shape's product of 8-byte values), and CapacityError
+    when the itemcf weights to rebuild exceed the dense cell cap.
     """
     try:
         data = Path(path).read_bytes()

@@ -479,8 +479,8 @@ class TestRecommend:
         code, _, _ = run(capsys, "train", "--algo", algo, "--input", data,
                          "--output", out, "--epochs", "3", *flags)
         assert code == 0
-        assert load_model(out).observed[a] == [read.item_index["x"],
-                                               read.item_index["y"]]
+        assert load_model(out).observed[a].tolist() == [read.item_index["x"],
+                                                        read.item_index["y"]]
         code, stdout, _ = run(capsys, "recommend", out, "a", "--k", "3")
         assert code == 0
         assert [line.split("\t")[0] for line in stdout.splitlines()] == ["z"]
@@ -520,6 +520,36 @@ class TestRecommend:
         assert stdout == ""
         assert err.startswith("error: malformed model file")
         assert "hold 3 users where the user index has 4" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("algo, key, bad", [
+        (algo, key, bad)
+        for algo, key in [("svd", "rated"), ("funk", "rated"), ("svdpp", "rated"),
+                          ("fm", "observed"), ("itemcf", "ratings")]
+        for bad in (1.5, "3", None)
+    ] + [("itemcf", "ratings", "repeat")])
+    def test_index_list_entry_that_is_not_an_item_exits_3(self, capsys,
+                                                          tmp_path, algo,
+                                                          key, bad):
+        # 1.5 was cut to item 1 (fm: an uncaught IndexError on recommend);
+        # an itemcf list that repeats an item was merged into one entry
+        model = train_fixture_model(capsys, tmp_path, algo)
+        doc = json.loads(model_text(model))
+        row = doc["parameters"][key][0]
+        if bad == "repeat":
+            row.append(list(row[-1]))
+        elif algo == "itemcf":
+            row[0][0] = bad
+        else:
+            row[0] = bad
+        with open(model, "w") as handle:
+            json.dump(doc, handle)
+        user = min(doc["user_index"], key=doc["user_index"].get)
+        code, stdout, err = run(capsys, "recommend", model, user, "--k", "2")
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("error: malformed model file")
+        assert "integer item indices" in err
         assert len(err.splitlines()) == 1
 
     def test_model_file_not_utf8_exits_3(self, capsys, tmp_path):
@@ -722,7 +752,7 @@ class TestEnsemble:
             assert code == 0, err
             bag = load_model(out)
             # every member leaves out exactly what each user rated, once
-            assert [m.observed for m in bag.model.members] == [rated] * 3
+            assert [m.observed.lists() for m in bag.model.members] == [rated] * 3
             bags.append(bag)
         pairs = [(u, i) for u in read.user_index for i in read.item_index]
         assert [bags[0].predict(u, i) for u, i in pairs] != \

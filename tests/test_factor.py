@@ -408,6 +408,27 @@ class TestItemCfSimilarity:
                         ratings=[{}, {}])
 
 
+    @pytest.mark.parametrize("ratings", [
+        [{5: 1.0}],  # an item past W
+        [{-1: 1.0}],
+        [{0.5: 1.0}],  # not an integer
+        [[[1, 2.0], [1, 3.0]]],  # a repeat
+        [[[1, 2.0], [0, 3.0]]],  # out of item order
+        [[[0, None]]],  # a rating that is not a number
+    ])
+    def test_ratings_checked_against_w(self, ratings):
+        # a bad list used to be accepted, and predict then raised IndexError
+        with pytest.raises(ValueError, match="ratings must be one list per user"):
+            ItemCfModel(W=np.zeros((2, 2)), K=1, ratings=ratings)
+
+    def test_ratings_dicts_taken_in_item_order(self):
+        model = ItemCfModel(W=np.zeros((3, 3)), K=1,
+                            ratings=[{2: 1.0, 0: 4.0}, {}])
+        assert model.ratings[0].tolist() == [0, 2]
+        assert model.ratings.values.tolist() == [4.0, 1.0]
+        assert model.n_users == 2
+
+
 class TestItemCfPredict:
     def overlap_fixture(self):
         # w[X, Y] = 0.5; user "a" rated only Y with 4.0

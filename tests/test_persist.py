@@ -22,6 +22,7 @@ from latentrec.factor import (
     funk_train,
     itemcf_similarity,
     overlap_weights,
+    svdpp_implicit_predict,
     svdpp_train,
 )
 from latentrec.fm import EncoderSpec, encode, ffm_train, fm_train
@@ -328,7 +329,7 @@ class TestItemCfFiles:
         bundle, ds = itemcf_bundle("implicit")
         loaded = load_model(save_model(bundle, tmp_path / "m.json"))
         assert np.all(loaded.model.W[ds.item_index["z"]] == 0.0)
-        assert loaded.model.ratings[ds.user_index["d"]] == {}
+        assert loaded.model.ratings[ds.user_index["d"]].tolist() == []
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -604,6 +605,40 @@ class TestFileFormat:
         with pytest.raises(PersistenceError, match=(
                 f"hold {ds.n_items - 1} items where the item index has {ds.n_items}")):
             load_model(path)
+
+
+class TestBootstrapRepeats:
+    """A bootstrap resample (allow_duplicate_pairs, as bag_train builds it)
+    repeats (user, item) pairs."""
+
+    def resample(self):
+        # user a rates x three times (2, 5, then 4) and y once
+        triples = [("a", "x", 2.0), ("a", "y", 1.0), ("a", "x", 5.0),
+                   ("b", "y", 3.0), ("a", "x", 4.0), ("b", "x", 2.0)]
+        return RatingDataset(triples, allow_duplicate_pairs=True)
+
+    def test_itemcf_holds_each_pair_once_with_the_last_rating(self):
+        ds = self.resample()
+        model = itemcf_similarity(ds)
+        bundle = ModelBundle(algorithm="itemcf", model=model,
+                             user_index=ds.user_index,
+                             item_index=ds.item_index, scale=ds.scale)
+        x, y = ds.item_index["x"], ds.item_index["y"]
+        assert document(bundle)["parameters"]["ratings"] == [
+            [[x, 4.0], [y, 1.0]], [[x, 2.0], [y, 3.0]]]
+        assert [int(i) for i in model.ratings[ds.user_index["a"]]] == [x, y]
+
+    def test_funk_and_svdpp_keep_the_repeats(self):
+        ds = self.resample()
+        a, x, y = ds.user_index["a"], ds.item_index["x"], ds.item_index["y"]
+        config = TrainConfig(f=2, epochs=1, seed=4)
+        funk, svdpp = funk_train(ds, config), svdpp_train(ds, config)
+        assert funk.N[a].tolist() == svdpp.N[a].tolist() == [x, x, x, y]
+        # svdpp's implicit sum counts each repeat
+        implicit = svdpp.Y[:, [x, x, x, y]].sum(axis=1) / 2.0
+        for i in (x, y):
+            assert svdpp_implicit_predict(svdpp, a, i) == pytest.approx(
+                float(np.dot(svdpp.Q[:, i], implicit)), abs=1e-12)
 
 
 class TestIndexedModelRange:
@@ -1023,6 +1058,28 @@ class TestExactReload:
         assert json.loads(model_text(first))["format_version"] == FORMAT_VERSION
         assert model_text(second) == model_text(first)
         assert second.read_bytes() == first.read_bytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=GRIDS)
+    def test_property_save_load_round_trip(self, grid, tmp_path_factory):
+        # the per-user lists (svd rated, funk/svdpp N, itemcf ratings, fm/ffm
+        # observed) cross the file boundary with the scores, lists and bytes
+        ds = grid_dataset(grid)
+        folder = tmp_path_factory.mktemp("round-trip")
+        items = np.arange(ds.n_items)
+        for algo in ("svd", "funk", "svdpp", "itemcf", "fm", "ffm"):
+            bundle = dataclasses.replace(trained_bundle(algo, ds),
+                                         created="2026-01-01T00:00:00+00:00")
+            first = save_model(bundle, folder / f"{algo}.json")
+            loaded = load_model(first)
+            for u in range(ds.n_users):
+                assert np.array_equal(loaded.scorer.scores(u, items),
+                                      bundle.scorer.scores(u, items)), algo
+            for user in ds.user_index:
+                assert loaded.recommend(user, ds.n_items) == \
+                    bundle.recommend(user, ds.n_items), algo
+            second = save_model(loaded, folder / f"{algo}-again.json")
+            assert second.read_bytes() == first.read_bytes(), algo
 
     def test_vote_over_reloaded_members_is_unchanged(self, tmp_path):
         ds = small_dataset()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svdcf
-from .data import CsvSchema, negative_sample, parse_csv
+from .data import CsvSchema, checked_scale, negative_sample, parse_csv
 from .ensemble import BlendModel, bag_train, stack_fit, vote_recommend
 from .errors import (
     ConfigError,
@@ -34,14 +34,14 @@ from .factor import TrainConfig, funk_train, itemcf_similarity, svdpp_train
 # encode is not called here, but perfbench's tracer counts calls to cli.encode
 from .fm import EncoderSpec, SampleBatch, encode, ffm_train, fm_train  # noqa: F401
 from .metrics import MetricReport, mae, pair_scores, rmse, topn_metrics
-from .persist import ModelBundle, load_model, save_model
+from .persist import FIELDS, ModelBundle, load_model, save_model
 
 EXIT_OK = 0
 EXIT_ARGS = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
-ALGO_CHOICES = ("svd", "funk", "svdpp", "itemcf", "fm", "ffm")
+ALGO_CHOICES = tuple(FIELDS)
 
 
 def _parse_bool(text):
@@ -57,7 +57,7 @@ def _parse_scale(text):
     parts = str(text).split(":")
     if len(parts) != 2:
         raise ValueError(f"expected LO:HI, got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    return checked_scale([float(part) for part in parts])
 
 
 def _parse_int_list(text):
@@ -292,7 +292,7 @@ def _train_bundle(algo, ds, values, rated=None):
         )
     elif algo == "itemcf":
         model = itemcf_similarity(ds, k=values["neighborhood"])
-    elif algo in ("funk", "svdpp", "fm", "ffm"):
+    else:
         config = _train_config(values)
         if algo == "funk":
             model = funk_train(ds, config)
@@ -317,8 +317,6 @@ def _train_bundle(algo, ds, values, rated=None):
             rated = ds if rated is None else rated
             observed = rated.items_by_user()
         trace = model.trace
-    else:
-        raise ConfigError(f"unknown algorithm {algo!r}")
     bundle = ModelBundle(
         algorithm=algo,
         model=model,

@@ -11,6 +11,8 @@ transformation returns a new object.
 """
 
 import math
+import numbers
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, pairwise
@@ -51,8 +53,37 @@ class CsvSchema:
     duplicate_policy: str = "last"
 
 
-def tokens_by_index(index):
-    """The tokens of a dense index map, as a list ordered by index."""
+def checked_scale(scale):
+    """scale as a (lo, hi) pair of floats: the one check of rating bounds.
+
+    Raises:
+        ValidationError: unless scale is a list or tuple of two finite
+            real numbers (not bools or strings) with lo < hi.
+    """
+    # the bound test also refuses NaN and an int too large for a float
+    if not (isinstance(scale, (list, tuple)) and len(scale) == 2
+            and all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+                    and abs(b) <= sys.float_info.max for b in scale)
+            and scale[0] < scale[1]):
+        raise ValidationError(f"scale must be two finite numbers lo < hi, got {scale!r}")
+    return float(scale[0]), float(scale[1])
+
+
+def tokens_by_index(index, name="index map"):
+    """The tokens of a dense index map, as a list ordered by index.
+
+    Raises:
+        ValidationError: naming name, unless index is a dict that maps its
+            n tokens one to one onto the integers 0..n-1 (a bool or a
+            float such as 1.0 is not one).
+    """
+    # a type test per distinct type, then one set comparison: a check per
+    # value through the numbers ABCs costs about 0.5 us each
+    if not (isinstance(index, dict)
+            and all(issubclass(t, numbers.Integral) and t is not bool
+                    for t in set(map(type, index.values())))
+            and set(index.values()) == set(range(len(index)))):
+        raise ValidationError(f"{name} must map its tokens one to one onto 0..n-1")
     tokens = [None] * len(index)
     for token, at in index.items():
         tokens[at] = token
@@ -146,36 +177,39 @@ class UserItems:
 
         rows is None (returned as is), a UserItems, or a sequence of
         per-user lists: n_users of them, unless n_users is None. Every
-        item is an int in [0, n_items), never a float, string or null (a
-        list of nothing but bools is refused too; a bool among ints counts
-        as the int it equals in Python). Unvalued rows keep their order
-        and may repeat an item. With valued, a row is a dict from item to
-        value or a list of [item, value] pairs whose values are real
-        numbers; a dict is taken in item order, and the items of every row
-        must be strictly increasing.
+        item is an int in [0, n_items), never a float, string, bool or
+        null. Unvalued rows keep their order and may repeat an item. With
+        valued, a row is a dict from item to value or a list of [item,
+        value] pairs whose values are finite real numbers, not bools; a
+        dict is taken in item order, and the items of every row must be
+        strictly increasing.
 
         Raises:
             ValueError: naming name, for any list that breaks these rules.
         """
         if rows is None:
             return None
+        has_bool = False
         if not isinstance(rows, cls):
             rows = [sorted(r.items()) if isinstance(r, dict) else r for r in rows]
             flat = list(chain.from_iterable(rows))
             items, values = zip(*flat) if valued and flat else (flat, ())
+            # numpy reads a bool among ints as 0 or 1
+            has_bool = bool in {*map(type, items), *map(type, values)}
             rows = cls(np.cumsum([0] + [len(r) for r in rows]), np.array(items),
                        np.array(values))
         items, values = rows.items, rows.values
         # a clause is reached only when all before it are false, so the
         # key test sees int items in range; row-major keys rise iff the
         # items of every row do
-        if (n_users not in (None, len(rows)) or items.shape != (rows.offsets[-1],)
+        if (has_bool or n_users not in (None, len(rows)) or items.shape != (rows.offsets[-1],)
                 or items.size and (items.dtype.kind not in "iu" or items.min() < 0
                                    or items.max() >= n_items)
                 or valued and (values is None or values.dtype.kind not in "iuf"
+                               or not np.isfinite(values).all()
                                or np.any(np.diff(rows.rows() * n_items + items) <= 0))):
             raise ValueError(f"{name} must be one list per user of {'strictly increasing ' * valued}"
-                             f"integer item indices in [0, {n_items})")
+                             f"integer item indices in [0, {n_items}){' with finite values' * valued}")
         return cls(rows.offsets, items.astype(np.int64, copy=False),
                    values.astype(float, copy=False) if valued else None)
 
@@ -247,9 +281,7 @@ class RatingDataset:
             raise NoDataError("dataset has no triples")
         if kind not in ("explicit", "implicit"):
             raise ValidationError(f"unknown dataset kind {kind!r}")
-        lo, hi = float(scale[0]), float(scale[1])
-        if not lo < hi:
-            raise ValidationError(f"scale low must be below high, got [{lo}, {hi}]")
+        lo, hi = checked_scale(scale)
         if kind == "explicit":
             bad = ~((ratings >= lo) & (ratings <= hi))
         else:

@@ -14,6 +14,10 @@ README's model-file paragraph is the one full account of the format
   file, then deflates it in pieces (_json_chunks) that join to the one
   json.dumps of document(); no string of the file or of a whole float
   block is made.
+- FIELDS is the one statement of each algorithm's parameter block:
+  _parameters writes it and _model_from reads it, checking each scalar's
+  JSON kind, by walking that table. Only svd's factors, itemcf's W and
+  fm/ffm's observed lists have a branch of their own.
 - A file stores only what a model cannot rebuild: loading rebuilds svd
   r_star and mask and the itemcf weights W with the functions training
   used, and refuses tables that do not fit the index maps.
@@ -36,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import UserItems, tokens_by_index
+from .data import UserItems, checked_scale, tokens_by_index
 from .ensemble import BlendModel
 from .errors import CapacityError, PersistenceError, ValidationError
 from .factor import FactorModel, ItemCfModel, overlap_weights
@@ -54,7 +58,24 @@ FORMAT_VERSION = 5
 READABLE_VERSIONS = (1, 2, 3, 4, FORMAT_VERSION)
 # the one dtype of a float block: little-endian IEEE 754 binary64
 FLOAT_DTYPE = "<f8"
-ALGORITHMS = ("svd", "funk", "svdpp", "itemcf", "fm", "ffm", "ensemble")
+# each algorithm's parameter block as (file key, model field, kind): a
+# "floats" block, an "items" per-user item list (null allowed; the model
+# checks it), or a scalar of one of the JSON kinds in _SCALARS
+FIELDS = {
+    "svd": (("f", "f", "int"), ("similarity_mode", "similarity_mode", "str"),
+            ("neighborhood", "neighborhood", "int?")),
+    "funk": (("p", "P", "floats"), ("q", "Q", "floats"), ("f", "f", "int"),
+             ("rated", "N", "items")),
+    "svdpp": (("p", "P", "floats"), ("q", "Q", "floats"), ("y", "Y", "floats"),
+              ("b_u", "b_u", "floats"), ("b_i", "b_i", "floats"),
+              ("mu", "mu", "number"), ("f", "f", "int"), ("rated", "N", "items")),
+    "itemcf": (("k", "K", "int"), ("ratings", "ratings", "items")),
+    "fm": (("w0", "w0", "number"), ("w", "w", "floats"), ("v", "V", "floats"),
+           ("k", "k", "int")),
+    "ffm": (("w0", "w0", "number"), ("w", "w", "floats"), ("v", "V", "floats"),
+            ("k", "k", "int"), ("n_fields", "n_fields", "int")),
+}
+ALGORITHMS = (*FIELDS, "ensemble")
 # list items or dict entries that one json.dumps call encodes; float
 # block data goes 3 * BLOCK_ROWS values (a multiple of 3 bytes) per piece
 BLOCK_ROWS = 64
@@ -127,8 +148,10 @@ class ModelBundle:
     Attributes:
         algorithm: one of svd, funk, svdpp, itemcf, fm, ffm, ensemble.
         model: the trained model object for the algorithm.
-        user_index / item_index: token -> index maps from training.
-        scale: rating bounds used for rounding and recommendation.
+        user_index / item_index: token -> index maps from training, each
+            one to one onto 0..n-1.
+        scale: rating bounds used for rounding and recommendation, two
+            finite numbers lo < hi (data.checked_scale).
         encoder: feature layout, required for fm and ffm.
         observed: the items each user rated, a UserItems (a plain
             per-user list is checked and converted here, once); lets the
@@ -150,11 +173,11 @@ class ModelBundle:
             raise ValidationError(f"unknown algorithm tag {self.algorithm!r}")
         if self.algorithm in ("fm", "ffm") and self.encoder is None:
             raise ValidationError(f"{self.algorithm} bundles need an encoder spec")
-        self.scale = (float(self.scale[0]), float(self.scale[1]))
+        self.scale = checked_scale(self.scale)
         self.observed = UserItems.of(self.observed, len(self.user_index),
                                      len(self.item_index), "observed")
-        self._user_tokens = tokens_by_index(self.user_index)
-        self._item_tokens = tokens_by_index(self.item_index)
+        self._user_tokens = tokens_by_index(self.user_index, "user_index")
+        self._item_tokens = tokens_by_index(self.item_index, "item_index")
 
     @property
     def scorer(self):
@@ -248,123 +271,73 @@ def _encoder_from(doc):
     )
 
 
+# the JSON types each scalar kind accepts (a bool is not an int)
+_SCALARS = {"int": (int,), "number": (int, float), "str": (str,),
+            "int?": (int, type(None))}
+_WRITERS = {
+    "floats": _floats, "int": int, "number": float, "str": str,
+    "items": lambda rows: None if rows is None else rows.lists(),
+    "int?": lambda value: None if value is None else int(value),
+}
+_MODELS = {
+    "svd": SvdCfModel, "itemcf": ItemCfModel, "fm": FmModel, "ffm": FfmModel,
+    "funk": functools.partial(FactorModel, kind="funk"),
+    "svdpp": functools.partial(FactorModel, kind="svdpp"),
+}
+
+
 def _parameters(algorithm, model, observed=None):
-    if algorithm == "svd":
-        block = {
-            "f": int(model.f),
-            "similarity_mode": model.similarity_mode,
-            "neighborhood": model.neighborhood,
-        }
-        if model.factors is None:
-            block.update(r_star=_floats(model.r_star), mask=_floats(model.mask))
-        else:
-            block.update(
-                u=_floats(model.factors.u),
-                s=_floats(model.factors.s),
-                v=_floats(model.factors.v),
-                rated=UserItems.from_columns(*np.nonzero(model.mask),
-                                             *model.mask.shape).lists(),
-            )
-        return block
-    if algorithm == "funk":
-        return {
-            "p": _floats(model.P),
-            "q": _floats(model.Q),
-            "f": int(model.f),
-            "rated": None if model.N is None else model.N.lists(),
-        }
-    if algorithm == "svdpp":
-        return {
-            "p": _floats(model.P),
-            "q": _floats(model.Q),
-            "y": _floats(model.Y),
-            "b_u": _floats(model.b_u),
-            "b_i": _floats(model.b_i),
-            "mu": float(model.mu),
-            "f": int(model.f),
-            "rated": model.N.lists(),
-        }
-    if algorithm == "itemcf":
+    block = {key: _WRITERS[kind](getattr(model, name))
+             for key, name, kind in FIELDS[algorithm]}
+    if algorithm == "svd" and model.factors is None:
+        block.update(r_star=_floats(model.r_star), mask=_floats(model.mask))
+    elif algorithm == "svd":
+        block.update((key, _floats(a)) for key, a in zip("usv", model.factors))
+        block["rated"] = UserItems.from_columns(*np.nonzero(model.mask),
+                                                *model.mask.shape).lists()
+    elif algorithm == "itemcf":
         if not np.array_equal(model.W, overlap_weights(model.ratings, model.n_items)):
             raise PersistenceError("itemcf weights do not follow from the stored ratings; "
                                    "the file could not reproduce them on load")
-        return {"k": int(model.K), "ratings": model.ratings.lists()}
-    if algorithm in ("fm", "ffm"):
-        block = {
-            "w0": float(model.w0),
-            "w": _floats(model.w),
-            "v": _floats(model.V),
-            "k": int(model.k),
-            "observed": None if observed is None else observed.lists(),
-        }
-        if algorithm == "ffm":
-            block["n_fields"] = int(model.n_fields)
-        return block
-    raise PersistenceError(f"no parameter block for algorithm {algorithm!r}")
+    elif algorithm in ("fm", "ffm"):
+        block["observed"] = _WRITERS["items"](observed)
+    return block
+
+
+def _field(kind, value, version, key):
+    """A parameter block entry of the given FIELDS kind, checked."""
+    if kind == "floats":
+        return _array(value, version)
+    if kind != "items" and type(value) not in _SCALARS[kind]:
+        kind = kind.replace("?", " or null")
+        raise ValueError(f"parameter {key} must be a JSON {kind}, got {value!r}")
+    return value
 
 
 def _model_from(algorithm, block, scale, n_items, version):
-    if algorithm == "svd":
-        common = {
-            "f": int(block["f"]),
-            "similarity_mode": block["similarity_mode"],
-            "scale": scale,
-            "neighborhood": block["neighborhood"],
-        }
-        if "r_star" in block:  # version 1, or a model built without factors
-            return SvdCfModel(
-                r_star=_array(block["r_star"], version),
-                mask=_array(block["mask"], version),
-                **common,
-            )
-        factors = SvdResult(
-            u=_array(block["u"], version),
-            s=_array(block["s"], version),
-            v=_array(block["v"], version),
-        )
+    fields = {name: _field(kind, block[key], version, key)
+              for key, name, kind in FIELDS[algorithm]}
+    if algorithm == "svd" and "r_star" in block:  # version 1, or built without factors
+        fields.update(r_star=_array(block["r_star"], version),
+                      mask=_array(block["mask"], version), scale=scale)
+    elif algorithm == "svd":
+        factors = SvdResult(*(_array(block[key], version) for key in "usv"))
+        if block["rated"] is None:
+            raise ValueError("svd rated must be one list per user, got null")
         rated = UserItems.of(block["rated"], factors.u.shape[0], n_items, "svd rated")
         mask = np.zeros((factors.u.shape[0], factors.v.shape[0]))
         mask[rated.rows(), rated.items] = 1.0
-        return SvdCfModel(r_star=reconstruct(factors), mask=mask,
-                          factors=factors, **common)
-    if algorithm in ("funk", "svdpp"):
-        common = {
-            "kind": algorithm,
-            "P": _array(block["p"], version),
-            "Q": _array(block["q"], version),
-            "f": int(block["f"]),
-            "N": block.get("rated"),  # FactorModel checks and converts them
-        }
-        if algorithm == "svdpp":
-            common.update(
-                mu=float(block["mu"]),
-                b_u=_array(block["b_u"], version),
-                b_i=_array(block["b_i"], version),
-                Y=_array(block["y"], version),
-            )
-        return FactorModel(**common)
-    if algorithm == "itemcf":
-        ratings = UserItems.of(block["ratings"], None, n_items, "itemcf ratings",
-                               valued=True)
+        fields.update(r_star=reconstruct(factors), mask=mask, factors=factors,
+                      scale=scale)
+    elif algorithm == "itemcf":
+        if fields["ratings"] is None:
+            raise ValueError("itemcf ratings must be one list per user, got null")
+        ratings = fields["ratings"] = UserItems.of(fields["ratings"], None, n_items,
+                                                   "itemcf ratings", valued=True)
         # version 2 stored W
-        w = _array(block["w"], version) if "w" in block else overlap_weights(ratings, n_items)
-        return ItemCfModel(W=w, K=int(block["k"]), ratings=ratings)
-    if algorithm == "fm":
-        return FmModel(
-            w0=float(block["w0"]),
-            w=_array(block["w"], version),
-            V=_array(block["v"], version),
-            k=int(block["k"]),
-        )
-    if algorithm == "ffm":
-        return FfmModel(
-            w0=float(block["w0"]),
-            w=_array(block["w"], version),
-            V=_array(block["v"], version),
-            k=int(block["k"]),
-            n_fields=int(block["n_fields"]),
-        )
-    raise PersistenceError(f"cannot rebuild algorithm {algorithm!r}")
+        fields["W"] = (_array(block["w"], version) if "w" in block
+                       else overlap_weights(ratings, n_items))
+    return _MODELS[algorithm](**fields)
 
 
 def _member_doc(member):
@@ -531,13 +504,21 @@ def load_model(path):
     that is corrupt, truncated or followed by other bytes, a document
     that is not UTF-8 JSON, a format_version that is not one of the
     readable ints (a JSON true or 4.0 is not), an unknown algorithm tag,
-    or a malformed member block (a missing key; a per-user index list
-    that UserItems.of refuses, such as one holding 1.5, "3" or null, or
-    an itemcf list that repeats an item; an svd, funk, svdpp or itemcf
-    table that does not fit the index maps; a float array of version 4
-    or later that is not a block of dtype "<f8" whose base64 data holds
-    exactly its shape's product of 8-byte values), and CapacityError
-    when the itemcf weights to rebuild exceed the dense cell cap.
+    a malformed header (a scale that is not a list of two finite numbers
+    lo < hi; a user or item index map that does not take its tokens one
+    to one onto the JSON ints 0..n-1) or a malformed member block (a
+    missing key; a scalar of the wrong JSON kind for its FIELDS entry,
+    such as an int field holding 1.5, "3" or true; a per-user index list
+    that UserItems.of refuses, such as one holding 1.5, "3", true or
+    null, an itemcf list that repeats an item or holds a rating that is
+    not finite, or a null svd rated or itemcf ratings; an svd, funk,
+    svdpp or itemcf table that does not fit the index maps; a float
+    array of version 4 or later that is not a block of dtype "<f8" whose
+    base64 data holds exactly its shape's product of 8-byte values; a
+    value the model refuses, such as an svd neighborhood below 1; a JSON
+    integer too large for a float where a float is read), and
+    CapacityError when the itemcf weights to rebuild exceed the dense
+    cell cap.
     """
     try:
         data = Path(path).read_bytes()
@@ -563,11 +544,9 @@ def load_model(path):
     if algorithm not in ALGORITHMS:
         raise PersistenceError(f"unknown algorithm tag {algorithm!r}")
     try:
-        scale = (float(raw["scale"][0]), float(raw["scale"][1]))
-        user_index = {str(t): int(v) for t, v in raw["user_index"].items()}
-        item_index = {str(t): int(v) for t, v in raw["item_index"].items()}
-        user_tokens = tokens_by_index(user_index)
-        item_tokens = tokens_by_index(item_index)
+        scale = checked_scale(raw["scale"])
+        user_tokens = tokens_by_index(raw["user_index"], "user_index")
+        item_tokens = tokens_by_index(raw["item_index"], "item_index")
         if algorithm == "ensemble":
             spec = raw["ensemble"]
             members = [
@@ -576,8 +555,8 @@ def load_model(path):
             ]
             model = BlendModel(
                 members=members,
-                weights=np.array(spec["weights"], dtype=float),
-                intercept=float(spec["intercept"]),
+                weights=[_field("number", w, version, "weights") for w in spec["weights"]],
+                intercept=_field("number", spec["intercept"], version, "intercept"),
                 kind=spec["kind"],
             )
             encoder = observed = None
@@ -586,13 +565,13 @@ def load_model(path):
             model, encoder, observed = member.model, member.encoder, member.observed
     except CapacityError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise PersistenceError(f"malformed model file {path}: {exc}") from exc
     return ModelBundle(
         algorithm=algorithm,
         model=model,
-        user_index=user_index,
-        item_index=item_index,
+        user_index=raw["user_index"],
+        item_index=raw["item_index"],
         scale=scale,
         encoder=encoder,
         observed=observed,

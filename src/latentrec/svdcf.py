@@ -13,6 +13,7 @@ similarities, and treats fully-unobserved columns as similarity 0.
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -95,8 +96,8 @@ class SvdCfModel:
         f: retained rank.
         similarity_mode: "paper-dot" or "cosine".
         scale: rating scale carried from the training data.
-        neighborhood: optional top-K cut on neighbors per prediction;
-            None means all items participate.
+        neighborhood: optional top-K cut on neighbors per prediction, an
+            int >= 1; None means all items participate.
         factors: the rank-f triplets (u (m, f), s (f,), v (n, f)) that
             r_star was built from by reconstruct(); set by fit, None for
             a model built from r_star alone.
@@ -121,6 +122,11 @@ class SvdCfModel:
             raise ValueError(f"retained rank must be >= 1, got {self.f}")
         if self.similarity_mode not in ("paper-dot", "cosine"):
             raise ValueError(f"unknown similarity mode {self.similarity_mode!r}")
+        if self.neighborhood is not None and (
+                isinstance(self.neighborhood, bool)
+                or not isinstance(self.neighborhood, numbers.Integral)
+                or self.neighborhood < 1):
+            raise ValueError(f"neighborhood must be None or an int >= 1, got {self.neighborhood!r}")
 
     def predict(self, u, i):
         return predict(self, u, i)

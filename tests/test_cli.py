@@ -331,6 +331,31 @@ class TestTrain:
         assert "finite and above 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", ["1:inf", "nan:5", "5:1", "3:3"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_scale_that_is_not_two_finite_rising_numbers_is_an_argument_error(
+            self, capsys, tmp_path, scale, given):
+        # 1:inf trained and wrote "scale":[1.0,Infinity], which is not JSON;
+        # the input named here does not exist, so exit 2 shows that the
+        # scale was refused before any data was read
+        out = tmp_path / "m.json"
+        argv = ["train", "--algo", "funk", "--input", str(tmp_path / "absent.csv"),
+                "--output", str(out)]
+        if given == "flag":
+            argv += ["--scale", scale]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"scale = {scale}\n")
+            argv += ["--config", str(config)]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert "Traceback" not in err
+        assert "scale" in err
+        if given == "config":
+            assert "scale must be two finite numbers lo < hi" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("algo, flag, value", [
         ("funk", "--alpha", "nan"),
         ("funk", "--alpha", "inf"),
@@ -526,7 +551,7 @@ class TestRecommend:
         (algo, key, bad)
         for algo, key in [("svd", "rated"), ("funk", "rated"), ("svdpp", "rated"),
                           ("fm", "observed"), ("itemcf", "ratings")]
-        for bad in (1.5, "3", None)
+        for bad in (1.5, "3", None, True)
     ] + [("itemcf", "ratings", "repeat")])
     def test_index_list_entry_that_is_not_an_item_exits_3(self, capsys,
                                                           tmp_path, algo,

@@ -421,6 +421,17 @@ class TestItemCfSimilarity:
         with pytest.raises(ValueError, match="ratings must be one list per user"):
             ItemCfModel(W=np.zeros((2, 2)), K=1, ratings=ratings)
 
+    @pytest.mark.parametrize("ratings", [
+        [[[0, float("nan")]]],
+        [[[0, float("inf")]]],
+        # numpy reads a bool among numbers as 0 or 1
+        [[[0, 2.0], [True, 3.0]]],
+        [[[0, 2.0], [1, True]]],
+    ])
+    def test_ratings_that_are_not_finite_numbers_or_are_bools_refused(self, ratings):
+        with pytest.raises(ValueError, match="ratings must be one list per user"):
+            ItemCfModel(W=np.zeros((2, 2)), K=1, ratings=ratings)
+
     def test_ratings_dicts_taken_in_item_order(self):
         model = ItemCfModel(W=np.zeros((3, 3)), K=1,
                             ratings=[{2: 1.0, 0: 4.0}, {}])

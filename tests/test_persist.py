@@ -1,8 +1,11 @@
 """Round-trip tests for the JSON model file format."""
 
 import base64
+import contextlib
 import dataclasses
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +42,7 @@ from latentrec.persist import (
     save_model,
 )
 from tests.conftest import (
+    FOUR_BY_FOUR_CSV,
     dataset_from_dense,
     make_rank2_ratings,
     model_text,
@@ -186,6 +190,25 @@ class TestRoundTrip:
         loaded = load_model(save_model(bundle, tmp_path / "m.json"))
         assert loaded.model.mu == model.mu
         assert_predictions_match(bundle, loaded, ds)
+
+    def test_svdpp_without_rated_lists(self, tmp_path):
+        # the writer called N.lists() on None and raised AttributeError
+        ds = small_dataset()
+        trained = trained_bundle("svdpp", ds)
+        bundle = dataclasses.replace(
+            trained, model=dataclasses.replace(trained.model, N=None),
+            created="2026-01-01T00:00:00+00:00")
+        first = save_model(bundle, tmp_path / "a.json")
+        assert json.loads(model_text(first))["parameters"]["rated"] is None
+        loaded = load_model(first)
+        assert loaded.model.N is None
+        items = np.arange(ds.n_items)
+        for u in range(ds.n_users):
+            assert np.array_equal(loaded.scorer.scores(u, items),
+                                  bundle.scorer.scores(u, items))
+        assert_predictions_match(bundle, loaded, ds, tol=0.0)
+        assert save_model(loaded, tmp_path / "b.json").read_bytes() == \
+            first.read_bytes()
 
     def test_itemcf(self, tmp_path):
         ds = small_dataset()
@@ -605,6 +628,152 @@ class TestFileFormat:
         with pytest.raises(PersistenceError, match=(
                 f"hold {ds.n_items - 1} items where the item index has {ds.n_items}")):
             load_model(path)
+
+
+def edited_funk_file(tmp_path, edit):
+    """A saved funk file with edit applied to its document, and its dataset."""
+    bundle, ds = funk_bundle()
+    doc = json.loads(model_text(save_model(bundle, tmp_path / "m.json")))
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path), ds
+
+
+def assert_exits_3(capsys, path, user, item, match):
+    """predict and recommend both exit 3 with one error line holding match."""
+    for argv in (["predict", path, user, item], ["recommend", path, user]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed model file")
+        assert match in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+
+class TestHeaderChecks:
+    @pytest.mark.parametrize("key", ["user_index", "item_index"])
+    @pytest.mark.parametrize("bad", [-1, "repeat", True, 0.7, "1", None])
+    def test_index_map_not_one_to_one_onto_the_indices_exits_3(
+            self, key, bad, capsys, tmp_path):
+        # -1 ended in a raw IndexError; a repeat, true or 0.7 (which int()
+        # read as 0) loaded and answered for the wrong user or item
+        def edit(doc):
+            token = min(doc[key], key=doc[key].get)
+            doc[key][token] = 0 if bad == "repeat" else bad
+            if bad == "repeat":
+                doc[key][max(doc[key], key=doc[key].get)] = 0
+
+        path, ds = edited_funk_file(tmp_path, edit)
+        user, item = min(ds.user_index), min(ds.item_index)
+        assert_exits_3(capsys, path, user, item,
+                       f"{key} must map its tokens one to one onto 0..n-1")
+
+    @pytest.mark.parametrize("bad", [[5, 1], [3, 3], "15", [1, 5, 9], [1],
+                                     [True, 5], [1, "5"], [1, math.nan],
+                                     [-math.inf, 5], [1, math.inf], [1, 10**400],
+                                     None])
+    def test_scale_that_is_not_two_finite_rising_numbers_exits_3(
+            self, bad, capsys, tmp_path):
+        # [5, 1] clamped every rounding to 1, "15" was read as (1, 5), and
+        # a NaN or infinite bound made predict fail with a traceback
+        def edit(doc):
+            doc["scale"] = bad
+
+        path, ds = edited_funk_file(tmp_path, edit)
+        assert_exits_3(capsys, path, min(ds.user_index), min(ds.item_index),
+                       "scale must be two finite numbers lo < hi")
+
+    @pytest.mark.parametrize("scale", [(5.0, 1.0), (1.0, math.inf),
+                                       (math.nan, 5.0), ("1", "5"), (1.0,),
+                                       (1, 10**400)])
+    def test_bundle_refuses_the_same_scales(self, scale):
+        bundle, _ = funk_bundle()
+        with pytest.raises(ValidationError, match="scale must be"):
+            dataclasses.replace(bundle, scale=scale)
+
+    @pytest.mark.parametrize("index", [{"a": 1}, {"a": 0, "b": 0},
+                                       {"a": 0, "b": True}, {"a": 0.0}, ["a"]])
+    def test_bundle_refuses_an_index_map_that_is_not_one_to_one(self, index):
+        bundle, _ = funk_bundle()
+        with pytest.raises(ValidationError, match="user_index must map"):
+            dataclasses.replace(bundle, user_index=index)
+
+
+class TestParameterKinds:
+    @pytest.mark.parametrize("algo, key, bad", [
+        ("funk", "f", 1.5), ("funk", "f", "3"), ("funk", "f", True),
+        ("itemcf", "k", 2.0), ("svd", "f", None), ("svdpp", "mu", "3"),
+        ("svdpp", "mu", True), ("fm", "w0", None), ("ffm", "n_fields", True),
+        ("svd", "similarity_mode", 3), ("svd", "neighborhood", "2"),
+        ("svd", "neighborhood", 1.5), ("svd", "neighborhood", False),
+    ])
+    def test_scalar_of_the_wrong_json_kind_rejected(self, algo, key, bad,
+                                                    tmp_path):
+        # int() read 1.5, "3" and true as 1, 3 and 1
+        ds = small_dataset()
+        path = save_model(trained_bundle(algo, ds), tmp_path / "m.json")
+        doc = json.loads(model_text(path))
+        doc["parameters"][key] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match=f"parameter {key} must be a JSON"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, bad", [("weights", ["3", 0.5]),
+                                          ("weights", [True, 0.5]),
+                                          ("intercept", "0")])
+    def test_ensemble_scalar_of_the_wrong_json_kind_rejected(self, key, bad,
+                                                            tmp_path):
+        # float() read "3" and true as 3.0 and 1.0
+        ds = small_dataset()
+        members = [trained_bundle(algo, ds).scorer for algo in ("funk", "svdpp")]
+        bundle = ModelBundle(algorithm="ensemble",
+                             model=BlendModel(members=members, weights=[0.5, 0.5]),
+                             user_index=ds.user_index, item_index=ds.item_index,
+                             scale=ds.scale)
+        path = save_model(bundle, tmp_path / "m.json")
+        doc = json.loads(model_text(path))
+        doc["ensemble"][key] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match=f"parameter {key} must be a JSON number"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_svd_neighborhood_below_1_rejected(self, bad, tmp_path):
+        # 0 sent every prediction to the user mean
+        bundle, _ = svd_bundle()
+        path = save_model(bundle, tmp_path / "m.json")
+        doc = json.loads(model_text(path))
+        doc["parameters"]["neighborhood"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="neighborhood must be None or an int >= 1"):
+            load_model(path)
+
+    @pytest.mark.parametrize("algo, key", [("svd", "rated"), ("itemcf", "ratings")])
+    def test_null_lists_rejected_where_the_model_needs_them(self, algo, key,
+                                                            tmp_path):
+        # an svd rated null ended in an AttributeError traceback
+        ds = small_dataset()
+        path = save_model(trained_bundle(algo, ds), tmp_path / "m.json")
+        doc = json.loads(model_text(path))
+        doc["parameters"][key] = None
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match=f"{algo} {key} must be one list per user"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
+    def test_itemcf_rating_that_is_not_a_finite_number_rejected(
+            self, bad, tmp_path, capsys):
+        # NaN or inf made predict fail with "cannot round non-finite value"
+        ds = small_dataset()
+        path = save_model(trained_bundle("itemcf", ds), tmp_path / "m.json")
+        doc = json.loads(model_text(path))
+        doc["parameters"]["ratings"][0][0][1] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="with finite values"):
+            load_model(path)
+        assert main(["predict", str(path), min(ds.user_index), min(ds.item_index)]) == 3
+        assert capsys.readouterr().err.startswith("error: malformed model file")
 
 
 class TestBootstrapRepeats:
@@ -1215,3 +1384,74 @@ class TestGzipContainer:
         path = tmp_path / "plain.json"
         path.write_text(model_text(save_model(bundle, tmp_path / "m.json")))
         assert_predictions_match(bundle, load_model(path), ds, tol=0.0)
+
+
+# what the leaf property writes in place of one leaf of a model file;
+# 10**400 is a JSON integer too large for a float
+LEAF_VALUES = [True, -1, 0, 1.5, "3", None, [], {}, 1e308, math.nan, 10**400]
+
+
+def leaf_paths(value, path=()):
+    """Key paths of every leaf (scalar or empty container) of a JSON
+    document, float-block data left out."""
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            if not (key == "data" and "dtype" in value):
+                yield from leaf_paths(item, path + (key,))
+    elif isinstance(value, list) and value:
+        for n, item in enumerate(value):
+            yield from leaf_paths(item, path + (n,))
+    else:
+        yield path
+
+
+@pytest.fixture(scope="module")
+def cli_trained(tmp_path_factory):
+    """(folder, {name: (inflated document, leaf paths)}) of CLI-trained
+    svd, funk, svdpp, itemcf, fm, ffm and blend files on the 4x4 ratings."""
+    folder = tmp_path_factory.mktemp("cli-trained")
+    ratings = folder / "ratings.csv"
+    ratings.write_text(FOUR_BY_FOUR_CSV)
+    algos = ("svd", "funk", "svdpp", "itemcf", "fm", "ffm")
+    for algo in algos:
+        extra = ["--rank-rule", "fixed:2"] if algo == "svd" else ["--epochs", "3"]
+        assert main(["train", "--algo", algo, "--input", str(ratings),
+                     "--output", str(folder / algo), *extra]) == 0
+    assert main(["ensemble", "blend", "--output", str(folder / "blend"),
+                 *(str(folder / algo) for algo in algos)]) == 0
+    docs = {}
+    for name in algos + ("blend",):
+        doc = json.loads(model_text(folder / name))
+        docs[name] = doc, list(leaf_paths(doc))
+    return folder, docs
+
+
+class TestEditedLeaves:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_property_edited_leaf_exits_0_or_3(self, cli_trained, data):
+        # an index of -1, a NaN scale bound or itemcf rating and an svd
+        # neighborhood of "3" or 1.5 each made the CLI exit 1 with a traceback
+        folder, docs = cli_trained
+        doc, paths = docs[data.draw(st.sampled_from(sorted(docs)), label="file")]
+        path = data.draw(st.sampled_from(paths), label="leaf")
+        value = data.draw(st.sampled_from(LEAF_VALUES), label="value")
+        edited = json.loads(json.dumps(doc))
+        at = edited
+        for key in path[:-1]:
+            at = at[key]
+        at[path[-1]] = value
+        target = folder / "edited.json"
+        target.write_text(json.dumps(edited))
+        # query the user and item whose index entry was edited, if any
+        user = path[-1] if path[0] == "user_index" else "1"
+        item = path[-1] if path[0] == "item_index" else "2"
+        for argv in (["predict", str(target), user, item],
+                     ["recommend", str(target), user]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 3), (path, value, argv[0], err.getvalue())
+            if code == 3:
+                assert err.getvalue().startswith("error: ")
+                assert len(err.getvalue().splitlines()) == 1

@@ -206,6 +206,14 @@ class TestPredict:
         with pytest.raises(ValueError):
             worked_model.predict(9, 0)
 
+    @pytest.mark.parametrize("neighborhood", [0, -1, "2", 1.5, True, [1]])
+    def test_neighborhood_must_be_none_or_an_int_of_at_least_1(
+            self, worked_model, neighborhood):
+        # 0 sent every prediction to the user mean; "2" raised TypeError
+        with pytest.raises(ValueError, match="neighborhood must be None or an int >= 1"):
+            SvdCfModel(worked_model.r_star, worked_model.mask, f=2,
+                       neighborhood=neighborhood)
+
 
 class TestRoundToScale:
     def test_examples(self):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import svdcf
 from .data import CsvSchema, checked_scale, negative_sample, parse_csv
-from .ensemble import BlendModel, bag_train, stack_fit, vote_recommend
+from .ensemble import BlendModel, bag_train, stack_fit
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -374,6 +374,7 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
+    resolve(args, ())  # reads and checks --config, which no option of predict uses
     bundle = load_model(args.model)
     value = bundle.predict(args.user, args.item)
     rounded = svdcf.round_to_scale(value, bundle.scale)
@@ -447,15 +448,10 @@ def _load_members(paths):
     return bundles
 
 
-def _save_ensemble(model, reference, output):
-    bundle = ModelBundle(
-        algorithm="ensemble",
-        model=model,
-        user_index=reference.user_index,
-        item_index=reference.item_index,
-        scale=reference.scale,
-    )
-    save_model(bundle, output)
+def _ensemble(model, reference):
+    """The ensemble bundle of model, with reference's index maps and scale."""
+    return ModelBundle("ensemble", model, reference.user_index, reference.item_index,
+                       reference.scale)
 
 
 def cmd_ensemble_blend(args):
@@ -473,7 +469,7 @@ def cmd_ensemble_blend(args):
                            weights=weights)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-    _save_ensemble(model, bundles[0], values["output"])
+    save_model(_ensemble(model, bundles[0]), values["output"])
     print(f"blended {len(bundles)} members")
     print(f"wrote {values['output']}")
     return EXIT_OK
@@ -484,16 +480,10 @@ def cmd_ensemble_vote(args):
     if values["k"] < 1:
         raise ConfigError(f"k must be >= 1, got {values['k']}")
     bundles = _load_members(args.members)
-    first = bundles[0]
-    user = values["user"]
-    if user not in first.user_index:
-        raise ValidationError(f"unknown user {user!r}")
-    tokens = {at: token for token, at in first.item_index.items()}
-    ranked = vote_recommend(
-        [b.scorer for b in bundles], first.user_index[user], values["k"]
-    )
-    for item, votes in ranked:
-        print(f"{tokens[item]}\t{votes}")
+    # a blend recommends by its members' votes, whatever the weights
+    blend = BlendModel([b.scorer for b in bundles], [1.0] * len(bundles))
+    for token, votes in _ensemble(blend, bundles[0]).recommend(values["user"], values["k"]):
+        print(f"{token}\t{int(votes)}")
     return EXIT_OK
 
 
@@ -510,7 +500,7 @@ def cmd_ensemble_bag(args):
         return bundle.scorer
 
     bag = bag_train(trainer, ds, b=values["members"], seed=values["seed"])
-    _save_ensemble(bag, ds, values["output"])
+    save_model(_ensemble(bag, ds), values["output"])
     print(f"bagged {values['members']} members")
     print(f"wrote {values['output']}")
     return EXIT_OK
@@ -524,7 +514,7 @@ def cmd_ensemble_stack(args):
     raw = _read_ratings(values["holdout"], schema)
     holdout = raw.replace(user_index=first.user_index, item_index=first.item_index)
     model = stack_fit([b.scorer for b in bundles], holdout)
-    _save_ensemble(model, first, values["output"])
+    save_model(_ensemble(model, first), values["output"])
     coefficients = ", ".join(f"{w:.6f}" for w in model.weights)
     print(f"stacked {len(bundles)} members: "
           f"coefficients [{coefficients}] intercept {model.intercept:.6f}")

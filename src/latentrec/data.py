@@ -194,10 +194,14 @@ class UserItems:
             rows = [sorted(r.items()) if isinstance(r, dict) else r for r in rows]
             flat = list(chain.from_iterable(rows))
             items, values = zip(*flat) if valued and flat else (flat, ())
-            # numpy reads a bool among ints as 0 or 1
-            has_bool = bool in {*map(type, items), *map(type, values)}
-            rows = cls(np.cumsum([0] + [len(r) for r in rows]), np.array(items),
-                       np.array(values))
+            arrays = np.array(items), np.array(values)
+            # numpy reads a bool among numbers as 0 or 1, so only an entry
+            # that reads 0 or 1 can be one
+            has_bool = any(type(entries[at]) is bool
+                           for entries, a in zip((items, values), arrays)
+                           if a.ndim == 1 and a.dtype.kind in "iuf"
+                           for at in np.flatnonzero((a == 0) | (a == 1)).tolist())
+            rows = cls(np.cumsum([0] + [len(r) for r in rows]), *arrays)
         items, values = rows.items, rows.values
         # a clause is reached only when all before it are false, so the
         # key test sees int items in range; row-major keys rise iff the
@@ -205,8 +209,8 @@ class UserItems:
         if (has_bool or n_users not in (None, len(rows)) or items.shape != (rows.offsets[-1],)
                 or items.size and (items.dtype.kind not in "iu" or items.min() < 0
                                    or items.max() >= n_items)
-                or valued and (values is None or values.dtype.kind not in "iuf"
-                               or not np.isfinite(values).all()
+                or valued and (values is None or values.shape != items.shape
+                               or values.dtype.kind not in "iuf" or not np.isfinite(values).all()
                                or np.any(np.diff(rows.rows() * n_items + items) <= 0))):
             raise ValueError(f"{name} must be one list per user of {'strictly increasing ' * valued}"
                              f"integer item indices in [0, {n_items}){' with finite values' * valued}")

@@ -398,46 +398,32 @@ class SampleBatch:
 
     @classmethod
     def pack(cls, samples):
-        """Pack (feature vector, target) pairs in one pass over samples.
+        """Pack (feature vector, target) pairs into one batch.
 
         samples may be any iterable, a generator included, of pairs whose
         first item is a FeatureVector or a dense array; dense inputs are
         converted as the predictors convert them, and the first sample
-        sets the dimension that every other must match. Nothing is kept of
-        a sample but its numbers, so the pairs can be made on the fly.
-        fields is None unless every sample carries field ids.
+        sets the dimension that every other must match. Every pair is held
+        until the batch is built; from_codes builds a one-hot batch without
+        a vector per record. fields is None unless every sample carries
+        field ids.
 
         Raises:
             ShapeError: a sample's dimension differs from the first's.
             ValidationError: samples is empty.
         """
-        indices, values, fields = bytearray(), bytearray(), bytearray()
-        sizes, targets = [], []
-        n = None
-        for x, y in samples:
-            if n is None:
-                n = x.n if isinstance(x, FeatureVector) else len(x)
-            x = _as_features(x, n)
-            indices += x.indices.tobytes()
-            values += x.values.tobytes()
-            if fields is not None and x.fields is not None:
-                fields += x.fields.tobytes()
-            else:
-                fields = None
-            sizes.append(x.nnz)
-            targets.append(float(y))
-        if n is None:
+        pairs = list(samples)
+        if not pairs:
             raise ValidationError("training needs at least one sample")
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        return cls(
-            indices=np.frombuffer(indices, dtype=np.int64),
-            values=np.frombuffer(values, dtype=float),
-            offsets=offsets,
-            targets=np.array(targets),
-            n=n,
-            fields=None if fields is None else np.frombuffer(fields, dtype=np.int64),
-        )
+        first = pairs[0][0]
+        n = first.n if isinstance(first, FeatureVector) else len(first)
+        xs = [_as_features(x, n) for x, _ in pairs]
+        fields = [x.fields for x in xs]
+        return cls(indices=np.concatenate([x.indices for x in xs]),
+                   values=np.concatenate([x.values for x in xs]),
+                   offsets=np.cumsum([0] + [x.nnz for x in xs]),
+                   targets=[float(y) for _, y in pairs], n=n,
+                   fields=None if any(f is None for f in fields) else np.concatenate(fields))
 
     @classmethod
     def from_codes(cls, spec, columns, targets):

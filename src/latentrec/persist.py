@@ -365,7 +365,7 @@ def _member_from(doc, scale, user_tokens, item_tokens, version):
         if held != len(tokens):
             raise ValueError(f"{algorithm} tables hold {held} {role}s where "
                              f"the {role} index has {len(tokens)}")
-    encoder = _encoder_from(doc["encoder"]) if "encoder" in doc else None
+    encoder = _encoder_from(doc["encoder"]) if algorithm in ("fm", "ffm") else None
     observed = UserItems.of(block.get("observed"), len(user_tokens),
                             len(item_tokens), "observed")
     return IndexedModel(algorithm, model, encoder, user_tokens, item_tokens, observed)
@@ -511,14 +511,14 @@ def load_model(path):
     such as an int field holding 1.5, "3" or true; a per-user index list
     that UserItems.of refuses, such as one holding 1.5, "3", true or
     null, an itemcf list that repeats an item or holds a rating that is
-    not finite, or a null svd rated or itemcf ratings; an svd, funk,
-    svdpp or itemcf table that does not fit the index maps; a float
-    array of version 4 or later that is not a block of dtype "<f8" whose
-    base64 data holds exactly its shape's product of 8-byte values; a
-    value the model refuses, such as an svd neighborhood below 1; a JSON
-    integer too large for a float where a float is read), and
-    CapacityError when the itemcf weights to rebuild exceed the dense
-    cell cap.
+    not a finite number, or a null svd rated or itemcf ratings; an fm or
+    ffm block without its encoder; an svd, funk, svdpp or itemcf table
+    that does not fit the index maps; a float array of version 4 or
+    later that is not a block of dtype "<f8" whose base64 data holds
+    exactly its shape's product of 8-byte values; a value the model
+    refuses, such as an svd neighborhood below 1; a JSON integer too
+    large for a float where a float is read), and CapacityError when the
+    itemcf weights to rebuild exceed the dense cell cap.
     """
     try:
         data = Path(path).read_bytes()

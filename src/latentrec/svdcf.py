@@ -251,10 +251,8 @@ def _predictions(model, u, items):
             sims = np.where(sims > 0, sims, 0.0)  # negative neighbors excluded
         sims[i] = 0.0
         if model.neighborhood is not None and model.neighborhood < n - 1:
-            order = np.lexsort((np.arange(n), -sims))
-            keep = np.zeros(n, dtype=bool)
-            keep[order[: model.neighborhood]] = True
-            sims = np.where(keep, sims, 0.0)
+            # the top K by descending similarity, ties by ascending item
+            sims[np.argsort(-sims, kind="stable")[model.neighborhood:]] = 0.0
         total = float(sims.sum())
         if total == 0.0:
             log.debug("prediction (%d, %d) fell back to the user mean", u, i)

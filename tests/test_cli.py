@@ -420,6 +420,30 @@ class TestTrain:
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert got.n == want.n
 
+    def test_cli_fm_samples_never_go_through_pack(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # pack holds every (vector, target) pair until the batch is built;
+        # the CLI builds its fm/ffm batches with SampleBatch.from_codes
+        def refuse(cls, samples):
+            raise AssertionError("SampleBatch.pack called")
+
+        monkeypatch.setattr(SampleBatch, "pack", classmethod(refuse))
+        explicit = write_ratings(tmp_path)
+        implicit = write_ratings(tmp_path, "implicit.csv", IMPLICIT_CSV)
+        logistic = ["--kind", "implicit", "--loss", "logistic", "--neg-ratio", "1",
+                    "--scale", "0:1"]
+        for algo, data, user, extra in (("fm", explicit, "1", []),
+                                        ("ffm", explicit, "1", []),
+                                        ("fm", implicit, "a", logistic)):
+            out = str(tmp_path / f"{algo}{user}.json")
+            code, _, _ = run(capsys, "train", "--algo", algo, "--input", data,
+                             "--output", out, "--epochs", "2", *extra)
+            assert code == 0
+            assert run(capsys, "recommend", out, user)[0] == 0
+            code, _, _ = run(capsys, "evaluate", out, "--test", data, "--k", "5",
+                             *extra[:2])
+            assert code == 0
+
     def test_bad_rank_rule_is_an_argument_error(self, capsys, tmp_path):
         data = write_ratings(tmp_path)
         code, _, _ = run(capsys, "train", "--algo", "svd", "--input", data,
@@ -454,6 +478,21 @@ class TestPredict:
         code, stdout, _ = run(capsys, "predict", model, "3", "2")
         assert code == 0
         assert stdout.endswith("(rounded: 1)\n")
+
+    @pytest.mark.parametrize("text", [None, "epoch=3\n"])
+    def test_config_file_that_is_missing_or_has_an_unknown_key_exits_2(
+            self, capsys, tmp_path, text):
+        model = train_fixture_model(capsys, tmp_path)
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        code, stdout, err = run(capsys, "predict", model, "1", "2",
+                                "--config", str(cfg))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        want = "cannot read config file" if text is None else "unknown config key 'epoch'"
+        assert want in err
 
 
 class TestRecommend:
@@ -741,6 +780,22 @@ class TestEnsemble:
             token, votes = line.split("\t")
             assert token in ("1", "2")
             assert votes in ("1", "2")
+
+    def test_vote_ranks_as_recommend_on_a_blend_of_the_same_files(
+            self, capsys, tmp_path):
+        members = [train_fixture_model(capsys, tmp_path, algo)
+                   for algo in ("svd", "funk", "itemcf")]
+        blend = str(tmp_path / "blend.json")
+        assert run(capsys, "ensemble", "blend", *members, "--output", blend)[0] == 0
+        for user in ("1", "2", "3", "4"):
+            code, voted, _ = run(capsys, "ensemble", "vote", *members,
+                                 "--user", user, "--k", "3")
+            assert code == 0
+            code, recommended, _ = run(capsys, "recommend", blend, user, "--k", "3")
+            assert code == 0
+            assert voted.splitlines() == [
+                f"{token}\t{float(votes):.0f}" for token, votes in
+                (line.split("\t") for line in recommended.splitlines())]
 
     def test_vote_unknown_user_exits_3(self, capsys, tmp_path):
         model = train_fixture_model(capsys, tmp_path)

@@ -775,6 +775,22 @@ class TestParameterKinds:
         assert main(["predict", str(path), min(ds.user_index), min(ds.item_index)]) == 3
         assert capsys.readouterr().err.startswith("error: malformed model file")
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_itemcf_ratings_held_in_lists_rejected(self, width, tmp_path, capsys):
+        # [r] loaded as r, and [r, r] made predict exit 1 with a raw ValueError
+        ds = small_dataset()
+        path = save_model(trained_bundle("itemcf", ds), tmp_path / "m.json")
+        doc = json.loads(model_text(path))
+        doc["parameters"]["ratings"] = [[[i, [r] * width] for i, r in row]
+                                        for row in doc["parameters"]["ratings"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="with finite values"):
+            load_model(path)
+        for argv in (["predict", str(path), min(ds.user_index), min(ds.item_index)],
+                     ["recommend", str(path), min(ds.user_index)]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err.startswith("error: malformed model file")
+
 
 class TestBootstrapRepeats:
     """A bootstrap resample (allow_duplicate_pairs, as bag_train builds it)
@@ -1452,6 +1468,52 @@ class TestEditedLeaves:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 3), (path, value, argv[0], err.getvalue())
+            if code == 3:
+                assert err.getvalue().startswith("error: ")
+                assert len(err.getvalue().splitlines()) == 1
+
+
+def key_paths(value, path=()):
+    """Key paths of every dict entry of a JSON document, the entries of
+    float blocks left out."""
+    if isinstance(value, dict) and "dtype" not in value:
+        for key, item in value.items():
+            yield path + (key,)
+            yield from key_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for n, item in enumerate(value):
+            yield from key_paths(item, path + (n,))
+
+
+class TestDeletedKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(["svd", "funk", "svdpp", "itemcf", "fm", "ffm", "blend"]),
+           at=st.integers(min_value=0))
+    # the blend's fm member without its encoder loaded; predict and
+    # recommend then exited 1 with an AttributeError
+    @example(name="blend", at=("ensemble", "members", 4, "encoder"))
+    def test_property_deleted_key_exits_0_or_3(self, cli_trained, name, at):
+        # at is a key path, or an index into the document's key paths
+        folder, docs = cli_trained
+        doc = json.loads(json.dumps(docs[name][0]))
+        paths = list(key_paths(doc))
+        path = at if isinstance(at, tuple) else paths[at % len(paths)]
+        assert path in paths
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        target = folder / "deleted.json"
+        target.write_text(json.dumps(doc))
+        # query the user and item whose index entry was deleted, if any
+        user = path[-1] if path[:1] == ("user_index",) else "1"
+        item = path[-1] if path[:1] == ("item_index",) else "2"
+        for argv in (["predict", str(target), user, item],
+                     ["recommend", str(target), user]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 3), (path, argv[0], err.getvalue())
             if code == 3:
                 assert err.getvalue().startswith("error: ")
                 assert len(err.getvalue().splitlines()) == 1

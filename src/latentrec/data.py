@@ -15,7 +15,7 @@ import numbers
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, pairwise
+from itertools import chain
 
 import numpy as np
 
@@ -150,13 +150,19 @@ class UserItems:
         """The user index of each entry of items."""
         return np.repeat(np.arange(len(self)), np.diff(self.offsets))
 
-    def lists(self):
-        """Per-user lists of item indices, or of [item, value] pairs when
-        there are values, as Python numbers: the model-file form."""
-        flat = self.items.tolist()
+    def form(self):
+        """The model-file form, as Python numbers: "lengths", each user's
+        item count; "gaps", every user's items in row order, each less the
+        item before it in its row (the first less 0); and with values,
+        "values" aligned with the gaps."""
+        lengths = np.diff(self.offsets)
+        gaps = np.diff(self.items, prepend=0)
+        starts = self.offsets[:-1][lengths > 0]
+        gaps[starts] = self.items[starts]
+        form = {"lengths": lengths.tolist(), "gaps": gaps.tolist()}
         if self.values is not None:
-            flat = [list(pair) for pair in zip(flat, self.values.tolist())]
-        return [flat[a:b] for a, b in pairwise(self.offsets.tolist())]
+            form["values"] = self.values.tolist()
+        return form
 
     @classmethod
     def from_columns(cls, users, items, n_users, n_items, values=None):
@@ -175,38 +181,32 @@ class UserItems:
         """rows as a checked UserItems: the one check of per-user item
         lists that come from outside (model files, hand-built models).
 
-        rows is None (returned as is), a UserItems, or a sequence of
-        per-user lists: n_users of them, unless n_users is None. Every
-        item is an int in [0, n_items), never a float, string, bool or
-        null. Unvalued rows keep their order and may repeat an item. With
-        valued, a row is a dict from item to value or a list of [item,
-        value] pairs whose values are finite real numbers, not bools; a
-        dict is taken in item order, and the items of every row must be
-        strictly increasing.
+        rows is None (returned as is), a UserItems, a dict in the form
+        form() gives, or a sequence of per-user lists: n_users of them,
+        unless n_users is None. Every item is an int in [0, n_items),
+        never a float, string, bool or null. Unvalued rows keep their
+        order and may repeat an item. With valued, a row is a dict from
+        item to value or a list of [item, value] pairs (in the dict form,
+        a "values" list) whose values are finite real numbers, not bools;
+        a dict is taken in item order, and the items of every row must be
+        strictly increasing. The dict form's lengths must be ints >= 0
+        that sum to the number of gaps, and each gap an int less than
+        n_items away from 0, which is tested before the gaps are summed.
 
         Raises:
             ValueError: naming name, for any list that breaks these rules.
         """
         if rows is None:
             return None
-        has_bool = False
-        if not isinstance(rows, cls):
-            rows = [sorted(r.items()) if isinstance(r, dict) else r for r in rows]
-            flat = list(chain.from_iterable(rows))
-            items, values = zip(*flat) if valued and flat else (flat, ())
-            arrays = np.array(items), np.array(values)
-            # numpy reads a bool among numbers as 0 or 1, so only an entry
-            # that reads 0 or 1 can be one
-            has_bool = any(type(entries[at]) is bool
-                           for entries, a in zip((items, values), arrays)
-                           if a.ndim == 1 and a.dtype.kind in "iuf"
-                           for at in np.flatnonzero((a == 0) | (a == 1)).tolist())
-            rows = cls(np.cumsum([0] + [len(r) for r in rows]), *arrays)
-        items, values = rows.items, rows.values
+        if isinstance(rows, dict):
+            rows = cls._decoded(rows, n_items)
+        elif not isinstance(rows, cls):
+            rows = cls._nested(rows, valued)
+        items, values = (None, None) if rows is None else (rows.items, rows.values)
         # a clause is reached only when all before it are false, so the
         # key test sees int items in range; row-major keys rise iff the
         # items of every row do
-        if (has_bool or n_users not in (None, len(rows)) or items.shape != (rows.offsets[-1],)
+        if (rows is None or n_users not in (None, len(rows)) or items.shape != (rows.offsets[-1],)
                 or items.size and (items.dtype.kind not in "iu" or items.min() < 0
                                    or items.max() >= n_items)
                 or valued and (values is None or values.shape != items.shape
@@ -216,6 +216,49 @@ class UserItems:
                              f"integer item indices in [0, {n_items}){' with finite values' * valued}")
         return cls(rows.offsets, items.astype(np.int64, copy=False),
                    values.astype(float, copy=False) if valued else None)
+
+    @classmethod
+    def _decoded(cls, form, n_items):
+        """The rows of form() output, or None when its lengths or gaps are
+        not lists of ints, or break the rules of the dict form in of."""
+        lengths, gaps = (_json_array(form.get(key)) for key in ("lengths", "gaps"))
+        # a float, a string, null or an int past the int64 range makes an
+        # array of another kind
+        if (any(a is None or a.ndim != 1 or a.dtype.kind != "i" for a in (lengths, gaps))
+                or lengths.size and (lengths.min() < 0 or lengths.max() > gaps.size)
+                or lengths.sum() != gaps.size
+                or gaps.size and (gaps.min() <= -n_items or gaps.max() >= n_items)):
+            return None
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        # item k of a row is the sum of the row's gaps up to k: one running
+        # sum, less its value where the row starts
+        sums = np.concatenate(([0], np.cumsum(gaps)))
+        values = form.get("values")
+        return cls(offsets, sums[1:] - np.repeat(sums[offsets[:-1]], lengths),
+                   None if values is None else _json_array(values))
+
+    @classmethod
+    def _nested(cls, rows, valued):
+        """The rows of a sequence of per-user lists, or None when an entry
+        is a bool."""
+        rows = [sorted(r.items()) if isinstance(r, dict) else r for r in rows]
+        flat = list(chain.from_iterable(rows))
+        items, values = zip(*flat) if valued and flat else (flat, ())
+        arrays = _json_array(items), _json_array(values)
+        return None if arrays[0] is None or arrays[1] is None else cls(
+            np.cumsum([0] + [len(r) for r in rows]), *arrays)
+
+
+def _json_array(entries):
+    """entries (JSON values) as an array, int64 when there are none, or
+    None when one of them is a bool."""
+    a = np.array(entries) if entries != [] else np.zeros(0, np.int64)
+    # numpy reads a bool among numbers as 0 or 1, so only an entry that
+    # reads 0 or 1 can be one
+    if a.ndim == 1 and a.dtype.kind in "iuf" and any(
+            type(entries[at]) is bool for at in np.flatnonzero((a == 0) | (a == 1)).tolist()):
+        return None
+    return a
 
 
 class RatingDataset:

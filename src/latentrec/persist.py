@@ -1,7 +1,7 @@
 """Model files: save and load every trained model type.
 
 README's model-file paragraph is the one full account of the format
-(format_version 5). What the code here relies on:
+(format_version 6). What the code here relies on:
 
 - A file is one compact, key-sorted JSON line in a single gzip member
   (level GZIP_LEVEL, mtime 0). A file without the gzip magic bytes is
@@ -20,12 +20,18 @@ README's model-file paragraph is the one full account of the format
   fm/ffm's observed lists have a branch of their own.
 - A file stores only what a model cannot rebuild: loading rebuilds svd
   r_star and mask and the itemcf weights W with the functions training
-  used, and refuses tables that do not fit the index maps.
+  used, and refuses tables that do not fit the token lists.
+- The header holds the user and item tokens as two lists in index order
+  (from version 6; before, as token -> index maps); ModelBundle keeps
+  its index maps, built from the lists on load.
 - Models hold every per-user item list (svd rated, funk/svdpp N, itemcf
-  ratings, fm/ffm observed) as a data.UserItems. Its lists() is the JSON
-  form the writer stores, and UserItems.of, the one check of such lists,
-  is the only way the loader reads them back; the svd mask goes to and
-  from its rated lists in one array operation each way.
+  ratings, fm/ffm observed) as a data.UserItems. Its form() is what the
+  writer stores from version 6: each user's item count, every item as
+  the gap from the one before it in its row (d-gaps, as inverted indexes
+  store posting lists), and itemcf's ratings. UserItems.of, the one check
+  of such lists, is the only way the loader reads them back, in this
+  form or as the nested lists of versions 1 to 5; the svd mask goes to
+  and from its rated lists in one array operation each way.
 """
 
 import base64
@@ -51,11 +57,12 @@ from .linalg import SvdResult
 from .metrics import in_range, rank_unseen
 from .svdcf import SvdCfModel, reconstruct
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 # version 1 stored the svd block as the dense r_star and mask; version 2
 # stored the itemcf weights "w"; versions 1-3 store floats as nested lists,
-# and version 4 float blocks hold their bytes value by value
-READABLE_VERSIONS = (1, 2, 3, 4, FORMAT_VERSION)
+# and version 4 float blocks hold their bytes value by value; versions 1-5
+# store token index maps and per-user lists as nested lists
+READABLE_VERSIONS = (1, 2, 3, 4, 5, FORMAT_VERSION)
 # the one dtype of a float block: little-endian IEEE 754 binary64
 FLOAT_DTYPE = "<f8"
 # each algorithm's parameter block as (file key, model field, kind): a
@@ -252,6 +259,15 @@ def _array(value, version):
     return values.copy().view(FLOAT_DTYPE).reshape(shape).astype(float, copy=False)
 
 
+def _token_list(tokens, name):
+    """The header's tokens of one role, in index order; raises ValueError
+    unless they are a list of distinct strings."""
+    if not (isinstance(tokens, list) and set(map(type, tokens)) <= {str}
+            and len(set(tokens)) == len(tokens)):
+        raise ValueError(f"{name} must be a list of distinct strings")
+    return tokens
+
+
 def _encoder_doc(spec):
     return {
         "columns": [
@@ -276,7 +292,7 @@ _SCALARS = {"int": (int,), "number": (int, float), "str": (str,),
             "int?": (int, type(None))}
 _WRITERS = {
     "floats": _floats, "int": int, "number": float, "str": str,
-    "items": lambda rows: None if rows is None else rows.lists(),
+    "items": lambda rows: None if rows is None else rows.form(),
     "int?": lambda value: None if value is None else int(value),
 }
 _MODELS = {
@@ -294,7 +310,7 @@ def _parameters(algorithm, model, observed=None):
     elif algorithm == "svd":
         block.update((key, _floats(a)) for key, a in zip("usv", model.factors))
         block["rated"] = UserItems.from_columns(*np.nonzero(model.mask),
-                                                *model.mask.shape).lists()
+                                                *model.mask.shape).form()
     elif algorithm == "itemcf":
         if not np.array_equal(model.W, overlap_weights(model.ratings, model.n_items)):
             raise PersistenceError("itemcf weights do not follow from the stored ratings; "
@@ -341,10 +357,7 @@ def _model_from(algorithm, block, scale, n_items, version):
 
 
 def _member_doc(member):
-    if not isinstance(member, IndexedModel):
-        raise PersistenceError(
-            "only file-backed members can be persisted inside an ensemble"
-        )
+    member = _checked(member)
     doc = {
         "algorithm": member.algorithm,
         "parameters": _parameters(member.algorithm, member.model,
@@ -368,7 +381,23 @@ def _member_from(doc, scale, user_tokens, item_tokens, version):
     encoder = _encoder_from(doc["encoder"]) if algorithm in ("fm", "ffm") else None
     observed = UserItems.of(block.get("observed"), len(user_tokens),
                             len(item_tokens), "observed")
-    return IndexedModel(algorithm, model, encoder, user_tokens, item_tokens, observed)
+    return _checked(IndexedModel(algorithm, model, encoder, user_tokens, item_tokens,
+                                 observed))
+
+
+def _checked(member):
+    """member, as a file can hold it: an IndexedModel and, for fm or ffm,
+    one whose encoder is the two categorical columns its scores encode,
+    holding every user and every item token. Raises PersistenceError."""
+    if not isinstance(member, IndexedModel):
+        raise PersistenceError("only file-backed members can be persisted inside an ensemble")
+    encoder, tokens = member.encoder, (member.user_tokens, member.item_tokens)
+    if member.algorithm in ("fm", "ffm") and not (len(encoder.columns) == 2 and all(
+            column.kind == "categorical" and column.slots.keys() >= set(held)
+            for column, held in zip(encoder.columns, tokens))):
+        raise PersistenceError(f"{member.algorithm} encoder must be two categorical columns "
+                               "whose categories hold every user and every item token")
+    return member
 
 
 def _document(bundle):
@@ -383,8 +412,8 @@ def _document(bundle):
         "created": created,
         "library": f"latentrec {__version__}",
         "scale": [bundle.scale[0], bundle.scale[1]],
-        "user_index": {t: int(v) for t, v in bundle.user_index.items()},
-        "item_index": {t: int(v) for t, v in bundle.item_index.items()},
+        "user_tokens": [str(t) for t in bundle._user_tokens],
+        "item_tokens": [str(t) for t in bundle._item_tokens],
     }
     if bundle.algorithm == "ensemble":
         model = bundle.model
@@ -496,29 +525,34 @@ def load_model(path):
     A file that starts with the gzip magic bytes 1f 8b is inflated first;
     any other file is read as plain UTF-8 JSON, as every version before
     compression was written. Float arrays come back bit for bit as
-    writable float64 arrays: from byte-plane float blocks in version 5,
+    writable float64 arrays: from byte-plane float blocks from version 5,
     from value-order blocks in version 4, from nested decimal lists in
-    versions 1-3.
+    versions 1-3. Token lists and gap-coded per-user lists are read from
+    version 6, token index maps and nested per-user lists before it.
 
     Raises PersistenceError for a file that cannot be read, a gzip stream
     that is corrupt, truncated or followed by other bytes, a document
     that is not UTF-8 JSON, a format_version that is not one of the
     readable ints (a JSON true or 4.0 is not), an unknown algorithm tag,
     a malformed header (a scale that is not a list of two finite numbers
-    lo < hi; a user or item index map that does not take its tokens one
-    to one onto the JSON ints 0..n-1) or a malformed member block (a
-    missing key; a scalar of the wrong JSON kind for its FIELDS entry,
-    such as an int field holding 1.5, "3" or true; a per-user index list
-    that UserItems.of refuses, such as one holding 1.5, "3", true or
-    null, an itemcf list that repeats an item or holds a rating that is
-    not a finite number, or a null svd rated or itemcf ratings; an fm or
-    ffm block without its encoder; an svd, funk, svdpp or itemcf table
-    that does not fit the index maps; a float array of version 4 or
-    later that is not a block of dtype "<f8" whose base64 data holds
-    exactly its shape's product of 8-byte values; a value the model
-    refuses, such as an svd neighborhood below 1; a JSON integer too
-    large for a float where a float is read), and CapacityError when the
-    itemcf weights to rebuild exceed the dense cell cap.
+    lo < hi; a user or item token list that is not a list of distinct
+    strings, or before version 6 an index map that does not take its
+    tokens one to one onto the JSON ints 0..n-1) or a malformed member
+    block (a missing key; a scalar of the wrong JSON kind for its FIELDS
+    entry, such as an int field holding 1.5, "3" or true; a per-user
+    index list that UserItems.of refuses, such as one holding 1.5, "3",
+    true or null, lengths that do not split its gaps, a gap of n_items or
+    more from 0, an itemcf list that repeats an item or holds a rating
+    that is not a finite number, or a null svd rated or itemcf ratings;
+    an fm or ffm block without its encoder, or whose encoder is not two
+    categorical columns holding every user and every item token; an svd,
+    funk, svdpp or itemcf table that does not fit the token lists; a
+    float array of version 4 or later that is not a block of dtype "<f8"
+    whose base64 data holds exactly its shape's product of 8-byte values;
+    a value the model refuses, such as an svd neighborhood below 1; a
+    JSON integer too large for a float where a float is read), and
+    CapacityError when the itemcf weights to rebuild exceed the dense
+    cell cap.
     """
     try:
         data = Path(path).read_bytes()
@@ -545,8 +579,9 @@ def load_model(path):
         raise PersistenceError(f"unknown algorithm tag {algorithm!r}")
     try:
         scale = checked_scale(raw["scale"])
-        user_tokens = tokens_by_index(raw["user_index"], "user_index")
-        item_tokens = tokens_by_index(raw["item_index"], "item_index")
+        user_tokens, item_tokens = (
+            _token_list(raw[f"{role}_tokens"], f"{role}_tokens") if version >= 6
+            else tokens_by_index(raw[f"{role}_index"], f"{role}_index") for role in ("user", "item"))
         if algorithm == "ensemble":
             spec = raw["ensemble"]
             members = [
@@ -570,8 +605,8 @@ def load_model(path):
     return ModelBundle(
         algorithm=algorithm,
         model=model,
-        user_index=raw["user_index"],
-        item_index=raw["item_index"],
+        user_index={token: at for at, token in enumerate(user_tokens)},
+        item_index={token: at for at, token in enumerate(item_tokens)},
         scale=scale,
         encoder=encoder,
         observed=observed,

@@ -206,3 +206,40 @@ def model_text(path):
     a saved file through this also checks that it was compressed.
     """
     return gzip.decompress(Path(path).read_bytes()).decode("utf-8")
+
+
+def rows_of(form):
+    """The per-user lists a model file's gap-coded form holds: lists of
+    item indices, or of [item, value] pairs when the form has values.
+
+    Decoded entry by entry, apart from the code under test: each row's
+    items are the running sums of its gaps from 0.
+    """
+    gaps, values = iter(form["gaps"]), iter(form.get("values", ()))
+    rows = []
+    for length in form["lengths"]:
+        row, item = [], 0
+        for _ in range(length):
+            item += next(gaps)
+            row.append([item, next(values)] if "values" in form else item)
+        rows.append(row)
+    return rows
+
+
+def form_of(rows, valued=False):
+    """The gap-coded model-file form of per-user lists (lists of [item,
+    value] pairs when valued), the inverse of rows_of."""
+    form = {"lengths": [len(row) for row in rows], "gaps": []}
+    if valued:
+        form["values"] = [value for row in rows for _, value in row]
+        rows = [[item for item, _ in row] for row in rows]
+    for row in rows:
+        form["gaps"] += [item - before for before, item in zip([0] + row, row)]
+    return form
+
+
+def edit_rows(form, edit):
+    """form with edit applied in place to the per-user lists it holds."""
+    rows = rows_of(form)
+    edit(rows)
+    return form_of(rows, valued="values" in form)

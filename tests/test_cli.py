@@ -27,8 +27,11 @@ from latentrec.persist import (
 )
 from tests.conftest import (
     FOUR_BY_FOUR_CSV,
+    edit_rows,
+    form_of,
     make_rank2_ratings,
     model_text,
+    rows_of,
     without_created,
 )
 
@@ -552,7 +555,7 @@ class TestRecommend:
     def test_truncated_observed_lists_exit_3(self, capsys, tmp_path):
         model = train_fixture_model(capsys, tmp_path, "fm")
         doc = json.loads(model_text(model))
-        doc["parameters"]["observed"] = doc["parameters"]["observed"][:2]
+        doc["parameters"]["observed"] = form_of(rows_of(doc["parameters"]["observed"])[:2])
         with open(model, "w") as handle:
             json.dump(doc, handle)
         code, stdout, err = run(capsys, "recommend", model, "4", "--k", "2")
@@ -569,16 +572,16 @@ class TestRecommend:
         doc = json.loads(model_text(model))
         block = doc["parameters"]
         if algo == "itemcf":
-            block["ratings"].pop()
+            block["ratings"] = edit_rows(block["ratings"], list.pop)
         else:
-            block["rated"].pop()
+            block["rated"] = edit_rows(block["rated"], list.pop)
             user_axis = {"p": 1, "b_u": 0, "u": 0}
             for key in user_axis.keys() & block.keys():
                 a = _array(block[key], FORMAT_VERSION)
                 block[key] = _ready(_floats(np.delete(a, -1, axis=user_axis[key])))
         with open(model, "w") as handle:
             json.dump(doc, handle)
-        last = max(doc["user_index"], key=doc["user_index"].get)
+        last = doc["user_tokens"][-1]
         code, stdout, err = run(capsys, "recommend", model, last, "--k", "2")
         assert code == 3
         assert stdout == ""
@@ -599,22 +602,42 @@ class TestRecommend:
         # an itemcf list that repeats an item was merged into one entry
         model = train_fixture_model(capsys, tmp_path, algo)
         doc = json.loads(model_text(model))
-        row = doc["parameters"][key][0]
+        block = doc["parameters"]
         if bad == "repeat":
-            row.append(list(row[-1]))
-        elif algo == "itemcf":
-            row[0][0] = bad
+            block[key] = edit_rows(block[key], lambda rows: rows[0].append(list(rows[0][-1])))
         else:
-            row[0] = bad
+            # the first gap of user 0's row is that row's first item
+            assert block[key]["lengths"][0] > 0
+            block[key]["gaps"][0] = bad
         with open(model, "w") as handle:
             json.dump(doc, handle)
-        user = min(doc["user_index"], key=doc["user_index"].get)
+        user = doc["user_tokens"][0]
         code, stdout, err = run(capsys, "recommend", model, user, "--k", "2")
         assert code == 3
         assert stdout == ""
         assert err.startswith("error: malformed model file")
         assert "integer item indices" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("algo", ["fm", "ffm"])
+    @pytest.mark.parametrize("column", ["user", "item"])
+    def test_encoder_category_renamed_away_from_its_token_exits_3(
+            self, capsys, tmp_path, algo, column):
+        # with the category of item (or user) 1 renamed to "zzz", recommend
+        # exited 0 and predict scored it through the unseen-category slot
+        model = train_fixture_model(capsys, tmp_path, algo)
+        doc = json.loads(model_text(model))
+        (encoded,) = [c for c in doc["encoder"]["columns"] if c["name"] == column]
+        encoded["categories"][encoded["categories"].index("1")] = "zzz"
+        with open(model, "w") as handle:
+            json.dump(doc, handle)
+        for argv in (("predict", model, "1", "1"), ("recommend", model, "1")):
+            code, stdout, err = run(capsys, *argv)
+            assert code == 3
+            assert stdout == ""
+            assert err.startswith("error: malformed model file")
+            assert "categories hold every user and every item token" in err
+            assert len(err.splitlines()) == 1
 
     def test_model_file_not_utf8_exits_3(self, capsys, tmp_path):
         model = tmp_path / "bad.json"
@@ -832,7 +855,8 @@ class TestEnsemble:
             assert code == 0, err
             bag = load_model(out)
             # every member leaves out exactly what each user rated, once
-            assert [m.observed.lists() for m in bag.model.members] == [rated] * 3
+            assert [[row.tolist() for row in m.observed]
+                    for m in bag.model.members] == [rated] * 3
             bags.append(bag)
         pairs = [(u, i) for u in read.user_index for i in read.item_index]
         assert [bags[0].predict(u, i) for u, i in pairs] != \

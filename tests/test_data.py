@@ -1,15 +1,17 @@
 import io
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentrec.data import (
     CsvSchema,
     RatingDataset,
+    UserItems,
     impute,
     negative_sample,
     parse_csv,
@@ -22,7 +24,7 @@ from latentrec.errors import (
     ParseError,
     ValidationError,
 )
-from tests.conftest import dataset_from_dense
+from tests.conftest import dataset_from_dense, form_of, rows_of
 
 
 class TestParseCsv:
@@ -511,3 +513,153 @@ class TestDatasetInvariants:
         assert moved.items.tolist() == [0, 1]
         with pytest.raises(ValidationError, match=r"triple \(a, x\) not covered"):
             ds.replace(user_index={"b": 0})
+
+
+
+@st.composite
+def user_items(draw, valued=None, min_entries=0):
+    """(rows, n_items, valued): per-user lists over n_items items, some
+    rows empty. Unvalued rows are in any order and may repeat an item;
+    valued rows are [item, value] pairs with strictly increasing items and
+    finite values."""
+    valued = draw(st.booleans()) if valued is None else valued
+    n_items = draw(st.integers(1, 12))
+    items = st.integers(0, n_items - 1)
+    if valued:
+        values = st.floats(allow_nan=False, allow_infinity=False)
+        row = st.lists(st.tuples(items, values), unique_by=lambda pair: pair[0],
+                       max_size=n_items).map(lambda pairs: [list(p) for p in sorted(pairs)])
+    else:
+        row = st.lists(items, max_size=8)
+    rows = draw(st.lists(row, max_size=6).filter(
+        lambda rows: sum(map(len, rows)) >= min_entries))
+    return rows, n_items, valued
+
+
+def decoded(form, n_users, n_items, valued):
+    """UserItems.of over a form as a model file holds it: JSON text read
+    back."""
+    form = json.loads(json.dumps(form))
+    return UserItems.of(form, n_users, n_items, "rated", valued=valued)
+
+
+def assert_refused(form, n_items, valued):
+    with pytest.raises(ValueError, match="rated must be one list per user"):
+        decoded(form, None, n_items, valued)
+
+
+def at_entry(data, rows):
+    """(row, position in the row, position in the gaps) of a drawn entry
+    of a non-empty row."""
+    u = data.draw(st.sampled_from([u for u, row in enumerate(rows) if row]), label="row")
+    j = data.draw(st.integers(0, len(rows[u]) - 1), label="position")
+    return u, j, sum(map(len, rows[:u])) + j
+
+
+class TestUserItemsForm:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=user_items())
+    # rows at the last item, a repeat, an empty row and an unsorted row
+    @example(drawn=([[4, 4], [], [3, 0, 4]], 5, False))
+    def test_property_round_trip_is_bit_for_bit(self, drawn):
+        rows, n_items, valued = drawn
+        held = UserItems.of(rows, len(rows), n_items, valued=valued)
+        form = held.form()
+        # each row's gaps are its items' differences, the first from 0
+        assert form == form_of(rows, valued)
+        back = decoded(form, len(rows), n_items, valued)
+        assert back.offsets.tolist() == held.offsets.tolist()
+        assert back.items.dtype == np.int64
+        assert back.items.tolist() == held.items.tolist()
+        if valued:
+            assert back.values.view(np.int64).tolist() == \
+                held.values.view(np.int64).tolist()
+        assert rows_of(back.form()) == rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=user_items(), extra=st.integers(1, 3), more_lengths=st.booleans())
+    def test_property_lengths_that_miss_the_gap_count_are_refused(
+            self, drawn, extra, more_lengths):
+        rows, n_items, valued = drawn
+        form = form_of(rows + [[]], valued)
+        if more_lengths:
+            form["lengths"][-1] += extra
+        else:
+            form["gaps"] += [0] * extra
+            form.get("values", []).extend([1.0] * extra)
+        assert_refused(form, n_items, valued)
+
+    # int64 sums of these lengths wrap to the gap count
+    @pytest.mark.parametrize("lengths, gaps", [([2**62] * 4, []),
+                                               ([2**63 - 1, 2**63 - 1, 3], [0])])
+    def test_lengths_whose_sum_wraps_to_the_gap_count_are_refused(self, lengths, gaps):
+        assert_refused({"lengths": lengths, "gaps": gaps}, 5, False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=user_items(), step=st.integers(1, 2**62), data=st.data())
+    def test_property_negative_length_is_refused(self, drawn, step, data):
+        # the lengths still sum to the gap count
+        rows, n_items, valued = drawn
+        form = form_of(rows + [[], []], valued)
+        u, v = data.draw(st.permutations(range(len(rows) + 2)))[:2]
+        moved = form["lengths"][u] + step
+        form["lengths"][u] -= moved
+        form["lengths"][v] += moved
+        assert_refused(form, n_items, valued)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=user_items(), far=st.integers(12, 2**70) | st.integers(-2**63, -12))
+    # four gaps of 2**62 sum to 2**64, which wraps an int64 to 0
+    @example(drawn=([[1]], 5, False), far=2**62)
+    def test_property_gap_n_items_or_more_from_0_is_refused(self, drawn, far):
+        # n_items is at most 12
+        rows, n_items, valued = drawn
+        row = [far] * 4 if far == 2**62 else [far]
+        form = form_of(rows, valued)
+        form["lengths"].append(len(row))
+        form["gaps"] += row
+        form.get("values", []).extend([1.0] * len(row))
+        assert_refused(form, n_items, valued)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=user_items(min_entries=1), below=st.booleans(), data=st.data())
+    def test_property_item_outside_the_items_is_refused(self, drawn, below, data):
+        rows, n_items, valued = drawn
+        u, j, at = at_entry(data, rows)
+        row = [item for item, _ in rows[u]] if valued else rows[u]
+        before = row[j - 1] if j else 0
+        # a gap less than n_items from 0 (unless n_items is 1) that takes
+        # the item to -1 or to n_items
+        up = before > 0 and (not below or before == n_items - 1)
+        form = form_of(rows, valued)
+        form["gaps"][at] = n_items - before if up else -before - 1
+        assert_refused(form, n_items, valued)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=user_items(min_entries=1), data=st.data())
+    def test_property_entry_that_is_not_a_number_is_refused(self, drawn, data):
+        # gaps and lengths of 0 and 1 are common, and a bool among them
+        # reads as 0 or 1
+        rows, n_items, valued = drawn
+        form = form_of(rows, valued)
+        key = data.draw(st.sampled_from(sorted(form)), label="key")
+        entries = form[key]
+        at = data.draw(st.integers(0, len(entries) - 1), label="at")
+        bad = [True, False, str(entries[at]), None]
+        if key != "values":
+            bad += [bool(entries[at]), float(entries[at])]
+        entries[at] = data.draw(st.sampled_from(bad), label="entry")
+        assert_refused(form, n_items, valued)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=user_items(valued=True).filter(
+        lambda drawn: any(len(row) > 1 for row in drawn[0])), data=st.data())
+    def test_property_valued_row_not_strictly_increasing_is_refused(self, drawn, data):
+        rows, n_items, valued = drawn
+        u = data.draw(st.sampled_from([u for u, row in enumerate(rows) if len(row) > 1]))
+        j = data.draw(st.integers(1, len(rows[u]) - 1))
+        form = form_of(rows, valued)
+        # the item stays in [0, n_items), at or below the one before it
+        form["gaps"][sum(map(len, rows[:u])) + j] = -data.draw(
+            st.integers(0, rows[u][j - 1][0]))
+        assert_refused(form, n_items, valued)

@@ -44,8 +44,11 @@ from latentrec.persist import (
 from tests.conftest import (
     FOUR_BY_FOUR_CSV,
     dataset_from_dense,
+    edit_rows,
+    form_of,
     make_rank2_ratings,
     model_text,
+    rows_of,
     without_created,
 )
 
@@ -115,6 +118,23 @@ def assert_predictions_match(before, after, ds, tol=1e-12):
             assert abs(before.predict(u, i) - after.predict(u, i)) <= tol
 
 
+def old_layout(doc, version):
+    """A current document laid out as version (5 or earlier) stores its
+    header and per-user lists: token index maps, and nested per-user
+    lists. Float blocks are left as they are."""
+    doc = json.loads(json.dumps(doc))
+    doc["format_version"] = version
+    for role in ("user", "item"):
+        doc[f"{role}_index"] = {token: at for at, token in
+                                enumerate(doc.pop(f"{role}_tokens"))}
+    members = doc["ensemble"]["members"] if "ensemble" in doc else [doc]
+    for block in (member["parameters"] for member in members):
+        for key in ("rated", "ratings", "observed"):
+            if block.get(key) is not None:
+                block[key] = rows_of(block[key])
+    return doc
+
+
 class TestRoundTrip:
     def test_svd(self, tmp_path):
         bundle, ds = svd_bundle()
@@ -145,13 +165,12 @@ class TestRoundTrip:
 
     def test_svd_version_1_document_loads(self, tmp_path):
         bundle, ds = svd_bundle()
-        doc = document(bundle)
+        doc = old_layout(document(bundle), 1)
         block = doc["parameters"]
         for key in ("u", "s", "v", "rated"):
             del block[key]
         block["r_star"] = bundle.model.r_star.tolist()
         block["mask"] = bundle.model.mask.tolist()
-        doc["format_version"] = 1
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         loaded = load_model(path)
@@ -387,9 +406,8 @@ class TestItemCfFiles:
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_version_2_document_with_w_loads_as_stored(self, scale, tmp_path):
         bundle, ds = itemcf_bundle("explicit")
-        doc = document(bundle)
+        doc = old_layout(document(bundle), 2)
         stored = bundle.model.W * scale
-        doc["format_version"] = 2
         doc["parameters"]["w"] = stored.tolist()
         path = tmp_path / "v2.json"
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -447,18 +465,23 @@ class TestItemCfFiles:
         with pytest.raises(CapacityError):
             load_model(path)
 
-    @pytest.mark.parametrize("version", [2, 4])
+    @pytest.mark.parametrize("version", [2, 4, FORMAT_VERSION])
     @pytest.mark.parametrize("bad", ["-1", "n"])
     def test_rating_index_outside_items_is_refused(self, bad, version,
                                                    tmp_path, capsys):
         # version 2 files carry "w", so no rebuild of W checks the indices
         bundle, ds = itemcf_bundle("explicit")
         doc = document(bundle)
-        if version == 2:
-            doc["format_version"] = 2
-            doc["parameters"]["w"] = bundle.model.W.tolist()
         index = -1 if bad == "-1" else ds.n_items
-        doc["parameters"]["ratings"][0].append([index, 3.0])
+        if version == FORMAT_VERSION:
+            block = doc["parameters"]
+            block["ratings"] = edit_rows(block["ratings"],
+                                         lambda rows: rows[0].append([index, 3.0]))
+        else:
+            doc = old_layout(doc, version)
+            if version == 2:
+                doc["parameters"]["w"] = bundle.model.W.tolist()
+            doc["parameters"]["ratings"][0].append([index, 3.0])
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed"):
@@ -470,7 +493,9 @@ class TestItemCfFiles:
     def test_out_of_range_rating_index_is_malformed(self, tmp_path):
         bundle, ds = itemcf_bundle("explicit")
         doc = document(bundle)
-        doc["parameters"]["ratings"][0].append([ds.n_items, 3.0])
+        block = doc["parameters"]
+        block["ratings"] = edit_rows(block["ratings"],
+                                     lambda rows: rows[0].append([ds.n_items, 3.0]))
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed"):
@@ -481,10 +506,14 @@ class TestFileFormat:
     def test_header_fields(self):
         bundle, _ = funk_bundle()
         doc = document(bundle)
-        assert doc["format_version"] == FORMAT_VERSION == 5
+        assert doc["format_version"] == FORMAT_VERSION == 6
         assert doc["algorithm"] == "funk"
         assert doc["created"]
         assert doc["scale"] == [1.0, 5.0]
+        # the tokens of each role in index order, in place of the maps
+        assert "user_index" not in doc and "item_index" not in doc
+        assert doc["user_tokens"] == sorted(bundle.user_index, key=bundle.user_index.get)
+        assert doc["item_tokens"] == sorted(bundle.item_index, key=bundle.item_index.get)
 
     def test_reruns_differ_only_in_created(self, tmp_path):
         bundle, ds = funk_bundle()
@@ -571,7 +600,8 @@ class TestFileFormat:
         bundle, _ = fm_bundle(algo)
         path = save_model(bundle, tmp_path / "m.json")
         doc = json.loads(model_text(path))
-        doc["parameters"]["observed"] = doc["parameters"]["observed"][:2]
+        block = doc["parameters"]
+        block["observed"] = form_of(rows_of(block["observed"])[:2])
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed.*observed"):
             load_model(path)
@@ -582,7 +612,8 @@ class TestFileFormat:
         assert ds.n_items == 6
         path = save_model(bundle, tmp_path / "m.json")
         doc = json.loads(model_text(path))
-        doc["parameters"]["observed"][0].append(bad)
+        block = doc["parameters"]
+        block["observed"] = edit_rows(block["observed"], lambda rows: rows[0].append(bad))
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed.*observed"):
             load_model(path)
@@ -597,7 +628,8 @@ class TestFileFormat:
         )
         path = save_model(blend, tmp_path / "m.json")
         doc = json.loads(model_text(path))
-        doc["ensemble"]["members"][0]["parameters"]["observed"].pop()
+        block = doc["ensemble"]["members"][0]["parameters"]
+        block["observed"] = edit_rows(block["observed"], list.pop)
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed.*observed"):
             load_model(path)
@@ -606,7 +638,8 @@ class TestFileFormat:
         bundle, _ = svd_bundle()
         path = save_model(bundle, tmp_path / "m.json")
         doc = json.loads(model_text(path))
-        doc["parameters"]["rated"][0].append(-1)
+        block = doc["parameters"]
+        block["rated"] = edit_rows(block["rated"], lambda rows: rows[0].append(-1))
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed.*rated"):
             load_model(path)
@@ -622,8 +655,8 @@ class TestFileFormat:
         block = doc["parameters"]
         a = _array(block[key], FORMAT_VERSION)
         block[key] = _ready(_floats(np.delete(a, -1, axis=axis)))
-        block["rated"] = [[i for i in row if i < ds.n_items - 1]
-                          for row in block["rated"]]
+        block["rated"] = form_of([[i for i in row if i < ds.n_items - 1]
+                                  for row in rows_of(block["rated"])])
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match=(
                 f"hold {ds.n_items - 1} items where the item index has {ds.n_items}")):
@@ -657,17 +690,32 @@ class TestHeaderChecks:
     def test_index_map_not_one_to_one_onto_the_indices_exits_3(
             self, key, bad, capsys, tmp_path):
         # -1 ended in a raw IndexError; a repeat, true or 0.7 (which int()
-        # read as 0) loaded and answered for the wrong user or item
+        # read as 0) loaded and answered for the wrong user or item.
+        # Versions 1 to 5 hold these maps, so the committed version 5 file
+        # is edited.
+        doc = json.loads(model_text(FIXTURES / "format5_blend.json"))
+        token = min(doc[key], key=doc[key].get)
+        doc[key][token] = 0 if bad == "repeat" else bad
+        if bad == "repeat":
+            doc[key][max(doc[key], key=doc[key].get)] = 0
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        assert_exits_3(capsys, str(path), token, token,
+                       f"{key} must map its tokens one to one onto 0..n-1")
+
+    @pytest.mark.parametrize("key", ["user_tokens", "item_tokens"])
+    @pytest.mark.parametrize("bad", ["map", "u000", None])
+    def test_token_list_that_is_not_a_list_exits_3(self, key, bad, capsys,
+                                                    tmp_path):
         def edit(doc):
-            token = min(doc[key], key=doc[key].get)
-            doc[key][token] = 0 if bad == "repeat" else bad
-            if bad == "repeat":
-                doc[key][max(doc[key], key=doc[key].get)] = 0
+            # "map": the index map versions 1 to 5 hold
+            doc[key] = ({token: at for at, token in enumerate(doc[key])}
+                        if bad == "map" else bad)
 
         path, ds = edited_funk_file(tmp_path, edit)
         user, item = min(ds.user_index), min(ds.item_index)
         assert_exits_3(capsys, path, user, item,
-                       f"{key} must map its tokens one to one onto 0..n-1")
+                       f"{key} must be a list of distinct strings")
 
     @pytest.mark.parametrize("bad", [[5, 1], [3, 3], "15", [1, 5, 9], [1],
                                      [True, 5], [1, "5"], [1, math.nan],
@@ -768,7 +816,7 @@ class TestParameterKinds:
         ds = small_dataset()
         path = save_model(trained_bundle("itemcf", ds), tmp_path / "m.json")
         doc = json.loads(model_text(path))
-        doc["parameters"]["ratings"][0][0][1] = bad
+        doc["parameters"]["ratings"]["values"][0] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="with finite values"):
             load_model(path)
@@ -781,8 +829,8 @@ class TestParameterKinds:
         ds = small_dataset()
         path = save_model(trained_bundle("itemcf", ds), tmp_path / "m.json")
         doc = json.loads(model_text(path))
-        doc["parameters"]["ratings"] = [[[i, [r] * width] for i, r in row]
-                                        for row in doc["parameters"]["ratings"]]
+        ratings = doc["parameters"]["ratings"]
+        ratings["values"] = [[r] * width for r in ratings["values"]]
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="with finite values"):
             load_model(path)
@@ -809,8 +857,9 @@ class TestBootstrapRepeats:
                              user_index=ds.user_index,
                              item_index=ds.item_index, scale=ds.scale)
         x, y = ds.item_index["x"], ds.item_index["y"]
-        assert document(bundle)["parameters"]["ratings"] == [
-            [[x, 4.0], [y, 1.0]], [[x, 2.0], [y, 3.0]]]
+        assert document(bundle)["parameters"]["ratings"] == {
+            "lengths": [2, 2], "gaps": [x, y - x, x, y - x],
+            "values": [4.0, 1.0, 2.0, 3.0]}
         assert [int(i) for i in model.ratings[ds.user_index["a"]]] == [x, y]
 
     def test_funk_and_svdpp_keep_the_repeats(self):
@@ -869,6 +918,20 @@ class TestBundleQueries:
                 user_index=ds.user_index,
                 item_index=ds.item_index,
             )
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_fm_encoder_without_a_token_is_not_saved(self, column, tmp_path):
+        # the file would not load: the token would score as unseen
+        bundle, _ = fm_bundle()
+        columns = [(c.name, c.kind, c.categories) for c in bundle.encoder.columns]
+        name, kind, categories = columns[column]
+        columns[column] = (name, kind, ("zzz",) + categories[1:])
+        bundle = dataclasses.replace(bundle, encoder=EncoderSpec(columns))
+        path = tmp_path / "m.json"
+        with pytest.raises(PersistenceError,
+                           match="categories hold every user and every item token"):
+            save_model(bundle, path)
+        assert not path.exists()
 
     def test_bad_algorithm_tag_rejected(self):
         with pytest.raises(ValidationError):
@@ -1160,8 +1223,8 @@ class TestFloatBlocks:
         assert main(["recommend", str(path), next(iter(ds.user_index))]) == 3
         assert capsys.readouterr().err.startswith("error: malformed model file")
         # nested lists throughout are a valid version 3 file
+        doc = old_layout(doc, 3)
         doc["parameters"]["p"] = bundle.model.P.tolist()
-        doc["format_version"] = 3
         path.write_text(json.dumps(doc))
         assert np.array_equal(load_model(path).model.Q, bundle.model.Q)
 
@@ -1281,6 +1344,38 @@ FIXTURES = Path(__file__).parent / "fixtures"
 FLOAT_KEYS = {"u", "s", "v", "r_star", "mask", "p", "q", "y", "b_u", "b_i", "w"}
 
 
+def assert_stored_predictions(bundle, name):
+    """The bundle, loaded from a committed blend file, predicts each
+    member's and the blend's scores for every (user, item) index pair,
+    and each user's top-3 vote, exactly as stored in the name file."""
+    want = json.loads((FIXTURES / name).read_text())
+    model = bundle.model
+    m, n = len(bundle.user_index), len(bundle.item_index)
+    for member, preds in zip(model.members, want["members"]):
+        assert [[member.predict(u, i) for i in range(n)]
+                for u in range(m)] == preds
+    assert [[model.predict(u, i) for i in range(n)]
+            for u in range(m)] == want["blend"]
+    assert [[list(p) for p in model.recommend(u, 3)]
+            for u in range(m)] == want["vote"]
+
+
+def current_layout(doc):
+    """A version 4 or 5 document with the header and per-user lists of
+    the current version: each index map as its tokens in index order, and
+    each per-user list in its gap-coded form. Float blocks are left as
+    they are."""
+    doc["format_version"] = FORMAT_VERSION
+    for role in ("user", "item"):
+        index = doc.pop(f"{role}_index")
+        doc[f"{role}_tokens"] = sorted(index, key=index.get)
+    for member in doc["ensemble"]["members"]:
+        block = member["parameters"]
+        for key in {"rated", "ratings", "observed"} & set(block):
+            block[key] = form_of(block[key], valued=key == "ratings")
+    return doc
+
+
 class TestFormat3File:
     """format3_blend.json was written at format_version 3: a blend of svd,
     funk, svdpp, itemcf, fm, ffm and a factorless svd (dense r_star and
@@ -1293,18 +1388,9 @@ class TestFormat3File:
     def test_loads_with_the_stored_parameters_and_predictions(self, tmp_path):
         path = FIXTURES / "format3_blend.json"
         old = json.loads(path.read_text())
-        want = json.loads((FIXTURES / "format3_blend_predictions.json").read_text())
         assert old["format_version"] == 3
         bundle = load_model(path)
-        model = bundle.model
-        m, n = len(bundle.user_index), len(bundle.item_index)
-        for member, preds in zip(model.members, want["members"]):
-            assert [[member.predict(u, i) for i in range(n)]
-                    for u in range(m)] == preds
-        assert [[model.predict(u, i) for i in range(n)]
-                for u in range(m)] == want["blend"]
-        assert [[list(p) for p in model.recommend(u, 3)]
-                for u in range(m)] == want["vote"]
+        assert_stored_predictions(bundle, "format3_blend_predictions.json")
         # written again at the current version, every stored array is
         # kept exactly
         new = document(bundle)
@@ -1336,24 +1422,15 @@ class TestFormat4File:
 
     def test_loads_and_predicts_bit_for_bit(self, tmp_path):
         path = FIXTURES / "format4_blend.json"
-        want = json.loads((FIXTURES / "format4_blend_predictions.json").read_text())
         assert path.read_bytes()[:1] == b"{"
         bundle = load_model(path)
-        model = bundle.model
-        m, n = len(bundle.user_index), len(bundle.item_index)
-        for member, preds in zip(model.members, want["members"]):
-            assert [[member.predict(u, i) for i in range(n)]
-                    for u in range(m)] == preds
-        assert [[model.predict(u, i) for i in range(n)]
-                for u in range(m)] == want["blend"]
-        assert [[list(p) for p in model.recommend(u, 3)]
-                for u in range(m)] == want["vote"]
+        assert_stored_predictions(bundle, "format4_blend_predictions.json")
         # saved again, the file inflates to exactly the plain file's text
         # at the current version: each float block holds the same bytes,
-        # in byte planes
+        # in byte planes, and the header and per-user lists hold the same
+        # tokens and items in the current layout
         again = save_model(bundle, tmp_path / "again.json")
-        doc = json.loads(path.read_text())
-        doc["format_version"] = FORMAT_VERSION
+        doc = current_layout(json.loads(path.read_text()))
         for member in doc["ensemble"]["members"]:
             block = member["parameters"]
             for key in FLOAT_KEYS & set(block):
@@ -1362,6 +1439,31 @@ class TestFormat4File:
                             (path.read_text(), json.loads(path.read_text()))):
             assert text == json.dumps(plain, sort_keys=True,
                                       separators=(",", ":")) + "\n"
+
+
+class TestFormat5File:
+    """format5_blend.json is a gzip-compressed format_version 5 file,
+    written by the version 5 code when it loaded format4_blend.json and
+    saved it again: the same seven members, with index maps and nested
+    per-user lists. Beside it are the predictions of each member and of
+    the blend for every (user, item) index pair, and each user's top-3
+    vote, that the version 5 code computed from the file it had written.
+    """
+
+    def test_loads_and_predicts_bit_for_bit(self, tmp_path):
+        path = FIXTURES / "format5_blend.json"
+        old = json.loads(model_text(path))
+        assert old["format_version"] == 5
+        bundle = load_model(path)
+        assert_stored_predictions(bundle, "format5_blend_predictions.json")
+        # saved again, the file inflates to the version 5 text with only
+        # the header and per-user lists in the current layout: every
+        # float block keeps its text
+        again = save_model(bundle, tmp_path / "again.json")
+        assert model_text(again) == json.dumps(
+            current_layout(old), sort_keys=True, separators=(",", ":")) + "\n"
+        reloaded = load_model(again)
+        assert_stored_predictions(reloaded, "format5_blend_predictions.json")
 
 
 class TestGzipContainer:
@@ -1471,6 +1573,34 @@ class TestEditedLeaves:
             if code == 3:
                 assert err.getvalue().startswith("error: ")
                 assert len(err.getvalue().splitlines()) == 1
+
+
+class TestTokenLists:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_token_other_than_a_distinct_string_exits_3(self, cli_trained,
+                                                                 data):
+        folder, docs = cli_trained
+        doc = json.loads(json.dumps(docs[data.draw(st.sampled_from(sorted(docs)),
+                                                    label="file")][0]))
+        key = data.draw(st.sampled_from(["user_tokens", "item_tokens"]), label="key")
+        tokens = doc[key]
+        at = data.draw(st.integers(0, len(tokens) - 1), label="at")
+        tokens[at] = data.draw(
+            st.sampled_from(tokens[:at] + tokens[at + 1:])  # a repeat
+            | st.integers() | st.floats() | st.booleans() | st.none()
+            | st.lists(st.text(max_size=2), max_size=1), label="token")
+        target = folder / "tokens.json"
+        target.write_text(json.dumps(doc))
+        for argv in (["predict", str(target), "1", "2"],
+                     ["recommend", str(target), "1"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == 3, (key, tokens[at], argv[0], err.getvalue())
+            assert err.getvalue().startswith("error: malformed model file")
+            assert f"{key} must be a list of distinct strings" in err.getvalue()
+            assert len(err.getvalue().splitlines()) == 1
 
 
 def key_paths(value, path=()):

@@ -1,7 +1,12 @@
 """Tests for the repository tools under tools/."""
 
 import importlib.util
+import json
+import zlib
 from pathlib import Path
+
+from latentrec.cli import main
+from tests.conftest import FOUR_BY_FOUR_CSV, model_text
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -48,3 +53,45 @@ class TestCountLines:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == ["7", "1", "8"]
         assert lines[-1].endswith("total")
+
+
+class TestModelSizes:
+    def test_prints_each_section_of_a_blend_file(self, tmp_path, capsys):
+        model_sizes = load_tool("model_sizes")
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(FOUR_BY_FOUR_CSV)
+        for algo in ("funk", "fm"):
+            assert main(["train", "--algo", algo, "--input", str(ratings),
+                         "--output", str(tmp_path / algo), "--epochs", "2"]) == 0
+        blend = tmp_path / "blend"
+        assert main(["ensemble", "blend", "--output", str(blend),
+                     str(tmp_path / "funk"), str(tmp_path / "fm")]) == 0
+        capsys.readouterr()
+        assert model_sizes.main([str(blend)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        text = model_text(blend)
+        assert lines[0] == f"{blend}: {blend.stat().st_size} bytes on disk"
+        rows = {line.split()[0] if not line.startswith("  member") else
+                " ".join(line.split()[:3]): [int(n) for n in line.split()[-2:]]
+                for line in lines[2:]}
+        doc = json.loads(text)
+        members = doc["ensemble"]["members"]
+        assert set(rows) == {
+            "algorithm", "created", "format_version", "library", "scale",
+            "user_tokens", "item_tokens", "ensemble.intercept", "ensemble.kind",
+            "ensemble.weights", "member 1 encoder", "document",
+            *(f"member {n} parameters.{key}" for n, member in enumerate(members)
+              for key in member["parameters"])}
+        # raw is the section's compact JSON; deflated is a raw deflate stream
+        raw, packed = rows["member 0 parameters.rated"]
+        section = json.dumps(members[0]["parameters"]["rated"], sort_keys=True,
+                             separators=(",", ":")).encode()
+        assert raw == len(section)
+        assert packed == len(zlib.compress(section, 6)) - 6
+        assert rows["document"][0] == len(text.encode())
+        # the file is the deflated document plus a gzip header and trailer
+        assert blend.stat().st_size == rows["document"][1] + 18
+
+    def test_without_files_prints_usage(self, capsys):
+        assert load_tool("model_sizes").main([]) == 2
+        assert "model_sizes.py" in capsys.readouterr().err

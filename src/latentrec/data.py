@@ -251,8 +251,12 @@ class UserItems:
 
 def _json_array(entries):
     """entries (JSON values) as an array, int64 when there are none, or
-    None when one of them is a bool."""
-    a = np.array(entries) if entries != [] else np.zeros(0, np.int64)
+    None when one of them is a bool or they are ragged (a list beside a
+    number, or lists of unequal lengths)."""
+    try:
+        a = np.array(entries) if entries != [] else np.zeros(0, np.int64)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        return None
     # numpy reads a bool among numbers as 0 or 1, so only an entry that
     # reads 0 or 1 can be one
     if a.ndim == 1 and a.dtype.kind in "iuf" and any(

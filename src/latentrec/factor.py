@@ -36,7 +36,6 @@ loss, which reads every trained row. Either becomes DivergenceError naming
 the 0-based epoch (sequential funk counts epochs across features).
 """
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -46,15 +45,9 @@ import numpy as np
 from . import optim
 from .data import DENSE_CELL_CAP, UserItems
 from .errors import CapacityError, DivergenceError, GradientError, ValidationError
-from .metrics import in_range, rank_unseen
-
-log = logging.getLogger(__name__)
+from .metrics import SORT_ROWS, in_range, neighbours, rank_unseen
 
 STRATEGIES = ("all", "sequential")
-# candidate rows of W that itemcf scoring sorts per numpy call: whole-
-# catalogue blocks of a 300-item model raised the benchmark's implicit-topn
-# peak RSS by 1.7 MB (heap growth), blocks of 32 rows (77 KB) by none
-SORT_ROWS = 32
 
 
 @dataclass
@@ -489,7 +482,7 @@ class ItemCfModel:
     def scores(self, u, items):
         """Neighborhood scores of user u for each item index in items, as
         an array; predict of every (u, j), bit for bit."""
-        return np.array([p.value for p in itemcf_predictions(self, u, items)])
+        return itemcf_predictions(self, u, items)[0]
 
     def recommend(self, u, k):
         """Top-k unrated items by the neighborhood score."""
@@ -567,25 +560,19 @@ def itemcf_similarity(ds, k=None):
 
 
 def itemcf_predictions(model, u, items):
-    """ItemCfPrediction of each (u, j), j in items, in order.
+    """Scores of each (u, j), j in items, and how many rated items each
+    sums, as two arrays (value, used).
 
     The score is sum over i in N(u) & S(j, K) of W[j, i] * r_ui, where
-    S(j, K) holds the K items most similar to j (descending weight, ties
-    by ascending index, j itself excluded). An empty intersection scores 0
-    with the empty_neighborhood flag set. A stable argsort of the
-    candidate rows of W, SORT_ROWS rows per call (equal weights keep
-    ascending index, as a lexsort on (index, -weight) orders them), gives
-    every neighbour mask; the sum then runs over the user's ratings in
-    their stored (item) order, one term per item.
+    S(j, K) holds the K items most similar to j by metrics.neighbours:
+    descending weight, ties by ascending index, and j itself never takes
+    a slot, so K >= n - 1 sorts nothing. An empty intersection scores 0.
+    The sum runs over the user's ratings in their stored (item) order,
+    one term per item.
     """
     items = in_range(u, items, model.n_users, model.n_items)
-    neighbors = np.zeros((items.size, model.n_items), dtype=bool)
-    for start in range(0, items.size, SORT_ROWS):
-        block = slice(start, start + SORT_ROWS)
-        # W[j, j] is 0 by construction, so row j needs no masking first
-        order = np.argsort(-model.W[items[block]], axis=-1, kind="stable")
-        np.put_along_axis(neighbors[block], order[:, : model.K], True, axis=-1)
-    neighbors[np.arange(items.size), items] = False
+    blocks = np.split(items, range(SORT_ROWS, items.size, SORT_ROWS))
+    neighbors = np.concatenate([neighbours(model.W[b], b, model.K) for b in blocks])
     value = np.zeros(items.size)
     used = np.zeros(items.size, dtype=np.int64)
     row = slice(*model.ratings.offsets[u:u + 2])
@@ -594,13 +581,14 @@ def itemcf_predictions(model, u, items):
         hit = neighbors[:, i]
         value[hit] += model.W[items[hit], i] * r
         used += hit
-    return [ItemCfPrediction(v, c, c == 0) for v, c in zip(value.tolist(), used.tolist())]
+    return value, used
 
 
 def itemcf_predict_with_info(model, u, j):
     """Neighborhood score for (u, j) with diagnostics; the one-item case
     of itemcf_predictions."""
-    return itemcf_predictions(model, u, [j])[0]
+    values, used = itemcf_predictions(model, u, [j])
+    return ItemCfPrediction(float(values[0]), int(used[0]), bool(used[0] == 0))
 
 
 def itemcf_predict(model, u, j):
@@ -651,9 +639,7 @@ def svdpp_predictions(model, u, items):
     for i in items:
         cold_item = not 0 <= i < model.n_items
         value = base if cold_item else base + float(model.b_i[i])
-        if cold_user or cold_item:
-            log.debug("cold-start prediction for (%s, %s)", u, i)
-        else:
+        if not (cold_user or cold_item):
             value += float(np.dot(model.Q[:, i], z))
         out.append(SvdppPrediction(value, cold_user, cold_item))
     return out

@@ -30,8 +30,9 @@ README's model-file paragraph is the one full account of the format
   the gap from the one before it in its row (d-gaps, as inverted indexes
   store posting lists), and itemcf's ratings. UserItems.of, the one check
   of such lists, is the only way the loader reads them back, in this
-  form or as the nested lists of versions 1 to 5; the svd mask goes to
-  and from its rated lists in one array operation each way.
+  form from version 6 and as nested lists in versions 1 to 5 (_field
+  refuses the other layout); the svd mask goes to and from its rated
+  lists in one array operation each way.
 """
 
 import base64
@@ -321,9 +322,15 @@ def _parameters(algorithm, model, observed=None):
 
 
 def _field(kind, value, version, key):
-    """A parameter block entry of the given FIELDS kind, checked."""
+    """A parameter block entry of the given FIELDS kind, checked; a
+    per-user item list only for the layout its version names (null
+    passes, and UserItems.of checks the rest)."""
     if kind == "floats":
         return _array(value, version)
+    # per-user lists are the dict of UserItems.form() from version 6, nested lists before
+    if kind == "items" and value is not None and type(value) is not (dict, list)[version < 6]:
+        raise ValueError(f"{key} must be a JSON {('object', 'array')[version < 6]} in "
+                         f"format_version {version}, got {value!r:.60}")
     if kind != "items" and type(value) not in _SCALARS[kind]:
         kind = kind.replace("?", " or null")
         raise ValueError(f"parameter {key} must be a JSON {kind}, got {value!r}")
@@ -340,7 +347,8 @@ def _model_from(algorithm, block, scale, n_items, version):
         factors = SvdResult(*(_array(block[key], version) for key in "usv"))
         if block["rated"] is None:
             raise ValueError("svd rated must be one list per user, got null")
-        rated = UserItems.of(block["rated"], factors.u.shape[0], n_items, "svd rated")
+        rated = UserItems.of(_field("items", block["rated"], version, "svd rated"),
+                             factors.u.shape[0], n_items, "svd rated")
         mask = np.zeros((factors.u.shape[0], factors.v.shape[0]))
         mask[rated.rows(), rated.items] = 1.0
         fields.update(r_star=reconstruct(factors), mask=mask, factors=factors,
@@ -379,8 +387,8 @@ def _member_from(doc, scale, user_tokens, item_tokens, version):
             raise ValueError(f"{algorithm} tables hold {held} {role}s where "
                              f"the {role} index has {len(tokens)}")
     encoder = _encoder_from(doc["encoder"]) if algorithm in ("fm", "ffm") else None
-    observed = UserItems.of(block.get("observed"), len(user_tokens),
-                            len(item_tokens), "observed")
+    observed = UserItems.of(_field("items", block.get("observed"), version, "observed"),
+                            len(user_tokens), len(item_tokens), "observed")
     return _checked(IndexedModel(algorithm, model, encoder, user_tokens, item_tokens,
                                  observed))
 
@@ -540,8 +548,9 @@ def load_model(path):
     tokens one to one onto the JSON ints 0..n-1) or a malformed member
     block (a missing key; a scalar of the wrong JSON kind for its FIELDS
     entry, such as an int field holding 1.5, "3" or true; a per-user
-    index list that UserItems.of refuses, such as one holding 1.5, "3",
-    true or null, lengths that do not split its gaps, a gap of n_items or
+    index list in the layout of another version, or one that
+    UserItems.of refuses, such as one holding 1.5, "3", true, null or a
+    list, lengths that do not split its gaps, a gap of n_items or
     more from 0, an itemcf list that repeats an item or holds a rating
     that is not a finite number, or a null svd rated or itemcf ratings;
     an fm or ffm block without its encoder, or whose encoder is not two

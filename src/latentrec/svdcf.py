@@ -11,7 +11,6 @@ items by the raw dot product of their masked reconstruction columns;
 similarities, and treats fully-unobserved columns as similarity 0.
 """
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -22,9 +21,7 @@ import numpy as np
 from . import linalg
 from .data import impute, to_dense
 from .errors import ValidationError, ZeroNormError
-from .metrics import in_range, rank_unseen
-
-log = logging.getLogger(__name__)
+from .metrics import SORT_ROWS, in_range, neighbours, rank_unseen
 
 
 def parse_rank_rule(rule, max_rank=None):
@@ -137,7 +134,7 @@ class SvdCfModel:
     def scores(self, u, items):
         """Predictions for user u at each item index in items, as an array;
         predict of every (u, i), bit for bit."""
-        return np.array([p.value for p in _predictions(self, u, items)])
+        return _predictions(self, u, items)[0]
 
     @property
     def n_users(self):
@@ -220,19 +217,23 @@ def masked_item_similarity(model, i, j):
     try:
         return linalg.cosine(a, b)
     except ZeroNormError:
-        log.debug("cosine similarity fell back to 0 for items (%d, %d)", i, j)
         return 0.0
 
 
 def _predictions(model, u, items):
-    """PredictionInfo of each cell (u, i), i in items, in order.
+    """Predictions of each cell (u, i), i in items, and the similarity
+    total behind each, as two arrays (values, totals).
 
     The prediction is sum_j sim(i, j) * r_star[u, j] / sum_j sim(i, j)
-    over all items j != i (optionally the top-K most similar). When the
-    similarity total is zero there is nothing to average, so the mean of
-    the user's reconstructed row is returned with the fallback flag set.
-    The masked reconstruction (and in cosine mode its column norms) is
-    built once per call; each item then takes its own similarity row.
+    over the neighbours j of i by metrics.neighbours: the top
+    model.neighborhood items by descending similarity, ties by ascending
+    index, i itself never taking a slot; with no neighborhood (k = n), or
+    one of at least n - 1, every other item, and nothing is sorted. When
+    the similarity total is zero there is nothing to average, so the mean
+    of the user's reconstructed row is returned with a total of 0. The
+    masked reconstruction (and in cosine mode its column norms) is built
+    once per call; each item then takes its own similarity row, and
+    metrics.neighbours picks from SORT_ROWS rows at a time.
     """
     m, n = model.r_star.shape
     items = in_range(u, items, m, n, ValueError)
@@ -240,33 +241,29 @@ def _predictions(model, u, items):
     cosine = model.similarity_mode == "cosine"
     if cosine:
         norms = np.linalg.norm(masked, axis=0)
-    out = []
-    for i in items.tolist():
-        sims = masked.T @ masked[:, i]
+    values, totals = [], []
+    for block in np.split(items, range(SORT_ROWS, items.size, SORT_ROWS)):
+        # one gemv per item: a matrix product of the block rounds differently
+        sims = np.array([masked.T @ masked[:, i] for i in block.tolist()]).reshape(-1, n)
         if cosine:
-            denom = norms * norms[i]
+            denom = norms * norms[block, None]
             with np.errstate(invalid="ignore", divide="ignore"):
                 sims = np.where(denom > 0, sims / denom, 0.0)
-            sims = np.clip(sims, -1.0, 1.0)
-            sims = np.where(sims > 0, sims, 0.0)  # negative neighbors excluded
-        sims[i] = 0.0
-        if model.neighborhood is not None and model.neighborhood < n - 1:
-            # the top K by descending similarity, ties by ascending item
-            sims[np.argsort(-sims, kind="stable")[model.neighborhood:]] = 0.0
-        total = float(sims.sum())
-        if total == 0.0:
-            log.debug("prediction (%d, %d) fell back to the user mean", u, i)
-            out.append(PredictionInfo(float(model.r_star[u].mean()), 0.0, True))
-        else:
-            value = float(np.dot(sims, model.r_star[u])) / total
-            out.append(PredictionInfo(value, total, False))
-    return out
+            # clipped at 1; negative neighbors excluded
+            sims = np.where(sims > 0, np.minimum(sims, 1.0), 0.0)
+        sims[~neighbours(sims, block, model.neighborhood or n)] = 0.0
+        for row in sims:
+            totals.append(float(row.sum()))
+            values.append(float(model.r_star[u].mean()) if totals[-1] == 0.0
+                          else float(np.dot(row, model.r_star[u])) / totals[-1])
+    return np.array(values), np.array(totals)
 
 
 def predict_with_info(model, u, i):
     """Weighted-average prediction for cell (u, i) with diagnostics; the
     one-item case of _predictions."""
-    return _predictions(model, u, [i])[0]
+    values, totals = _predictions(model, u, [i])
+    return PredictionInfo(float(values[0]), float(totals[0]), bool(totals[0] == 0.0))
 
 
 def predict(model, u, i):

@@ -663,3 +663,22 @@ class TestUserItemsForm:
         form["gaps"][sum(map(len, rows[:u])) + j] = -data.draw(
             st.integers(0, rows[u][j - 1][0]))
         assert_refused(form, n_items, valued)
+
+    # both used to raise numpy's "inhomogeneous shape" ValueError, which
+    # names no list
+    @pytest.mark.parametrize("form", [
+        {"lengths": [2], "gaps": [[1], 2]},
+        {"lengths": [2], "gaps": [[1], [2, 3]]},
+        {"lengths": [2], "gaps": [1, 1], "values": [[4.0], 5.0]},
+    ])
+    def test_ragged_dict_form_is_refused_naming_the_list(self, form):
+        assert_refused(form, 5, "values" in form)
+
+    @pytest.mark.parametrize("rows, valued", [
+        ([[1, [2]]], False),
+        ([[1, 2], [[3]]], False),
+        ([[[1, 2.0], [2, [3.0]]]], True),
+    ])
+    def test_ragged_nested_lists_are_refused_naming_the_list(self, rows, valued):
+        with pytest.raises(ValueError, match="observed must be one list per user"):
+            UserItems.of(rows, None, 5, "observed", valued=valued)

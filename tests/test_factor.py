@@ -503,6 +503,49 @@ class TestItemCfPredict:
             itemcf_predict(model, 0, 9)
 
 
+class TestItemCfNeighbours:
+    def test_target_never_takes_a_slot(self):
+        # W[0] ranks item 1 first, then items 0 and 2 tie at 0; with K = 2
+        # the two neighbours of item 0 are 1 and 2, so the user's rating
+        # of item 2 is summed (at weight 0). Item 0 used to take the slot.
+        model = ItemCfModel(W=[[0, .5, 0], [1, 0, 0], [0, 0, 0]], K=2,
+                            ratings=[{2: 4.0}])
+        info = itemcf_predict_with_info(model, 0, 0)
+        assert (info.value, info.used, info.empty_neighborhood) == (0.0, 1, False)
+        assert type(info.value) is float and type(info.used) is int
+        assert type(info.empty_neighborhood) is bool
+
+    @staticmethod
+    def brute_scores(model, u):
+        """Each item's score by the rule, one Python float term at a time
+        in rated-item order, from a neighbour list sorted in Python."""
+        n = model.n_items
+        row = slice(*model.ratings.offsets[u:u + 2])
+        rated = list(zip(model.ratings.items[row].tolist(),
+                         model.ratings.values[row].tolist()))
+        out = []
+        for j in range(n):
+            w = model.W[j].tolist()
+            near = set(sorted((i for i in range(n) if i != j),
+                              key=lambda i: (-w[i], i))[:model.K])
+            value = 0.0
+            for i, r in rated:
+                if i in near:
+                    value += w[i] * r
+            out.append(value)
+        return np.array(out)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, None])
+    def test_scores_equal_a_brute_force_loop_bit_for_bit(self, k):
+        ds, _ = make_rank2_ratings(m=12, n=9, density=0.4, seed=8)
+        model = itemcf_similarity(ds, k=k)
+        assert model.K == (k or ds.n_items - 1)
+        for u in range(ds.n_users):
+            got = model.scores(u, np.arange(ds.n_items))
+            assert got.view(np.int64).tolist() == \
+                self.brute_scores(model, u).view(np.int64).tolist()
+
+
 class TestSvdppPredict:
     def test_all_zero_model_returns_global_mean(self):
         model = svdpp_model(

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latentrec.errors import NoDataError, ShapeError, ValidationError
-from latentrec.metrics import MetricReport, mae, rmse, top_k, topn_metrics
+from latentrec.metrics import MetricReport, mae, neighbours, rmse, top_k, topn_metrics
 
 
 class TestRmse:
@@ -133,6 +135,51 @@ class TestTopK:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             top_k(np.arange(3), np.arange(3.0), 0)
+
+
+def brute_neighbours(sim, target, k):
+    """The k items other than target that rank highest by (-sim, index)."""
+    others = [j for j in range(len(sim)) if j != target]
+    return sorted(sorted(others, key=lambda j: (-sim[j], j))[:k])
+
+
+# rows of few distinct values, so ties are common; zeros and negatives too
+SIM_ROWS = st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]),
+             min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+class TestNeighbours:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=SIM_ROWS, data=st.data())
+    # the target ties at 0 with the item it used to displace
+    @example(rows=[[0.0, 0.5, 0.0]], data=None)
+    def test_property_equals_the_brute_force_rule(self, rows, data):
+        sims = np.array(rows)
+        r, n = sims.shape
+        if data is None:
+            targets, k = [0], 2
+        else:
+            targets = data.draw(st.lists(st.integers(0, n - 1), min_size=r, max_size=r),
+                                label="targets")
+            k = data.draw(st.integers(1, n + 1), label="k")
+        mask = neighbours(sims, np.array(targets, dtype=np.int64), k)
+        assert mask.shape == (r, n) and mask.dtype == bool
+        for row, target, marked in zip(rows, targets, mask):
+            assert not marked[target]
+            assert np.flatnonzero(marked).tolist() == brute_neighbours(row, target, k)
+
+    @pytest.mark.parametrize("k", [3, 4, 10])
+    def test_k_of_n_minus_1_or_more_marks_every_other_item_unsorted(self, k, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted")
+
+        monkeypatch.setattr(np, "argsort", no_sort)
+        mask = neighbours(np.array([[0.0, 3.0, -1.0, 2.0]] * 2), np.array([1, 3]), k)
+        assert mask.tolist() == [[True, False, True, True], [True, True, True, False]]
+
+    def test_no_targets_give_an_empty_mask(self):
+        assert neighbours(np.zeros((0, 5)), np.zeros(0, dtype=np.int64), 2).shape == (0, 5)
 
 
 class TestMetricReport:

@@ -684,6 +684,65 @@ def assert_exits_3(capsys, path, user, item, match):
         assert len(captured.err.splitlines()) == 1
 
 
+# (algorithm, per-user list key, the name its error line gives)
+PER_USER_LISTS = [("svd", "rated", "svd rated"), ("funk", "rated", "N"),
+                  ("itemcf", "ratings", "itemcf ratings"), ("fm", "observed", "observed")]
+
+
+class TestPerUserListLayout:
+    """Each per-user list is read only in the layout its format_version
+    names: the gap-coded object from version 6, nested lists before."""
+
+    def edited_file(self, tmp_path, algo, edit, version=FORMAT_VERSION):
+        ds = small_dataset()
+        doc = json.loads(model_text(save_model(trained_bundle(algo, ds),
+                                               tmp_path / "m.json")))
+        if version != FORMAT_VERSION:
+            doc = old_layout(doc, version)
+        edit(doc["parameters"])
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return str(path), min(ds.user_index), min(ds.item_index)
+
+    # the list name used to be missing from numpy's "inhomogeneous
+    # shape" message
+    @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
+    def test_ragged_list_exits_3_naming_it(self, algo, key, name, tmp_path, capsys):
+        def edit(block):
+            block[key]["gaps"][0] = [block[key]["gaps"][0]]
+
+        path, user, item = self.edited_file(tmp_path, algo, edit)
+        assert_exits_3(capsys, path, user, item, f"{name} must be one list per user")
+
+    # both used to load and serve
+    @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
+    def test_nested_lists_in_version_6_exit_3(self, algo, key, name, tmp_path, capsys):
+        def edit(block):
+            block[key] = rows_of(block[key])
+
+        path, user, item = self.edited_file(tmp_path, algo, edit)
+        assert_exits_3(capsys, path, user, item,
+                       f"{key} must be a JSON object in format_version 6")
+
+    @pytest.mark.parametrize("version", [4, 5])
+    @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
+    def test_gap_coded_object_before_version_6_exits_3(self, algo, key, name, version,
+                                                        tmp_path, capsys):
+        def edit(block):
+            block[key] = form_of(block[key], valued=key == "ratings")
+
+        path, user, item = self.edited_file(tmp_path, algo, edit, version)
+        assert_exits_3(capsys, path, user, item,
+                       f"{key} must be a JSON array in format_version {version}")
+
+    @pytest.mark.parametrize("version", [5, FORMAT_VERSION])
+    @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
+    def test_layout_of_the_version_loads(self, algo, key, name, version, tmp_path):
+        path, user, item = self.edited_file(tmp_path, algo, lambda block: None, version)
+        trained = trained_bundle(algo, small_dataset())
+        assert load_model(path).recommend(user, 2) == trained.recommend(user, 2)
+
+
 class TestHeaderChecks:
     @pytest.mark.parametrize("key", ["user_index", "item_index"])
     @pytest.mark.parametrize("bad", [-1, "repeat", True, 0.7, "1", None])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latentrec import svdcf
+from latentrec.cli import main
 from latentrec.data import parse_csv
 from latentrec.errors import ValidationError
 from latentrec.svdcf import SvdCfModel, fit, masked_item_similarity, parse_rank_rule
@@ -213,6 +214,63 @@ class TestPredict:
         with pytest.raises(ValueError, match="neighborhood must be None or an int >= 1"):
             SvdCfModel(worked_model.r_star, worked_model.mask, f=2,
                        neighborhood=neighborhood)
+
+
+# item 0's paper-dot similarities to items 1, 2 and 3 are 3, -2 and -4:
+# with K = 2 its neighbours are items 1 and 2, so the prediction for
+# (0, 0) is (3 * 1 + -2 * -1) / (3 - 2) = 5. The target used to take the
+# second slot at similarity 0, leaving item 1 alone: 1.0.
+NEGATIVE_R_STAR = [[1.0, 1.0, -1.0, -1.0], [1.0, 2.0, -1.0, -3.0]]
+
+
+class TestNeighbours:
+    def test_target_never_displaces_a_negative_neighbour(self):
+        model = SvdCfModel(NEGATIVE_R_STAR, np.ones((2, 4)), f=1, neighborhood=2)
+        assert svdcf.predict(model, 0, 0) == 5.0
+        info = svdcf.predict_with_info(model, 0, 0)
+        assert (info.similarity_total, info.fallback) == (1.0, False)
+
+    def test_through_the_cli(self, tmp_path, capsys):
+        ratings = tmp_path / "negative.csv"
+        ratings.write_text("user,item,rating\n" + "".join(
+            f"{user},{item},{rating:g}\n"
+            for user, row in zip("ab", NEGATIVE_R_STAR) for item, rating in zip("wxyz", row)))
+        model = tmp_path / "svd.json"
+        assert main(["train", "--algo", "svd", "--input", str(ratings), "--output", str(model),
+                     "--scale=-5:5", "--rank-rule", "fixed:2", "--neighborhood", "2"]) == 0
+        capsys.readouterr()
+        assert main(["predict", str(model), "a", "w"]) == 0
+        assert capsys.readouterr().out == "5.00 (rounded: 5)\n"
+
+    @pytest.mark.parametrize("mode", ["paper-dot", "cosine"])
+    @pytest.mark.parametrize("k", [2, None])
+    def test_blocks_of_rows_score_as_one_item_at_a_time(self, mode, k, monkeypatch):
+        ds, _ = make_rank2_ratings(m=10, n=8, density=0.6, seed=4)
+        model = fit(ds, rank_rule="fixed:2", similarity_mode=mode, neighborhood=k)
+        monkeypatch.setattr(svdcf, "SORT_ROWS", 3)
+        for u in range(ds.n_users):
+            scores = model.scores(u, np.arange(ds.n_items))
+            assert scores.tolist() == [model.predict(u, i) for i in range(ds.n_items)]
+
+    @pytest.mark.parametrize("mode", ["paper-dot", "cosine"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 6, 7, None])
+    def test_scores_follow_the_rule(self, mode, k):
+        # centred ratings give negative paper-dot similarities
+        ds, _ = make_rank2_ratings(m=10, n=8, density=0.6, seed=4)
+        model = fit(ds, rank_rule="fixed:2", similarity_mode=mode, neighborhood=k)
+        model.r_star -= 3.0
+        n = ds.n_items
+        for u in range(ds.n_users):
+            want = []
+            for i in range(n):
+                sims = {j: masked_item_similarity(model, i, j) for j in range(n) if j != i}
+                if mode == "cosine":
+                    sims = {j: max(s, 0.0) for j, s in sims.items()}
+                near = sorted(sims, key=lambda j: (-sims[j], j))[:k or n]
+                total = sum(sims[j] for j in near)
+                want.append(model.r_star[u].mean() if total == 0 else
+                            sum(sims[j] * model.r_star[u, j] for j in near) / total)
+            assert model.scores(u, np.arange(n)) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 class TestRoundToScale:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 import zlib
 from pathlib import Path
 
@@ -95,3 +96,20 @@ class TestModelSizes:
     def test_without_files_prints_usage(self, capsys):
         assert load_tool("model_sizes").main([]) == 2
         assert "model_sizes.py" in capsys.readouterr().err
+
+
+class TestScoreDigest:
+    def test_prints_one_stable_digest_per_model(self, capsys, monkeypatch):
+        score_digest = load_tool("score_digest")
+        monkeypatch.setattr(sys, "path", sys.path[:])  # main puts SRC in front
+        runs = []
+        for _ in range(2):
+            assert score_digest.main([str(TOOLS.parent / "src")]) == 0
+            runs.append(capsys.readouterr().out.splitlines())
+        assert runs[0] == runs[1]
+        assert [line.split()[0] for line in runs[0]] == [name for name, _, _ in
+                                                         score_digest.CASES]
+        digests = [line.split()[1] for line in runs[0]]
+        assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)
+        # with and without a neighbourhood cut, the scores differ
+        assert len(set(digests)) == len(digests)

@@ -52,7 +52,7 @@ def main():
     print(np.round(r_star, 2))
 
     # --- predict the missing cell in row 3, column 2 (0-based: 2, 1)
-    model = SvdCfModel(r_star=r_star, mask=mask, f=f, scale=ds.scale)
+    model = SvdCfModel(r_star=r_star, mask=mask, f=f)
     info = predict_with_info(model, 2, 1)
     print(f"\nprediction for user 3, item 2: {info.value:.4f}")
     print(f"similarity mass behind it:      {info.similarity_total:.4f}")

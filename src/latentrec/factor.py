@@ -183,7 +183,7 @@ class FactorModel:
         predict of every (u, i), bit for bit."""
         if self.kind == "funk":
             return funk_scores(self, u, items)
-        return np.array([p.value for p in svdpp_predictions(self, u, items)])
+        return svdpp_predictions(self, u, items)[0]
 
     def recommend(self, u, k):
         """Top-k unrated items for user u as (item, score) pairs.
@@ -623,32 +623,32 @@ def svdpp_implicit_predict(model, u, i):
 
 
 def svdpp_predictions(model, u, items):
-    """SvdppPrediction of each (u, i), i in items, in order.
+    """Predictions of each (u, i), i in items, and their cold-start flags,
+    as three arrays (value, cold_user, cold_item).
 
     The prediction is mu + b_u + b_i + q_i.(p_u + implicit sum), with
-    z = p_u + implicit sum formed once per call. Out-of-range indices
-    take the cold-start path: the prediction keeps mu plus whichever bias
-    is still known and the matching flag is set.
+    z = p_u + implicit sum formed once per call and one np.dot per item.
+    Out-of-range indices take the cold-start path: the prediction keeps
+    mu plus whichever bias is still known and the matching flag is set.
     """
+    items = np.asarray(items, dtype=np.int64)
     cold_user = not 0 <= u < model.n_users
-    base = model.mu
+    cold_item = (items < 0) | (items >= model.n_items)
+    warm = ~cold_item
+    base = model.mu if cold_user else model.mu + float(model.b_u[u])
+    value = np.full(items.size, base, dtype=float)
+    value[warm] += model.b_i[items[warm]]
     if not cold_user:
-        base += float(model.b_u[u])
         z = model.P[:, u] + _implicit_sum(model, u)
-    out = []
-    for i in items:
-        cold_item = not 0 <= i < model.n_items
-        value = base if cold_item else base + float(model.b_i[i])
-        if not (cold_user or cold_item):
-            value += float(np.dot(model.Q[:, i], z))
-        out.append(SvdppPrediction(value, cold_user, cold_item))
-    return out
+        value[warm] += [np.dot(model.Q[:, i], z) for i in items[warm].tolist()]
+    return value, np.full(items.size, cold_user), cold_item
 
 
 def svdpp_predict_with_info(model, u, i):
     """Biased prediction with cold-start flags; the one-item case of
     svdpp_predictions."""
-    return svdpp_predictions(model, u, [i])[0]
+    value, cold_user, cold_item = svdpp_predictions(model, u, [i])
+    return SvdppPrediction(float(value[0]), bool(cold_user[0]), bool(cold_item[0]))
 
 
 def svdpp_predict(model, u, i):

@@ -35,6 +35,18 @@ from a batch, from a list, or by hand through them and optim.step gives
 bit-identical models. The squared loss uses the same halved-gradient
 convention as the factor trainers, the logistic loss uses the exact
 log-loss slope sigma(y) - target.
+
+Scoring a trained machine on (user, item) pairs, as the CLI does, needs
+no batch. Each pair's row holds two nonzeros, both 1.0: the user's
+feature a and the item's feature b. one_hot_features checks the machine
+against its encoder and maps every user and item token to its feature
+index, once per model, with ColumnSpec.slot, the lookup encode and
+SampleBatch.from_codes also use. one_hot_scores then scores every
+candidate of a user at once. For the plain machine on two one-hot
+fields the pair term is the inner product v_a.v_b, as in biased matrix
+factorization; for the field-aware one it is V[a, item field].V[b, user
+field]. Both keep the floating-point order of the per-row kernels, so
+the scores equal predict of the encoded records bit for bit.
 """
 
 import math
@@ -442,21 +454,11 @@ class SampleBatch:
                 spec column is not categorical.
             ValidationError: there are no records.
         """
-        if len(columns) != len(spec.columns):
-            raise EncodingError(
-                f"records have {len(columns)} columns, encoder expects "
-                f"{len(spec.columns)}"
-            )
         width = len(columns)
         indices = np.empty((len(targets), width), dtype=np.int64)
-        for c, (col, start, (tokens, codes)) in enumerate(
-            zip(spec.columns, spec.offsets(), columns)
-        ):
-            if col.kind != "categorical":
-                raise EncodingError(f"column {col.name!r} is not categorical")
-            slots = np.array([col.slots.get(str(t), col.width - 1) for t in tokens],
-                             dtype=np.int64)
-            indices[:, c] = start + slots[codes]
+        features = _one_hot(spec, [tokens for tokens, _ in columns])
+        for c, (column, (_, codes)) in enumerate(zip(features, columns)):
+            indices[:, c] = column[codes]
         return cls(
             indices=indices.ravel(),
             values=np.ones(indices.size),
@@ -467,24 +469,64 @@ class SampleBatch:
         )
 
 
-def batch_scores(model, batch):
-    """The machine's score of every row of a SampleBatch, as an array.
-
-    Each row goes through the kernel predict runs (_fm_terms or
-    _ffm_terms), so row r scores bit for bit as predict of its vector.
+def _one_hot(spec, columns):
+    """The feature index of every token of each column, one int64 array
+    per spec column: a token's category index in its column's block, or
+    the block's reserved last index for an unseen one, as encode gives.
 
     Raises:
-        ShapeError: the batch dimension differs from the model's.
-        EncodingError: a field-aware model and a batch without field ids,
-            or with one outside [0, n_fields).
+        EncodingError: the column count differs from the spec's, or a
+            spec column is not categorical.
     """
-    if batch.n != model.n:
-        raise ShapeError(f"batch has dimension {batch.n}, model has {model.n}")
-    terms = _fm_terms
+    if len(columns) != len(spec.columns):
+        raise EncodingError(
+            f"records have {len(columns)} columns, encoder expects "
+            f"{len(spec.columns)}"
+        )
+    for col in spec.columns:
+        if col.kind != "categorical":
+            raise EncodingError(f"column {col.name!r} is not categorical")
+    return [start + np.array([col.slot(t) for t in tokens], dtype=np.int64)
+            for col, start, tokens in zip(spec.columns, spec.offsets(), columns)]
+
+
+def one_hot_features(model, spec, user_tokens, item_tokens):
+    """The feature index of each user token and of each item token, as two
+    int64 arrays, for one_hot_scores.
+
+    spec must be the machine's encoder: two categorical columns, user then
+    item, of the machine's dimension, and a field-aware machine must have
+    one field per column. This is checked before any token is looked up.
+
+    Raises:
+        ShapeError: the spec's dimension differs from the machine's.
+        EncodingError: spec is not two categorical columns, or a
+            field-aware machine has another field count.
+    """
+    if model.n != spec.dimension:
+        raise ShapeError(f"encoder has dimension {spec.dimension}, model has {model.n}")
+    if isinstance(model, FfmModel) and model.n_fields != spec.n_fields:
+        raise EncodingError(f"encoder has {spec.n_fields} fields, model has {model.n_fields}")
+    return _one_hot(spec, [user_tokens, item_tokens])
+
+
+def one_hot_scores(model, a, b):
+    """The machine's score of the one-hot rows {a: 1.0, b[t]: 1.0}, for a
+    feature a of field 0 and an int array b of features of field 1 (from
+    one_hot_features): predict of each row's vector, bit for bit.
+
+    With every value 1.0 the plain machine's pair term is the inner
+    product v_a.v_b, taken in _fm_terms' order as
+    0.5 * sum_f((v_a + v_b)^2 - (v_a^2 + v_b^2)), in whole-array
+    operations. The field-aware one is V[a, 1].V[b, 0], one np.dot per
+    row, because a batched product rounds differently.
+    """
+    w, V = model.w, model.V
     if isinstance(model, FfmModel):
-        _checked_fields(model, batch)
-        terms = _ffm_terms
-    return np.array([terms(model, *row)[0] for row in batch.rows()])
+        pair = np.array([np.dot(V[a, 1], V[j, 0]) for j in b.tolist()], dtype=float)
+        return (model.w0 + w[a]) + w[b] + pair
+    va, vb = V[a], V[b]
+    return (model.w0 + (w[a] + w[b])) + 0.5 * ((va + vb) ** 2 - (va ** 2 + vb ** 2)).sum(axis=1)
 
 
 def _as_batch(samples, loss):
@@ -618,6 +660,11 @@ class ColumnSpec:
         # one reserved slot per block for unseen categories
         return len(self.categories) + 1 if self.kind == "categorical" else 1
 
+    def slot(self, value):
+        """The position of a raw value in this categorical block: its
+        category's, or the reserved last one for an unseen value."""
+        return self.slots.get(str(value), self.width - 1)
+
 
 @dataclass
 class EncoderSpec:
@@ -677,7 +724,7 @@ def encode(record, spec):
     offsets = spec.offsets()
     for pos, (raw, col) in enumerate(zip(record, spec.columns)):
         if col.kind == "categorical":
-            indices.append(offsets[pos] + col.slots.get(str(raw), col.width - 1))
+            indices.append(offsets[pos] + col.slot(raw))
             values.append(1.0)
             fields.append(pos)
         else:

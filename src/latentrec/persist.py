@@ -53,7 +53,8 @@ from .errors import CapacityError, PersistenceError, ValidationError
 from .factor import FactorModel, ItemCfModel, overlap_weights
 # encode is not called here, but perfbench's tracer counts calls to
 # persist.encode, so the name stays importable from this module
-from .fm import EncoderSpec, FfmModel, FmModel, SampleBatch, batch_scores, encode  # noqa: F401
+from .fm import (EncoderSpec, FfmModel, FmModel, encode,  # noqa: F401
+                 one_hot_features, one_hot_scores)
 from .linalg import SvdResult
 from .metrics import in_range, rank_unseen
 from .svdcf import SvdCfModel, reconstruct
@@ -103,10 +104,15 @@ class IndexedModel:
     """Uniform index-space view over one trained model.
 
     The factor and similarity models already speak scores(u, items),
-    predict(u, i) and recommend(u, k) in index space; the feature-based
-    models score one-hot user/item rows built from the token lists. This
-    wrapper hides the difference so ensembles and the CLI can treat every
-    member alike.
+    predict(u, i) and recommend(u, k) in index space. For fm and ffm,
+    building the wrapper runs fm.one_hot_features: it checks the machine
+    against its encoder, raising ShapeError or EncodingError on a
+    mismatch, and maps every user index and every item index to its
+    feature index, once. scores then runs the one pair kernel,
+    fm.one_hot_scores, on those indices. Ensembles and the CLI treat every
+    member alike through this wrapper. perfbench's tracer times
+    IndexedModel.recommend, so the class keeps its name while the
+    benchmark patches it.
     """
 
     def __init__(self, algorithm, model, encoder=None, user_tokens=None,
@@ -117,27 +123,22 @@ class IndexedModel:
         self.user_tokens = user_tokens
         self.item_tokens = item_tokens
         self.observed = observed
+        if algorithm in ("fm", "ffm"):
+            self.user_features, self.item_features = one_hot_features(
+                model, encoder, user_tokens, item_tokens)
 
     @property
     def n_items(self):
         return len(self.item_tokens)
 
     def scores(self, u, items):
-        """Scores of user u for each item index in items, as an array.
-
-        fm and ffm score the rows SampleBatch.from_codes makes for the
-        (user token, item token) pairs, which are the rows encode makes.
-        """
+        """Scores of user u for each item index in items, as an array;
+        for fm and ffm, predict of the vector encode makes for each
+        (user token, item token) pair, bit for bit."""
         if self.algorithm not in ("fm", "ffm"):
             return self.model.scores(u, items)
         items = in_range(u, items, len(self.user_tokens), self.n_items)
-        if not items.size:
-            return np.empty(0)
-        batch = SampleBatch.from_codes(self.encoder, [
-            ([self.user_tokens[u]], np.zeros(items.size, dtype=np.int64)),
-            ([self.item_tokens[i] for i in items.tolist()], np.arange(items.size)),
-        ], np.zeros(items.size))
-        return batch_scores(self.model, batch)
+        return one_hot_scores(self.model, self.user_features[u], self.item_features[items])
 
     def predict(self, u, i):
         return float(self.scores(u, [i])[0])
@@ -337,12 +338,12 @@ def _field(kind, value, version, key):
     return value
 
 
-def _model_from(algorithm, block, scale, n_items, version):
+def _model_from(algorithm, block, n_items, version):
     fields = {name: _field(kind, block[key], version, key)
               for key, name, kind in FIELDS[algorithm]}
     if algorithm == "svd" and "r_star" in block:  # version 1, or built without factors
         fields.update(r_star=_array(block["r_star"], version),
-                      mask=_array(block["mask"], version), scale=scale)
+                      mask=_array(block["mask"], version))
     elif algorithm == "svd":
         factors = SvdResult(*(_array(block[key], version) for key in "usv"))
         if block["rated"] is None:
@@ -351,8 +352,7 @@ def _model_from(algorithm, block, scale, n_items, version):
                              factors.u.shape[0], n_items, "svd rated")
         mask = np.zeros((factors.u.shape[0], factors.v.shape[0]))
         mask[rated.rows(), rated.items] = 1.0
-        fields.update(r_star=reconstruct(factors), mask=mask, factors=factors,
-                      scale=scale)
+        fields.update(r_star=reconstruct(factors), mask=mask, factors=factors)
     elif algorithm == "itemcf":
         if fields["ratings"] is None:
             raise ValueError("itemcf ratings must be one list per user, got null")
@@ -376,10 +376,10 @@ def _member_doc(member):
     return doc
 
 
-def _member_from(doc, scale, user_tokens, item_tokens, version):
+def _member_from(doc, user_tokens, item_tokens, version):
     algorithm = doc["algorithm"]
     block = doc["parameters"]
-    model = _model_from(algorithm, block, scale, len(item_tokens), version)
+    model = _model_from(algorithm, block, len(item_tokens), version)
     # svd, funk, svdpp and itemcf tables hold one row per user and item
     for role, tokens in (("user", user_tokens), ("item", item_tokens)):
         held = getattr(model, f"n_{role}s", len(tokens))
@@ -395,14 +395,13 @@ def _member_from(doc, scale, user_tokens, item_tokens, version):
 
 def _checked(member):
     """member, as a file can hold it: an IndexedModel and, for fm or ffm,
-    one whose encoder is the two categorical columns its scores encode,
-    holding every user and every item token. Raises PersistenceError."""
+    one whose encoder (two categorical columns, as IndexedModel checks)
+    holds every user and every item token. Raises PersistenceError."""
     if not isinstance(member, IndexedModel):
         raise PersistenceError("only file-backed members can be persisted inside an ensemble")
     encoder, tokens = member.encoder, (member.user_tokens, member.item_tokens)
-    if member.algorithm in ("fm", "ffm") and not (len(encoder.columns) == 2 and all(
-            column.kind == "categorical" and column.slots.keys() >= set(held)
-            for column, held in zip(encoder.columns, tokens))):
+    if member.algorithm in ("fm", "ffm") and not all(
+            column.slots.keys() >= set(held) for column, held in zip(encoder.columns, tokens)):
         raise PersistenceError(f"{member.algorithm} encoder must be two categorical columns "
                                "whose categories hold every user and every item token")
     return member
@@ -554,7 +553,9 @@ def load_model(path):
     more from 0, an itemcf list that repeats an item or holds a rating
     that is not a finite number, or a null svd rated or itemcf ratings;
     an fm or ffm block without its encoder, or whose encoder is not two
-    categorical columns holding every user and every item token; an svd,
+    categorical columns holding every user and every item token, or does
+    not fit the machine (fm.one_hot_features: the dimension, and two
+    fields for ffm); an svd,
     funk, svdpp or itemcf table that does not fit the token lists; a
     float array of version 4 or later that is not a block of dtype "<f8"
     whose base64 data holds exactly its shape's product of 8-byte values;
@@ -593,10 +594,7 @@ def load_model(path):
             else tokens_by_index(raw[f"{role}_index"], f"{role}_index") for role in ("user", "item"))
         if algorithm == "ensemble":
             spec = raw["ensemble"]
-            members = [
-                _member_from(m, scale, user_tokens, item_tokens, version)
-                for m in spec["members"]
-            ]
+            members = [_member_from(m, user_tokens, item_tokens, version) for m in spec["members"]]
             model = BlendModel(
                 members=members,
                 weights=[_field("number", w, version, "weights") for w in spec["weights"]],
@@ -605,7 +603,7 @@ def load_model(path):
             )
             encoder = observed = None
         else:
-            member = _member_from(raw, scale, user_tokens, item_tokens, version)
+            member = _member_from(raw, user_tokens, item_tokens, version)
             model, encoder, observed = member.model, member.encoder, member.observed
     except CapacityError:
         raise

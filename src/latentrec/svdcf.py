@@ -92,7 +92,6 @@ class SvdCfModel:
         mask: (m, n) 0/1 observation indicator of the training data.
         f: retained rank.
         similarity_mode: "paper-dot" or "cosine".
-        scale: rating scale carried from the training data.
         neighborhood: optional top-K cut on neighbors per prediction, an
             int >= 1; None means all items participate.
         factors: the rank-f triplets (u (m, f), s (f,), v (n, f)) that
@@ -104,7 +103,6 @@ class SvdCfModel:
     mask: np.ndarray
     f: int
     similarity_mode: str = "paper-dot"
-    scale: tuple = (1.0, 5.0)
     neighborhood: int | None = None
     factors: linalg.SvdResult | None = None
 
@@ -183,7 +181,6 @@ def fit(ds, impute_strategy="user", rank_rule="energy:0.95",
         mask=mask,
         f=f,
         similarity_mode=similarity_mode,
-        scale=ds.scale,
         neighborhood=neighborhood,
         factors=factors,
     )

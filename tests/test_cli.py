@@ -447,6 +447,20 @@ class TestTrain:
                              *extra[:2])
             assert code == 0
 
+    def test_cli_fm_scoring_builds_no_sample_batch(self, capsys, tmp_path, monkeypatch):
+        # recommend and evaluate score fm/ffm in index space; only training
+        # builds a SampleBatch (from_codes, or one row per FeatureVector)
+        data = write_ratings(tmp_path)
+        models = [train_fixture_model(capsys, tmp_path, algo) for algo in ("fm", "ffm")]
+
+        def refuse(self):
+            raise AssertionError("SampleBatch built at scoring")
+
+        monkeypatch.setattr(SampleBatch, "__post_init__", refuse)
+        for model in models:
+            assert run(capsys, "recommend", model, "1")[0] == 0
+            assert run(capsys, "evaluate", model, "--test", data, "--k", "2")[0] == 0
+
     def test_bad_rank_rule_is_an_argument_error(self, capsys, tmp_path):
         data = write_ratings(tmp_path)
         code, _, _ = run(capsys, "train", "--algo", "svd", "--input", data,
@@ -562,6 +576,33 @@ class TestRecommend:
         assert code == 3
         assert stdout == ""
         assert "malformed model file" in err
+
+    @pytest.mark.parametrize("algo, edit", [
+        ("fm", "numeric item column"), ("fm", "3 rows short"), ("fm", "3 rows long"),
+        ("ffm", "3 rows short"), ("ffm", "1 field"),
+    ])
+    def test_fm_machine_that_does_not_fit_its_encoder_exits_3(self, capsys, tmp_path,
+                                                               algo, edit):
+        model = train_fixture_model(capsys, tmp_path, algo)
+        doc = json.loads(model_text(model))
+        block = doc["parameters"]
+        w, v = (_array(block[key], FORMAT_VERSION) for key in ("w", "v"))
+        if edit == "numeric item column":
+            doc["encoder"]["columns"][1].update(kind="numeric", categories=None)
+        elif edit == "1 field":
+            block["n_fields"], v = 1, v[:, :1]
+        else:
+            rows = slice(None, -3) if edit == "3 rows short" else [*range(len(w)), 0, 1, 2]
+            w, v = w[rows], v[rows]
+        block["w"], block["v"] = _ready(_floats(w)), _ready(_floats(v))
+        with open(model, "w") as handle:
+            json.dump(doc, handle)
+        for argv in (["recommend", model, "1"], ["predict", model, "1", "2"]):
+            code, stdout, err = run(capsys, *argv)
+            assert code == 3
+            assert stdout == ""
+            assert err.startswith("error: ")
+            assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("algo", ["itemcf", "funk", "svdpp", "svd"])
     def test_per_user_tables_short_of_the_user_index_exit_3(self, capsys,

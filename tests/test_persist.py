@@ -18,7 +18,7 @@ from latentrec import factor, persist, svdcf
 from latentrec.data import RatingDataset
 from latentrec.cli import main
 from latentrec.ensemble import BlendModel, bag_train, stack_fit, vote_recommend
-from latentrec.errors import CapacityError, PersistenceError, ValidationError
+from latentrec.errors import CapacityError, LatentRecError, PersistenceError, ValidationError
 from latentrec.factor import (
     ItemCfModel,
     TrainConfig,
@@ -28,7 +28,16 @@ from latentrec.factor import (
     svdpp_implicit_predict,
     svdpp_train,
 )
-from latentrec.fm import EncoderSpec, encode, ffm_train, fm_train
+from latentrec.fm import (
+    EncoderSpec,
+    FfmModel,
+    FmModel,
+    encode,
+    ffm_predict,
+    ffm_train,
+    fm_predict_fast,
+    fm_train,
+)
 from latentrec.persist import (
     FORMAT_VERSION,
     IndexedModel,
@@ -946,6 +955,42 @@ class TestIndexedModelRange:
             with pytest.raises(IndexError):
                 scorer.recommend(u, 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(algo=st.sampled_from(["fm", "ffm"]), k=st.integers(1, 40),
+           n_items=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+    def test_fm_scores_are_predict_of_encoded_pairs(self, algo, k, n_items, seed):
+        # bit for bit, over categories that are a permuted superset of the
+        # tokens less one user and one item, which take the reserved slot
+        rng = np.random.default_rng(seed)
+        users, items = ["u0", "u1", "u2"], [f"i{j}" for j in range(6)]
+        spec = EncoderSpec([
+            ("user", "categorical", rng.permutation(users[1:] + ["x", "y"]).tolist()),
+            ("item", "categorical", rng.permutation(items[:-1] + ["z"]).tolist())])
+        n, scale = spec.dimension, 10.0 ** rng.integers(-2, 3)
+        if algo == "fm":
+            model = FmModel(w0=float(rng.normal()), w=rng.normal(size=n) * scale,
+                            V=rng.normal(size=(n, k)) * scale, k=k)
+        else:
+            model = FfmModel(w0=float(rng.normal()), w=rng.normal(size=n) * scale,
+                             V=rng.normal(size=(n, 2, k)) * scale, k=k, n_fields=2)
+        predict = fm_predict_fast if algo == "fm" else ffm_predict
+        scorer = IndexedModel(algo, model, spec, users, items)
+        chosen = rng.integers(0, len(items), size=n_items)
+        for u, user in enumerate(users):
+            got = scorer.scores(u, chosen)
+            want = np.array([predict(model, encode((user, items[i]), spec)) for i in chosen])
+            assert got.shape == (n_items,) and got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("algo", ["fm", "ffm"])
+    def test_machine_that_does_not_fit_its_encoder_raises_at_scoring(self, algo):
+        bundle, ds = fm_bundle(algo)
+        model = bundle.model
+        short = dataclasses.replace(model, w=model.w[:-3], V=model.V[:-3])
+        bundle = dataclasses.replace(bundle, model=short)
+        with pytest.raises(LatentRecError, match="dimension"):
+            bundle.predict(min(ds.user_index), min(ds.item_index))
+
 
 class TestBundleQueries:
     def test_unknown_tokens_named(self):
@@ -1135,7 +1180,7 @@ def writer_bundles(ds):
                for algo in ("svd", "funk", "svdpp", "itemcf", "fm", "ffm")]
     svd, funk = bundles[0], bundles[1]
     dense = svdcf.SvdCfModel(r_star=svd.model.r_star, mask=svd.model.mask,
-                             f=svd.model.f, scale=ds.scale)
+                             f=svd.model.f)
     unrated = dataclasses.replace(funk.model, N=None)
     bundles += [dataclasses.replace(svd, model=dense),
                 dataclasses.replace(funk, model=unrated)]
@@ -1329,8 +1374,7 @@ def every_kind(ds):
                            scale=ds.scale)
 
     svd = singles["svd"].model
-    dense = svdcf.SvdCfModel(r_star=svd.r_star, mask=svd.mask, f=svd.f,
-                             scale=ds.scale)
+    dense = svdcf.SvdCfModel(r_star=svd.r_star, mask=svd.mask, f=svd.f)
     return {
         **singles,
         "svd-dense": dataclasses.replace(singles["svd"], model=dense),

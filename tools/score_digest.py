@@ -33,6 +33,13 @@ CASES = (
     ("ffm", "explicit", ["--algo", "ffm", "--epochs", "5"]),
     ("fm-logistic", "implicit", ["--algo", "fm", "--kind", "implicit", "--scale", "0:1",
                                  "--loss", "logistic", "--neg-ratio", "2", "--epochs", "5"]),
+    # wide factors reach numpy's 8-way pairwise sum and BLAS ddot's
+    # unrolled blocks, where a rewritten kernel could round differently
+    ("fm-f12", "explicit", ["--algo", "fm", "--epochs", "5", "--factors", "12"]),
+    ("ffm-f12", "explicit", ["--algo", "ffm", "--epochs", "5", "--factors", "12"]),
+    ("fm-logistic-f33", "implicit", ["--algo", "fm", "--kind", "implicit", "--scale", "0:1",
+                                     "--loss", "logistic", "--neg-ratio", "2", "--epochs", "5",
+                                     "--factors", "33"]),
 )
 
 

@@ -460,10 +460,6 @@ def cmd_ensemble_blend(args):
     weights = values["weights"]
     if weights is None:
         weights = [1.0 / len(bundles)] * len(bundles)
-    if len(weights) != len(bundles):
-        raise ConfigError(
-            f"{len(bundles)} members but {len(weights)} weights"
-        )
     try:
         model = BlendModel(members=[b.scorer for b in bundles],
                            weights=weights)

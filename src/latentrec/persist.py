@@ -20,7 +20,16 @@ README's model-file paragraph is the one full account of the format
   fm/ffm's observed lists have a branch of their own.
 - A file stores only what a model cannot rebuild: loading rebuilds svd
   r_star and mask and the itemcf weights W with the functions training
-  used, and refuses tables that do not fit the token lists.
+  used, so saving refuses an r_star or W that does not follow from what
+  the file stores.
+- A ModelBundle is frozen and builds its scorer once: the model itself,
+  or for fm and ffm an IndexedModel, the one-hot view of the machine.
+  An ensemble's members are such scorers. _member is the one member
+  check, run by save_model on every member it writes and by load_model
+  on every member it builds, the one member of a single-model file
+  included: it names the algorithm from the member's type and refuses a
+  foreign type, tables that do not fit the token lists, and an fm or ffm
+  encoder whose categories miss a token.
 - The header holds the user and item tokens as two lists in index order
   (from version 6; before, as token -> index maps); ModelBundle keeps
   its index maps, built from the lists on load.
@@ -101,58 +110,55 @@ _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
 class IndexedModel:
-    """Uniform index-space view over one trained model.
+    """The index-space view of an fm or ffm machine: its one-hot rows.
 
-    The factor and similarity models already speak scores(u, items),
-    predict(u, i) and recommend(u, k) in index space. For fm and ffm,
-    building the wrapper runs fm.one_hot_features: it checks the machine
-    against its encoder, raising ShapeError or EncodingError on a
-    mismatch, and maps every user index and every item index to its
-    feature index, once. scores then runs the one pair kernel,
-    fm.one_hot_scores, on those indices. Ensembles and the CLI treat every
-    member alike through this wrapper. perfbench's tracer times
-    IndexedModel.recommend, so the class keeps its name while the
-    benchmark patches it.
+    Every other model scores (u, items) in index space by itself; a
+    machine scores feature vectors. Over two one-hot fields, user then
+    item, a vector is one user feature and one item feature, so building
+    the view runs fm.one_hot_features once: it checks the machine against
+    its encoder, raising ShapeError or EncodingError on a mismatch, and
+    maps every user index and every item index to its feature index.
+    scores then runs the one pair kernel, fm.one_hot_scores, on those
+    indices, and recommend ranks the items outside observed. perfbench's
+    tracer times IndexedModel.recommend, so the class keeps its name
+    while the benchmark patches it.
     """
 
-    def __init__(self, algorithm, model, encoder=None, user_tokens=None,
-                 item_tokens=None, observed=None):
-        self.algorithm = algorithm
-        self.model = model
-        self.encoder = encoder
-        self.user_tokens = user_tokens
-        self.item_tokens = item_tokens
-        self.observed = observed
-        if algorithm in ("fm", "ffm"):
-            self.user_features, self.item_features = one_hot_features(
-                model, encoder, user_tokens, item_tokens)
-
-    @property
-    def n_items(self):
-        return len(self.item_tokens)
+    def __init__(self, model, encoder, user_tokens, item_tokens, observed=None):
+        self.model, self.encoder, self.observed = model, encoder, observed
+        self.user_features, self.item_features = one_hot_features(
+            model, encoder, user_tokens, item_tokens)
+        self.n_users, self.n_items = len(user_tokens), len(item_tokens)
 
     def scores(self, u, items):
-        """Scores of user u for each item index in items, as an array;
-        for fm and ffm, predict of the vector encode makes for each
-        (user token, item token) pair, bit for bit."""
-        if self.algorithm not in ("fm", "ffm"):
-            return self.model.scores(u, items)
-        items = in_range(u, items, len(self.user_tokens), self.n_items)
+        """Scores of user u for each item index in items, as an array:
+        predict of the vector encode makes for each (user token, item
+        token) pair, bit for bit."""
+        items = in_range(u, items, self.n_users, self.n_items)
         return one_hot_scores(self.model, self.user_features[u], self.item_features[items])
 
     def predict(self, u, i):
         return float(self.scores(u, [i])[0])
 
     def recommend(self, u, k):
-        if self.algorithm not in ("fm", "ffm"):
-            return self.model.recommend(u, k)
-        in_range(u, [], len(self.user_tokens), self.n_items)
+        in_range(u, [], self.n_users, self.n_items)
         return rank_unseen(self, u, [] if self.observed is None else self.observed[u], k)
 
 
-@dataclass
+def _scorer(algorithm, user_tokens, item_tokens, model, encoder=None, observed=None):
+    """The index-space scorer of a model: an IndexedModel for fm and ffm,
+    the model itself for every other algorithm."""
+    if algorithm in ("fm", "ffm"):
+        return IndexedModel(model, encoder, user_tokens, item_tokens, observed)
+    return model
+
+
+@dataclass(frozen=True)
 class ModelBundle:
     """A trained model plus everything needed to serve token queries.
+
+    The bundle is frozen: assigning a field raises FrozenInstanceError,
+    and dataclasses.replace builds a new, checked bundle.
 
     Attributes:
         algorithm: one of svd, funk, svdpp, itemcf, fm, ffm, ensemble.
@@ -166,6 +172,10 @@ class ModelBundle:
             per-user list is checked and converted here, once); lets the
             feature-based models exclude seen items when recommending.
         created: ISO timestamp; filled at save time when empty.
+        scorer: not a constructor argument; the index-space predictor,
+            built once here: the model itself, or for fm and ffm its
+            IndexedModel (so a machine that does not fit its encoder
+            raises here).
     """
 
     algorithm: str
@@ -182,19 +192,15 @@ class ModelBundle:
             raise ValidationError(f"unknown algorithm tag {self.algorithm!r}")
         if self.algorithm in ("fm", "ffm") and self.encoder is None:
             raise ValidationError(f"{self.algorithm} bundles need an encoder spec")
-        self.scale = checked_scale(self.scale)
-        self.observed = UserItems.of(self.observed, len(self.user_index),
-                                     len(self.item_index), "observed")
-        self._user_tokens = tokens_by_index(self.user_index, "user_index")
-        self._item_tokens = tokens_by_index(self.item_index, "item_index")
-
-    @property
-    def scorer(self):
-        """Index-space predictor for this bundle."""
-        if self.algorithm == "ensemble":
-            return self.model
-        return IndexedModel(self.algorithm, self.model, self.encoder, self._user_tokens,
-                            self._item_tokens, self.observed)
+        scale = checked_scale(self.scale)
+        observed = UserItems.of(self.observed, len(self.user_index),
+                                len(self.item_index), "observed")
+        users = tokens_by_index(self.user_index, "user_index")
+        items = tokens_by_index(self.item_index, "item_index")
+        scorer = _scorer(self.algorithm, users, items, self.model, self.encoder, observed)
+        for name, value in (("scale", scale), ("observed", observed), ("_user_tokens", users),
+                            ("_item_tokens", items), ("scorer", scorer)):
+            object.__setattr__(self, name, value)
 
     def indices(self, user, item):
         """(user index, item index) of a token pair; raises ValidationError
@@ -310,6 +316,9 @@ def _parameters(algorithm, model, observed=None):
     if algorithm == "svd" and model.factors is None:
         block.update(r_star=_floats(model.r_star), mask=_floats(model.mask))
     elif algorithm == "svd":
+        if not np.array_equal(model.r_star, reconstruct(model.factors)):
+            raise PersistenceError("svd r_star values do not follow from the stored "
+                                   "factors; the file could not reproduce them on load")
         block.update((key, _floats(a)) for key, a in zip("usv", model.factors))
         block["rated"] = UserItems.from_columns(*np.nonzero(model.mask),
                                                 *model.mask.shape).form()
@@ -364,47 +373,59 @@ def _model_from(algorithm, block, n_items, version):
     return _MODELS[algorithm](**fields)
 
 
-def _member_doc(member):
-    member = _checked(member)
-    doc = {
-        "algorithm": member.algorithm,
-        "parameters": _parameters(member.algorithm, member.model,
-                                  observed=member.observed),
-    }
-    if member.encoder is not None:
-        doc["encoder"] = _encoder_doc(member.encoder)
+# the algorithm tag of each model type a file holds; a FactorModel's is its kind
+_TAGS = {SvdCfModel: "svd", ItemCfModel: "itemcf", FmModel: "fm", FfmModel: "ffm"}
+
+
+def _member(member, user_tokens, item_tokens):
+    """(algorithm, model, encoder, observed) of a scorer as a file holds
+    it, for the given token lists: a trained svd, funk, svdpp or itemcf
+    model, or the IndexedModel of an fm or ffm machine. Its tables must
+    hold one row per token and, for fm or ffm, its encoder's categories
+    every token. Raises PersistenceError."""
+    model = member.model if isinstance(member, IndexedModel) else member
+    algorithm = model.kind if isinstance(model, FactorModel) else _TAGS.get(type(model))
+    # a machine scores only through its IndexedModel, and only a machine has one
+    if algorithm is None or (algorithm in ("fm", "ffm")) != (model is not member):
+        raise PersistenceError("only file-backed members can be persisted inside an ensemble")
+    for role, tokens in (("user", user_tokens), ("item", item_tokens)):
+        held = getattr(member, f"n_{role}s")
+        if held != len(tokens):
+            raise PersistenceError(f"{algorithm} tables hold {held} {role}s where "
+                                   f"the {role} index has {len(tokens)}")
+    if model is member:
+        return algorithm, model, None, None
+    if not all(column.slots.keys() >= set(held) for column, held
+               in zip(member.encoder.columns, (user_tokens, item_tokens))):
+        raise PersistenceError(f"{algorithm} encoder must be two categorical columns "
+                               "whose categories hold every user and every item token")
+    return algorithm, model, member.encoder, member.observed
+
+
+def _member_doc(member, user_tokens, item_tokens):
+    algorithm, model, encoder, observed = _member(member, user_tokens, item_tokens)
+    doc = {"algorithm": algorithm, "parameters": _parameters(algorithm, model, observed)}
+    if encoder is not None:
+        doc["encoder"] = _encoder_doc(encoder)
     return doc
 
 
 def _member_from(doc, user_tokens, item_tokens, version):
-    algorithm = doc["algorithm"]
-    block = doc["parameters"]
-    model = _model_from(algorithm, block, len(item_tokens), version)
-    # svd, funk, svdpp and itemcf tables hold one row per user and item
-    for role, tokens in (("user", user_tokens), ("item", item_tokens)):
-        held = getattr(model, f"n_{role}s", len(tokens))
-        if held != len(tokens):
-            raise ValueError(f"{algorithm} tables hold {held} {role}s where "
-                             f"the {role} index has {len(tokens)}")
-    encoder = _encoder_from(doc["encoder"]) if algorithm in ("fm", "ffm") else None
-    observed = UserItems.of(_field("items", block.get("observed"), version, "observed"),
-                            len(user_tokens), len(item_tokens), "observed")
-    return _checked(IndexedModel(algorithm, model, encoder, user_tokens, item_tokens,
-                                 observed))
+    """The model, encoder and observed lists of a member block, as
+    ModelBundle takes them; the last two only for fm and ffm."""
+    algorithm, block = doc["algorithm"], doc["parameters"]
+    parts = {"model": _model_from(algorithm, block, len(item_tokens), version)}
+    if algorithm in ("fm", "ffm"):
+        parts["encoder"] = _encoder_from(doc["encoder"])
+        parts["observed"] = UserItems.of(
+            _field("items", block.get("observed"), version, "observed"),
+            len(user_tokens), len(item_tokens), "observed")
+    return parts
 
 
-def _checked(member):
-    """member, as a file can hold it: an IndexedModel and, for fm or ffm,
-    one whose encoder (two categorical columns, as IndexedModel checks)
-    holds every user and every item token. Raises PersistenceError."""
-    if not isinstance(member, IndexedModel):
-        raise PersistenceError("only file-backed members can be persisted inside an ensemble")
-    encoder, tokens = member.encoder, (member.user_tokens, member.item_tokens)
-    if member.algorithm in ("fm", "ffm") and not all(
-            column.slots.keys() >= set(held) for column, held in zip(encoder.columns, tokens)):
-        raise PersistenceError(f"{member.algorithm} encoder must be two categorical columns "
-                               "whose categories hold every user and every item token")
-    return member
+def _members(bundle):
+    """The scorers a file of the bundle holds, one per member block."""
+    return bundle.model.members if bundle.algorithm == "ensemble" else [bundle.scorer]
 
 
 def _document(bundle):
@@ -413,25 +434,30 @@ def _document(bundle):
     created = bundle.created or datetime.now(timezone.utc).isoformat(
         timespec="seconds"
     )
+    tokens = (bundle._user_tokens, bundle._item_tokens)
     doc = {
         "format_version": FORMAT_VERSION,
         "algorithm": bundle.algorithm,
         "created": created,
         "library": f"latentrec {__version__}",
         "scale": [bundle.scale[0], bundle.scale[1]],
-        "user_tokens": [str(t) for t in bundle._user_tokens],
-        "item_tokens": [str(t) for t in bundle._item_tokens],
+        "user_tokens": [str(t) for t in tokens[0]],
+        "item_tokens": [str(t) for t in tokens[1]],
     }
+    members = [_member_doc(m, *tokens) for m in _members(bundle)]
     if bundle.algorithm == "ensemble":
         model = bundle.model
         doc["ensemble"] = {
             "kind": model.kind,
             "weights": [float(w) for w in model.weights],
             "intercept": float(model.intercept),
-            "members": [_member_doc(m) for m in model.members],
+            "members": members,
         }
+    elif members[0]["algorithm"] != bundle.algorithm:
+        raise PersistenceError(f"{bundle.algorithm} bundle holds a "
+                               f"{members[0]['algorithm']} model")
     else:
-        doc.update(_member_doc(bundle.scorer))
+        doc.update(members[0])
     return doc
 
 
@@ -514,7 +540,10 @@ def save_model(bundle, path):
     The file inflates to json.dumps(document(bundle), sort_keys=True,
     separators=(",", ":")) plus a newline, UTF-8 encoded.
 
-    Raises PersistenceError for a model the file format cannot reproduce.
+    Raises PersistenceError for a model the file format cannot reproduce:
+    a member _member refuses, a single-model bundle whose tag names
+    another algorithm than its model, or an svd r_star or itemcf W that
+    does not follow from what the file stores.
     """
     doc = _document(bundle)
     deflate = zlib.compressobj(GZIP_LEVEL, zlib.DEFLATED, GZIP_WBITS)
@@ -594,28 +623,29 @@ def load_model(path):
             else tokens_by_index(raw[f"{role}_index"], f"{role}_index") for role in ("user", "item"))
         if algorithm == "ensemble":
             spec = raw["ensemble"]
-            members = [_member_from(m, user_tokens, item_tokens, version) for m in spec["members"]]
-            model = BlendModel(
+            members = [_scorer(m["algorithm"], user_tokens, item_tokens,
+                               **_member_from(m, user_tokens, item_tokens, version))
+                       for m in spec["members"]]
+            parts = {"model": BlendModel(
                 members=members,
                 weights=[_field("number", w, version, "weights") for w in spec["weights"]],
                 intercept=_field("number", spec["intercept"], version, "intercept"),
                 kind=spec["kind"],
-            )
-            encoder = observed = None
+            )}
         else:
-            member = _member_from(raw, user_tokens, item_tokens, version)
-            model, encoder, observed = member.model, member.encoder, member.observed
+            parts = _member_from(raw, user_tokens, item_tokens, version)
+        bundle = ModelBundle(
+            algorithm=algorithm,
+            user_index={token: at for at, token in enumerate(user_tokens)},
+            item_index={token: at for at, token in enumerate(item_tokens)},
+            scale=scale,
+            created=str(raw.get("created", "")),
+            **parts,
+        )
+        for member in _members(bundle):
+            _member(member, user_tokens, item_tokens)
     except CapacityError:
         raise
     except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise PersistenceError(f"malformed model file {path}: {exc}") from exc
-    return ModelBundle(
-        algorithm=algorithm,
-        model=model,
-        user_index={token: at for at, token in enumerate(user_tokens)},
-        item_index={token: at for at, token in enumerate(item_tokens)},
-        scale=scale,
-        encoder=encoder,
-        observed=observed,
-        created=str(raw.get("created", "")),
-    )
+    return bundle

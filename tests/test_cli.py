@@ -792,6 +792,14 @@ class TestEnsemble:
             _, blended, _ = run(capsys, "predict", out, user, item)
             assert blended == direct
 
+    def test_weights_of_another_count_exit_2(self, capsys, tmp_path):
+        model = train_fixture_model(capsys, tmp_path)
+        out = tmp_path / "ens.json"
+        code, stdout, err = run(capsys, "ensemble", "blend", model, model,
+                                "--weights", "1", "--output", str(out))
+        assert (code, stdout, err) == (2, "", "error: 2 members but 1 weights\n")
+        assert not out.exists()
+
     def test_mismatched_index_maps_exit_3(self, capsys, tmp_path):
         first = train_fixture_model(capsys, tmp_path)
         other_csv = write_ratings(tmp_path, "other.csv",

@@ -352,7 +352,9 @@ def old_overlap_weights(ds):
 
 def itemcf_models(bundle):
     if bundle.algorithm == "ensemble":
-        return [member.model for member in bundle.model.members]
+        # an fm or ffm member is the IndexedModel view of its machine
+        return [member.model if isinstance(member, IndexedModel) else member
+                for member in bundle.model.members]
     return [bundle.model]
 
 
@@ -440,7 +442,7 @@ class TestItemCfFiles:
         model = bundle.model
         tampered = ItemCfModel(W=model.W * 0.5, K=model.K,
                                ratings=model.ratings)
-        bundle.model = tampered
+        bundle = dataclasses.replace(bundle, model=tampered)
         if as_member:
             bundle = ModelBundle(
                 algorithm="ensemble",
@@ -974,7 +976,7 @@ class TestIndexedModelRange:
             model = FfmModel(w0=float(rng.normal()), w=rng.normal(size=n) * scale,
                              V=rng.normal(size=(n, 2, k)) * scale, k=k, n_fields=2)
         predict = fm_predict_fast if algo == "fm" else ffm_predict
-        scorer = IndexedModel(algo, model, spec, users, items)
+        scorer = IndexedModel(model, spec, users, items)
         chosen = rng.integers(0, len(items), size=n_items)
         for u, user in enumerate(users):
             got = scorer.scores(u, chosen)
@@ -983,13 +985,12 @@ class TestIndexedModelRange:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("algo", ["fm", "ffm"])
-    def test_machine_that_does_not_fit_its_encoder_raises_at_scoring(self, algo):
+    def test_machine_that_does_not_fit_its_encoder_raises_at_construction(self, algo):
         bundle, ds = fm_bundle(algo)
         model = bundle.model
         short = dataclasses.replace(model, w=model.w[:-3], V=model.V[:-3])
-        bundle = dataclasses.replace(bundle, model=short)
         with pytest.raises(LatentRecError, match="dimension"):
-            bundle.predict(min(ds.user_index), min(ds.item_index))
+            dataclasses.replace(bundle, model=short)
 
 
 class TestBundleQueries:
@@ -1072,7 +1073,7 @@ class TestBundleQueries:
     def test_indexed_model_matches_token_queries(self):
         bundle, ds = funk_bundle()
         scorer = bundle.scorer
-        assert isinstance(scorer, IndexedModel)
+        assert scorer is bundle.model
         for u, i, _ in list(ds.triples)[:5]:
             assert scorer.predict(ds.user_index[u], ds.item_index[i]) == \
                 bundle.predict(u, i)
@@ -1203,7 +1204,7 @@ class TestStreamedWriter:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(persist, "BLOCK_ROWS", block_rows)
             for bundle in writer_bundles(ds):
-                bundle.created = "2026-01-01T00:00:00+00:00"
+                bundle = dataclasses.replace(bundle, created="2026-01-01T00:00:00+00:00")
                 save_model(bundle, path)
                 want = json.dumps(document(bundle), sort_keys=True,
                                   separators=(",", ":")) + "\n"
@@ -1343,6 +1344,124 @@ class TestFloatBlocks:
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed model file"):
             load_model(path)
+
+
+# the tag the "tag" edit gives each algorithm's model: another algorithm's
+OTHER_TAG = {"svd": "itemcf", "itemcf": "svd", "funk": "svdpp", "svdpp": "funk",
+             "fm": "ffm", "ffm": "fm"}
+# faults a model file cannot hold, as edits of a trained bundle; "r-star"
+# applies to svd only
+EDITS = ("none", "extra-user", "tag", "r-star")
+
+
+def edited_bundle(bundle, edit):
+    """bundle with one fault: "extra-user" gives its user index a token
+    the model's tables have no row for, "tag" labels its model with
+    another algorithm, "r-star" doubles an svd model's reconstruction
+    off its factors; "none" returns bundle."""
+    if edit == "extra-user":
+        observed = None if bundle.observed is None else \
+            [row.tolist() for row in bundle.observed] + [[]]
+        return dataclasses.replace(
+            bundle, user_index={**bundle.user_index, "extra": len(bundle.user_index)},
+            observed=observed)
+    if edit == "tag":
+        return dataclasses.replace(bundle, algorithm=OTHER_TAG[bundle.algorithm])
+    if edit == "r-star":
+        model = bundle.model
+        return dataclasses.replace(bundle, model=dataclasses.replace(
+            model, r_star=2.0 * model.r_star))
+    return bundle
+
+
+class TestSaveChecks:
+    """save_model refuses, with no file written, every bundle whose file
+    load_model would refuse or read back as another model."""
+
+    @staticmethod
+    def assert_refused(bundle, path, match):
+        with pytest.raises(PersistenceError, match=match):
+            save_model(bundle, path)
+        assert not path.exists()
+
+    def test_single_tables_short_of_the_tokens(self, tmp_path):
+        bundle = edited_bundle(funk_bundle()[0], "extra-user")
+        self.assert_refused(bundle, tmp_path / "m.json",
+                            "funk tables hold 8 users where the user index has 9")
+
+    def test_member_tables_short_of_the_tokens(self, tmp_path):
+        funk, ds = funk_bundle()
+        bundle = ModelBundle("ensemble", BlendModel([funk.model], [1.0]),
+                             {**ds.user_index, "extra": ds.n_users}, ds.item_index,
+                             ds.scale)
+        self.assert_refused(bundle, tmp_path / "m.json",
+                            "funk tables hold 8 users where the user index has 9")
+
+    def test_svdpp_tag_on_a_funk_model(self, tmp_path):
+        bundle = edited_bundle(funk_bundle()[0], "tag")
+        self.assert_refused(bundle, tmp_path / "m.json", "svdpp bundle holds a funk model")
+
+    def test_svd_reconstruction_off_its_factors(self, tmp_path):
+        bundle, ds = svd_bundle()
+        edited = edited_bundle(bundle, "r-star")
+        user, item = min(ds.user_index), max(ds.item_index)
+        assert edited.predict(user, item) != bundle.predict(user, item)
+        self.assert_refused(edited, tmp_path / "m.json",
+                            "r_star values do not follow from the stored factors")
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=GRIDS, algo=st.sampled_from(sorted(OTHER_TAG)), data=st.data())
+    def test_property_save_succeeds_exactly_when_load_does(self, grid, algo, data,
+                                                           tmp_path_factory):
+        edit = data.draw(st.sampled_from(EDITS if algo == "svd" else EDITS[:-1]))
+        ds = grid_dataset(grid)
+        bundle = edited_bundle(trained_bundle(algo, ds), edit)
+        path = tmp_path_factory.mktemp("edited") / "m.json"
+        try:
+            save_model(bundle, path)
+        except PersistenceError:
+            assert edit != "none" and not path.exists()
+            return
+        assert edit == "none"
+        loaded = load_model(path)
+        items = np.arange(ds.n_items)
+        for u in range(ds.n_users):
+            assert loaded.scorer.scores(u, items).tobytes() == \
+                bundle.scorer.scores(u, items).tobytes()
+
+
+class TestServingObject:
+    def test_scorer_is_the_model_but_for_fm_and_ffm(self):
+        bundles = every_kind(small_dataset())
+        for kind, bundle in bundles.items():
+            if kind in ("fm", "ffm"):
+                assert isinstance(bundle.scorer, IndexedModel)
+                assert bundle.scorer.model is bundle.model
+            else:
+                assert bundle.scorer is bundle.model, kind
+        # ensemble members are the models, and fm/ffm ones their views
+        members = bundles["blend"].model.members
+        assert [type(m) for m in members] == \
+            [type(bundles[algo].scorer) for algo in ("svd", "funk", "svdpp", "itemcf", "fm", "ffm")]
+
+    @pytest.mark.parametrize("name", ["algorithm", "model", "observed", "created", "scorer"])
+    def test_fields_cannot_be_assigned(self, name):
+        bundle, _ = fm_bundle()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(bundle, name, getattr(bundle, name))
+
+    def test_fm_evaluate_looks_features_up_once(self, tmp_path, monkeypatch):
+        ratings, model = tmp_path / "r.csv", tmp_path / "fm.json"
+        ratings.write_text(FOUR_BY_FOUR_CSV)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["train", "--algo", "fm", "--epochs", "2", "--input", str(ratings),
+                         "--output", str(model)]) == 0
+            calls = []
+            lookup = persist.one_hot_features
+            monkeypatch.setattr(persist, "one_hot_features",
+                                lambda *args: calls.append(args) or lookup(*args))
+            assert main(["evaluate", str(model), "--test", str(ratings), "--k", "5,10"]) == 0
+        assert len(calls) == 1
 
 
 def float_arrays(model):
@@ -1572,7 +1691,7 @@ class TestFormat5File:
 class TestGzipContainer:
     def test_file_is_one_gzip_member_with_no_timestamp(self, tmp_path):
         bundle, _ = funk_bundle()
-        bundle.created = "2026-01-01T00:00:00+00:00"
+        bundle = dataclasses.replace(bundle, created="2026-01-01T00:00:00+00:00")
         first = save_model(bundle, tmp_path / "a.json").read_bytes()
         # magic, deflate method, no flags (no name, no comment), mtime 0
         assert first[:8] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00"

@@ -8,7 +8,9 @@ seeded explicit CSV and implicit CSV to a temporary directory, trains one
 model of each case below on them through cli.main, loads each file with
 persist.load_model and prints one line per case: its name and the sha256
 of scores(u, every item) for every user in turn, taken as float64 bytes.
-Run it on two source trees and compare the lines.
+The BLENDS cases then blend the files of earlier cases with `ensemble
+blend` and digest the blend's scores the same way. Run it on two source
+trees and compare the lines.
 """
 
 import contextlib
@@ -41,6 +43,12 @@ CASES = (
                                      "--loss", "logistic", "--neg-ratio", "2", "--epochs", "5",
                                      "--factors", "33"]),
 )
+# (name, member cases): an equal-weight `ensemble blend` of those cases'
+# files, which share the explicit CSV and so its index maps; the digest
+# pins how a blend holds and scores its members
+BLENDS = (
+    ("blend", ("itemcf", "fm")),
+)
 
 
 def write_inputs(folder):
@@ -65,15 +73,19 @@ def digests(folder):
     from latentrec.persist import load_model
 
     inputs = write_inputs(folder)
+    commands = [(name, ["train", "--input", str(inputs[kind]), "--seed", "3", *args])
+                for name, kind, args in CASES]
+    commands += [(name, ["ensemble", "blend", *(str(Path(folder) / f"{case}.json")
+                                                for case in members)])
+                 for name, members in BLENDS]
     out = []
-    for name, kind, args in CASES:
+    for name, argv in commands:
         model = Path(folder) / f"{name}.json"
         log = io.StringIO()
         with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
-            code = main(["train", "--input", str(inputs[kind]), "--output", str(model),
-                         "--seed", "3", *args])
+            code = main([*argv, "--output", str(model)])
         if code != 0:
-            raise RuntimeError(f"training {name} exited {code}: {log.getvalue().strip()}")
+            raise RuntimeError(f"{argv[0]} of {name} exited {code}: {log.getvalue().strip()}")
         bundle = load_model(model)
         items = np.arange(len(bundle.item_index))
         digest = hashlib.sha256()

@@ -2,8 +2,8 @@
 
 A member is any object exposing scores(u, items) -> float array (its
 prediction for each item, in order), predict(u, i) -> real and
-recommend(u, k) -> ranked list; every trained model in this package
-qualifies. Members always see index-space ids.
+recommend(u, k) -> ranked list; every trained model in this package is
+such a metrics.Scorer. Members always see index-space ids.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, ValidationError
-from .metrics import pair_scores
+from .metrics import Scorer, pair_scores
 
 STACK_RIDGE = 1e-8
 
@@ -31,7 +31,7 @@ def _member_failure(exc, label):
 
 
 @dataclass
-class BlendModel:
+class BlendModel(Scorer):
     """Weighted combination of member predictors.
 
     Attributes:
@@ -91,18 +91,13 @@ class BlendModel:
                 raise _member_failure(exc, f"ensemble member {m}") from exc
         return total
 
-    def predict(self, u, i):
-        return blend_predict(self, u, i)
-
     def recommend(self, u, k):
         """Member vote over index-space top-k lists; see vote_recommend."""
         return vote_recommend(self.members, u, k)
 
 
-def blend_predict(model, u, i):
-    """The blend's prediction for (u, i); the one-item case of
-    BlendModel.scores."""
-    return float(model.scores(u, [i])[0])
+# the blend's prediction for (u, i): the one-item case of BlendModel.scores
+blend_predict = Scorer.predict
 
 
 def vote_recommend(members, u, k):

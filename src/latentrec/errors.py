@@ -13,6 +13,10 @@ class ShapeError(LatentRecError, ValueError):
     """Operands have incompatible dimensions."""
 
 
+class IndexRangeError(LatentRecError, IndexError, ValueError):
+    """A user or item index lies outside a model's tables."""
+
+
 class ZeroNormError(LatentRecError, ValueError):
     """Cosine similarity requested for a zero-norm vector."""
 

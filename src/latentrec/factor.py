@@ -45,7 +45,7 @@ import numpy as np
 from . import optim
 from .data import DENSE_CELL_CAP, UserItems
 from .errors import CapacityError, DivergenceError, GradientError, ValidationError
-from .metrics import SORT_ROWS, in_range, neighbours, rank_unseen
+from .metrics import SORT_ROWS, Scorer, in_range, neighbours
 
 STRATEGIES = ("all", "sequential")
 
@@ -109,7 +109,7 @@ class TrainConfig:
 
 
 @dataclass
-class FactorModel:
+class FactorModel(Scorer):
     """A trained factor model.
 
     Fields:
@@ -174,10 +174,6 @@ class FactorModel:
     def n_items(self):
         return self.Q.shape[1]
 
-    def predict(self, u, i):
-        """Predicted rating; the one-item case of scores."""
-        return float(self.scores(u, [i])[0])
-
     def scores(self, u, items):
         """Predictions for user u at each item index in items, as an array;
         predict of every (u, i), bit for bit."""
@@ -185,14 +181,10 @@ class FactorModel:
             return funk_scores(self, u, items)
         return svdpp_predictions(self, u, items)[0]
 
-    def recommend(self, u, k):
-        """Top-k unrated items for user u as (item, score) pairs.
-
-        Highest score first, ties broken by ascending item index. Items in
-        N(u) are excluded; with no N recorded every item is a candidate.
-        """
-        in_range(u, [], self.n_users, self.n_items)
-        return rank_unseen(self, u, [] if self.N is None else self.N[u], k)
+    def seen(self, u):
+        """N(u), which recommend leaves out; with no N every item is a
+        candidate."""
+        return [] if self.N is None else self.N[u]
 
 
 def funk_scores(model, u, items):
@@ -345,12 +337,12 @@ def funk_train(ds, config, init=None):
     )
 
 
-def _make_updaters(config, params_names, kind=None):
+def _make_updaters(config, params_names):
     """One optim.updater per (parameter array, name), fresh momenta each."""
     return [
         optim.updater(
             optim.make_state(
-                kind if kind is not None else config.optimizer,
+                config.optimizer,
                 params.shape,
                 config.alpha,
                 beta1=config.beta1,
@@ -435,7 +427,7 @@ def _funk_train_sequential(config, users, items, ratings, pt, qt):
 
 
 @dataclass
-class ItemCfModel:
+class ItemCfModel(Scorer):
     """Item-to-item overlap weights plus the ratings needed to apply them.
 
     Fields:
@@ -476,18 +468,14 @@ class ItemCfModel:
     def n_users(self):
         return len(self.ratings)
 
-    def predict(self, u, j):
-        return itemcf_predict(self, u, j)
-
     def scores(self, u, items):
         """Neighborhood scores of user u for each item index in items, as
         an array; predict of every (u, j), bit for bit."""
         return itemcf_predictions(self, u, items)[0]
 
-    def recommend(self, u, k):
-        """Top-k unrated items by the neighborhood score."""
-        in_range(u, [], self.n_users, self.n_items)
-        return rank_unseen(self, u, self.ratings[u], k)
+    def seen(self, u):
+        """The items user u rated, which recommend leaves out."""
+        return self.ratings[u]
 
 
 class ItemCfPrediction(NamedTuple):
@@ -591,9 +579,8 @@ def itemcf_predict_with_info(model, u, j):
     return ItemCfPrediction(float(values[0]), int(used[0]), bool(used[0] == 0))
 
 
-def itemcf_predict(model, u, j):
-    """Neighborhood score for (u, j); see itemcf_predict_with_info."""
-    return itemcf_predict_with_info(model, u, j).value
+# the neighborhood score for (u, j): the one-item case of scores
+itemcf_predict = Scorer.predict
 
 
 class SvdppPrediction(NamedTuple):

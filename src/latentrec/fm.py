@@ -540,7 +540,7 @@ def _as_batch(samples, loss):
     return batch
 
 
-def _train_machine(batch, loss, config, optimizer, model, terms):
+def _train_machine(batch, loss, config, model, terms):
     """Per-sample descent over a SampleBatch, shared by both machines.
 
     terms is the machine's unchecked kernel (_fm_terms or _ffm_terms). One
@@ -551,8 +551,7 @@ def _train_machine(batch, loss, config, optimizer, model, terms):
     count = targets.size
     w0 = np.array([model.w0])
     step_w0, step_w, step_v = _make_updaters(
-        config, [(w0, "w0"), (model.w, "w"), (model.V, "V")], kind=optimizer
-    )
+        config, [(w0, "w0"), (model.w, "w"), (model.V, "V")])
     lam = config.lam
 
     def visit():
@@ -575,15 +574,15 @@ def _train_machine(batch, loss, config, optimizer, model, terms):
     return model
 
 
-def fm_train(samples, loss="squared", config=None, optimizer=None):
+def fm_train(samples, loss="squared", config=None):
     """Train a 2-way machine by per-sample descent in sample order.
 
     samples is a SampleBatch, or a sequence of (feature vector, target)
     pairs, which is packed into one first (SampleBatch.pack); targets
     must be 0/1 for the logistic loss. config is a factor.TrainConfig
-    whose f field is the latent dimension k; optimizer overrides
-    config.optimizer when given. Latents start uniform(0, 1/sqrt(k)) from
-    the seed, w and w0 at zero; w0 is left unregularized. Each visit makes
+    whose f field is the latent dimension k and whose optimizer picks the
+    update rule. Latents start uniform(0, 1/sqrt(k)) from the seed, w and
+    w0 at zero; w0 is left unregularized. Each visit makes
     one fused predict-and-gradient call that computes V[indices] and
     s = sum_j v_j x_j once for both, then moves w0, w[indices] and
     V[indices] through optim.updater. The per-epoch trace records the mean
@@ -599,10 +598,10 @@ def fm_train(samples, loss="squared", config=None, optimizer=None):
     rng = np.random.default_rng(config.seed)
     v = rng.random((batch.n, config.f)) / math.sqrt(config.f)
     model = FmModel(w0=0.0, w=np.zeros(batch.n), V=v, k=config.f)
-    return _train_machine(batch, loss, config, optimizer, model, _fm_terms)
+    return _train_machine(batch, loss, config, model, _fm_terms)
 
 
-def ffm_train(samples, loss="squared", config=None, optimizer=None, n_fields=None):
+def ffm_train(samples, loss="squared", config=None, n_fields=None):
     """Train the field-aware variant; see fm_train for the shared contract.
 
     The batch must carry field ids (every sample of a packed list must).
@@ -626,7 +625,7 @@ def ffm_train(samples, loss="squared", config=None, optimizer=None, n_fields=Non
     rng = np.random.default_rng(config.seed)
     v = rng.random((batch.n, n_fields, config.f)) / math.sqrt(config.f)
     model = FfmModel(w0=0.0, w=np.zeros(batch.n), V=v, k=config.f, n_fields=n_fields)
-    return _train_machine(batch, loss, config, optimizer, model, _ffm_terms)
+    return _train_machine(batch, loss, config, model, _ffm_terms)
 
 
 @dataclass

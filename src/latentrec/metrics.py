@@ -5,13 +5,14 @@ metrics are macro averaged: precision is hits/k averaged over the users
 that received recommendations, recall is hits/|positives(u)| averaged
 over the users with held-out positives.
 
-The scoring path every model shares lives here too. A model exposes
-scores(u, items), its predictions for user u at an array of item
-indices (predict of each, bit for bit): in_range checks such indices,
-rank_unseen makes every recommend list from one scores call over the
-user's unseen items and top_k, and pair_scores scores aligned user/item
-pairs with one scores call per distinct user. neighbours picks every item
-neighbourhood that itemcf and svdcf score from.
+The scoring path every model shares lives here too. Every model is a
+Scorer: it supplies scores(u, items), its predictions for user u at an
+array of item indices, and the base writes predict (the one-item case of
+scores, bit for bit) and recommend (one scores call over the user's
+unseen items, ranked by top_k) once for all of them. in_range checks
+such indices, and pair_scores scores aligned user/item pairs with one
+scores call per distinct user. neighbours picks every item neighbourhood
+that itemcf and svdcf score from.
 """
 
 import json
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoDataError, ShapeError, ValidationError
+from .errors import IndexRangeError, NoDataError, ShapeError, ValidationError
 
 # candidate rows that itemcf and svdcf score at a time, one block of
 # similarity rows per neighbours call. The bound matters only where
@@ -101,18 +102,18 @@ def topn_metrics(recommendations, positives, k):
     return precision, recall
 
 
-def in_range(u, items, n_users, n_items, error=IndexError):
+def in_range(u, items, n_users, n_items):
     """items as an int64 array, once u and every item are valid indices.
 
-    Raises error (IndexError unless given) naming the user or the first
-    item outside [0, n_users) or [0, n_items).
+    Raises IndexRangeError (an IndexError and a ValueError) naming the
+    user or the first item outside [0, n_users) or [0, n_items).
     """
     items = np.asarray(items, dtype=np.int64)
     if not 0 <= u < n_users:
-        raise error(f"user index {u} out of range for {n_users}")
+        raise IndexRangeError(f"user index {u} out of range for {n_users}")
     bad = items[(items < 0) | (items >= n_items)]
     if bad.size:
-        raise error(f"item index {bad[0]} out of range for {n_items}")
+        raise IndexRangeError(f"item index {bad[0]} out of range for {n_items}")
     return items
 
 
@@ -120,8 +121,8 @@ def top_k(items, scores, k):
     """The k best items as (item, score) pairs of Python numbers.
 
     items (ints) and scores (floats) are aligned arrays. Highest score
-    first, ties broken by ascending item index; rank_unseen ranks every
-    recommend list here, so they all share this rule.
+    first, ties broken by ascending item index; Scorer.recommend ranks
+    every recommend list here, so they all share this rule.
 
     Raises:
         ValueError: k < 1.
@@ -153,16 +154,30 @@ def neighbours(sims, targets, k):
     return mask
 
 
-def rank_unseen(model, u, seen, k):
-    """Top-k items for user u outside seen, as top_k's (item, score) pairs.
+class Scorer:
+    """The queries every model answers, written once over its scores.
 
-    The candidates are model.n_items minus seen (item indices, or a
-    boolean row), scored by one model.scores(u, candidates) call.
+    A subclass supplies scores(u, items), its predictions for user u at
+    an array of item indices; n_users and n_items, the sizes of its
+    tables; and seen(u), the items (indices, or a boolean row) that
+    recommend leaves out for user u.
     """
-    unseen = np.ones(model.n_items, dtype=bool)
-    unseen[seen] = False
-    items = np.flatnonzero(unseen)
-    return top_k(items, model.scores(u, items), k)
+
+    def predict(self, u, i):
+        """Predicted score of (u, i); the one-item case of scores."""
+        return float(self.scores(u, [i])[0])
+
+    def recommend(self, u, k):
+        """Top-k items for user u outside seen(u), as top_k's (item,
+        score) pairs, from one scores call over the candidates.
+
+        Raises:
+            IndexRangeError: u is not a user index.
+            ValueError: k < 1.
+        """
+        in_range(u, [], self.n_users, self.n_items)
+        items = np.delete(np.arange(self.n_items), self.seen(u))
+        return top_k(items, self.scores(u, items), k)
 
 
 def pair_scores(model, users, items):

@@ -29,7 +29,10 @@ README's model-file paragraph is the one full account of the format
   on every member it builds, the one member of a single-model file
   included: it names the algorithm from the member's type and refuses a
   foreign type, tables that do not fit the token lists, and an fm or ffm
-  encoder whose categories miss a token.
+  encoder whose categories miss a token. Saving alone also refuses an fm
+  or ffm view built for another token order than the bundle's, which
+  would reload as another model; load builds every view from the file's
+  own tokens.
 - The header holds the user and item tokens as two lists in index order
   (from version 6; before, as token -> index maps); ModelBundle keeps
   its index maps, built from the lists on load.
@@ -65,7 +68,7 @@ from .factor import FactorModel, ItemCfModel, overlap_weights
 from .fm import (EncoderSpec, FfmModel, FmModel, encode,  # noqa: F401
                  one_hot_features, one_hot_scores)
 from .linalg import SvdResult
-from .metrics import in_range, rank_unseen
+from .metrics import Scorer, in_range
 from .svdcf import SvdCfModel, reconstruct
 
 FORMAT_VERSION = 6
@@ -109,7 +112,7 @@ GZIP_MAGIC = b"\x1f\x8b"
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
-class IndexedModel:
+class IndexedModel(Scorer):
     """The index-space view of an fm or ffm machine: its one-hot rows.
 
     Every other model scores (u, items) in index space by itself; a
@@ -137,12 +140,10 @@ class IndexedModel:
         items = in_range(u, items, self.n_users, self.n_items)
         return one_hot_scores(self.model, self.user_features[u], self.item_features[items])
 
-    def predict(self, u, i):
-        return float(self.scores(u, [i])[0])
-
-    def recommend(self, u, k):
-        in_range(u, [], self.n_users, self.n_items)
-        return rank_unseen(self, u, [] if self.observed is None else self.observed[u], k)
+    def seen(self, u):
+        """The items user u rated, which recommend leaves out; with no
+        observed lists every item is a candidate."""
+        return [] if self.observed is None else self.observed[u]
 
 
 def _scorer(algorithm, user_tokens, item_tokens, model, encoder=None, observed=None):
@@ -404,6 +405,12 @@ def _member(member, user_tokens, item_tokens):
 
 def _member_doc(member, user_tokens, item_tokens):
     algorithm, model, encoder, observed = _member(member, user_tokens, item_tokens)
+    # load builds an fm/ffm view from the file's tokens, so a view built for
+    # another token order would reload as another model
+    if encoder is not None and not all(map(
+            np.array_equal, (member.user_features, member.item_features),
+            one_hot_features(model, encoder, user_tokens, item_tokens))):
+        raise PersistenceError(f"{algorithm} member was built for another token order")
     doc = {"algorithm": algorithm, "parameters": _parameters(algorithm, model, observed)}
     if encoder is not None:
         doc["encoder"] = _encoder_doc(encoder)
@@ -541,9 +548,10 @@ def save_model(bundle, path):
     separators=(",", ":")) plus a newline, UTF-8 encoded.
 
     Raises PersistenceError for a model the file format cannot reproduce:
-    a member _member refuses, a single-model bundle whose tag names
-    another algorithm than its model, or an svd r_star or itemcf W that
-    does not follow from what the file stores.
+    a member _member refuses, an fm or ffm member built for another token
+    order, a single-model bundle whose tag names another algorithm than
+    its model, or an svd r_star or itemcf W that does not follow from
+    what the file stores.
     """
     doc = _document(bundle)
     deflate = zlib.compressobj(GZIP_LEVEL, zlib.DEFLATED, GZIP_WBITS)

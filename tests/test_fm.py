@@ -386,14 +386,6 @@ class TestFmTrain:
             fm_train(self.ctr_samples(), loss="squared", config=cfg)
         assert info.value.epoch == 0
 
-    def test_optimizer_override_argument(self):
-        samples = self.ctr_samples()
-        cfg = TrainConfig(f=2, alpha=0.05, lam=0.0, epochs=10, seed=1)
-        base = fm_train(samples, loss="squared", config=cfg)
-        other = fm_train(samples, loss="squared", config=cfg,
-                         optimizer="adaptive")
-        assert not np.array_equal(base.V, other.V)
-
 
 class TestFfmTrain:
     def field_samples(self, rng, count=20, n=6, n_fields=3):

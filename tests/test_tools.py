@@ -107,11 +107,13 @@ class TestScoreDigest:
             assert score_digest.main([str(TOOLS.parent / "src")]) == 0
             runs.append(capsys.readouterr().out.splitlines())
         assert runs[0] == runs[1]
-        names = [name for name, _, _ in score_digest.CASES] + \
+        cases = [name for name, _, _ in score_digest.CASES] + \
             [name for name, _ in score_digest.BLENDS]
-        assert len(names) == 13
+        assert len(cases) == 13
+        # each case's scores line, then its recommend line
+        names = [line for name in cases for line in (name, f"{name}/recommend")]
         assert [line.split()[0] for line in runs[0]] == names
         digests = [line.split()[1] for line in runs[0]]
         assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)
-        # with and without a neighbourhood cut, the scores differ
+        # with and without a neighbourhood cut, the scores and the lists differ
         assert len(set(digests)) == len(digests)

@@ -1,16 +1,18 @@
-"""Print one sha256 of every model's scores, to check that a change keeps
-scoring bit for bit.
+"""Print one sha256 of every model's scores and one of its recommend
+lists, to check that a change keeps scoring and ranking bit for bit.
 
     python tools/score_digest.py [SRC]
 
 latentrec is imported from SRC (default ./src). The script writes a fixed,
 seeded explicit CSV and implicit CSV to a temporary directory, trains one
 model of each case below on them through cli.main, loads each file with
-persist.load_model and prints one line per case: its name and the sha256
-of scores(u, every item) for every user in turn, taken as float64 bytes.
-The BLENDS cases then blend the files of earlier cases with `ensemble
-blend` and digest the blend's scores the same way. Run it on two source
-trees and compare the lines.
+persist.load_model and prints two lines per case: its name and the
+sha256 of scores(u, every item) for every user in turn, taken as float64
+bytes; then <name>/recommend and the sha256 of the bundle's
+recommend(user, 5) for every user in turn, each item token as UTF-8
+followed by its score as float64 bytes. The BLENDS cases then blend the
+files of earlier cases with `ensemble blend` and digest the blend the
+same way. Run it on two source trees and compare the lines.
 """
 
 import contextlib
@@ -43,6 +45,8 @@ CASES = (
                                      "--loss", "logistic", "--neg-ratio", "2", "--epochs", "5",
                                      "--factors", "33"]),
 )
+# the length of each recommend list digested
+RECOMMEND_K = 5
 # (name, member cases): an equal-weight `ensemble blend` of those cases'
 # files, which share the explicit CSV and so its index maps; the digest
 # pins how a blend holds and scores its members
@@ -68,7 +72,8 @@ def write_inputs(folder):
 
 
 def digests(folder):
-    """(name, sha256 hex digest) of each case, trained in folder."""
+    """(name, sha256 hex digest) of each case's scores and then of its
+    recommend lists, trained in folder."""
     from latentrec.cli import main
     from latentrec.persist import load_model
 
@@ -88,10 +93,12 @@ def digests(folder):
             raise RuntimeError(f"{argv[0]} of {name} exited {code}: {log.getvalue().strip()}")
         bundle = load_model(model)
         items = np.arange(len(bundle.item_index))
-        digest = hashlib.sha256()
-        for u in range(len(bundle.user_index)):
-            digest.update(np.asarray(bundle.scorer.scores(u, items), dtype="<f8").tobytes())
-        out.append((name, digest.hexdigest()))
+        scores, ranked = hashlib.sha256(), hashlib.sha256()
+        for u, user in enumerate(sorted(bundle.user_index, key=bundle.user_index.get)):
+            scores.update(np.asarray(bundle.scorer.scores(u, items), dtype="<f8").tobytes())
+            for item, score in bundle.recommend(user, RECOMMEND_K):
+                ranked.update(item.encode("utf-8") + np.array(score, dtype="<f8").tobytes())
+        out += [(name, scores.hexdigest()), (f"{name}/recommend", ranked.hexdigest())]
     return out
 
 
@@ -99,7 +106,7 @@ def main(argv):
     sys.path.insert(0, str(Path(argv[0] if argv else "src").resolve()))
     with tempfile.TemporaryDirectory() as folder:
         for name, digest in digests(folder):
-            print(f"{name:20s}  {digest}")
+            print(f"{name:29s}  {digest}")
     return 0
 
 

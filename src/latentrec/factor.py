@@ -36,6 +36,7 @@ loss, which reads every trained row. Either becomes DivergenceError naming
 the 0-based epoch (sequential funk counts epochs across features).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -45,7 +46,7 @@ import numpy as np
 from . import optim
 from .data import DENSE_CELL_CAP, UserItems
 from .errors import CapacityError, DivergenceError, GradientError, ValidationError
-from .metrics import SORT_ROWS, Scorer, in_range, neighbours
+from .metrics import SORT_ROWS, Scorer, check_neighbourhood, in_range, neighbours
 
 STRATEGIES = ("all", "sequential")
 
@@ -426,43 +427,45 @@ def _funk_train_sequential(config, users, items, ratings, pt, qt):
     return trace
 
 
-@dataclass
+@dataclass(frozen=True)
 class ItemCfModel(Scorer):
-    """Item-to-item overlap weights plus the ratings needed to apply them.
+    """Each user's ratings, and the item-to-item overlap weights that
+    follow from them.
+
+    The model is frozen: assigning a field raises FrozenInstanceError,
+    and dataclasses.replace builds a new, checked model. Its weights W
+    are not a field but derived state, built from the ratings by
+    overlap_weights on the first scoring call and kept, so they always
+    follow from the ratings.
 
     Fields:
-        W: n x n matrix with W[i, j] = |N(i) & N(j)| / |N(i)|, diagonal 0,
-            where N(i) is the set of users who rated item i. Items nobody
-            rated get an all-zero row (documented, not an error).
-        K: neighborhood size used by predict.
         ratings: each user's rated items with their ratings as values, a
             UserItems whose rows hold strictly increasing items (so
             set(ratings[u]) is the items user u rated). itemcf_similarity
             holds a pair that a bootstrap resample repeats once, with its
             last rating. Per-user dicts from item to rating, or lists of
             [item, rating] pairs, are checked and converted here.
+        K: neighborhood size used by predict, an int >= 1.
+        n_items: the number of items; n_items x n_items must not exceed
+            DENSE_CELL_CAP (checked here, before W is ever allocated).
     """
 
-    W: np.ndarray
-    K: int
     ratings: UserItems
+    K: int
+    n_items: int
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=float)
-        n = self.W.shape[0]
-        if self.W.shape != (n, n):
-            raise ValueError("W must be square")
-        if self.K < 1:
-            raise ValueError(f"neighborhood size must be >= 1, got {self.K}")
-        if np.any(np.diag(self.W) != 0.0):
-            raise ValueError("W diagonal must be zero")
-        if self.W.min() < 0.0 or self.W.max() > 1.0:
-            raise ValueError("W entries must lie in [0, 1]")
-        self.ratings = UserItems.of(self.ratings, None, n, "ratings", valued=True)
+        _overlap_cap(self.n_items)
+        check_neighbourhood(self.K, "neighborhood size K")
+        object.__setattr__(self, "ratings", UserItems.of(
+            self.ratings, None, self.n_items, "itemcf ratings", valued=True))
 
-    @property
-    def n_items(self):
-        return self.W.shape[0]
+    @functools.cached_property
+    def W(self):
+        """n x n overlap weights W[i, j] = |N(i) & N(j)| / |N(i)|, diagonal
+        0, where N(i) is the set of users who rated item i (see
+        overlap_weights). Items nobody rated get an all-zero row."""
+        return overlap_weights(self.ratings, self.n_items)
 
     @property
     def n_users(self):
@@ -492,6 +495,15 @@ class ItemCfPrediction(NamedTuple):
     empty_neighborhood: bool
 
 
+def _overlap_cap(n):
+    """Refuse an n x n overlap matrix above DENSE_CELL_CAP cells."""
+    if n * n > DENSE_CELL_CAP:
+        raise CapacityError(
+            f"item overlap matrix of {n} x {n} = {n * n} cells exceeds the "
+            f"cap of {DENSE_CELL_CAP}; use a factor model instead"
+        )
+
+
 def overlap_weights(ratings, n):
     """Overlap similarity W[i, j] = |N(i) & N(j)| / |N(i)| from rated items.
 
@@ -502,8 +514,8 @@ def overlap_weights(ratings, n):
     co-occurrence counts are exact integers, divided by the rater counts
     in place, so the counts array becomes W and no second n x n array is
     made; the diagonal is forced to zero and items with no raters get
-    all-zero rows. Training, model loading and the save check all build W
-    here, so a loaded model has the trained weights.
+    all-zero rows. ItemCfModel.W is built here, so a trained model and a
+    loaded one have the same weights.
 
     The counts are added one user at a time, each an np.ix_ block of
     d_u x d_u cells: one np.bincount over all the pair codes i * n + j
@@ -515,11 +527,7 @@ def overlap_weights(ratings, n):
         ValueError: ratings that UserItems.of refuses (an item that is
             not an int in [0, n), a row whose items do not rise).
     """
-    if n * n > DENSE_CELL_CAP:
-        raise CapacityError(
-            f"item overlap matrix of {n} x {n} = {n * n} cells exceeds the "
-            f"cap of {DENSE_CELL_CAP}; use a factor model instead"
-        )
+    _overlap_cap(n)
     ratings = UserItems.of(ratings, None, n, "ratings", valued=True)
     counts = np.zeros((n, n))
     for idx in ratings:
@@ -533,18 +541,21 @@ def overlap_weights(ratings, n):
 
 
 def itemcf_similarity(ds, k=None):
-    """ItemCF model with overlap weights (see overlap_weights) from a dataset.
+    """ItemCF model of a dataset's ratings; its overlap weights (see
+    overlap_weights) are built on its first scoring call.
 
     N(i) collects the users with a triple for item i (implicit zeros do
     not count as raters). k sets the prediction neighborhood size and
     defaults to n - 1, meaning every other item.
+
+    Raises:
+        CapacityError: n x n exceeds DENSE_CELL_CAP.
     """
     n = ds.n_items
     # item order, as model files store them, so that a loaded model sums
     # each user's ratings in the same order and predicts bit for bit alike
     ratings = ds.items_by_user(positive_only=ds.kind == "implicit", with_ratings=True)
-    return ItemCfModel(W=overlap_weights(ratings, n),
-                       K=k if k is not None else max(n - 1, 1), ratings=ratings)
+    return ItemCfModel(ratings, K=k if k is not None else max(n - 1, 1), n_items=n)
 
 
 def itemcf_predictions(model, u, items):

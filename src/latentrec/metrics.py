@@ -12,10 +12,12 @@ scores, bit for bit) and recommend (one scores call over the user's
 unseen items, ranked by top_k) once for all of them. in_range checks
 such indices, and pair_scores scores aligned user/item pairs with one
 scores call per distinct user. neighbours picks every item neighbourhood
-that itemcf and svdcf score from.
+that itemcf and svdcf score from, and check_neighbourhood checks the size
+each of them is given.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +133,15 @@ def top_k(items, scores, k):
         raise ValueError(f"k must be >= 1, got {k}")
     order = np.lexsort((items, -scores))[:k]
     return list(zip(items[order].tolist(), scores[order].tolist()))
+
+
+def check_neighbourhood(k, name, optional=False):
+    """Raise ValidationError naming k unless it is a neighbourhood size:
+    an int >= 1 and not a bool, or with optional also None."""
+    if optional and k is None:
+        return
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValidationError(f"{name} must be {'None or ' * optional}an int >= 1, got {k!r}")
 
 
 def neighbours(sims, targets, k):

@@ -16,12 +16,14 @@ README's model-file paragraph is the one full account of the format
   block is made.
 - FIELDS is the one statement of each algorithm's parameter block:
   _parameters writes it and _model_from reads it, checking each scalar's
-  JSON kind, by walking that table. Only svd's factors, itemcf's W and
-  fm/ffm's observed lists have a branch of their own.
+  JSON kind, by walking that table. Only svd's factors, itemcf's ratings
+  and fm/ffm's observed lists have a branch of their own.
 - A file stores only what a model cannot rebuild: loading rebuilds svd
-  r_star and mask and the itemcf weights W with the functions training
-  used, so saving refuses an r_star or W that does not follow from what
-  the file stores.
+  r_star and mask with the function training used, so saving refuses an
+  r_star that does not follow from the stored factors. An itemcf model
+  holds no weights to store: its W is derived from its ratings on the
+  first scoring call. A version 2 itemcf file stores W, and loads only
+  when that W is the one its ratings give.
 - A ModelBundle is frozen and builds its scorer once: the model itself,
   or for fm and ffm an IndexedModel, the one-hot view of the machine.
   An ensemble's members are such scorers. _member is the one member
@@ -62,7 +64,7 @@ from . import __version__
 from .data import UserItems, checked_scale, tokens_by_index
 from .ensemble import BlendModel
 from .errors import CapacityError, PersistenceError, ValidationError
-from .factor import FactorModel, ItemCfModel, overlap_weights
+from .factor import FactorModel, ItemCfModel
 # encode is not called here, but perfbench's tracer counts calls to
 # persist.encode, so the name stays importable from this module
 from .fm import (EncoderSpec, FfmModel, FmModel, encode,  # noqa: F401
@@ -323,10 +325,6 @@ def _parameters(algorithm, model, observed=None):
         block.update((key, _floats(a)) for key, a in zip("usv", model.factors))
         block["rated"] = UserItems.from_columns(*np.nonzero(model.mask),
                                                 *model.mask.shape).form()
-    elif algorithm == "itemcf":
-        if not np.array_equal(model.W, overlap_weights(model.ratings, model.n_items)):
-            raise PersistenceError("itemcf weights do not follow from the stored ratings; "
-                                   "the file could not reproduce them on load")
     elif algorithm in ("fm", "ffm"):
         block["observed"] = _WRITERS["items"](observed)
     return block
@@ -366,12 +364,13 @@ def _model_from(algorithm, block, n_items, version):
     elif algorithm == "itemcf":
         if fields["ratings"] is None:
             raise ValueError("itemcf ratings must be one list per user, got null")
-        ratings = fields["ratings"] = UserItems.of(fields["ratings"], None, n_items,
-                                                   "itemcf ratings", valued=True)
-        # version 2 stored W
-        fields["W"] = (_array(block["w"], version) if "w" in block
-                       else overlap_weights(ratings, n_items))
-    return _MODELS[algorithm](**fields)
+        fields["n_items"] = n_items
+    model = _MODELS[algorithm](**fields)
+    # version 2 itemcf files store W, which loads only as the W the ratings give
+    if algorithm == "itemcf" and "w" in block and not np.array_equal(
+            _array(block["w"], version), model.W):
+        raise ValueError("itemcf weights w do not follow from the stored ratings")
+    return model
 
 
 # the algorithm tag of each model type a file holds; a FactorModel's is its kind
@@ -550,8 +549,7 @@ def save_model(bundle, path):
     Raises PersistenceError for a model the file format cannot reproduce:
     a member _member refuses, an fm or ffm member built for another token
     order, a single-model bundle whose tag names another algorithm than
-    its model, or an svd r_star or itemcf W that does not follow from
-    what the file stores.
+    its model, or an svd r_star that does not follow from its factors.
     """
     doc = _document(bundle)
     deflate = zlib.compressobj(GZIP_LEVEL, zlib.DEFLATED, GZIP_WBITS)
@@ -597,9 +595,10 @@ def load_model(path):
     float array of version 4 or later that is not a block of dtype "<f8"
     whose base64 data holds exactly its shape's product of 8-byte values;
     a value the model refuses, such as an svd neighborhood below 1; a
-    JSON integer too large for a float where a float is read), and
-    CapacityError when the itemcf weights to rebuild exceed the dense
-    cell cap.
+    JSON integer too large for a float where a float is read; a version 2
+    itemcf w that is not the W its ratings give), and CapacityError when
+    the itemcf weights of the file's items would exceed the dense cell
+    cap.
     """
     try:
         data = Path(path).read_bytes()

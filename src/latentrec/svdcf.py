@@ -11,9 +11,9 @@ items by the raw dot product of their masked reconstruction columns;
 similarities, and treats fully-unobserved columns as similarity 0.
 """
 
+import functools
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .data import impute, to_dense
 from .errors import ValidationError, ZeroNormError
-from .metrics import SORT_ROWS, Scorer, in_range, neighbours
+from .metrics import SORT_ROWS, Scorer, check_neighbourhood, in_range, neighbours
 
 
 def parse_rank_rule(rule, max_rank=None):
@@ -83,9 +83,14 @@ class PredictionInfo(NamedTuple):
     fallback: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class SvdCfModel(Scorer):
     """Rank-f reconstruction plus the observation mask.
+
+    The model is frozen: assigning a field raises FrozenInstanceError,
+    and dataclasses.replace builds a new, checked model. What scoring
+    derives from the fields (masked, norms) is built on first use and
+    kept.
 
     Attributes:
         r_star: (m, n) rank-f reconstruction of the imputed rating matrix.
@@ -107,8 +112,8 @@ class SvdCfModel(Scorer):
     factors: linalg.SvdResult | None = None
 
     def __post_init__(self):
-        self.r_star = np.asarray(self.r_star, dtype=float)
-        self.mask = np.asarray(self.mask, dtype=float)
+        for name in ("r_star", "mask"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.r_star.shape != self.mask.shape:
             raise ValueError(
                 f"reconstruction {self.r_star.shape} and mask {self.mask.shape} differ"
@@ -117,11 +122,18 @@ class SvdCfModel(Scorer):
             raise ValueError(f"retained rank must be >= 1, got {self.f}")
         if self.similarity_mode not in ("paper-dot", "cosine"):
             raise ValueError(f"unknown similarity mode {self.similarity_mode!r}")
-        if self.neighborhood is not None and (
-                isinstance(self.neighborhood, bool)
-                or not isinstance(self.neighborhood, numbers.Integral)
-                or self.neighborhood < 1):
-            raise ValueError(f"neighborhood must be None or an int >= 1, got {self.neighborhood!r}")
+        check_neighbourhood(self.neighborhood, "neighborhood", optional=True)
+
+    @functools.cached_property
+    def masked(self):
+        """The masked reconstruction r_star * mask, whose columns are the
+        items' similarity vectors."""
+        return self.r_star * self.mask
+
+    @functools.cached_property
+    def norms(self):
+        """The column norms of masked, cosine mode's denominators."""
+        return np.linalg.norm(self.masked, axis=0)
 
     # predict and recommend are Scorer's, called through this module's
     # names, which perfbench's tracer patches to count and time them
@@ -233,23 +245,20 @@ def _predictions(model, u, items):
     index, i itself never taking a slot; with no neighborhood (k = n), or
     one of at least n - 1, every other item, and nothing is sorted. When
     the similarity total is zero there is nothing to average, so the mean
-    of the user's reconstructed row is returned with a total of 0. The
-    masked reconstruction (and in cosine mode its column norms) is built
-    once per call; each item then takes its own similarity row, and
+    of the user's reconstructed row is returned with a total of 0. Each
+    item takes its own similarity row from the model's masked
+    reconstruction (and in cosine mode its column norms), and
     metrics.neighbours picks from SORT_ROWS rows at a time.
     """
     m, n = model.r_star.shape
     items = in_range(u, items, m, n)
-    masked = model.r_star * model.mask
-    cosine = model.similarity_mode == "cosine"
-    if cosine:
-        norms = np.linalg.norm(masked, axis=0)
+    masked = model.masked
     values, totals = [], []
     for block in np.split(items, range(SORT_ROWS, items.size, SORT_ROWS)):
         # one gemv per item: a matrix product of the block rounds differently
         sims = np.array([masked.T @ masked[:, i] for i in block.tolist()]).reshape(-1, n)
-        if cosine:
-            denom = norms * norms[block, None]
+        if model.similarity_mode == "cosine":
+            denom = model.norms * model.norms[block, None]
             with np.errstate(invalid="ignore", divide="ignore"):
                 sims = np.where(denom > 0, sims / denom, 0.0)
             # clipped at 1; negative neighbors excluded

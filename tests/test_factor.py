@@ -1,5 +1,6 @@
 """Tests for the learned factor models and the item-neighborhood baseline."""
 
+import dataclasses
 import math
 import warnings
 
@@ -400,12 +401,7 @@ class TestItemCfSimilarity:
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
-            ItemCfModel(W=np.eye(2), K=1, ratings=[{}, {}])
-        with pytest.raises(ValueError):
-            ItemCfModel(W=np.zeros((2, 2)), K=0, ratings=[{}, {}])
-        with pytest.raises(ValueError):
-            ItemCfModel(W=np.full((2, 2), 2.0) - 2.0 * np.eye(2), K=1,
-                        ratings=[{}, {}])
+            ItemCfModel([{}, {}], K=0, n_items=2)
 
 
     @pytest.mark.parametrize("ratings", [
@@ -419,7 +415,7 @@ class TestItemCfSimilarity:
     def test_ratings_checked_against_w(self, ratings):
         # a bad list used to be accepted, and predict then raised IndexError
         with pytest.raises(ValueError, match="ratings must be one list per user"):
-            ItemCfModel(W=np.zeros((2, 2)), K=1, ratings=ratings)
+            ItemCfModel(ratings, K=1, n_items=2)
 
     @pytest.mark.parametrize("ratings", [
         [[[0, float("nan")]]],
@@ -430,14 +426,47 @@ class TestItemCfSimilarity:
     ])
     def test_ratings_that_are_not_finite_numbers_or_are_bools_refused(self, ratings):
         with pytest.raises(ValueError, match="ratings must be one list per user"):
-            ItemCfModel(W=np.zeros((2, 2)), K=1, ratings=ratings)
+            ItemCfModel(ratings, K=1, n_items=2)
 
     def test_ratings_dicts_taken_in_item_order(self):
-        model = ItemCfModel(W=np.zeros((3, 3)), K=1,
-                            ratings=[{2: 1.0, 0: 4.0}, {}])
+        model = ItemCfModel([{2: 1.0, 0: 4.0}, {}], K=1, n_items=3)
         assert model.ratings[0].tolist() == [0, 2]
         assert model.ratings.values.tolist() == [4.0, 1.0]
         assert model.n_users == 2
+
+
+class TestItemCfModel:
+    @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, True, "2", None])
+    def test_neighbourhood_size_must_be_an_int_of_at_least_1(self, k):
+        # 1.5 used to construct, and recommend then raised a raw TypeError
+        # (slice indices must be integers); True was taken as 1
+        ds = dataset_from_dense(np.array([[3.0, 4.0, 0.0], [2.0, 0.0, 5.0]]))
+        with pytest.raises(ValidationError, match="neighborhood size K must be an int >= 1"):
+            ItemCfModel(ds.items_by_user(with_ratings=True), K=k, n_items=3)
+        if k is not None:
+            with pytest.raises(ValidationError, match="neighborhood size K"):
+                itemcf_similarity(ds, k=k)
+
+    def test_numpy_int_neighbourhood_size_accepted(self):
+        model = ItemCfModel([{0: 3.0}, {0: 1.0, 1: 2.0}], K=np.int64(1), n_items=2)
+        assert model.recommend(0, 1) == [(1, 3.0)]
+
+    def test_fields_cannot_be_assigned(self):
+        model = ItemCfModel([{0: 3.0}, {}], K=1, n_items=2)
+        for name, value in (("K", 2), ("ratings", [{}, {}]), ("n_items", 3), ("W", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, value)
+
+    def test_weights_are_derived_once_and_fresh_after_replace(self):
+        model = ItemCfModel([{0: 3.0, 1: 4.0}, {0: 2.0}], K=1, n_items=3)
+        assert model.W is model.W
+        assert model.W.tolist() == [[0.0, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        ratings = [{0: 3.0, 2: 4.0}, {1: 2.0}]
+        replaced = dataclasses.replace(model, ratings=ratings)
+        fresh = ItemCfModel(ratings, K=1, n_items=3)
+        assert np.array_equal(replaced.W, fresh.W)
+        assert not np.array_equal(replaced.W, model.W)
+        assert model.W.tolist() == [[0.0, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
 
 
 class TestItemCfPredict:
@@ -505,11 +534,12 @@ class TestItemCfPredict:
 
 class TestItemCfNeighbours:
     def test_target_never_takes_a_slot(self):
-        # W[0] ranks item 1 first, then items 0 and 2 tie at 0; with K = 2
-        # the two neighbours of item 0 are 1 and 2, so the user's rating
-        # of item 2 is summed (at weight 0). Item 0 used to take the slot.
-        model = ItemCfModel(W=[[0, .5, 0], [1, 0, 0], [0, 0, 0]], K=2,
-                            ratings=[{2: 4.0}])
+        # user 1 rates items 0 and 1, so W[0] ranks item 1 first, then
+        # items 0 and 2 tie at 0; with K = 2 the two neighbours of item 0
+        # are 1 and 2, so user 0's rating of item 2 is summed (at weight
+        # 0). Item 0 used to take the slot.
+        model = ItemCfModel([{2: 4.0}, {0: 1.0, 1: 1.0}], K=2, n_items=3)
+        assert model.W[0].tolist() == [0.0, 1.0, 0.0]
         info = itemcf_predict_with_info(model, 0, 0)
         assert (info.value, info.used, info.empty_neighborhood) == (0.0, 1, False)
         assert type(info.value) is float and type(info.used) is int

@@ -415,51 +415,60 @@ class TestItemCfFiles:
                               expected)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
-    def test_version_2_document_with_w_loads_as_stored(self, scale, tmp_path):
+    def test_version_2_document_loads_only_with_the_w_its_ratings_give(
+            self, scale, tmp_path):
         bundle, ds = itemcf_bundle("explicit")
+        bundle = dataclasses.replace(bundle, created="2026-01-01T00:00:00+00:00")
         doc = old_layout(document(bundle), 2)
         stored = bundle.model.W * scale
         doc["parameters"]["w"] = stored.tolist()
         path = tmp_path / "v2.json"
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        if scale != 1.0:
+            # these weights do not follow from the ratings, which no
+            # ItemCfModel can hold
+            with pytest.raises(PersistenceError, match="weights"):
+                load_model(path)
+            return
         loaded = load_model(path)
         assert np.array_equal(loaded.model.W, stored)
         for u in ds.user_index:
             for i in ds.item_index:
-                assert loaded.predict(u, i) == scale * bundle.predict(u, i)
-        if scale == 1.0:
-            assert document(loaded)["format_version"] == FORMAT_VERSION
-        else:
-            # these weights do not follow from the ratings, so no file
-            # of the current format can hold them
-            with pytest.raises(PersistenceError, match="weights"):
-                save_model(loaded, tmp_path / "resaved.json")
+                assert loaded.predict(u, i) == bundle.predict(u, i)
+        # it re-saves at the current format, as the model it was saved from
+        resaved = save_model(loaded, tmp_path / "resaved.json")
+        assert json.loads(model_text(resaved))["format_version"] == FORMAT_VERSION
+        assert resaved.read_bytes() == save_model(bundle, tmp_path / "m.json").read_bytes()
 
-    @pytest.mark.parametrize("as_member", [False, True])
-    def test_save_refuses_weights_the_ratings_do_not_give(self, as_member,
-                                                          tmp_path):
+    def test_version_2_w_the_ratings_do_not_give_exits_3(self, tmp_path, capsys):
         bundle, ds = itemcf_bundle("explicit")
-        model = bundle.model
-        tampered = ItemCfModel(W=model.W * 0.5, K=model.K,
-                               ratings=model.ratings)
-        bundle = dataclasses.replace(bundle, model=tampered)
-        if as_member:
-            bundle = ModelBundle(
-                algorithm="ensemble",
-                model=BlendModel(members=[bundle.scorer], weights=[1.0]),
-                user_index=ds.user_index,
-                item_index=ds.item_index,
-                scale=ds.scale,
-            )
-        path = tmp_path / "m.json"
-        with pytest.raises(PersistenceError, match="weights"):
-            save_model(bundle, path)
-        assert not path.exists()
-        # nor is a file already at the path touched
-        before = save_model(funk_bundle()[0], path).read_bytes()
-        with pytest.raises(PersistenceError, match="weights"):
-            save_model(bundle, path)
-        assert path.read_bytes() == before
+        doc = old_layout(document(bundle), 2)
+        doc["parameters"]["w"] = (bundle.model.W * 0.5).tolist()
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(doc))
+        assert main(["recommend", str(path), min(ds.user_index)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed model file")
+        assert "weights w do not follow from the stored ratings" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_weights_built_once_on_the_first_scoring_call(self, monkeypatch, tmp_path):
+        # W is derived state: training, saving and loading never build it
+        calls = []
+        build = factor.overlap_weights
+        monkeypatch.setattr(factor, "overlap_weights",
+                            lambda *args: calls.append(args) or build(*args))
+        bundle, ds = itemcf_bundle("explicit")
+        path = save_model(bundle, tmp_path / "m.json")
+        assert calls == []
+        loaded = load_model(path)
+        assert calls == []
+        user = min(ds.user_index)
+        first = loaded.recommend(user, ds.n_items)
+        assert len(calls) == 1
+        assert loaded.recommend(user, ds.n_items) == first
+        assert len(calls) == 1
 
     def test_overlap_cap_checked_before_allocating(self):
         # 10001^2 cells exceed DENSE_CELL_CAP; no matrix is built

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -258,7 +259,7 @@ class TestNeighbours:
         # centred ratings give negative paper-dot similarities
         ds, _ = make_rank2_ratings(m=10, n=8, density=0.6, seed=4)
         model = fit(ds, rank_rule="fixed:2", similarity_mode=mode, neighborhood=k)
-        model.r_star -= 3.0
+        model = dataclasses.replace(model, r_star=model.r_star - 3.0)
         n = ds.n_items
         for u in range(ds.n_users):
             want = []
@@ -271,6 +272,30 @@ class TestNeighbours:
                 want.append(model.r_star[u].mean() if total == 0 else
                             sum(sims[j] * model.r_star[u, j] for j in near) / total)
             assert model.scores(u, np.arange(n)) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+class TestFrozenModel:
+    def test_fields_cannot_be_assigned(self, worked_model):
+        for name, value in (("r_star", worked_model.r_star - 1.0), ("neighborhood", 2),
+                            ("similarity_mode", "cosine")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(worked_model, name, value)
+
+    @pytest.mark.parametrize("mode", ["paper-dot", "cosine"])
+    def test_derived_tables_are_built_once_and_fresh_after_replace(self, mode):
+        ds, _ = make_rank2_ratings(m=10, n=8, density=0.6, seed=4)
+        model = fit(ds, rank_rule="fixed:2", similarity_mode=mode)
+        assert model.masked is model.masked and model.norms is model.norms
+        before = model.scores(0, np.arange(ds.n_items))
+        shifted = dataclasses.replace(model, r_star=model.r_star - 3.0)
+        fresh = SvdCfModel(model.r_star - 3.0, model.mask, f=2, similarity_mode=mode)
+        assert np.array_equal(shifted.masked, fresh.masked)
+        assert np.array_equal(shifted.norms, fresh.norms)
+        assert not np.array_equal(shifted.masked, model.masked)
+        assert shifted.scores(0, np.arange(ds.n_items)).tolist() == \
+            fresh.scores(0, np.arange(ds.n_items)).tolist()
+        # the original keeps its own tables
+        assert model.scores(0, np.arange(ds.n_items)).tolist() == before.tolist()
 
 
 class TestRoundToScale:

@@ -29,6 +29,9 @@ import numpy as np
 CASES = (
     ("svd", "explicit", ["--algo", "svd"]),
     ("svd-neighborhood", "explicit", ["--algo", "svd", "--neighborhood", "4"]),
+    ("svd-cosine", "explicit", ["--algo", "svd", "--similarity-mode", "cosine"]),
+    ("svd-cosine-neighborhood", "explicit", ["--algo", "svd", "--similarity-mode", "cosine",
+                                             "--neighborhood", "4"]),
     ("funk", "explicit", ["--algo", "funk", "--epochs", "5"]),
     ("svdpp", "explicit", ["--algo", "svdpp", "--epochs", "5"]),
     ("itemcf", "explicit", ["--algo", "itemcf"]),
@@ -105,8 +108,10 @@ def digests(folder):
 def main(argv):
     sys.path.insert(0, str(Path(argv[0] if argv else "src").resolve()))
     with tempfile.TemporaryDirectory() as folder:
-        for name, digest in digests(folder):
-            print(f"{name:29s}  {digest}")
+        lines = digests(folder)
+        width = max(len(name) for name, _ in lines)
+        for name, digest in lines:
+            print(f"{name:{width}s}  {digest}")
     return 0
 
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .factor import TrainConfig, funk_train, itemcf_similarity, svdpp_train
 # encode is not called here, but perfbench's tracer counts calls to cli.encode
-from .fm import EncoderSpec, SampleBatch, encode, ffm_train, fm_train  # noqa: F401
+from .fm import SampleBatch, encode, ffm_train, fm_train, one_hot_layout  # noqa: F401
 from .metrics import MetricReport, mae, pair_scores, rmse, topn_metrics
 from .persist import FIELDS, ModelBundle, load_model, save_model
 
@@ -89,8 +89,9 @@ class Opt:
     def add_to(self, parser):
         flag = self.flag or f"--{self.name}"
         if self.is_switch:
+            # None when absent, so a config value or the default fills it
             parser.add_argument(flag, dest=self.name, action="store_true",
-                                default=False, help=self.help)
+                                default=None, help=self.help)
         else:
             parser.add_argument(flag, dest=self.name, type=self.parse,
                                 choices=self.choices, default=None,
@@ -214,12 +215,6 @@ def resolve(args, options):
     values = {}
     for opt in options:
         given = getattr(args, opt.name)
-        if opt.is_switch:
-            fallback = False
-            if opt.key in config:
-                fallback = opt.parse(config[opt.key])
-            values[opt.name] = bool(given) or fallback
-            continue
         if given is not None:
             values[opt.name] = given
         elif opt.key in config:
@@ -299,10 +294,7 @@ def _train_bundle(algo, ds, values, rated=None):
         elif algo == "svdpp":
             model = svdpp_train(ds, config)
         else:
-            encoder = EncoderSpec([
-                ("user", "categorical", sorted(ds.user_index)),
-                ("item", "categorical", sorted(ds.item_index)),
-            ])
+            encoder = one_hot_layout(ds.user_index, ds.item_index)
             trainer = fm_train if algo == "fm" else ffm_train
             user_tokens, item_tokens = ds.tokens()
             users, items, ratings = ds.indexed()

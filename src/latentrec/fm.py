@@ -705,6 +705,20 @@ class EncoderSpec:
         return out
 
 
+def one_hot_layout(user_tokens, item_tokens):
+    """The encoder of a machine over the two one-hot variables user and
+    item: a categorical user column, then a categorical item column, each
+    holding its role's tokens, as strings, in sorted order.
+
+    Training builds every fm and ffm encoder with it, and a model file
+    from format_version 7 stores none: the layout follows from the token
+    lists (Rendle 2010: an FM over two one-hot variables is biased matrix
+    factorization, so the layout carries nothing beyond the index maps).
+    """
+    return EncoderSpec([("user", "categorical", sorted(map(str, user_tokens))),
+                        ("item", "categorical", sorted(map(str, item_tokens)))])
+
+
 def encode(record, spec):
     """Encode one raw record against the spec's column layout.
 

@@ -1,7 +1,7 @@
 """Model files: save and load every trained model type.
 
 README's model-file paragraph is the one full account of the format
-(format_version 6). What the code here relies on:
+(format_version 7). What the code here relies on:
 
 - A file is one compact, key-sorted JSON line in a single gzip member
   (level GZIP_LEVEL, mtime 0). A file without the gzip magic bytes is
@@ -31,10 +31,14 @@ README's model-file paragraph is the one full account of the format
   on every member it builds, the one member of a single-model file
   included: it names the algorithm from the member's type and refuses a
   foreign type, tables that do not fit the token lists, and an fm or ffm
-  encoder whose categories miss a token. Saving alone also refuses an fm
-  or ffm view built for another token order than the bundle's, which
-  would reload as another model; load builds every view from the file's
-  own tokens.
+  encoder other than fm.one_hot_layout of the tokens (a categorical user
+  column, then an item column, each holding its sorted tokens). Saving
+  alone also refuses an fm or ffm view built for another token order
+  than the bundle's, which would reload as another model; load builds
+  every view from the file's own tokens.
+- From version 7 an fm or ffm member block stores no encoder: load
+  derives it with one_hot_layout. Versions 1 to 6 store it, and load only
+  when it is that layout.
 - The header holds the user and item tokens as two lists in index order
   (from version 6; before, as token -> index maps); ModelBundle keeps
   its index maps, built from the lists on load.
@@ -68,17 +72,18 @@ from .factor import FactorModel, ItemCfModel
 # encode is not called here, but perfbench's tracer counts calls to
 # persist.encode, so the name stays importable from this module
 from .fm import (EncoderSpec, FfmModel, FmModel, encode,  # noqa: F401
-                 one_hot_features, one_hot_scores)
+                 one_hot_features, one_hot_layout, one_hot_scores)
 from .linalg import SvdResult
 from .metrics import Scorer, in_range
 from .svdcf import SvdCfModel, reconstruct
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 # version 1 stored the svd block as the dense r_star and mask; version 2
 # stored the itemcf weights "w"; versions 1-3 store floats as nested lists,
 # and version 4 float blocks hold their bytes value by value; versions 1-5
-# store token index maps and per-user lists as nested lists
-READABLE_VERSIONS = (1, 2, 3, 4, 5, FORMAT_VERSION)
+# store token index maps and per-user lists as nested lists; versions 1-6
+# store each fm/ffm member's encoder, which later ones derive
+READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, FORMAT_VERSION)
 # the one dtype of a float block: little-endian IEEE 754 binary64
 FLOAT_DTYPE = "<f8"
 # each algorithm's parameter block as (file key, model field, kind): a
@@ -170,7 +175,8 @@ class ModelBundle:
             one to one onto 0..n-1.
         scale: rating bounds used for rounding and recommendation, two
             finite numbers lo < hi (data.checked_scale).
-        encoder: feature layout, required for fm and ffm.
+        encoder: feature layout, required for fm and ffm; saving and
+            loading refuse any but fm.one_hot_layout of the tokens.
         observed: the items each user rated, a UserItems (a plain
             per-user list is checked and converted here, once); lets the
             feature-based models exclude seen items when recommending.
@@ -279,20 +285,8 @@ def _token_list(tokens, name):
     return tokens
 
 
-def _encoder_doc(spec):
-    return {
-        "columns": [
-            {
-                "name": c.name,
-                "kind": c.kind,
-                "categories": list(c.categories) if c.categories else None,
-            }
-            for c in spec.columns
-        ]
-    }
-
-
 def _encoder_from(doc):
+    """The encoder a version 1-6 fm/ffm member block stores."""
     return EncoderSpec(
         [(c["name"], c["kind"], c["categories"]) for c in doc["columns"]]
     )
@@ -381,8 +375,9 @@ def _member(member, user_tokens, item_tokens):
     """(algorithm, model, encoder, observed) of a scorer as a file holds
     it, for the given token lists: a trained svd, funk, svdpp or itemcf
     model, or the IndexedModel of an fm or ffm machine. Its tables must
-    hold one row per token and, for fm or ffm, its encoder's categories
-    every token. Raises PersistenceError."""
+    hold one row per token and, for fm or ffm, its encoder must be
+    fm.one_hot_layout of the tokens, the one a version 7 file implies.
+    Raises PersistenceError."""
     model = member.model if isinstance(member, IndexedModel) else member
     algorithm = model.kind if isinstance(model, FactorModel) else _TAGS.get(type(model))
     # a machine scores only through its IndexedModel, and only a machine has one
@@ -395,10 +390,9 @@ def _member(member, user_tokens, item_tokens):
                                    f"the {role} index has {len(tokens)}")
     if model is member:
         return algorithm, model, None, None
-    if not all(column.slots.keys() >= set(held) for column, held
-               in zip(member.encoder.columns, (user_tokens, item_tokens))):
-        raise PersistenceError(f"{algorithm} encoder must be two categorical columns "
-                               "whose categories hold every user and every item token")
+    if member.encoder != one_hot_layout(user_tokens, item_tokens):
+        raise PersistenceError(f"{algorithm} encoder must be a categorical user column, "
+                               "then an item column, each holding its sorted tokens")
     return algorithm, model, member.encoder, member.observed
 
 
@@ -410,19 +404,18 @@ def _member_doc(member, user_tokens, item_tokens):
             np.array_equal, (member.user_features, member.item_features),
             one_hot_features(model, encoder, user_tokens, item_tokens))):
         raise PersistenceError(f"{algorithm} member was built for another token order")
-    doc = {"algorithm": algorithm, "parameters": _parameters(algorithm, model, observed)}
-    if encoder is not None:
-        doc["encoder"] = _encoder_doc(encoder)
-    return doc
+    return {"algorithm": algorithm, "parameters": _parameters(algorithm, model, observed)}
 
 
 def _member_from(doc, user_tokens, item_tokens, version):
     """The model, encoder and observed lists of a member block, as
-    ModelBundle takes them; the last two only for fm and ffm."""
+    ModelBundle takes them; the last two only for fm and ffm, whose
+    encoder a version 7 block implies and earlier ones store."""
     algorithm, block = doc["algorithm"], doc["parameters"]
     parts = {"model": _model_from(algorithm, block, len(item_tokens), version)}
     if algorithm in ("fm", "ffm"):
-        parts["encoder"] = _encoder_from(doc["encoder"])
+        parts["encoder"] = (one_hot_layout(user_tokens, item_tokens) if version >= 7
+                            else _encoder_from(doc["encoder"]))
         parts["observed"] = UserItems.of(
             _field("items", block.get("observed"), version, "observed"),
             len(user_tokens), len(item_tokens), "observed")
@@ -547,9 +540,11 @@ def save_model(bundle, path):
     separators=(",", ":")) plus a newline, UTF-8 encoded.
 
     Raises PersistenceError for a model the file format cannot reproduce:
-    a member _member refuses, an fm or ffm member built for another token
-    order, a single-model bundle whose tag names another algorithm than
-    its model, or an svd r_star that does not follow from its factors.
+    a member _member refuses (an fm or ffm encoder other than
+    fm.one_hot_layout of the tokens among them), an fm or ffm member built
+    for another token order, a single-model bundle whose tag names another
+    algorithm than its model, or an svd r_star that does not follow from
+    its factors.
     """
     doc = _document(bundle)
     deflate = zlib.compressobj(GZIP_LEVEL, zlib.DEFLATED, GZIP_WBITS)
@@ -570,7 +565,9 @@ def load_model(path):
     writable float64 arrays: from byte-plane float blocks from version 5,
     from value-order blocks in version 4, from nested decimal lists in
     versions 1-3. Token lists and gap-coded per-user lists are read from
-    version 6, token index maps and nested per-user lists before it.
+    version 6, token index maps and nested per-user lists before it. An
+    fm or ffm member's encoder is fm.one_hot_layout of the token lists
+    from version 7, and read from its block before it.
 
     Raises PersistenceError for a file that cannot be read, a gzip stream
     that is corrupt, truncated or followed by other bytes, a document
@@ -587,9 +584,9 @@ def load_model(path):
     list, lengths that do not split its gaps, a gap of n_items or
     more from 0, an itemcf list that repeats an item or holds a rating
     that is not a finite number, or a null svd rated or itemcf ratings;
-    an fm or ffm block without its encoder, or whose encoder is not two
-    categorical columns holding every user and every item token, or does
-    not fit the machine (fm.one_hot_features: the dimension, and two
+    an fm or ffm block before version 7 without its encoder, or whose
+    encoder is not fm.one_hot_layout of the token lists; a machine that
+    does not fit its encoder (fm.one_hot_features: the dimension, and two
     fields for ffm); an svd,
     funk, svdpp or itemcf table that does not fit the token lists; a
     float array of version 4 or later that is not a block of dtype "<f8"

@@ -285,10 +285,12 @@ predict = Scorer.predict
 def round_to_scale(value, scale=(1.0, 5.0)):
     """Round to the nearest integer rating, half away from zero, clamped.
 
-    Examples: 1.4 -> 1; 2.5 -> 3; 5.7 on a 1-5 scale -> 5.
+    Examples: 1.4 -> 1; 2.5 -> 3; 5.7 on a 1-5 scale -> 5. Raises
+    ValidationError for a non-finite value, such as the inf that finite
+    but huge factors multiply to.
     """
     if not math.isfinite(value):
-        raise ValueError(f"cannot round non-finite value {value}")
+        raise ValidationError(f"cannot round non-finite value {value}")
     rounded = math.floor(value + 0.5) if value >= 0 else math.ceil(value - 0.5)
     lo, hi = scale
     return int(min(max(rounded, math.ceil(lo)), math.floor(hi)))

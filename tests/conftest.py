@@ -9,6 +9,7 @@ and cross-checked with an independent implementation.
 """
 
 import gzip
+import json
 import re
 from pathlib import Path
 
@@ -243,3 +244,19 @@ def edit_rows(form, edit):
     rows = rows_of(form)
     edit(rows)
     return form_of(rows, valued="values" in form)
+
+
+def with_encoders(doc, version=6):
+    """A current model document as version (6 or earlier) stores its fm
+    and ffm members: each such member block holds the encoder its token
+    lists imply, a categorical user column then an item column, each
+    listing its role's tokens in sorted order. Nothing else changes."""
+    doc = json.loads(json.dumps(doc))
+    doc["format_version"] = version
+    for member in doc["ensemble"]["members"] if "ensemble" in doc else [doc]:
+        if member["algorithm"] in ("fm", "ffm"):
+            member["encoder"] = {"columns": [
+                {"name": role, "kind": "categorical",
+                 "categories": sorted(doc[f"{role}_tokens"])}
+                for role in ("user", "item")]}
+    return doc

@@ -32,6 +32,7 @@ from tests.conftest import (
     make_rank2_ratings,
     model_text,
     rows_of,
+    with_encoders,
     without_created,
 )
 
@@ -178,6 +179,24 @@ class TestConfigFile:
         assert code == 2
         assert "key=value" in err
 
+    @pytest.mark.parametrize("text, flag", [("maybe", False), ("true", False),
+                                            ("false", False), ("false", True)])
+    def test_switch_read_from_config(self, capsys, tmp_path, text, flag):
+        # json=maybe made evaluate exit 1 with a raw ValueError traceback
+        model = train_fixture_model(capsys, tmp_path, "funk")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"json={text}\n")
+        argv = ["evaluate", model, "--test", write_ratings(tmp_path), "--config", str(cfg)]
+        code, stdout, err = run(capsys, *argv, *(["--json"] if flag else []))
+        if text == "maybe":
+            assert code == 2
+            assert stdout == ""
+            assert err.startswith("error: bad value for config key 'json'")
+            assert len(err.splitlines()) == 1
+            return
+        assert code == 0
+        assert stdout.startswith("{") == (text == "true" or flag)
+
     def test_missing_config_file_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--config",
                            str(tmp_path / "none.cfg"),
@@ -208,6 +227,21 @@ class TestTrain:
         bundle = load_model(out)
         assert bundle.algorithm == algo
         assert np.isfinite(bundle.predict("1", "1"))
+
+    @pytest.mark.parametrize("algo", ["fm", "ffm"])
+    def test_fm_file_stores_no_encoder_and_reloads_the_trained_one(self, capsys,
+                                                                   tmp_path, algo):
+        ds, _ = make_rank2_ratings(m=8, n=6, seed=13)
+        values = {opt.name: opt.default for opt in TRAIN_OPTIONS}
+        values.update(epochs=3)
+        bundle, _ = _train_bundle(algo, ds, values)
+        path = save_model(bundle, tmp_path / "m.json")
+        assert "encoder" not in json.loads(model_text(path))
+        loaded = load_model(path)
+        assert loaded.encoder == bundle.encoder
+        for u in ds.user_index:
+            assert [loaded.predict(u, i) for i in ds.item_index] == \
+                [bundle.predict(u, i) for i in ds.item_index]
 
     def test_trace_on_stderr_summary_on_stdout(self, capsys, tmp_path):
         data = write_ratings(tmp_path)
@@ -496,6 +530,25 @@ class TestPredict:
         assert code == 0
         assert stdout.endswith("(rounded: 1)\n")
 
+    def test_prediction_that_overflows_exits_3(self, capsys, tmp_path):
+        # finite factors of 1e200 multiply to inf, which predict rounded
+        # with a raw ValueError (exit 1)
+        model = train_fixture_model(capsys, tmp_path, "funk")
+        doc = json.loads(model_text(model))
+        block = doc["parameters"]
+        for key in ("p", "q"):
+            big = np.full_like(_array(block[key], FORMAT_VERSION), 1e200)
+            block[key] = _ready(_floats(big))
+        with open(model, "w") as handle:
+            json.dump(doc, handle)
+        # numpy warns of the overflow in np.dot; CI turns warnings into errors
+        with np.errstate(over="ignore"):
+            assert load_model(model).predict("1", "2") == np.inf
+            code, stdout, err = run(capsys, "predict", model, "1", "2")
+        assert code == 3
+        assert stdout == ""
+        assert err == "error: cannot round non-finite value inf\n"
+
     @pytest.mark.parametrize("text", [None, "epoch=3\n"])
     def test_config_file_that_is_missing_or_has_an_unknown_key_exits_2(
             self, capsys, tmp_path, text):
@@ -583,8 +636,9 @@ class TestRecommend:
     ])
     def test_fm_machine_that_does_not_fit_its_encoder_exits_3(self, capsys, tmp_path,
                                                                algo, edit):
+        # a version 6 document, whose encoder block can be edited
         model = train_fixture_model(capsys, tmp_path, algo)
-        doc = json.loads(model_text(model))
+        doc = with_encoders(json.loads(model_text(model)))
         block = doc["parameters"]
         w, v = (_array(block[key], FORMAT_VERSION) for key in ("w", "v"))
         if edit == "numeric item column":
@@ -664,10 +718,11 @@ class TestRecommend:
     @pytest.mark.parametrize("column", ["user", "item"])
     def test_encoder_category_renamed_away_from_its_token_exits_3(
             self, capsys, tmp_path, algo, column):
-        # with the category of item (or user) 1 renamed to "zzz", recommend
-        # exited 0 and predict scored it through the unseen-category slot
+        # with the category of item (or user) 1 renamed to "zzz" in a
+        # version 6 file, recommend exited 0 and predict scored it through
+        # the unseen-category slot
         model = train_fixture_model(capsys, tmp_path, algo)
-        doc = json.loads(model_text(model))
+        doc = with_encoders(json.loads(model_text(model)))
         (encoded,) = [c for c in doc["encoder"]["columns"] if c["name"] == column]
         encoded["categories"][encoded["categories"].index("1")] = "zzz"
         with open(model, "w") as handle:
@@ -677,7 +732,8 @@ class TestRecommend:
             assert code == 3
             assert stdout == ""
             assert err.startswith("error: malformed model file")
-            assert "categories hold every user and every item token" in err
+            assert (f"{algo} encoder must be a categorical user column, then an item "
+                    "column, each holding its sorted tokens") in err
             assert len(err.splitlines()) == 1
 
     def test_model_file_not_utf8_exits_3(self, capsys, tmp_path):
@@ -989,11 +1045,12 @@ class TestTransientMemory:
                                                      tmp_path):
         # writing one string of the whole file peaked at about 2.8 MB;
         # the streamed writer stays within about five times the document
-        # the file inflates to, zlib's deflate state (about 260 KB) included
+        # the file inflates to (97,598 characters), zlib's deflate state
+        # (about 260 KB) included
         bundle, _ = implicit_fm
         path = tmp_path / "m.json"
         assert traced_peak(lambda: save_model(bundle, path)) < 2**19
-        assert len(model_text(path)) > 100_000
+        assert len(model_text(path)) > 95_000
 
     def test_overlap_weights_builds_one_n_by_n_array(self, implicit_fm):
         # 300 x 300 doubles are 0.69 MB; a second array made it 1.5 MB

@@ -58,6 +58,7 @@ from tests.conftest import (
     make_rank2_ratings,
     model_text,
     rows_of,
+    with_encoders,
     without_created,
 )
 
@@ -129,10 +130,10 @@ def assert_predictions_match(before, after, ds, tol=1e-12):
 
 def old_layout(doc, version):
     """A current document laid out as version (5 or earlier) stores its
-    header and per-user lists: token index maps, and nested per-user
-    lists. Float blocks are left as they are."""
-    doc = json.loads(json.dumps(doc))
-    doc["format_version"] = version
+    header, per-user lists and fm/ffm members: token index maps, nested
+    per-user lists, and each machine's encoder. Float blocks are left as
+    they are."""
+    doc = with_encoders(doc, version)
     for role in ("user", "item"):
         doc[f"{role}_index"] = {token: at for at, token in
                                 enumerate(doc.pop(f"{role}_tokens"))}
@@ -526,7 +527,7 @@ class TestFileFormat:
     def test_header_fields(self):
         bundle, _ = funk_bundle()
         doc = document(bundle)
-        assert doc["format_version"] == FORMAT_VERSION == 6
+        assert doc["format_version"] == FORMAT_VERSION == 7
         assert doc["algorithm"] == "funk"
         assert doc["created"]
         assert doc["scale"] == [1.0, 5.0]
@@ -742,7 +743,7 @@ class TestPerUserListLayout:
 
         path, user, item = self.edited_file(tmp_path, algo, edit)
         assert_exits_3(capsys, path, user, item,
-                       f"{key} must be a JSON object in format_version 6")
+                       f"{key} must be a JSON object in format_version {FORMAT_VERSION}")
 
     @pytest.mark.parametrize("version", [4, 5])
     @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
@@ -1042,10 +1043,39 @@ class TestBundleQueries:
         columns[column] = (name, kind, ("zzz",) + categories[1:])
         bundle = dataclasses.replace(bundle, encoder=EncoderSpec(columns))
         path = tmp_path / "m.json"
-        with pytest.raises(PersistenceError,
-                           match="categories hold every user and every item token"):
+        with pytest.raises(PersistenceError, match="each holding its sorted tokens"):
             save_model(bundle, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("algo", ["fm", "ffm"])
+    @pytest.mark.parametrize("change", ["permuted", "superset"])
+    def test_fm_encoder_other_than_the_sorted_layout_is_refused(self, algo, change,
+                                                                tmp_path, capsys):
+        # both were saved and loaded before version 7; a version 7 file
+        # stores no encoder, so the sorted layout is the only one it means
+        bundle, ds = fm_bundle(algo)
+        columns = [[c.name, c.kind, list(c.categories)] for c in bundle.encoder.columns]
+        model = bundle.model
+        if change == "permuted":
+            columns[1][2].reverse()
+        else:
+            # one more item category, and a machine row for it
+            columns[1][2].append("zzz")
+            model = dataclasses.replace(model, w=np.append(model.w, 0.5),
+                                        V=np.concatenate([model.V, model.V[-1:]]))
+        changed = dataclasses.replace(bundle, model=model, encoder=EncoderSpec(columns))
+        path = tmp_path / "m.json"
+        with pytest.raises(PersistenceError, match="each holding its sorted tokens"):
+            save_model(changed, path)
+        assert not path.exists()
+        # the same machine and encoder in a version 6 file
+        doc = with_encoders(document(bundle))
+        doc["encoder"]["columns"][1]["categories"] = columns[1][2]
+        doc["parameters"]["w"], doc["parameters"]["v"] = (
+            _ready(_floats(a)) for a in (model.w, model.V))
+        path.write_text(json.dumps(doc))
+        assert_exits_3(capsys, str(path), min(ds.user_index), min(ds.item_index),
+                       f"{algo} encoder must be a categorical user column")
 
     def test_bad_algorithm_tag_rejected(self):
         with pytest.raises(ValidationError):
@@ -1592,15 +1622,16 @@ def assert_stored_predictions(bundle, name):
 
 
 def current_layout(doc):
-    """A version 4 or 5 document with the header and per-user lists of
-    the current version: each index map as its tokens in index order, and
-    each per-user list in its gap-coded form. Float blocks are left as
-    they are."""
+    """A version 4 or 5 document with the header, per-user lists and
+    members of the current version: each index map as its tokens in index
+    order, each per-user list in its gap-coded form, and no fm or ffm
+    encoder. Float blocks are left as they are."""
     doc["format_version"] = FORMAT_VERSION
     for role in ("user", "item"):
         index = doc.pop(f"{role}_index")
         doc[f"{role}_tokens"] = sorted(index, key=index.get)
     for member in doc["ensemble"]["members"]:
+        member.pop("encoder", None)
         block = member["parameters"]
         for key in {"rated", "ratings", "observed"} & set(block):
             block[key] = form_of(block[key], valued=key == "ratings")
@@ -1688,13 +1719,44 @@ class TestFormat5File:
         bundle = load_model(path)
         assert_stored_predictions(bundle, "format5_blend_predictions.json")
         # saved again, the file inflates to the version 5 text with only
-        # the header and per-user lists in the current layout: every
-        # float block keeps its text
+        # the header, per-user lists and encoders in the current layout:
+        # every float block keeps its text
         again = save_model(bundle, tmp_path / "again.json")
         assert model_text(again) == json.dumps(
             current_layout(old), sort_keys=True, separators=(",", ":")) + "\n"
         reloaded = load_model(again)
         assert_stored_predictions(reloaded, "format5_blend_predictions.json")
+
+
+class TestFormat6File:
+    """format6_blend.json is a gzip-compressed format_version 6 file,
+    written by the version 6 code when it loaded format5_blend.json and
+    saved it again: the same seven members, with token lists, gap-coded
+    per-user lists and the encoders of the fm and ffm members. Beside it
+    are the predictions of each member and of the blend for every (user,
+    item) index pair, and each user's top-3 vote, that the version 6 code
+    computed from the file it had written.
+    """
+
+    def test_loads_and_predicts_bit_for_bit(self, tmp_path):
+        path = FIXTURES / "format6_blend.json"
+        old = json.loads(model_text(path))
+        assert old["format_version"] == 6
+        bundle = load_model(path)
+        assert_stored_predictions(bundle, "format6_blend_predictions.json")
+        # saved again, the file inflates to the version 6 text at the
+        # current version without the two encoder blocks
+        again = save_model(bundle, tmp_path / "again.json")
+        old["format_version"] = FORMAT_VERSION
+        members = old["ensemble"]["members"]
+        assert [member["algorithm"] for member in members if member.pop("encoder", None)] \
+            == ["fm", "ffm"]
+        assert model_text(again) == json.dumps(
+            old, sort_keys=True, separators=(",", ":")) + "\n"
+        reloaded = load_model(again)
+        assert_stored_predictions(reloaded, "format6_blend_predictions.json")
+        assert [m.encoder for m in reloaded.model.members[4:6]] == \
+            [m.encoder for m in bundle.model.members[4:6]]
 
 
 class TestGzipContainer:
@@ -1757,7 +1819,9 @@ def leaf_paths(value, path=()):
 @pytest.fixture(scope="module")
 def cli_trained(tmp_path_factory):
     """(folder, {name: (inflated document, leaf paths)}) of CLI-trained
-    svd, funk, svdpp, itemcf, fm, ffm and blend files on the 4x4 ratings."""
+    svd, funk, svdpp, itemcf, fm, ffm and blend files on the 4x4 ratings,
+    and of the blend as version 6 lays it out (blend6), whose fm and ffm
+    members store their encoders."""
     folder = tmp_path_factory.mktemp("cli-trained")
     ratings = folder / "ratings.csv"
     ratings.write_text(FOUR_BY_FOUR_CSV)
@@ -1772,6 +1836,8 @@ def cli_trained(tmp_path_factory):
     for name in algos + ("blend",):
         doc = json.loads(model_text(folder / name))
         docs[name] = doc, list(leaf_paths(doc))
+    blend6 = with_encoders(docs["blend"][0])
+    docs["blend6"] = blend6, list(leaf_paths(blend6))
     return folder, docs
 
 
@@ -1848,11 +1914,12 @@ def key_paths(value, path=()):
 
 class TestDeletedKeys:
     @settings(max_examples=200, deadline=None)
-    @given(name=st.sampled_from(["svd", "funk", "svdpp", "itemcf", "fm", "ffm", "blend"]),
+    @given(name=st.sampled_from(["svd", "funk", "svdpp", "itemcf", "fm", "ffm", "blend",
+                                 "blend6"]),
            at=st.integers(min_value=0))
-    # the blend's fm member without its encoder loaded; predict and
-    # recommend then exited 1 with an AttributeError
-    @example(name="blend", at=("ensemble", "members", 4, "encoder"))
+    # a version 6 blend's fm member without its encoder loaded; predict
+    # and recommend then exited 1 with an AttributeError
+    @example(name="blend6", at=("ensemble", "members", 4, "encoder"))
     def test_property_deleted_key_exits_0_or_3(self, cli_trained, name, at):
         # at is a key path, or an index into the document's key paths
         folder, docs = cli_trained

@@ -80,7 +80,7 @@ class TestModelSizes:
         assert set(rows) == {
             "algorithm", "created", "format_version", "library", "scale",
             "user_tokens", "item_tokens", "ensemble.intercept", "ensemble.kind",
-            "ensemble.weights", "member 1 encoder", "document",
+            "ensemble.weights", "document",
             *(f"member {n} parameters.{key}" for n, member in enumerate(members)
               for key in member["parameters"])}
         # raw is the section's compact JSON; deflated is a raw deflate stream
@@ -92,6 +92,14 @@ class TestModelSizes:
         assert rows["document"][0] == len(text.encode())
         # the file is the deflated document plus a gzip header and trailer
         assert blend.stat().st_size == rows["document"][1] + 18
+
+    def test_version_6_file_shows_the_encoder_of_each_machine(self, capsys):
+        # files from version 7 store no encoder; earlier ones still show it
+        path = Path(__file__).resolve().parent / "fixtures" / "format6_blend.json"
+        assert load_tool("model_sizes").main([str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:3] for line in lines if "encoder" in line] == \
+            [["member", "4", "encoder"], ["member", "5", "encoder"]]
 
     def test_without_files_prints_usage(self, capsys):
         assert load_tool("model_sizes").main([]) == 2
@@ -109,7 +117,7 @@ class TestScoreDigest:
         assert runs[0] == runs[1]
         cases = [name for name, _, _ in score_digest.CASES] + \
             [name for name, _ in score_digest.BLENDS]
-        assert len(cases) == 15
+        assert len(cases) == 16
         # each case's scores line, then its recommend line
         names = [line for name in cases for line in (name, f"{name}/recommend")]
         assert [line.split()[0] for line in runs[0]] == names

@@ -52,9 +52,11 @@ CASES = (
 RECOMMEND_K = 5
 # (name, member cases): an equal-weight `ensemble blend` of those cases'
 # files, which share the explicit CSV and so its index maps; the digest
-# pins how a blend holds and scores its members
+# pins how a blend holds and scores its members, the fm and ffm member
+# blocks read back from an ensemble file among them
 BLENDS = (
     ("blend", ("itemcf", "fm")),
+    ("blend-machines", ("fm", "ffm")),
 )
 
 

@@ -70,7 +70,11 @@ def _parse_float_list(text):
 
 @dataclass(frozen=True)
 class Opt:
-    """One configurable flag: its name, parser, default, and metadata."""
+    """One configurable flag: its name, parser, default, and metadata.
+
+    low, when set, is the least value the flag takes (each value, for a
+    list); resolve checks it whichever source the value came from.
+    """
 
     name: str
     parse: callable
@@ -80,6 +84,7 @@ class Opt:
     help: str = ""
     required: bool = False
     is_switch: bool = False
+    low: int = None
 
     @property
     def key(self):
@@ -99,11 +104,11 @@ class Opt:
 
 
 HYPER_OPTIONS = (
-    Opt("factors", int, 2, help="latent dimension (funk, svdpp, fm, ffm)"),
+    Opt("factors", int, 2, low=1, help="latent dimension (funk, svdpp, fm, ffm)"),
     Opt("alpha", float, 0.01, help="learning rate"),
     Opt("lam", float, 0.02, flag="--lambda", help="regularization strength"),
-    Opt("epochs", int, 100, help="training epochs"),
-    Opt("seed", int, 42, help="random seed"),
+    Opt("epochs", int, 100, low=0, help="training epochs"),
+    Opt("seed", int, 42, low=0, help="random seed"),
     Opt("optimizer", str, "sgd", choices=("sgd", "momentum", "adaptive"),
         help="update rule for the gradient trainers"),
     Opt("impute", str, "user", choices=("global", "user", "item"),
@@ -112,7 +117,7 @@ HYPER_OPTIONS = (
         help="svd rank selection: energy:T, ratio:C, or fixed:F"),
     Opt("similarity_mode", str, "paper-dot", flag="--similarity-mode",
         choices=("paper-dot", "cosine"), help="svd item similarity"),
-    Opt("neighborhood", int, None, help="neighbor cut for svd and itemcf"),
+    Opt("neighborhood", int, None, low=1, help="neighbor cut for svd and itemcf"),
     Opt("neg_ratio", float, None, flag="--neg-ratio",
         help="negatives per positive for implicit data"),
     Opt("kind", str, "explicit", choices=("explicit", "implicit"),
@@ -130,12 +135,12 @@ TRAIN_OPTIONS = (
 ) + HYPER_OPTIONS
 
 RECOMMEND_OPTIONS = (
-    Opt("k", int, 10, help="list length"),
+    Opt("k", int, 10, low=1, help="list length"),
 )
 
 EVALUATE_OPTIONS = (
     Opt("test", str, required=True, help="held-out ratings csv"),
-    Opt("k", _parse_int_list, None,
+    Opt("k", _parse_int_list, None, low=1,
         help="top-N cutoffs, comma separated (e.g. 5,10)"),
     Opt("kind", str, "explicit", choices=("explicit", "implicit"),
         help="rating kind of the test csv"),
@@ -151,7 +156,7 @@ BLEND_OPTIONS = (
 
 VOTE_OPTIONS = (
     Opt("user", str, required=True, help="user token to recommend for"),
-    Opt("k", int, 10, help="list length"),
+    Opt("k", int, 10, low=1, help="list length"),
 )
 
 BAG_OPTIONS = (
@@ -159,7 +164,7 @@ BAG_OPTIONS = (
     Opt("output", str, required=True, help="ensemble file to write"),
     Opt("algo", str, required=True, choices=ALGO_CHOICES,
         help="member algorithm"),
-    Opt("members", int, 5, help="number of bootstrap members"),
+    Opt("members", int, 5, low=1, help="number of bootstrap members"),
 ) + HYPER_OPTIONS
 
 STACK_OPTIONS = (
@@ -210,7 +215,11 @@ def read_config(path):
 
 
 def resolve(args, options):
-    """Final option values: command line, then config file, then default."""
+    """Final option values: command line, then config file, then default.
+
+    Raises ConfigError for a missing required option and for a value
+    below its option's low bound.
+    """
     config = read_config(args.config) if getattr(args, "config", None) else {}
     values = {}
     for opt in options:
@@ -232,8 +241,12 @@ def resolve(args, options):
         else:
             values[opt.name] = opt.default
     for opt in options:
-        if opt.required and values[opt.name] is None:
-            raise ConfigError(f"missing required option --{opt.key.replace('_', '-')}")
+        value, flag = values[opt.name], f"--{opt.key.replace('_', '-')}"
+        if opt.required and value is None:
+            raise ConfigError(f"missing required option {flag}")
+        for each in value if isinstance(value, list) else [value]:
+            if opt.low is not None and each is not None and each < opt.low:
+                raise ConfigError(f"{flag} must be >= {opt.low}, got {each}")
     return values
 
 
@@ -268,9 +281,6 @@ def _train_bundle(algo, ds, values, rated=None):
     """
     encoder = observed = None
     trace = []
-    neighborhood = values["neighborhood"]
-    if algo in ("svd", "itemcf") and neighborhood is not None and neighborhood < 1:
-        raise ConfigError(f"--neighborhood must be >= 1, got {neighborhood}")
     if algo == "svd":
         try:
             svdcf.parse_rank_rule(
@@ -376,8 +386,6 @@ def cmd_predict(args):
 
 def cmd_recommend(args):
     values = resolve(args, RECOMMEND_OPTIONS)
-    if values["k"] < 1:
-        raise ConfigError(f"k must be >= 1, got {values['k']}")
     bundle = load_model(args.model)
     for token, score in bundle.recommend(args.user, values["k"]):
         print(f"{token}\t{score:.4f}")
@@ -387,8 +395,6 @@ def cmd_recommend(args):
 def cmd_evaluate(args):
     values = resolve(args, EVALUATE_OPTIONS)
     cutoffs = values["k"] or []
-    if cutoffs and min(cutoffs) < 1:
-        raise ConfigError("top-N cutoffs must be >= 1")
     bundle = load_model(args.model)
     schema = CsvSchema(kind=values["kind"], scale=bundle.scale)
     test = _read_ratings(values["test"], schema)
@@ -465,8 +471,6 @@ def cmd_ensemble_blend(args):
 
 def cmd_ensemble_vote(args):
     values = resolve(args, VOTE_OPTIONS)
-    if values["k"] < 1:
-        raise ConfigError(f"k must be >= 1, got {values['k']}")
     bundles = _load_members(args.members)
     # a blend recommends by its members' votes, whatever the weights
     blend = BlendModel([b.scorer for b in bundles], [1.0] * len(bundles))
@@ -477,8 +481,6 @@ def cmd_ensemble_vote(args):
 
 def cmd_ensemble_bag(args):
     values = resolve(args, BAG_OPTIONS)
-    if values["members"] < 1:
-        raise ConfigError(f"--members must be >= 1, got {values['members']}")
     # negatives are drawn once, before the bootstrap; every member leaves
     # out the items each user rated in the input, as a trained model does
     read, ds = _read_training_data(values)

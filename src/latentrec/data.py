@@ -579,18 +579,31 @@ def parse_csv(source, schema=None):
     )
 
 
-def to_dense(ds, cap=DENSE_CELL_CAP):
+def check_cells(what, shape, advice):
+    """Refuse an array of this shape above DENSE_CELL_CAP cells.
+
+    Every dense table sized from the input (the dense rating matrix, the
+    factor and latent tables, the item overlap matrix) is checked here
+    before anything of it is allocated, against the cap as it is when
+    called. Raises CapacityError naming what, its shape and the advice.
+    """
+    cells = math.prod(shape)
+    if cells > DENSE_CELL_CAP:
+        raise CapacityError(
+            f"{what} of {' x '.join(map(str, shape))} = {cells} cells "
+            f"exceeds the cap of {DENSE_CELL_CAP}; {advice}"
+        )
+
+
+def to_dense(ds):
     """Materialize a dataset as (dense matrix, mask matrix).
 
     Missing cells hold NaN in the dense matrix and 0 in the mask. Refuses
-    to build matrices above ``cap`` cells; factor models handle that scale.
+    to build matrices above DENSE_CELL_CAP cells (check_cells); factor
+    models handle that scale.
     """
     m, n = ds.n_users, ds.n_items
-    if m * n > cap:
-        raise CapacityError(
-            f"dense matrix of {m} x {n} = {m * n} cells exceeds the cap of {cap}; "
-            "use a factor model instead"
-        )
+    check_cells("dense matrix", (m, n), "use a factor model instead")
     dense = np.full((m, n), np.nan)
     mask = np.zeros((m, n))
     u, i, r = ds.indexed()
@@ -619,18 +632,14 @@ def impute(matrix, mask, strategy="global"):
     if not observed.any():
         raise NoDataError("cannot impute: no observed entries")
     global_mean = float(matrix[observed].mean())
-    if strategy == "global":
-        fill = np.full(matrix.shape, global_mean)
-    elif strategy == "user":
-        fill = np.empty(matrix.shape)
-        for row in range(matrix.shape[0]):
-            obs = observed[row]
-            fill[row, :] = matrix[row, obs].mean() if obs.any() else global_mean
-    else:
-        fill = np.empty(matrix.shape)
-        for col in range(matrix.shape[1]):
-            obs = observed[:, col]
-            fill[:, col] = matrix[obs, col].mean() if obs.any() else global_mean
+    fill = np.full(matrix.shape, global_mean)
+    if strategy != "global":
+        # item means run over the columns: the rows of the .T views, so
+        # the means are written through fill.T into the one C-order fill
+        views = (matrix, observed, fill) if strategy == "user" else (matrix.T, observed.T, fill.T)
+        for values, obs, out in zip(*views):
+            if obs.any():
+                out[:] = values[obs].mean()
     np.copyto(fill, matrix, where=observed)
     return fill
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, ValidationError
-from .metrics import Scorer, pair_scores
+from .metrics import Scorer, check_count, pair_scores
 
 STACK_RIDGE = 1e-8
 
@@ -110,8 +110,7 @@ def vote_recommend(members, u, k):
     Returns:
         up to k (item, votes) pairs, best first.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    check_count(k, "k")
     ranks = {}
     for m, member in enumerate(members):
         try:
@@ -143,8 +142,7 @@ def bag_train(trainer, ds, b=10, seed=42):
     Returns:
         BlendModel of kind "bag" with weights 1/b.
     """
-    if b < 1:
-        raise ValidationError(f"member count must be >= 1, got {b}")
+    check_count(b, "member count")
     rng = np.random.default_rng(seed)
     count = len(ds)
     columns = ds.indexed()

@@ -44,9 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import optim
-from .data import DENSE_CELL_CAP, UserItems
-from .errors import CapacityError, DivergenceError, GradientError, ValidationError
-from .metrics import SORT_ROWS, Scorer, check_neighbourhood, in_range, neighbours
+from .data import UserItems, check_cells
+from .errors import DivergenceError, GradientError, ValidationError
+from .metrics import SORT_ROWS, Scorer, check_count, in_range, neighbours
 
 STRATEGIES = ("all", "sequential")
 
@@ -275,20 +275,6 @@ def _rmse(targets, preds):
     return float(np.sqrt(np.mean(err * err)))
 
 
-def check_table(shape, name):
-    """Refuse a factor table of this shape above DENSE_CELL_CAP cells.
-
-    The trainers call it before allocating anything of the table, so a
-    huge --factors fails at once as a CapacityError rather than in numpy.
-    """
-    cells = math.prod(shape)
-    if cells > DENSE_CELL_CAP:
-        raise CapacityError(
-            f"{name} table of {' x '.join(map(str, shape))} = {cells} cells "
-            f"exceeds the cap of {DENSE_CELL_CAP}; use fewer factors"
-        )
-
-
 def funk_train(ds, config, init=None):
     """Train a plain factor model by per-triple gradient descent.
 
@@ -310,7 +296,7 @@ def funk_train(ds, config, init=None):
         raise ValidationError("gradient factorization needs an explicit dataset")
     users, items, ratings = ds.indexed()
     m, n, f = ds.n_users, ds.n_items, config.f
-    check_table((max(m, n), f), "funk factor")
+    check_cells("funk factor table", (max(m, n), f), "use fewer factors")
     if init is not None:
         p0, q0 = init
         pt = np.array(p0, dtype=float).T.copy()
@@ -455,8 +441,8 @@ class ItemCfModel(Scorer):
     n_items: int
 
     def __post_init__(self):
-        _overlap_cap(self.n_items)
-        check_neighbourhood(self.K, "neighborhood size K")
+        check_cells("item overlap matrix", (self.n_items,) * 2, "use a factor model instead")
+        check_count(self.K, "neighborhood size K")
         object.__setattr__(self, "ratings", UserItems.of(
             self.ratings, None, self.n_items, "itemcf ratings", valued=True))
 
@@ -495,15 +481,6 @@ class ItemCfPrediction(NamedTuple):
     empty_neighborhood: bool
 
 
-def _overlap_cap(n):
-    """Refuse an n x n overlap matrix above DENSE_CELL_CAP cells."""
-    if n * n > DENSE_CELL_CAP:
-        raise CapacityError(
-            f"item overlap matrix of {n} x {n} = {n * n} cells exceeds the "
-            f"cap of {DENSE_CELL_CAP}; use a factor model instead"
-        )
-
-
 def overlap_weights(ratings, n):
     """Overlap similarity W[i, j] = |N(i) & N(j)| / |N(i)| from rated items.
 
@@ -527,7 +504,7 @@ def overlap_weights(ratings, n):
         ValueError: ratings that UserItems.of refuses (an item that is
             not an int in [0, n), a row whose items do not rise).
     """
-    _overlap_cap(n)
+    check_cells("item overlap matrix", (n, n), "use a factor model instead")
     ratings = UserItems.of(ratings, None, n, "ratings", valued=True)
     counts = np.zeros((n, n))
     for idx in ratings:
@@ -720,7 +697,7 @@ def svdpp_train(ds, config, freeze_y=False):
         raise ValidationError("gradient factorization needs an explicit dataset")
     users, items, ratings = ds.indexed()
     m, n, f = ds.n_users, ds.n_items, config.f
-    check_table((max(m, n), f), "svdpp factor")
+    check_cells("svdpp factor table", (max(m, n), f), "use fewer factors")
     lam = config.lam
     mu = float(ratings.mean())
     rng = np.random.default_rng(config.seed)

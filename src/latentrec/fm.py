@@ -55,13 +55,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import check_cells
 from .errors import (
     EncodingError,
     GradientError,
     ShapeError,
     ValidationError,
 )
-from .factor import TrainConfig, _make_updaters, check_table, run_epochs
+from .factor import TrainConfig, _make_updaters, run_epochs
 
 LOSSES = ("squared", "logistic")
 
@@ -594,7 +595,7 @@ def fm_train(samples, loss="squared", config=None):
     """
     config = config if config is not None else TrainConfig()
     batch = _as_batch(samples, loss)
-    check_table((batch.n, config.f), "fm latent")
+    check_cells("fm latent table", (batch.n, config.f), "use fewer factors")
     rng = np.random.default_rng(config.seed)
     v = rng.random((batch.n, config.f)) / math.sqrt(config.f)
     model = FmModel(w0=0.0, w=np.zeros(batch.n), V=v, k=config.f)
@@ -621,7 +622,7 @@ def ffm_train(samples, loss="squared", config=None, n_fields=None):
     if n_fields is None:
         n_fields = int(batch.fields.max()) + 1
     _check_field_range(batch.fields, n_fields)
-    check_table((batch.n, n_fields, config.f), "ffm latent")
+    check_cells("ffm latent table", (batch.n, n_fields, config.f), "use fewer factors")
     rng = np.random.default_rng(config.seed)
     v = rng.random((batch.n, n_fields, config.f)) / math.sqrt(config.f)
     model = FfmModel(w0=0.0, w=np.zeros(batch.n), V=v, k=config.f, n_fields=n_fields)

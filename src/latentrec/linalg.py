@@ -185,12 +185,17 @@ def _complete_basis(ut, filled):
     """Fill unfilled rows of ``ut`` with unit vectors orthogonal to the rest.
 
     Used for singular values that are numerically zero, where the rotated
-    column carries no direction.  The trailing columns of a complete QR
-    factorization of the filled rows span their orthogonal complement.
+    column carries no direction.  The k filled rows, as columns, are
+    followed by unit columns up to one column per row of ``ut``, and the
+    reduced QR factorization of that rows x cols matrix is taken: its Q
+    has orthonormal columns whatever the rank, and the first k span the
+    filled rows, so the trailing ones are orthogonal to them.  A complete
+    QR of the filled rows alone would build a rows x rows Q.
     """
+    cols, rows = ut.shape
     k = int(filled.sum())
-    q, _ = np.linalg.qr(ut[filled].T, mode="complete")
-    ut[~filled] = q[:, k:ut.shape[0]].T
+    q, _ = np.linalg.qr(np.hstack([ut[filled].T, np.eye(rows, cols - k)]))
+    ut[~filled] = q[:, k:].T
     return ut
 
 

@@ -12,8 +12,8 @@ scores, bit for bit) and recommend (one scores call over the user's
 unseen items, ranked by top_k) once for all of them. in_range checks
 such indices, and pair_scores scores aligned user/item pairs with one
 scores call per distinct user. neighbours picks every item neighbourhood
-that itemcf and svdcf score from, and check_neighbourhood checks the size
-each of them is given.
+that itemcf and svdcf score from. check_count is the one rule for a
+count: a neighbourhood size, a list length or cutoff, a member count.
 """
 
 import json
@@ -79,11 +79,10 @@ def topn_metrics(recommendations, positives, k):
         (precision, recall) pair.
 
     Raises:
-        ValidationError: k < 1.
+        ValidationError: k is not an int >= 1 (check_count).
         NoDataError: no user has any positives.
     """
-    if k < 1:
-        raise ValidationError(f"cutoff k must be >= 1, got {k}")
+    check_count(k, "cutoff k")
     hits = {}
     for user, ranked in recommendations.items():
         top = [_item_only(e) for e in list(ranked)[:k]]
@@ -127,17 +126,16 @@ def top_k(items, scores, k):
     every recommend list here, so they all share this rule.
 
     Raises:
-        ValueError: k < 1.
+        ValidationError: k is not an int >= 1 (check_count).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_count(k, "k")
     order = np.lexsort((items, -scores))[:k]
     return list(zip(items[order].tolist(), scores[order].tolist()))
 
 
-def check_neighbourhood(k, name, optional=False):
-    """Raise ValidationError naming k unless it is a neighbourhood size:
-    an int >= 1 and not a bool, or with optional also None."""
+def check_count(k, name, optional=False):
+    """Raise ValidationError naming k unless it is a count: an int >= 1
+    and not a bool, or with optional also None."""
     if optional and k is None:
         return
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:

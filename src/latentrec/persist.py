@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import UserItems, checked_scale, tokens_by_index
+from .data import UserItems, check_cells, checked_scale, tokens_by_index
 from .ensemble import BlendModel
 from .errors import CapacityError, PersistenceError, ValidationError
 from .factor import FactorModel, ItemCfModel
@@ -352,7 +352,10 @@ def _model_from(algorithm, block, n_items, version):
             raise ValueError("svd rated must be one list per user, got null")
         rated = UserItems.of(_field("items", block["rated"], version, "svd rated"),
                              factors.u.shape[0], n_items, "svd rated")
-        mask = np.zeros((factors.u.shape[0], factors.v.shape[0]))
+        shape = (factors.u.shape[0], factors.v.shape[0])
+        # mask and reconstruct are m x n, as to_dense's matrices are in training
+        check_cells("dense matrix", shape, "use a factor model instead")
+        mask = np.zeros(shape)
         mask[rated.rows(), rated.items] = 1.0
         fields.update(r_star=reconstruct(factors), mask=mask, factors=factors)
     elif algorithm == "itemcf":
@@ -594,8 +597,8 @@ def load_model(path):
     a value the model refuses, such as an svd neighborhood below 1; a
     JSON integer too large for a float where a float is read; a version 2
     itemcf w that is not the W its ratings give), and CapacityError when
-    the itemcf weights of the file's items would exceed the dense cell
-    cap.
+    the itemcf weights of the file's items, or the m x n arrays an svd
+    file is scored from, would exceed the dense cell cap.
     """
     try:
         data = Path(path).read_bytes()

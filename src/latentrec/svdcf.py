@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .data import impute, to_dense
 from .errors import ValidationError, ZeroNormError
-from .metrics import SORT_ROWS, Scorer, check_neighbourhood, in_range, neighbours
+from .metrics import SORT_ROWS, Scorer, check_count, in_range, neighbours
 
 
 def parse_rank_rule(rule, max_rank=None):
@@ -122,7 +122,7 @@ class SvdCfModel(Scorer):
             raise ValueError(f"retained rank must be >= 1, got {self.f}")
         if self.similarity_mode not in ("paper-dot", "cosine"):
             raise ValueError(f"unknown similarity mode {self.similarity_mode!r}")
-        check_neighbourhood(self.neighborhood, "neighborhood", optional=True)
+        check_count(self.neighborhood, "neighborhood", optional=True)
 
     @functools.cached_property
     def masked(self):

@@ -4,12 +4,18 @@ Each test drives main(argv) in process and checks exit codes, stdout,
 stderr, and written model files.
 """
 
+import contextlib
+import io
 import json
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latentrec import cli
 from latentrec.cli import TRAIN_OPTIONS, _train_bundle, main
@@ -218,6 +224,70 @@ class TestConfigFile:
         assert not out.exists()
 
 
+OPTIONS = {"train": cli.TRAIN_OPTIONS, "recommend": cli.RECOMMEND_OPTIONS,
+           "evaluate": cli.EVALUATE_OPTIONS, "vote": cli.VOTE_OPTIONS, "bag": cli.BAG_OPTIONS}
+# the least value of each bounded option, by the command that reads it
+LOWS = {
+    **{(command, "k"): 1 for command in ("recommend", "evaluate", "vote")},
+    **{(command, name): low for command in ("train", "bag")
+       for name, low in (("factors", 1), ("epochs", 0), ("seed", 0), ("neighborhood", 1))},
+    ("bag", "members"): 1,
+}
+
+
+def command_line(command, algo, folder):
+    """The arguments of command, every file they name missing from folder."""
+    missing, out = str(folder / "missing"), str(folder / "m.json")
+    return {
+        "train": ["train", "--algo", algo, "--input", missing, "--output", out],
+        "recommend": ["recommend", missing, "u"],
+        "evaluate": ["evaluate", missing, "--test", missing],
+        "vote": ["ensemble", "vote", missing, "--user", "u"],
+        "bag": ["ensemble", "bag", "--algo", algo, "--input", missing, "--output", out],
+    }[command]
+
+
+class TestFlagBounds:
+    def test_each_bound_is_declared_on_its_option(self):
+        declared = {(command, opt.name): opt.low for command, options in OPTIONS.items()
+                    for opt in options if opt.low is not None}
+        assert declared == LOWS
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(sorted(LOWS)), algo=st.sampled_from(cli.ALGO_CHOICES),
+           offset=st.integers(-3, 2), source=st.sampled_from(["flag", "config"]))
+    # --seed -1 exited 1 with numpy's traceback; --neighborhood bound only svd and itemcf
+    @example(case=("train", "seed"), algo="funk", offset=-1, source="flag")
+    @example(case=("train", "neighborhood"), algo="funk", offset=-1, source="flag")
+    def test_a_value_below_its_bound_exits_2_before_any_io(self, case, algo, offset, source):
+        command, name = case
+        opt = next(opt for opt in OPTIONS[command] if opt.name == name)
+        low = LOWS[case]
+        value = low + offset
+        flag = f"--{opt.key.replace('_', '-')}"
+        with tempfile.TemporaryDirectory() as tmp:
+            folder = Path(tmp)
+            argv = command_line(command, algo, folder)
+            if source == "flag":
+                argv += [flag, str(value)]
+            else:
+                (folder / "run.cfg").write_text(f"{opt.key}={value}\n")
+                argv += ["--config", str(folder / "run.cfg")]
+            before = sorted(folder.iterdir())
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert sorted(folder.iterdir()) == before
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if value < low:
+            assert (code, err) == (2, f"error: {flag} must be >= {low}, got {value}\n")
+        else:
+            # the bound passes, and the missing file is the first thing read
+            assert code == 3
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestTrain:
     @pytest.mark.parametrize("algo", ["svd", "funk", "svdpp", "itemcf",
                                       "fm", "ffm"])
@@ -328,12 +398,26 @@ class TestTrain:
         ("svd", "--rank-rule", "fixed:0"),
         ("svd", "--rank-rule", "energy:2"),
         ("svd", "--rank-rule", "ratio:-1"),
+        ("funk", "--seed", "-1"),
+        ("svdpp", "--seed", "-1"),
+        ("fm", "--seed", "-1"),
+        ("ffm", "--seed", "-1"),
+        ("fm-negatives", "--seed", "-1"),
+        ("bag", "--seed", "-1"),
+        ("bag", "--members", "0"),
     ])
     def test_out_of_range_numeric_flag_is_an_argument_error(
             self, capsys, tmp_path, algo, flag, value):
-        data = write_ratings(tmp_path)
+        # two rows name another command line than train --algo ALGO
+        command = {
+            "fm-negatives": ["train", "--algo", "fm", "--kind", "implicit",
+                             "--scale", "0:1", "--neg-ratio", "2"],
+            "bag": ["ensemble", "bag", "--algo", "funk"],
+        }.get(algo, ["train", "--algo", algo])
+        data = (write_ratings(tmp_path, "implicit.csv", IMPLICIT_CSV)
+                if algo == "fm-negatives" else write_ratings(tmp_path))
         out = tmp_path / "m.json"
-        code, _, err = run(capsys, "train", "--algo", algo, "--input", data,
+        code, _, err = run(capsys, *command, "--input", data,
                            "--output", str(out), flag, value)
         assert code == 2
         assert "Traceback" not in err
@@ -780,7 +864,7 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", str(tmp_path / "m.json"),
                            "--test", str(tmp_path / "missing.csv"), "--k", "0")
         assert code == 2
-        assert err == "error: top-N cutoffs must be >= 1\n"
+        assert err == "error: --k must be >= 1, got 0\n"
 
     def test_empty_test_exits_3(self, capsys, tmp_path):
         model = train_fixture_model(capsys, tmp_path)

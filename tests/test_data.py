@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latentrec import data
 from latentrec.data import (
     CsvSchema,
     RatingDataset,
@@ -230,10 +231,11 @@ class TestToDense:
         assert mask.sum() == 1.0
         assert mask[0, 0] == 1.0
 
-    def test_capacity_cap(self):
+    def test_capacity_cap(self, monkeypatch):
         ds = parse_csv("u1,i1,1\nu2,i2,2")
+        monkeypatch.setattr(data, "DENSE_CELL_CAP", 3)
         with pytest.raises(CapacityError):
-            to_dense(ds, cap=3)
+            to_dense(ds)
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(4)

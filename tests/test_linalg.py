@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,24 @@ class TestSvd:
         np.testing.assert_allclose(res.s, np.linalg.svd(a, compute_uv=False), atol=1e-9)
         _, _, sweeps = linalg._jacobi_tall(a)  # both inputs are tall
         assert sweeps < linalg.JACOBI_MAX_SWEEPS
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_zero_value_completion_memory_follows_the_input(self, transpose):
+        # rank 4 of 20: the 16 completed vectors come from a rows x cols QR,
+        # where a complete QR would hold a 3000 x 3000 Q (72 MB)
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(3000, 4)) @ rng.normal(size=(4, 20))
+        a = a.T.copy() if transpose else a
+        tracemalloc.start()
+        try:
+            res = linalg.svd(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * a.nbytes
+        assert np.sum(res.s > 1e-9 * res.s[0]) == 4
+        assert max_orthonormality_defect(res) <= 1e-10
+        assert reconstruction_error(a, res) <= 1e-8
 
     @settings(max_examples=40, deadline=None)
     @given(

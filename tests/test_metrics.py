@@ -133,7 +133,7 @@ class TestTopK:
         assert top_k(np.array([], dtype=np.int64), np.array([]), 1) == []
 
     def test_k_must_be_positive(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match="k must be an int >= 1, got 0"):
             top_k(np.arange(3), np.arange(3.0), 0)
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from latentrec import factor, persist, svdcf
+from latentrec import data, factor, persist, svdcf
 from latentrec.data import RatingDataset
 from latentrec.cli import main
 from latentrec.ensemble import BlendModel, bag_train, stack_fit, vote_recommend
@@ -166,6 +166,17 @@ class TestRoundTrip:
         assert np.array_equal(loaded.r_star, bundle.model.r_star)
         assert np.array_equal(loaded.mask, bundle.model.mask)
         assert_predictions_match(bundle, load_model(path), ds, tol=0.0)
+
+    def test_svd_load_is_capped_before_its_dense_arrays(self, monkeypatch, tmp_path):
+        # loading rebuilds the m x n mask and r_star from the factors
+        bundle, ds = svd_bundle()
+        path = save_model(bundle, tmp_path / "m.json")
+        monkeypatch.setattr(data, "DENSE_CELL_CAP", ds.n_users * ds.n_items - 1)
+        with pytest.raises(CapacityError, match="dense matrix of 4 x 4 = 16 cells"):
+            load_model(path)
+        code = main(["predict", str(path), next(iter(ds.user_index)),
+                     next(iter(ds.item_index))])
+        assert code == 3
 
     def test_svd_resave_is_byte_identical(self, tmp_path):
         bundle, _ = svd_bundle()
@@ -480,7 +491,7 @@ class TestItemCfFiles:
                                                    tmp_path):
         bundle, ds = itemcf_bundle("explicit")
         path = save_model(bundle, tmp_path / "m.json")
-        monkeypatch.setattr(factor, "DENSE_CELL_CAP", ds.n_items ** 2 - 1)
+        monkeypatch.setattr(data, "DENSE_CELL_CAP", ds.n_items ** 2 - 1)
         with pytest.raises(CapacityError):
             itemcf_similarity(ds)
         with pytest.raises(CapacityError):

@@ -125,3 +125,31 @@ class TestScoreDigest:
         assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)
         # with and without a neighbourhood cut, the scores and the lists differ
         assert len(set(digests)) == len(digests)
+
+
+class TestTrainDigest:
+    def test_prints_one_stable_digest_per_case(self, capsys, monkeypatch):
+        train_digest = load_tool("train_digest")
+        monkeypatch.setattr(sys, "path", sys.path[:])  # main puts SRC in front
+        runs = []
+        for _ in range(2):
+            assert train_digest.main([str(TOOLS.parent / "src")]) == 0
+            runs.append(capsys.readouterr().out.splitlines())
+        assert runs[0] == runs[1]
+        optimizers = ("sgd", "momentum", "adaptive")
+        names = (
+            [f"funk-{opt}-{variant}" for opt in optimizers
+             for variant in ("all", "all-simultaneous", "sequential")]
+            + [f"svdpp-{opt}{frozen}" for opt in optimizers for frozen in ("", "-freeze_y")]
+            + [f"{algo}-{opt}-{loss}-{batch}" for algo in ("fm", "ffm") for opt in optimizers
+               for loss in ("squared", "logistic") for batch in ("from_codes", "pack")]
+            + ["negative_sample", "negative_sample-capped"]
+            + [f"{algo}-diverges" for algo in ("funk", "svdpp", "fm", "ffm")]
+        )
+        assert [line.split()[0] for line in runs[0]] == names
+        digests = dict(line.split() for line in runs[0])
+        assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests.values())
+        # every case that trains or samples digests its own trajectory; a
+        # diverging case digests only its epoch, which two trainers may share
+        trained = [d for name, d in digests.items() if not name.endswith("-diverges")]
+        assert len(set(trained)) == len(trained)

@@ -65,13 +65,17 @@ class TrainConfig:
         optimizer: "sgd", "momentum", or "adaptive" (see optim module).
         beta1 / beta2 / eps: optimizer hyperparameters, passed through.
         simultaneous: when True the q-update reads the pre-update p
-            instead of the already-updated one. Off by default; the
-            default follows the pseudocode statement order where the
-            q-update sees the new p.
+            instead of the already-updated one, under either strategy.
+            Off by default; the default follows the pseudocode statement
+            order where the q-update sees the new p.
         strategy: "all" trains every feature at each triple visit;
-            "sequential" trains one feature at a time to completion,
-            shifting its contribution onto a cached residual pile before
-            moving to the next feature.
+            "sequential" trains one feature at a time to completion, with
+            momenta of its own, shifting its contribution onto a cached
+            residual pile before moving to the next feature, which leaves
+            it fixed.
+
+    Every field is checked here and a bad value raises ValidationError;
+    f must be an int >= 1 (metrics.check_count).
     """
 
     f: int = 2
@@ -87,8 +91,7 @@ class TrainConfig:
     strategy: str = "all"
 
     def __post_init__(self):
-        if self.f < 1:
-            raise ValueError(f"latent dimension must be >= 1, got {self.f}")
+        check_count(self.f, "latent dimension f")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValidationError(
                 f"learning rate must be finite and positive, got {self.alpha}"
@@ -98,15 +101,11 @@ class TrainConfig:
                 f"regularization must be finite and >= 0, got {self.lam}"
             )
         if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.optimizer not in optim.KINDS:
-            raise ValueError(
-                f"unknown optimizer {self.optimizer!r}; pick from {optim.KINDS}"
-            )
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; pick from {STRATEGIES}"
-            )
+            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        for name, value, kinds in (("optimizer", self.optimizer, optim.KINDS),
+                                   ("strategy", self.strategy, STRATEGIES)):
+            if value not in kinds:
+                raise ValidationError(f"unknown {name} {value!r}; pick from {kinds}")
 
 
 @dataclass
@@ -343,7 +342,11 @@ def _make_updaters(config, params_names):
     ]
 
 
-def _funk_train_all(config, users, items, ratings, pt, qt):
+def _funk_train_all(config, users, items, ratings, pt, qt, first=0):
+    """Move every feature of the row-major tables pt and qt at each visit
+    of a triple, with fresh momenta, toward ratings; returns the trace,
+    whose epochs are numbered from first. Sequential training runs it on
+    one-feature column views."""
     lam = config.lam
     step_p, step_q = _make_updaters(config, [(pt, "P"), (qt, "Q")])
     count = len(users)
@@ -359,57 +362,34 @@ def _funk_train_all(config, users, items, ratings, pt, qt):
                 raise GradientError("non-finite prediction error")
             g_p = lam * p - err * q
             if config.simultaneous:
-                g_q = lam * q - err * p
-                step_p(u, g_p)
-            else:
-                step_p(u, g_p)
-                g_q = lam * q - err * pt[u]
-            step_q(i, g_q)
+                p = p.copy()  # the q-update reads the pre-update p
+            step_p(u, g_p)
+            step_q(i, lam * q - err * p)
 
     def loss():
         return _rmse(ratings, np.einsum("tf,tf->t", pt[users], qt[items]))
 
-    return run_epochs(config, visit, loss)
+    return run_epochs(config, visit, loss, first)
 
 
 def _funk_train_sequential(config, users, items, ratings, pt, qt):
     """One feature at a time against cached residuals.
 
-    Feature k trains for the full epoch budget on the residual targets
-    left over from features 0..k-1, then its contribution is shifted onto
-    the pile. The trace logs the residual RMSE including the feature in
-    training, so the final entry is the usual full-model training RMSE.
-    Gradients outside the active feature are zero. Epochs are numbered
-    across features, so feature k's first epoch is k * config.epochs.
+    Feature k is a one-feature model, the column views pt[:, k:k+1] and
+    qt[:, k:k+1], which _funk_train_all trains for the full epoch budget,
+    with momenta of its own, on the residual targets left over from
+    features 0..k-1. Its contribution is then shifted onto the pile and
+    it stays fixed. The trace logs the residual RMSE including the feature
+    in training, so the final entry is the returned model's training RMSE.
+    Epochs are numbered across features, so feature k's first epoch is
+    k * config.epochs.
     """
-    lam = config.lam
-    f = config.f
-    step_p, step_q = _make_updaters(config, [(pt, "P"), (qt, "Q")])
     trace = []
-    count = len(users)
-    res = ratings.astype(float).copy()
-    for k in range(f):
-        def visit():
-            for t in range(count):
-                u = users[t]
-                i = items[t]
-                pk = pt[u, k]
-                qk = qt[i, k]
-                err = res[t] - pk * qk
-                if not math.isfinite(err):
-                    raise GradientError("non-finite prediction error")
-                g_p = np.zeros(f)
-                g_q = np.zeros(f)
-                g_p[k] = lam * pk - err * qk
-                step_p(u, g_p)
-                g_q[k] = lam * qk - err * pt[u, k]
-                step_q(i, g_q)
-
-        def loss():
-            return _rmse(res, pt[users, k] * qt[items, k])
-
-        trace += run_epochs(config, visit, loss, first=len(trace))
-        res = res - pt[users, k] * qt[items, k]
+    res = ratings.astype(float)
+    for k in range(config.f):
+        pk, qk = pt[:, k:k + 1], qt[:, k:k + 1]
+        trace += _funk_train_all(config, users, items, res, pk, qk, first=len(trace))
+        res = res - pk[users, 0] * qk[items, 0]
     return trace
 
 

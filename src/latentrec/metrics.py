@@ -11,7 +11,12 @@ array of item indices, and the base writes predict (the one-item case of
 scores, bit for bit) and recommend (one scores call over the user's
 unseen items, ranked by top_k) once for all of them. in_range checks
 such indices, and pair_scores scores aligned user/item pairs with one
-scores call per distinct user. neighbours picks every item neighbourhood
+scores call per distinct user. All three call scores under
+np.errstate(over="ignore", invalid="ignore"): finite but huge model
+entries may multiply to inf or nan without a numpy warning, and whoever
+needs a finite score checks it (recommend itself; rmse and mae;
+svdcf.round_to_scale; ensemble.stack_fit), raising ValidationError or
+ConditioningError. neighbours picks every item neighbourhood
 that itemcf and svdcf score from. check_count is the one rule for a
 count: a neighbourhood size, a list length or cutoff, a member count.
 """
@@ -173,8 +178,10 @@ class Scorer:
     """
 
     def predict(self, u, i):
-        """Predicted score of (u, i); the one-item case of scores."""
-        return float(self.scores(u, [i])[0])
+        """Predicted score of (u, i); the one-item case of scores. It may
+        be inf or nan, without a numpy warning (see the module doc)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.scores(u, [i])[0])
 
     def recommend(self, u, k):
         """Top-k items for user u outside seen(u), as top_k's (item,
@@ -182,15 +189,23 @@ class Scorer:
 
         Raises:
             IndexRangeError: u is not a user index.
-            ValueError: k < 1.
+            ValidationError: k is not a count, or a candidate's score is
+                not finite (naming the user and the first such item).
         """
         in_range(u, [], self.n_users, self.n_items)
         items = np.delete(np.arange(self.n_items), self.seen(u))
-        return top_k(items, self.scores(u, items), k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = self.scores(u, items)
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise ValidationError(f"non-finite score {scores[bad[0]]} for user index {u} "
+                                  f"at item index {items[bad[0]]}")
+        return top_k(items, scores, k)
 
 
 def pair_scores(model, users, items):
-    """model's score of each (users[t], items[t]) pair, in pair order.
+    """model's score of each (users[t], items[t]) pair, in pair order;
+    like Scorer.predict, a score may be inf or nan.
 
     users and items are aligned int arrays. One model.scores call per
     distinct user, over that user's items in pair order; the results are
@@ -198,9 +213,10 @@ def pair_scores(model, users, items):
     """
     out = np.empty(users.size)
     order = np.argsort(users, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(users[order])) + 1):
-        if rows.size:
-            out[rows] = model.scores(int(users[rows[0]]), items[rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in np.split(order, np.flatnonzero(np.diff(users[order])) + 1):
+            if rows.size:
+                out[rows] = model.scores(int(users[rows[0]]), items[rows])
     return out
 
 

@@ -649,6 +649,42 @@ class TestPredict:
         assert want in err
 
 
+def overflowing_funk_model(capsys, tmp_path):
+    """A trained funk file whose p and q are all 1e200: finite factors
+    whose products overflow to inf."""
+    model = train_fixture_model(capsys, tmp_path, "funk")
+    doc = json.loads(model_text(model))
+    block = doc["parameters"]
+    for key in ("p", "q"):
+        block[key] = _ready(_floats(np.full_like(_array(block[key], FORMAT_VERSION), 1e200)))
+    with open(model, "w") as handle:
+        json.dump(doc, handle)
+    return model
+
+
+class TestNonFiniteScores:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["predict", "{model}", "1", "3"], "cannot round non-finite value inf"),
+        (["recommend", "{model}", "1"],
+         "non-finite score inf for user index 0 at item index 2"),
+        (["evaluate", "{model}", "--test", "{data}"], "predictions and truths must be finite"),
+        (["ensemble", "vote", "{model}", "--user", "1"],
+         "ensemble member 0: non-finite score inf for user index 0 at item index 2"),
+        (["ensemble", "stack", "{model}", "--holdout", "{data}", "--output", "{out}"],
+         "member predictions contain non-finite values"),
+    ], ids=["predict", "recommend", "evaluate", "vote", "stack"])
+    def test_command_exits_3_without_a_warning(self, capsys, tmp_path, argv, message):
+        # before, numpy warned of the overflow (an error here) and
+        # recommend and vote ranked the inf scores and exited 0
+        model = overflowing_funk_model(capsys, tmp_path)
+        data = write_ratings(tmp_path)
+        out = str(tmp_path / "out.json")
+        code, stdout, err = run(capsys, *(a.format(model=model, data=data, out=out)
+                                          for a in argv))
+        assert (code, stdout, err) == (3, "", f"error: {message}\n")
+
+
 class TestRecommend:
     def test_missing_items_ranked_by_prediction(self, capsys, tmp_path):
         model = train_fixture_model(capsys, tmp_path)

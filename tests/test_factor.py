@@ -101,6 +101,20 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match="finite"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"f": 0}, "latent dimension f must be an int >= 1, got 0"),
+        ({"f": 1.5}, "latent dimension f must be an int >= 1, got 1.5"),
+        ({"f": True}, "latent dimension f must be an int >= 1, got True"),
+        ({"f": "2"}, "latent dimension f must be an int >= 1, got '2'"),
+        ({"epochs": -1}, "epochs must be >= 0, got -1"),
+        ({"optimizer": "newton"}, "unknown optimizer 'newton'"),
+        ({"strategy": "diagonal"}, "unknown strategy 'diagonal'"),
+    ])
+    def test_every_bad_value_raises_validation_error(self, kwargs, message):
+        with pytest.raises(ValidationError) as info:
+            TrainConfig(**kwargs)
+        assert str(info.value).startswith(message)
+
     def test_zero_epochs_allowed(self):
         assert TrainConfig(epochs=0).epochs == 0
 
@@ -339,6 +353,47 @@ class TestFunkTrain:
         ds = dataset_from_dense(np.array([[2.0, 0.0], [0.0, 3.0]]))
         model = funk_train(ds, TrainConfig(f=1, epochs=1))
         assert [s.tolist() for s in model.N] == [[0], [1]]
+
+
+OPTIMIZERS = ["sgd", "momentum", "adaptive"]
+
+
+class TestSequentialStrategy:
+    """Each feature is a one-feature model trained to completion with
+    momenta of its own, then left fixed."""
+
+    ds, _ = make_rank2_ratings(m=10, n=8, density=0.8, seed=5)
+
+    def train(self, f, optimizer, init=None, **extra):
+        cfg = TrainConfig(f=f, alpha=0.02, lam=0.01, epochs=6, seed=3,
+                          optimizer=optimizer, strategy="sequential", **extra)
+        return funk_train(self.ds, cfg, init=init)
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_a_finished_feature_stays_fixed(self, optimizer):
+        rng = np.random.default_rng(8)
+        p0, q0 = rng.random((2, self.ds.n_users)), rng.random((2, self.ds.n_items))
+        two = self.train(2, optimizer, init=(p0, q0))
+        one = self.train(1, optimizer, init=(p0[:1], q0[:1]))
+        assert np.array_equal(two.P[:1], one.P)
+        assert np.array_equal(two.Q[:1], one.Q)
+        assert two.trace[:6] == one.trace
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_last_trace_entry_is_the_models_training_rmse(self, optimizer):
+        model = self.train(2, optimizer)
+        users, items, ratings = self.ds.indexed()
+        preds = np.array([funk_predict(model, u, i) for u, i in zip(users, items)])
+        assert len(model.trace) == 2 * 6
+        assert model.trace[-1] == pytest.approx(
+            math.sqrt(np.mean((ratings - preds) ** 2)), rel=1e-12)
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_simultaneous_changes_a_sequential_run(self, optimizer):
+        plain = self.train(2, optimizer)
+        simultaneous = self.train(2, optimizer, simultaneous=True)
+        assert not np.array_equal(plain.P, simultaneous.P)
+        assert not np.array_equal(plain.Q, simultaneous.Q)
 
 
 class TestItemCfSimilarity:

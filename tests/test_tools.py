@@ -12,8 +12,8 @@ from tests.conftest import FOUR_BY_FOUR_CSV, model_text
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def load_tool(name, folder=TOOLS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -139,7 +139,8 @@ class TestTrainDigest:
         optimizers = ("sgd", "momentum", "adaptive")
         names = (
             [f"funk-{opt}-{variant}" for opt in optimizers
-             for variant in ("all", "all-simultaneous", "sequential")]
+             for variant in ("all", "all-simultaneous", "sequential",
+                             "sequential-simultaneous")]
             + [f"svdpp-{opt}{frozen}" for opt in optimizers for frozen in ("", "-freeze_y")]
             + [f"{algo}-{opt}-{loss}-{batch}" for algo in ("fm", "ffm") for opt in optimizers
                for loss in ("squared", "logistic") for batch in ("from_codes", "pack")]
@@ -153,3 +154,19 @@ class TestTrainDigest:
         # diverging case digests only its epoch, which two trainers may share
         trained = [d for name, d in digests.items() if not name.endswith("-diverges")]
         assert len(set(trained)) == len(trained)
+
+
+class TestTracer:
+    def test_install_replaces_every_patched_name_and_uninstall_restores_it(self):
+        # a patched name that is deleted or renamed in src fails install
+        tracer = load_tool("tracer", TOOLS.parent / "perfbench").Tracer()
+        try:
+            tracer.install()
+            patched = list(tracer._undo)
+            assert len(patched) >= 30
+            for owner, attr, original in patched:
+                assert getattr(owner, attr) is not original, (owner, attr)
+        finally:
+            tracer.uninstall()
+        for owner, attr, original in patched:
+            assert getattr(owner, attr) is original, (owner, attr)

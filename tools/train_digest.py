@@ -85,12 +85,8 @@ def cases():
         return one_hot_batch(sampled if loss == "logistic" else explicit)
 
     out = []
-    # the sequential strategy moves one scalar of p and q at a time and
-    # reads no simultaneous flag
     for opt, strategy, simultaneous in itertools.product(
             OPTIMIZERS, ("all", "sequential"), (False, True)):
-        if strategy == "sequential" and simultaneous:
-            continue
         name = f"funk-{opt}-{strategy}" + "-simultaneous" * simultaneous
         out.append((name, lambda c=config(opt, strategy=strategy, simultaneous=simultaneous):
                     funk_train(explicit, c)))

@@ -75,7 +75,7 @@ class TrainConfig:
             it fixed.
 
     Every field is checked here and a bad value raises ValidationError;
-    f must be an int >= 1 (metrics.check_count).
+    f must be an int >= 1 and epochs an int >= 0 (metrics.check_count).
     """
 
     f: int = 2
@@ -100,8 +100,7 @@ class TrainConfig:
             raise ValidationError(
                 f"regularization must be finite and >= 0, got {self.lam}"
             )
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        check_count(self.epochs, "epochs", low=0)
         for name, value, kinds in (("optimizer", self.optimizer, optim.KINDS),
                                    ("strategy", self.strategy, STRATEGIES)):
             if value not in kinds:

@@ -22,6 +22,7 @@ count: a neighbourhood size, a list length or cutoff, a member count.
 """
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -38,7 +39,13 @@ from .errors import IndexRangeError, NoDataError, ShapeError, ValidationError
 SORT_ROWS = 32
 
 
-def _paired(preds, truth):
+def _error(name, preds, truth, reduce):
+    """reduce(p - t) over aligned finite pairs, as a float.
+
+    Finite pairs far apart can overflow the float range on the way (a
+    square, a sum): that happens without a numpy warning and raises
+    ValidationError, as non-finite pairs do.
+    """
     p = np.asarray(preds, dtype=float).ravel()
     t = np.asarray(truth, dtype=float).ravel()
     if p.size != t.size:
@@ -47,7 +54,11 @@ def _paired(preds, truth):
         raise NoDataError("no prediction pairs to score")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
         raise ValidationError("predictions and truths must be finite")
-    return p, t
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(reduce(p - t))
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} overflows: the predictions lie too far from the truths")
+    return value
 
 
 def rmse(preds, truth):
@@ -55,14 +66,12 @@ def rmse(preds, truth):
 
     Raises NoDataError when the pair set is empty.
     """
-    p, t = _paired(preds, truth)
-    return float(np.sqrt(np.mean((p - t) ** 2)))
+    return _error("rmse", preds, truth, lambda d: np.sqrt(np.mean(d ** 2)))
 
 
 def mae(preds, truth):
     """Mean absolute error over aligned pairs."""
-    p, t = _paired(preds, truth)
-    return float(np.mean(np.abs(p - t)))
+    return _error("mae", preds, truth, lambda d: np.mean(np.abs(d)))
 
 
 def _item_only(entry):
@@ -138,13 +147,13 @@ def top_k(items, scores, k):
     return list(zip(items[order].tolist(), scores[order].tolist()))
 
 
-def check_count(k, name, optional=False):
-    """Raise ValidationError naming k unless it is a count: an int >= 1
-    and not a bool, or with optional also None."""
+def check_count(k, name, optional=False, low=1):
+    """Raise ValidationError naming k unless it is a count: an int >= low
+    (1 unless given) and not a bool, or with optional also None."""
     if optional and k is None:
         return
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ValidationError(f"{name} must be {'None or ' * optional}an int >= 1, got {k!r}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < low:
+        raise ValidationError(f"{name} must be {'None or ' * optional}an int >= {low}, got {k!r}")
 
 
 def neighbours(sims, targets, k):
@@ -190,7 +199,9 @@ class Scorer:
         Raises:
             IndexRangeError: u is not a user index.
             ValidationError: k is not a count, or a candidate's score is
-                not finite (naming the user and the first such item).
+                not finite. The message names the user and the first such
+                item by index; the error keeps those words as where and the
+                item as item, so ModelBundle.recommend can name the tokens.
         """
         in_range(u, [], self.n_users, self.n_items)
         items = np.delete(np.arange(self.n_items), self.seen(u))
@@ -198,8 +209,10 @@ class Scorer:
             scores = self.scores(u, items)
         bad = np.flatnonzero(~np.isfinite(scores))
         if bad.size:
-            raise ValidationError(f"non-finite score {scores[bad[0]]} for user index {u} "
-                                  f"at item index {items[bad[0]]}")
+            where = f"user index {u} at item index {items[bad[0]]}"
+            error = ValidationError(f"non-finite score {scores[bad[0]]} for {where}")
+            error.where, error.item = where, int(items[bad[0]])
+            raise error
         return top_k(items, scores, k)
 
 

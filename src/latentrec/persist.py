@@ -1,7 +1,7 @@
 """Model files: save and load every trained model type.
 
 README's model-file paragraph is the one full account of the format
-(format_version 7). What the code here relies on:
+(format_version 8). What the code here relies on:
 
 - A file is one compact, key-sorted JSON line in a single gzip member
   (level GZIP_LEVEL, mtime 0). A file without the gzip magic bytes is
@@ -16,8 +16,8 @@ README's model-file paragraph is the one full account of the format
   block is made.
 - FIELDS is the one statement of each algorithm's parameter block:
   _parameters writes it and _model_from reads it, checking each scalar's
-  JSON kind, by walking that table. Only svd's factors, itemcf's ratings
-  and fm/ffm's observed lists have a branch of their own.
+  JSON kind, by walking that table. Only svd's factors, itemcf's ratings,
+  fm/ffm's observed lists and ffm's v have a branch of their own.
 - A file stores only what a model cannot rebuild: loading rebuilds svd
   r_star and mask with the function training used, so saving refuses an
   r_star that does not follow from the stored factors. An itemcf model
@@ -39,6 +39,13 @@ README's model-file paragraph is the one full account of the format
 - From version 7 an fm or ffm member block stores no encoder: load
   derives it with one_hot_layout. Versions 1 to 6 store it, and load only
   when it is that layout.
+- From version 8 an ffm member's v is its cross-field table, shaped like
+  an fm v: row j is V[j, 1 - field(j)], field 0 for the user block (the
+  first len(user_tokens) + 1 features, reserved slot included) and 1 for
+  the item block. A one-hot pair (a, b) scores V[a, field(b)].V[b,
+  field(a)], so a feature never meets its own field and the same-field
+  vectors enter no score: load sets them to 0.0. Versions 1 to 7 store
+  the whole (dimension, 2, k) V.
 - The header holds the user and item tokens as two lists in index order
   (from version 6; before, as token -> index maps); ModelBundle keeps
   its index maps, built from the lists on load.
@@ -77,13 +84,14 @@ from .linalg import SvdResult
 from .metrics import Scorer, in_range
 from .svdcf import SvdCfModel, reconstruct
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 # version 1 stored the svd block as the dense r_star and mask; version 2
 # stored the itemcf weights "w"; versions 1-3 store floats as nested lists,
 # and version 4 float blocks hold their bytes value by value; versions 1-5
 # store token index maps and per-user lists as nested lists; versions 1-6
-# store each fm/ffm member's encoder, which later ones derive
-READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, FORMAT_VERSION)
+# store each fm/ffm member's encoder, which later ones derive; versions 1-7
+# store each ffm member's whole V, where later ones store its cross-field table
+READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7, FORMAT_VERSION)
 # the one dtype of a float block: little-endian IEEE 754 binary64
 FLOAT_DTYPE = "<f8"
 # each algorithm's parameter block as (file key, model field, kind): a
@@ -100,8 +108,8 @@ FIELDS = {
     "itemcf": (("k", "K", "int"), ("ratings", "ratings", "items")),
     "fm": (("w0", "w0", "number"), ("w", "w", "floats"), ("v", "V", "floats"),
            ("k", "k", "int")),
-    "ffm": (("w0", "w0", "number"), ("w", "w", "floats"), ("v", "V", "floats"),
-            ("k", "k", "int"), ("n_fields", "n_fields", "int")),
+    "ffm": (("w0", "w0", "number"), ("w", "w", "floats"), ("k", "k", "int"),
+            ("n_fields", "n_fields", "int")),
 }
 ALGORITHMS = (*FIELDS, "ensemble")
 # list items or dict entries that one json.dumps call encodes; float
@@ -222,9 +230,19 @@ class ModelBundle:
         return self.scorer.predict(*self.indices(user, item))
 
     def recommend(self, user, k):
-        """Top-k unseen items for a user token as (item token, score)."""
+        """Top-k unseen items for a user token as (item token, score).
+
+        Raises ValidationError for an unknown user, a k that is not a
+        count, or a score that is not finite, which it names by the user's
+        and the item's tokens (a member's too, in a vote)."""
         u = self._lookup(self.user_index, user, "user")
-        ranked = self.scorer.recommend(u, k)
+        try:
+            ranked = self.scorer.recommend(u, k)
+        except ValidationError as exc:
+            if hasattr(exc, "where"):  # a non-finite score, placed by index
+                tokens = f"user {str(user)!r} at item {self._item_tokens[exc.item]!r}"
+                exc.args = (str(exc).replace(exc.where, tokens),)
+            raise
         return [(self._item_tokens[i], float(score)) for i, score in ranked]
 
     @staticmethod
@@ -287,9 +305,7 @@ def _token_list(tokens, name):
 
 def _encoder_from(doc):
     """The encoder a version 1-6 fm/ffm member block stores."""
-    return EncoderSpec(
-        [(c["name"], c["kind"], c["categories"]) for c in doc["columns"]]
-    )
+    return EncoderSpec([(c["name"], c["kind"], c["categories"]) for c in doc["columns"]])
 
 
 # the JSON types each scalar kind accepts (a bool is not an int)
@@ -307,7 +323,23 @@ _MODELS = {
 }
 
 
-def _parameters(algorithm, model, observed=None):
+def _cross_fields(V, n_users):
+    """The cross-field table of an ffm V over the one-hot layout: row j is
+    V[j, 1], the vector feature j meets the item field with, in the user
+    block (n_users + 1 features) and V[j, 0] in the item block."""
+    return np.concatenate((V[:n_users + 1, 1], V[n_users + 1:, 0]))
+
+
+def _from_cross_fields(table, n_users):
+    """The (dimension, 2, k) V of a (dimension, k) cross-field table: the
+    table's rows in the cross-field blocks, 0.0 in the same-field blocks
+    no score reads. A table of another rank gives a V FfmModel refuses."""
+    V = np.zeros((len(table), 2, *table.shape[1:]))
+    V[:n_users + 1, 1], V[n_users + 1:, 0] = table[:n_users + 1], table[n_users + 1:]
+    return V
+
+
+def _parameters(algorithm, model, n_users, observed=None):
     block = {key: _WRITERS[kind](getattr(model, name))
              for key, name, kind in FIELDS[algorithm]}
     if algorithm == "svd" and model.factors is None:
@@ -321,6 +353,8 @@ def _parameters(algorithm, model, observed=None):
                                                 *model.mask.shape).form()
     elif algorithm in ("fm", "ffm"):
         block["observed"] = _WRITERS["items"](observed)
+    if algorithm == "ffm":
+        block["v"] = _floats(_cross_fields(model.V, n_users))
     return block
 
 
@@ -340,7 +374,7 @@ def _field(kind, value, version, key):
     return value
 
 
-def _model_from(algorithm, block, n_items, version):
+def _model_from(algorithm, block, n_users, n_items, version):
     fields = {name: _field(kind, block[key], version, key)
               for key, name, kind in FIELDS[algorithm]}
     if algorithm == "svd" and "r_star" in block:  # version 1, or built without factors
@@ -358,6 +392,9 @@ def _model_from(algorithm, block, n_items, version):
         mask = np.zeros(shape)
         mask[rated.rows(), rated.items] = 1.0
         fields.update(r_star=reconstruct(factors), mask=mask, factors=factors)
+    elif algorithm == "ffm":
+        v = _array(block["v"], version)
+        fields["V"] = v if version < 8 else _from_cross_fields(v, n_users)
     elif algorithm == "itemcf":
         if fields["ratings"] is None:
             raise ValueError("itemcf ratings must be one list per user, got null")
@@ -379,7 +416,7 @@ def _member(member, user_tokens, item_tokens):
     it, for the given token lists: a trained svd, funk, svdpp or itemcf
     model, or the IndexedModel of an fm or ffm machine. Its tables must
     hold one row per token and, for fm or ffm, its encoder must be
-    fm.one_hot_layout of the tokens, the one a version 7 file implies.
+    fm.one_hot_layout of the tokens, the one a file implies from version 7.
     Raises PersistenceError."""
     model = member.model if isinstance(member, IndexedModel) else member
     algorithm = model.kind if isinstance(model, FactorModel) else _TAGS.get(type(model))
@@ -407,15 +444,17 @@ def _member_doc(member, user_tokens, item_tokens):
             np.array_equal, (member.user_features, member.item_features),
             one_hot_features(model, encoder, user_tokens, item_tokens))):
         raise PersistenceError(f"{algorithm} member was built for another token order")
-    return {"algorithm": algorithm, "parameters": _parameters(algorithm, model, observed)}
+    return {"algorithm": algorithm,
+            "parameters": _parameters(algorithm, model, len(user_tokens), observed)}
 
 
 def _member_from(doc, user_tokens, item_tokens, version):
     """The model, encoder and observed lists of a member block, as
     ModelBundle takes them; the last two only for fm and ffm, whose
-    encoder a version 7 block implies and earlier ones store."""
+    encoder a block implies from version 7 and stores before it."""
     algorithm, block = doc["algorithm"], doc["parameters"]
-    parts = {"model": _model_from(algorithm, block, len(item_tokens), version)}
+    parts = {"model": _model_from(algorithm, block, len(user_tokens), len(item_tokens),
+                                  version)}
     if algorithm in ("fm", "ffm"):
         parts["encoder"] = (one_hot_layout(user_tokens, item_tokens) if version >= 7
                             else _encoder_from(doc["encoder"]))
@@ -433,9 +472,7 @@ def _members(bundle):
 def _document(bundle):
     """The bundle's document with float block data still arrays; runs every
     check and fills a creation timestamp."""
-    created = bundle.created or datetime.now(timezone.utc).isoformat(
-        timespec="seconds"
-    )
+    created = bundle.created or datetime.now(timezone.utc).isoformat(timespec="seconds")
     tokens = (bundle._user_tokens, bundle._item_tokens)
     doc = {
         "format_version": FORMAT_VERSION,
@@ -570,7 +607,10 @@ def load_model(path):
     versions 1-3. Token lists and gap-coded per-user lists are read from
     version 6, token index maps and nested per-user lists before it. An
     fm or ffm member's encoder is fm.one_hot_layout of the token lists
-    from version 7, and read from its block before it.
+    from version 7, and read from its block before it. An ffm member's V
+    is read whole before version 8; from version 8 its cross-field table
+    is read into the cross-field blocks, and the same-field blocks, which
+    no score reads, are 0.0.
 
     Raises PersistenceError for a file that cannot be read, a gzip stream
     that is corrupt, truncated or followed by other bytes, a document
@@ -590,7 +630,8 @@ def load_model(path):
     an fm or ffm block before version 7 without its encoder, or whose
     encoder is not fm.one_hot_layout of the token lists; a machine that
     does not fit its encoder (fm.one_hot_features: the dimension, and two
-    fields for ffm); an svd,
+    fields for ffm; from version 8, an ffm v that is not a (dimension,
+    k) table); an svd,
     funk, svdpp or itemcf table that does not fit the token lists; a
     float array of version 4 or later that is not a block of dtype "<f8"
     whose base64 data holds exactly its shape's product of 8-byte values;

@@ -8,6 +8,7 @@ prediction 1.4 for cell (3, 2)) were derived from these matrices by hand
 and cross-checked with an independent implementation.
 """
 
+import base64
 import gzip
 import json
 import re
@@ -246,11 +247,42 @@ def edit_rows(form, edit):
     return form_of(rows, valued="values" in form)
 
 
+def block_array(block, planes=True):
+    """The array a "<f8" float block holds, its bytes in byte planes (from
+    format 5) or, with planes=False, value by value (format 4); decoded
+    apart from the code under test."""
+    raw = np.frombuffer(base64.b64decode(block["data"]), np.uint8)
+    values = raw.reshape(8, -1).T.copy() if planes else raw
+    return values.view("<f8").reshape(block["shape"])
+
+
+def array_block(a, planes=True):
+    """The "<f8" float block of array a, the inverse of block_array."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    raw = a.reshape(-1).view(np.uint8)
+    data = raw.reshape(-1, 8).T.tobytes() if planes else raw.tobytes()
+    return {"data": base64.b64encode(data).decode("ascii"), "dtype": "<f8",
+            "shape": list(a.shape)}
+
+
+def whole_ffm_v(block, n_users):
+    """The float block of the (dimension, 2, k) V that a version 1-7 file
+    stores for the cross-field table in block: row j of the table goes to
+    V[j, 1] in the user block (its first n_users + 1 features) and to
+    V[j, 0] in the item block, and the same-field blocks are 0.0."""
+    table = block_array(block)
+    v = np.zeros((len(table), 2, table.shape[1]))
+    v[:n_users + 1, 1], v[n_users + 1:, 0] = table[:n_users + 1], table[n_users + 1:]
+    return array_block(v)
+
+
 def with_encoders(doc, version=6):
     """A current model document as version (6 or earlier) stores its fm
     and ffm members: each such member block holds the encoder its token
     lists imply, a categorical user column then an item column, each
-    listing its role's tokens in sorted order. Nothing else changes."""
+    listing its role's tokens in sorted order, and each ffm member's v is
+    the whole V (whole_ffm_v) in place of its cross-field table. Nothing
+    else changes."""
     doc = json.loads(json.dumps(doc))
     doc["format_version"] = version
     for member in doc["ensemble"]["members"] if "ensemble" in doc else [doc]:
@@ -259,4 +291,7 @@ def with_encoders(doc, version=6):
                 {"name": role, "kind": "categorical",
                  "categories": sorted(doc[f"{role}_tokens"])}
                 for role in ("user", "item")]}
+        if member["algorithm"] == "ffm":
+            block = member["parameters"]
+            block["v"] = whole_ffm_v(block["v"], len(doc["user_tokens"]))
     return doc

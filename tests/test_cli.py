@@ -10,6 +10,7 @@ import json
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -667,10 +668,10 @@ class TestNonFiniteScores:
     @pytest.mark.parametrize("argv, message", [
         (["predict", "{model}", "1", "3"], "cannot round non-finite value inf"),
         (["recommend", "{model}", "1"],
-         "non-finite score inf for user index 0 at item index 2"),
+         "non-finite score inf for user '1' at item '3'"),
         (["evaluate", "{model}", "--test", "{data}"], "predictions and truths must be finite"),
         (["ensemble", "vote", "{model}", "--user", "1"],
-         "ensemble member 0: non-finite score inf for user index 0 at item index 2"),
+         "ensemble member 0: non-finite score inf for user '1' at item '3'"),
         (["ensemble", "stack", "{model}", "--holdout", "{data}", "--output", "{out}"],
          "member predictions contain non-finite values"),
     ], ids=["predict", "recommend", "evaluate", "vote", "stack"])
@@ -683,6 +684,70 @@ class TestNonFiniteScores:
         code, stdout, err = run(capsys, *(a.format(model=model, data=data, out=out)
                                           for a in argv))
         assert (code, stdout, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.fixture(scope="module")
+def huge_entry_models(tmp_path_factory):
+    """Folder and documents of funk, svdpp, fm, ffm and blend files trained
+    on the 4x4 example (the blend over the four others), with the ratings
+    CSV beside them."""
+    folder = tmp_path_factory.mktemp("huge-entries")
+    ratings = write_ratings(folder)
+    algos = ("funk", "svdpp", "fm", "ffm")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for algo in algos:
+            assert main(["train", "--algo", algo, "--input", ratings,
+                         "--output", str(folder / algo), "--epochs", "3"]) == 0
+        assert main(["ensemble", "blend", "--output", str(folder / "blend"),
+                     *(str(folder / algo) for algo in algos)]) == 0
+    return folder, {name: json.loads(model_text(folder / name)) for name in (*algos, "blend")}
+
+
+def float_blocks(value):
+    """Every float block of a model document, member blocks included."""
+    if isinstance(value, dict) and "dtype" in value:
+        yield value
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from float_blocks(item)
+
+
+class TestHugeEntries:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_commands_exit_0_with_finite_output_or_3(self, huge_entry_models, data):
+        # every float block of the file scaled so that its largest entry
+        # is +-1e150 to 1e300: scores may overflow to inf or turn nan
+        folder, docs = huge_entry_models
+        doc = json.loads(json.dumps(docs[data.draw(st.sampled_from(sorted(docs)), label="file")]))
+        for block in float_blocks(doc):
+            a = _array(block, FORMAT_VERSION)
+            peak = np.abs(a).max(initial=0.0)
+            if peak > 0:
+                scale = data.draw(st.integers(150, 300), label="exponent")
+                sign = data.draw(st.sampled_from([1, -1]), label="sign")
+                block.update(_ready(_floats(a * (sign * 10.0 ** scale / peak))))
+        target = folder / "huge.json"
+        target.write_text(json.dumps(doc))
+        user = data.draw(st.sampled_from(doc["user_tokens"]), label="user")
+        item = data.draw(st.sampled_from(doc["item_tokens"]), label="item")
+        ratings = str(folder / "ratings.csv")
+        for argv in (["predict", str(target), user, item],
+                     ["recommend", str(target), user, "--k", "4"],
+                     ["evaluate", str(target), "--test", ratings, "--k", "2"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy warning would exit 1
+                code = main(argv)
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 3), (argv[0], code, err)
+            if code == 0:
+                assert err == "" and out, argv[0]
+                assert "inf" not in out.lower() and "nan" not in out.lower(), (argv[0], out)
+            else:
+                assert out == "" and err.startswith("error: "), (argv[0], out, err)
+                assert len(err.splitlines()) == 1, (argv[0], err)
 
 
 class TestRecommend:

@@ -106,7 +106,10 @@ class TestTrainConfig:
         ({"f": 1.5}, "latent dimension f must be an int >= 1, got 1.5"),
         ({"f": True}, "latent dimension f must be an int >= 1, got True"),
         ({"f": "2"}, "latent dimension f must be an int >= 1, got '2'"),
-        ({"epochs": -1}, "epochs must be >= 0, got -1"),
+        ({"epochs": -1}, "epochs must be an int >= 0, got -1"),
+        ({"epochs": 2.5}, "epochs must be an int >= 0, got 2.5"),
+        ({"epochs": True}, "epochs must be an int >= 0, got True"),
+        ({"epochs": "3"}, "epochs must be an int >= 0, got '3'"),
         ({"optimizer": "newton"}, "unknown optimizer 'newton'"),
         ({"strategy": "diagonal"}, "unknown strategy 'diagonal'"),
     ])

@@ -52,12 +52,15 @@ from latentrec.persist import (
 )
 from tests.conftest import (
     FOUR_BY_FOUR_CSV,
+    array_block,
+    block_array,
     dataset_from_dense,
     edit_rows,
     form_of,
     make_rank2_ratings,
     model_text,
     rows_of,
+    whole_ffm_v,
     with_encoders,
     without_created,
 )
@@ -131,8 +134,8 @@ def assert_predictions_match(before, after, ds, tol=1e-12):
 def old_layout(doc, version):
     """A current document laid out as version (5 or earlier) stores its
     header, per-user lists and fm/ffm members: token index maps, nested
-    per-user lists, and each machine's encoder. Float blocks are left as
-    they are."""
+    per-user lists, each machine's encoder and each ffm member's whole V
+    (with_encoders). Other float blocks are left as they are."""
     doc = with_encoders(doc, version)
     for role in ("user", "item"):
         doc[f"{role}_index"] = {token: at for at, token in
@@ -538,7 +541,7 @@ class TestFileFormat:
     def test_header_fields(self):
         bundle, _ = funk_bundle()
         doc = document(bundle)
-        assert doc["format_version"] == FORMAT_VERSION == 7
+        assert doc["format_version"] == FORMAT_VERSION == 8
         assert doc["algorithm"] == "funk"
         assert doc["created"]
         assert doc["scale"] == [1.0, 5.0]
@@ -625,6 +628,20 @@ class TestFileFormat:
         del doc["parameters"]
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed"):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [7, 8])
+    def test_ffm_v_of_the_other_version_rejected(self, tmp_path, version):
+        # version 8 stores the (dimension, k) cross-field table and earlier
+        # versions the whole (dimension, 2, k) V; each is refused in the other
+        bundle, ds = fm_bundle("ffm")
+        doc = document(bundle)
+        if version == 8:
+            doc["parameters"]["v"] = whole_ffm_v(doc["parameters"]["v"], ds.n_users)
+        doc["format_version"] = version
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="malformed.*V must be shaped"):
             load_model(path)
 
     @pytest.mark.parametrize("algo", ["fm", "ffm"])
@@ -1514,8 +1531,19 @@ class TestServingObject:
         assert len(calls) == 1
 
 
-def float_arrays(model):
-    """Every float array a model holds, by name."""
+def ffm_blocks(V, n_users):
+    """(cross-field table, same-field vectors) of an ffm V over the one-hot
+    layout, whose user block is its first n_users + 1 features: row j of
+    the table is V[j, 1] in the user block and V[j, 0] in the item block,
+    and the same-field vectors are the other halves."""
+    user, item = V[:n_users + 1], V[n_users + 1:]
+    return (np.concatenate((user[:, 1], item[:, 0])),
+            np.concatenate((user[:, 0], item[:, 1])))
+
+
+def float_arrays(model, n_users):
+    """Every float array a model file stores, by name; an ffm model's V as
+    its cross-field table (ffm_blocks), as a file stores it from format 8."""
     if isinstance(model, svdcf.SvdCfModel):
         arrays = {"r_star": model.r_star, "mask": model.mask}
         if model.factors is not None:
@@ -1528,6 +1556,8 @@ def float_arrays(model):
         return arrays
     if isinstance(model, ItemCfModel):
         return {"w": model.W}
+    if isinstance(model, FfmModel):
+        return {"w": model.w, "v": ffm_blocks(model.V, n_users)[0]}
     return {"w": model.w, "v": model.V}
 
 
@@ -1566,10 +1596,13 @@ class TestExactReload:
         loaded = load_model(first)
         before, after = itemcf_models(bundle), itemcf_models(loaded)
         for old, new in zip(before, after):
-            old_arrays, new_arrays = float_arrays(old), float_arrays(new)
+            old_arrays, new_arrays = float_arrays(old, ds.n_users), float_arrays(new, ds.n_users)
             assert old_arrays.keys() == new_arrays.keys()
             for name, a in old_arrays.items():
                 assert new_arrays[name].tobytes() == a.tobytes(), name
+            # the same-field vectors no score reads are not stored
+            if isinstance(new, FfmModel):
+                assert (ffm_blocks(new.V, ds.n_users)[1] == 0.0).all()
         assert_predictions_match(bundle, loaded, ds, tol=0.0)
         for user in ds.user_index:  # ensembles recommend by member vote
             assert loaded.recommend(user, ds.n_items) == \
@@ -1636,7 +1669,10 @@ def current_layout(doc):
     """A version 4 or 5 document with the header, per-user lists and
     members of the current version: each index map as its tokens in index
     order, each per-user list in its gap-coded form, and no fm or ffm
-    encoder. Float blocks are left as they are."""
+    encoder, and each ffm member's v as the cross-field table of its V
+    (ffm_table), in the byte order of the document's version. Other float
+    blocks are left as they are."""
+    planes = doc["format_version"] >= 5
     doc["format_version"] = FORMAT_VERSION
     for role in ("user", "item"):
         index = doc.pop(f"{role}_index")
@@ -1646,7 +1682,15 @@ def current_layout(doc):
         block = member["parameters"]
         for key in {"rated", "ratings", "observed"} & set(block):
             block[key] = form_of(block[key], valued=key == "ratings")
+        if member["algorithm"] == "ffm":
+            block["v"] = ffm_table(block["v"], len(doc["user_tokens"]), planes)
     return doc
+
+
+def ffm_table(block, n_users, planes=True):
+    """The float block of the cross-field table (ffm_blocks) of the ffm V
+    in block, both in byte planes or, with planes=False, value by value."""
+    return array_block(ffm_blocks(block_array(block, planes), n_users)[0], planes)
 
 
 class TestFormat3File:
@@ -1673,6 +1717,8 @@ class TestFormat3File:
         for before, after in pairs:
             for key in FLOAT_KEYS & set(before["parameters"]):
                 stored = np.array(before["parameters"][key], dtype=float)
+                if (before["algorithm"], key) == ("ffm", "v"):  # stored as its table
+                    stored = ffm_blocks(stored, len(bundle.user_index))[0]
                 assert np.array_equal(_array(after["parameters"][key], FORMAT_VERSION),
                                       stored)
                 compared += 1
@@ -1756,18 +1802,55 @@ class TestFormat6File:
         bundle = load_model(path)
         assert_stored_predictions(bundle, "format6_blend_predictions.json")
         # saved again, the file inflates to the version 6 text at the
-        # current version without the two encoder blocks
+        # current version without the two encoder blocks, with the ffm V
+        # as its cross-field table
         again = save_model(bundle, tmp_path / "again.json")
         old["format_version"] = FORMAT_VERSION
         members = old["ensemble"]["members"]
         assert [member["algorithm"] for member in members if member.pop("encoder", None)] \
             == ["fm", "ffm"]
+        members[5]["parameters"]["v"] = ffm_table(members[5]["parameters"]["v"],
+                                                  len(old["user_tokens"]))
         assert model_text(again) == json.dumps(
             old, sort_keys=True, separators=(",", ":")) + "\n"
         reloaded = load_model(again)
         assert_stored_predictions(reloaded, "format6_blend_predictions.json")
         assert [m.encoder for m in reloaded.model.members[4:6]] == \
             [m.encoder for m in bundle.model.members[4:6]]
+
+
+class TestFormat7File:
+    """format7_blend.json is a gzip-compressed format_version 7 file,
+    written by the version 7 code when it loaded format6_blend.json and
+    saved it again: the same seven members, with no encoder blocks and
+    the whole (dimension, 2, k) V of the ffm member. Beside it are the
+    predictions of each member and of the blend for every (user, item)
+    index pair, and each user's top-3 vote, that the version 7 code
+    computed from the file it had written.
+    """
+
+    def test_loads_and_predicts_bit_for_bit(self, tmp_path):
+        path = FIXTURES / "format7_blend.json"
+        old = json.loads(model_text(path))
+        assert old["format_version"] == 7
+        bundle = load_model(path)
+        assert_stored_predictions(bundle, "format7_blend_predictions.json")
+        # saved again, the file inflates to the version 7 text at the
+        # current version with each ffm v the cross-field table of its V
+        again = save_model(bundle, tmp_path / "again.json")
+        old["format_version"] = FORMAT_VERSION
+        tables = 0
+        for member in old["ensemble"]["members"]:
+            if member["algorithm"] == "ffm":
+                block = member["parameters"]
+                assert block["v"]["shape"][1] == 2
+                block["v"] = ffm_table(block["v"], len(old["user_tokens"]))
+                tables += 1
+        assert tables == 1
+        assert model_text(again) == json.dumps(
+            old, sort_keys=True, separators=(",", ":")) + "\n"
+        reloaded = load_model(again)
+        assert_stored_predictions(reloaded, "format7_blend_predictions.json")
 
 
 class TestGzipContainer:

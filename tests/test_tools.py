@@ -101,6 +101,29 @@ class TestModelSizes:
         assert [line.split()[:3] for line in lines if "encoder" in line] == \
             [["member", "4", "encoder"], ["member", "5", "encoder"]]
 
+    def test_ffm_v_shows_the_shape_each_format_stores(self, tmp_path, capsys):
+        # from format 8 an ffm v is its (dimension, k) cross-field table;
+        # format 6 stored the whole (dimension, 2, k) V
+        model_sizes = load_tool("model_sizes")
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(FOUR_BY_FOUR_CSV)
+        ffm = tmp_path / "ffm"
+        assert main(["train", "--algo", "ffm", "--input", str(ratings), "--output", str(ffm),
+                     "--epochs", "2", "--factors", "3"]) == 0
+        old = Path(__file__).resolve().parent / "fixtures" / "format6_blend.json"
+        capsys.readouterr()
+        assert model_sizes.main([str(ffm), str(old)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        shapes = {" ".join(line.split()[:-3]): line.split()[-3] for line in lines
+                  if line.startswith("  ")}
+        assert json.loads(model_text(ffm))["format_version"] == 8
+        # 4 users and 4 items, each block with its reserved slot
+        assert shapes["parameters.v"] == "[10,3]"
+        assert shapes["parameters.w"] == "[10]"
+        assert shapes["parameters.k"] == "-"
+        assert shapes["member 5 parameters.v"] == "[10,2,2]"
+        assert shapes["member 4 parameters.v"] == "[10,2]"
+
     def test_without_files_prints_usage(self, capsys):
         assert load_tool("model_sizes").main([]) == 2
         assert "model_sizes.py" in capsys.readouterr().err

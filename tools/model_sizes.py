@@ -2,12 +2,13 @@
 
 For each file, one line per section of the JSON document: each header
 key, each key of every member's parameter block and each member's
-encoder (an ensemble's members are numbered in order), with the section's
-compact JSON size ("raw") and that text deflated on its own at the level
-model files use ("deflated"). Deflating a section alone loses the matches
-deflate finds across sections, so the deflated column sums to a little
-more than the document deflated whole, which the "document" line gives
-beside the file's own size.
+encoder (an ensemble's members are numbered in order), with the shape of
+a float block as one token such as [802,8] ("-" for any other section),
+the section's compact JSON size ("raw") and that text deflated on its
+own at the level model files use ("deflated"). Deflating a section alone
+loses the matches deflate finds across sections, so the deflated column
+sums to a little more than the document deflated whole, which the
+"document" line gives beside the file's own size.
 
     python tools/model_sizes.py model.json [more.json ...]
 
@@ -54,17 +55,26 @@ def sections(doc):
             yield f"{prefix}encoder", member["encoder"]
 
 
+def shape(value):
+    """The shape of a float block (format 4 on) as one token, or "-"."""
+    if isinstance(value, dict) and "dtype" in value:
+        return "[" + ",".join(map(str, value["shape"])) + "]"
+    return "-"
+
+
 def report(path):
     """The lines printed for one model file."""
     data = Path(path).read_bytes()
     text = gzip.decompress(data) if data[:2] == b"\x1f\x8b" else data
-    rows = [(name, len(compact(value)), deflated(compact(value)))
+    rows = [(name, shape(value), len(compact(value)), deflated(compact(value)))
             for name, value in sections(json.loads(text))]
-    width = max(len(name) for name, _, _ in rows + [("document", 0, 0)])
+    rows.append(("document", "-", len(text), deflated(text)))
+    width = max(len(name) for name, *_ in rows)
+    shapes = max(len(row[1]) for row in rows + [("", "shape")])
     lines = [f"{path}: {len(data)} bytes on disk",
-             f"  {'section':<{width}}  {'raw':>9}  {'deflated':>9}"]
-    lines += [f"  {name:<{width}}  {raw:>9}  {packed:>9}" for name, raw, packed in rows]
-    lines.append(f"  {'document':<{width}}  {len(text):>9}  {deflated(text):>9}")
+             f"  {'section':<{width}}  {'shape':<{shapes}}  {'raw':>9}  {'deflated':>9}"]
+    lines += [f"  {name:<{width}}  {kind:<{shapes}}  {raw:>9}  {packed:>9}"
+              for name, kind, raw, packed in rows]
     return lines
 
 

@@ -2,13 +2,16 @@
 token queries.
 
 A model file carries the algorithm tag, the rating scale, the user and
-item tokens as lists in index order, and every learned parameter at full
-precision: each float array is one block holding its little-endian
+item tokens in index order, front-coded (each token as the length of the
+prefix it shares with the token before it, then the rest), and every
+learned parameter at full precision: each float array is one block holding its little-endian
 float64 bytes in base64, grouped in byte planes (byte 0 of every value,
 then byte 1, ...), its dtype "<f8" and its shape, so a reloaded model
 predicts bit-for-bit what the original did. Each user's rated items are
 gap-coded: a count per user, then every item as its difference from the
-one before it in the same user's list. The JSON line is stored in a gzip stream
+one before it in the same user's list; each distinct set of such lists is
+stored once in the file's "lists" table, which the model's "rated" names
+by index. The JSON line is stored in a gzip stream
 (inspect a file with ``zcat m.json | python -m json.tool``). The same
 files back the command line:
 
@@ -73,10 +76,11 @@ def main():
         for key in ("format_version", "algorithm", "library", "scale"):
             print(f"  {key}: {doc[key]}")
         print(f"  parameters: {', '.join(sorted(doc['parameters']))}")
-        print(f"  user_tokens: {doc['user_tokens']}")
-        rated = doc["parameters"]["rated"]
-        print(f"  rated: items per user {rated['lengths']}, "
-              f"gaps {rated['gaps']}")
+        coded = doc["user_tokens"]
+        print(f"  user_tokens: shared {coded['shared']}, suffixes {coded['suffixes']}")
+        rated = doc["lists"][doc["parameters"]["rated"]]
+        print(f"  rated: lists[{doc['parameters']['rated']}], items per user "
+              f"{rated['lengths']}, gaps {rated['gaps']}")
         block = doc["parameters"]["q"]
         raw = np.frombuffer(base64.b64decode(block["data"]), np.uint8)
         planes = raw.reshape(8, -1)  # row k: byte k of every value

@@ -221,7 +221,7 @@ class UserItems:
     def _decoded(cls, form, n_items):
         """The rows of form() output, or None when its lengths or gaps are
         not lists of ints, or break the rules of the dict form in of."""
-        lengths, gaps = (_json_array(form.get(key)) for key in ("lengths", "gaps"))
+        lengths, gaps = (json_array(form.get(key)) for key in ("lengths", "gaps"))
         # a float, a string, null or an int past the int64 range makes an
         # array of another kind
         if (any(a is None or a.ndim != 1 or a.dtype.kind != "i" for a in (lengths, gaps))
@@ -235,7 +235,7 @@ class UserItems:
         sums = np.concatenate(([0], np.cumsum(gaps)))
         values = form.get("values")
         return cls(offsets, sums[1:] - np.repeat(sums[offsets[:-1]], lengths),
-                   None if values is None else _json_array(values))
+                   None if values is None else json_array(values))
 
     @classmethod
     def _nested(cls, rows, valued):
@@ -244,12 +244,12 @@ class UserItems:
         rows = [sorted(r.items()) if isinstance(r, dict) else r for r in rows]
         flat = list(chain.from_iterable(rows))
         items, values = zip(*flat) if valued and flat else (flat, ())
-        arrays = _json_array(items), _json_array(values)
+        arrays = json_array(items), json_array(values)
         return None if arrays[0] is None or arrays[1] is None else cls(
             np.cumsum([0] + [len(r) for r in rows]), *arrays)
 
 
-def _json_array(entries):
+def json_array(entries):
     """entries (JSON values) as an array, int64 when there are none, or
     None when one of them is a bool or they are ragged (a list beside a
     number, or lists of unequal lengths)."""

@@ -21,6 +21,7 @@ values uses ``numpy.linalg.qr``: only numpy's own SVD is kept out of this
 package, because the decomposition itself is what this module implements.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -299,15 +300,18 @@ def rank_by_energy(singular_values, threshold=0.95):
     s = _check_spectrum(singular_values)
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    energy = np.cumsum(s * s) / float(np.sum(s * s))
-    return int(np.argmax(energy >= threshold)) + 1
+    # shares of the running sum's own last entry, so the last share is
+    # exactly 1.0 and energy:1 keeps the full numeric rank
+    energy = np.cumsum(s * s)
+    return int(np.argmax(energy / energy[-1] >= threshold)) + 1
 
 
 def rank_by_ratio(singular_values, c=10.0):
     """Smallest rank whose retained sum dominates the tail ``c`` times over.
 
     Returns the smallest f with ``sum(s[:f]) >= c * sum(s[f:])``; falls back
-    to the full rank when no proper prefix satisfies the ratio.
+    to the full rank when no proper prefix satisfies the ratio. ``c`` must
+    be positive and finite.
 
     Raises
     ------
@@ -315,15 +319,14 @@ def rank_by_ratio(singular_values, c=10.0):
         If every singular value is zero.
     """
     s = _check_spectrum(singular_values)
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    total = float(np.sum(s))
-    head = 0.0
-    for f in range(1, s.size):
-        head += float(s[f - 1])
-        if head >= c * (total - head):
-            return f
-    return int(s.size)
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
+    # the tail is a suffix sum, never total - head, which rounding can take
+    # to 0.0 or below while sum(s[f:]) is still positive
+    head, tail = np.cumsum(s), np.cumsum(s[::-1])[::-1]
+    with np.errstate(over="ignore"):  # a tail c times over past the float range
+        hits = np.flatnonzero(head[:-1] >= c * tail[1:])
+    return int(hits[0]) + 1 if hits.size else int(s.size)
 
 
 def truncate(result, f):

@@ -1,7 +1,7 @@
 """Model files: save and load every trained model type.
 
 README's model-file paragraph is the one full account of the format
-(format_version 8). What the code here relies on:
+(format_version 9). What the code here relies on:
 
 - A file is one compact, key-sorted JSON line in a single gzip member
   (level GZIP_LEVEL, mtime 0). A file without the gzip magic bytes is
@@ -16,8 +16,8 @@ README's model-file paragraph is the one full account of the format
   block is made.
 - FIELDS is the one statement of each algorithm's parameter block:
   _parameters writes it and _model_from reads it, checking each scalar's
-  JSON kind, by walking that table. Only svd's factors, itemcf's ratings,
-  fm/ffm's observed lists and ffm's v have a branch of their own.
+  JSON kind, by walking that table. Only svd's factors, itemcf's rating
+  values, fm/ffm's observed lists and ffm's v have a branch of their own.
 - A file stores only what a model cannot rebuild: loading rebuilds svd
   r_star and mask with the function training used, so saving refuses an
   r_star that does not follow from the stored factors. An itemcf model
@@ -46,24 +46,33 @@ README's model-file paragraph is the one full account of the format
   field(a)], so a feature never meets its own field and the same-field
   vectors enter no score: load sets them to 0.0. Versions 1 to 7 store
   the whole (dimension, 2, k) V.
-- The header holds the user and item tokens as two lists in index order
-  (from version 6; before, as token -> index maps); ModelBundle keeps
-  its index maps, built from the lists on load.
+- The header holds the user and item tokens in index order, from
+  version 9 front-coded (_front_coded: shared[k], the length of the
+  prefix token k shares with token k - 1, and suffixes[k], the rest of
+  it, as in a sorted lexicon), in versions 6 to 8 as two plain lists and
+  before as token -> index maps; ModelBundle keeps its index maps, built
+  from the lists on load.
 - Models hold every per-user item list (svd rated, funk/svdpp N, itemcf
   ratings, fm/ffm observed) as a data.UserItems. Its form() is what the
   writer stores from version 6: each user's item count, every item as
   the gap from the one before it in its row (d-gaps, as inverted indexes
-  store posting lists), and itemcf's ratings. UserItems.of, the one check
-  of such lists, is the only way the loader reads them back, in this
-  form from version 6 and as nested lists in versions 1 to 5 (_field
-  refuses the other layout); the svd mask goes to and from its rated
-  lists in one array operation each way.
+  store posting lists), and itemcf's ratings. From version 9 the
+  document's "lists" table holds each distinct lengths + gaps form once,
+  in the order members first name it, and each item-list field is the
+  index of its entry; an itemcf block keeps its ratings as "values".
+  Load decodes each entry once, so members that name it share its
+  arrays. UserItems.of, the one check of such lists, is the only way the
+  loader reads them back: as table entries from version 9, in the form
+  inside each field in versions 6 to 8 and as nested lists in versions 1
+  to 5 (_field refuses another layout); the svd mask goes to and from
+  its rated lists in one array operation each way.
 """
 
 import base64
 import functools
 import json
 import math
+import os
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -72,7 +81,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import UserItems, check_cells, checked_scale, tokens_by_index
+from .data import UserItems, check_cells, checked_scale, json_array, tokens_by_index
 from .ensemble import BlendModel
 from .errors import CapacityError, PersistenceError, ValidationError
 from .factor import FactorModel, ItemCfModel
@@ -84,19 +93,22 @@ from .linalg import SvdResult
 from .metrics import Scorer, in_range
 from .svdcf import SvdCfModel, reconstruct
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 # version 1 stored the svd block as the dense r_star and mask; version 2
 # stored the itemcf weights "w"; versions 1-3 store floats as nested lists,
 # and version 4 float blocks hold their bytes value by value; versions 1-5
 # store token index maps and per-user lists as nested lists; versions 1-6
 # store each fm/ffm member's encoder, which later ones derive; versions 1-7
-# store each ffm member's whole V, where later ones store its cross-field table
-READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7, FORMAT_VERSION)
+# store each ffm member's whole V, where later ones store its cross-field
+# table; versions 1-8 store tokens whole and each per-user list in its field,
+# where later ones front-code tokens and name an entry of the lists table
+READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8, FORMAT_VERSION)
 # the one dtype of a float block: little-endian IEEE 754 binary64
 FLOAT_DTYPE = "<f8"
 # each algorithm's parameter block as (file key, model field, kind): a
-# "floats" block, an "items" per-user item list (null allowed; the model
-# checks it), or a scalar of one of the JSON kinds in _SCALARS
+# "floats" block, an "items" per-user item list (an index into the lists
+# table, null allowed; the model checks it), or a scalar of one of the
+# JSON kinds in _SCALARS
 FIELDS = {
     "svd": (("f", "f", "int"), ("similarity_mode", "similarity_mode", "str"),
             ("neighborhood", "neighborhood", "int?")),
@@ -294,13 +306,58 @@ def _array(value, version):
     return values.copy().view(FLOAT_DTYPE).reshape(shape).astype(float, copy=False)
 
 
-def _token_list(tokens, name):
-    """The header's tokens of one role, in index order; raises ValueError
-    unless they are a list of distinct strings."""
+def _front_coded(tokens):
+    """The list of string tokens as two parallel lists: shared[k], the
+    length of the prefix token k shares with token k - 1 (0 for the
+    first), and suffixes[k], the rest of token k."""
+    shared = [len(os.path.commonprefix(pair)) for pair in zip(["", *tokens], tokens)]
+    return {"shared": shared, "suffixes": [token[n:] for token, n in zip(tokens, shared)]}
+
+
+def _token_list(raw, role, version):
+    """The header's tokens of one role, in index order: front-coded from
+    version 9, a list in versions 6 to 8, an index map before. Raises
+    ValueError unless they decode to a list of distinct strings."""
+    if version < 6:
+        return tokens_by_index(raw[f"{role}_index"], f"{role}_index")
+    name = f"{role}_tokens"
+    tokens = raw[name]
+    if version >= 9:
+        if not (type(tokens) is dict and tokens.keys() == {"shared", "suffixes"}
+                and type(tokens["shared"]) is type(tokens["suffixes"]) is list
+                and len(tokens["shared"]) == len(tokens["suffixes"])):
+            raise ValueError(f"{name} must be two lists of one length, shared and suffixes")
+        coded, tokens, before = tokens, [], ""
+        for at, (length, suffix) in enumerate(zip(coded["shared"], coded["suffixes"])):
+            if type(length) is not int or not 0 <= length <= len(before) or type(suffix) is not str:
+                raise ValueError(f"{name} shared[{at}] must be an int in [0, {len(before)}] and "
+                                 f"suffixes[{at}] a string, got {length!r} and {suffix!r:.60}")
+            before = before[:length] + suffix
+            tokens.append(before)
     if not (isinstance(tokens, list) and set(map(type, tokens)) <= {str}
             and len(set(tokens)) == len(tokens)):
         raise ValueError(f"{name} must be a list of distinct strings")
     return tokens
+
+
+def _listed(lists, rows):
+    """The index into the lists table (a dict from each entry's lengths
+    and gaps, as tuples, to its index and entry, in the order added) of
+    the lengths and gaps of rows, added when new; None for no rows."""
+    if rows is not None:
+        form = UserItems(rows.offsets, rows.items).form()
+        return lists.setdefault(tuple(map(tuple, form.values())), (len(lists), form))[0]
+
+
+def _lists_from(entries, n_items):
+    """The lists table of a version 9 document, each entry a UserItems
+    decoded and checked once, so the fields that name it share its
+    arrays; raises ValueError for an entry that is not the JSON object of
+    its lengths and gaps."""
+    for at, entry in enumerate(entries):
+        if type(entry) is not dict or set(entry) != {"lengths", "gaps"}:
+            raise ValueError(f"lists[{at}] must be a JSON object of lengths and gaps")
+    return [UserItems.of(entry, None, n_items, f"lists[{at}]") for at, entry in enumerate(entries)]
 
 
 def _encoder_from(doc):
@@ -313,7 +370,6 @@ _SCALARS = {"int": (int,), "number": (int, float), "str": (str,),
             "int?": (int, type(None))}
 _WRITERS = {
     "floats": _floats, "int": int, "number": float, "str": str,
-    "items": lambda rows: None if rows is None else rows.form(),
     "int?": lambda value: None if value is None else int(value),
 }
 _MODELS = {
@@ -339,8 +395,9 @@ def _from_cross_fields(table, n_users):
     return V
 
 
-def _parameters(algorithm, model, n_users, observed=None):
-    block = {key: _WRITERS[kind](getattr(model, name))
+def _parameters(algorithm, model, n_users, lists, observed=None):
+    writers = dict(_WRITERS, items=functools.partial(_listed, lists))
+    block = {key: writers[kind](getattr(model, name))
              for key, name, kind in FIELDS[algorithm]}
     if algorithm == "svd" and model.factors is None:
         block.update(r_star=_floats(model.r_star), mask=_floats(model.mask))
@@ -349,33 +406,41 @@ def _parameters(algorithm, model, n_users, observed=None):
             raise PersistenceError("svd r_star values do not follow from the stored "
                                    "factors; the file could not reproduce them on load")
         block.update((key, _floats(a)) for key, a in zip("usv", model.factors))
-        block["rated"] = UserItems.from_columns(*np.nonzero(model.mask),
-                                                *model.mask.shape).form()
+        block["rated"] = _listed(lists, UserItems.from_columns(*np.nonzero(model.mask),
+                                                               *model.mask.shape))
+    elif algorithm == "itemcf":
+        block["values"] = model.ratings.values.tolist()
     elif algorithm in ("fm", "ffm"):
-        block["observed"] = _WRITERS["items"](observed)
+        block["observed"] = _listed(lists, observed)
     if algorithm == "ffm":
         block["v"] = _floats(_cross_fields(model.V, n_users))
     return block
 
 
-def _field(kind, value, version, key):
+def _field(kind, value, version, key, lists=()):
     """A parameter block entry of the given FIELDS kind, checked; a
     per-user item list only for the layout its version names (null
-    passes, and UserItems.of checks the rest)."""
+    passes, and UserItems.of checks the rest): from version 9 the lists
+    entry its index names, in versions 6 to 8 the dict of
+    UserItems.form(), nested lists before."""
     if kind == "floats":
         return _array(value, version)
-    # per-user lists are the dict of UserItems.form() from version 6, nested lists before
-    if kind == "items" and value is not None and type(value) is not (dict, list)[version < 6]:
-        raise ValueError(f"{key} must be a JSON {('object', 'array')[version < 6]} in "
-                         f"format_version {version}, got {value!r:.60}")
+    if kind == "items" and value is not None:
+        layout = (version >= 6) + (version >= 9)
+        if type(value) is not (list, dict, int)[layout] or (
+                layout == 2 and not 0 <= value < len(lists)):
+            expected = ("a JSON array", "a JSON object", "an index into lists")[layout]
+            raise ValueError(f"{key} must be {expected} in format_version {version}, "
+                             f"got {value!r:.60}")
+        return lists[value] if layout == 2 else value
     if kind != "items" and type(value) not in _SCALARS[kind]:
         kind = kind.replace("?", " or null")
         raise ValueError(f"parameter {key} must be a JSON {kind}, got {value!r}")
     return value
 
 
-def _model_from(algorithm, block, n_users, n_items, version):
-    fields = {name: _field(kind, block[key], version, key)
+def _model_from(algorithm, block, n_users, n_items, version, lists):
+    fields = {name: _field(kind, block[key], version, key, lists)
               for key, name, kind in FIELDS[algorithm]}
     if algorithm == "svd" and "r_star" in block:  # version 1, or built without factors
         fields.update(r_star=_array(block["r_star"], version),
@@ -384,7 +449,7 @@ def _model_from(algorithm, block, n_users, n_items, version):
         factors = SvdResult(*(_array(block[key], version) for key in "usv"))
         if block["rated"] is None:
             raise ValueError("svd rated must be one list per user, got null")
-        rated = UserItems.of(_field("items", block["rated"], version, "svd rated"),
+        rated = UserItems.of(_field("items", block["rated"], version, "svd rated", lists),
                              factors.u.shape[0], n_items, "svd rated")
         shape = (factors.u.shape[0], factors.v.shape[0])
         # mask and reconstruct are m x n, as to_dense's matrices are in training
@@ -398,6 +463,9 @@ def _model_from(algorithm, block, n_users, n_items, version):
     elif algorithm == "itemcf":
         if fields["ratings"] is None:
             raise ValueError("itemcf ratings must be one list per user, got null")
+        if version >= 9:  # the values of the lists entry's items
+            rated = fields["ratings"]
+            fields["ratings"] = UserItems(rated.offsets, rated.items, json_array(block["values"]))
         fields["n_items"] = n_items
     model = _MODELS[algorithm](**fields)
     # version 2 itemcf files store W, which loads only as the W the ratings give
@@ -436,7 +504,7 @@ def _member(member, user_tokens, item_tokens):
     return algorithm, model, member.encoder, member.observed
 
 
-def _member_doc(member, user_tokens, item_tokens):
+def _member_doc(member, user_tokens, item_tokens, lists):
     algorithm, model, encoder, observed = _member(member, user_tokens, item_tokens)
     # load builds an fm/ffm view from the file's tokens, so a view built for
     # another token order would reload as another model
@@ -445,21 +513,21 @@ def _member_doc(member, user_tokens, item_tokens):
             one_hot_features(model, encoder, user_tokens, item_tokens))):
         raise PersistenceError(f"{algorithm} member was built for another token order")
     return {"algorithm": algorithm,
-            "parameters": _parameters(algorithm, model, len(user_tokens), observed)}
+            "parameters": _parameters(algorithm, model, len(user_tokens), lists, observed)}
 
 
-def _member_from(doc, user_tokens, item_tokens, version):
+def _member_from(doc, user_tokens, item_tokens, version, lists):
     """The model, encoder and observed lists of a member block, as
     ModelBundle takes them; the last two only for fm and ffm, whose
     encoder a block implies from version 7 and stores before it."""
     algorithm, block = doc["algorithm"], doc["parameters"]
     parts = {"model": _model_from(algorithm, block, len(user_tokens), len(item_tokens),
-                                  version)}
+                                  version, lists)}
     if algorithm in ("fm", "ffm"):
         parts["encoder"] = (one_hot_layout(user_tokens, item_tokens) if version >= 7
                             else _encoder_from(doc["encoder"]))
         parts["observed"] = UserItems.of(
-            _field("items", block.get("observed"), version, "observed"),
+            _field("items", block.get("observed"), version, "observed", lists),
             len(user_tokens), len(item_tokens), "observed")
     return parts
 
@@ -473,17 +541,18 @@ def _document(bundle):
     """The bundle's document with float block data still arrays; runs every
     check and fills a creation timestamp."""
     created = bundle.created or datetime.now(timezone.utc).isoformat(timespec="seconds")
-    tokens = (bundle._user_tokens, bundle._item_tokens)
+    tokens, lists = (bundle._user_tokens, bundle._item_tokens), {}
     doc = {
         "format_version": FORMAT_VERSION,
         "algorithm": bundle.algorithm,
         "created": created,
         "library": f"latentrec {__version__}",
         "scale": [bundle.scale[0], bundle.scale[1]],
-        "user_tokens": [str(t) for t in tokens[0]],
-        "item_tokens": [str(t) for t in tokens[1]],
+        "user_tokens": _front_coded([str(t) for t in tokens[0]]),
+        "item_tokens": _front_coded([str(t) for t in tokens[1]]),
     }
-    members = [_member_doc(m, *tokens) for m in _members(bundle)]
+    members = [_member_doc(m, *tokens, lists) for m in _members(bundle)]
+    doc["lists"] = [form for _, form in lists.values()]
     if bundle.algorithm == "ensemble":
         model = bundle.model
         doc["ensemble"] = {
@@ -604,8 +673,10 @@ def load_model(path):
     compression was written. Float arrays come back bit for bit as
     writable float64 arrays: from byte-plane float blocks from version 5,
     from value-order blocks in version 4, from nested decimal lists in
-    versions 1-3. Token lists and gap-coded per-user lists are read from
-    version 6, token index maps and nested per-user lists before it. An
+    versions 1-3. Front-coded token lists and the lists table, whose
+    entries the per-user list fields name by index, are read from version
+    9; plain token lists and gap-coded per-user lists in each field in
+    versions 6 to 8; token index maps and nested per-user lists before. An
     fm or ffm member's encoder is fm.one_hot_layout of the token lists
     from version 7, and read from its block before it. An ffm member's V
     is read whole before version 8; from version 8 its cross-field table
@@ -618,11 +689,16 @@ def load_model(path):
     readable ints (a JSON true or 4.0 is not), an unknown algorithm tag,
     a malformed header (a scale that is not a list of two finite numbers
     lo < hi; a user or item token list that is not a list of distinct
-    strings, or before version 6 an index map that does not take its
-    tokens one to one onto the JSON ints 0..n-1) or a malformed member
+    strings, from version 9 one whose front coding is not two lists of
+    one length with each shared length an int from 0 to the length of the
+    token before and each suffix a string, or before version 6 an index
+    map that does not take its tokens one to one onto the JSON ints
+    0..n-1; from version 9 a lists entry that is not the JSON object of
+    its lengths and gaps, or that UserItems.of refuses) or a malformed member
     block (a missing key; a scalar of the wrong JSON kind for its FIELDS
     entry, such as an int field holding 1.5, "3" or true; a per-user
-    index list in the layout of another version, or one that
+    index list in the layout of another version (from version 9 anything
+    but null or the index of a lists entry), or one that
     UserItems.of refuses, such as one holding 1.5, "3", true, null or a
     list, lengths that do not split its gaps, a gap of n_items or
     more from 0, an itemcf list that repeats an item or holds a rating
@@ -666,13 +742,12 @@ def load_model(path):
         raise PersistenceError(f"unknown algorithm tag {algorithm!r}")
     try:
         scale = checked_scale(raw["scale"])
-        user_tokens, item_tokens = (
-            _token_list(raw[f"{role}_tokens"], f"{role}_tokens") if version >= 6
-            else tokens_by_index(raw[f"{role}_index"], f"{role}_index") for role in ("user", "item"))
+        user_tokens, item_tokens = (_token_list(raw, role, version) for role in ("user", "item"))
+        lists = _lists_from(raw["lists"], len(item_tokens)) if version >= 9 else ()
         if algorithm == "ensemble":
             spec = raw["ensemble"]
             members = [_scorer(m["algorithm"], user_tokens, item_tokens,
-                               **_member_from(m, user_tokens, item_tokens, version))
+                               **_member_from(m, user_tokens, item_tokens, version, lists))
                        for m in spec["members"]]
             parts = {"model": BlendModel(
                 members=members,
@@ -681,7 +756,7 @@ def load_model(path):
                 kind=spec["kind"],
             )}
         else:
-            parts = _member_from(raw, user_tokens, item_tokens, version)
+            parts = _member_from(raw, user_tokens, item_tokens, version, lists)
         bundle = ModelBundle(
             algorithm=algorithm,
             user_index={token: at for at, token in enumerate(user_tokens)},

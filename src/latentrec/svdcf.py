@@ -30,7 +30,7 @@ def parse_rank_rule(rule, max_rank=None):
     Accepts ("energy", 0.95) style pairs or the compact strings
     "energy:0.95", "ratio:10", "fixed:2"; bare "energy" and "ratio" take
     their default parameter (0.95 and 10). The value must suit its rule:
-    an energy threshold in (0, 1], a positive ratio, a fixed rank of at
+    an energy threshold in (0, 1], a positive finite ratio, a fixed rank of at
     least 1 and, when max_rank is given, at most max_rank.
 
     Raises:
@@ -59,8 +59,8 @@ def parse_rank_rule(rule, max_rank=None):
         raise ValueError(f"rank rule {name} has a non-numeric value {value!r}") from None
     if name == "energy" and not 0.0 < value <= 1.0:
         raise ValueError(f"rank rule energy needs a threshold in (0, 1], got {value}")
-    if name == "ratio" and not value > 0.0:
-        raise ValueError(f"rank rule ratio needs a positive value, got {value}")
+    if name == "ratio" and not 0.0 < value < math.inf:
+        raise ValueError(f"rank rule ratio needs a positive finite value, got {value}")
     if name == "fixed" and (value < 1 or max_rank is not None and value > max_rank):
         limit = "" if max_rank is None else f" and at most min(m, n) = {max_rank}"
         raise ValueError(f"rank rule fixed needs a rank of at least 1{limit}, got {value}")

@@ -247,6 +247,80 @@ def edit_rows(form, edit):
     return form_of(rows, valued="values" in form)
 
 
+def tokens_of(coded):
+    """The tokens a front-coded token list (format 9) holds, decoded apart
+    from the code under test: token k is the first shared[k] characters
+    of token k - 1, then suffixes[k]."""
+    tokens = []
+    for shared, suffix in zip(coded["shared"], coded["suffixes"]):
+        tokens.append((tokens[-1][:shared] if tokens else "") + suffix)
+    return tokens
+
+
+def coded_of(tokens):
+    """The front-coded form of a token list, the inverse of tokens_of."""
+    coded, before = {"shared": [], "suffixes": []}, ""
+    for token in tokens:
+        shared = 0
+        while shared < min(len(before), len(token)) and before[shared] == token[shared]:
+            shared += 1
+        coded["shared"].append(shared)
+        coded["suffixes"].append(token[shared:])
+        before = token
+    return coded
+
+
+# the per-user list field of each algorithm's parameter block
+LIST_FIELDS = {"svd": "rated", "funk": "rated", "svdpp": "rated", "itemcf": "ratings",
+               "fm": "observed", "ffm": "observed"}
+
+
+def member_blocks(doc):
+    """(algorithm, parameter block) of each member of a model document."""
+    members = doc["ensemble"]["members"] if "ensemble" in doc else [doc]
+    return [(member["algorithm"], member["parameters"]) for member in members]
+
+
+def inline(doc):
+    """A copy of a format 9 document in the layout of format 8: each token
+    list whole, each per-user list in the field that names its lists
+    entry (an itemcf block's "values" back in its ratings), and no lists
+    table."""
+    doc = json.loads(json.dumps(doc))
+    lists = doc.pop("lists")
+    doc["format_version"] = 8
+    for role in ("user", "item"):
+        doc[f"{role}_tokens"] = tokens_of(doc[f"{role}_tokens"])
+    for algorithm, block in member_blocks(doc):
+        key = LIST_FIELDS[algorithm]
+        if block.get(key) is not None:
+            block[key] = dict(lists[block[key]])
+            if algorithm == "itemcf":
+                block[key]["values"] = block.pop("values")
+    return doc
+
+
+def outline(doc):
+    """A copy of a document in inline's layout in that of format 9, the
+    inverse of inline: tokens front-coded, and each distinct per-user list
+    (its lengths and gaps) once in the lists table, in the order first
+    named, where its field names it by index."""
+    doc = json.loads(json.dumps(doc))
+    doc["format_version"], lists = 9, []
+    for role in ("user", "item"):
+        doc[f"{role}_tokens"] = coded_of(doc[f"{role}_tokens"])
+    for algorithm, block in member_blocks(doc):
+        key = LIST_FIELDS[algorithm]
+        if block.get(key) is not None:
+            if algorithm == "itemcf":
+                block["values"] = block[key].pop("values")
+            if block[key] not in lists:
+                lists.append(block[key])
+            block[key] = lists.index(block[key])
+    doc["lists"] = lists
+    return doc
+
+
 def block_array(block, planes=True):
     """The array a "<f8" float block holds, its bytes in byte planes (from
     format 5) or, with planes=False, value by value (format 4); decoded
@@ -282,8 +356,8 @@ def with_encoders(doc, version=6):
     lists imply, a categorical user column then an item column, each
     listing its role's tokens in sorted order, and each ffm member's v is
     the whole V (whole_ffm_v) in place of its cross-field table. Nothing
-    else changes."""
-    doc = json.loads(json.dumps(doc))
+    else changes, the header and per-user lists in inline's layout."""
+    doc = inline(doc)
     doc["format_version"] = version
     for member in doc["ensemble"]["members"] if "ensemble" in doc else [doc]:
         if member["algorithm"] in ("fm", "ffm"):

@@ -36,9 +36,12 @@ from tests.conftest import (
     FOUR_BY_FOUR_CSV,
     edit_rows,
     form_of,
+    inline,
     make_rank2_ratings,
     model_text,
+    outline,
     rows_of,
+    tokens_of,
     with_encoders,
     without_created,
 )
@@ -399,6 +402,8 @@ class TestTrain:
         ("svd", "--rank-rule", "fixed:0"),
         ("svd", "--rank-rule", "energy:2"),
         ("svd", "--rank-rule", "ratio:-1"),
+        ("svd", "--rank-rule", "ratio:inf"),
+        ("svd", "--rank-rule", "ratio:nan"),
         ("funk", "--seed", "-1"),
         ("svdpp", "--seed", "-1"),
         ("fm", "--seed", "-1"),
@@ -729,8 +734,8 @@ class TestHugeEntries:
                 block.update(_ready(_floats(a * (sign * 10.0 ** scale / peak))))
         target = folder / "huge.json"
         target.write_text(json.dumps(doc))
-        user = data.draw(st.sampled_from(doc["user_tokens"]), label="user")
-        item = data.draw(st.sampled_from(doc["item_tokens"]), label="item")
+        user = data.draw(st.sampled_from(tokens_of(doc["user_tokens"])), label="user")
+        item = data.draw(st.sampled_from(tokens_of(doc["item_tokens"])), label="item")
         ratings = str(folder / "ratings.csv")
         for argv in (["predict", str(target), user, item],
                      ["recommend", str(target), user, "--k", "4"],
@@ -806,10 +811,10 @@ class TestRecommend:
 
     def test_truncated_observed_lists_exit_3(self, capsys, tmp_path):
         model = train_fixture_model(capsys, tmp_path, "fm")
-        doc = json.loads(model_text(model))
+        doc = inline(json.loads(model_text(model)))
         doc["parameters"]["observed"] = form_of(rows_of(doc["parameters"]["observed"])[:2])
         with open(model, "w") as handle:
-            json.dump(doc, handle)
+            json.dump(outline(doc), handle)
         code, stdout, err = run(capsys, "recommend", model, "4", "--k", "2")
         assert code == 3
         assert stdout == ""
@@ -849,7 +854,7 @@ class TestRecommend:
         # the last user's entries go from every per-user table; the user
         # index still names that user
         model = train_fixture_model(capsys, tmp_path, algo)
-        doc = json.loads(model_text(model))
+        doc = inline(json.loads(model_text(model)))
         block = doc["parameters"]
         if algo == "itemcf":
             block["ratings"] = edit_rows(block["ratings"], list.pop)
@@ -860,7 +865,7 @@ class TestRecommend:
                 a = _array(block[key], FORMAT_VERSION)
                 block[key] = _ready(_floats(np.delete(a, -1, axis=user_axis[key])))
         with open(model, "w") as handle:
-            json.dump(doc, handle)
+            json.dump(outline(doc), handle)
         last = doc["user_tokens"][-1]
         code, stdout, err = run(capsys, "recommend", model, last, "--k", "2")
         assert code == 3
@@ -881,7 +886,7 @@ class TestRecommend:
         # 1.5 was cut to item 1 (fm: an uncaught IndexError on recommend);
         # an itemcf list that repeats an item was merged into one entry
         model = train_fixture_model(capsys, tmp_path, algo)
-        doc = json.loads(model_text(model))
+        doc = inline(json.loads(model_text(model)))
         block = doc["parameters"]
         if bad == "repeat":
             block[key] = edit_rows(block[key], lambda rows: rows[0].append(list(rows[0][-1])))
@@ -890,7 +895,7 @@ class TestRecommend:
             assert block[key]["lengths"][0] > 0
             block[key]["gaps"][0] = bad
         with open(model, "w") as handle:
-            json.dump(doc, handle)
+            json.dump(outline(doc), handle)
         user = doc["user_tokens"][0]
         code, stdout, err = run(capsys, "recommend", model, user, "--k", "2")
         assert code == 3

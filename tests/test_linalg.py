@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -230,6 +231,28 @@ class TestRankSelection:
                 assert f >= prev
                 prev = f
 
+    def test_energy_one_keeps_the_full_numeric_rank(self):
+        # a share of a pairwise-summed total could round below 1.0 at the
+        # last rank, and argmax of no hit is 0: rank 1 for 797 of 2000
+        # such spectra; each share is now of the running sum's last entry
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            s = np.sort(rng.uniform(0.0, 5.0, size=int(rng.integers(1, 40))))[::-1]
+            energy = np.cumsum(s * s)
+            f = linalg.rank_by_energy(s, 1.0)
+            assert energy[f - 1] == energy[-1]
+            assert f == 1 or energy[f - 2] < energy[-1]
+
+    def test_energy_one_on_a_rank_deficient_matrix(self):
+        # users copying 12 profiles: numeric rank 12, where the zero
+        # singular values that follow add nothing to the energy
+        rng = np.random.default_rng(1)
+        res = linalg.svd(np.repeat(rng.uniform(1, 5, (12, 30)), 5, axis=0))
+        s = res.s
+        f = linalg.rank_by_energy(s, 1.0)
+        assert 12 <= f <= s.size
+        assert np.cumsum(s * s)[f - 1] == np.cumsum(s * s)[-1]
+
     def test_energy_validation(self):
         with pytest.raises(DegenerateSpectrumError):
             linalg.rank_by_energy(np.zeros(3), 0.95)
@@ -253,6 +276,28 @@ class TestRankSelection:
             linalg.rank_by_ratio(np.zeros(2), 10.0)
         with pytest.raises(ValueError):
             linalg.rank_by_ratio(np.array([2.0, 1.0]), 0.0)
+        for c in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                linalg.rank_by_ratio(np.array([2.0, 1.0]), c)
+
+    def test_ratio_tail_that_rounds_away_still_counts(self):
+        # 1.0 + 2e-17 rounds to 1.0, so total - head was 0.0 at f = 1 and
+        # any ratio stopped there; sum(s[1:]) is 2e-17, which 1e308 times
+        # over is far past the head
+        s = np.array([1.0, 1e-17, 1e-17])
+        assert linalg.rank_by_ratio(s, 1e308) == 3
+        assert linalg.rank_by_ratio(s, 7e16) == 2
+        assert linalg.rank_by_ratio(s, 10.0) == 1
+
+    def test_ratio_is_the_smallest_rank_whose_head_dominates(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            s = np.sort(rng.uniform(0.0, 5.0, size=int(rng.integers(2, 30))))[::-1]
+            c = float(rng.uniform(0.1, 50.0))
+            f = linalg.rank_by_ratio(s, c)
+            hits = [g for g in range(1, s.size)
+                    if math.fsum(s[:g]) >= c * math.fsum(s[g:])]
+            assert f == (hits[0] if hits else s.size)
 
 
 class TestTruncate:

@@ -44,8 +44,11 @@ from latentrec.persist import (
     ModelBundle,
     _array,
     _floats,
+    _front_coded,
     _json_chunks,
+    _members,
     _ready,
+    _token_list,
     document,
     load_model,
     save_model,
@@ -59,7 +62,13 @@ from tests.conftest import (
     form_of,
     make_rank2_ratings,
     model_text,
+    coded_of,
+    LIST_FIELDS,
+    inline,
+    member_blocks,
+    outline,
     rows_of,
+    tokens_of,
     whole_ffm_v,
     with_encoders,
     without_created,
@@ -382,7 +391,8 @@ class TestItemCfFiles:
         doc = json.loads(model_text(first))
         blocks = [m["parameters"] for m in doc["ensemble"]["members"]] \
             if "ensemble" in doc else [doc["parameters"]]
-        assert all(set(block) == {"k", "ratings"} for block in blocks)
+        # the items of each list name a lists entry; the ratings stay in the block
+        assert all(set(block) == {"k", "ratings", "values"} for block in blocks)
         loaded = load_model(first)
         for before, after in zip(itemcf_models(bundle), itemcf_models(loaded)):
             assert np.array_equal(after.W, before.W)
@@ -509,9 +519,11 @@ class TestItemCfFiles:
         doc = document(bundle)
         index = -1 if bad == "-1" else ds.n_items
         if version == FORMAT_VERSION:
+            doc = inline(doc)
             block = doc["parameters"]
             block["ratings"] = edit_rows(block["ratings"],
                                          lambda rows: rows[0].append([index, 3.0]))
+            doc = outline(doc)
         else:
             doc = old_layout(doc, version)
             if version == 2:
@@ -527,12 +539,12 @@ class TestItemCfFiles:
 
     def test_out_of_range_rating_index_is_malformed(self, tmp_path):
         bundle, ds = itemcf_bundle("explicit")
-        doc = document(bundle)
+        doc = inline(document(bundle))
         block = doc["parameters"]
         block["ratings"] = edit_rows(block["ratings"],
                                      lambda rows: rows[0].append([ds.n_items, 3.0]))
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(outline(doc)))
         with pytest.raises(PersistenceError, match="malformed"):
             load_model(path)
 
@@ -541,14 +553,19 @@ class TestFileFormat:
     def test_header_fields(self):
         bundle, _ = funk_bundle()
         doc = document(bundle)
-        assert doc["format_version"] == FORMAT_VERSION == 8
+        assert doc["format_version"] == FORMAT_VERSION == 9
         assert doc["algorithm"] == "funk"
         assert doc["created"]
         assert doc["scale"] == [1.0, 5.0]
-        # the tokens of each role in index order, in place of the maps
+        # the tokens of each role in index order, front-coded, in place of the maps
         assert "user_index" not in doc and "item_index" not in doc
-        assert doc["user_tokens"] == sorted(bundle.user_index, key=bundle.user_index.get)
-        assert doc["item_tokens"] == sorted(bundle.item_index, key=bundle.item_index.get)
+        assert tokens_of(doc["user_tokens"]) == sorted(bundle.user_index,
+                                                       key=bundle.user_index.get)
+        assert tokens_of(doc["item_tokens"]) == sorted(bundle.item_index,
+                                                       key=bundle.item_index.get)
+        # the one per-user list, the rated lists, is entry 0 of the lists table
+        assert doc["parameters"]["rated"] == 0
+        assert rows_of(doc["lists"][0]) == [row.tolist() for row in bundle.model.N]
 
     def test_reruns_differ_only_in_created(self, tmp_path):
         bundle, ds = funk_bundle()
@@ -630,13 +647,14 @@ class TestFileFormat:
         with pytest.raises(PersistenceError, match="malformed"):
             load_model(path)
 
-    @pytest.mark.parametrize("version", [7, 8])
+    @pytest.mark.parametrize("version", [7, 8, 9])
     def test_ffm_v_of_the_other_version_rejected(self, tmp_path, version):
-        # version 8 stores the (dimension, k) cross-field table and earlier
-        # versions the whole (dimension, 2, k) V; each is refused in the other
+        # versions 8 and 9 store the (dimension, k) cross-field table and
+        # earlier versions the whole (dimension, 2, k) V; each is refused in
+        # the other
         bundle, ds = fm_bundle("ffm")
-        doc = document(bundle)
-        if version == 8:
+        doc = document(bundle) if version == 9 else inline(document(bundle))
+        if version >= 8:
             doc["parameters"]["v"] = whole_ffm_v(doc["parameters"]["v"], ds.n_users)
         doc["format_version"] = version
         path = tmp_path / "m.json"
@@ -648,10 +666,10 @@ class TestFileFormat:
     def test_observed_with_too_few_users_rejected(self, tmp_path, algo):
         bundle, _ = fm_bundle(algo)
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = inline(json.loads(model_text(path)))
         block = doc["parameters"]
         block["observed"] = form_of(rows_of(block["observed"])[:2])
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(outline(doc)))
         with pytest.raises(PersistenceError, match="malformed.*observed"):
             load_model(path)
 
@@ -660,11 +678,12 @@ class TestFileFormat:
         bundle, ds = fm_bundle()
         assert ds.n_items == 6
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = inline(json.loads(model_text(path)))
         block = doc["parameters"]
         block["observed"] = edit_rows(block["observed"], lambda rows: rows[0].append(bad))
-        path.write_text(json.dumps(doc))
-        with pytest.raises(PersistenceError, match="malformed.*observed"):
+        path.write_text(json.dumps(outline(doc)))
+        # the lists entry the observed field names holds the item
+        with pytest.raises(PersistenceError, match=r"malformed.*lists\[0\] must be one list"):
             load_model(path)
 
     def test_ensemble_member_observed_checked(self, tmp_path):
@@ -676,21 +695,21 @@ class TestFileFormat:
             item_index=bundle.item_index,
         )
         path = save_model(blend, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = inline(json.loads(model_text(path)))
         block = doc["ensemble"]["members"][0]["parameters"]
         block["observed"] = edit_rows(block["observed"], list.pop)
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(outline(doc)))
         with pytest.raises(PersistenceError, match="malformed.*observed"):
             load_model(path)
 
     def test_svd_negative_rated_index_rejected(self, tmp_path):
         bundle, _ = svd_bundle()
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = inline(json.loads(model_text(path)))
         block = doc["parameters"]
         block["rated"] = edit_rows(block["rated"], lambda rows: rows[0].append(-1))
-        path.write_text(json.dumps(doc))
-        with pytest.raises(PersistenceError, match="malformed.*rated"):
+        path.write_text(json.dumps(outline(doc)))
+        with pytest.raises(PersistenceError, match=r"malformed.*lists\[0\] must be one list"):
             load_model(path)
 
     @pytest.mark.parametrize("make, key, axis", [(funk_bundle, "q", 1),
@@ -700,13 +719,13 @@ class TestFileFormat:
         # the last item's factors go, and no rated list names that item
         bundle, ds = make()
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = inline(json.loads(model_text(path)))
         block = doc["parameters"]
         a = _array(block[key], FORMAT_VERSION)
         block[key] = _ready(_floats(np.delete(a, -1, axis=axis)))
         block["rated"] = form_of([[i for i in row if i < ds.n_items - 1]
                                   for row in rows_of(block["rated"])])
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(outline(doc)))
         with pytest.raises(PersistenceError, match=(
                 f"hold {ds.n_items - 1} items where the item index has {ds.n_items}")):
             load_model(path)
@@ -740,54 +759,90 @@ PER_USER_LISTS = [("svd", "rated", "svd rated"), ("funk", "rated", "N"),
 
 class TestPerUserListLayout:
     """Each per-user list is read only in the layout its format_version
-    names: the gap-coded object from version 6, nested lists before."""
+    names: an index into the lists table from version 9, the gap-coded
+    object in versions 6 to 8, nested lists before."""
 
     def edited_file(self, tmp_path, algo, edit, version=FORMAT_VERSION):
+        """A saved file in the layout of version (4, 5, 6, 8 or the current
+        one), with edit applied to its document."""
         ds = small_dataset()
         doc = json.loads(model_text(save_model(trained_bundle(algo, ds),
                                                tmp_path / "m.json")))
-        if version != FORMAT_VERSION:
+        if version < 6:
             doc = old_layout(doc, version)
-        edit(doc["parameters"])
+        elif version < FORMAT_VERSION:
+            doc = with_encoders(doc, version) if version == 6 else inline(doc)
+            assert doc["format_version"] == version
+        edit(doc)
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc))
         return str(path), min(ds.user_index), min(ds.item_index)
 
     # the list name used to be missing from numpy's "inhomogeneous
-    # shape" message
+    # shape" message; from version 9 the list is named by its lists entry
     @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
     def test_ragged_list_exits_3_naming_it(self, algo, key, name, tmp_path, capsys):
-        def edit(block):
-            block[key]["gaps"][0] = [block[key]["gaps"][0]]
+        def edit(doc):
+            form = doc["lists"][doc["parameters"][key]]
+            form["gaps"][0] = [form["gaps"][0]]
 
         path, user, item = self.edited_file(tmp_path, algo, edit)
+        assert_exits_3(capsys, path, user, item, "lists[0] must be one list per user")
+
+    @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
+    def test_ragged_list_in_version_6_exits_3_naming_it(self, algo, key, name, tmp_path,
+                                                        capsys):
+        def edit(doc):
+            form = doc["parameters"][key]
+            form["gaps"][0] = [form["gaps"][0]]
+
+        path, user, item = self.edited_file(tmp_path, algo, edit, 6)
         assert_exits_3(capsys, path, user, item, f"{name} must be one list per user")
 
     # both used to load and serve
     @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
     def test_nested_lists_in_version_6_exit_3(self, algo, key, name, tmp_path, capsys):
-        def edit(block):
-            block[key] = rows_of(block[key])
+        def edit(doc):
+            doc["parameters"][key] = rows_of(doc["parameters"][key])
 
+        path, user, item = self.edited_file(tmp_path, algo, edit, 6)
+        assert_exits_3(capsys, path, user, item, f"{key} must be a JSON object in format_version 6")
+
+    @pytest.mark.parametrize("stored", ["object", "nested", -1, 1, True, None])
+    @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
+    def test_field_that_is_not_an_index_into_lists_exits_3(self, algo, key, name, stored,
+                                                           tmp_path, capsys):
+        # from version 9 a field names its list by index: the list itself,
+        # in either older layout, a negative index, one past the table and
+        # true are refused; null only where the model allows no list
+        def edit(doc):
+            block = doc["parameters"]
+            form = doc["lists"][block[key]]
+            block[key] = {"object": form, "nested": rows_of(form)}.get(stored, stored)
+
+        if stored is None and key != "ratings" and algo != "svd":
+            return  # funk and fm hold no lists as null
         path, user, item = self.edited_file(tmp_path, algo, edit)
-        assert_exits_3(capsys, path, user, item,
-                       f"{key} must be a JSON object in format_version {FORMAT_VERSION}")
+        assert_exits_3(capsys, path, user, item, "must be one list per user, got null"
+                       if stored is None else
+                       f"{key} must be an index into lists in format_version {FORMAT_VERSION}")
 
     @pytest.mark.parametrize("version", [4, 5])
     @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
     def test_gap_coded_object_before_version_6_exits_3(self, algo, key, name, version,
                                                         tmp_path, capsys):
-        def edit(block):
+        def edit(doc):
+            block = doc["parameters"]
             block[key] = form_of(block[key], valued=key == "ratings")
 
         path, user, item = self.edited_file(tmp_path, algo, edit, version)
         assert_exits_3(capsys, path, user, item,
                        f"{key} must be a JSON array in format_version {version}")
 
-    @pytest.mark.parametrize("version", [5, FORMAT_VERSION])
+    @pytest.mark.parametrize("version", [5, 6, 8, FORMAT_VERSION])
     @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
     def test_layout_of_the_version_loads(self, algo, key, name, version, tmp_path):
-        path, user, item = self.edited_file(tmp_path, algo, lambda block: None, version)
+        path, user, item = self.edited_file(tmp_path, algo, lambda doc: None, version)
         trained = trained_bundle(algo, small_dataset())
         assert load_model(path).recommend(user, 2) == trained.recommend(user, 2)
 
@@ -812,18 +867,22 @@ class TestHeaderChecks:
                        f"{key} must map its tokens one to one onto 0..n-1")
 
     @pytest.mark.parametrize("key", ["user_tokens", "item_tokens"])
-    @pytest.mark.parametrize("bad", ["map", "u000", None])
+    @pytest.mark.parametrize("bad", ["map", "u000", None, "list", "extra key"])
     def test_token_list_that_is_not_a_list_exits_3(self, key, bad, capsys,
                                                     tmp_path):
+        # from version 9 a token list is front-coded: two lists of one length
         def edit(doc):
-            # "map": the index map versions 1 to 5 hold
-            doc[key] = ({token: at for at, token in enumerate(doc[key])}
-                        if bad == "map" else bad)
+            # "map": the index map versions 1 to 5 hold; "list": the plain
+            # token list of versions 6 to 8
+            tokens = tokens_of(doc[key])
+            doc[key] = {"map": {token: at for at, token in enumerate(tokens)},
+                        "list": tokens, "extra key": dict(doc[key], tokens=tokens)
+                        }.get(bad, bad)
 
         path, ds = edited_funk_file(tmp_path, edit)
         user, item = min(ds.user_index), min(ds.item_index)
         assert_exits_3(capsys, path, user, item,
-                       f"{key} must be a list of distinct strings")
+                       f"{key} must be two lists of one length, shared and suffixes")
 
     @pytest.mark.parametrize("bad", [[5, 1], [3, 3], "15", [1, 5, 9], [1],
                                      [True, 5], [1, "5"], [1, math.nan],
@@ -924,7 +983,7 @@ class TestParameterKinds:
         ds = small_dataset()
         path = save_model(trained_bundle("itemcf", ds), tmp_path / "m.json")
         doc = json.loads(model_text(path))
-        doc["parameters"]["ratings"]["values"][0] = bad
+        doc["parameters"]["values"][0] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="with finite values"):
             load_model(path)
@@ -937,8 +996,8 @@ class TestParameterKinds:
         ds = small_dataset()
         path = save_model(trained_bundle("itemcf", ds), tmp_path / "m.json")
         doc = json.loads(model_text(path))
-        ratings = doc["parameters"]["ratings"]
-        ratings["values"] = [[r] * width for r in ratings["values"]]
+        block = doc["parameters"]
+        block["values"] = [[r] * width for r in block["values"]]
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="with finite values"):
             load_model(path)
@@ -965,9 +1024,10 @@ class TestBootstrapRepeats:
                              user_index=ds.user_index,
                              item_index=ds.item_index, scale=ds.scale)
         x, y = ds.item_index["x"], ds.item_index["y"]
-        assert document(bundle)["parameters"]["ratings"] == {
-            "lengths": [2, 2], "gaps": [x, y - x, x, y - x],
-            "values": [4.0, 1.0, 2.0, 3.0]}
+        doc = document(bundle)
+        assert doc["lists"] == [{"lengths": [2, 2], "gaps": [x, y - x, x, y - x]}]
+        assert doc["parameters"]["ratings"] == 0
+        assert doc["parameters"]["values"] == [4.0, 1.0, 2.0, 3.0]
         assert [int(i) for i in model.ratings[ds.user_index["a"]]] == [x, y]
 
     def test_funk_and_svdpp_keep_the_repeats(self):
@@ -1604,6 +1664,14 @@ class TestExactReload:
             if isinstance(new, FfmModel):
                 assert (ffm_blocks(new.V, ds.n_users)[1] == 0.0).all()
         assert_predictions_match(bundle, loaded, ds, tol=0.0)
+        # every member's scores, and the bundle's, bit for bit
+        items = np.arange(ds.n_items)
+        for before, after in zip(_members(bundle), _members(loaded), strict=True):
+            for u in range(ds.n_users):
+                assert after.scores(u, items).tobytes() == before.scores(u, items).tobytes()
+        for u in range(ds.n_users):
+            assert loaded.scorer.scores(u, items).tobytes() == \
+                bundle.scorer.scores(u, items).tobytes()
         for user in ds.user_index:  # ensembles recommend by member vote
             assert loaded.recommend(user, ds.n_items) == \
                 bundle.recommend(user, ds.n_items)
@@ -1644,6 +1712,127 @@ class TestExactReload:
                 vote_recommend([b.scorer for b in bundles], u, 3)
 
 
+# tokens drawn from a small alphabet share prefixes often; the wide one
+# covers the empty string, non-ASCII and characters outside the BMP
+TOKEN_LISTS = st.lists(st.text(alphabet="ab\u00e9\U0001f600", max_size=5)
+                       | st.text(max_size=4), unique=True, max_size=12)
+
+
+def member_lists(scorer):
+    """The UserItems a loaded member scores with: svd holds its mask
+    instead, so None for it."""
+    model = scorer.model if isinstance(scorer, IndexedModel) else scorer
+    if isinstance(model, ItemCfModel):
+        return model.ratings
+    return scorer.observed if isinstance(scorer, IndexedModel) else getattr(model, "N", None)
+
+
+# the error of a suffix that is not a string
+SUFFIX_REFUSED = r"shared\[1\] must be .* and suffixes\[1\] a string"
+
+
+class TestListsTableAndTokenCoding:
+    """Format 9 front-codes each token list and stores each distinct
+    per-user list once, in the lists table its fields name by index."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tokens=TOKEN_LISTS)
+    def test_property_front_coding_round_trips(self, tokens):
+        coded = _front_coded(tokens)
+        # shared[k] is the whole common prefix with the token before
+        assert coded == coded_of(tokens)
+        text = json.loads(json.dumps(coded))
+        assert _token_list({"user_tokens": text}, "user", FORMAT_VERSION) == tokens
+        assert tokens_of(text) == tokens
+        for shared, before, token in zip(coded["shared"][1:], tokens, tokens[1:]):
+            assert before[:shared] == token[:shared]
+            assert shared == min(len(before), len(token)) or before[shared] != token[shared]
+
+    @settings(max_examples=20, deadline=None)
+    @given(users=TOKEN_LISTS.filter(lambda t: len(t) >= 2), items=TOKEN_LISTS.filter(len))
+    def test_property_bundle_with_any_tokens_reloads(self, users, items, tmp_path_factory):
+        rng = np.random.default_rng(len(users) + len(items))
+        model = factor.FactorModel(P=rng.normal(size=(2, len(users))),
+                            Q=rng.normal(size=(2, len(items))), f=2, kind="funk")
+        bundle = ModelBundle("funk", model, {t: at for at, t in enumerate(users)},
+                             {t: at for at, t in enumerate(items)})
+        path = save_model(bundle, tmp_path_factory.mktemp("tokens") / "m.json")
+        loaded = load_model(path)
+        assert loaded.user_index == bundle.user_index
+        assert loaded.item_index == bundle.item_index
+        assert [loaded.predict(u, i) for u in users for i in items] == \
+            [bundle.predict(u, i) for u in users for i in items]
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda c: c["shared"].__setitem__(1, -1), r"shared\[1\] must be an int in \[0, "),
+        (lambda c: c["shared"].__setitem__(1, 99), r"shared\[1\] must be an int in \[0, "),
+        (lambda c: c["shared"].__setitem__(0, 1), r"shared\[0\] must be an int in \[0, 0\]"),
+        (lambda c: c["shared"].pop(), "must be two lists of one length"),
+        (lambda c: c["suffixes"].append("x"), "must be two lists of one length"),
+        (lambda c: c["shared"].__setitem__(1, 1.0), r"shared\[1\] must be an int"),
+        (lambda c: c["shared"].__setitem__(1, True), r"shared\[1\] must be an int"),
+        (lambda c: c["shared"].__setitem__(1, "0"), r"shared\[1\] must be an int"),
+        (lambda c: c["suffixes"].__setitem__(1, 2), SUFFIX_REFUSED),
+        (lambda c: c["suffixes"].__setitem__(1, None), SUFFIX_REFUSED),
+        (lambda c: c.__setitem__("shared", "0000"), "must be two lists of one length"),
+        (lambda c: c.__setitem__("suffixes", {"0": "u"}), "must be two lists of one length"),
+    ])
+    @pytest.mark.parametrize("key", ["user_tokens", "item_tokens"])
+    def test_malformed_front_coding_is_refused(self, key, edit, match, tmp_path):
+        bundle, _ = funk_bundle()
+        doc = document(bundle)
+        edit(doc[key])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match=f"malformed model file .*{key} {match}"):
+            load_model(path)
+
+    def test_blend_members_share_one_lists_entry(self, tmp_path):
+        # every member of the blend was trained on the same ratings, so
+        # their per-user lists are one entry, stored once and decoded once
+        ds = small_dataset()
+        bundle = every_kind(ds)["blend"]
+        path = save_model(bundle, tmp_path / "m.json")
+        doc = json.loads(model_text(path))
+        assert len(doc["lists"]) == 1
+        assert [block[LIST_FIELDS[algorithm]] for algorithm, block in member_blocks(doc)] \
+            == [0] * 6
+        assert rows_of(doc["lists"][0]) == [row.tolist() for row in ds.items_by_user()]
+        held = [member_lists(m) for m in load_model(path).model.members[1:]]
+        assert all(np.shares_memory(rows.items, held[0].items) for rows in held)
+        assert all(np.shares_memory(rows.offsets, held[0].offsets) for rows in held)
+        # the lists entry holds no values; itemcf's ratings stay in its block
+        assert doc["ensemble"]["members"][3]["parameters"]["values"] == \
+            bundle.model.members[3].ratings.values.tolist()
+
+    def test_bag_members_name_their_own_entries(self, tmp_path):
+        # each member is trained on its own bootstrap resample
+        ds = small_dataset()
+        bundle = every_kind(ds)["bag"]
+        path = save_model(bundle, tmp_path / "m.json")
+        doc = json.loads(model_text(path))
+        assert [block["rated"] for _, block in member_blocks(doc)] == [0, 1, 2]
+        assert len({json.dumps(entry) for entry in doc["lists"]}) == 3
+        for member, entry in zip(load_model(path).model.members, doc["lists"], strict=True):
+            assert [row.tolist() for row in member.N] == rows_of(entry)
+        for member, entry in zip(bundle.model.members, doc["lists"], strict=True):
+            assert [row.tolist() for row in member.N] == rows_of(entry)
+
+    @pytest.mark.parametrize("kind", ["svd", "funk", "itemcf", "fm", "ffm", "blend", "bag"])
+    def test_inline_layout_is_a_version_8_file_of_the_same_model(self, kind, tmp_path):
+        # the test helpers inline and outline are each other's inverse on
+        # saved documents, and the inline layout loads as version 8
+        ds = small_dataset()
+        bundle = dataclasses.replace(every_kind(ds)[kind], created="2026-01-01T00:00:00+00:00")
+        path = save_model(bundle, tmp_path / "m.json")
+        doc = json.loads(model_text(path))
+        assert outline(inline(doc)) == doc
+        old = tmp_path / "v8.json"
+        old.write_text(json.dumps(inline(doc)))
+        assert save_model(load_model(old), tmp_path / "again.json").read_bytes() == \
+            path.read_bytes()
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 # float-array keys of the parameter blocks
 FLOAT_KEYS = {"u", "s", "v", "r_star", "mask", "p", "q", "y", "b_u", "b_i", "w"}
@@ -1670,8 +1859,9 @@ def current_layout(doc):
     members of the current version: each index map as its tokens in index
     order, each per-user list in its gap-coded form, and no fm or ffm
     encoder, and each ffm member's v as the cross-field table of its V
-    (ffm_table), in the byte order of the document's version. Other float
-    blocks are left as they are."""
+    (ffm_table), in the byte order of the document's version, then
+    front-coded tokens and the lists table (outline). Other float blocks
+    are left as they are."""
     planes = doc["format_version"] >= 5
     doc["format_version"] = FORMAT_VERSION
     for role in ("user", "item"):
@@ -1684,7 +1874,7 @@ def current_layout(doc):
             block[key] = form_of(block[key], valued=key == "ratings")
         if member["algorithm"] == "ffm":
             block["v"] = ffm_table(block["v"], len(doc["user_tokens"]), planes)
-    return doc
+    return outline(doc)
 
 
 def ffm_table(block, n_users, planes=True):
@@ -1803,16 +1993,15 @@ class TestFormat6File:
         assert_stored_predictions(bundle, "format6_blend_predictions.json")
         # saved again, the file inflates to the version 6 text at the
         # current version without the two encoder blocks, with the ffm V
-        # as its cross-field table
+        # as its cross-field table, front-coded tokens and the lists table
         again = save_model(bundle, tmp_path / "again.json")
-        old["format_version"] = FORMAT_VERSION
         members = old["ensemble"]["members"]
         assert [member["algorithm"] for member in members if member.pop("encoder", None)] \
             == ["fm", "ffm"]
         members[5]["parameters"]["v"] = ffm_table(members[5]["parameters"]["v"],
                                                   len(old["user_tokens"]))
         assert model_text(again) == json.dumps(
-            old, sort_keys=True, separators=(",", ":")) + "\n"
+            outline(old), sort_keys=True, separators=(",", ":")) + "\n"
         reloaded = load_model(again)
         assert_stored_predictions(reloaded, "format6_blend_predictions.json")
         assert [m.encoder for m in reloaded.model.members[4:6]] == \
@@ -1836,9 +2025,9 @@ class TestFormat7File:
         bundle = load_model(path)
         assert_stored_predictions(bundle, "format7_blend_predictions.json")
         # saved again, the file inflates to the version 7 text at the
-        # current version with each ffm v the cross-field table of its V
+        # current version with each ffm v the cross-field table of its V,
+        # front-coded tokens and the lists table
         again = save_model(bundle, tmp_path / "again.json")
-        old["format_version"] = FORMAT_VERSION
         tables = 0
         for member in old["ensemble"]["members"]:
             if member["algorithm"] == "ffm":
@@ -1848,9 +2037,38 @@ class TestFormat7File:
                 tables += 1
         assert tables == 1
         assert model_text(again) == json.dumps(
-            old, sort_keys=True, separators=(",", ":")) + "\n"
+            outline(old), sort_keys=True, separators=(",", ":")) + "\n"
         reloaded = load_model(again)
         assert_stored_predictions(reloaded, "format7_blend_predictions.json")
+
+
+class TestFormat8File:
+    """format8_blend.json is a gzip-compressed format_version 8 file,
+    written by the version 8 code when it loaded format7_blend.json and
+    saved it again: the same seven members, with token lists whole, each
+    per-user list in its member's block and the ffm member's cross-field
+    table. Beside it are the predictions of each member and of the blend
+    for every (user, item) index pair, and each user's top-3 vote, that
+    the version 8 code computed from the file it had written.
+    """
+
+    def test_loads_and_predicts_bit_for_bit(self, tmp_path):
+        path = FIXTURES / "format8_blend.json"
+        old = json.loads(model_text(path))
+        assert old["format_version"] == 8
+        assert isinstance(old["user_tokens"], list) and "lists" not in old
+        bundle = load_model(path)
+        assert_stored_predictions(bundle, "format8_blend_predictions.json")
+        # saved again, the file inflates to the version 8 text with tokens
+        # front-coded and each distinct per-user list once in the lists
+        # table: every float block keeps its text
+        again = save_model(bundle, tmp_path / "again.json")
+        new = json.loads(model_text(again))
+        assert model_text(again) == json.dumps(
+            outline(old), sort_keys=True, separators=(",", ":")) + "\n"
+        assert len(new["lists"]) < len(new["ensemble"]["members"])
+        reloaded = load_model(again)
+        assert_stored_predictions(reloaded, "format8_blend_predictions.json")
 
 
 class TestGzipContainer:
@@ -1975,12 +2193,21 @@ class TestTokenLists:
         doc = json.loads(json.dumps(docs[data.draw(st.sampled_from(sorted(docs)),
                                                     label="file")][0]))
         key = data.draw(st.sampled_from(["user_tokens", "item_tokens"]), label="key")
-        tokens = doc[key]
+        # blend6 holds plain token lists, the other files front-coded ones
+        coded = doc["format_version"] >= 9
+        tokens = tokens_of(doc[key]) if coded else doc[key]
         at = data.draw(st.integers(0, len(tokens) - 1), label="at")
-        tokens[at] = data.draw(
+        bad = data.draw(
             st.sampled_from(tokens[:at] + tokens[at + 1:])  # a repeat
             | st.integers() | st.floats() | st.booleans() | st.none()
             | st.lists(st.text(max_size=2), max_size=1), label="token")
+        if isinstance(bad, str) or not coded:
+            tokens[at] = bad
+            doc[key] = coded_of(tokens) if coded else tokens
+            message = f"{key} must be a list of distinct strings"
+        else:  # a suffix that is not a string
+            doc[key]["suffixes"][at] = bad
+            message = f"{key} shared[{at}] must be an int in"
         target = folder / "tokens.json"
         target.write_text(json.dumps(doc))
         for argv in (["predict", str(target), "1", "2"],
@@ -1988,9 +2215,9 @@ class TestTokenLists:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-            assert code == 3, (key, tokens[at], argv[0], err.getvalue())
+            assert code == 3, (key, bad, argv[0], err.getvalue())
             assert err.getvalue().startswith("error: malformed model file")
-            assert f"{key} must be a list of distinct strings" in err.getvalue()
+            assert message in err.getvalue()
             assert len(err.getvalue().splitlines()) == 1
 
 

@@ -39,6 +39,13 @@ class TestParseRankRule:
             with pytest.raises(ValueError):
                 parse_rank_rule(bad)
 
+    @pytest.mark.parametrize("bad", ["ratio:inf", "ratio:-inf", "ratio:nan",
+                                     ("ratio", float("inf"))])
+    def test_rejects_a_ratio_that_is_not_finite(self, bad):
+        # c * sum(s[f:]) is inf or nan for every f, so no rank would follow from it
+        with pytest.raises(ValueError, match="positive finite value"):
+            parse_rank_rule(bad)
+
 
 class TestFit:
     def test_worked_example_rank(self, four_by_four):

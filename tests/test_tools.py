@@ -77,21 +77,52 @@ class TestModelSizes:
                 for line in lines[2:]}
         doc = json.loads(text)
         members = doc["ensemble"]["members"]
+        # funk's rated lists and fm's observed lists hold the same items in
+        # the same order, so the lists table has one entry
         assert set(rows) == {
             "algorithm", "created", "format_version", "library", "scale",
-            "user_tokens", "item_tokens", "ensemble.intercept", "ensemble.kind",
+            "user_tokens.shared", "user_tokens.suffixes", "item_tokens.shared",
+            "item_tokens.suffixes", "lists[0]", "ensemble.intercept", "ensemble.kind",
             "ensemble.weights", "document",
             *(f"member {n} parameters.{key}" for n, member in enumerate(members)
               for key in member["parameters"])}
         # raw is the section's compact JSON; deflated is a raw deflate stream
-        raw, packed = rows["member 0 parameters.rated"]
-        section = json.dumps(members[0]["parameters"]["rated"], sort_keys=True,
+        raw, packed = rows["lists[0]"]
+        section = json.dumps(doc["lists"][0], sort_keys=True,
                              separators=(",", ":")).encode()
         assert raw == len(section)
         assert packed == len(zlib.compress(section, 6)) - 6
         assert rows["document"][0] == len(text.encode())
         # the file is the deflated document plus a gzip header and trailer
         assert blend.stat().st_size == rows["document"][1] + 18
+
+    def test_format_9_file_shows_each_lists_entry_and_token_part(self, tmp_path, capsys):
+        # a bag's members are trained on their own resamples, so each names
+        # its own lists entry; a version 8 file keeps each list in its block
+        model_sizes = load_tool("model_sizes")
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(FOUR_BY_FOUR_CSV)
+        bag = tmp_path / "bag"
+        assert main(["ensemble", "bag", "--algo", "funk", "--members", "3", "--input",
+                     str(ratings), "--output", str(bag), "--epochs", "2"]) == 0
+        old = Path(__file__).resolve().parent / "fixtures" / "format8_blend.json"
+        capsys.readouterr()
+        assert model_sizes.main([str(bag), str(old)]) == 0
+        out = capsys.readouterr().out
+        bag_lines, old_lines = (part.splitlines() for part in out.split(f"{old}: "))
+        names = [line.split()[0] for line in bag_lines[2:]]
+        doc = json.loads(model_text(bag))
+        assert doc["format_version"] == 9 and len(doc["lists"]) == 3
+        assert [name for name in names if name.startswith(("lists", "user_tokens"))] == [
+            "lists[0]", "lists[1]", "lists[2]", "user_tokens.shared", "user_tokens.suffixes"]
+        rows = {line.split()[0]: [int(n) for n in line.split()[-2:]] for line in bag_lines[2:]}
+        for name, value in (("lists[2]", doc["lists"][2]),
+                            ("item_tokens.suffixes", doc["item_tokens"]["suffixes"])):
+            section = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+            assert rows[name] == [len(section), len(zlib.compress(section, 6)) - 6]
+        old_names = [line.split()[0] for line in old_lines[2:]]
+        assert "user_tokens" in old_names and not any(
+            name.startswith(("lists", "user_tokens.")) for name in old_names)
 
     def test_version_6_file_shows_the_encoder_of_each_machine(self, capsys):
         # files from version 7 store no encoder; earlier ones still show it
@@ -116,7 +147,7 @@ class TestModelSizes:
         lines = capsys.readouterr().out.splitlines()
         shapes = {" ".join(line.split()[:-3]): line.split()[-3] for line in lines
                   if line.startswith("  ")}
-        assert json.loads(model_text(ffm))["format_version"] == 8
+        assert json.loads(model_text(ffm))["format_version"] == 9
         # 4 users and 4 items, each block with its reserved slot
         assert shapes["parameters.v"] == "[10,3]"
         assert shapes["parameters.w"] == "[10]"

@@ -1,8 +1,11 @@
 """Print where the bytes of latentrec model files go.
 
 For each file, one line per section of the JSON document: each header
-key, each key of every member's parameter block and each member's
-encoder (an ensemble's members are numbered in order), with the shape of
+key, each part of a front-coded token list (user_tokens.shared and
+user_tokens.suffixes, from format 9), each entry of the lists table
+(lists[0], lists[1], ...), each key of every member's parameter block
+and each member's encoder (an ensemble's members are numbered in order),
+with the shape of
 a float block as one token such as [802,8] ("-" for any other section),
 the section's compact JSON size ("raw") and that text deflated on its
 own at the level model files use ("deflated"). Deflating a section alone
@@ -46,6 +49,10 @@ def sections(doc):
             members = [(f"member {n} ", m) for n, m in enumerate(value["members"])]
             yield from ((f"ensemble.{k}", v) for k, v in sorted(value.items())
                         if k != "members")
+        elif key == "lists":
+            yield from ((f"lists[{n}]", entry) for n, entry in enumerate(value))
+        elif key.endswith("_tokens") and isinstance(value, dict):
+            yield from ((f"{key}.{part}", v) for part, v in sorted(value.items()))
         elif key not in ("parameters", "encoder"):
             yield key, value
     for prefix, member in members:

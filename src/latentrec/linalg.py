@@ -301,8 +301,11 @@ def rank_by_energy(singular_values, threshold=0.95):
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     # shares of the running sum's own last entry, so the last share is
-    # exactly 1.0 and energy:1 keeps the full numeric rank
-    energy = np.cumsum(s * s)
+    # exactly 1.0 and energy:1 keeps the full numeric rank; squares of s
+    # scaled by a power of two that puts s[0] in [0.5, 1) neither overflow
+    # nor lose the leading values to underflow, and the shares are unchanged
+    scaled = np.ldexp(s, -math.frexp(s[0])[1])
+    energy = np.cumsum(scaled * scaled)
     return int(np.argmax(energy / energy[-1] >= threshold)) + 1
 
 

@@ -5,6 +5,7 @@ stderr, and written model files.
 """
 
 import contextlib
+import gc
 import io
 import json
 import tempfile
@@ -127,6 +128,80 @@ class TestParsing:
         assert stdout == ""
         assert "cannot read ratings file" in err and "bad.csv" in err
         assert not out.exists()
+
+
+class TestOneParser:
+    """main parses every command line with one parser per process."""
+
+    def test_reused_parses_stay_independent(self, capsys, tmp_path):
+        # user a rates 2 of 8 items, so recommend lists 3 or all 6 others
+        data = write_ratings(tmp_path, text="user,item,rating\n" + "".join(
+            f"{u},{i},{1 + (ord(u) + i) % 5}\n"
+            for u in "abcd" for i in range(8) if (ord(u) + i) % 3 == 0))
+        model = str(tmp_path / "m.json")
+        assert run(capsys, "train", "--algo", "funk", "--input", data,
+                   "--output", model, "--epochs", "2")[0] == 0
+        sequence = (
+            ("evaluate", model, "--test", data, "--json"),
+            ("evaluate", model, "--test", data),
+            ("recommend", model, "a", "--k", "3"),
+            ("recommend", model, "a"),
+            ("recommend", model, "a", "--depth", "3"),
+            ("--help",),
+        )
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        reused = [run(capsys, *argv) for argv in sequence]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0]
+        assert fresh[0][1] != fresh[1][1]  # the JSON report, then the table
+        assert [len(out.splitlines()) for _, out, _ in reused[2:4]] == [3, 6]
+        parse = cli.build_parser().parse_args
+        assert parse(["recommend", model, "a", "--k", "3"]).k == 3
+        assert parse(["recommend", model, "a"]).k is None
+
+    @pytest.mark.parametrize("command", [*(f"train {a}" for a in cli.ALGO_CHOICES),
+                                         "evaluate", "recommend", "ensemble blend"])
+    def test_a_command_leaves_no_cyclic_garbage(self, capsys, tmp_path, command):
+        model = train_fixture_model(capsys, tmp_path, "funk")
+        argv = {
+            "evaluate": ["evaluate", model, "--test", write_ratings(tmp_path, "t.csv")],
+            "recommend": ["recommend", model, "1"],
+            "ensemble blend": ["ensemble", "blend", model, model,
+                               "--output", str(tmp_path / "blend.json")],
+        }.get(command)
+        if argv is None:
+            algo = command.split()[1]
+            argv = ["train", "--algo", algo, "--input", write_ratings(tmp_path),
+                    "--output", str(tmp_path / "m.json"), "--epochs", "2"]
+            argv += ["--rank-rule", "fixed:2"] if algo == "svd" else []
+        assert run(capsys, *argv)[0] == 0  # warm-up: the parser, lazy imports
+        gc.collect()
+        gc.disable()
+        try:
+            code = run(capsys, *argv)[0]
+        finally:
+            gc.enable()
+        assert code == 0
+        assert gc.collect() == 0
+
+    def test_the_handler_is_looked_up_when_the_command_runs(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # perfbench's tracer wraps cli.cmd_* after the parser may be built
+        model = train_fixture_model(capsys, tmp_path, "funk")
+        assert run(capsys, "recommend", model, "1")[0] == 0
+        calls = []
+
+        def patched(args):
+            calls.append((args.model, args.user))
+            print("patched")
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_recommend", patched)
+        assert run(capsys, "recommend", model, "1") == (0, "patched\n", "")
+        assert calls == [(model, "1")]
 
 
 class TestConfigFile:

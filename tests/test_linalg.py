@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,33 @@ class TestRankSelection:
         f = linalg.rank_by_energy(s, 1.0)
         assert 12 <= f <= s.size
         assert np.cumsum(s * s)[f - 1] == np.cumsum(s * s)[-1]
+
+    @pytest.mark.parametrize("s", [[1e200, 1e199], [1e-200, 1e-201]])
+    def test_energy_of_squares_outside_the_float_range(self, s):
+        # s * s overflows to inf for the first and underflows to 0/0 for
+        # the second; the squares of the scaled spectrum do neither
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.rank_by_energy(np.array(s), 0.95) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12),
+        st.integers(0, 3),
+        st.sampled_from([0.5, 0.9, 0.95, 0.99, 1.0]),
+        st.data(),
+    )
+    def test_energy_rank_is_scale_free(self, values, zeros, threshold, data):
+        # 2**k scales every share's numerator and denominator alike, so
+        # for each k that keeps s normal and finite the rank is the same
+        s = np.array(sorted(values, reverse=True) + [0.0] * zeros)
+        # m * 2**e with m in [0.5, 1) is normal and finite for e in [-1021, 1024]
+        exponents = np.frexp(s[s > 0])[1]
+        low, high = -1021 - int(exponents.min()), 1024 - int(exponents.max())
+        k = data.draw(st.integers(low, high))
+        assert linalg.rank_by_energy(np.ldexp(s, k), threshold) == (
+            linalg.rank_by_energy(s, threshold)
+        )
 
     def test_energy_validation(self):
         with pytest.raises(DegenerateSpectrumError):

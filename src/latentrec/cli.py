@@ -316,7 +316,10 @@ def _train_bundle(algo, ds, values, rated=None):
             trainer = fm_train if algo == "fm" else ffm_train
             user_tokens, item_tokens = ds.tokens()
             users, items, ratings = ds.indexed()
-            # no name holds the batch, so it is freed when training returns
+            # a OneHotBatch: the code columns and ratings as views, plus one
+            # feature index per token, which the trainer reads row by row
+            # with no CSR array; no name holds it, so it is freed when
+            # training returns
             model = trainer(
                 SampleBatch.from_codes(
                     encoder, [(user_tokens, users), (item_tokens, items)], ratings

@@ -21,20 +21,31 @@ Training reads one SampleBatch: the samples' indices, values and field
 ids in flat arrays with row offsets (the CSR layout of the design
 matrix) plus a targets array, checked once, in whole-array operations,
 when the batch is built. A list of (feature vector, target) pairs is
-packed into one first, so there is a single training path; records of
-categorical columns given as token codes, the CLI's user/item layout,
-become one straight from the code arrays (SampleBatch.from_codes), with
-no per-record vector. Each epoch (factor.run_epochs)
-walks the rows in order; per row, one unchecked kernel call gives the
-score and its latent gradient together (the plain machine computes
-V[indices] and s = sum_j v_j x_j once for both, the field-aware one walks
-the nonzero pairs once), and optim.updater closures move w0, w and V.
-The epoch loss scores with the same kernel. The public predictors and
-gradients wrap the same kernels with their input checks, so training
-from a batch, from a list, or by hand through them and optim.step gives
-bit-identical models. The squared loss uses the same halved-gradient
-convention as the factor trainers, the logistic loss uses the exact
-log-loss slope sigma(y) - target.
+packed into one first, so there is a single training path. Each epoch
+(factor.run_epochs) walks the rows in order; per row, one unchecked
+kernel call gives the score and its latent gradient together (the plain
+machine computes V[indices] and s = sum_j v_j x_j once for both, the
+field-aware one walks the nonzero pairs once), and optim.updater
+closures move w0, w and V. The epoch loss scores with the same kernel.
+The public predictors and gradients wrap the same kernels with their
+input checks, so training from a batch, from a list, or by hand through
+them and optim.step gives bit-identical models. The squared loss uses
+the same halved-gradient convention as the factor trainers, the
+logistic loss uses the exact log-loss slope sigma(y) - target.
+
+Records of categorical columns given as token codes, the CLI's
+user/item layout, become a OneHotBatch (SampleBatch.from_codes): the
+code columns and targets as given, with no copy, and one feature index
+per token, with no CSR array and no per-record vector. Its CSR arrays
+are derived only when read. A two-column one is trained from the codes:
+each row is the feature pair (a, b), both values 1.0, so the plain
+machine's score is w0 + (w_a + w_b) + v_a.v_b, taken as
+0.5 * sum_f((v_a + v_b)^2 - (v_a^2 + v_b^2)), and the field-aware one's
+is w0 + w_a + w_b + V[a, 1].V[b, 0] (Rendle 2010; Juan et al. 2016).
+Each row forms both latent gradient rows before either moves, through
+the same updater closures, and the epoch loss scores a block of rows at
+a time, so the models and traces equal those of the CSR rows bit for
+bit.
 
 Scoring a trained machine on (user, item) pairs, as the CLI does, needs
 no batch. Each pair's row holds two nonzeros, both 1.0: the user's
@@ -316,7 +327,10 @@ def _sigmoid(z):
 
 def _sample_loss(pred, y, loss):
     if loss == "squared":
-        return (y - pred) ** 2
+        try:
+            return (y - pred) ** 2
+        except OverflowError:  # a finite error whose square is not
+            return math.inf
     p = min(max(_sigmoid(pred), 1e-12), 1.0 - 1e-12)
     return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
 
@@ -403,11 +417,10 @@ class SampleBatch:
     def rows(self):
         """(indices, values, fields) of each row in order, as array views;
         fields is None when the batch has no field ids."""
-        offsets = self.offsets
+        indices, values, offsets, fields = self.indices, self.values, self.offsets, self.fields
         for r in range(self.targets.size):
             a, b = offsets[r], offsets[r + 1]
-            yield (self.indices[a:b], self.values[a:b],
-                   None if self.fields is None else self.fields[a:b])
+            yield indices[a:b], values[a:b], None if fields is None else fields[a:b]
 
     @classmethod
     def pack(cls, samples):
@@ -446,28 +459,81 @@ class SampleBatch:
         raw value in column c is tokens[codes[r]]. Each row gets one
         nonzero per column, value 1.0 and field c, at the index encode
         gives that value (the block's reserved last index for an unseen
-        one). The batch equals SampleBatch.pack over encode of the same
-        records, array for array, but is made in whole-array operations
-        with one category lookup per token and no per-record vector.
+        one). The result is a OneHotBatch, which keeps the code columns
+        and targets as given, with no copy, and one feature index per
+        token: one category lookup per token and no per-record vector.
+        Its CSR arrays equal those of SampleBatch.pack over encode of the
+        same records, array for array, but are built only when read.
 
         Raises:
             EncodingError: the column count differs from the spec's, or a
                 spec column is not categorical.
-            ValidationError: there are no records.
+            ShapeError: a code column or targets is not 1-d, or their
+                lengths differ.
+            ValidationError: there are no records, or a code is not an
+                integer index into its column's tokens.
         """
-        width = len(columns)
-        indices = np.empty((len(targets), width), dtype=np.int64)
         features = _one_hot(spec, [tokens for tokens, _ in columns])
-        for c, (column, (_, codes)) in enumerate(zip(features, columns)):
-            indices[:, c] = column[codes]
-        return cls(
-            indices=indices.ravel(),
-            values=np.ones(indices.size),
-            offsets=np.arange(0, indices.size + 1, width),
-            targets=targets,
-            n=spec.dimension,
-            fields=np.tile(np.arange(width), len(targets)),
-        )
+        codes = [np.asarray(c) for _, c in columns]
+        targets = np.asarray(targets, dtype=float)
+        if targets.ndim != 1 or any(c.shape != targets.shape for c in codes):
+            raise ShapeError("code columns and targets must be equal-length 1-d arrays")
+        if targets.size == 0:
+            raise ValidationError("training needs at least one sample")
+        for c, feature in zip(codes, features):
+            if c.dtype.kind not in "iu" or c.min() < 0 or c.max() >= feature.size:
+                raise ValidationError(f"codes must index a column's {feature.size} tokens")
+        return OneHotBatch(features, codes, targets, spec.dimension)
+
+
+# rows per block of the two-column training path: a block's feature lists
+# and score temporaries take some tens of KB, where all rows at once would
+# take (rows x k) floats per temporary
+_BLOCK = 256
+
+
+class OneHotBatch(SampleBatch):
+    """The rows of SampleBatch.from_codes, kept as code columns.
+
+    Row r has one nonzero per column c, value 1.0 and field c, at the
+    feature features[c][codes[c][r]]: features holds one int64 array per
+    column that maps each token to its feature index, and codes and
+    targets are the caller's arrays. indices, values, offsets and fields
+    are the CSR arrays of the same rows, built on each read and never
+    kept; fm_train and ffm_train train a two-column batch from the codes.
+    """
+
+    def __init__(self, features, codes, targets, n):
+        self.features, self.codes, self.targets, self.n = features, codes, targets, n
+
+    @property
+    def width(self):
+        return len(self.codes)
+
+    @property
+    def indices(self):
+        return np.stack([f[c] for f, c in zip(self.features, self.codes)], axis=1).ravel()
+
+    @property
+    def values(self):
+        return np.ones(self.targets.size * self.width)
+
+    @property
+    def offsets(self):
+        return np.arange(0, self.targets.size * self.width + 1, self.width)
+
+    @property
+    def fields(self):
+        return np.tile(np.arange(self.width), self.targets.size)
+
+    def pair_blocks(self):
+        """(a, b, targets) arrays of each block of _BLOCK rows of a
+        two-column batch, in row order: the field-0 and the field-1
+        feature of every row, and its target."""
+        (fa, fb), (ca, cb) = self.features, self.codes
+        for lo in range(0, self.targets.size, _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            yield fa[ca[rows]], fb[cb[rows]], self.targets[rows]
 
 
 def _one_hot(spec, columns):
@@ -513,8 +579,9 @@ def one_hot_features(model, spec, user_tokens, item_tokens):
 
 def one_hot_scores(model, a, b):
     """The machine's score of the one-hot rows {a: 1.0, b[t]: 1.0}, for a
-    feature a of field 0 and an int array b of features of field 1 (from
-    one_hot_features): predict of each row's vector, bit for bit.
+    feature a of field 0, or an int array of them aligned with b, and an
+    int array b of features of field 1 (from one_hot_features): predict
+    of each row's vector, bit for bit.
 
     With every value 1.0 the plain machine's pair term is the inner
     product v_a.v_b, taken in _fm_terms' order as
@@ -524,7 +591,8 @@ def one_hot_scores(model, a, b):
     """
     w, V = model.w, model.V
     if isinstance(model, FfmModel):
-        pair = np.array([np.dot(V[a, 1], V[j, 0]) for j in b.tolist()], dtype=float)
+        rows = zip(np.broadcast_to(a, b.shape).tolist(), b.tolist())
+        pair = np.array([np.dot(V[i, 1], V[j, 0]) for i, j in rows], dtype=float)
         return (model.w0 + w[a]) + w[b] + pair
     va, vb = V[a], V[b]
     return (model.w0 + (w[a] + w[b])) + 0.5 * ((va + vb) ** 2 - (va ** 2 + vb ** 2)).sum(axis=1)
@@ -541,12 +609,40 @@ def _as_batch(samples, loss):
     return batch
 
 
-def _train_machine(batch, loss, config, model, terms):
+def _fm_pair_terms(model, a, b):
+    """_fm_terms with grad of the one-hot row {a: 1.0, b: 1.0}, a != b, in
+    the same floating-point order: the score, the latent score gradient
+    rows of a and b (s - v_a and s - v_b), and the rows V[a] and V[b]."""
+    rows = model.V.take((a, b), axis=0)
+    s = rows[0] + rows[1]
+    squares = rows * rows
+    pair = 0.5 * float((s * s - (squares[0] + squares[1])).sum())
+    return float(model.w0 + (model.w[a] + model.w[b]) + pair), s - rows, rows
+
+
+def _ffm_pair_terms(model, a, b):
+    """_ffm_terms with grad of the one-hot row {a: 1.0, b: 1.0}, a of
+    field 0 and b of field 1: the score, the latent score gradients of a
+    and b, nonzero only at V[a, 1] and V[b, 0], and the rows V[a] and V[b]."""
+    rows = model.V.take((a, b), axis=0)
+    left, right = rows[0, 1], rows[1, 0]
+    gv = np.zeros_like(rows)
+    gv[0, 1] += right
+    gv[1, 0] += left
+    return float(model.w0 + model.w[a] + model.w[b] + float(np.dot(left, right))), gv, rows
+
+
+def _train_machine(batch, loss, config, model, terms, pair_terms):
     """Per-sample descent over a SampleBatch, shared by both machines.
 
     terms is the machine's unchecked kernel (_fm_terms or _ffm_terms). One
     call per visited sample gives the score and the latent score gradient
-    together; the epoch loss scores with the same kernel.
+    together; the epoch loss scores with the same kernel. A two-column
+    OneHotBatch, the command line's user/item rows, is visited from its
+    codes instead: pair_terms (_fm_pair_terms or _ffm_pair_terms) takes
+    each row's two features as Python ints, and the epoch loss scores a
+    block of rows at a time with one_hot_scores. Both give the general
+    path's models and traces bit for bit.
     """
     targets = batch.targets
     count = targets.size
@@ -571,6 +667,32 @@ def _train_machine(batch, loss, config, model, terms):
         return sum(_sample_loss(terms(model, *row)[0], float(target), loss)
                    for row, target in zip(batch.rows(), targets)) / count
 
+    def visit_pairs():
+        w = model.w
+        for a_block, b_block, y_block in batch.pair_blocks():
+            for a, b, y in zip(a_block.tolist(), b_block.tolist(), y_block.tolist()):
+                pred, g_latent, rows = pair_terms(model, a, b)
+                if not math.isfinite(pred):
+                    raise GradientError("non-finite prediction")
+                slope = _loss_slope(pred, y, loss)
+                # both rows' steps are formed before either row moves; with
+                # x_a = x_b = 1.0 the w steps are slope + lam * w
+                g_v = slope * g_latent + lam * rows
+                step_w0(0, slope)
+                step_w(a, slope + lam * w[a])
+                step_w(b, slope + lam * w[b])
+                step_v(a, g_v[0])
+                step_v(b, g_v[1])
+                model.w0 = float(w0[0])
+
+    def mean_pair_loss():
+        return sum(_sample_loss(pred, y, loss)
+                   for a, b, y_block in batch.pair_blocks()
+                   for pred, y in zip(one_hot_scores(model, a, b).tolist(),
+                                      y_block.tolist())) / count
+
+    if isinstance(batch, OneHotBatch) and batch.width == 2:
+        visit, mean_loss = visit_pairs, mean_pair_loss
     model.trace = run_epochs(config, visit, mean_loss)
     return model
 
@@ -599,7 +721,7 @@ def fm_train(samples, loss="squared", config=None):
     rng = np.random.default_rng(config.seed)
     v = rng.random((batch.n, config.f)) / math.sqrt(config.f)
     model = FmModel(w0=0.0, w=np.zeros(batch.n), V=v, k=config.f)
-    return _train_machine(batch, loss, config, model, _fm_terms)
+    return _train_machine(batch, loss, config, model, _fm_terms, _fm_pair_terms)
 
 
 def ffm_train(samples, loss="squared", config=None, n_fields=None):
@@ -617,16 +739,19 @@ def ffm_train(samples, loss="squared", config=None, n_fields=None):
     """
     config = config if config is not None else TrainConfig()
     batch = _as_batch(samples, loss)
-    if batch.fields is None or (n_fields is None and not batch.fields.size):
+    # a OneHotBatch's field ids are its column numbers, read without
+    # building its CSR arrays
+    fields = np.arange(batch.width) if isinstance(batch, OneHotBatch) else batch.fields
+    if fields is None or (n_fields is None and not fields.size):
         raise EncodingError("field-aware training needs field ids on the inputs")
     if n_fields is None:
-        n_fields = int(batch.fields.max()) + 1
-    _check_field_range(batch.fields, n_fields)
+        n_fields = int(fields.max()) + 1
+    _check_field_range(fields, n_fields)
     check_cells("ffm latent table", (batch.n, n_fields, config.f), "use fewer factors")
     rng = np.random.default_rng(config.seed)
     v = rng.random((batch.n, n_fields, config.f)) / math.sqrt(config.f)
     model = FfmModel(w0=0.0, w=np.zeros(batch.n), V=v, k=config.f, n_fields=n_fields)
-    return _train_machine(batch, loss, config, model, _ffm_terms)
+    return _train_machine(batch, loss, config, model, _ffm_terms, _ffm_pair_terms)
 
 
 @dataclass

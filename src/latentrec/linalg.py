@@ -268,6 +268,8 @@ def _check_spectrum(singular_values):
     s = np.asarray(singular_values, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("expected a nonempty 1-D array of singular values")
+    if not np.isfinite(s).all():
+        raise ValueError("singular values must be finite")
     if np.any(s < 0):
         raise ValueError("singular values must be nonnegative")
     if np.any(np.diff(s) > 1e-12 * max(1.0, float(s[0]))):
@@ -283,7 +285,7 @@ def rank_by_energy(singular_values, threshold=0.95):
     Parameters
     ----------
     singular_values : array_like
-        Nonnegative, sorted descending.
+        Finite, nonnegative, sorted descending.
     threshold : float
         Fraction of total squared energy to retain, in (0, 1].  Default 0.95.
 
@@ -325,7 +327,10 @@ def rank_by_ratio(singular_values, c=10.0):
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c}")
     # the tail is a suffix sum, never total - head, which rounding can take
-    # to 0.0 or below while sum(s[f:]) is still positive
+    # to 0.0 or below while sum(s[f:]) is still positive; the sums are of s
+    # scaled by a power of two that puts s[0] in [0.5, 1), as in
+    # rank_by_energy, so they stay below s.size and the ratios are unchanged
+    s = np.ldexp(s, -math.frexp(s[0])[1])
     head, tail = np.cumsum(s), np.cumsum(s[::-1])[::-1]
     with np.errstate(over="ignore"):  # a tail c times over past the float range
         hits = np.flatnonzero(head[:-1] >= c * tail[1:])

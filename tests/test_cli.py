@@ -23,7 +23,7 @@ from latentrec import cli
 from latentrec.cli import TRAIN_OPTIONS, _train_bundle, main
 from latentrec.data import CsvSchema, RatingDataset, negative_sample, parse_csv, split
 from latentrec.factor import overlap_weights
-from latentrec.fm import SampleBatch, encode
+from latentrec.fm import OneHotBatch, SampleBatch, encode
 from latentrec.metrics import mae, rmse
 from latentrec.persist import (
     FORMAT_VERSION,
@@ -455,6 +455,18 @@ class TestTrain:
         assert code == 4
         assert "learning rate" in err
 
+    def test_fm_squared_error_past_the_float_range_exits_4(self, capsys, tmp_path):
+        # epoch 1 ends with finite predictions about 1e155 off their
+        # ratings, whose squared error took the epoch loss to OverflowError
+        data = write_ratings(tmp_path, "r.csv", (
+            "user,item,rating\nzz,p,3\nu2,q,5\nu1,q,3\nu2,r,1\nzz,r,5\nu1,r,3\n"
+            "u3,p,4\nu3,r,2\nzz,q,1\nu2,p,1\nu3,q,2\nu1,p,2\n"))
+        code, _, err = run(capsys, "train", "--algo", "fm", "--input", data,
+                           "--output", str(tmp_path / "m.json"), "--alpha", "0.5",
+                           "--epochs", "20", "--factors", "2")
+        assert code == 4
+        assert "diverged at epoch 1" in err
+
     def test_reruns_are_byte_identical_except_created(self, capsys, tmp_path):
         data = write_ratings(tmp_path)
         first = tmp_path / "a.json"
@@ -625,7 +637,8 @@ class TestTrain:
     def test_cli_fm_samples_never_go_through_pack(self, capsys, tmp_path,
                                                   monkeypatch):
         # pack holds every (vector, target) pair until the batch is built;
-        # the CLI builds its fm/ffm batches with SampleBatch.from_codes
+        # the CLI builds its fm/ffm batches with SampleBatch.from_codes,
+        # whose code columns fm_train and ffm_train read row by row
         def refuse(cls, samples):
             raise AssertionError("SampleBatch.pack called")
 
@@ -641,6 +654,31 @@ class TestTrain:
             code, _, _ = run(capsys, "train", "--algo", algo, "--input", data,
                              "--output", out, "--epochs", "2", *extra)
             assert code == 0
+            assert run(capsys, "recommend", out, user)[0] == 0
+            code, _, _ = run(capsys, "evaluate", out, "--test", data, "--k", "5",
+                             *extra[:2])
+            assert code == 0
+
+    def test_cli_fm_training_builds_no_csr_arrays(self, capsys, tmp_path, monkeypatch):
+        # from_codes keeps the code columns; its CSR arrays are derived on
+        # read, and the CLI's fm/ffm training reads none of them
+        def refuse(self):
+            raise AssertionError("CSR array of a one-hot batch read")
+
+        for name in ("indices", "values", "offsets", "fields"):
+            monkeypatch.setattr(OneHotBatch, name, property(refuse))
+        explicit = write_ratings(tmp_path)
+        implicit = write_ratings(tmp_path, "implicit.csv", IMPLICIT_CSV)
+        logistic = ["--kind", "implicit", "--loss", "logistic", "--neg-ratio", "3",
+                    "--scale", "0:1"]
+        for algo, data, user, extra in (("fm", explicit, "1", []),
+                                        ("ffm", explicit, "1", []),
+                                        ("fm", implicit, "a", logistic),
+                                        ("ffm", implicit, "a", logistic)):
+            out = str(tmp_path / f"{algo}{user}.json")
+            code, _, err = run(capsys, "train", "--algo", algo, "--input", data,
+                               "--output", out, "--epochs", "2", *extra)
+            assert code == 0, err
             assert run(capsys, "recommend", out, user)[0] == 0
             code, _, _ = run(capsys, "evaluate", out, "--test", data, "--k", "5",
                              *extra[:2])

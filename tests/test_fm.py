@@ -2,9 +2,12 @@
 feature encoder."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentrec import optim
 from latentrec.data import split
@@ -31,6 +34,7 @@ from latentrec.fm import (
     fm_predict_fast,
     fm_predict_naive,
     fm_train,
+    one_hot_layout,
 )
 from tests.conftest import make_rank2_ratings
 
@@ -622,6 +626,40 @@ class TestSampleBatch:
         with pytest.raises(EncodingError, match="not categorical"):
             SampleBatch.from_codes(spec, [column, column], [1.0])
 
+    def test_from_codes_keeps_the_columns_without_a_copy(self):
+        # 20,000 rows: the CSR arrays would take 1.12 MB; the batch holds
+        # the caller's columns and one feature index per token
+        rng = np.random.default_rng(3)
+        users, items = [f"u{j}" for j in range(500)], [f"i{j}" for j in range(300)]
+        spec = one_hot_layout(users, items)
+        codes_u, codes_i = rng.integers(0, 500, 20_000), rng.integers(0, 300, 20_000)
+        targets = rng.random(20_000)
+        tracemalloc.start()
+        try:
+            batch = SampleBatch.from_codes(spec, [(users, codes_u), (items, codes_i)], targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert np.shares_memory(batch.targets, targets)
+        assert np.shares_memory(batch.codes[0], codes_u)
+        assert np.shares_memory(batch.codes[1], codes_i)
+
+    def test_from_codes_checks_the_codes(self):
+        spec = EncoderSpec([("user", "categorical", ["u1", "u2"]),
+                            ("item", "categorical", ["a"])])
+        users, items = ["u1", "u2"], ["a"]
+        for bad in ([0, 2], [-1, 0], [0.0, 1.0]):
+            with pytest.raises(ValidationError, match="codes"):
+                SampleBatch.from_codes(spec, [(users, np.array(bad)),
+                                              (items, np.array([0, 0]))], [1.0, 2.0])
+        with pytest.raises(ShapeError):
+            SampleBatch.from_codes(spec, [(users, np.array([0, 1])),
+                                          (items, np.array([0]))], [1.0, 2.0])
+        with pytest.raises(ValidationError, match="at least one"):
+            SampleBatch.from_codes(spec, [(users, np.array([], dtype=int)),
+                                          (items, np.array([], dtype=int))], [])
+
     def test_ffm_field_ids_checked_up_front(self):
         batch = SampleBatch(indices=[0, 1], values=[1.0, 1.0], offsets=[0, 2],
                             targets=[1.0], n=2, fields=[0, 2])
@@ -689,3 +727,94 @@ class TestEncoder:
         other = ColumnSpec("u", "categorical", ("b", "a"))
         other.slots = {}
         assert col == other
+
+
+def trained_bits(train):
+    """The bytes of every float of the machine train() returns, or the
+    epoch its DivergenceError names."""
+    try:
+        model = train()
+    except DivergenceError as exc:
+        return ("diverged", exc.epoch)
+    return (np.float64(model.w0).tobytes(), model.w.tobytes(), model.V.tobytes(),
+            np.array(model.trace, dtype=float).tobytes())
+
+
+def one_hot_records(draw, width, rows):
+    """A spec of width categorical columns and (tokens, codes) columns of
+    rows records, tokens in a drawn order with up to two unseen ones."""
+    categories, columns = [], []
+    for c in range(width):
+        seen = [f"t{c}{j}" for j in range(draw(st.integers(1, 4)))]
+        unseen = [f"x{c}{j}" for j in range(draw(st.integers(0, 2)))]
+        tokens = draw(st.permutations(seen + unseen))
+        codes = draw(st.lists(st.integers(0, len(tokens) - 1), min_size=rows, max_size=rows))
+        categories.append(seen)
+        columns.append((tokens, np.array(codes, dtype=np.int64)))
+    spec = EncoderSpec([(f"c{c}", "categorical", seen) for c, seen in enumerate(categories)])
+    return spec, columns
+
+
+class TestOneHotTraining:
+    """A from_codes batch trains like SampleBatch.pack of the encoded
+    records; a two-column one takes the one-hot pair path."""
+
+    @staticmethod
+    def both_ways(trainer, spec, columns, targets, loss, cfg):
+        batch = SampleBatch.from_codes(spec, columns, targets)
+        packed = SampleBatch.pack(
+            (encode([tokens[codes[r]] for tokens, codes in columns], spec), y)
+            for r, y in enumerate(targets))
+        return (trained_bits(lambda: trainer(batch, loss=loss, config=cfg)),
+                trained_bits(lambda: trainer(packed, loss=loss, config=cfg)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        trainer=st.sampled_from([fm_train, ffm_train]),
+        loss=st.sampled_from(["squared", "logistic"]),
+        optimizer=st.sampled_from(optim.KINDS),
+        alpha=st.sampled_from([0.01, 0.1, 0.5, 4.0]),
+        lam=st.sampled_from([0.0, 0.02]),
+        width=st.sampled_from([2, 2, 2, 1, 3]),
+        data=st.data(),
+    )
+    def test_from_codes_trains_like_packed_records(self, trainer, loss, optimizer,
+                                                   alpha, lam, width, data):
+        rows = data.draw(st.integers(1, 25))
+        spec, columns = one_hot_records(data.draw, width, rows)
+        target = st.sampled_from([0.0, 1.0]) if loss == "logistic" else st.floats(-5, 5)
+        targets = data.draw(st.lists(target, min_size=rows, max_size=rows))
+        cfg = TrainConfig(f=data.draw(st.integers(1, 3)), alpha=alpha, lam=lam,
+                          epochs=data.draw(st.integers(1, 3)),
+                          seed=data.draw(st.integers(0, 99)), optimizer=optimizer)
+        got, want = self.both_ways(trainer, spec, columns, targets, loss, cfg)
+        assert got == want
+
+    @staticmethod
+    def ratings():
+        """40 ratings 1-5 of users u1-u3 and zz on items p-r, where user zz
+        and item q are unseen and take their blocks' reserved indices."""
+        rng = np.random.default_rng(2)
+        spec = EncoderSpec([("user", "categorical", ["u1", "u2", "u3"]),
+                            ("item", "categorical", ["p", "r"])])
+        columns = [(["u1", "u2", "u3", "zz"], rng.integers(0, 4, 40)),
+                   (["p", "q", "r"], rng.integers(0, 3, 40))]
+        return spec, columns, rng.integers(1, 6, 40).astype(float)
+
+    # learning rates at which each machine diverges after its first epoch
+    # (the adaptive step is bounded by alpha, so it does not diverge here)
+    @pytest.mark.parametrize("trainer, optimizer, alpha, epoch", [
+        (fm_train, "sgd", 0.37, 2), (fm_train, "momentum", 0.5, 4),
+        (ffm_train, "sgd", 0.4, 1), (ffm_train, "momentum", 0.5, 3),
+    ])
+    def test_divergence_at_the_same_epoch(self, trainer, optimizer, alpha, epoch):
+        cfg = TrainConfig(f=2, alpha=alpha, epochs=6, seed=1, optimizer=optimizer)
+        got, want = self.both_ways(trainer, *self.ratings(), "squared", cfg)
+        assert got == want == ("diverged", epoch)
+
+    def test_squared_error_past_the_float_range_diverges(self):
+        # a finite prediction about 1e155 from its target: err ** 2 of
+        # Python floats raised OverflowError from the epoch loss
+        cfg = TrainConfig(f=2, alpha=0.4, epochs=6, seed=1)
+        got, want = self.both_ways(fm_train, *self.ratings(), "squared", cfg)
+        assert got == want == ("diverged", 0)

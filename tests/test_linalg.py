@@ -308,6 +308,40 @@ class TestRankSelection:
             with pytest.raises(ValueError, match="positive and finite"):
                 linalg.rank_by_ratio(np.array([2.0, 1.0]), c)
 
+    def test_ratio_sums_past_the_float_range(self):
+        # the running sum of three 1e308s overflowed to inf, so the head
+        # never dominated and the warning was an error under -W error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.rank_by_ratio(np.array([1e308] * 3), 10.0) == 3
+            assert linalg.rank_by_ratio(np.array([1e308, 1e290, 1e290]), 10.0) == 1
+
+    @pytest.mark.parametrize("rule", [linalg.rank_by_ratio, linalg.rank_by_energy])
+    @pytest.mark.parametrize("s", [[np.nan, 1.0], [np.inf, 1.0], [2.0, np.nan]])
+    def test_non_finite_spectrum_refused(self, rule, s):
+        # nan compares false with every bound, so it used to pass the
+        # sign and order checks and give a rank without a word
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                rule(np.array(s))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12),
+        st.integers(0, 3),
+        st.sampled_from([0.5, 1.0, 3.0, 10.0, 100.0]),
+        st.data(),
+    )
+    def test_ratio_rank_is_scale_free(self, values, zeros, c, data):
+        # 2**k scales the head and the tail alike, so for each k that keeps
+        # s normal and finite the rank is the same
+        s = np.array(sorted(values, reverse=True) + [0.0] * zeros)
+        exponents = np.frexp(s[s > 0])[1]
+        low, high = -1021 - int(exponents.min()), 1024 - int(exponents.max())
+        k = data.draw(st.integers(low, high))
+        assert linalg.rank_by_ratio(np.ldexp(s, k), c) == linalg.rank_by_ratio(s, c)
+
     def test_ratio_tail_that_rounds_away_still_counts(self):
         # 1.0 + 2e-17 rounds to 1.0, so total - head was 0.0 at f = 1 and
         # any ratio stopped there; sum(s[1:]) is 2e-17, which 1e308 times

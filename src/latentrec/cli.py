@@ -287,7 +287,7 @@ def _train_bundle(algo, ds, values, rated=None):
     the fm/ffm lists of items recommend leaves out (default ds), so an
     item drawn as a negative can still be recommended.
     """
-    encoder = observed = None
+    observed = None
     trace = []
     if algo == "svd":
         try:
@@ -312,7 +312,6 @@ def _train_bundle(algo, ds, values, rated=None):
         elif algo == "svdpp":
             model = svdpp_train(ds, config)
         else:
-            encoder = one_hot_layout(ds.user_index, ds.item_index)
             trainer = fm_train if algo == "fm" else ffm_train
             user_tokens, item_tokens = ds.tokens()
             users, items, ratings = ds.indexed()
@@ -322,7 +321,8 @@ def _train_bundle(algo, ds, values, rated=None):
             # training returns
             model = trainer(
                 SampleBatch.from_codes(
-                    encoder, [(user_tokens, users), (item_tokens, items)], ratings
+                    one_hot_layout(ds.user_index, ds.item_index),
+                    [(user_tokens, users), (item_tokens, items)], ratings,
                 ),
                 loss=values["loss"],
                 config=config,
@@ -336,7 +336,6 @@ def _train_bundle(algo, ds, values, rated=None):
         user_index=ds.user_index,
         item_index=ds.item_index,
         scale=ds.scale,
-        encoder=encoder,
         observed=observed,
     )
     return bundle, trace

@@ -25,20 +25,20 @@ README's model-file paragraph is the one full account of the format
   first scoring call. A version 2 itemcf file stores W, and loads only
   when that W is the one its ratings give.
 - A ModelBundle is frozen and builds its scorer once: the model itself,
-  or for fm and ffm an IndexedModel, the one-hot view of the machine.
-  An ensemble's members are such scorers. _member is the one member
-  check, run by save_model on every member it writes and by load_model
-  on every member it builds, the one member of a single-model file
-  included: it names the algorithm from the member's type and refuses a
-  foreign type, tables that do not fit the token lists, and an fm or ffm
-  encoder other than fm.one_hot_layout of the tokens (a categorical user
-  column, then an item column, each holding its sorted tokens). Saving
-  alone also refuses an fm or ffm view built for another token order
-  than the bundle's, which would reload as another model; load builds
-  every view from the file's own tokens.
-- From version 7 an fm or ffm member block stores no encoder: load
-  derives it with one_hot_layout. Versions 1 to 6 store it, and load only
-  when it is that layout.
+  or for fm and ffm an IndexedModel, the one-hot view of the machine,
+  built from the token lists alone (its encoder is fm.one_hot_layout of
+  them: a categorical user column, then an item column, each holding its
+  sorted tokens). An ensemble's members are such scorers. _member is the
+  one member check, run by save_model on every member it writes and by
+  load_model on every member it builds, the one member of a single-model
+  file included: it names the algorithm from the member's type and
+  refuses a foreign type, tables that do not fit the token lists, and an
+  fm or ffm view built for other tokens than the bundle's or in another
+  order, which would reload as another model; load builds every view
+  from the file's own tokens.
+- From version 7 an fm or ffm member block stores no encoder. Versions 1
+  to 6 store it, and load only when it is fm.one_hot_layout of the
+  tokens.
 - From version 8 an ffm member's v is its cross-field table, shaped like
   an fm v: row j is V[j, 1 - field(j)], field 0 for the user block (the
   first len(user_tokens) + 1 features, reserved slot included) and 1 for
@@ -144,21 +144,26 @@ class IndexedModel(Scorer):
 
     Every other model scores (u, items) in index space by itself; a
     machine scores feature vectors. Over two one-hot fields, user then
-    item, a vector is one user feature and one item feature, so building
-    the view runs fm.one_hot_features once: it checks the machine against
-    its encoder, raising ShapeError or EncodingError on a mismatch, and
-    maps every user index and every item index to its feature index.
-    scores then runs the one pair kernel, fm.one_hot_scores, on those
-    indices, and recommend ranks the items outside observed. perfbench's
-    tracer times IndexedModel.recommend, so the class keeps its name
-    while the benchmark patches it.
+    item, a vector is one user feature and one item feature. The view is
+    its tokens: encoder is fm.one_hot_layout of them, the layout training
+    uses, and building the view runs fm.one_hot_features once, which
+    checks the machine against that layout (ShapeError or EncodingError
+    on a mismatch) and maps every user index and every item index to its
+    feature index, in the tokens' own order, sorted or not. observed is
+    checked once, with UserItems.of. scores then runs the one pair
+    kernel, fm.one_hot_scores, on those indices, and recommend ranks the
+    items outside observed. perfbench's tracer times
+    IndexedModel.recommend, so the class keeps its name while the
+    benchmark patches it.
     """
 
-    def __init__(self, model, encoder, user_tokens, item_tokens, observed=None):
-        self.model, self.encoder, self.observed = model, encoder, observed
-        self.user_features, self.item_features = one_hot_features(
-            model, encoder, user_tokens, item_tokens)
+    def __init__(self, model, user_tokens, item_tokens, observed=None):
+        self.model, self.tokens = model, (user_tokens, item_tokens)
         self.n_users, self.n_items = len(user_tokens), len(item_tokens)
+        self.observed = UserItems.of(observed, self.n_users, self.n_items, "observed")
+        self.encoder = one_hot_layout(user_tokens, item_tokens)
+        self.user_features, self.item_features = one_hot_features(
+            model, self.encoder, user_tokens, item_tokens)
 
     def scores(self, u, items):
         """Scores of user u for each item index in items, as an array:
@@ -173,11 +178,15 @@ class IndexedModel(Scorer):
         return [] if self.observed is None else self.observed[u]
 
 
-def _scorer(algorithm, user_tokens, item_tokens, model, encoder=None, observed=None):
+def _scorer(algorithm, user_tokens, item_tokens, model, observed=None):
     """The index-space scorer of a model: an IndexedModel for fm and ffm,
-    the model itself for every other algorithm."""
+    the model itself for every other algorithm, whose scorer reads no
+    observed lists: it raises ValidationError when given some."""
     if algorithm in ("fm", "ffm"):
-        return IndexedModel(model, encoder, user_tokens, item_tokens, observed)
+        return IndexedModel(model, user_tokens, item_tokens, observed)
+    if observed is not None:
+        raise ValidationError(f"{algorithm} bundles take no observed lists; "
+                              "only fm and ffm recommend from them")
     return model
 
 
@@ -195,16 +204,18 @@ class ModelBundle:
             one to one onto 0..n-1.
         scale: rating bounds used for rounding and recommendation, two
             finite numbers lo < hi (data.checked_scale).
-        encoder: feature layout, required for fm and ffm; saving and
-            loading refuse any but fm.one_hot_layout of the tokens.
-        observed: the items each user rated, a UserItems (a plain
-            per-user list is checked and converted here, once); lets the
-            feature-based models exclude seen items when recommending.
+        observed: the items each user rated, fm and ffm only (ValidationError
+            for any other algorithm); lets them exclude seen items when
+            recommending. A plain per-user list is checked and converted
+            to a UserItems here, once.
         created: ISO timestamp; filled at save time when empty.
         scorer: not a constructor argument; the index-space predictor,
             built once here: the model itself, or for fm and ffm its
-            IndexedModel (so a machine that does not fit its encoder
-            raises here).
+            IndexedModel (so a machine that does not fit the tokens'
+            one-hot layout raises here).
+        encoder: not a constructor argument; for fm and ffm
+            fm.one_hot_layout of the tokens, the layout the machine is
+            scored through, and None for every other algorithm.
     """
 
     algorithm: str
@@ -212,23 +223,21 @@ class ModelBundle:
     user_index: dict
     item_index: dict
     scale: tuple = (1.0, 5.0)
-    encoder: EncoderSpec = None
     observed: UserItems = None
     created: str = ""
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm tag {self.algorithm!r}")
-        if self.algorithm in ("fm", "ffm") and self.encoder is None:
-            raise ValidationError(f"{self.algorithm} bundles need an encoder spec")
         scale = checked_scale(self.scale)
-        observed = UserItems.of(self.observed, len(self.user_index),
-                                len(self.item_index), "observed")
         users = tokens_by_index(self.user_index, "user_index")
         items = tokens_by_index(self.item_index, "item_index")
-        scorer = _scorer(self.algorithm, users, items, self.model, self.encoder, observed)
-        for name, value in (("scale", scale), ("observed", observed), ("_user_tokens", users),
-                            ("_item_tokens", items), ("scorer", scorer)):
+        scorer = _scorer(self.algorithm, users, items, self.model, self.observed)
+        observed, encoder = ((scorer.observed, scorer.encoder)
+                             if isinstance(scorer, IndexedModel) else (None, None))
+        for name, value in (("scale", scale), ("observed", observed), ("encoder", encoder),
+                            ("_user_tokens", users), ("_item_tokens", items),
+                            ("scorer", scorer)):
             object.__setattr__(self, name, value)
 
     def indices(self, user, item):
@@ -480,12 +489,13 @@ _TAGS = {SvdCfModel: "svd", ItemCfModel: "itemcf", FmModel: "fm", FfmModel: "ffm
 
 
 def _member(member, user_tokens, item_tokens):
-    """(algorithm, model, encoder, observed) of a scorer as a file holds
-    it, for the given token lists: a trained svd, funk, svdpp or itemcf
-    model, or the IndexedModel of an fm or ffm machine. Its tables must
-    hold one row per token and, for fm or ffm, its encoder must be
-    fm.one_hot_layout of the tokens, the one a file implies from version 7.
-    Raises PersistenceError."""
+    """(algorithm, model, observed) of a scorer as a file holds it, for
+    the given token lists: a trained svd, funk, svdpp or itemcf model, or
+    the IndexedModel of an fm or ffm machine. Its tables must hold one row
+    per token and an fm or ffm view must be built for these very tokens,
+    in this order: load builds every view from the file's tokens, so a
+    view of another token order would reload as another model. Raises
+    PersistenceError."""
     model = member.model if isinstance(member, IndexedModel) else member
     algorithm = model.kind if isinstance(model, FactorModel) else _TAGS.get(type(model))
     # a machine scores only through its IndexedModel, and only a machine has one
@@ -496,39 +506,31 @@ def _member(member, user_tokens, item_tokens):
         if held != len(tokens):
             raise PersistenceError(f"{algorithm} tables hold {held} {role}s where "
                                    f"the {role} index has {len(tokens)}")
-    if model is member:
-        return algorithm, model, None, None
-    if member.encoder != one_hot_layout(user_tokens, item_tokens):
-        raise PersistenceError(f"{algorithm} encoder must be a categorical user column, "
-                               "then an item column, each holding its sorted tokens")
-    return algorithm, model, member.encoder, member.observed
+    if model is not member and member.tokens != (user_tokens, item_tokens):
+        raise PersistenceError(f"{algorithm} member was built for another token order")
+    return algorithm, model, None if model is member else member.observed
 
 
 def _member_doc(member, user_tokens, item_tokens, lists):
-    algorithm, model, encoder, observed = _member(member, user_tokens, item_tokens)
-    # load builds an fm/ffm view from the file's tokens, so a view built for
-    # another token order would reload as another model
-    if encoder is not None and not all(map(
-            np.array_equal, (member.user_features, member.item_features),
-            one_hot_features(model, encoder, user_tokens, item_tokens))):
-        raise PersistenceError(f"{algorithm} member was built for another token order")
+    algorithm, model, observed = _member(member, user_tokens, item_tokens)
     return {"algorithm": algorithm,
             "parameters": _parameters(algorithm, model, len(user_tokens), lists, observed)}
 
 
 def _member_from(doc, user_tokens, item_tokens, version, lists):
-    """The model, encoder and observed lists of a member block, as
-    ModelBundle takes them; the last two only for fm and ffm, whose
-    encoder a block implies from version 7 and stores before it."""
+    """The model and, for fm and ffm, the observed lists of a member
+    block, as ModelBundle takes them (the view checks the lists). An fm or
+    ffm block before version 7 stores its encoder, which must be
+    fm.one_hot_layout of the tokens, the one later files imply."""
     algorithm, block = doc["algorithm"], doc["parameters"]
     parts = {"model": _model_from(algorithm, block, len(user_tokens), len(item_tokens),
                                   version, lists)}
     if algorithm in ("fm", "ffm"):
-        parts["encoder"] = (one_hot_layout(user_tokens, item_tokens) if version >= 7
-                            else _encoder_from(doc["encoder"]))
-        parts["observed"] = UserItems.of(
-            _field("items", block.get("observed"), version, "observed", lists),
-            len(user_tokens), len(item_tokens), "observed")
+        if version < 7 and _encoder_from(doc["encoder"]) != one_hot_layout(user_tokens,
+                                                                          item_tokens):
+            raise PersistenceError(f"{algorithm} encoder must be a categorical user column, "
+                                   "then an item column, each holding its sorted tokens")
+        parts["observed"] = _field("items", block.get("observed"), version, "observed", lists)
     return parts
 
 
@@ -588,22 +590,17 @@ def _ready(value):
 def _json_chunks(value):
     """The compact, key-sorted JSON text of value, in consecutive pieces.
 
-    The pieces join to exactly _dumps(_ready(value)). A dict holding
-    containers is walked key by key and a list of dicts item by item; any
-    other dict or list goes BLOCK_ROWS items (key-value pairs, rows,
-    numbers) per _dumps call. The byte planes of a float block's data go
-    24 * BLOCK_ROWS bytes per piece, read through the plane view, so a
-    piece may span two planes; each piece but the last is a multiple of 3
-    bytes, so the base64 pieces join to the base64 of all the planes.
+    The pieces join to exactly _dumps(_ready(value)). A dict is walked
+    key by key and a list of dicts item by item; any other list goes
+    BLOCK_ROWS items (rows, numbers) per _dumps call. The byte planes of
+    a float block's data go 24 * BLOCK_ROWS bytes per piece, read through
+    the plane view, so a piece may span two planes; each piece but the
+    last is a multiple of 3 bytes, so the base64 pieces join to the
+    base64 of all the planes.
     """
     if isinstance(value, dict):
-        pairs = sorted(value.items())
-        if not any(isinstance(item, (dict, list, np.ndarray))
-                   for _, item in pairs):
-            yield from _blocks(pairs, dict, "{}")
-            return
         yield "{"
-        for n, (key, item) in enumerate(pairs):
+        for n, (key, item) in enumerate(sorted(value.items())):
             yield ("," if n else "") + _dumps(key) + ":"
             yield from _json_chunks(item)
         yield "}"
@@ -614,7 +611,10 @@ def _json_chunks(value):
             yield from _json_chunks(item)
         yield "]"
     elif isinstance(value, list):
-        yield from _blocks(value, list, "[]")
+        yield "["
+        for start in range(0, len(value), BLOCK_ROWS):
+            yield ("," if start else "") + _dumps(value[start:start + BLOCK_ROWS])[1:-1]
+        yield "]"
     elif isinstance(value, np.ndarray):
         planes, step = _planes(value), 24 * BLOCK_ROWS
         yield '"'
@@ -623,14 +623,6 @@ def _json_chunks(value):
         yield '"'
     else:
         yield _dumps(value)
-
-
-def _blocks(items, container, brackets):
-    yield brackets[0]
-    for start in range(0, len(items), BLOCK_ROWS):
-        block = _dumps(container(items[start:start + BLOCK_ROWS]))
-        yield ("," if start else "") + block[1:-1]
-    yield brackets[1]
 
 
 def save_model(bundle, path):
@@ -649,9 +641,9 @@ def save_model(bundle, path):
     separators=(",", ":")) plus a newline, UTF-8 encoded.
 
     Raises PersistenceError for a model the file format cannot reproduce:
-    a member _member refuses (an fm or ffm encoder other than
-    fm.one_hot_layout of the tokens among them), an fm or ffm member built
-    for another token order, a single-model bundle whose tag names another
+    a member _member refuses (a foreign type, tables that do not fit the
+    token lists, an fm or ffm member built for another token order than
+    the bundle's), a single-model bundle whose tag names another
     algorithm than its model, or an svd r_star that does not follow from
     its factors.
     """
@@ -677,8 +669,9 @@ def load_model(path):
     entries the per-user list fields name by index, are read from version
     9; plain token lists and gap-coded per-user lists in each field in
     versions 6 to 8; token index maps and nested per-user lists before. An
-    fm or ffm member's encoder is fm.one_hot_layout of the token lists
-    from version 7, and read from its block before it. An ffm member's V
+    fm or ffm member is scored through fm.one_hot_layout of the token
+    lists; before version 7 its block also stores that layout as its
+    encoder. An ffm member's V
     is read whole before version 8; from version 8 its cross-field table
     is read into the cross-field blocks, and the same-field blocks, which
     no score reads, are 0.0.
@@ -705,7 +698,7 @@ def load_model(path):
     that is not a finite number, or a null svd rated or itemcf ratings;
     an fm or ffm block before version 7 without its encoder, or whose
     encoder is not fm.one_hot_layout of the token lists; a machine that
-    does not fit its encoder (fm.one_hot_features: the dimension, and two
+    does not fit that layout (fm.one_hot_features: the dimension, and two
     fields for ffm; from version 8, an ffm v that is not a (dimension,
     k) table); an svd,
     funk, svdpp or itemcf table that does not fit the token lists; a

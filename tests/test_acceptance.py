@@ -432,14 +432,13 @@ def check_11_persistence():
     observed = [row.tolist() for row in ds.items_by_user()]
     cfg = TrainConfig(f=2, alpha=0.02, lam=0.01, epochs=10, seed=3)
 
-    def bundle(algorithm, model, encoder=None, obs=None):
+    def bundle(algorithm, model, obs=None):
         return ModelBundle(
             algorithm=algorithm,
             model=model,
             user_index=ds.user_index,
             item_index=ds.item_index,
             scale=ds.scale,
-            encoder=encoder,
             observed=obs,
         )
 
@@ -448,8 +447,8 @@ def check_11_persistence():
         "funk": bundle("funk", funk_train(ds, cfg)),
         "svdpp": bundle("svdpp", svdpp_train(ds, cfg)),
         "itemcf": bundle("itemcf", itemcf_similarity(ds)),
-        "fm": bundle("fm", fm_train(samples, config=cfg), spec, observed),
-        "ffm": bundle("ffm", ffm_train(samples, config=cfg), spec, observed),
+        "fm": bundle("fm", fm_train(samples, config=cfg), observed),
+        "ffm": bundle("ffm", ffm_train(samples, config=cfg), observed),
     }
     bundles["ensemble"] = bundle(
         "ensemble",

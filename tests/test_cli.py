@@ -19,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latentrec import cli
+from latentrec import cli, linalg
 from latentrec.cli import TRAIN_OPTIONS, _train_bundle, main
-from latentrec.data import CsvSchema, RatingDataset, negative_sample, parse_csv, split
+from latentrec.data import (CsvSchema, RatingDataset, impute, negative_sample, parse_csv, split,
+                            to_dense)
 from latentrec.factor import overlap_weights
 from latentrec.fm import OneHotBatch, SampleBatch, encode
 from latentrec.metrics import mae, rmse
@@ -391,6 +392,19 @@ class TestTrain:
         for u in ds.user_index:
             assert [loaded.predict(u, i) for i in ds.item_index] == \
                 [bundle.predict(u, i) for i in ds.item_index]
+
+    @pytest.mark.parametrize("c", ["1", "10"])
+    def test_svd_ratio_rule_keeps_the_rank_rank_by_ratio_gives(self, capsys, tmp_path, c):
+        ds, _ = make_rank2_ratings(m=12, n=10, seed=7, noise=0.4)
+        text = csv_from(ds)
+        filled = impute(*to_dense(parse_csv(text)), "user")
+        want = linalg.rank_by_ratio(linalg.svd(filled).s, float(c))
+        out = str(tmp_path / "svd.json")
+        code, stdout, _ = run(capsys, "train", "--algo", "svd", "--rank-rule", f"ratio:{c}",
+                              "--input", write_ratings(tmp_path, text=text), "--output", out)
+        assert code == 0
+        assert f"retained rank {want}" in stdout.splitlines()
+        assert load_model(out).model.f == want
 
     def test_trace_on_stderr_summary_on_stdout(self, capsys, tmp_path):
         data = write_ratings(tmp_path)

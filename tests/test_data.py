@@ -348,6 +348,16 @@ class TestNegativeSample:
         assert not set(negs) & seen
         assert len(set(negs)) == len(negs)  # without replacement
 
+    def test_user_whose_quota_rounds_to_zero_gets_none(self):
+        # round(0.4 * 1) is 0 for u1; round(0.4 * 2) is 1 for u2
+        ds = implicit_dataset([("u1", "a"), ("u2", "a"), ("u2", "b")],
+                              extra_items=["c", "d", "e"])
+        out = negative_sample(ds, ratio=0.4, seed=3)
+        negs = [t[0] for t in out.triples if t[2] == 0.0]
+        assert negs == ["u2"]
+        assert out.metadata["negatives_added"] == 1
+        assert out.metadata["negative_users_skipped"] == 0
+
     def test_skip_user_with_no_unseen(self):
         ds = implicit_dataset([("u1", "a"), ("u1", "b"), ("u2", "a")])
         out = negative_sample(ds, ratio=1.0, seed=2)

@@ -243,6 +243,13 @@ class TestFfmPredict:
         # pairs: (0,1) 3*2, (0,2) 3*3, (1,2) 4*5
         assert ffm_predict(model, x) == 6.0 + 9.0 + 20.0
 
+    def test_model_predict_is_ffm_predict(self):
+        rng = np.random.default_rng(11)
+        model = FfmModel(w0=0.5, w=rng.normal(size=4), V=rng.normal(size=(4, 2, 3)), k=3,
+                         n_fields=2)
+        x = FeatureVector(indices=[0, 2, 3], values=[1.0, 0.5, 2.0], n=4, fields=[0, 1, 1])
+        assert model.predict(x) == ffm_predict(model, x)
+
     def test_missing_field_ids_rejected(self):
         model = FfmModel(w0=0.0, w=np.zeros(2), V=np.zeros((2, 1, 1)), k=1,
                          n_fields=1)

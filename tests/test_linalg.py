@@ -411,6 +411,27 @@ class TestTruncate:
             assert errs[1] <= errs[0]
 
 
+class TestSweepCap:
+    @pytest.mark.parametrize("shape", [(30, 10), (12, 12), (40, 7), (8, 20)])
+    def test_cap_one_short_of_the_sweeps_run_gives_the_same_svd(self, shape, monkeypatch):
+        # the last sweep rotates nothing, so stopping before it leaves every
+        # column where it was; the capped run checks the columns instead
+        a = np.random.default_rng(sum(shape)).normal(size=shape)
+        sweeps = linalg._jacobi_tall(a.T if shape[0] < shape[1] else a)[2]
+        assert sweeps >= 2
+        want = linalg.svd(a)
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", sweeps - 1)
+        got = linalg.svd(a)
+        for name, x, y in zip(("u", "s", "v"), got, want):
+            assert x.tobytes() == y.tobytes(), name
+
+    def test_cap_of_one_sweep_raises_with_the_off_diagonal_ratio(self, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError, match="did not converge in 1 sweeps") as info:
+            linalg.svd(np.random.default_rng(40).normal(size=(30, 10)))
+        assert info.value.off_diagonal > linalg.JACOBI_TOL
+
+
 def test_convergence_error_is_exported():
     # the cap is generous; just check the error type carries its payload
     err = ConvergenceError("no luck", off_diagonal=0.25)

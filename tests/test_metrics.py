@@ -77,6 +77,11 @@ class TestTopnMetrics:
     def test_zero_overlap(self):
         assert topn_metrics({0: [1, 2]}, {0: {5}}, 2) == (0.0, 0.0)
 
+    def test_no_recommendations(self):
+        # no user was recommended anything: precision 0 and every user
+        # with positives recalls nothing
+        assert topn_metrics({}, {0: {5}, 1: {2, 3}}, 2) == (0.0, 0.0)
+
     def test_single_hit(self):
         recs = {0: [1, 2, 3, 4, 5]}
         pos = {0: {3, 9}}

@@ -18,7 +18,8 @@ from latentrec import data, factor, persist, svdcf
 from latentrec.data import RatingDataset
 from latentrec.cli import main
 from latentrec.ensemble import BlendModel, bag_train, stack_fit, vote_recommend
-from latentrec.errors import CapacityError, LatentRecError, PersistenceError, ValidationError
+from latentrec.errors import (CapacityError, LatentRecError, PersistenceError, ShapeError,
+                              ValidationError)
 from latentrec.factor import (
     ItemCfModel,
     TrainConfig,
@@ -37,6 +38,9 @@ from latentrec.fm import (
     ffm_train,
     fm_predict_fast,
     fm_train,
+    one_hot_features,
+    one_hot_layout,
+    one_hot_scores,
 )
 from latentrec.persist import (
     FORMAT_VERSION,
@@ -117,7 +121,6 @@ def fm_bundle(algo="fm"):
         user_index=ds.user_index,
         item_index=ds.item_index,
         scale=ds.scale,
-        encoder=spec,
         observed=[row.tolist() for row in ds.items_by_user()],
     ), ds
 
@@ -1074,10 +1077,10 @@ class TestIndexedModelRange:
             model = FfmModel(w0=float(rng.normal()), w=rng.normal(size=n) * scale,
                              V=rng.normal(size=(n, 2, k)) * scale, k=k, n_fields=2)
         predict = fm_predict_fast if algo == "fm" else ffm_predict
-        scorer = IndexedModel(model, spec, users, items)
+        user_features, item_features = one_hot_features(model, spec, users, items)
         chosen = rng.integers(0, len(items), size=n_items)
         for u, user in enumerate(users):
-            got = scorer.scores(u, chosen)
+            got = one_hot_scores(model, user_features[u], item_features[chosen])
             want = np.array([predict(model, encode((user, items[i]), spec)) for i in chosen])
             assert got.shape == (n_items,) and got.dtype == np.float64
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -1104,37 +1107,6 @@ class TestBundleQueries:
         ranked = bundle.recommend(next(iter(ds.user_index)), 2)
         assert all(token in ds.item_index for token, _ in ranked)
 
-    def test_fm_bundle_requires_encoder(self):
-        ds = small_dataset()
-        model = fm_train(
-            [(encode((u, i), EncoderSpec([
-                ("user", "categorical", sorted(ds.user_index)),
-                ("item", "categorical", sorted(ds.item_index)),
-            ])), r) for u, i, r in ds.triples],
-            loss="squared",
-            config=TrainConfig(f=2, epochs=0, seed=1),
-        )
-        with pytest.raises(ValidationError, match="encoder"):
-            ModelBundle(
-                algorithm="fm",
-                model=model,
-                user_index=ds.user_index,
-                item_index=ds.item_index,
-            )
-
-    @pytest.mark.parametrize("column", [0, 1])
-    def test_fm_encoder_without_a_token_is_not_saved(self, column, tmp_path):
-        # the file would not load: the token would score as unseen
-        bundle, _ = fm_bundle()
-        columns = [(c.name, c.kind, c.categories) for c in bundle.encoder.columns]
-        name, kind, categories = columns[column]
-        columns[column] = (name, kind, ("zzz",) + categories[1:])
-        bundle = dataclasses.replace(bundle, encoder=EncoderSpec(columns))
-        path = tmp_path / "m.json"
-        with pytest.raises(PersistenceError, match="each holding its sorted tokens"):
-            save_model(bundle, path)
-        assert not path.exists()
-
     @pytest.mark.parametrize("algo", ["fm", "ffm"])
     @pytest.mark.parametrize("change", ["permuted", "superset"])
     def test_fm_encoder_other_than_the_sorted_layout_is_refused(self, algo, change,
@@ -1151,12 +1123,8 @@ class TestBundleQueries:
             columns[1][2].append("zzz")
             model = dataclasses.replace(model, w=np.append(model.w, 0.5),
                                         V=np.concatenate([model.V, model.V[-1:]]))
-        changed = dataclasses.replace(bundle, model=model, encoder=EncoderSpec(columns))
+        # the machine and encoder in a version 6 file
         path = tmp_path / "m.json"
-        with pytest.raises(PersistenceError, match="each holding its sorted tokens"):
-            save_model(changed, path)
-        assert not path.exists()
-        # the same machine and encoder in a version 6 file
         doc = with_encoders(document(bundle))
         doc["encoder"]["columns"][1]["categories"] = columns[1][2]
         doc["parameters"]["w"], doc["parameters"]["v"] = (
@@ -1228,8 +1196,7 @@ def trained_bundle(algo, ds):
         model = train(samples, loss="squared", config=config)
         observed = [row.tolist() for row in ds.items_by_user()]
     return ModelBundle(algorithm=algo, model=model, user_index=ds.user_index,
-                       item_index=ds.item_index, scale=ds.scale,
-                       encoder=encoder, observed=observed)
+                       item_index=ds.item_index, scale=ds.scale, observed=observed)
 
 
 # small rating grids, None for a missing rating
@@ -1542,6 +1509,12 @@ class TestSaveChecks:
                                                            tmp_path_factory):
         edit = data.draw(st.sampled_from(EDITS if algo == "svd" else EDITS[:-1]))
         ds = grid_dataset(grid)
+        if algo in ("fm", "ffm") and edit == "extra-user":
+            # an fm or ffm view is built from the tokens, so the machine,
+            # one user row short of them, is refused with the bundle
+            with pytest.raises(ShapeError):
+                edited_bundle(trained_bundle(algo, ds), edit)
+            return
         bundle = edited_bundle(trained_bundle(algo, ds), edit)
         path = tmp_path_factory.mktemp("edited") / "m.json"
         try:
@@ -1589,6 +1562,53 @@ class TestServingObject:
                                 lambda *args: calls.append(args) or lookup(*args))
             assert main(["evaluate", str(model), "--test", str(ratings), "--k", "5,10"]) == 0
         assert len(calls) == 1
+
+    def test_bundle_takes_no_encoder(self):
+        bundle, ds = fm_bundle()
+        assert "encoder" not in {field.name for field in dataclasses.fields(ModelBundle)}
+        with pytest.raises(TypeError, match="encoder"):
+            ModelBundle("fm", bundle.model, ds.user_index, ds.item_index, ds.scale,
+                        encoder=bundle.encoder)
+
+    def test_encoder_is_the_one_hot_layout_of_the_tokens(self):
+        for kind, bundle in every_kind(small_dataset()).items():
+            if kind in ("fm", "ffm"):
+                assert bundle.encoder == one_hot_layout(bundle.user_index, bundle.item_index)
+                assert bundle.encoder is bundle.scorer.encoder
+            else:
+                assert bundle.encoder is None, kind
+
+    @pytest.mark.parametrize("algo", ["fm", "ffm"])
+    def test_view_of_unsorted_index_maps_saves_and_reloads(self, algo, tmp_path):
+        # features follow the sorted layout, not the index order, so a
+        # feature is not the index arithmetic gives
+        ds = RatingDataset([("a", "x", 1.0), ("b", "y", 5.0), ("c", "x", 4.0)])
+        trained = trained_bundle(algo, ds)
+        bundle = ModelBundle(algo, trained.model, {"b": 0, "a": 1, "c": 2}, ds.item_index,
+                             ds.scale)
+        assert bundle.scorer.user_features.tolist() == [1, 0, 2]
+        loaded = load_model(save_model(bundle, tmp_path / "m.json"))
+        for user in "abc":
+            for item in "xy":
+                assert bundle.predict(user, item) == trained.predict(user, item)
+                assert loaded.predict(user, item) == trained.predict(user, item)
+
+    @pytest.mark.parametrize("kind", ["svd", "svd-dense", "funk", "svdpp", "itemcf", "blend"])
+    def test_observed_lists_on_another_algorithm_are_refused(self, kind):
+        # only an fm or ffm scorer reads them; any other bundle would drop them
+        bundle = every_kind(small_dataset())[kind]
+        observed = [[0]] * len(bundle.user_index)
+        with pytest.raises(ValidationError, match="observed"):
+            dataclasses.replace(bundle, observed=observed)
+
+    def test_blend_save_looks_no_feature_up(self, tmp_path, monkeypatch):
+        blend = every_kind(small_dataset())["blend"]
+        calls = []
+        lookup = persist.one_hot_features
+        monkeypatch.setattr(persist, "one_hot_features",
+                            lambda *args: calls.append(args) or lookup(*args))
+        save_model(blend, tmp_path / "m.json")
+        assert calls == []
 
 
 def ffm_blocks(V, n_users):

@@ -150,6 +150,14 @@ class UserItems:
         """The user index of each entry of items."""
         return np.repeat(np.arange(len(self)), np.diff(self.offsets))
 
+    def take(self, users):
+        """The items of each of users (an int array) in turn, as one array,
+        and how many each has."""
+        starts = self.offsets[users]
+        lengths = self.offsets[users + 1] - starts
+        at = np.repeat(starts - lengths.cumsum() + lengths, lengths) + np.arange(lengths.sum())
+        return self.items[at], lengths
+
     def form(self):
         """The model-file form, as Python numbers: "lengths", each user's
         item count; "gaps", every user's items in row order, each less the

@@ -1357,6 +1357,23 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+@pytest.fixture(scope="module")
+def wide_itemcf(tmp_path_factory):
+    """(path, n) of the itemcf file `train` makes on implicit data over
+    n = 2000 items: 300 users with 12 items each, and user "all" with every
+    item."""
+    folder = tmp_path_factory.mktemp("wide_itemcf")
+    rng = np.random.default_rng(3)
+    n = 2000
+    rows = [f"u{u},i{i},1\n" for u in range(300) for i in rng.choice(n, 12, replace=False).tolist()]
+    rows += [f"all,i{i},1\n" for i in range(n)]
+    (folder / "r.csv").write_text("".join(rows))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--algo", "itemcf", "--kind", "implicit", "--input",
+                     str(folder / "r.csv"), "--output", str(folder / "m.json")]) == 0
+    return folder / "m.json", n
+
+
 class TestTransientMemory:
     def test_save_model_peak_stays_near_the_document(self, implicit_fm,
                                                      tmp_path):
@@ -1378,3 +1395,20 @@ class TestTransientMemory:
             maps[u][i] = 1.0
         assert positives.n_items == 300
         assert traced_peak(lambda: overlap_weights(maps, 300)) < 2**20
+
+    def test_itemcf_load_and_recommend_build_no_n_by_n_array(self, wide_itemcf):
+        # 2000 x 2000 doubles are 32 MB, which W took; the columns of one
+        # user's items come a block of 32 at a time (1.05 MB with the load)
+        path, n = wide_itemcf
+        assert traced_peak(lambda: load_model(path).recommend("u0", 10)) < n * n
+
+    def test_itemcf_user_with_every_item_builds_no_n_by_n_array(self, wide_itemcf):
+        # predict counts the one candidate's row (0.2 MB for 20 calls), and
+        # scoring every item takes the user's columns in blocks (0.65 MB)
+        path, n = wide_itemcf
+        bundle = load_model(path)
+        u = bundle.user_index["all"]
+        assert len(bundle.scorer.seen(u)) == n
+        assert traced_peak(lambda: [bundle.predict("all", f"i{i}")
+                                    for i in range(0, n, 100)]) < n * n
+        assert traced_peak(lambda: bundle.scorer.scores(u, np.arange(n))) < n * n

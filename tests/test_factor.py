@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latentrec.data import RatingDataset, split
 from latentrec.errors import DivergenceError, GradientError, ValidationError
@@ -19,6 +21,7 @@ from latentrec.factor import (
     funk_train,
     itemcf_predict,
     itemcf_predict_with_info,
+    itemcf_predictions,
     itemcf_similarity,
     run_epochs,
     svdpp_implicit_predict,
@@ -28,6 +31,7 @@ from latentrec.factor import (
     svdpp_predict_with_info,
     svdpp_train,
 )
+from latentrec.metrics import SORT_ROWS, neighbours, top_k
 from tests.conftest import dataset_from_dense, make_rank2_ratings, make_svdpp_ratings
 
 
@@ -632,6 +636,75 @@ class TestItemCfNeighbours:
             got = model.scores(u, np.arange(ds.n_items))
             assert got.view(np.int64).tolist() == \
                 self.brute_scores(model, u).view(np.int64).tolist()
+
+
+def w_predictions(model, u, items):
+    """itemcf_predictions as it was before the column path: every K reads
+    the candidates' rows of the whole W."""
+    items = np.asarray(items, dtype=np.int64)
+    blocks = np.split(items, range(SORT_ROWS, items.size, SORT_ROWS))
+    neighbors = np.concatenate([neighbours(model.W[b], b, model.K) for b in blocks])
+    value = np.zeros(items.size)
+    used = np.zeros(items.size, dtype=np.int64)
+    row = slice(*model.ratings.offsets[u:u + 2])
+    for i, r in zip(model.ratings.items[row].tolist(),
+                    model.ratings.values[row].tolist()):
+        hit = neighbors[:, i]
+        value[hit] += model.W[items[hit], i] * r
+        used += hit
+    return value, used
+
+
+@st.composite
+def itemcf_cases(draw):
+    """(model, candidates): an itemcf model with K >= n - 1 trained on up to
+    7 users and 9 items, explicit (ratings in [-5, 5]) or implicit, whose
+    cells may repeat a pair (as a bootstrap resample does, held once with
+    its last rating), leave items unrated and users without items, or give
+    one user every item; and a candidate list that may repeat items."""
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["explicit", "implicit"]))
+    # negative ratings make -0.0 terms, whose sum must stay 0.0
+    rating = st.floats(-5, 5) if kind == "explicit" else st.sampled_from([0.0, 1.0])
+    cells = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), rating),
+                          min_size=1, max_size=3 * n))
+    if draw(st.booleans()):
+        u = draw(st.integers(0, m - 1))
+        cells += [(u, i, 1.0) for i in range(n)]
+    ds = RatingDataset([(f"u{u}", f"i{i}", r) for u, i, r in cells], kind=kind, scale=(-5, 5),
+                       user_index={f"u{u}": u for u in range(m)},
+                       item_index={f"i{i}": i for i in range(n)}, allow_duplicate_pairs=True)
+    model = itemcf_similarity(ds, k=max(n - 1, 1) + draw(st.integers(0, 2)))
+    return model, draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+
+
+class TestItemCfColumns:
+    """K >= n - 1 scores from the columns of the user's items equal the
+    scores from the rows of the whole W, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=itemcf_cases())
+    @example(case=(ItemCfModel([{0: 2.0}, {}], K=1, n_items=1), [0, 0]))
+    def test_columns_equal_the_rows_of_w(self, case):
+        model, candidates = case
+        every = np.arange(model.n_items)
+        for u in range(model.n_users):
+            for items in (every, np.array(candidates, dtype=np.int64)):
+                value, used = w_predictions(model, u, items)
+                got, got_used = itemcf_predictions(model, u, items)
+                assert got.view(np.int64).tolist() == value.view(np.int64).tolist()
+                assert got_used.dtype == used.dtype and got_used.tolist() == used.tolist()
+                assert model.scores(u, items).view(np.int64).tolist() == \
+                    value.view(np.int64).tolist()
+            value, used = w_predictions(model, u, every)
+            for j in every.tolist():
+                info = itemcf_predict_with_info(model, u, j)
+                assert (info.value, info.used, info.empty_neighborhood) == \
+                    (value[j], used[j], used[j] == 0)
+                assert math.copysign(1.0, info.value) == math.copysign(1.0, value[j])
+            unseen = np.delete(every, model.seen(u))
+            assert model.recommend(u, model.n_items) == \
+                top_k(unseen, value[unseen], model.n_items)
 
 
 class TestSvdppPredict:

@@ -36,6 +36,8 @@ CASES = (
     ("svdpp", "explicit", ["--algo", "svdpp", "--epochs", "5"]),
     ("itemcf", "explicit", ["--algo", "itemcf"]),
     ("itemcf-neighborhood", "explicit", ["--algo", "itemcf", "--neighborhood", "3"]),
+    # the shape the benchmark scores: 0/1 ratings, K = n - 1
+    ("itemcf-implicit", "implicit", ["--algo", "itemcf", "--kind", "implicit"]),
     ("fm", "explicit", ["--algo", "fm", "--epochs", "5"]),
     ("ffm", "explicit", ["--algo", "ffm", "--epochs", "5"]),
     ("fm-logistic", "implicit", ["--algo", "fm", "--kind", "implicit", "--scale", "0:1",

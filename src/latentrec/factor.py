@@ -400,10 +400,10 @@ class ItemCfModel(Scorer):
     The model is frozen: assigning a field raises FrozenInstanceError,
     and dataclasses.replace builds a new, checked model. What scoring
     reads is not a field but derived state, built from the ratings on
-    first use and kept, so it always follows from them: with K >= n - 1
-    (the default) the item -> users index raters, from which each call
-    counts the columns of W it needs (itemcf_predictions); with K < n - 1
-    the whole n x n weights W, from overlap_weights.
+    first use and kept, so it always follows from them: the item -> users
+    index raters, from which each call counts the rows of the
+    co-occurrences it needs (itemcf_predictions), for every K. The whole
+    n x n weights W are a derived view that no scoring call reads.
 
     Fields:
         ratings: each user's rated items with their ratings as values, a
@@ -431,8 +431,9 @@ class ItemCfModel(Scorer):
     def W(self):
         """n x n overlap weights W[i, j] = |N(i) & N(j)| / |N(i)|, diagonal
         0, where N(i) is the set of users who rated item i (see
-        overlap_weights). Items nobody rated get an all-zero row. Only
-        scoring with K < n - 1 reads it."""
+        overlap_weights). Items nobody rated get an all-zero row. The
+        reference view of what scoring computes; no scoring call reads
+        it, so it is built only when read."""
         return overlap_weights(self.ratings, self.n_items)
 
     @functools.cached_property
@@ -514,14 +515,15 @@ def overlap_weights(ratings, n):
     all-zero rows. ItemCfModel.W is built here, so a trained model and a
     loaded one have the same weights.
 
-    The counts are added one user at a time, each an np.ix_ block of
-    d_u x d_u cells: one np.bincount over all the pair codes i * n + j
-    would hold the sum of d_u^2 codes and a second n x n array at once.
-    Rows of W from cooccurrence's blocks are the same numbers, but on 300
-    items with 5,000 ratings that build peaked at 1.36 MB under
-    tracemalloc, against 0.99 MB for this loop (W is 0.72 MB). Only
-    scoring with K < n - 1 needs W; a K >= n - 1 score reads its columns
-    from cooccurrence (itemcf_predictions), bit for bit equal to these.
+    The counts are added one user at a time, in np.ix_ blocks of at most
+    SORT_ROWS x d_u cells, so a user who rated every item adds no second
+    n x n array: one np.bincount over all the pair codes i * n + j would
+    hold the sum of d_u^2 codes and a second n x n array at once. Rows of
+    W from cooccurrence's blocks are the same numbers, but on 300 items
+    with 5,000 ratings that build peaked at 1.36 MB under tracemalloc,
+    against 0.99 MB for this loop (W is 0.72 MB). No scoring call needs
+    W: itemcf_predictions reads the counts from cooccurrence, bit for bit
+    equal to these.
 
     Raises:
         CapacityError: n x n exceeds DENSE_CELL_CAP; checked before
@@ -533,7 +535,8 @@ def overlap_weights(ratings, n):
     ratings = UserItems.of(ratings, None, n, "ratings", valued=True)
     counts = np.zeros((n, n))
     for idx in ratings:
-        counts[np.ix_(idx, idx)] += 1.0
+        for lo in range(0, idx.size, SORT_ROWS):
+            counts[np.ix_(idx[lo:lo + SORT_ROWS], idx)] += 1.0
     raters = np.diag(counts).copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(counts, raters[:, None], out=counts)
@@ -543,8 +546,8 @@ def overlap_weights(ratings, n):
 
 
 def itemcf_similarity(ds, k=None):
-    """ItemCF model of a dataset's ratings; its overlap weights (see
-    overlap_weights) are built on its first scoring call.
+    """ItemCF model of a dataset's ratings; scoring counts the overlaps
+    it needs (see itemcf_predictions).
 
     N(i) collects the users with a triple for item i (implicit zeros do
     not count as raters). k sets the prediction neighborhood size and
@@ -570,35 +573,19 @@ def itemcf_predictions(model, u, items):
     a slot. An empty intersection scores 0. The sum runs over the user's
     ratings in their stored (item) order, one term per item.
 
-    K >= n - 1 makes S(j, K) every item but j, so the sum reads only the
-    d_u columns W[:, i] of the user's items, and no W is built: W[j, i]
-    is C[i, j] / |N(j)| for the cooccurrence counts C, which are
-    symmetric. The counts come as the rows of C for the user's items, or
-    for the candidates when there are fewer of them (one predict), a
-    block at a time, so a call holds O(SORT_ROWS * n + nnz) and never
-    d_u x n; both give the W[j, i] overlap_weights gives, and the zero
-    count at j = i adds 0 to the sum, as skipping j does. K < n - 1 reads
-    the candidates' rows of the cached W.
+    No W is built: W[j, i] is C[j, i] / |N(j)| for the cooccurrence
+    counts C, which are symmetric, and the counts come a block of rows at
+    a time, so a call holds O(SORT_ROWS * n + nnz) and never d_u x n.
+    The candidates' rows of C rank j's neighbours as W's row j does:
+    dividing integers below 2^53 by one positive integer keeps their
+    order and their ties. Each candidate then sums its hit terms, a miss
+    adding 0. With K >= n - 1, S(j, K) is every item but j, so when the
+    user rated no more items than there are candidates the sum reads the
+    rows of C for the user's items instead, as columns of W: the zero
+    count at j = i adds 0 to the sum, as skipping j does. Both give the
+    W[j, i] overlap_weights gives.
     """
     items = in_range(u, items, model.n_users, model.n_items)
-    if model.K >= model.n_items - 1:
-        return _column_predictions(model, u, items)
-    blocks = np.split(items, range(SORT_ROWS, items.size, SORT_ROWS))
-    neighbors = np.concatenate([neighbours(model.W[b], b, model.K) for b in blocks])
-    value = np.zeros(items.size)
-    used = np.zeros(items.size, dtype=np.int64)
-    row = slice(*model.ratings.offsets[u:u + 2])
-    for i, r in zip(model.ratings.items[row].tolist(),
-                    model.ratings.values[row].tolist()):
-        hit = neighbors[:, i]
-        value[hit] += model.W[items[hit], i] * r
-        used += hit
-    return value, used
-
-
-def _column_predictions(model, u, items):
-    """itemcf_predictions for K >= n - 1, from the counts of whichever of
-    the user's items and the candidates are fewer."""
     row = slice(*model.ratings.offsets[u:u + 2])
     rated, ratings = model.ratings.items[row], model.ratings.values[row]
     offsets = model.raters.offsets
@@ -606,19 +593,23 @@ def _column_predictions(model, u, items):
     # and 0 / 1 is the 0 of its row in W
     divisor = np.maximum(offsets[1:] - offsets[:-1], 1)
     value = np.zeros(items.size)
-    if items.size < rated.size:
-        for at, counts in cooccurrence(model.ratings, model.raters, items):
-            terms = counts[:, rated] / divisor[items[at], None] * ratings
-            # a running sum adds each row's terms in the stored order;
-            # it starts at the first term, not at 0.0 as the loop below
-            # does, which can change only the sign of a zero sum, and
-            # adding it to 0.0 makes that 0.0 as the loop's is
-            value[at] += np.add.accumulate(terms, axis=1)[:, -1]
-    else:
+    # the running sum below needs a term; a user with no items walks none
+    if rated.size == 0 or (model.K >= model.n_items - 1 and rated.size <= items.size):
         for at, counts in cooccurrence(model.ratings, model.raters, rated):
             for terms in counts[:, items] / divisor[items] * ratings[at, None]:
                 value += terms
-    return value, rated.size - np.bincount(rated, minlength=model.n_items)[items]
+        return value, rated.size - np.bincount(rated, minlength=model.n_items)[items]
+    used = np.zeros(items.size, dtype=np.int64)
+    for at, counts in cooccurrence(model.ratings, model.raters, items):
+        hit = neighbours(counts, items[at], model.K)[:, rated]
+        terms = np.where(hit, counts[:, rated] / divisor[items[at], None] * ratings, 0.0)
+        # a running sum adds each row's terms in the stored order; it
+        # starts at the first term, not at 0.0 as the loop above does,
+        # which can change only the sign of a zero sum, and adding it to
+        # 0.0 makes that 0.0 as the loop's is
+        value[at] += np.add.accumulate(terms, axis=1)[:, -1]
+        used[at] = hit.sum(axis=1)
+    return value, used
 
 
 def itemcf_predict_with_info(model, u, j):

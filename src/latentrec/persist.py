@@ -21,9 +21,10 @@ README's model-file paragraph is the one full account of the format
 - A file stores only what a model cannot rebuild: loading rebuilds svd
   r_star and mask with the function training used, so saving refuses an
   r_star that does not follow from the stored factors. An itemcf model
-  holds no weights to store: its W is derived from its ratings on the
-  first scoring call. A version 2 itemcf file stores W, and loads only
-  when that W is the one its ratings give.
+  holds no weights to store: scoring counts what it needs from its
+  ratings, and its W is a view derived from them when read. A version 2
+  itemcf file stores W, and loads only when that W is the one its
+  ratings give.
 - A ModelBundle is frozen and builds its scorer once: the model itself,
   or for fm and ffm an IndexedModel, the one-hot view of the machine,
   built from the token lists alone (its encoder is fm.one_hot_layout of

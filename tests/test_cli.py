@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from latentrec import cli, linalg
 from latentrec.cli import TRAIN_OPTIONS, _train_bundle, main
-from latentrec.data import (CsvSchema, RatingDataset, impute, negative_sample, parse_csv, split,
-                            to_dense)
+from latentrec.data import (CsvSchema, RatingDataset, UserItems, impute, negative_sample,
+                            parse_csv, split, to_dense)
 from latentrec.factor import overlap_weights
 from latentrec.fm import OneHotBatch, SampleBatch, encode
 from latentrec.metrics import mae, rmse
@@ -1374,6 +1374,18 @@ def wide_itemcf(tmp_path_factory):
     return folder / "m.json", n
 
 
+@pytest.fixture(scope="module")
+def wide_itemcf_neighborhood(wide_itemcf):
+    """(path, n) of the itemcf file `train --neighborhood 50` makes on
+    wide_itemcf's data."""
+    path, n = wide_itemcf
+    output = path.with_name("k50.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--algo", "itemcf", "--kind", "implicit", "--neighborhood", "50",
+                     "--input", str(path.with_name("r.csv")), "--output", str(output)]) == 0
+    return output, n
+
+
 class TestTransientMemory:
     def test_save_model_peak_stays_near_the_document(self, implicit_fm,
                                                      tmp_path):
@@ -1396,6 +1408,17 @@ class TestTransientMemory:
         assert positives.n_items == 300
         assert traced_peak(lambda: overlap_weights(maps, 300)) < 2**20
 
+    def test_overlap_weights_of_a_user_with_every_item(self):
+        # 500 x 500 doubles are 2 MB; adding the d_u x d_u block of a user
+        # who rated every item at once made a second one (4.13 MB), blocks
+        # of SORT_ROWS rows peak at 2.26 MB
+        rng = np.random.default_rng(4)
+        n = 500
+        maps = [dict.fromkeys(sorted(rng.choice(n, 12, replace=False).tolist()), 1.0)
+                for _ in range(300)]
+        ratings = UserItems.of(maps + [dict.fromkeys(range(n), 1.0)], None, n, valued=True)
+        assert traced_peak(lambda: overlap_weights(ratings, n)) < 1.25 * n * n * 8
+
     def test_itemcf_load_and_recommend_build_no_n_by_n_array(self, wide_itemcf):
         # 2000 x 2000 doubles are 32 MB, which W took; the columns of one
         # user's items come a block of 32 at a time (1.05 MB with the load)
@@ -1412,3 +1435,11 @@ class TestTransientMemory:
         assert traced_peak(lambda: [bundle.predict("all", f"i{i}")
                                     for i in range(0, n, 100)]) < n * n
         assert traced_peak(lambda: bundle.scorer.scores(u, np.arange(n))) < n * n
+
+    def test_itemcf_neighborhood_scores_build_no_n_by_n_array(self, wide_itemcf_neighborhood):
+        # K = 50 < n - 1 built W on the first score, and the d_u x d_u
+        # block of user "all" a second n x n array (64.5 MB); neighbours
+        # now rank the candidates' rows of co-occurrence counts, 32 at a time
+        path, n = wide_itemcf_neighborhood
+        assert traced_peak(lambda: load_model(path).recommend("u0", 10)) < n * n
+        assert traced_peak(lambda: load_model(path).recommend("all", 10)) < n * n

@@ -639,8 +639,8 @@ class TestItemCfNeighbours:
 
 
 def w_predictions(model, u, items):
-    """itemcf_predictions as it was before the column path: every K reads
-    the candidates' rows of the whole W."""
+    """itemcf_predictions as it was before the co-occurrence paths: every
+    K reads the candidates' rows of the whole W."""
     items = np.asarray(items, dtype=np.int64)
     blocks = np.split(items, range(SORT_ROWS, items.size, SORT_ROWS))
     neighbors = np.concatenate([neighbours(model.W[b], b, model.K) for b in blocks])
@@ -657,11 +657,13 @@ def w_predictions(model, u, items):
 
 @st.composite
 def itemcf_cases(draw):
-    """(model, candidates): an itemcf model with K >= n - 1 trained on up to
-    7 users and 9 items, explicit (ratings in [-5, 5]) or implicit, whose
-    cells may repeat a pair (as a bootstrap resample does, held once with
-    its last rating), leave items unrated and users without items, or give
-    one user every item; and a candidate list that may repeat items."""
+    """(model, candidates): an itemcf model with K in 1 ... n + 1, on both
+    sides of n - 1, trained on up to 7 users and 9 items, explicit (ratings
+    in [-5, 5]) or implicit, whose cells may repeat a pair (as a bootstrap
+    resample does, held once with its last rating), leave items unrated
+    and users without items, or give one user every item; and a candidate
+    list that may repeat items and may pass SORT_ROWS, so that it spans
+    more than one block of co-occurrence rows."""
     n, m = draw(st.integers(1, 9)), draw(st.integers(1, 7))
     kind = draw(st.sampled_from(["explicit", "implicit"]))
     # negative ratings make -0.0 terms, whose sum must stay 0.0
@@ -674,13 +676,15 @@ def itemcf_cases(draw):
     ds = RatingDataset([(f"u{u}", f"i{i}", r) for u, i, r in cells], kind=kind, scale=(-5, 5),
                        user_index={f"u{u}": u for u in range(m)},
                        item_index={f"i{i}": i for i in range(n)}, allow_duplicate_pairs=True)
-    model = itemcf_similarity(ds, k=max(n - 1, 1) + draw(st.integers(0, 2)))
-    return model, draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    model = itemcf_similarity(ds, k=draw(st.integers(1, n + 1)))
+    return model, draw(st.lists(st.integers(0, n - 1), max_size=SORT_ROWS + 8))
 
 
 class TestItemCfColumns:
-    """K >= n - 1 scores from the columns of the user's items equal the
-    scores from the rows of the whole W, bit for bit."""
+    """Scores from the co-occurrence counts, for every K, equal the scores
+    from the rows of the whole W, bit for bit: the neighbours that rank
+    the integer counts, the sums of the candidates' rows and of the
+    columns of the user's items, the sign of a zero and the counts used."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=itemcf_cases())

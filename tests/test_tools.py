@@ -171,7 +171,7 @@ class TestScoreDigest:
         assert runs[0] == runs[1]
         cases = [name for name, _, _ in score_digest.CASES] + \
             [name for name, _ in score_digest.BLENDS]
-        assert len(cases) == 17
+        assert len(cases) == 18
         # each case's scores line, then its recommend line
         names = [line for name in cases for line in (name, f"{name}/recommend")]
         assert [line.split()[0] for line in runs[0]] == names

@@ -38,6 +38,10 @@ CASES = (
     ("itemcf-neighborhood", "explicit", ["--algo", "itemcf", "--neighborhood", "3"]),
     # the shape the benchmark scores: 0/1 ratings, K = n - 1
     ("itemcf-implicit", "implicit", ["--algo", "itemcf", "--kind", "implicit"]),
+    # 0/1 ratings tie most neighbour slots, so this pins that ranking the
+    # co-occurrence counts picks the neighbours W's rows pick
+    ("itemcf-implicit-neighborhood", "implicit", ["--algo", "itemcf", "--kind", "implicit",
+                                                  "--neighborhood", "3"]),
     ("fm", "explicit", ["--algo", "fm", "--epochs", "5"]),
     ("ffm", "explicit", ["--algo", "ffm", "--epochs", "5"]),
     ("fm-logistic", "implicit", ["--algo", "fm", "--kind", "implicit", "--scale", "0:1",

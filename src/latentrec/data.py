@@ -159,17 +159,17 @@ class UserItems:
         return self.items[at], lengths
 
     def form(self):
-        """The model-file form, as Python numbers: "lengths", each user's
-        item count; "gaps", every user's items in row order, each less the
-        item before it in its row (the first less 0); and with values,
-        "values" aligned with the gaps."""
+        """The model-file form, as arrays: "lengths", each user's item
+        count; "gaps", every user's items in row order, each less the item
+        before it in its row (the first less 0); and with values, "values"
+        aligned with the gaps."""
         lengths = np.diff(self.offsets)
         gaps = np.diff(self.items, prepend=0)
         starts = self.offsets[:-1][lengths > 0]
         gaps[starts] = self.items[starts]
-        form = {"lengths": lengths.tolist(), "gaps": gaps.tolist()}
+        form = {"lengths": lengths, "gaps": gaps}
         if self.values is not None:
-            form["values"] = self.values.tolist()
+            form["values"] = self.values
         return form
 
     @classmethod
@@ -190,7 +190,8 @@ class UserItems:
         lists that come from outside (model files, hand-built models).
 
         rows is None (returned as is), a UserItems, a dict in the form
-        form() gives, or a sequence of per-user lists: n_users of them,
+        form() gives (arrays, or the JSON lists of versions 6 to 9 of the
+        model file), or a sequence of per-user lists: n_users of them,
         unless n_users is None. Every item is an int in [0, n_items),
         never a float, string, bool or null. Unvalued rows keep their
         order and may repeat an item. With valued, a row is a dict from
@@ -227,9 +228,11 @@ class UserItems:
 
     @classmethod
     def _decoded(cls, form, n_items):
-        """The rows of form() output, or None when its lengths or gaps are
-        not lists of ints, or break the rules of the dict form in of."""
-        lengths, gaps = (json_array(form.get(key)) for key in ("lengths", "gaps"))
+        """The rows of form() output, its lengths and gaps as int arrays
+        (decoded int blocks) or JSON lists, or None when they are not ints
+        or break the rules of the dict form in of."""
+        lengths, gaps = (a if isinstance(a, np.ndarray) else json_array(a)
+                         for a in (form.get("lengths"), form.get("gaps")))
         # a float, a string, null or an int past the int64 range makes an
         # array of another kind
         if (any(a is None or a.ndim != 1 or a.dtype.kind != "i" for a in (lengths, gaps))

@@ -65,6 +65,10 @@ class CapacityError(DataError):
     """A dense matrix or factor table would exceed the configured cell cap."""
 
 
+class MagnitudeError(DataError):
+    """Values whose singular values or reconstruction overflow float64."""
+
+
 class DivergenceError(LatentRecError, RuntimeError):
     """Training loss became non-finite.
 

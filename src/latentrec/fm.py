@@ -50,9 +50,10 @@ bit.
 Scoring a trained machine on (user, item) pairs, as the CLI does, needs
 no batch. Each pair's row holds two nonzeros, both 1.0: the user's
 feature a and the item's feature b. one_hot_features checks the machine
-against its encoder and maps every user and item token to its feature
-index, once per model, with ColumnSpec.slot, the lookup encode and
-SampleBatch.from_codes also use. one_hot_scores then scores every
+against its encoder, one_hot_layout of the tokens, and maps every user
+and item token to its feature index, once per model, from the token's
+rank in its role's sorted tokens, which is the ColumnSpec.slot encode
+and SampleBatch.from_codes look up. one_hot_scores then scores every
 candidate of a user at once. For the plain machine on two one-hot
 fields the pair term is the inner product v_a.v_b, as in biased matrix
 factorization; for the field-aware one it is V[a, item field].V[b, user
@@ -557,24 +558,37 @@ def _one_hot(spec, columns):
             for col, start, tokens in zip(spec.columns, spec.offsets(), columns)]
 
 
+def _ranks(tokens):
+    """The position of each of the distinct tokens, as strings, in their
+    sorted order: its category index in its one_hot_layout column. The
+    sort is Python's, as one_hot_layout's is: numpy's string arrays drop
+    trailing "\x00", so "a" and "a\x00" would tie there."""
+    keys = [str(t) for t in tokens]
+    ranks = np.empty(len(keys), np.int64)
+    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return ranks
+
+
 def one_hot_features(model, spec, user_tokens, item_tokens):
     """The feature index of each user token and of each item token, as two
     int64 arrays, for one_hot_scores.
 
-    spec must be the machine's encoder: two categorical columns, user then
-    item, of the machine's dimension, and a field-aware machine must have
-    one field per column. This is checked before any token is looked up.
+    spec must be the machine's encoder, one_hot_layout(user_tokens,
+    item_tokens), of the machine's dimension, and a field-aware machine
+    must have one field per column; these two are checked first. A
+    token's feature is its block's start plus its rank among its role's
+    tokens, the slot encode looks up, found by one sort per role.
 
     Raises:
         ShapeError: the spec's dimension differs from the machine's.
-        EncodingError: spec is not two categorical columns, or a
-            field-aware machine has another field count.
+        EncodingError: a field-aware machine has another field count.
     """
     if model.n != spec.dimension:
         raise ShapeError(f"encoder has dimension {spec.dimension}, model has {model.n}")
     if isinstance(model, FfmModel) and model.n_fields != spec.n_fields:
         raise EncodingError(f"encoder has {spec.n_fields} fields, model has {model.n_fields}")
-    return _one_hot(spec, [user_tokens, item_tokens])
+    return [start + _ranks(tokens)
+            for start, tokens in zip(spec.offsets(), (user_tokens, item_tokens))]
 
 
 def one_hot_scores(model, a, b):

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
+    MagnitudeError,
     ShapeError,
     ZeroNormError,
 )
@@ -216,12 +217,19 @@ def svd(a):
         column pair is normalized so the largest-magnitude entry of every
         ``u`` column is nonnegative, making the result deterministic.
 
+    Input whose largest magnitude lies outside _scale_window(m, n) is
+    decomposed as ``a * 2**-e`` (``2**(e - 1) <= max|a| < 2**e``), which
+    is exact, and ``s`` is scaled back by ``2**e``; u and v are those of
+    the scaled input. Inside the window nothing is scaled.
+
     Raises
     ------
     ValueError
         On non-2-D or non-finite input.
     ConvergenceError
         If the sweep cap is reached while column pairs remain coupled.
+    MagnitudeError
+        If a singular value overflows when scaled back.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
@@ -230,6 +238,11 @@ def svd(a):
         raise ValueError("svd input contains non-finite entries")
 
     m, n = a.shape
+    lo, hi = _scale_window(m, n)
+    e = math.frexp(max(a.max(), -a.min()))[1]
+    scaled = not lo <= e <= hi
+    if scaled:
+        a = np.ldexp(a, -e)
     transposed = m < n
     work = a.T if transposed else a
     rows, cols = work.shape  # rows >= cols
@@ -261,7 +274,26 @@ def svd(a):
         if u[k, j] < 0:
             u[:, j] = -u[:, j]
             v[:, j] = -v[:, j]
+    if scaled:
+        with np.errstate(over="ignore"):
+            s = np.ldexp(s, e)
+        if not np.isfinite(s).all():
+            raise MagnitudeError(f"the singular values of a {m} x {n} matrix with entries up "
+                                 f"to 2^{e} overflow float64")
     return SvdResult(u=u, s=s, v=v)
+
+
+def _scale_window(m, n):
+    """(lo, hi): the exponents e of max|a| (2**(e - 1) <= max|a| < 2**e)
+    an m x n input is decomposed at unscaled.
+
+    The Jacobi coupling test multiplies two squared column norms, the
+    fourth power of a norm. A column norm is below sqrt(m * n) * 2**e, so
+    up to hi that power stays finite. The largest column norm is at least
+    2**(e - 1) and the zero-column threshold at least 2**-52 times it, so
+    from lo on the fourth power of that threshold is normal.
+    """
+    return 53 - 1022 // 4, (1023 - 2 * math.ceil(math.log2(m * n))) // 4
 
 
 def _check_spectrum(singular_values):

@@ -1,7 +1,7 @@
 """Model files: save and load every trained model type.
 
 README's model-file paragraph is the one full account of the format
-(format_version 9). What the code here relies on:
+(format_version 10). What the code here relies on:
 
 - A file is one compact, key-sorted JSON line in a single gzip member
   (level GZIP_LEVEL, mtime 0). A file without the gzip magic bytes is
@@ -10,6 +10,10 @@ README's model-file paragraph is the one full account of the format
   row-major "<f8" bytes, grouped in byte planes (byte 0 of every value,
   then byte 1, ...) from version 5 and value by value in version 4.
   Versions 1 to 3 hold nested decimal lists. Loading gives every bit back.
+  From version 10 a lists entry's lengths and gaps are int blocks (_ints),
+  the same layout with the narrowest of INT_DTYPES that holds the
+  array's least and greatest value; one writer and one reader (_planes,
+  _array) serve both kinds, and a field reads only its own kind.
 - save_model builds and checks the whole document before it opens the
   file, then deflates it in pieces (_json_chunks) that join to the one
   json.dumps of document(); no string of the file or of a whole float
@@ -60,13 +64,16 @@ README's model-file paragraph is the one full account of the format
   store posting lists), and itemcf's ratings. From version 9 the
   document's "lists" table holds each distinct lengths + gaps form once,
   in the order members first name it, and each item-list field is the
-  index of its entry; an itemcf block keeps its ratings as "values".
-  Load decodes each entry once, so members that name it share its
-  arrays. UserItems.of, the one check of such lists, is the only way the
-  loader reads them back: as table entries from version 9, in the form
-  inside each field in versions 6 to 8 and as nested lists in versions 1
-  to 5 (_field refuses another layout); the svd mask goes to and from
-  its rated lists in one array operation each way.
+  index of its entry; an itemcf block keeps its ratings as "values"
+  (a JSON list). The entry's lengths and gaps are int blocks from version
+  10 and JSON lists in version 9. Load decodes each entry once, so
+  members that name it share its arrays. UserItems.of, the one check of
+  such lists (lengths >= 0 that sum to the gap count, each gap less than
+  n_items away from 0), is the only way the loader reads them back: as
+  table entries from version 9, in the form inside each field in
+  versions 6 to 8 and as nested lists in versions 1 to 5 (_field refuses
+  another layout); the svd mask goes to and from its rated lists in one
+  array operation each way.
 """
 
 import base64
@@ -94,7 +101,7 @@ from .linalg import SvdResult
 from .metrics import Scorer, in_range
 from .svdcf import SvdCfModel, reconstruct
 
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 # version 1 stored the svd block as the dense r_star and mask; version 2
 # stored the itemcf weights "w"; versions 1-3 store floats as nested lists,
 # and version 4 float blocks hold their bytes value by value; versions 1-5
@@ -102,10 +109,14 @@ FORMAT_VERSION = 9
 # store each fm/ffm member's encoder, which later ones derive; versions 1-7
 # store each ffm member's whole V, where later ones store its cross-field
 # table; versions 1-8 store tokens whole and each per-user list in its field,
-# where later ones front-code tokens and name an entry of the lists table
-READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8, FORMAT_VERSION)
+# where later ones front-code tokens and name an entry of the lists table;
+# versions 6-9 store a lists entry's lengths and gaps as JSON lists, where
+# later ones store int blocks
+READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8, 9, FORMAT_VERSION)
 # the one dtype of a float block: little-endian IEEE 754 binary64
 FLOAT_DTYPE = "<f8"
+# the dtypes of an int block, narrowest first: little-endian signed ints
+INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 # each algorithm's parameter block as (file key, model field, kind): a
 # "floats" block, an "items" per-user item list (an index into the lists
 # table, null allowed; the model checks it), or a scalar of one of the
@@ -286,34 +297,48 @@ def _floats(a):
     return {"data": a, "dtype": FLOAT_DTYPE, "shape": list(a.shape)}
 
 
+def _ints(a):
+    """The int block of int array a, its data an array of the narrowest
+    of INT_DTYPES that holds a's least and greatest value (the first when
+    a is empty)."""
+    low, high = (a.min(), a.max()) if a.size else (0, 0)
+    dtype = next(d for d in INT_DTYPES if np.iinfo(d).min <= low and high <= np.iinfo(d).max)
+    return {"data": a.astype(dtype), "dtype": dtype, "shape": list(a.shape)}
+
+
 def _planes(a):
-    """The 8 x a.size byte planes of a row-major "<f8" array, as a view:
-    row k holds byte k of every value."""
-    return a.reshape(-1).view(np.uint8).reshape(-1, 8).T
+    """The a.itemsize x a.size byte planes of a row-major array of a
+    little-endian dtype, as a view: row k holds byte k of every value."""
+    return a.reshape(-1).view(np.uint8).reshape(-1, a.itemsize).T
 
 
-def _array(value, version):
-    """A stored float array as a writable native float64 array.
+def _array(value, version, dtypes=(FLOAT_DTYPE,)):
+    """A stored array as a writable native array: float64 from a float
+    block, int64 from an int block.
 
-    Versions 1 to 3 hold nested lists; later versions a block from
-    _floats, whose dtype, shape and data length must agree, its bytes in
-    value order in version 4 and in byte planes from version 5. Raises
-    ValueError (or TypeError, KeyError) for anything else.
+    Versions 1 to 3 hold nested lists of floats; later versions a block
+    from _floats or _ints whose dtype is one of dtypes and whose shape
+    and data length agree, its bytes in value order in version 4 and in
+    byte planes from version 5. Raises ValueError (or TypeError,
+    KeyError) for anything else.
     """
     if version < 4:
         return np.array(value, dtype=float)
-    if not isinstance(value, dict) or value.get("dtype") != FLOAT_DTYPE:
-        raise ValueError(f"expected a {FLOAT_DTYPE} float block, got {value!r:.60}")
+    dtype = value.get("dtype") if isinstance(value, dict) else None
+    if dtype not in dtypes:
+        raise ValueError(f"expected a {' or '.join(dtypes)} block, got {value!r:.60}")
     shape = value["shape"]
     if not (isinstance(shape, list) and all(
             type(d) is int and d >= 0 for d in shape)):
-        raise ValueError(f"float block shape must be a list of sizes, got {shape!r}")
+        raise ValueError(f"{dtype} block shape must be a list of sizes, got {shape!r}")
+    size = np.dtype(dtype).itemsize
     raw = np.frombuffer(base64.b64decode(value["data"], validate=True), np.uint8)
-    if raw.size != 8 * math.prod(shape):
-        raise ValueError(f"float block of shape {shape} holds {raw.size} bytes")
-    values = raw.reshape(8, -1).T if version >= 5 else raw
+    if raw.size != size * math.prod(shape):
+        raise ValueError(f"{dtype} block of shape {shape} holds {raw.size} bytes")
+    values = raw.reshape(size, -1).T if version >= 5 else raw
     # the one copy puts the bytes in value order, in memory the array owns
-    return values.copy().view(FLOAT_DTYPE).reshape(shape).astype(float, copy=False)
+    return values.copy().view(dtype).reshape(shape).astype(
+        float if dtype == FLOAT_DTYPE else np.int64, copy=False)
 
 
 def _front_coded(tokens):
@@ -352,21 +377,27 @@ def _token_list(raw, role, version):
 
 def _listed(lists, rows):
     """The index into the lists table (a dict from each entry's lengths
-    and gaps, as tuples, to its index and entry, in the order added) of
-    the lengths and gaps of rows, added when new; None for no rows."""
+    and gaps, as bytes, to its index and entry, in the order added) of
+    the lengths and gaps of rows, each an int block, added when new; None
+    for no rows."""
     if rows is not None:
         form = UserItems(rows.offsets, rows.items).form()
-        return lists.setdefault(tuple(map(tuple, form.values())), (len(lists), form))[0]
+        entry = {key: _ints(a) for key, a in form.items()}
+        return lists.setdefault(tuple(a.tobytes() for a in form.values()),
+                                (len(lists), entry))[0]
 
 
-def _lists_from(entries, n_items):
-    """The lists table of a version 9 document, each entry a UserItems
-    decoded and checked once, so the fields that name it share its
-    arrays; raises ValueError for an entry that is not the JSON object of
-    its lengths and gaps."""
+def _lists_from(entries, n_items, version):
+    """The lists table of a version 9 or later document, each entry a
+    UserItems decoded and checked once, so the fields that name it share
+    its arrays; raises ValueError for an entry that is not the JSON
+    object of its lengths and gaps, from version 10 each an int block."""
     for at, entry in enumerate(entries):
         if type(entry) is not dict or set(entry) != {"lengths", "gaps"}:
             raise ValueError(f"lists[{at}] must be a JSON object of lengths and gaps")
+    if version >= 10:
+        entries = [{key: _array(block, version, INT_DTYPES) for key, block in entry.items()}
+                   for entry in entries]
     return [UserItems.of(entry, None, n_items, f"lists[{at}]") for at, entry in enumerate(entries)]
 
 
@@ -668,8 +699,10 @@ def load_model(path):
     from value-order blocks in version 4, from nested decimal lists in
     versions 1-3. Front-coded token lists and the lists table, whose
     entries the per-user list fields name by index, are read from version
-    9; plain token lists and gap-coded per-user lists in each field in
-    versions 6 to 8; token index maps and nested per-user lists before. An
+    9, each entry's lengths and gaps int blocks from version 10 and JSON
+    lists in version 9; plain token lists and gap-coded per-user lists in
+    each field in versions 6 to 8; token index maps and nested per-user
+    lists before. An
     fm or ffm member is scored through fm.one_hot_layout of the token
     lists; before version 7 its block also stores that layout as its
     encoder. An ffm member's V
@@ -688,7 +721,9 @@ def load_model(path):
     token before and each suffix a string, or before version 6 an index
     map that does not take its tokens one to one onto the JSON ints
     0..n-1; from version 9 a lists entry that is not the JSON object of
-    its lengths and gaps, or that UserItems.of refuses) or a malformed member
+    its lengths and gaps, from version 10 each an int block whose dtype is
+    one of INT_DTYPES and whose base64 data holds exactly its shape's
+    product of values, or that UserItems.of refuses) or a malformed member
     block (a missing key; a scalar of the wrong JSON kind for its FIELDS
     entry, such as an int field holding 1.5, "3" or true; a per-user
     index list in the layout of another version (from version 9 anything
@@ -737,7 +772,7 @@ def load_model(path):
     try:
         scale = checked_scale(raw["scale"])
         user_tokens, item_tokens = (_token_list(raw, role, version) for role in ("user", "item"))
-        lists = _lists_from(raw["lists"], len(item_tokens)) if version >= 9 else ()
+        lists = _lists_from(raw["lists"], len(item_tokens), version) if version >= 9 else ()
         if algorithm == "ensemble":
             spec = raw["ensemble"]
             members = [_scorer(m["algorithm"], user_tokens, item_tokens,

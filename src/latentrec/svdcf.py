@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .data import impute, to_dense
-from .errors import ValidationError, ZeroNormError
+from .errors import MagnitudeError, ValidationError, ZeroNormError
 from .metrics import SORT_ROWS, Scorer, check_count, in_range, neighbours
 
 
@@ -178,6 +178,10 @@ def fit(ds, impute_strategy="user", rank_rule="energy:0.95",
     Returns:
         SvdCfModel with r_star the rank-f reconstruction of the imputed
         matrix.
+
+    Raises:
+        MagnitudeError: the singular values or the reconstruction of
+            ratings near the float64 maximum overflow.
     """
     if ds.kind != "explicit":
         raise ValidationError("svd completion expects an explicit dataset")
@@ -194,8 +198,12 @@ def fit(ds, impute_strategy="user", rank_rule="energy:0.95",
         f = value
     u_f, s_f, v_f = linalg.truncate(res, f)
     factors = linalg.SvdResult(u=u_f, s=np.diag(s_f).copy(), v=v_f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_star = reconstruct(factors)
+    if not np.isfinite(r_star).all():
+        raise MagnitudeError(f"the rank-{f} reconstruction of the ratings overflows float64")
     return SvdCfModel(
-        r_star=reconstruct(factors),
+        r_star=r_star,
         mask=mask,
         f=f,
         similarity_mode=similarity_mode,

@@ -215,11 +215,14 @@ def rows_of(form):
     item indices, or of [item, value] pairs when the form has values.
 
     Decoded entry by entry, apart from the code under test: each row's
-    items are the running sums of its gaps from 0.
+    items are the running sums of its gaps from 0. The lengths and gaps
+    are JSON lists or, as in format 10, int blocks.
     """
-    gaps, values = iter(form["gaps"]), iter(form.get("values", ()))
+    lengths, gaps = (block_ints(a) if isinstance(a, dict) else a
+                     for a in (form["lengths"], form["gaps"]))
+    gaps, values = iter(gaps), iter(form.get("values", ()))
     rows = []
-    for length in form["lengths"]:
+    for length in lengths:
         row, item = [], 0
         for _ in range(length):
             item += next(gaps)
@@ -281,12 +284,51 @@ def member_blocks(doc):
     return [(member["algorithm"], member["parameters"]) for member in members]
 
 
-def inline(doc):
-    """A copy of a format 9 document in the layout of format 8: each token
-    list whole, each per-user list in the field that names its lists
-    entry (an itemcf block's "values" back in its ratings), and no lists
-    table."""
+def int_block(values):
+    """The int block (format 10) of a list of ints: the narrowest of the
+    little-endian signed dtypes "<i1" ... "<i8" that holds them, its
+    bytes in byte planes; built apart from the code under test."""
+    assert all(type(v) is int for v in values), "an int block holds only ints"
+    dtype = next(d for d in ("<i1", "<i2", "<i4", "<i8")
+                 if all(np.iinfo(d).min <= v <= np.iinfo(d).max for v in values))
+    raw = np.array(values, dtype=dtype).view(np.uint8).reshape(-1, np.dtype(dtype).itemsize)
+    return {"data": base64.b64encode(raw.T.tobytes()).decode("ascii"), "dtype": dtype,
+            "shape": [len(values)]}
+
+
+def block_ints(block):
+    """The list of ints an int block holds, the inverse of int_block."""
+    raw = np.frombuffer(base64.b64decode(block["data"]), np.uint8)
+    return raw.reshape(np.dtype(block["dtype"]).itemsize, -1).T.copy().view(
+        block["dtype"]).reshape(-1).tolist()
+
+
+def flat(doc):
+    """A copy of a format 10 document in the layout of format 9: each
+    lists entry's lengths and gaps as JSON lists of ints."""
     doc = json.loads(json.dumps(doc))
+    doc["format_version"] = 9
+    doc["lists"] = [{key: block_ints(block) for key, block in entry.items()}
+                    for entry in doc["lists"]]
+    return doc
+
+
+def blocked(doc):
+    """A copy of a format 9 document in the layout of format 10, the
+    inverse of flat: each lists entry's lengths and gaps as int blocks."""
+    doc = json.loads(json.dumps(doc))
+    doc["format_version"] = 10
+    doc["lists"] = [{key: int_block(values) for key, values in entry.items()}
+                    for entry in doc["lists"]]
+    return doc
+
+
+def inline(doc):
+    """A copy of a format 9 or 10 document in the layout of format 8: each
+    token list whole, each per-user list in the field that names its
+    lists entry (an itemcf block's "values" back in its ratings), and no
+    lists table."""
+    doc = flat(doc) if doc["format_version"] == 10 else json.loads(json.dumps(doc))
     lists = doc.pop("lists")
     doc["format_version"] = 8
     for role in ("user", "item"):
@@ -300,11 +342,12 @@ def inline(doc):
     return doc
 
 
-def outline(doc):
-    """A copy of a document in inline's layout in that of format 9, the
-    inverse of inline: tokens front-coded, and each distinct per-user list
-    (its lengths and gaps) once in the lists table, in the order first
-    named, where its field names it by index."""
+def outline(doc, version=10):
+    """A copy of a document in inline's layout in that of format 10 (or,
+    with version 9, of format 9), the inverse of inline: tokens
+    front-coded, and each distinct per-user list (its lengths and gaps,
+    int blocks from format 10) once in the lists table, in the order
+    first named, where its field names it by index."""
     doc = json.loads(json.dumps(doc))
     doc["format_version"], lists = 9, []
     for role in ("user", "item"):
@@ -318,7 +361,7 @@ def outline(doc):
                 lists.append(block[key])
             block[key] = lists.index(block[key])
     doc["lists"] = lists
-    return doc
+    return blocked(doc) if version == 10 else doc
 
 
 def block_array(block, planes=True):

@@ -818,6 +818,48 @@ class TestNonFiniteScores:
         assert (code, stdout, err) == (3, "", f"error: {message}\n")
 
 
+class TestHugeRatings:
+    """svd trains on ratings whose squares leave the float range: its SVD
+    runs on the ratings scaled by a power of two."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_ratings_near_1e151_give_numpys_truncation(self, capsys, tmp_path):
+        # before, the stored u was far from orthogonal (u.T u off the
+        # diagonal by 0.38) and r_star far from numpy's
+        ratings = [[3.0, 2.0], [1.0, 5.0], [1.5, 7.0]]
+        data = write_ratings(tmp_path, text="user,item,rating\n" + "".join(
+            f"u{u},i{i},{r}e151\n" for u, row in enumerate(ratings) for i, r in enumerate(row)))
+        model = str(tmp_path / "m.json")
+        code, _, err = run(capsys, "train", "--algo", "svd", "--scale", "0:1e152", "--rank-rule",
+                           "energy:0.95", "--input", data, "--output", model)
+        assert (code, err) == (0, "")
+        trained = load_model(model).model
+        u, s, vt = np.linalg.svd(np.array(ratings))
+        f = trained.f
+        want = (u[:, :f] * s[:f]) @ vt[:f] * 1e151
+        assert np.abs(trained.r_star - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ratings, code", [
+        ("3e199,2e200,1e200,5e199,1.5e200,7e199", 0),
+        # u0's one rating fills its row, so the leading singular value is
+        # about 1.4 x 1.7e308
+        ("1.7e308,,,1", 3),
+    ])
+    def test_ratings_near_the_float_maximum_exit_0_or_3(self, capsys, tmp_path, ratings, code):
+        # before, the 1e200 case printed five RuntimeWarnings and exited 3
+        # with "svd r_star values do not follow from the stored factors"
+        data = write_ratings(tmp_path, text="user,item,rating\n" + "".join(
+            f"u{at // 2},i{at % 2},{r}\n" for at, r in enumerate(ratings.split(",")) if r))
+        got, stdout, err = run(capsys, "train", "--algo", "svd", "--scale", "0:1.7e308",
+                               "--rank-rule", "energy:0.95", "--input", data,
+                               "--output", str(tmp_path / "m.json"))
+        assert got == code
+        assert err == ("" if code == 0 else
+                       "error: the singular values of a 2 x 2 matrix with entries up to "
+                       "2^1024 overflow float64\n")
+
+
 @pytest.fixture(scope="module")
 def huge_entry_models(tmp_path_factory):
     """Folder and documents of funk, svdpp, fm, ffm and blend files trained
@@ -837,7 +879,7 @@ def huge_entry_models(tmp_path_factory):
 
 def float_blocks(value):
     """Every float block of a model document, member blocks included."""
-    if isinstance(value, dict) and "dtype" in value:
+    if isinstance(value, dict) and value.get("dtype") == "<f8":
         yield value
     elif isinstance(value, (dict, list)):
         for item in value.values() if isinstance(value, dict) else value:
@@ -1011,7 +1053,8 @@ class TestRecommend:
                                                           tmp_path, algo,
                                                           key, bad):
         # 1.5 was cut to item 1 (fm: an uncaught IndexError on recommend);
-        # an itemcf list that repeats an item was merged into one entry
+        # an itemcf list that repeats an item was merged into one entry.
+        # Only a format 9 list, JSON, can hold an entry of another kind
         model = train_fixture_model(capsys, tmp_path, algo)
         doc = inline(json.loads(model_text(model)))
         block = doc["parameters"]
@@ -1022,7 +1065,7 @@ class TestRecommend:
             assert block[key]["lengths"][0] > 0
             block[key]["gaps"][0] = bad
         with open(model, "w") as handle:
-            json.dump(outline(doc), handle)
+            json.dump(outline(doc, FORMAT_VERSION if bad == "repeat" else 9), handle)
         user = doc["user_tokens"][0]
         code, stdout, err = run(capsys, "recommend", model, user, "--k", "2")
         assert code == 3

@@ -576,7 +576,9 @@ class TestUserItemsForm:
     def test_property_round_trip_is_bit_for_bit(self, drawn):
         rows, n_items, valued = drawn
         held = UserItems.of(rows, len(rows), n_items, valued=valued)
-        form = held.form()
+        arrays = held.form()
+        assert arrays["lengths"].dtype == arrays["gaps"].dtype == np.int64
+        form = {key: a.tolist() for key, a in arrays.items()}
         # each row's gaps are its items' differences, the first from 0
         assert form == form_of(rows, valued)
         back = decoded(form, len(rows), n_items, valued)

@@ -11,6 +11,7 @@ from latentrec import linalg
 from latentrec.errors import (
     ConvergenceError,
     DegenerateSpectrumError,
+    MagnitudeError,
     ZeroNormError,
 )
 
@@ -158,6 +159,68 @@ class TestSvd:
         np.testing.assert_allclose(res.s, np.linalg.svd(a, compute_uv=False), atol=1e-9)
         _, _, sweeps = linalg._jacobi_tall(a)  # both inputs are tall
         assert sweeps < linalg.JACOBI_MAX_SWEEPS
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+        rank=st.integers(0, 7),
+        k=st.integers(-1100, 1100),
+    )
+    def test_property_power_of_two_scaling_is_exact(self, seed, shape, rank, k):
+        # a product of integer factors, rank-deficient when rank < min(m, n);
+        # k is clipped to the range that keeps every nonzero entry of
+        # a * 2^k normal and finite, so its ends, where svd scales, are
+        # drawn often
+        rng = np.random.default_rng(seed)
+        a = (rng.integers(-8, 9, (shape[0], rank)) @ rng.integers(-8, 9, (rank, shape[1])))
+        a = a.astype(float)
+        nonzero = np.abs(a[a != 0])
+        if nonzero.size:
+            lowest = math.frexp(nonzero.min())[1] - 1  # 2^lowest <= the least entry
+            k = min(max(k, -1022 - lowest), 1023 - math.frexp(nonzero.max())[1] + 1)
+        scaled = np.ldexp(a, k)
+        assert np.array_equal(np.ldexp(scaled, -k), a)
+        res = linalg.svd(a)
+        with np.errstate(over="ignore"):
+            want = np.ldexp(res.s, k)
+        if not np.isfinite(want).all():
+            with pytest.raises(MagnitudeError, match="overflow"):
+                linalg.svd(scaled)
+            return
+        got = linalg.svd(scaled)
+        assert got.s.tobytes() == want.tobytes()
+        assert got.u.tobytes() == res.u.tobytes()
+        assert got.v.tobytes() == res.v.tobytes()
+
+    @pytest.mark.parametrize("k", [-280, -260, 260, 300, 900])
+    def test_out_of_window_input_decomposes_as_the_scaled_one(self, k):
+        # unscaled, the coupling test's fourth power of a column norm
+        # overflows (k >= 260 on this shape) or goes subnormal (k <= -260)
+        a = np.random.default_rng(4).uniform(1, 5, (40, 20))
+        res = linalg.svd(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.svd(np.ldexp(a, k))
+        assert got.s.tobytes() == np.ldexp(res.s, k).tobytes()
+        assert got.u.tobytes() == res.u.tobytes() and got.v.tobytes() == res.v.tobytes()
+
+    def test_singular_values_past_the_float_range_raise(self):
+        # every entry is finite, but the leading singular value is about
+        # 1.4 times the largest one
+        a = np.array([[1.7e308, 1.7e308], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MagnitudeError, match="2 x 2 matrix"):
+                linalg.svd(a)
+
+    def test_window_holds_the_fourth_power_of_every_column_norm(self):
+        for m, n in [(1, 1), (3, 2), (400, 200), (120, 60)]:
+            lo, hi = linalg._scale_window(m, n)
+            # a column norm is below sqrt(m n) 2^hi, the zero-column
+            # threshold at least 2^(lo - 53)
+            assert (math.sqrt(m * n) * 2.0 ** hi) ** 4 < np.finfo(float).max
+            assert (2.0 ** (lo - 53)) ** 4 >= np.finfo(float).tiny
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_zero_value_completion_memory_follows_the_input(self, transpose):

@@ -49,6 +49,7 @@ from latentrec.persist import (
     _array,
     _floats,
     _front_coded,
+    _ints,
     _json_chunks,
     _members,
     _ready,
@@ -61,9 +62,13 @@ from tests.conftest import (
     FOUR_BY_FOUR_CSV,
     array_block,
     block_array,
+    block_ints,
+    blocked,
     dataset_from_dense,
     edit_rows,
+    flat,
     form_of,
+    int_block,
     make_rank2_ratings,
     model_text,
     coded_of,
@@ -560,7 +565,7 @@ class TestFileFormat:
     def test_header_fields(self):
         bundle, _ = funk_bundle()
         doc = document(bundle)
-        assert doc["format_version"] == FORMAT_VERSION == 9
+        assert doc["format_version"] == FORMAT_VERSION == 10
         assert doc["algorithm"] == "funk"
         assert doc["created"]
         assert doc["scale"] == [1.0, 5.0]
@@ -654,13 +659,14 @@ class TestFileFormat:
         with pytest.raises(PersistenceError, match="malformed"):
             load_model(path)
 
-    @pytest.mark.parametrize("version", [7, 8, 9])
+    @pytest.mark.parametrize("version", [7, 8, 9, 10])
     def test_ffm_v_of_the_other_version_rejected(self, tmp_path, version):
-        # versions 8 and 9 store the (dimension, k) cross-field table and
+        # versions 8 to 10 store the (dimension, k) cross-field table and
         # earlier versions the whole (dimension, 2, k) V; each is refused in
         # the other
         bundle, ds = fm_bundle("ffm")
-        doc = document(bundle) if version == 9 else inline(document(bundle))
+        doc = {10: document, 9: lambda b: flat(document(b))}.get(
+            version, lambda b: inline(document(b)))(bundle)
         if version >= 8:
             doc["parameters"]["v"] = whole_ffm_v(doc["parameters"]["v"], ds.n_users)
         doc["format_version"] = version
@@ -770,13 +776,15 @@ class TestPerUserListLayout:
     object in versions 6 to 8, nested lists before."""
 
     def edited_file(self, tmp_path, algo, edit, version=FORMAT_VERSION):
-        """A saved file in the layout of version (4, 5, 6, 8 or the current
-        one), with edit applied to its document."""
+        """A saved file in the layout of version (4, 5, 6, 8, 9 or the
+        current one), with edit applied to its document."""
         ds = small_dataset()
         doc = json.loads(model_text(save_model(trained_bundle(algo, ds),
                                                tmp_path / "m.json")))
         if version < 6:
             doc = old_layout(doc, version)
+        elif version == 9:
+            doc = flat(doc)
         elif version < FORMAT_VERSION:
             doc = with_encoders(doc, version) if version == 6 else inline(doc)
             assert doc["format_version"] == version
@@ -786,14 +794,15 @@ class TestPerUserListLayout:
         return str(path), min(ds.user_index), min(ds.item_index)
 
     # the list name used to be missing from numpy's "inhomogeneous
-    # shape" message; from version 9 the list is named by its lists entry
+    # shape" message; from version 9 the list is named by its lists entry.
+    # Only a version 9 entry, JSON lists, can be ragged
     @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
     def test_ragged_list_exits_3_naming_it(self, algo, key, name, tmp_path, capsys):
         def edit(doc):
             form = doc["lists"][doc["parameters"][key]]
             form["gaps"][0] = [form["gaps"][0]]
 
-        path, user, item = self.edited_file(tmp_path, algo, edit)
+        path, user, item = self.edited_file(tmp_path, algo, edit, 9)
         assert_exits_3(capsys, path, user, item, "lists[0] must be one list per user")
 
     @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
@@ -1032,7 +1041,7 @@ class TestBootstrapRepeats:
                              item_index=ds.item_index, scale=ds.scale)
         x, y = ds.item_index["x"], ds.item_index["y"]
         doc = document(bundle)
-        assert doc["lists"] == [{"lengths": [2, 2], "gaps": [x, y - x, x, y - x]}]
+        assert flat(doc)["lists"] == [{"lengths": [2, 2], "gaps": [x, y - x, x, y - x]}]
         assert doc["parameters"]["ratings"] == 0
         assert doc["parameters"]["values"] == [4.0, 1.0, 2.0, 3.0]
         assert [int(i) for i in model.ratings[ds.user_index["a"]]] == [x, y]
@@ -1066,13 +1075,14 @@ class TestIndexedModelRange:
     @given(algo=st.sampled_from(["fm", "ffm"]), k=st.integers(1, 40),
            n_items=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
     def test_fm_scores_are_predict_of_encoded_pairs(self, algo, k, n_items, seed):
-        # bit for bit, over categories that are a permuted superset of the
-        # tokens less one user and one item, which take the reserved slot
+        # bit for bit, over the one-hot layout of tokens in a drawn order,
+        # two of which differ from another only by a trailing "\x00"
+        # (numpy's string arrays drop it, so its sort would tie them)
         rng = np.random.default_rng(seed)
-        users, items = ["u0", "u1", "u2"], [f"i{j}" for j in range(6)]
-        spec = EncoderSpec([
-            ("user", "categorical", rng.permutation(users[1:] + ["x", "y"]).tolist()),
-            ("item", "categorical", rng.permutation(items[:-1] + ["z"]).tolist())])
+        users, items = ["u0", "u0\x00", "u1"], [f"i{j}" for j in range(5)] + ["i0\x00"]
+        users, items = ([tokens[j] for j in rng.permutation(len(tokens))]
+                        for tokens in (users, items))
+        spec = one_hot_layout(users, items)
         n, scale = spec.dimension, 10.0 ** rng.integers(-2, 3)
         if algo == "fm":
             model = FmModel(w0=float(rng.normal()), w=rng.normal(size=n) * scale,
@@ -1442,6 +1452,130 @@ class TestFloatBlocks:
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError, match="malformed model file"):
             load_model(path)
+
+
+# items at the edges of the int dtypes: every gap between two of them, or
+# from 0 to one, is at or next to +-127/128 or +-32767/32768, or needs "<i4"
+EDGE_ITEMS = [0, 1, 126, 127, 128, 129, 255, 256, 32766, 32767, 32768, 32769, 65535, 39999]
+
+
+@st.composite
+def edge_rows(draw):
+    """(per-user item lists, n_items): short unsorted rows over the edge
+    items and any others, repeats and empty rows allowed, and now and then
+    a row of 128 or more items, whose length needs "<i2"."""
+    n_items = draw(st.sampled_from([300, 40000]), label="n_items")
+    item = st.sampled_from([i for i in EDGE_ITEMS if i < n_items]) | st.integers(0, n_items - 1)
+    row = st.lists(item, max_size=6) | st.lists(st.integers(0, n_items - 1), min_size=128,
+                                                 max_size=140)
+    return draw(st.lists(row, min_size=1, max_size=5), label="rows"), n_items
+
+
+def edit_ints(key, change):
+    """An edit of lists[0]'s key block (lengths or gaps): change(values,
+    n_items) edits its ints in place, and they are stored again as an int
+    block."""
+    def edit(doc):
+        entry = doc["lists"][0]
+        values = block_ints(entry[key])
+        change(values, len(tokens_of(doc["item_tokens"])))
+        entry[key] = int_block(values)
+    return edit
+
+
+def shift_first(values, by):
+    values[0] += by
+    values[1] -= by
+
+
+# faults of an int block, or of a block of the other kind in its place, as
+# edits of a saved funk document; each load refuses
+INT_BLOCK_EDITS = {
+    "unsigned-dtype": lambda doc: doc["lists"][0]["gaps"].update(dtype="<u1"),
+    "big-endian": lambda doc: doc["lists"][0]["gaps"].update(dtype=">i2"),
+    "i3-dtype": lambda doc: doc["lists"][0]["lengths"].update(dtype="<i3"),
+    "f8-dtype": lambda doc: doc["lists"][0]["lengths"].update(dtype="<f8"),
+    "byte-count-past-shape": lambda doc: doc["lists"][0]["gaps"].update(
+        shape=[doc["lists"][0]["gaps"]["shape"][0] + 1]),
+    "byte-count-of-another-dtype": lambda doc: doc["lists"][0]["gaps"].update(dtype="<i2"),
+    "two-d-gaps": lambda doc: doc["lists"][0]["gaps"].update(
+        shape=[1, doc["lists"][0]["gaps"]["shape"][0]]),
+    "negative-length": edit_ints("lengths", lambda v, n: shift_first(v, -v[0] - 1)),
+    "lengths-past-gaps": edit_ints("lengths", lambda v, n: v.__setitem__(0, v[0] + 1)),
+    "lengths-short-of-gaps": edit_ints("lengths", lambda v, n: v.__setitem__(0, v[0] - 1)),
+    "gap-of-n-items": edit_ints("gaps", lambda v, n: v.__setitem__(0, n)),
+    "gap-of-minus-n-items": edit_ints("gaps", lambda v, n: v.__setitem__(1, -n)),
+    "float-block-for-gaps": lambda doc: doc["lists"][0].update(
+        gaps=array_block(np.array(block_ints(doc["lists"][0]["gaps"]), dtype=float))),
+    "int-block-for-q": lambda doc: doc["parameters"].update(q=dict(
+        int_block(list(range(math.prod(doc["parameters"]["q"]["shape"])))),
+        shape=doc["parameters"]["q"]["shape"])),
+}
+
+
+class TestIntBlocks:
+    """From format 10 a lists entry stores its lengths and gaps as int
+    blocks: the narrowest little-endian signed dtype that holds them,
+    their bytes in byte planes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(drawn=edge_rows())
+    @example(drawn=([[127, 0, 128, 0, 255], [], [32767, 0, 32768, 0, 39999, 129, 1]], 40000))
+    @example(drawn=([[126, 254, 126], [0, 0], []], 300))
+    def test_property_save_load_round_trip(self, drawn, tmp_path_factory):
+        rows, n_items = drawn
+        model = factor.FactorModel(P=np.ones((1, len(rows))), Q=np.zeros((1, n_items)), f=1,
+                                   kind="funk", N=rows)
+        bundle = ModelBundle("funk", model, {f"u{u}": u for u in range(len(rows))},
+                             {f"i{i}": i for i in range(n_items)})
+        path = save_model(bundle, tmp_path_factory.mktemp("ints") / "m.json")
+        doc = json.loads(model_text(path))
+        # each block is the narrowest dtype's, built apart from the writer
+        entry, form = doc["lists"][doc["parameters"]["rated"]], form_of(rows)
+        assert entry == {key: int_block(form[key]) for key in ("lengths", "gaps")}
+        assert [row.tolist() for row in load_model(path).model.N] == rows
+
+    @pytest.mark.parametrize("values, dtype", [
+        ([], "<i1"), ([-128, 127], "<i1"), ([128], "<i2"), ([-129], "<i2"),
+        ([-32768, 32767], "<i2"), ([32768], "<i4"), ([-32769], "<i4"),
+        ([2**31 - 1, -2**31], "<i4"), ([2**31], "<i8"), ([-2**63, 2**63 - 1], "<i8"),
+    ])
+    def test_dtype_is_the_narrowest_that_holds_the_values(self, values, dtype):
+        block = _ints(np.array(values, dtype=np.int64))
+        assert block["dtype"] == dtype and block["shape"] == [len(values)]
+        text = json.loads(json.dumps(_ready(block)))
+        if dtype != "<i8":  # int_block and json hold Python ints
+            assert text == int_block(values)
+        back = _array(text, FORMAT_VERSION, persist.INT_DTYPES)
+        assert back.dtype == np.int64 and back.tolist() == values
+
+    @pytest.mark.parametrize("edit", INT_BLOCK_EDITS.values(), ids=INT_BLOCK_EDITS)
+    def test_malformed_int_block_exits_3(self, edit, tmp_path, capsys):
+        bundle, ds = funk_bundle()
+        path = save_model(bundle, tmp_path / "m.json")
+        doc = json.loads(model_text(path))
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PersistenceError, match="malformed model file"):
+            load_model(path)
+        assert main(["recommend", str(path), min(ds.user_index)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed model file") and len(err.splitlines()) == 1
+
+    def test_tokens_that_differ_by_a_trailing_nul_predict_as_before(self, tmp_path):
+        # the one-hot features are the tokens' ranks in Python's sort, which
+        # tells "a" from "a\x00"; numpy's string sort would tie them
+        ds = RatingDataset([("a", "x", 1.0), ("a\x00", "x\x00", 5.0), ("b", "x", 4.0),
+                            ("a", "x\x00", 2.0), ("a\x00", "x", 3.0)])
+        bundle = trained_bundle("fm", ds)
+        loaded = load_model(save_model(bundle, tmp_path / "m.json"))
+        assert loaded.user_index == bundle.user_index
+        spec = one_hot_layout(ds.user_index, ds.item_index)
+        for user in ds.user_index:
+            for item in ds.item_index:
+                want = fm_predict_fast(bundle.model, encode((user, item), spec))
+                assert bundle.predict(user, item) == loaded.predict(user, item) == want
+        assert sorted(bundle.scorer.user_features.tolist()) == [0, 1, 2]
 
 
 # the tag the "tag" edit gives each algorithm's model: another algorithm's
@@ -2093,6 +2227,33 @@ class TestFormat8File:
         assert len(new["lists"]) < len(new["ensemble"]["members"])
         reloaded = load_model(again)
         assert_stored_predictions(reloaded, "format8_blend_predictions.json")
+
+
+class TestFormat9File:
+    """format9_blend.json is a gzip-compressed format_version 9 file,
+    written by the version 9 code when it loaded format8_blend.json and
+    saved it again: the same seven members, with front-coded tokens and
+    the lists table, each entry's lengths and gaps as JSON lists. Beside
+    it are the predictions of each member and of the blend for every
+    (user, item) index pair, and each user's top-3 vote, that the version
+    9 code computed from the file it had written.
+    """
+
+    def test_loads_and_predicts_bit_for_bit(self, tmp_path):
+        path = FIXTURES / "format9_blend.json"
+        old = json.loads(model_text(path))
+        assert old["format_version"] == 9
+        assert all(type(part) is list for entry in old["lists"] for part in entry.values())
+        bundle = load_model(path)
+        assert_stored_predictions(bundle, "format9_blend_predictions.json")
+        # saved again, the file inflates to the version 9 text with each
+        # lists entry's lengths and gaps as int blocks: every other section
+        # keeps its text
+        again = save_model(bundle, tmp_path / "again.json")
+        assert model_text(again) == json.dumps(
+            blocked(old), sort_keys=True, separators=(",", ":")) + "\n"
+        reloaded = load_model(again)
+        assert_stored_predictions(reloaded, "format9_blend_predictions.json")
 
 
 class TestGzipContainer:

@@ -1,5 +1,6 @@
 """Tests for the repository tools under tools/."""
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -82,13 +83,13 @@ class TestModelSizes:
         assert set(rows) == {
             "algorithm", "created", "format_version", "library", "scale",
             "user_tokens.shared", "user_tokens.suffixes", "item_tokens.shared",
-            "item_tokens.suffixes", "lists[0]", "ensemble.intercept", "ensemble.kind",
-            "ensemble.weights", "document",
+            "item_tokens.suffixes", "lists[0].gaps", "lists[0].lengths",
+            "ensemble.intercept", "ensemble.kind", "ensemble.weights", "document",
             *(f"member {n} parameters.{key}" for n, member in enumerate(members)
               for key in member["parameters"])}
         # raw is the section's compact JSON; deflated is a raw deflate stream
-        raw, packed = rows["lists[0]"]
-        section = json.dumps(doc["lists"][0], sort_keys=True,
+        raw, packed = rows["lists[0].gaps"]
+        section = json.dumps(doc["lists"][0]["gaps"], sort_keys=True,
                              separators=(",", ":")).encode()
         assert raw == len(section)
         assert packed == len(zlib.compress(section, 6)) - 6
@@ -96,33 +97,43 @@ class TestModelSizes:
         # the file is the deflated document plus a gzip header and trailer
         assert blend.stat().st_size == rows["document"][1] + 18
 
-    def test_format_9_file_shows_each_lists_entry_and_token_part(self, tmp_path, capsys):
+    def test_format_10_file_shows_each_lists_block_and_token_part(self, tmp_path, capsys):
         # a bag's members are trained on their own resamples, so each names
-        # its own lists entry; a version 8 file keeps each list in its block
+        # its own lists entry, whose lengths and gaps are int blocks; a
+        # version 9 entry holds JSON lists, and a version 8 file keeps each
+        # list in its block
         model_sizes = load_tool("model_sizes")
         ratings = tmp_path / "ratings.csv"
         ratings.write_text(FOUR_BY_FOUR_CSV)
         bag = tmp_path / "bag"
         assert main(["ensemble", "bag", "--algo", "funk", "--members", "3", "--input",
                      str(ratings), "--output", str(bag), "--epochs", "2"]) == 0
-        old = Path(__file__).resolve().parent / "fixtures" / "format8_blend.json"
+        fixtures = Path(__file__).resolve().parent / "fixtures"
+        v9, v8 = fixtures / "format9_blend.json", fixtures / "format8_blend.json"
         capsys.readouterr()
-        assert model_sizes.main([str(bag), str(old)]) == 0
+        assert model_sizes.main([str(bag), str(v9), str(v8)]) == 0
         out = capsys.readouterr().out
-        bag_lines, old_lines = (part.splitlines() for part in out.split(f"{old}: "))
-        names = [line.split()[0] for line in bag_lines[2:]]
+        bag_lines, v9_lines, v8_lines = (part.splitlines() for part in
+                                         out.replace(f"{v8}: ", f"{v9}: ").split(f"{v9}: "))
         doc = json.loads(model_text(bag))
-        assert doc["format_version"] == 9 and len(doc["lists"]) == 3
-        assert [name for name in names if name.startswith(("lists", "user_tokens"))] == [
-            "lists[0]", "lists[1]", "lists[2]", "user_tokens.shared", "user_tokens.suffixes"]
+        assert doc["format_version"] == 10 and len(doc["lists"]) == 3
+        shapes = {line.split()[0]: line.split()[1] for line in bag_lines[2:]}
+        assert [name for name in shapes if name.startswith(("lists", "user_tokens"))] == [
+            *(f"lists[{n}].{part}" for n in range(3) for part in ("gaps", "lengths")),
+            "user_tokens.shared", "user_tokens.suffixes"]
+        # 4 users of 2 or 3 ratings, items 0 to 3: every value fits "<i1"
+        assert shapes["lists[0].lengths"] == "[4]<i1"
+        assert shapes["lists[2].gaps"] == f"[{doc['lists'][2]['gaps']['shape'][0]}]<i1"
         rows = {line.split()[0]: [int(n) for n in line.split()[-2:]] for line in bag_lines[2:]}
-        for name, value in (("lists[2]", doc["lists"][2]),
+        for name, value in (("lists[2].gaps", doc["lists"][2]["gaps"]),
                             ("item_tokens.suffixes", doc["item_tokens"]["suffixes"])):
             section = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
             assert rows[name] == [len(section), len(zlib.compress(section, 6)) - 6]
-        old_names = [line.split()[0] for line in old_lines[2:]]
-        assert "user_tokens" in old_names and not any(
-            name.startswith(("lists", "user_tokens.")) for name in old_names)
+        v9_shapes = {line.split()[0]: line.split()[1] for line in v9_lines[2:]}
+        assert v9_shapes["lists[0].gaps"] == v9_shapes["lists[0].lengths"] == "-"
+        v8_names = [line.split()[0] for line in v8_lines[2:]]
+        assert "user_tokens" in v8_names and not any(
+            name.startswith(("lists", "user_tokens.")) for name in v8_names)
 
     def test_version_6_file_shows_the_encoder_of_each_machine(self, capsys):
         # files from version 7 store no encoder; earlier ones still show it
@@ -147,13 +158,13 @@ class TestModelSizes:
         lines = capsys.readouterr().out.splitlines()
         shapes = {" ".join(line.split()[:-3]): line.split()[-3] for line in lines
                   if line.startswith("  ")}
-        assert json.loads(model_text(ffm))["format_version"] == 9
+        assert json.loads(model_text(ffm))["format_version"] == 10
         # 4 users and 4 items, each block with its reserved slot
-        assert shapes["parameters.v"] == "[10,3]"
-        assert shapes["parameters.w"] == "[10]"
+        assert shapes["parameters.v"] == "[10,3]<f8"
+        assert shapes["parameters.w"] == "[10]<f8"
         assert shapes["parameters.k"] == "-"
-        assert shapes["member 5 parameters.v"] == "[10,2,2]"
-        assert shapes["member 4 parameters.v"] == "[10,2]"
+        assert shapes["member 5 parameters.v"] == "[10,2,2]<f8"
+        assert shapes["member 4 parameters.v"] == "[10,2]<f8"
 
     def test_without_files_prints_usage(self, capsys):
         assert load_tool("model_sizes").main([]) == 2
@@ -172,13 +183,33 @@ class TestScoreDigest:
         cases = [name for name, _, _ in score_digest.CASES] + \
             [name for name, _ in score_digest.BLENDS]
         assert len(cases) == 18
-        # each case's scores line, then its recommend line
-        names = [line for name in cases for line in (name, f"{name}/recommend")]
+        # each case's scores line, then its recommend line and its file's
+        # byte count
+        names = [line for name in cases
+                 for line in (name, f"{name}/recommend", f"{name}/bytes")]
         assert [line.split()[0] for line in runs[0]] == names
-        digests = [line.split()[1] for line in runs[0]]
+        digests = [line.split()[1] for line in runs[0] if not line.split()[0].endswith("/bytes")]
         assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)
         # with and without a neighbourhood cut, the scores and the lists differ
         assert len(set(digests)) == len(digests)
+        counts = [int(line.split()[1]) for line in runs[0] if line.split()[0].endswith("/bytes")]
+        assert len(counts) == len(cases) and all(count > 18 for count in counts)
+
+    def test_byte_count_is_the_file_saved_with_a_fixed_creation_time(self, tmp_path,
+                                                                      monkeypatch):
+        # two saves of one model in different seconds count the same bytes
+        score_digest = load_tool("score_digest")
+        monkeypatch.setattr(sys, "path", sys.path[:])
+        monkeypatch.setattr(score_digest, "CASES", score_digest.CASES[4:5])  # funk
+        monkeypatch.setattr(score_digest, "BLENDS", ())
+        lines = score_digest.digests(tmp_path)
+        assert [name for name, _ in lines] == ["funk", "funk/recommend", "funk/bytes"]
+        from latentrec.persist import load_model, save_model
+        bundle = load_model(tmp_path / "funk.json")
+        assert bundle.created != score_digest.CREATED
+        again = save_model(dataclasses.replace(bundle, created=score_digest.CREATED),
+                           tmp_path / "again.json")
+        assert lines[2][1] == str(again.stat().st_size)
 
 
 class TestTrainDigest:

@@ -2,11 +2,13 @@
 
 For each file, one line per section of the JSON document: each header
 key, each part of a front-coded token list (user_tokens.shared and
-user_tokens.suffixes, from format 9), each entry of the lists table
-(lists[0], lists[1], ...), each key of every member's parameter block
-and each member's encoder (an ensemble's members are numbered in order),
-with the shape of
-a float block as one token such as [802,8] ("-" for any other section),
+user_tokens.suffixes, from format 9), each part of every entry of the
+lists table (lists[0].gaps, lists[0].lengths, lists[1].gaps, ...), each
+key of every member's parameter block and each member's encoder (an
+ensemble's members are numbered in order), with the shape and dtype of
+a block as one token, such as [802,8]<f8 for a float block or
+[10000]<i1 for an int block ("-" for any other section, such as a
+format 9 list of JSON ints),
 the section's compact JSON size ("raw") and that text deflated on its
 own at the level model files use ("deflated"). Deflating a section alone
 loses the matches deflate finds across sections, so the deflated column
@@ -50,7 +52,8 @@ def sections(doc):
             yield from ((f"ensemble.{k}", v) for k, v in sorted(value.items())
                         if k != "members")
         elif key == "lists":
-            yield from ((f"lists[{n}]", entry) for n, entry in enumerate(value))
+            yield from ((f"lists[{n}].{part}", v) for n, entry in enumerate(value)
+                        for part, v in sorted(entry.items()))
         elif key.endswith("_tokens") and isinstance(value, dict):
             yield from ((f"{key}.{part}", v) for part, v in sorted(value.items()))
         elif key not in ("parameters", "encoder"):
@@ -63,9 +66,10 @@ def sections(doc):
 
 
 def shape(value):
-    """The shape of a float block (format 4 on) as one token, or "-"."""
+    """The shape and dtype of a float block (format 4 on) or an int block
+    (format 10 on) as one token, or "-"."""
     if isinstance(value, dict) and "dtype" in value:
-        return "[" + ",".join(map(str, value["shape"])) + "]"
+        return "[" + ",".join(map(str, value["shape"])) + "]" + value["dtype"]
     return "-"
 
 

@@ -1,5 +1,6 @@
 """Print one sha256 of every model's scores and one of its recommend
-lists, to check that a change keeps scoring and ranking bit for bit.
+lists, to check that a change keeps scoring and ranking bit for bit, and
+the byte count of its model file, to show a change in file size.
 
     python tools/score_digest.py [SRC]
 
@@ -10,12 +11,16 @@ persist.load_model and prints two lines per case: its name and the
 sha256 of scores(u, every item) for every user in turn, taken as float64
 bytes; then <name>/recommend and the sha256 of the bundle's
 recommend(user, 5) for every user in turn, each item token as UTF-8
-followed by its score as float64 bytes. The BLENDS cases then blend the
-files of earlier cases with `ensemble blend` and digest the blend the
-same way. Run it on two source trees and compare the lines.
+followed by its score as float64 bytes; then <name>/bytes and the byte
+count of the file save_model writes for the loaded bundle with its
+"created" set to CREATED, so the count is a function of the model and
+the format alone. The BLENDS cases then blend the files of earlier cases
+with `ensemble blend` and digest the blend the same way. Run it on two
+source trees and compare the lines.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -56,6 +61,8 @@ CASES = (
 )
 # the length of each recommend list digested
 RECOMMEND_K = 5
+# the creation time every file is saved again with before it is counted
+CREATED = "2000-01-01T00:00:00+00:00"
 # (name, member cases): an equal-weight `ensemble blend` of those cases'
 # files, which share the explicit CSV and so its index maps; the digest
 # pins how a blend holds and scores its members, the fm and ffm member
@@ -84,9 +91,10 @@ def write_inputs(folder):
 
 def digests(folder):
     """(name, sha256 hex digest) of each case's scores and then of its
-    recommend lists, trained in folder."""
+    recommend lists, then (name/bytes, byte count) of its file saved
+    again, trained in folder."""
     from latentrec.cli import main
-    from latentrec.persist import load_model
+    from latentrec.persist import load_model, save_model
 
     inputs = write_inputs(folder)
     commands = [(name, ["train", "--input", str(inputs[kind]), "--seed", "3", *args])
@@ -109,7 +117,10 @@ def digests(folder):
             scores.update(np.asarray(bundle.scorer.scores(u, items), dtype="<f8").tobytes())
             for item, score in bundle.recommend(user, RECOMMEND_K):
                 ranked.update(item.encode("utf-8") + np.array(score, dtype="<f8").tobytes())
-        out += [(name, scores.hexdigest()), (f"{name}/recommend", ranked.hexdigest())]
+        resaved = save_model(dataclasses.replace(bundle, created=CREATED),
+                             Path(folder) / f"{name}-resaved.json")
+        out += [(name, scores.hexdigest()), (f"{name}/recommend", ranked.hexdigest()),
+                (f"{name}/bytes", str(resaved.stat().st_size))]
     return out
 
 

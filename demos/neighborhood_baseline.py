@@ -1,17 +1,18 @@
 """Rank items with the co-rating neighborhood baseline.
 
-The model is two artifacts: an item-to-item weight matrix
-W[i, j] = |N(i) & N(j)| / |N(i)| built from who rated what, and each
-user's own ratings. A candidate item j is scored by the weighted sum of
-the user's ratings over the K items most similar to j. The sum is left
-unnormalized on purpose: it is a ranking score, not a rating estimate,
-so this script evaluates it with top-n precision and recall.
+The model is each user's own ratings. The item-to-item weights
+W[i, j] = |N(i) & N(j)| / |N(i)| follow from who rated what: scoring
+counts the co-raters of the items it needs. A candidate item j is scored
+by the weighted sum of the user's ratings over the K items most similar
+to j. The sum is left unnormalized on purpose: it is a ranking score,
+not a rating estimate, so this script evaluates it with top-n precision
+and recall.
 """
 
 import numpy as np
 
 from latentrec import RatingDataset, itemcf_similarity, split, topn_metrics
-from latentrec.factor import itemcf_predict_with_info
+from latentrec.factor import cooccurrence, itemcf_predict_with_info
 
 
 def make_ratings(m=24, n=16, seed=5):
@@ -32,11 +33,14 @@ def main():
     ds = make_ratings()
     train, test = split(ds, 0.25, seed=3)
     model = itemcf_similarity(train, k=8)
-    print(f"weight matrix: {model.W.shape[0]}x{model.W.shape[1]}, "
-          f"scoring over the top {model.K} neighbors")
+    n = model.n_items
+    print(f"weight matrix: {n}x{n}, scoring over the top {model.K} neighbors")
 
-    # weights are asymmetric: they divide by the first item's rater count
-    print(f"W[0, 1] = {model.W[0, 1]:.3f}   W[1, 0] = {model.W[1, 0]:.3f}")
+    # weights are asymmetric: they divide the co-rater counts of items 0
+    # and 1 by the first item's rater count
+    (_, counts), = cooccurrence(model.ratings, model.raters, np.arange(2))
+    w = counts / np.diff(model.raters.offsets)[:2, None]
+    print(f"W[0, 1] = {w[0, 1]:.3f}   W[1, 0] = {w[1, 0]:.3f}")
 
     # one scored cell with its diagnostics
     u = train.user_index["u03"]

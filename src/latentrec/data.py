@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     CapacityError,
+    MagnitudeError,
     NoDataError,
     ParseError,
     ValidationError,
@@ -268,10 +269,8 @@ def json_array(entries):
         a = np.array(entries) if entries != [] else np.zeros(0, np.int64)
     except ValueError:  # numpy's "inhomogeneous shape"
         return None
-    # numpy reads a bool among numbers as 0 or 1, so only an entry that
-    # reads 0 or 1 can be one
-    if a.ndim == 1 and a.dtype.kind in "iuf" and any(
-            type(entries[at]) is bool for at in np.flatnonzero((a == 0) | (a == 1)).tolist()):
+    # numpy reads a bool among numbers as 0 or 1
+    if a.ndim == 1 and a.dtype.kind in "iuf" and bool in set(map(type, entries)):
         return None
     return a
 
@@ -594,8 +593,9 @@ def check_cells(what, shape, advice):
     """Refuse an array of this shape above DENSE_CELL_CAP cells.
 
     Every dense table sized from the input (the dense rating matrix, the
-    factor and latent tables, the item overlap matrix) is checked here
-    before anything of it is allocated, against the cap as it is when
+    factor and latent tables) is checked here before anything of it is
+    allocated, and so are the item co-occurrence counts an itemcf scoring
+    call makes (factor.ItemCfModel), against the cap as it is when
     called. Raises CapacityError naming what, its shape and the advice.
     """
     cells = math.prod(shape)
@@ -623,6 +623,9 @@ def to_dense(ds):
     return dense, mask
 
 
+# a sum of ratings near the float maximum overflows, and one of both signs
+# can then make inf - inf: such a mean is refused below, not warned of
+@np.errstate(over="ignore", invalid="ignore")
 def impute(matrix, mask, strategy="global"):
     """Fill unobserved cells with a global, per-user, or per-item mean.
 
@@ -631,6 +634,8 @@ def impute(matrix, mask, strategy="global"):
 
     Raises:
         NoDataError: the mask has no observed cell.
+        MagnitudeError: a mean overflows float64, as the sum of ratings
+            near the float maximum does.
         ValueError: unknown strategy or mismatched shapes.
     """
     matrix = np.asarray(matrix, dtype=float)
@@ -642,8 +647,7 @@ def impute(matrix, mask, strategy="global"):
     observed = mask == 1.0
     if not observed.any():
         raise NoDataError("cannot impute: no observed entries")
-    global_mean = float(matrix[observed].mean())
-    fill = np.full(matrix.shape, global_mean)
+    fill = np.full(matrix.shape, matrix[observed].mean())
     if strategy != "global":
         # item means run over the columns: the rows of the .T views, so
         # the means are written through fill.T into the one C-order fill
@@ -651,6 +655,10 @@ def impute(matrix, mask, strategy="global"):
         for values, obs, out in zip(*views):
             if obs.any():
                 out[:] = values[obs].mean()
+    # two reductions rather than an m x n isfinite mask: an inf mean is
+    # the fill's max (-inf its min), and a NaN one makes both NaN
+    if not np.isfinite([fill.min(), fill.max()]).all():
+        raise MagnitudeError("the mean of the observed ratings overflows float64")
     np.copyto(fill, matrix, where=observed)
     return fill
 

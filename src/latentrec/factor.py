@@ -394,16 +394,15 @@ def _funk_train_sequential(config, users, items, ratings, pt, qt):
 
 @dataclass(frozen=True)
 class ItemCfModel(Scorer):
-    """Each user's ratings, and the item-to-item overlap weights that
-    follow from them.
+    """Each user's ratings, from which the item-to-item overlap weights
+    follow.
 
     The model is frozen: assigning a field raises FrozenInstanceError,
     and dataclasses.replace builds a new, checked model. What scoring
     reads is not a field but derived state, built from the ratings on
     first use and kept, so it always follows from them: the item -> users
     index raters, from which each call counts the rows of the
-    co-occurrences it needs (itemcf_predictions), for every K. The whole
-    n x n weights W are a derived view that no scoring call reads.
+    co-occurrences it needs (itemcf_predictions), for every K.
 
     Fields:
         ratings: each user's rated items with their ratings as values, a
@@ -413,8 +412,11 @@ class ItemCfModel(Scorer):
             last rating. Per-user dicts from item to rating, or lists of
             [item, rating] pairs, are checked and converted here.
         K: neighborhood size used by predict, an int >= 1.
-        n_items: the number of items; n_items x n_items must not exceed
-            DENSE_CELL_CAP (checked here, before W is ever allocated).
+        n_items: the number of items. A scoring call counts SORT_ROWS
+            rows of n_items co-occurrences at a time, and with K < n - 1
+            every candidate's whole row, so SORT_ROWS x n_items, or
+            n_items x n_items when K < n - 1, must not exceed
+            DENSE_CELL_CAP (checked here).
     """
 
     ratings: UserItems
@@ -422,19 +424,12 @@ class ItemCfModel(Scorer):
     n_items: int
 
     def __post_init__(self):
-        check_cells("item overlap matrix", (self.n_items,) * 2, "use a factor model instead")
         check_count(self.K, "neighborhood size K")
+        rows = SORT_ROWS if self.K >= self.n_items - 1 else self.n_items
+        check_cells("item co-occurrence counts", (rows, self.n_items),
+                    "use a factor model instead")
         object.__setattr__(self, "ratings", UserItems.of(
             self.ratings, None, self.n_items, "itemcf ratings", valued=True))
-
-    @functools.cached_property
-    def W(self):
-        """n x n overlap weights W[i, j] = |N(i) & N(j)| / |N(i)|, diagonal
-        0, where N(i) is the set of users who rated item i (see
-        overlap_weights). Items nobody rated get an all-zero row. The
-        reference view of what scoring computes; no scoring call reads
-        it, so it is built only when read."""
-        return overlap_weights(self.ratings, self.n_items)
 
     @functools.cached_property
     def raters(self):
@@ -502,49 +497,6 @@ def cooccurrence(ratings, raters, targets):
         yield slice(s, e), counts
 
 
-def overlap_weights(ratings, n):
-    """Overlap similarity W[i, j] = |N(i) & N(j)| / |N(i)| from rated items.
-
-    ratings are itemcf's: each user's distinct items with their ratings,
-    as a UserItems with values, per-user dicts from item to rating or
-    lists of [item, rating] pairs; UserItems.of checks them. N(i) is the
-    set of users whose row holds i; the rating values play no part. The
-    co-occurrence counts are exact integers, divided by the rater counts
-    in place, so the counts array becomes W and no second n x n array is
-    made; the diagonal is forced to zero and items with no raters get
-    all-zero rows. ItemCfModel.W is built here, so a trained model and a
-    loaded one have the same weights.
-
-    The counts are added one user at a time, in np.ix_ blocks of at most
-    SORT_ROWS x d_u cells, so a user who rated every item adds no second
-    n x n array: one np.bincount over all the pair codes i * n + j would
-    hold the sum of d_u^2 codes and a second n x n array at once. Rows of
-    W from cooccurrence's blocks are the same numbers, but on 300 items
-    with 5,000 ratings that build peaked at 1.36 MB under tracemalloc,
-    against 0.99 MB for this loop (W is 0.72 MB). No scoring call needs
-    W: itemcf_predictions reads the counts from cooccurrence, bit for bit
-    equal to these.
-
-    Raises:
-        CapacityError: n x n exceeds DENSE_CELL_CAP; checked before
-            anything is allocated.
-        ValueError: ratings that UserItems.of refuses (an item that is
-            not an int in [0, n), a row whose items do not rise).
-    """
-    check_cells("item overlap matrix", (n, n), "use a factor model instead")
-    ratings = UserItems.of(ratings, None, n, "ratings", valued=True)
-    counts = np.zeros((n, n))
-    for idx in ratings:
-        for lo in range(0, idx.size, SORT_ROWS):
-            counts[np.ix_(idx[lo:lo + SORT_ROWS], idx)] += 1.0
-    raters = np.diag(counts).copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(counts, raters[:, None], out=counts)
-    counts[raters == 0.0, :] = 0.0
-    np.fill_diagonal(counts, 0.0)
-    return counts
-
-
 def itemcf_similarity(ds, k=None):
     """ItemCF model of a dataset's ratings; scoring counts the overlaps
     it needs (see itemcf_predictions).
@@ -554,7 +506,8 @@ def itemcf_similarity(ds, k=None):
     defaults to n - 1, meaning every other item.
 
     Raises:
-        CapacityError: n x n exceeds DENSE_CELL_CAP.
+        CapacityError: the counts a scoring call makes exceed
+            DENSE_CELL_CAP (see ItemCfModel).
     """
     n = ds.n_items
     # item order, as model files store them, so that a loaded model sums
@@ -567,23 +520,26 @@ def itemcf_predictions(model, u, items):
     """Scores of each (u, j), j in items, and how many rated items each
     sums, as two arrays (value, used).
 
-    The score is sum over i in N(u) & S(j, K) of W[j, i] * r_ui, where
-    S(j, K) holds the K items most similar to j by metrics.neighbours:
-    descending weight, ties by ascending index, and j itself never takes
-    a slot. An empty intersection scores 0. The sum runs over the user's
-    ratings in their stored (item) order, one term per item.
+    The score is sum over i in N(u) & S(j, K) of W[j, i] * r_ui, with the
+    overlap weight W[j, i] = |N(j) & N(i)| / |N(j)| (Sarwar et al. 2001),
+    0 for j = i and for an item nobody rated. S(j, K) holds the K items
+    most similar to j by metrics.neighbours: descending weight, ties by
+    ascending index, and j itself never takes a slot. An empty
+    intersection scores 0. The sum runs over the user's ratings in their
+    stored (item) order, one term per item.
 
-    No W is built: W[j, i] is C[j, i] / |N(j)| for the cooccurrence
-    counts C, which are symmetric, and the counts come a block of rows at
-    a time, so a call holds O(SORT_ROWS * n + nnz) and never d_u x n.
+    No n x n array is built: W[j, i] is C[j, i] / max(|N(j)|, 1) for the
+    cooccurrence counts C, which are symmetric, and the counts come a
+    block of rows at a time, so a call holds O(SORT_ROWS * n + nnz) and
+    never d_u x n.
     The candidates' rows of C rank j's neighbours as W's row j does:
     dividing integers below 2^53 by one positive integer keeps their
     order and their ties. Each candidate then sums its hit terms, a miss
     adding 0. With K >= n - 1, S(j, K) is every item but j, so when the
     user rated no more items than there are candidates the sum reads the
     rows of C for the user's items instead, as columns of W: the zero
-    count at j = i adds 0 to the sum, as skipping j does. Both give the
-    W[j, i] overlap_weights gives.
+    count at j = i adds 0 to the sum, as skipping j does. Both divide
+    the same two integers, so both give the same W[j, i].
     """
     items = in_range(u, items, model.n_users, model.n_items)
     row = slice(*model.ratings.offsets[u:u + 2])

@@ -26,9 +26,8 @@ README's model-file paragraph is the one full account of the format
   r_star and mask with the function training used, so saving refuses an
   r_star that does not follow from the stored factors. An itemcf model
   holds no weights to store: scoring counts what it needs from its
-  ratings, and its W is a view derived from them when read. A version 2
-  itemcf file stores W, and loads only when that W is the one its
-  ratings give.
+  ratings. A version 2 itemcf file stores the n x n overlap weights w,
+  and loads only when w is the one its ratings give.
 - A ModelBundle is frozen and builds its scorer once: the model itself,
   or for fm and ffm an IndexedModel, the one-hot view of the machine,
   built from the token lists alone (its encoder is fm.one_hot_layout of
@@ -92,7 +91,7 @@ from . import __version__
 from .data import UserItems, check_cells, checked_scale, json_array, tokens_by_index
 from .ensemble import BlendModel
 from .errors import CapacityError, PersistenceError, ValidationError
-from .factor import FactorModel, ItemCfModel
+from .factor import FactorModel, ItemCfModel, cooccurrence
 # encode is not called here, but perfbench's tracer counts calls to
 # persist.encode, so the name stays importable from this module
 from .fm import (EncoderSpec, FfmModel, FmModel, encode,  # noqa: F401
@@ -509,10 +508,16 @@ def _model_from(algorithm, block, n_users, n_items, version, lists):
             fields["ratings"] = UserItems(rated.offsets, rated.items, json_array(block["values"]))
         fields["n_items"] = n_items
     model = _MODELS[algorithm](**fields)
-    # version 2 itemcf files store W, which loads only as the W the ratings give
-    if algorithm == "itemcf" and "w" in block and not np.array_equal(
-            _array(block["w"], version), model.W):
-        raise ValueError("itemcf weights w do not follow from the stored ratings")
+    # version 2 itemcf files store the n x n weights w, which load only as
+    # the weights the ratings give: row t is C[t] / max(|N(t)|, 1) for the
+    # co-occurrence counts C, checked a block of rows at a time
+    if algorithm == "itemcf" and "w" in block:
+        w, n = _array(block["w"], version), model.n_items
+        divisor = np.maximum(np.diff(model.raters.offsets), 1)
+        if w.shape != (n, n) or not all(
+                np.array_equal(w[at], counts / divisor[at, None])
+                for at, counts in cooccurrence(model.ratings, model.raters, np.arange(n))):
+            raise ValueError("itemcf weights w do not follow from the stored ratings")
     return model
 
 
@@ -742,9 +747,10 @@ def load_model(path):
     whose base64 data holds exactly its shape's product of 8-byte values;
     a value the model refuses, such as an svd neighborhood below 1; a
     JSON integer too large for a float where a float is read; a version 2
-    itemcf w that is not the W its ratings give), and CapacityError when
-    the itemcf weights of the file's items, or the m x n arrays an svd
-    file is scored from, would exceed the dense cell cap.
+    itemcf w that is not the n x n weights its ratings give), and
+    CapacityError when the co-occurrence counts an itemcf scoring call
+    makes (ItemCfModel), or the m x n arrays an svd file is scored from,
+    would exceed the dense cell cap.
     """
     try:
         data = Path(path).read_bytes()

@@ -194,6 +194,24 @@ def dataset_from_dense(ratings, scale=(1.0, 5.0)):
     return RatingDataset(triples, kind="explicit", scale=scale)
 
 
+def overlap_weights(ratings, n):
+    """The test oracle of itemcf's n x n overlap weights
+    W[i, j] = |N(i) & N(j)| / |N(i)|, N(i) the rows of ratings (a
+    UserItems) that hold item i: the product of the dense 0/1 rater
+    matrix with itself, exact for integer counts, divided by the rater
+    counts, as format 2 stored it. The diagonal is 0, and an item nobody
+    rated gets an all-zero row."""
+    b = np.zeros((len(ratings), n))
+    b[ratings.rows(), ratings.items] = 1.0
+    counts = b.T @ b
+    raters = np.diag(counts).copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = counts / raters[:, None]
+    w[raters == 0.0, :] = 0.0
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
 def without_created(text):
     """Model file text with the "created" value blanked; it must be there once."""
     kept, hits = re.subn(r'"created":"[^"]*"', '"created":""', text)

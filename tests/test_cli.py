@@ -21,9 +21,8 @@ from hypothesis import strategies as st
 
 from latentrec import cli, linalg
 from latentrec.cli import TRAIN_OPTIONS, _train_bundle, main
-from latentrec.data import (CsvSchema, RatingDataset, UserItems, impute, negative_sample,
+from latentrec.data import (CsvSchema, RatingDataset, impute, negative_sample,
                             parse_csv, split, to_dense)
-from latentrec.factor import overlap_weights
 from latentrec.fm import OneHotBatch, SampleBatch, encode
 from latentrec.metrics import mae, rmse
 from latentrec.persist import (
@@ -845,6 +844,9 @@ class TestHugeRatings:
         # u0's one rating fills its row, so the leading singular value is
         # about 1.4 x 1.7e308
         ("1.7e308,,,1", 3),
+        # the sums for the means overflow: before, numpy's RuntimeWarning,
+        # an exception under -W error, ended the run with exit 1
+        ("1.5e308,1.6e308,1.7e308,1.5e308,1.6e308", 3),
     ])
     def test_ratings_near_the_float_maximum_exit_0_or_3(self, capsys, tmp_path, ratings, code):
         # before, the 1e200 case printed five RuntimeWarnings and exited 3
@@ -855,9 +857,10 @@ class TestHugeRatings:
                                "--rank-rule", "energy:0.95", "--input", data,
                                "--output", str(tmp_path / "m.json"))
         assert got == code
-        assert err == ("" if code == 0 else
-                       "error: the singular values of a 2 x 2 matrix with entries up to "
-                       "2^1024 overflow float64\n")
+        refusals = {"1.7e308": "the singular values of a 2 x 2 matrix with entries up to "
+                               "2^1024 overflow float64",
+                    "1.5e308": "the mean of the observed ratings overflows float64"}
+        assert err == ("" if code == 0 else f"error: {refusals[ratings.split(',')[0]]}\n")
 
 
 @pytest.fixture(scope="module")
@@ -1441,26 +1444,37 @@ class TestTransientMemory:
         assert traced_peak(lambda: save_model(bundle, path)) < 2**19
         assert len(model_text(path)) > 95_000
 
-    def test_overlap_weights_builds_one_n_by_n_array(self, implicit_fm):
-        # 300 x 300 doubles are 0.69 MB; a second array made it 1.5 MB
-        _, positives = implicit_fm
-        maps = [{} for _ in range(positives.n_users)]
-        users, items, _ = positives.indexed()
-        for u, i in zip(users.tolist(), items.tolist()):
-            maps[u][i] = 1.0
-        assert positives.n_items == 300
-        assert traced_peak(lambda: overlap_weights(maps, 300)) < 2**20
-
-    def test_overlap_weights_of_a_user_with_every_item(self):
-        # 500 x 500 doubles are 2 MB; adding the d_u x d_u block of a user
-        # who rated every item at once made a second one (4.13 MB), blocks
-        # of SORT_ROWS rows peak at 2.26 MB
-        rng = np.random.default_rng(4)
-        n = 500
-        maps = [dict.fromkeys(sorted(rng.choice(n, 12, replace=False).tolist()), 1.0)
-                for _ in range(300)]
-        ratings = UserItems.of(maps + [dict.fromkeys(range(n), 1.0)], None, n, valued=True)
-        assert traced_peak(lambda: overlap_weights(ratings, n)) < 1.25 * n * n * 8
+    def test_itemcf_of_20000_items_trains_saves_loads_and_recommends(self, tmp_path, capsys):
+        # 20,000 x 20,000 cells exceed DENSE_CELL_CAP, and the cap on the
+        # whole n x n W refused this model at train; a default-K score
+        # counts SORT_ROWS rows of n co-occurrences at a time, so load and
+        # recommend peak far below the 3.2 GB of n^2 doubles
+        n, users = 20_000, 1000
+        rng = np.random.default_rng(5)
+        # user u rates items u, u + 1000, ... so every item has a rater,
+        # and 5 items at random, which make the overlaps
+        rows = [f"u{u},i{i},1\n" for u in range(users)
+                for i in {*range(u, n, users), *rng.choice(n, 5).tolist()}]
+        data_path = write_ratings(tmp_path, "r.csv", "".join(rows))
+        path = tmp_path / "m.json"
+        assert run(capsys, "train", "--algo", "itemcf", "--kind", "implicit", "--input",
+                   data_path, "--output", str(path))[0] == 0
+        assert traced_peak(lambda: load_model(path).recommend("u7", 10)) < 2**26
+        bundle = load_model(path)
+        assert len(bundle.item_index) == n and bundle.model.K == n - 1
+        recommended = bundle.recommend("u7", 10)
+        seen = set(bundle.scorer.seen(bundle.user_index["u7"]).tolist())
+        assert len(recommended) == 10
+        assert not seen & {bundle.item_index[item] for item, _ in recommended}
+        # a K < n - 1 score counts every candidate's whole row, n x n
+        # counts for one recommend: still refused, before any is made
+        runs = []
+        assert traced_peak(lambda: runs.append(run(
+            capsys, "train", "--algo", "itemcf", "--kind", "implicit", "--neighborhood", "50",
+            "--input", data_path, "--output", str(tmp_path / "k50.json")))) < 2**26
+        assert runs == [(3, "", "error: item co-occurrence counts of 20000 x 20000 = "
+                         "400000000 cells exceeds the cap of 100000000; use a factor model "
+                         "instead\n")]
 
     def test_itemcf_load_and_recommend_build_no_n_by_n_array(self, wide_itemcf):
         # 2000 x 2000 doubles are 32 MB, which W took; the columns of one

@@ -21,6 +21,7 @@ from latentrec.data import (
 )
 from latentrec.errors import (
     CapacityError,
+    MagnitudeError,
     NoDataError,
     ParseError,
     ValidationError,
@@ -293,6 +294,15 @@ class TestImpute:
     def test_empty_mask_rejected(self):
         with pytest.raises(NoDataError):
             impute(np.full((2, 2), np.nan), np.zeros((2, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("strategy", ["global", "user", "item"])
+    def test_mean_that_overflows_is_refused(self, strategy):
+        # row 0 and column 0 sum past the float maximum; before, numpy
+        # warned of the overflow and the fill held inf
+        matrix = np.array([[1.7e308, 1.6e308], [1.5e308, np.nan]])
+        with pytest.raises(MagnitudeError, match="overflows float64"):
+            impute(matrix, np.array([[1.0, 1.0], [1.0, 0.0]]), strategy)
 
 
 def implicit_dataset(pairs, n_items=None, extra_items=()):
@@ -678,12 +688,17 @@ class TestUserItemsForm:
             st.integers(0, rows[u][j - 1][0]))
         assert_refused(form, n_items, valued)
 
-    # both used to raise numpy's "inhomogeneous shape" ValueError, which
-    # names no list
+    # the ragged lists used to raise numpy's "inhomogeneous shape"
+    # ValueError, which names no list; numpy reads a bool among ints or
+    # floats as 0 or 1 (True beside 2 too), and an all-bool list as bools
     @pytest.mark.parametrize("form", [
         {"lengths": [2], "gaps": [[1], 2]},
         {"lengths": [2], "gaps": [[1], [2, 3]]},
         {"lengths": [2], "gaps": [1, 1], "values": [[4.0], 5.0]},
+        {"lengths": [2], "gaps": [1, True]},
+        {"lengths": [2], "gaps": [1, 1], "values": [4.0, True]},
+        {"lengths": [2], "gaps": [True, 2]},
+        {"lengths": [2], "gaps": [True, False]},
     ])
     def test_ragged_dict_form_is_refused_naming_the_list(self, form):
         assert_refused(form, 5, "values" in form)

@@ -15,6 +15,7 @@ from latentrec.factor import (
     FactorModel,
     ItemCfModel,
     TrainConfig,
+    cooccurrence,
     funk_loss,
     funk_loss_gradient,
     funk_predict,
@@ -32,7 +33,8 @@ from latentrec.factor import (
     svdpp_train,
 )
 from latentrec.metrics import SORT_ROWS, neighbours, top_k
-from tests.conftest import dataset_from_dense, make_rank2_ratings, make_svdpp_ratings
+from tests.conftest import (dataset_from_dense, make_rank2_ratings, make_svdpp_ratings,
+                            overlap_weights)
 
 
 def funk_model(p, q):
@@ -403,29 +405,40 @@ class TestSequentialStrategy:
         assert not np.array_equal(plain.Q, simultaneous.Q)
 
 
+def weights(model):
+    """The n x n overlap weights of an itemcf model, by the test oracle,
+    after checking that the rows scoring divides from the co-occurrence
+    counts are the oracle's, bit for bit."""
+    w = overlap_weights(model.ratings, model.n_items)
+    divisor = np.maximum(np.diff(model.raters.offsets), 1)
+    for at, counts in cooccurrence(model.ratings, model.raters, np.arange(model.n_items)):
+        assert (counts / divisor[at, None]).tobytes() == w[at].tobytes()
+    return w
+
+
 class TestItemCfSimilarity:
     def test_identical_rater_sets_give_one(self):
         ds = dataset_from_dense(np.array([[3.0, 4.0], [2.0, 5.0]]))
-        model = itemcf_similarity(ds)
-        assert model.W[0, 1] == 1.0 and model.W[1, 0] == 1.0
+        w = weights(itemcf_similarity(ds))
+        assert w[0, 1] == 1.0 and w[1, 0] == 1.0
 
     def test_disjoint_rater_sets_give_zero(self):
         ds = dataset_from_dense(np.array([[3.0, 0.0], [0.0, 5.0]]))
-        model = itemcf_similarity(ds)
-        assert model.W[0, 1] == 0.0 and model.W[1, 0] == 0.0
+        w = weights(itemcf_similarity(ds))
+        assert w[0, 1] == 0.0 and w[1, 0] == 0.0
 
     def test_partial_overlap_is_asymmetric(self):
         # N(item 0) = {u1, u2}, N(item 1) = {u2, u3, u4}
         dense = np.array(
             [[3.0, 0.0], [3.0, 3.0], [0.0, 3.0], [0.0, 3.0]]
         )
-        model = itemcf_similarity(dataset_from_dense(dense))
-        assert model.W[0, 1] == 0.5
-        assert model.W[1, 0] == pytest.approx(1.0 / 3.0)
+        w = weights(itemcf_similarity(dataset_from_dense(dense)))
+        assert w[0, 1] == 0.5
+        assert w[1, 0] == pytest.approx(1.0 / 3.0)
 
     def test_diagonal_is_zero(self):
         ds = dataset_from_dense(np.array([[3.0, 4.0], [2.0, 5.0]]))
-        assert np.all(np.diag(itemcf_similarity(ds).W) == 0.0)
+        assert np.all(np.diag(weights(itemcf_similarity(ds))) == 0.0)
 
     def test_unrated_item_gets_zero_row(self):
         ds = RatingDataset(
@@ -433,17 +446,17 @@ class TestItemCfSimilarity:
             item_index={"x": 0, "y": 1},
         )
         model = itemcf_similarity(ds)
-        assert np.all(model.W[1] == 0.0)
+        assert np.all(weights(model)[1] == 0.0)
 
     def test_implicit_zeros_are_not_raters(self):
         ds = RatingDataset(
             [("a", "x", 1.0), ("a", "y", 0.0), ("b", "x", 1.0), ("b", "y", 1.0)],
             kind="implicit",
         )
-        model = itemcf_similarity(ds)
+        w = weights(itemcf_similarity(ds))
         # N(x) = {a, b}, N(y) = {b} only
-        assert model.W[0, 1] == 0.5
-        assert model.W[1, 0] == 1.0
+        assert w[0, 1] == 0.5
+        assert w[1, 0] == 1.0
 
     def test_overlap_identity_on_random_data(self):
         rng = np.random.default_rng(13)
@@ -452,13 +465,13 @@ class TestItemCfSimilarity:
             if not dense.any() or not dense.any(axis=0).all() or not dense.any(axis=1).all():
                 continue
             ds = dataset_from_dense(dense.astype(float))
-            model = itemcf_similarity(ds)
-            assert model.W.min() >= 0.0 and model.W.max() <= 1.0
+            w = weights(itemcf_similarity(ds))
+            assert w.min() >= 0.0 and w.max() <= 1.0
             raters = np.array(
                 [np.count_nonzero(dense[:, i]) for i in range(dense.shape[1])],
                 dtype=float,
             )
-            left = model.W * raters[:, None]
+            left = w * raters[:, None]
             np.testing.assert_allclose(left, left.T, atol=1e-12)
 
     def test_model_validation(self):
@@ -515,20 +528,26 @@ class TestItemCfModel:
 
     def test_fields_cannot_be_assigned(self):
         model = ItemCfModel([{0: 3.0}, {}], K=1, n_items=2)
-        for name, value in (("K", 2), ("ratings", [{}, {}]), ("n_items", 3), ("W", None)):
+        for name, value in (("K", 2), ("ratings", [{}, {}]), ("n_items", 3), ("raters", None)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(model, name, value)
 
     def test_weights_are_derived_once_and_fresh_after_replace(self):
+        # scoring counts co-occurrences through the item -> users index,
+        # which is built once per model and follows a replaced model's ratings
         model = ItemCfModel([{0: 3.0, 1: 4.0}, {0: 2.0}], K=1, n_items=3)
-        assert model.W is model.W
-        assert model.W.tolist() == [[0.0, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        assert model.raters is model.raters
+        assert [users.tolist() for users in model.raters] == [[0, 1], [0], []]
         ratings = [{0: 3.0, 2: 4.0}, {1: 2.0}]
         replaced = dataclasses.replace(model, ratings=ratings)
         fresh = ItemCfModel(ratings, K=1, n_items=3)
-        assert np.array_equal(replaced.W, fresh.W)
-        assert not np.array_equal(replaced.W, model.W)
-        assert model.W.tolist() == [[0.0, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        assert [users.tolist() for users in replaced.raters] == \
+            [users.tolist() for users in fresh.raters] == [[0], [1], [0]]
+        assert [users.tolist() for users in model.raters] == [[0, 1], [0], []]
+        assert weights(model).tolist() == [[0.0, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        for u in range(2):
+            assert replaced.scores(u, np.arange(3)).tolist() == \
+                fresh.scores(u, np.arange(3)).tolist()
 
 
 class TestItemCfPredict:
@@ -575,7 +594,7 @@ class TestItemCfPredict:
         assert narrow.K == 1
         full = itemcf_predict(wide, 3, 2)
         cut = itemcf_predict(narrow, 3, 2)
-        assert cut == wide.W[2, 1] * 3.0
+        assert cut == weights(wide)[2, 1] * 3.0
         assert cut < full
 
     def test_recommend_ranks_unrated(self):
@@ -601,7 +620,7 @@ class TestItemCfNeighbours:
         # are 1 and 2, so user 0's rating of item 2 is summed (at weight
         # 0). Item 0 used to take the slot.
         model = ItemCfModel([{2: 4.0}, {0: 1.0, 1: 1.0}], K=2, n_items=3)
-        assert model.W[0].tolist() == [0.0, 1.0, 0.0]
+        assert weights(model)[0].tolist() == [0.0, 1.0, 0.0]
         info = itemcf_predict_with_info(model, 0, 0)
         assert (info.value, info.used, info.empty_neighborhood) == (0.0, 1, False)
         assert type(info.value) is float and type(info.used) is int
@@ -616,8 +635,9 @@ class TestItemCfNeighbours:
         rated = list(zip(model.ratings.items[row].tolist(),
                          model.ratings.values[row].tolist()))
         out = []
+        oracle = weights(model)
         for j in range(n):
-            w = model.W[j].tolist()
+            w = oracle[j].tolist()
             near = set(sorted((i for i in range(n) if i != j),
                               key=lambda i: (-w[i], i))[:model.K])
             value = 0.0
@@ -640,17 +660,18 @@ class TestItemCfNeighbours:
 
 def w_predictions(model, u, items):
     """itemcf_predictions as it was before the co-occurrence paths: every
-    K reads the candidates' rows of the whole W."""
+    K reads the candidates' rows of the whole W, the oracle's."""
     items = np.asarray(items, dtype=np.int64)
+    w = weights(model)
     blocks = np.split(items, range(SORT_ROWS, items.size, SORT_ROWS))
-    neighbors = np.concatenate([neighbours(model.W[b], b, model.K) for b in blocks])
+    neighbors = np.concatenate([neighbours(w[b], b, model.K) for b in blocks])
     value = np.zeros(items.size)
     used = np.zeros(items.size, dtype=np.int64)
     row = slice(*model.ratings.offsets[u:u + 2])
     for i, r in zip(model.ratings.items[row].tolist(),
                     model.ratings.values[row].tolist()):
         hit = neighbors[:, i]
-        value[hit] += model.W[items[hit], i] * r
+        value[hit] += w[items[hit], i] * r
         used += hit
     return value, used
 

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from latentrec import data, factor, persist, svdcf
-from latentrec.data import RatingDataset
+from latentrec.data import RatingDataset, UserItems
 from latentrec.cli import main
 from latentrec.ensemble import BlendModel, bag_train, stack_fit, vote_recommend
 from latentrec.errors import (CapacityError, LatentRecError, PersistenceError, ShapeError,
@@ -25,10 +26,10 @@ from latentrec.factor import (
     TrainConfig,
     funk_train,
     itemcf_similarity,
-    overlap_weights,
     svdpp_implicit_predict,
     svdpp_train,
 )
+from latentrec.metrics import SORT_ROWS
 from latentrec.fm import (
     EncoderSpec,
     FfmModel,
@@ -76,6 +77,7 @@ from tests.conftest import (
     inline,
     member_blocks,
     outline,
+    overlap_weights,
     rows_of,
     tokens_of,
     whole_ffm_v,
@@ -367,19 +369,9 @@ def blend_bundle(kind):
     ), ds
 
 
-def old_overlap_weights(ds):
-    """W built from the dense m x n 0/1 rater matrix, as format 2 did."""
-    users, items, ratings = ds.indexed()
-    b = np.zeros((ds.n_users, ds.n_items))
-    positive = ratings != 0.0 if ds.kind == "implicit" else slice(None)
-    b[users[positive], items[positive]] = 1.0
-    counts = b.T @ b
-    raters = np.diag(counts).copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = counts / raters[:, None]
-    w[raters == 0.0, :] = 0.0
-    np.fill_diagonal(w, 0.0)
-    return w
+def weights(model):
+    """The n x n overlap weights of an itemcf model, by the test oracle."""
+    return overlap_weights(model.ratings, model.n_items)
 
 
 def itemcf_models(bundle):
@@ -403,7 +395,7 @@ class TestItemCfFiles:
         assert all(set(block) == {"k", "ratings", "values"} for block in blocks)
         loaded = load_model(first)
         for before, after in zip(itemcf_models(bundle), itemcf_models(loaded)):
-            assert np.array_equal(after.W, before.W)
+            assert np.array_equal(weights(after), weights(before))
         for user in ds.user_index:
             assert loaded.recommend(user, ds.n_items) == \
                 bundle.recommend(user, ds.n_items)
@@ -414,7 +406,7 @@ class TestItemCfFiles:
     def test_unrated_item_has_zero_row_after_load(self, tmp_path):
         bundle, ds = itemcf_bundle("implicit")
         loaded = load_model(save_model(bundle, tmp_path / "m.json"))
-        assert np.all(loaded.model.W[ds.item_index["z"]] == 0.0)
+        assert np.all(weights(loaded.model)[ds.item_index["z"]] == 0.0)
         assert loaded.model.ratings[ds.user_index["d"]].tolist() == []
 
     @settings(max_examples=60, deadline=None)
@@ -438,33 +430,55 @@ class TestItemCfFiles:
             triples = [("u0", "i0", values[-1])]
         ds = RatingDataset(triples, kind=kind,
                            item_index={f"i{i}": i for i in range(n)})
-        expected = old_overlap_weights(ds)
+        # the raters are the dataset's users with a (positive) rating
+        users, items, ratings = ds.indexed()
+        positive = ratings != 0.0 if kind == "implicit" else slice(None)
+        expected = overlap_weights(UserItems.from_columns(
+            users[positive], items[positive], ds.n_users, n), n)
         bundle = ModelBundle(algorithm="itemcf", model=itemcf_similarity(ds),
                              user_index=ds.user_index,
                              item_index=ds.item_index, scale=ds.scale)
-        assert np.array_equal(bundle.model.W, expected)
-        path = tmp_path_factory.mktemp("itemcf") / "m.json"
-        assert np.array_equal(load_model(save_model(bundle, path)).model.W,
+        assert np.array_equal(weights(bundle.model), expected)
+        folder = tmp_path_factory.mktemp("itemcf")
+        assert np.array_equal(weights(load_model(save_model(bundle, folder / "m.json")).model),
                               expected)
+        # a version 2 file loads with these weights, and with no other
+        doc = old_layout(document(bundle), 2)
+        for w, loads in ((expected, True), (expected + 1.0, False)):
+            doc["parameters"]["w"] = w.tolist()
+            (folder / "v2.json").write_text(json.dumps(doc))
+            if loads:
+                loaded = load_model(folder / "v2.json").scorer
+                for u in range(ds.n_users):
+                    assert loaded.scores(u, np.arange(n)).tobytes() == \
+                        bundle.scorer.scores(u, np.arange(n)).tobytes()
+            else:
+                with pytest.raises(PersistenceError, match="weights"):
+                    load_model(folder / "v2.json")
 
-    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("edit", ["none", "scale", "cell", "row", "column", "flat"])
     def test_version_2_document_loads_only_with_the_w_its_ratings_give(
-            self, scale, tmp_path):
+            self, edit, tmp_path):
         bundle, ds = itemcf_bundle("explicit")
         bundle = dataclasses.replace(bundle, created="2026-01-01T00:00:00+00:00")
         doc = old_layout(document(bundle), 2)
-        stored = bundle.model.W * scale
+        stored = weights(bundle.model)
+        n = stored.shape[0]
+        if edit == "cell":  # the last row, after every row that passes
+            stored[n - 1, 0] = np.nextafter(stored[n - 1, 0], 1.0)
+        stored = {"none": stored, "scale": stored * 0.5, "cell": stored,
+                  "row": stored[:-1], "column": stored[:, :-1], "flat": stored.ravel()}[edit]
         doc["parameters"]["w"] = stored.tolist()
         path = tmp_path / "v2.json"
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        if scale != 1.0:
+        if edit != "none":
             # these weights do not follow from the ratings, which no
-            # ItemCfModel can hold
-            with pytest.raises(PersistenceError, match="weights"):
+            # ItemCfModel can hold, or are not n x n
+            with pytest.raises(PersistenceError, match="weights w do not follow"):
                 load_model(path)
             return
         loaded = load_model(path)
-        assert np.array_equal(loaded.model.W, stored)
+        assert np.array_equal(weights(loaded.model), stored)
         for u in ds.user_index:
             for i in ds.item_index:
                 assert loaded.predict(u, i) == bundle.predict(u, i)
@@ -476,7 +490,7 @@ class TestItemCfFiles:
     def test_version_2_w_the_ratings_do_not_give_exits_3(self, tmp_path, capsys):
         bundle, ds = itemcf_bundle("explicit")
         doc = old_layout(document(bundle), 2)
-        doc["parameters"]["w"] = (bundle.model.W * 0.5).tolist()
+        doc["parameters"]["w"] = (weights(bundle.model) * 0.5).tolist()
         path = tmp_path / "v2.json"
         path.write_text(json.dumps(doc))
         assert main(["recommend", str(path), min(ds.user_index)]) == 3
@@ -486,41 +500,45 @@ class TestItemCfFiles:
         assert "weights w do not follow from the stored ratings" in captured.err
         assert len(captured.err.splitlines()) == 1
 
-    def test_scoring_never_builds_the_weights(self, monkeypatch, tmp_path):
-        # W is a derived view: training, saving, loading and scoring never
-        # build it, for the default K >= n - 1 and for a smaller K alike;
-        # every score counts the co-occurrences it needs
-        calls = []
-        build = factor.overlap_weights
-        monkeypatch.setattr(factor, "overlap_weights",
-                            lambda *args: calls.append(args) or build(*args))
-        ratings = tmp_path / "r.csv"
-        for k in (None, 2):
-            bundle, ds = itemcf_bundle("explicit", k=k)
-            ratings.write_text("".join(f"{u},{i},{r}\n" for u, i, r in ds.triples))
-            path = save_model(bundle, tmp_path / "m.json")
-            loaded = load_model(path)
-            user = min(ds.user_index)
-            first = loaded.recommend(user, ds.n_items)
-            assert loaded.recommend(user, ds.n_items) == first
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["evaluate", str(path), "--test", str(ratings), "--k", "3"]) == 0
-            assert calls == []
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_overlap_cap_checked_before_allocating(self, k, monkeypatch):
+        # a scoring call counts SORT_ROWS rows of n co-occurrences at a
+        # time, and with K < n - 1 every candidate's whole row; the cap
+        # bounds those cells, and a refusal builds nothing
+        n = 20_000
+        cells = (SORT_ROWS if k is None else n) * n
+        monkeypatch.setattr(data, "DENSE_CELL_CAP", cells - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"{cells // n} x {n} = {cells} cells"):
+                ItemCfModel([], K=k or n - 1, n_items=n)
+            assert tracemalloc.get_traced_memory()[1] < 2**16
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(data, "DENSE_CELL_CAP", cells)
+        assert ItemCfModel([], K=k or n - 1, n_items=n).n_items == n
 
-    def test_overlap_cap_checked_before_allocating(self):
-        # 10001^2 cells exceed DENSE_CELL_CAP; no matrix is built
-        with pytest.raises(CapacityError, match="cap"):
-            overlap_weights([], 10_001)
-
-    def test_overlap_cap_applies_to_train_and_load(self, monkeypatch,
-                                                   tmp_path):
-        bundle, ds = itemcf_bundle("explicit")
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_overlap_cap_applies_to_train_and_load(self, k, monkeypatch, tmp_path):
+        # more items than SORT_ROWS, so that SORT_ROWS x n and n x n
+        # differ and either cap, for the wrong K, shows
+        ds, _ = make_rank2_ratings(m=20, n=40, density=0.5, seed=2)
+        n = ds.n_items
+        assert n > SORT_ROWS
+        bundle = ModelBundle(algorithm="itemcf", model=itemcf_similarity(ds, k=k),
+                             user_index=ds.user_index, item_index=ds.item_index,
+                             scale=ds.scale)
         path = save_model(bundle, tmp_path / "m.json")
-        monkeypatch.setattr(data, "DENSE_CELL_CAP", ds.n_items ** 2 - 1)
-        with pytest.raises(CapacityError):
-            itemcf_similarity(ds)
-        with pytest.raises(CapacityError):
+        cells = (SORT_ROWS if k is None else n) * n
+        monkeypatch.setattr(data, "DENSE_CELL_CAP", cells - 1)
+        with pytest.raises(CapacityError, match=f"{cells // n} x {n} = {cells} cells"):
+            itemcf_similarity(ds, k=k)
+        with pytest.raises(CapacityError, match=f"{cells // n} x {n} = {cells} cells"):
             load_model(path)
+        monkeypatch.setattr(data, "DENSE_CELL_CAP", cells)
+        assert itemcf_similarity(ds, k=k).K == (k or n - 1)
+        user = min(ds.user_index)
+        assert load_model(path).recommend(user, n) == bundle.recommend(user, n)
 
     @pytest.mark.parametrize("version", [2, 4, FORMAT_VERSION])
     @pytest.mark.parametrize("bad", ["-1", "n"])
@@ -539,7 +557,7 @@ class TestItemCfFiles:
         else:
             doc = old_layout(doc, version)
             if version == 2:
-                doc["parameters"]["w"] = bundle.model.W.tolist()
+                doc["parameters"]["w"] = weights(bundle.model).tolist()
             doc["parameters"]["ratings"][0].append([index, 3.0])
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
@@ -1773,7 +1791,7 @@ def float_arrays(model, n_users):
             arrays.update(y=model.Y, b_u=model.b_u, b_i=model.b_i)
         return arrays
     if isinstance(model, ItemCfModel):
-        return {"w": model.W}
+        return {"w": weights(model)}
     if isinstance(model, FfmModel):
         return {"w": model.w, "v": ffm_blocks(model.V, n_users)[0]}
     return {"w": model.w, "v": model.V}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import svdcf
+from . import optim, svdcf
 from .data import CsvSchema, checked_scale, negative_sample, parse_csv
 from .ensemble import BlendModel, bag_train, stack_fit
 from .errors import (
@@ -40,8 +40,8 @@ from .errors import (
 )
 from .factor import TrainConfig, funk_train, itemcf_similarity, svdpp_train
 # encode is not called here, but perfbench's tracer counts calls to cli.encode
-from .fm import SampleBatch, encode, ffm_train, fm_train, one_hot_layout  # noqa: F401
-from .metrics import MetricReport, mae, pair_scores, rmse, topn_metrics
+from .fm import LOSSES, SampleBatch, encode, ffm_train, fm_train, one_hot_layout  # noqa: F401
+from .metrics import MetricReport, check_choice, mae, pair_scores, rmse, topn_metrics
 from .persist import FIELDS, ModelBundle, load_model, save_model
 
 EXIT_OK = 0
@@ -112,12 +112,12 @@ class Opt:
 
 
 HYPER_OPTIONS = (
-    Opt("factors", int, 2, low=1, help="latent dimension (funk, svdpp, fm, ffm)"),
-    Opt("alpha", float, 0.01, help="learning rate"),
-    Opt("lam", float, 0.02, flag="--lambda", help="regularization strength"),
-    Opt("epochs", int, 100, low=0, help="training epochs"),
-    Opt("seed", int, 42, low=0, help="random seed"),
-    Opt("optimizer", str, "sgd", choices=("sgd", "momentum", "adaptive"),
+    Opt("factors", int, TrainConfig.f, low=1, help="latent dimension (funk, svdpp, fm, ffm)"),
+    Opt("alpha", float, TrainConfig.alpha, help="learning rate"),
+    Opt("lam", float, TrainConfig.lam, flag="--lambda", help="regularization strength"),
+    Opt("epochs", int, TrainConfig.epochs, low=0, help="training epochs"),
+    Opt("seed", int, TrainConfig.seed, low=0, help="random seed"),
+    Opt("optimizer", str, TrainConfig.optimizer, choices=optim.KINDS,
         help="update rule for the gradient trainers"),
     Opt("impute", str, "user", choices=("global", "user", "item"),
         help="mean-fill strategy for svd"),
@@ -130,7 +130,7 @@ HYPER_OPTIONS = (
         help="negatives per positive for implicit data"),
     Opt("kind", str, "explicit", choices=("explicit", "implicit"),
         help="rating kind of the input csv"),
-    Opt("loss", str, "squared", choices=("squared", "logistic"),
+    Opt("loss", str, "squared", choices=LOSSES,
         help="training loss for fm and ffm"),
     Opt("scale", _parse_scale, (1.0, 5.0), help="rating bounds as LO:HI"),
 )
@@ -225,8 +225,9 @@ def read_config(path):
 def resolve(args, options):
     """Final option values: command line, then config file, then default.
 
-    Raises ConfigError for a missing required option and for a value
-    below its option's low bound.
+    Raises ConfigError for a missing required option, for a config value
+    that its option cannot parse or that is not one of its choices
+    (metrics.check_choice), and for a value below its option's low bound.
     """
     config = read_config(args.config) if getattr(args, "config", None) else {}
     values = {}
@@ -237,14 +238,12 @@ def resolve(args, options):
         elif opt.key in config:
             try:
                 parsed = opt.parse(config[opt.key])
+                if opt.choices:
+                    check_choice(parsed, opt.key, opt.choices)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for config key {opt.key!r}: {exc}"
                 ) from exc
-            if opt.choices and parsed not in opt.choices:
-                raise ConfigError(
-                    f"config key {opt.key!r} must be one of {', '.join(opt.choices)}"
-                )
             values[opt.name] = parsed
         else:
             values[opt.name] = opt.default

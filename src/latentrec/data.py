@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
+from .metrics import check_choice
 
 DENSE_CELL_CAP = 100_000_000
 
@@ -75,12 +76,12 @@ def tokens_by_index(index, name="index map"):
 
     Raises:
         ValidationError: naming name, unless index is a dict that maps its
-            n tokens one to one onto the integers 0..n-1 (a bool or a
-            float such as 1.0 is not one).
+            n tokens, each a str, one to one onto the integers 0..n-1 (a
+            bool or a float such as 1.0 is not one).
     """
     # a type test per distinct type, then one set comparison: a check per
     # value through the numbers ABCs costs about 0.5 us each
-    if not (isinstance(index, dict)
+    if not (isinstance(index, dict) and set(map(type, index)) <= {str}
             and all(issubclass(t, numbers.Integral) and t is not bool
                     for t in set(map(type, index.values())))
             and set(index.values()) == set(range(len(index)))):
@@ -340,8 +341,7 @@ class RatingDataset:
 
         if ratings.size == 0:
             raise NoDataError("dataset has no triples")
-        if kind not in ("explicit", "implicit"):
-            raise ValidationError(f"unknown dataset kind {kind!r}")
+        check_choice(kind, "dataset kind", ("explicit", "implicit"))
         lo, hi = checked_scale(scale)
         if kind == "explicit":
             bad = ~((ratings >= lo) & (ratings <= hi))
@@ -457,7 +457,6 @@ class RatingDataset:
 def _csv_rows(lines, has_header):
     """Yield (line number, user, item, rating, timestamp or None) for each
     data line; raise ParseError for a malformed one."""
-    saw_data_line = False
     expect_header = has_header
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -469,7 +468,7 @@ def _csv_rows(lines, has_header):
                 f"line {line_no}: expected 3 or 4 comma-separated fields, got {len(parts)}",
                 line_number=line_no,
             )
-        if expect_header is not False and not saw_data_line:
+        if expect_header is not False:
             if expect_header is True:
                 expect_header = False
                 continue
@@ -498,7 +497,6 @@ def _csv_rows(lines, has_header):
                     f"line {line_no}: timestamp {parts[3]!r} is not a number",
                     line_number=line_no,
                 ) from None
-        saw_data_line = True
         yield line_no, user, item, rating, ts
 
 
@@ -636,14 +634,14 @@ def impute(matrix, mask, strategy="global"):
         NoDataError: the mask has no observed cell.
         MagnitudeError: a mean overflows float64, as the sum of ratings
             near the float maximum does.
-        ValueError: unknown strategy or mismatched shapes.
+        ValidationError: unknown strategy (metrics.check_choice).
+        ValueError: mismatched shapes.
     """
     matrix = np.asarray(matrix, dtype=float)
     mask = np.asarray(mask, dtype=float)
     if matrix.shape != mask.shape:
         raise ValueError(f"matrix {matrix.shape} and mask {mask.shape} differ in shape")
-    if strategy not in ("global", "user", "item"):
-        raise ValueError(f"unknown imputation strategy {strategy!r}")
+    check_choice(strategy, "imputation strategy", ("global", "user", "item"))
     observed = mask == 1.0
     if not observed.any():
         raise NoDataError("cannot impute: no observed entries")

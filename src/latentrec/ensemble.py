@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, ValidationError
-from .metrics import Scorer, check_count, pair_scores
+from .metrics import Scorer, check_choice, check_count, pair_scores
 
 STACK_RIDGE = 1e-8
 
@@ -61,8 +61,7 @@ class BlendModel(Scorer):
             )
         if not np.all(np.isfinite(self.weights)) or not np.isfinite(self.intercept):
             raise ValidationError("ensemble coefficients must be finite")
-        if self.kind not in ("blend", "bag", "stack"):
-            raise ValidationError(f"unknown ensemble kind {self.kind!r}")
+        check_choice(self.kind, "ensemble kind", ("blend", "bag", "stack"))
         if self.kind in ("blend", "bag"):
             if np.any(self.weights < 0):
                 raise ValidationError("blend weights must be nonnegative")

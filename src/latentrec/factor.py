@@ -46,7 +46,7 @@ import numpy as np
 from . import optim
 from .data import UserItems, check_cells
 from .errors import DivergenceError, GradientError, ValidationError
-from .metrics import SORT_ROWS, Scorer, check_count, in_range, neighbours
+from .metrics import SORT_ROWS, Scorer, check_choice, check_count, in_range, neighbours
 
 STRATEGIES = ("all", "sequential")
 
@@ -61,9 +61,11 @@ class TrainConfig:
         lam: L2 regularization weight, finite and nonnegative.
         epochs: full passes over the training triples; 0 returns the
             freshly initialized model untouched.
-        seed: RNG seed for factor initialization.
+        seed: RNG seed for factor initialization, an int >= 0.
         optimizer: "sgd", "momentum", or "adaptive" (see optim module).
-        beta1 / beta2 / eps: optimizer hyperparameters, passed through.
+        beta1 / beta2 / eps: optimizer hyperparameters, each momentum
+            factor in [0, 1) and eps finite and positive, checked under
+            every optimizer, sgd included, which reads none of them.
         simultaneous: when True the q-update reads the pre-update p
             instead of the already-updated one, under either strategy.
             Off by default; the default follows the pseudocode statement
@@ -74,8 +76,11 @@ class TrainConfig:
             residual pile before moving to the next feature, which leaves
             it fixed.
 
-    Every field is checked here and a bad value raises ValidationError;
-    f must be an int >= 1 and epochs an int >= 0 (metrics.check_count).
+    Every setting but the simultaneous switch is checked when the config
+    is built, and a bad value raises ValidationError: f must be an int
+    >= 1 and epochs and seed ints >= 0 (metrics.check_count), the
+    optimizer settings pass optim.check_settings, and strategy is one of
+    STRATEGIES (metrics.check_choice).
     """
 
     f: int = 2
@@ -92,19 +97,14 @@ class TrainConfig:
 
     def __post_init__(self):
         check_count(self.f, "latent dimension f")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValidationError(
-                f"learning rate must be finite and positive, got {self.alpha}"
-            )
+        optim.check_settings(self.optimizer, self.alpha, self.beta1, self.beta2, self.eps)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValidationError(
                 f"regularization must be finite and >= 0, got {self.lam}"
             )
         check_count(self.epochs, "epochs", low=0)
-        for name, value, kinds in (("optimizer", self.optimizer, optim.KINDS),
-                                   ("strategy", self.strategy, STRATEGIES)):
-            if value not in kinds:
-                raise ValidationError(f"unknown {name} {value!r}; pick from {kinds}")
+        check_count(self.seed, "seed", low=0)
+        check_choice(self.strategy, "strategy", STRATEGIES)
 
 
 @dataclass
@@ -137,8 +137,7 @@ class FactorModel(Scorer):
     trace: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in ("funk", "svdpp"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+        check_choice(self.kind, "model kind", ("funk", "svdpp"))
         self.P = np.asarray(self.P, dtype=float)
         self.Q = np.asarray(self.Q, dtype=float)
         if self.P.ndim != 2 or self.Q.ndim != 2:
@@ -276,9 +275,9 @@ def _rmse(targets, preds):
 def funk_train(ds, config, init=None):
     """Train a plain factor model by per-triple gradient descent.
 
-    P and Q start entrywise uniform(0, 1)/sqrt(f) from the seed, or from
-    init=(P0, Q0) in model layout when given. Each epoch visits the
-    triples in dataset order; for every (u, i, r) the error
+    P and Q start from the seed by _uniform_tables, or from init=(P0, Q0)
+    in model layout when given. Each epoch visits the triples in dataset
+    order; for every (u, i, r) the error
     err = r - p_u.q_i is computed once, then both vectors move through
     the configured optimizer. In the default statement order the q-update
     reads the already-updated p; config.simultaneous makes both updates
@@ -304,10 +303,7 @@ def funk_train(ds, config, init=None):
                 f"init arrays must be shaped ({f}, {m}) and ({f}, {n})"
             )
     else:
-        rng = np.random.default_rng(config.seed)
-        root = math.sqrt(f)
-        pt = rng.random((m, f)) / root
-        qt = rng.random((n, f)) / root
+        pt, qt = _uniform_tables(config, (m, f), (n, f))
     if config.strategy == "sequential":
         trace = _funk_train_sequential(config, users, items, ratings, pt, qt)
     else:
@@ -320,6 +316,14 @@ def funk_train(ds, config, init=None):
         N=ds.items_by_user(),
         trace=trace,
     )
+
+
+def _uniform_tables(config, *shapes):
+    """One table per shape, drawn in order from default_rng(config.seed),
+    each entrywise uniform(0, 1)/sqrt(config.f): the one seeded start of
+    the funk, svdpp, fm and ffm trainers."""
+    rng = np.random.default_rng(config.seed)
+    return [rng.random(shape) / math.sqrt(config.f) for shape in shapes]
 
 
 def _make_updaters(config, params_names):
@@ -690,12 +694,12 @@ def svdpp_loss_gradient(model, triples, lam):
 def svdpp_train(ds, config, freeze_y=False):
     """Train the biased implicit-factor model by per-triple SGD.
 
-    mu is fixed to the training mean. P, Q and Y start entrywise
-    uniform(0, 1)/sqrt(f) from the seed (drawn in that order); biases
-    start at zero. Every tensor touched by a triple moves simultaneously,
-    all gradients read the pre-update values. With freeze_y the Y draw is
-    skipped and Y stays zero, which reduces the model to its biased
-    two-factor core; useful for equivalence checks.
+    mu is fixed to the training mean. P, Q and Y start from the seed by
+    _uniform_tables, drawn in that order; biases start at zero. Every
+    tensor touched by a triple moves simultaneously, all gradients read
+    the pre-update values. With freeze_y, Y is zeroed after the draw and
+    stays zero, which reduces the model to its biased two-factor core;
+    useful for equivalence checks.
 
     Raises:
         CapacityError: max(users, items) x f exceeds DENSE_CELL_CAP.
@@ -708,11 +712,9 @@ def svdpp_train(ds, config, freeze_y=False):
     check_cells("svdpp factor table", (max(m, n), f), "use fewer factors")
     lam = config.lam
     mu = float(ratings.mean())
-    rng = np.random.default_rng(config.seed)
-    root = math.sqrt(f)
-    pt = rng.random((m, f)) / root
-    qt = rng.random((n, f)) / root
-    yt = np.zeros((n, f)) if freeze_y else rng.random((n, f)) / root
+    pt, qt, yt = _uniform_tables(config, (m, f), (n, f), (n, f))
+    if freeze_y:
+        yt[:] = 0.0
     b_u = np.zeros(m)
     b_i = np.zeros(n)
     sets = ds.items_by_user()

@@ -74,7 +74,8 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .factor import TrainConfig, _make_updaters, run_epochs
+from .factor import TrainConfig, _make_updaters, _uniform_tables, run_epochs
+from .metrics import check_choice
 
 LOSSES = ("squared", "logistic")
 
@@ -613,8 +614,7 @@ def one_hot_scores(model, a, b):
 
 
 def _as_batch(samples, loss):
-    if loss not in LOSSES:
-        raise ValueError(f"unknown loss {loss!r}; pick from {LOSSES}")
+    check_choice(loss, "loss", LOSSES)
     batch = samples if isinstance(samples, SampleBatch) else SampleBatch.pack(samples)
     if loss == "logistic":
         bad = batch.targets[(batch.targets != 0.0) & (batch.targets != 1.0)]
@@ -718,8 +718,8 @@ def fm_train(samples, loss="squared", config=None):
     pairs, which is packed into one first (SampleBatch.pack); targets
     must be 0/1 for the logistic loss. config is a factor.TrainConfig
     whose f field is the latent dimension k and whose optimizer picks the
-    update rule. Latents start uniform(0, 1/sqrt(k)) from the seed, w and
-    w0 at zero; w0 is left unregularized. Each visit makes
+    update rule. Latents start from the seed by factor._uniform_tables,
+    w and w0 at zero; w0 is left unregularized. Each visit makes
     one fused predict-and-gradient call that computes V[indices] and
     s = sum_j v_j x_j once for both, then moves w0, w[indices] and
     V[indices] through optim.updater. The per-epoch trace records the mean
@@ -732,8 +732,7 @@ def fm_train(samples, loss="squared", config=None):
     config = config if config is not None else TrainConfig()
     batch = _as_batch(samples, loss)
     check_cells("fm latent table", (batch.n, config.f), "use fewer factors")
-    rng = np.random.default_rng(config.seed)
-    v = rng.random((batch.n, config.f)) / math.sqrt(config.f)
+    (v,) = _uniform_tables(config, (batch.n, config.f))
     model = FmModel(w0=0.0, w=np.zeros(batch.n), V=v, k=config.f)
     return _train_machine(batch, loss, config, model, _fm_terms, _fm_pair_terms)
 
@@ -762,8 +761,7 @@ def ffm_train(samples, loss="squared", config=None, n_fields=None):
         n_fields = int(fields.max()) + 1
     _check_field_range(fields, n_fields)
     check_cells("ffm latent table", (batch.n, n_fields, config.f), "use fewer factors")
-    rng = np.random.default_rng(config.seed)
-    v = rng.random((batch.n, n_fields, config.f)) / math.sqrt(config.f)
+    (v,) = _uniform_tables(config, (batch.n, n_fields, config.f))
     model = FfmModel(w0=0.0, w=np.zeros(batch.n), V=v, k=config.f, n_fields=n_fields)
     return _train_machine(batch, loss, config, model, _ffm_terms, _ffm_pair_terms)
 
@@ -782,8 +780,7 @@ class ColumnSpec:
     slots: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("categorical", "numeric"):
-            raise ValueError(f"unknown column kind {self.kind!r}")
+        check_choice(self.kind, "column kind", ("categorical", "numeric"))
         if self.kind == "categorical":
             if not self.categories:
                 raise ValueError(f"column {self.name!r} needs categories")

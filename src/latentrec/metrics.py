@@ -18,7 +18,9 @@ needs a finite score checks it (recommend itself; rmse and mae;
 svdcf.round_to_scale; ensemble.stack_fit), raising ValidationError or
 ConditioningError. neighbours picks every item neighbourhood
 that itemcf and svdcf score from. check_count is the one rule for a
-count: a neighbourhood size, a list length or cutoff, a member count.
+count: a neighbourhood size, a list length or cutoff, a member count;
+check_choice is the one rule for a setting that takes one of a fixed
+list of values.
 """
 
 import json
@@ -154,6 +156,12 @@ def check_count(k, name, optional=False, low=1):
         return
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < low:
         raise ValidationError(f"{name} must be {'None or ' * optional}an int >= {low}, got {k!r}")
+
+
+def check_choice(value, name, choices):
+    """Raise ValidationError naming value unless it is one of choices."""
+    if value not in choices:
+        raise ValidationError(f"unknown {name} {value!r}; pick from {choices}")
 
 
 def neighbours(sims, targets, k):

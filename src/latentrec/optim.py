@@ -24,11 +24,13 @@ converts the gradient, rejects non-finite values, then applies the same
 update.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GradientError
+from .errors import GradientError, ValidationError
+from .metrics import check_choice
 
 KINDS = ("sgd", "momentum", "adaptive")
 
@@ -52,14 +54,22 @@ class OptimizerState:
     name: str = "param"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}; pick from {KINDS}")
-        if self.alpha <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.alpha}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("momentum factors must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        check_settings(self.kind, self.alpha, self.beta1, self.beta2, self.eps)
+
+
+def check_settings(kind, alpha, beta1, beta2, eps):
+    """Raise ValidationError unless kind is one of KINDS, alpha and eps
+    are finite and positive, and both momentum factors lie in [0, 1).
+
+    The one check of the optimizer settings: OptimizerState and
+    factor.TrainConfig both call it, so a config that builds trains.
+    """
+    check_choice(kind, "optimizer", KINDS)
+    for name, value in (("learning rate", alpha), ("eps", eps)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
+    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+        raise ValidationError(f"momentum factors must lie in [0, 1), got {beta1} and {beta2}")
 
 
 def make_state(kind, shape, alpha, beta1=0.9, beta2=0.999, eps=1e-8, name="param"):

@@ -97,7 +97,7 @@ from .factor import FactorModel, ItemCfModel, cooccurrence
 from .fm import (EncoderSpec, FfmModel, FmModel, encode,  # noqa: F401
                  one_hot_features, one_hot_layout, one_hot_scores)
 from .linalg import SvdResult
-from .metrics import Scorer, in_range
+from .metrics import Scorer, check_choice, in_range
 from .svdcf import SvdCfModel, reconstruct
 
 FORMAT_VERSION = 10
@@ -212,7 +212,8 @@ class ModelBundle:
         algorithm: one of svd, funk, svdpp, itemcf, fm, ffm, ensemble.
         model: the trained model object for the algorithm.
         user_index / item_index: token -> index maps from training, each
-            one to one onto 0..n-1.
+            mapping string tokens one to one onto 0..n-1
+            (data.tokens_by_index).
         scale: rating bounds used for rounding and recommendation, two
             finite numbers lo < hi (data.checked_scale).
         observed: the items each user rated, fm and ffm only (ValidationError
@@ -238,8 +239,7 @@ class ModelBundle:
     created: str = ""
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValidationError(f"unknown algorithm tag {self.algorithm!r}")
+        check_choice(self.algorithm, "algorithm tag", ALGORITHMS)
         scale = checked_scale(self.scale)
         users = tokens_by_index(self.user_index, "user_index")
         items = tokens_by_index(self.item_index, "item_index")

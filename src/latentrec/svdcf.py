@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .data import impute, to_dense
 from .errors import MagnitudeError, ValidationError, ZeroNormError
-from .metrics import SORT_ROWS, Scorer, check_count, in_range, neighbours
+from .metrics import SORT_ROWS, Scorer, check_choice, check_count, in_range, neighbours
 
 
 def parse_rank_rule(rule, max_rank=None):
@@ -34,29 +34,23 @@ def parse_rank_rule(rule, max_rank=None):
     least 1 and, when max_rank is given, at most max_rank.
 
     Raises:
+        ValidationError: a name other than energy, ratio or fixed
+            (metrics.check_choice).
         ValueError: a malformed rule or a value outside its range.
     """
     if isinstance(rule, (tuple, list)) and len(rule) == 2:
         name, value = rule
     elif isinstance(rule, str):
-        name, _, raw = rule.partition(":")
-        if raw:
-            value = raw
-        elif name == "energy":
-            value = 0.95
-        elif name == "ratio":
-            value = 10.0
-        else:
-            raise ValueError(f"rank rule {rule!r} needs a value, e.g. 'fixed:2'")
+        name, _, value = rule.partition(":")
+        value = value or {"energy": 0.95, "ratio": 10.0}.get(name, value)
     else:
         raise ValueError(f"unrecognized rank rule {rule!r}")
     name = str(name).strip().lower()
-    if name not in ("energy", "ratio", "fixed"):
-        raise ValueError(f"unknown rank rule {name!r}; expected energy, ratio, or fixed")
+    check_choice(name, "rank rule", ("energy", "ratio", "fixed"))
     try:
         value = int(value) if name == "fixed" else float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"rank rule {name} has a non-numeric value {value!r}") from None
+        raise ValueError(f"rank rule {name} needs a numeric value, got {value!r}") from None
     if name == "energy" and not 0.0 < value <= 1.0:
         raise ValueError(f"rank rule energy needs a threshold in (0, 1], got {value}")
     if name == "ratio" and not 0.0 < value < math.inf:
@@ -120,8 +114,10 @@ class SvdCfModel(Scorer):
             )
         if self.f < 1:
             raise ValueError(f"retained rank must be >= 1, got {self.f}")
-        if self.similarity_mode not in ("paper-dot", "cosine"):
-            raise ValueError(f"unknown similarity mode {self.similarity_mode!r}")
+        if self.factors is not None and self.factors.s.shape != (self.f,):
+            raise ValidationError(f"retained rank {self.f} but factors s of shape "
+                                  f"{self.factors.s.shape}")
+        check_choice(self.similarity_mode, "similarity mode", ("paper-dot", "cosine"))
         check_count(self.neighborhood, "neighborhood", optional=True)
 
     @functools.cached_property

@@ -118,6 +118,14 @@ class TestTrainConfig:
         ({"epochs": "3"}, "epochs must be an int >= 0, got '3'"),
         ({"optimizer": "newton"}, "unknown optimizer 'newton'"),
         ({"strategy": "diagonal"}, "unknown strategy 'diagonal'"),
+        # accepted here, then refused by the trainer with a bare ValueError,
+        # the momentum factors even under sgd, which reads neither
+        ({"beta1": 1.5}, "momentum factors must lie in [0, 1), got 1.5 and 0.999"),
+        ({"beta2": 2.0}, "momentum factors must lie in [0, 1), got 0.9 and 2.0"),
+        ({"eps": -1.0}, "eps must be finite and positive, got -1.0"),
+        ({"eps": math.inf}, "eps must be finite and positive, got inf"),
+        # refused by numpy's seeding only when training began
+        ({"seed": -1}, "seed must be an int >= 0, got -1"),
     ])
     def test_every_bad_value_raises_validation_error(self, kwargs, message):
         with pytest.raises(ValidationError) as info:

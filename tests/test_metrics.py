@@ -8,8 +8,49 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latentrec import optim
+from latentrec.data import CsvSchema, impute, parse_csv
+from latentrec.ensemble import BlendModel
 from latentrec.errors import NoDataError, ShapeError, ValidationError
+from latentrec.factor import FactorModel, TrainConfig
+from latentrec.fm import ColumnSpec, FeatureVector, fm_train
 from latentrec.metrics import MetricReport, mae, neighbours, rmse, top_k, topn_metrics
+from latentrec.persist import ModelBundle
+from latentrec.svdcf import SvdCfModel, parse_rank_rule
+
+
+def tiny_funk(kind="funk"):
+    return FactorModel(kind=kind, P=np.ones((1, 1)), Q=np.ones((1, 1)), f=1)
+
+
+# each setting that takes one of a fixed list of values, by where it is
+# checked: the name the refusal gives it, and a call that passes v for it
+CHOICE_SITES = {
+    "data.RatingDataset": ("dataset kind", lambda v: parse_csv("u,i,1\n", CsvSchema(kind=v))),
+    "data.impute": ("imputation strategy",
+                    lambda v: impute(np.ones((1, 1)), np.ones((1, 1)), strategy=v)),
+    "ensemble.BlendModel": ("ensemble kind",
+                            lambda v: BlendModel(members=[tiny_funk()], weights=[1.0], kind=v)),
+    "factor.TrainConfig.optimizer": ("optimizer", lambda v: TrainConfig(optimizer=v)),
+    "factor.TrainConfig.strategy": ("strategy", lambda v: TrainConfig(strategy=v)),
+    "factor.FactorModel": ("model kind", tiny_funk),
+    "fm.fm_train": ("loss", lambda v: fm_train([(FeatureVector([0], [1.0], 1), 1.0)], loss=v)),
+    "fm.ColumnSpec": ("column kind", lambda v: ColumnSpec("c", v)),
+    "optim.OptimizerState": ("optimizer", lambda v: optim.make_state(v, (1,), alpha=0.1)),
+    "persist.ModelBundle": ("algorithm tag",
+                            lambda v: ModelBundle(v, tiny_funk(), {"u": 0}, {"i": 0})),
+    "svdcf.parse_rank_rule": ("rank rule", parse_rank_rule),
+    "svdcf.SvdCfModel": ("similarity mode", lambda v: SvdCfModel(
+        np.ones((1, 1)), np.ones((1, 1)), 1, similarity_mode=v)),
+}
+
+
+@pytest.mark.parametrize("site", CHOICE_SITES)
+def test_every_choice_site_raises_validation_error_naming_the_value(site):
+    # seven of these sites raised a bare ValueError, and some named no choices
+    name, call = CHOICE_SITES[site]
+    with pytest.raises(ValidationError, match=f"^unknown {name} 'bogus'; pick from \\("):
+        call("bogus")
 
 
 class TestRmse:

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from latentrec import optim
-from latentrec.errors import GradientError
+from latentrec.errors import GradientError, ValidationError
 
 
 class TestSgd:
@@ -123,14 +125,18 @@ class TestValidation:
             optim.step(state, np.zeros(2), np.array([np.nan, 0.0]))
 
     def test_bad_hyperparameters(self):
-        with pytest.raises(ValueError):
-            optim.make_state("sgd", (1,), alpha=0.0)
-        with pytest.raises(ValueError):
-            optim.make_state("nope", (1,), alpha=0.1)
-        with pytest.raises(ValueError):
-            optim.make_state("adaptive", (1,), alpha=0.1, beta1=1.0)
-        with pytest.raises(ValueError):
-            optim.make_state("adaptive", (1,), alpha=0.1, eps=0.0)
+        for kind, settings in [
+            ("sgd", {"alpha": 0.0}),
+            ("nope", {"alpha": 0.1}),
+            ("adaptive", {"alpha": 0.1, "beta1": 1.0}),
+            ("adaptive", {"alpha": 0.1, "eps": 0.0}),
+            # a NaN or infinite learning rate, and an infinite eps, were accepted
+            ("sgd", {"alpha": math.nan}),
+            ("momentum", {"alpha": math.inf}),
+            ("adaptive", {"alpha": 0.1, "eps": math.inf}),
+        ]:
+            with pytest.raises(ValidationError):
+                optim.make_state(kind, (1,), **settings)
 
     def test_deterministic(self):
         out = []

@@ -942,7 +942,10 @@ class TestHeaderChecks:
             dataclasses.replace(bundle, scale=scale)
 
     @pytest.mark.parametrize("index", [{"a": 1}, {"a": 0, "b": 0},
-                                       {"a": 0, "b": True}, {"a": 0.0}, ["a"]])
+                                       {"a": 0, "b": True}, {"a": 0.0}, ["a"],
+                                       # built, then answered no query: lookups
+                                       # str() the token, so user 1 was unknown
+                                       {1: 0, 2: 1}])
     def test_bundle_refuses_an_index_map_that_is_not_one_to_one(self, index):
         bundle, _ = funk_bundle()
         with pytest.raises(ValidationError, match="user_index must map"):
@@ -987,16 +990,24 @@ class TestParameterKinds:
         with pytest.raises(PersistenceError, match=f"parameter {key} must be a JSON number"):
             load_model(path)
 
-    @pytest.mark.parametrize("bad", [0, -2])
-    def test_svd_neighborhood_below_1_rejected(self, bad, tmp_path):
+    @pytest.mark.parametrize("key, bad, match", [
         # 0 sent every prediction to the user mean
-        bundle, _ = svd_bundle()
+        ("neighborhood", 0, "neighborhood must be None or an int >= 1"),
+        ("neighborhood", -2, "neighborhood must be None or an int >= 1"),
+        # f = 5 over rank-2 factors loaded as a model of rank 5
+        ("f", 5, r"retained rank 5 but factors s of shape \(2,\)"),
+    ], ids=["neighborhood-0", "neighborhood--2", "f-5"])
+    def test_svd_parameter_the_model_refuses_rejected(self, key, bad, match, tmp_path,
+                                                     capsys):
+        bundle, ds = svd_bundle()
         path = save_model(bundle, tmp_path / "m.json")
         doc = json.loads(model_text(path))
-        doc["parameters"]["neighborhood"] = bad
+        doc["parameters"][key] = bad
         path.write_text(json.dumps(doc))
-        with pytest.raises(PersistenceError, match="neighborhood must be None or an int >= 1"):
+        with pytest.raises(PersistenceError, match=f"malformed model file .*{match}"):
             load_model(path)
+        assert main(["predict", str(path), min(ds.user_index), min(ds.item_index)]) == 3
+        assert capsys.readouterr().err.startswith("error: malformed model file")
 
     @pytest.mark.parametrize("algo, key", [("svd", "rated"), ("itemcf", "ratings")])
     def test_null_lists_rejected_where_the_model_needs_them(self, algo, key,

@@ -56,6 +56,22 @@ class TestCountLines:
         assert [line.split()[0] for line in lines] == ["7", "1", "8"]
         assert lines[-1].endswith("total")
 
+    def test_base_prints_one_table_of_base_head_and_difference(self, tmp_path, capsys):
+        count_lines = load_tool("count_lines")
+        base, head = tmp_path / "base", tmp_path / "head"
+        for tree, files in ((base, {"a.py": SOURCE, "gone.py": "x = 1\n"}),
+                            (head, {"a.py": "x = 1\n", "pkg/new.py": "y = 2\nz = 3\n"})):
+            for name, text in files.items():
+                (tree / name).parent.mkdir(parents=True, exist_ok=True)
+                (tree / name).write_text(text)
+        assert count_lines.main(["--base", str(base), str(head)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert rows == [["base", "head", "diff", "module"],
+                        ["7", "1", "-6", "a.py"],
+                        ["1", "0", "-1", "gone.py"],
+                        ["0", "2", "+2", "pkg/new.py"],
+                        ["8", "3", "-5", "total"]]
+
 
 class TestModelSizes:
     def test_prints_each_section_of_a_blend_file(self, tmp_path, capsys):

@@ -46,13 +46,17 @@ class CsvSchema:
             (a first line whose rating field is not numeric).
         duplicate_policy: what to do with a repeated (user, item) pair:
             "last" keeps the latest value, "first" the earliest, "error"
-            raises.
+            raises; another value raises ValidationError when the schema
+            is built (metrics.check_choice).
     """
 
     kind: str = "explicit"
     scale: tuple = (1.0, 5.0)
     has_header: bool | None = None
     duplicate_policy: str = "last"
+
+    def __post_init__(self):
+        check_choice(self.duplicate_policy, "duplicate policy", ("last", "first", "error"))
 
 
 def checked_scale(scale):

@@ -46,7 +46,8 @@ import numpy as np
 from . import optim
 from .data import UserItems, check_cells
 from .errors import DivergenceError, GradientError, ValidationError
-from .metrics import SORT_ROWS, Scorer, check_choice, check_count, in_range, neighbours
+from .metrics import (SORT_ROWS, Scorer, check_choice, check_count, check_table, in_range,
+                      neighbours)
 
 STRATEGIES = ("all", "sequential")
 
@@ -76,10 +77,10 @@ class TrainConfig:
             residual pile before moving to the next feature, which leaves
             it fixed.
 
-    Every setting but the simultaneous switch is checked when the config
-    is built, and a bad value raises ValidationError: f must be an int
-    >= 1 and epochs and seed ints >= 0 (metrics.check_count), the
-    optimizer settings pass optim.check_settings, and strategy is one of
+    Every setting is checked when the config is built, and a bad value
+    raises ValidationError: f must be an int >= 1 and epochs and seed ints
+    >= 0 (metrics.check_count), the optimizer settings pass
+    optim.check_settings, simultaneous is a bool, and strategy is one of
     STRATEGIES (metrics.check_choice).
     """
 
@@ -104,6 +105,8 @@ class TrainConfig:
             )
         check_count(self.epochs, "epochs", low=0)
         check_count(self.seed, "seed", low=0)
+        if not isinstance(self.simultaneous, bool):
+            raise ValidationError(f"simultaneous must be a bool, got {self.simultaneous!r}")
         check_choice(self.strategy, "strategy", STRATEGIES)
 
 
@@ -123,6 +126,10 @@ class FactorModel(Scorer):
             models hold them ascending, a bootstrap repeat as often as it
             occurs, which svdpp's implicit sum counts.
         trace: per-epoch training RMSE recorded by the trainer.
+
+    P, Q, b_u, b_i and Y are tables (metrics.check_table) and f is a
+    count (metrics.check_count); a bad one raises ShapeError or
+    ValidationError when the model is built.
     """
 
     kind: str
@@ -138,30 +145,17 @@ class FactorModel(Scorer):
 
     def __post_init__(self):
         check_choice(self.kind, "model kind", ("funk", "svdpp"))
-        self.P = np.asarray(self.P, dtype=float)
-        self.Q = np.asarray(self.Q, dtype=float)
-        if self.P.ndim != 2 or self.Q.ndim != 2:
-            raise ValueError("P and Q must be 2-d arrays")
-        if self.P.shape[0] != self.f or self.Q.shape[0] != self.f:
-            raise ValueError(
-                f"factor arrays must have {self.f} rows, got "
-                f"{self.P.shape[0]} and {self.Q.shape[0]}"
-            )
-        extra = (self.b_u, self.b_i, self.Y)
+        check_count(self.f, "latent dimension f")
+        self.P = check_table(self.P, "P", (self.f, None))
+        self.Q = check_table(self.Q, "Q", (self.f, None))
         if self.kind == "svdpp":
-            if any(a is None for a in extra):
-                raise ValueError("svdpp models need b_u, b_i and Y")
-            self.b_u, self.b_i, self.Y = extra = tuple(
-                np.asarray(a, dtype=float) for a in extra)
-            if self.b_u.shape != (self.n_users,) or self.b_i.shape != (self.n_items,):
-                raise ValueError("bias vectors must match the factor widths")
-            if self.Y.shape != self.Q.shape:
-                raise ValueError("Y must be shaped like Q")
-        elif any(a is not None for a in extra):
-            raise ValueError("bias block and Y are svdpp-only fields")
-        checked = (self.P, self.Q) + (extra + (self.mu,) if self.kind == "svdpp" else ())
-        if not all(np.isfinite(a).all() for a in checked):
-            raise ValueError("model entries must all be finite")
+            self.b_u = check_table(self.b_u, "b_u", (self.n_users,))
+            self.b_i = check_table(self.b_i, "b_i", (self.n_items,))
+            self.Y = check_table(self.Y, "Y", self.Q.shape)
+            if not math.isfinite(self.mu):
+                raise ValidationError(f"mu must be finite, got {self.mu}")
+        elif any(a is not None for a in (self.b_u, self.b_i, self.Y)):
+            raise ValidationError("bias block and Y are svdpp-only fields")
         self.N = UserItems.of(self.N, self.n_users, self.n_items, "N")
 
     @property
@@ -286,6 +280,8 @@ def funk_train(ds, config, init=None):
 
     Raises:
         CapacityError: max(users, items) x f exceeds DENSE_CELL_CAP.
+        ShapeError / ValidationError: init arrays not shaped (f, m) and
+            (f, n), or not finite (metrics.check_table).
         DivergenceError: if the loss or any update turns non-finite,
             naming the epoch.
     """
@@ -296,12 +292,8 @@ def funk_train(ds, config, init=None):
     check_cells("funk factor table", (max(m, n), f), "use fewer factors")
     if init is not None:
         p0, q0 = init
-        pt = np.array(p0, dtype=float).T.copy()
-        qt = np.array(q0, dtype=float).T.copy()
-        if pt.shape != (m, f) or qt.shape != (n, f):
-            raise ValueError(
-                f"init arrays must be shaped ({f}, {m}) and ({f}, {n})"
-            )
+        pt = check_table(p0, "init P", (f, m)).T.copy()
+        qt = check_table(q0, "init Q", (f, n)).T.copy()
     else:
         pt, qt = _uniform_tables(config, (m, f), (n, f))
     if config.strategy == "sequential":

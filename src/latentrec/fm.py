@@ -75,7 +75,7 @@ from .errors import (
     ValidationError,
 )
 from .factor import TrainConfig, _make_updaters, _uniform_tables, run_epochs
-from .metrics import check_choice
+from .metrics import check_choice, check_count, check_table
 
 LOSSES = ("squared", "logistic")
 
@@ -132,18 +132,14 @@ def _as_features(x, n):
 
 
 def _check_machine(model, middle):
-    """Convert w and V to float arrays and check a machine's parameters:
-    k >= 1, V shaped (w.size, *middle, k), every value finite."""
-    model.w = np.asarray(model.w, dtype=float)
-    model.V = np.asarray(model.V, dtype=float)
-    if model.k < 1:
-        raise ValueError(f"latent dimension must be >= 1, got {model.k}")
-    shape = (model.w.size, *middle, model.k)
-    if model.V.shape != shape:
-        raise ShapeError(f"V must be shaped {shape}, got {model.V.shape}")
-    if not (math.isfinite(model.w0) and np.isfinite(model.w).all()
-            and np.isfinite(model.V).all()):
-        raise ValueError("model parameters must all be finite")
+    """Check a machine's parameters: k a count (metrics.check_count), w0
+    finite, and w (n,) and V (n, *middle, k) tables (metrics.check_table),
+    which it keeps as float arrays."""
+    check_count(model.k, "latent dimension k")
+    if not math.isfinite(model.w0):
+        raise ValidationError(f"w0 must be finite, got {model.w0}")
+    model.w = check_table(model.w, "w", (None,))
+    model.V = check_table(model.V, "V", (model.w.size, *middle, model.k))
 
 
 @dataclass
@@ -185,8 +181,7 @@ class FfmModel:
     trace: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.n_fields < 1:
-            raise ValueError(f"field count must be >= 1, got {self.n_fields}")
+        check_count(self.n_fields, "field count n_fields")
         _check_machine(self, (self.n_fields,))
 
     @property

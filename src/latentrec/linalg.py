@@ -33,6 +33,7 @@ from .errors import (
     ShapeError,
     ZeroNormError,
 )
+from .metrics import check_table
 
 # Convergence for the Jacobi sweep: a column pair (p, q) counts as orthogonal
 # once |<w_p, w_q>| <= JACOBI_TOL * ||w_p|| * ||w_q||.
@@ -224,18 +225,17 @@ def svd(a):
 
     Raises
     ------
-    ValueError
-        On non-2-D or non-finite input.
+    ShapeError, ValidationError
+        On non-2-D or empty input, or non-finite input
+        (``metrics.check_table``).
     ConvergenceError
         If the sweep cap is reached while column pairs remain coupled.
     MagnitudeError
         If a singular value overflows when scaled back.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"svd expects a 2-D matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("svd input contains non-finite entries")
+    a = check_table(a, "svd input", (None, None))
+    if a.size == 0:
+        raise ShapeError(f"svd expects a nonempty matrix, got shape {a.shape}")
 
     m, n = a.shape
     lo, hi = _scale_window(m, n)
@@ -297,11 +297,9 @@ def _scale_window(m, n):
 
 
 def _check_spectrum(singular_values):
-    s = np.asarray(singular_values, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("expected a nonempty 1-D array of singular values")
-    if not np.isfinite(s).all():
-        raise ValueError("singular values must be finite")
+    s = check_table(singular_values, "singular values", (None,))
+    if s.size == 0:
+        raise ShapeError("expected a nonempty array of singular values")
     if np.any(s < 0):
         raise ValueError("singular values must be nonnegative")
     if np.any(np.diff(s) > 1e-12 * max(1.0, float(s[0]))):

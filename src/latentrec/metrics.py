@@ -18,9 +18,13 @@ needs a finite score checks it (recommend itself; rmse and mae;
 svdcf.round_to_scale; ensemble.stack_fit), raising ValidationError or
 ConditioningError. neighbours picks every item neighbourhood
 that itemcf and svdcf score from. check_count is the one rule for a
-count: a neighbourhood size, a list length or cutoff, a member count;
-check_choice is the one rule for a setting that takes one of a fixed
-list of values.
+count: a neighbourhood size, a list length or cutoff, a member count, a
+model's latent dimension or field count; check_choice is the one rule
+for a setting that takes one of a fixed list of values; check_table is
+the one rule for a model's table (svd completion's r_star and mask, the
+factor models' P, Q, biases and Y, the machines' w and V, a trainer's
+start, an svd input or spectrum): a float64 array of a given shape with
+finite entries.
 """
 
 import json
@@ -162,6 +166,20 @@ def check_choice(value, name, choices):
     """Raise ValidationError naming value unless it is one of choices."""
     if value not in choices:
         raise ValidationError(f"unknown {name} {value!r}; pick from {choices}")
+
+
+def check_table(value, name, shape):
+    """value as a float64 array, checked: ShapeError naming it unless its
+    shape is shape, in which None matches any size, and ValidationError
+    unless every entry is finite."""
+    table = np.asarray(value, dtype=float)
+    if table.ndim != len(shape) or any(want not in (None, got)
+                                       for want, got in zip(shape, table.shape)):
+        raise ShapeError(f"{name} must be shaped {str(tuple(shape)).replace('None', 'any')}, "
+                         f"got {table.shape}")
+    if not np.isfinite(table).all():
+        raise ValidationError(f"{name} must have only finite entries")
+    return table
 
 
 def neighbours(sims, targets, k):

@@ -745,7 +745,9 @@ def load_model(path):
     funk, svdpp or itemcf table that does not fit the token lists; a
     float array of version 4 or later that is not a block of dtype "<f8"
     whose base64 data holds exactly its shape's product of 8-byte values;
-    a value the model refuses, such as an svd neighborhood below 1; a
+    a value the model refuses, such as an svd neighborhood below 1, a
+    table metrics.check_table refuses or svd factors whose reconstruction
+    overflows float64 (svdcf.reconstruct); a
     JSON integer too large for a float where a float is read; a version 2
     itemcf w that is not the n x n weights its ratings give), and
     CapacityError when the co-occurrence counts an itemcf scoring call

@@ -21,7 +21,8 @@ import numpy as np
 from . import linalg
 from .data import impute, to_dense
 from .errors import MagnitudeError, ValidationError, ZeroNormError
-from .metrics import SORT_ROWS, Scorer, check_choice, check_count, in_range, neighbours
+from .metrics import (SORT_ROWS, Scorer, check_choice, check_count, check_table, in_range,
+                      neighbours)
 
 
 def parse_rank_rule(rule, max_rank=None):
@@ -96,6 +97,10 @@ class SvdCfModel(Scorer):
         factors: the rank-f triplets (u (m, f), s (f,), v (n, f)) that
             r_star was built from by reconstruct(); set by fit, None for
             a model built from r_star alone.
+
+    r_star and mask are tables (metrics.check_table), the mask's entries
+    each 0 or 1, and f is a count (metrics.check_count); a bad one raises
+    ShapeError or ValidationError when the model is built.
     """
 
     r_star: np.ndarray
@@ -106,14 +111,12 @@ class SvdCfModel(Scorer):
     factors: linalg.SvdResult | None = None
 
     def __post_init__(self):
-        for name in ("r_star", "mask"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.r_star.shape != self.mask.shape:
-            raise ValueError(
-                f"reconstruction {self.r_star.shape} and mask {self.mask.shape} differ"
-            )
-        if self.f < 1:
-            raise ValueError(f"retained rank must be >= 1, got {self.f}")
+        object.__setattr__(self, "r_star", check_table(self.r_star, "r_star", (None, None)))
+        object.__setattr__(self, "mask", check_table(self.mask, "mask", self.r_star.shape))
+        # two bool temporaries, no m x n float one
+        if np.count_nonzero(self.mask == 0) + np.count_nonzero(self.mask == 1) != self.mask.size:
+            raise ValidationError("mask entries must each be 0 or 1")
+        check_count(self.f, "retained rank f")
         if self.factors is not None and self.factors.s.shape != (self.f,):
             raise ValidationError(f"retained rank {self.f} but factors s of shape "
                                   f"{self.factors.s.shape}")
@@ -194,12 +197,8 @@ def fit(ds, impute_strategy="user", rank_rule="energy:0.95",
         f = value
     u_f, s_f, v_f = linalg.truncate(res, f)
     factors = linalg.SvdResult(u=u_f, s=np.diag(s_f).copy(), v=v_f)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_star = reconstruct(factors)
-    if not np.isfinite(r_star).all():
-        raise MagnitudeError(f"the rank-{f} reconstruction of the ratings overflows float64")
     return SvdCfModel(
-        r_star=r_star,
+        r_star=reconstruct(factors),
         mask=mask,
         f=f,
         similarity_mode=similarity_mode,
@@ -211,10 +210,19 @@ def fit(ds, impute_strategy="user", rank_rule="energy:0.95",
 def reconstruct(factors):
     """The rank-f matrix ``u @ diag(s) @ v.T`` of truncated SVD factors.
 
-    fit and the model-file loader both build r_star here, so a reloaded
-    model reproduces the trained reconstruction bit for bit.
+    fit, the model-file loader and save's consistency check all build
+    r_star here, so a reloaded model reproduces the trained reconstruction
+    bit for bit, and this is the one check that it is finite.
+
+    Raises:
+        MagnitudeError: the product overflows float64 (finite factors of
+            ratings near the float maximum, or a file's scaled ones).
     """
-    return (factors.u * factors.s) @ factors.v.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_star = (factors.u * factors.s) @ factors.v.T
+    if not np.isfinite(r_star).all():
+        raise MagnitudeError(f"the rank-{factors.s.size} reconstruction overflows float64")
+    return r_star
 
 
 def masked_item_similarity(model, i, j):

@@ -865,9 +865,9 @@ class TestHugeRatings:
 
 @pytest.fixture(scope="module")
 def huge_entry_models(tmp_path_factory):
-    """Folder and documents of funk, svdpp, fm, ffm and blend files trained
-    on the 4x4 example (the blend over the four others), with the ratings
-    CSV beside them."""
+    """Folder and documents of funk, svdpp, fm, ffm, blend and svd files
+    trained on the 4x4 example (the blend over funk, svdpp, fm and ffm),
+    with the ratings CSV beside them."""
     folder = tmp_path_factory.mktemp("huge-entries")
     ratings = write_ratings(folder)
     algos = ("funk", "svdpp", "fm", "ffm")
@@ -877,7 +877,12 @@ def huge_entry_models(tmp_path_factory):
                          "--output", str(folder / algo), "--epochs", "3"]) == 0
         assert main(["ensemble", "blend", "--output", str(folder / "blend"),
                      *(str(folder / algo) for algo in algos)]) == 0
-    return folder, {name: json.loads(model_text(folder / name)) for name in (*algos, "blend")}
+        # svd's u, s and v blocks scale too: their product used to overflow
+        # with numpy's warning, an exception under -W error
+        assert main(["train", "--algo", "svd", "--input", ratings,
+                     "--output", str(folder / "svd")]) == 0
+    return folder, {name: json.loads(model_text(folder / name))
+                    for name in (*algos, "blend", "svd")}
 
 
 def float_blocks(value):
@@ -925,6 +930,27 @@ class TestHugeEntries:
             else:
                 assert out == "" and err.startswith("error: "), (argv[0], out, err)
                 assert len(err.splitlines()) == 1, (argv[0], err)
+
+    def test_svd_factors_whose_product_overflows_refused_on_load(self, huge_entry_models):
+        # before, numpy's overflow warning, then "non-finite score nan" (exit
+        # 3), or under -W error a traceback (exit 1)
+        folder, docs = huge_entry_models
+        doc = json.loads(json.dumps(docs["svd"]))
+        for key in "uv":
+            block = doc["parameters"][key]
+            block.update(_ready(_floats(_array(block, FORMAT_VERSION) * 1e200)))
+        target = folder / "overflowing-svd.json"
+        target.write_text(json.dumps(doc))
+        refusal = (f"error: malformed model file {target}: the rank-{doc['parameters']['f']} "
+                   "reconstruction overflows float64\n")
+        for argv in (["predict", str(target), "1", "3"], ["recommend", str(target), "1"],
+                     ["evaluate", str(target), "--test", str(folder / "ratings.csv")]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 3, argv[0]
+            assert (out.getvalue(), err.getvalue()) == ("", refusal), argv[0]
 
 
 class TestRecommend:

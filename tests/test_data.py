@@ -77,9 +77,11 @@ class TestParseCsv:
         ds = parse_csv("u1,i1,2\nu1,i1,5", CsvSchema(duplicate_policy="first"))
         assert ds.triples[0][2] == 2.0
 
-    def test_duplicate_error_policy(self):
+    # a misspelt policy read as "last" and kept 5.0
+    @pytest.mark.parametrize("policy", ["error", "bogus"])
+    def test_duplicate_error_policy(self, policy):
         with pytest.raises(ValidationError):
-            parse_csv("u1,i1,2\nu1,i1,5", CsvSchema(duplicate_policy="error"))
+            parse_csv("u1,i1,2\nu1,i1,5", CsvSchema(duplicate_policy=policy))
 
     def test_timestamps_preserved(self):
         ds = parse_csv("u1,i1,3,86400\nu1,i2,4")

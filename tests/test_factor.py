@@ -126,6 +126,8 @@ class TestTrainConfig:
         ({"eps": math.inf}, "eps must be finite and positive, got inf"),
         # refused by numpy's seeding only when training began
         ({"seed": -1}, "seed must be an int >= 0, got -1"),
+        # a truthy string trained with simultaneous updates
+        ({"simultaneous": "no"}, "simultaneous must be a bool, got 'no'"),
     ])
     def test_every_bad_value_raises_validation_error(self, kwargs, message):
         with pytest.raises(ValidationError) as info:

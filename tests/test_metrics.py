@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentrec import optim
-from latentrec.data import CsvSchema, impute, parse_csv
+from latentrec.data import CsvSchema, RatingDataset, impute, parse_csv
 from latentrec.ensemble import BlendModel
 from latentrec.errors import NoDataError, ShapeError, ValidationError
-from latentrec.factor import FactorModel, TrainConfig
-from latentrec.fm import ColumnSpec, FeatureVector, fm_train
-from latentrec.metrics import MetricReport, mae, neighbours, rmse, top_k, topn_metrics
+from latentrec.factor import FactorModel, TrainConfig, funk_train
+from latentrec.fm import ColumnSpec, FeatureVector, FfmModel, FmModel, fm_train
+from latentrec.metrics import (MetricReport, check_table, mae, neighbours, rmse, top_k,
+                               topn_metrics)
 from latentrec.persist import ModelBundle
 from latentrec.svdcf import SvdCfModel, parse_rank_rule
 
@@ -27,6 +28,7 @@ def tiny_funk(kind="funk"):
 # checked: the name the refusal gives it, and a call that passes v for it
 CHOICE_SITES = {
     "data.RatingDataset": ("dataset kind", lambda v: parse_csv("u,i,1\n", CsvSchema(kind=v))),
+    "data.CsvSchema": ("duplicate policy", lambda v: CsvSchema(duplicate_policy=v)),
     "data.impute": ("imputation strategy",
                     lambda v: impute(np.ones((1, 1)), np.ones((1, 1)), strategy=v)),
     "ensemble.BlendModel": ("ensemble kind",
@@ -51,6 +53,60 @@ def test_every_choice_site_raises_validation_error_naming_the_value(site):
     name, call = CHOICE_SITES[site]
     with pytest.raises(ValidationError, match=f"^unknown {name} 'bogus'; pick from \\("):
         call("bogus")
+
+
+class TestCheckTable:
+    def test_returns_a_float64_array_and_none_matches_any_size(self):
+        table = check_table([[1, 2, 3]], "t", (1, None))
+        assert table.dtype == np.float64 and table.tolist() == [[1.0, 2.0, 3.0]]
+        same = np.ones((2, 0))
+        assert check_table(same, "t", (None, None)) is same
+
+    @pytest.mark.parametrize("value, shape", [
+        (np.ones(3), (3, None)), (np.ones((2, 3)), (2, 4)), (np.ones((2, 3)), (None,)),
+    ])
+    def test_wrong_shape_raises_shape_error_naming_the_table(self, value, shape):
+        with pytest.raises(ShapeError, match="^t must be shaped"):
+            check_table(value, "t", shape)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_entry_that_is_not_finite_raises_validation_error(self, bad):
+        with pytest.raises(ValidationError, match="^t must have only finite entries"):
+            check_table([1.0, bad], "t", (2,))
+
+
+def nan_init_train():
+    # a NaN start used to train, then fail as DivergenceError at epoch 0
+    ds = RatingDataset([("u", "i", 3.0), ("u", "j", 4.0)])
+    funk_train(ds, TrainConfig(f=1, epochs=3), init=([[math.nan]], [[0.5, 0.5]]))
+
+
+# constructor calls the parent accepted or refused with another type:
+# each table through metrics.check_table, each size through check_count
+TABLE_REFUSALS = {
+    "svd inf r_star": (ValidationError, lambda: SvdCfModel(
+        np.array([[1.0, math.inf]]), np.ones((1, 2)), 1)),
+    "svd 0.5 mask": (ValidationError, lambda: SvdCfModel(
+        np.ones((2, 2)), np.full((2, 2), 0.5), 1)),
+    "svd 1-d r_star": (ShapeError, lambda: SvdCfModel(np.ones(2), np.ones(2), 1)),
+    "svd f=1.5": (ValidationError, lambda: SvdCfModel(np.ones((2, 2)), np.ones((2, 2)), 1.5)),
+    "svd f=True": (ValidationError, lambda: SvdCfModel(np.ones((2, 2)), np.ones((2, 2)), True)),
+    "factor f=1.5": (ValidationError, lambda: FactorModel(
+        kind="funk", P=np.ones((1, 2)), Q=np.ones((1, 2)), f=1.5)),
+    "factor f=True": (ValidationError, lambda: FactorModel(
+        kind="funk", P=np.ones((1, 2)), Q=np.ones((1, 2)), f=True)),
+    "fm k=True": (ValidationError, lambda: FmModel(0.0, np.ones(2), np.ones((2, 1)), k=True)),
+    "ffm n_fields=1.0": (ValidationError, lambda: FfmModel(
+        0.0, np.ones(2), np.ones((2, 1, 2)), k=2, n_fields=1.0)),
+    "funk NaN init": (ValidationError, nan_init_train),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_REFUSALS)
+def test_model_tables_and_sizes_refused_when_built(case):
+    error, call = TABLE_REFUSALS[case]
+    with pytest.raises(error):
+        call()
 
 
 class TestRmse:

@@ -197,14 +197,20 @@ class TestScoreDigest:
             runs.append(capsys.readouterr().out.splitlines())
         assert runs[0] == runs[1]
         cases = [name for name, _, _ in score_digest.CASES] + \
-            [name for name, _ in score_digest.BLENDS]
-        assert len(cases) == 18
+            [name for name, _ in score_digest.BLENDS + score_digest.DENSE]
+        assert len(cases) == 19
         # each case's scores line, then its recommend line and its file's
         # byte count
         names = [line for name in cases
                  for line in (name, f"{name}/recommend", f"{name}/bytes")]
         assert [line.split()[0] for line in runs[0]] == names
-        digests = [line.split()[1] for line in runs[0] if not line.split()[0].endswith("/bytes")]
+        lines = dict(line.split() for line in runs[0])
+        # a dense rebuild scores and ranks as its case, from another file
+        for name, case in score_digest.DENSE:
+            assert lines.pop(name) == lines[case]
+            assert lines.pop(f"{name}/recommend") == lines[f"{case}/recommend"]
+            assert lines[f"{name}/bytes"] != lines[f"{case}/bytes"]
+        digests = [d for name, d in lines.items() if not name.endswith("/bytes")]
         assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)
         # with and without a neighbourhood cut, the scores and the lists differ
         assert len(set(digests)) == len(digests)
@@ -218,6 +224,7 @@ class TestScoreDigest:
         monkeypatch.setattr(sys, "path", sys.path[:])
         monkeypatch.setattr(score_digest, "CASES", score_digest.CASES[4:5])  # funk
         monkeypatch.setattr(score_digest, "BLENDS", ())
+        monkeypatch.setattr(score_digest, "DENSE", ())
         lines = score_digest.digests(tmp_path)
         assert [name for name, _ in lines] == ["funk", "funk/recommend", "funk/bytes"]
         from latentrec.persist import load_model, save_model

@@ -15,8 +15,9 @@ followed by its score as float64 bytes; then <name>/bytes and the byte
 count of the file save_model writes for the loaded bundle with its
 "created" set to CREATED, so the count is a function of the model and
 the format alone. The BLENDS cases then blend the files of earlier cases
-with `ensemble blend` and digest the blend the same way. Run it on two
-source trees and compare the lines.
+with `ensemble blend`, and the DENSE cases rebuild an earlier svd case's
+model from its r_star and mask alone; each is digested the same way. Run
+it on two source trees and compare the lines.
 """
 
 import contextlib
@@ -71,6 +72,11 @@ BLENDS = (
     ("blend", ("itemcf", "fm")),
     ("blend-machines", ("fm", "ffm")),
 )
+# (name, case): the case's svd model rebuilt as SvdCfModel(r_star, mask, f)
+# with no factors, the constructor of the paper's worked example, saved
+# with r_star and mask blocks; its scores and recommend lines equal the
+# case's, and only its byte count differs
+DENSE = (("svd-dense", "svd"),)
 
 
 def write_inputs(folder):
@@ -95,6 +101,7 @@ def digests(folder):
     again, trained in folder."""
     from latentrec.cli import main
     from latentrec.persist import load_model, save_model
+    from latentrec.svdcf import SvdCfModel
 
     inputs = write_inputs(folder)
     commands = [(name, ["train", "--input", str(inputs[kind]), "--seed", "3", *args])
@@ -102,14 +109,22 @@ def digests(folder):
     commands += [(name, ["ensemble", "blend", *(str(Path(folder) / f"{case}.json")
                                                 for case in members)])
                  for name, members in BLENDS]
+    commands += DENSE
     out = []
     for name, argv in commands:
         model = Path(folder) / f"{name}.json"
-        log = io.StringIO()
-        with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
-            code = main([*argv, "--output", str(model)])
-        if code != 0:
-            raise RuntimeError(f"{argv[0]} of {name} exited {code}: {log.getvalue().strip()}")
+        if isinstance(argv, str):  # a DENSE case
+            bundle = load_model(Path(folder) / f"{argv}.json")
+            svd = bundle.model
+            dense = SvdCfModel(svd.r_star, svd.mask, svd.f)
+            save_model(dataclasses.replace(bundle, model=dense), model)
+        else:
+            log = io.StringIO()
+            with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+                code = main([*argv, "--output", str(model)])
+            if code != 0:
+                raise RuntimeError(f"{argv[0]} of {name} exited {code}: "
+                                   f"{log.getvalue().strip()}")
         bundle = load_model(model)
         items = np.arange(len(bundle.item_index))
         scores, ranked = hashlib.sha256(), hashlib.sha256()

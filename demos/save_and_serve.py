@@ -62,15 +62,19 @@ def main():
         user_index=ds.user_index,
         item_index=ds.item_index,
         scale=ds.scale,
+        # a fixed creation time (save_model fills the current one when
+        # this is empty), so the file's bytes depend on the model alone
+        created="2026-01-01T00:00:00+00:00",
     )
 
     with tempfile.TemporaryDirectory() as outdir:
-        path = save_model(bundle, f"{outdir}/funk.json")
+        name = "funk.json"
+        path = save_model(bundle, f"{outdir}/{name}")
         with open(path, "rb") as handle:
             packed = handle.read()
         text = gzip.decompress(packed).decode("utf-8")
         doc = json.loads(text)
-        print(f"wrote {path}: {len(packed)} bytes of gzip holding "
+        print(f"wrote {name}: {len(packed)} bytes of gzip holding "
               f"{len(text.encode('utf-8'))} bytes of JSON on one line "
               "(inspect it with zcat | python -m json.tool)")
         for key in ("format_version", "algorithm", "library", "scale"):

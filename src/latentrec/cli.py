@@ -332,8 +332,8 @@ def _train_bundle(algo, ds, values, rated=None):
     bundle = ModelBundle(
         algorithm=algo,
         model=model,
-        user_index=ds.user_index,
-        item_index=ds.item_index,
+        user_index=ds.user_table,
+        item_index=ds.item_table,
         scale=ds.scale,
         observed=observed,
     )
@@ -456,8 +456,8 @@ def _load_members(paths):
 
 
 def _ensemble(model, reference):
-    """The ensemble bundle of model, with reference's index maps and scale."""
-    return ModelBundle("ensemble", model, reference.user_index, reference.item_index,
+    """The ensemble bundle of model, with reference's token tables and scale."""
+    return ModelBundle("ensemble", model, reference.user_table, reference.item_table,
                        reference.scale)
 
 
@@ -511,7 +511,7 @@ def cmd_ensemble_stack(args):
     first = bundles[0]
     schema = CsvSchema(kind="explicit", scale=first.scale)
     raw = _read_ratings(values["holdout"], schema)
-    holdout = raw.replace(user_index=first.user_index, item_index=first.item_index)
+    holdout = raw.replace(user_index=first.user_table, item_index=first.item_table)
     model = stack_fit([b.scorer for b in bundles], holdout)
     save_model(_ensemble(model, first), values["output"])
     coefficients = ", ".join(f"{w:.6f}" for w in model.weights)

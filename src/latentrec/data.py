@@ -1,10 +1,13 @@
 """Rating data model: ingestion, dense conversion, imputation, sampling.
 
 A dataset is columnar: three aligned arrays, the user index, the item index
-(both int64) and the rating (float64) of each rating, plus the dense maps
-from opaque string tokens to those indices. Index maps are built in sorted
-token order so the same input always produces the same indexing. Rows keep
-their input order. No Python object is kept per rating: the
+(both int64) and the rating (float64) of each rating, plus one token table
+(Tokens) per role: the distinct string tokens in index order and the dense
+map from each token to its index. A table is built in sorted token order,
+so the same input always produces the same indexing, and is checked once:
+Tokens.of checks a map given from outside, and a dataset derived from
+another (replace, split, negative_sample) shares its tables unchecked.
+Rows keep their input order. No Python object is kept per rating: the
 (user, item, rating) tuples of ``RatingDataset.triples`` are built when
 asked for. Datasets are treated as immutable after construction; every
 transformation returns a new object.
@@ -24,6 +27,7 @@ from .errors import (
     MagnitudeError,
     NoDataError,
     ParseError,
+    ShapeError,
     ValidationError,
 )
 from .metrics import check_choice
@@ -75,25 +79,49 @@ def checked_scale(scale):
     return float(scale[0]), float(scale[1])
 
 
-def tokens_by_index(index, name="index map"):
-    """The tokens of a dense index map, as a list ordered by index.
+class Tokens:
+    """One role's token table: tokens, its distinct str tokens in index
+    order, and index, the token -> index dict.
 
-    Raises:
-        ValidationError: naming name, unless index is a dict that maps its
-            n tokens, each a str, one to one onto the integers 0..n-1 (a
-            bool or a float such as 1.0 is not one).
+    Tokens(tokens) takes a list that is already known to hold distinct
+    strings (the CSV interner's sorted tokens, a model file's decoded
+    list) and builds only its dict; Tokens.of is the one check of a token
+    -> index map that comes from outside. A table is never changed once
+    built, so datasets and bundles pass theirs on as they are.
     """
-    # a type test per distinct type, then one set comparison: a check per
-    # value through the numbers ABCs costs about 0.5 us each
-    if not (isinstance(index, dict) and set(map(type, index)) <= {str}
-            and all(issubclass(t, numbers.Integral) and t is not bool
-                    for t in set(map(type, index.values())))
-            and set(index.values()) == set(range(len(index)))):
-        raise ValidationError(f"{name} must map its tokens one to one onto 0..n-1")
-    tokens = [None] * len(index)
-    for token, at in index.items():
-        tokens[at] = token
-    return tokens
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.index = {token: at for at, token in enumerate(tokens)}
+
+    @classmethod
+    def of(cls, index, name="index map"):
+        """index as a table: a Tokens as it is, or a table of a map's
+        tokens in index order.
+
+        Raises:
+            ValidationError: naming name, unless index is a dict that maps
+                its n tokens, each a str, one to one onto the integers
+                0..n-1 (a bool or a float such as 1.0 is not one).
+        """
+        if isinstance(index, cls):
+            return index
+        # a type test per distinct type, then one set comparison: a check
+        # per value through the numbers ABCs costs about 0.5 us each
+        if not (isinstance(index, dict) and set(map(type, index)) <= {str}
+                and all(issubclass(t, numbers.Integral) and t is not bool
+                        for t in set(map(type, index.values())))
+                and set(index.values()) == set(range(len(index)))):
+            raise ValidationError(f"{name} must map its tokens one to one onto 0..n-1")
+        return cls(sorted(index, key=index.get))
+
+    def at(self, token, role):
+        """The index of token (any value, read as its str); raises
+        ValidationError naming the role for a token the table lacks."""
+        token = str(token)
+        if token not in self.index:
+            raise ValidationError(f"unknown {role} {token!r}")
+        return self.index[token]
 
 
 class _Interner:
@@ -286,8 +314,9 @@ class RatingDataset:
     Attributes:
         users / items: int64 arrays, the user and item index of each rating.
         ratings: float64 array of the rating values.
-        user_index / item_index: token-to-index maps; each maps its n
-            tokens onto 0..n-1.
+        user_table / item_table: the Tokens table of each role.
+        user_index / item_index: their token-to-index dicts; each maps its
+            n tokens onto 0..n-1.
         triples: (user_token, item_token, rating) tuples in row order,
             built on each access for small callers; trainers read
             ``indexed()``.
@@ -296,10 +325,11 @@ class RatingDataset:
         triples: iterable of (user_token, item_token, rating).
         kind: "explicit" or "implicit".
         scale: rating bounds for explicit data; implicit ratings are 0/1.
-        user_index / item_index: optional precomputed token-to-index maps.
+        user_index / item_index: optional precomputed token-to-index maps,
+            checked with Tokens.of (ValidationError), or Tokens tables.
             When omitted they are built over the tokens present, in sorted
-            order. Subset datasets (from splits) pass the parent maps so
-            indices stay aligned.
+            order. Subset datasets (from splits) share the parent tables
+            so indices stay aligned.
         metadata: free-form dict for warnings and counters.
         allow_duplicate_pairs: internal escape hatch for bootstrap
             resamples, which legitimately repeat pairs.
@@ -366,14 +396,17 @@ class RatingDataset:
             if k is not None:
                 raise ValidationError("duplicate (user, item) pair ({}, {})".format(*pair(k)))
 
-        if user_index is None:
-            user_index = {u: k for k, u in enumerate(sorted(user_tokens))}
-        if item_index is None:
-            item_index = {i: k for k, i in enumerate(sorted(item_tokens))}
-        user_at = np.array([user_index.get(u, -1) for u in user_tokens], dtype=np.int64)
-        item_at = np.array([item_index.get(i, -1) for i in item_tokens], dtype=np.int64)
-        self.users = user_at[user_codes]
-        self.items = item_at[item_codes]
+        # the codes' tokens are distinct strings, so their sorted list needs
+        # no check; a given map is checked once, and a given table not again
+        self.user_table, self.item_table = (
+            Tokens(sorted(tokens)) if index is None else Tokens.of(index, name)
+            for tokens, index, name in ((user_tokens, user_index, "user_index"),
+                                        (item_tokens, item_index, "item_index")))
+        self.user_index, self.item_index = self.user_table.index, self.item_table.index
+        self.users = np.array([self.user_index.get(u, -1) for u in user_tokens],
+                              dtype=np.int64)[user_codes]
+        self.items = np.array([self.item_index.get(i, -1) for i in item_tokens],
+                              dtype=np.int64)[item_codes]
         missing = (self.users < 0) | (self.items < 0)
         if missing.any():
             raise ValidationError(
@@ -385,8 +418,6 @@ class RatingDataset:
             column.flags.writeable = False
         self.kind = kind
         self.scale = (lo, hi)
-        self.user_index = dict(user_index)
-        self.item_index = dict(item_index)
         self.metadata = dict(metadata or {})
 
     @property
@@ -405,8 +436,9 @@ class RatingDataset:
         return self.users, self.items, self.ratings
 
     def tokens(self):
-        """User and item tokens as lists ordered by index."""
-        return tokens_by_index(self.user_index), tokens_by_index(self.item_index)
+        """User and item tokens as lists ordered by index: the tables'
+        own lists, which the caller must not change."""
+        return self.user_table.tokens, self.item_table.tokens
 
     @property
     def triples(self):
@@ -439,20 +471,20 @@ class RatingDataset:
         """Copy with new columns, metadata or index maps.
 
         columns: (users, items, ratings) arrays under this dataset's index
-        maps, as ``indexed()`` returns them. With new index maps each
-        rating moves to its tokens' indices there; a token a new map lacks
-        raises ValidationError.
+        maps, as ``indexed()`` returns them. The copy shares this
+        dataset's token tables, unchecked. With new index maps (checked
+        with Tokens.of) or tables each rating moves to its tokens' indices
+        there; a token a new map lacks raises ValidationError.
         """
         users, items, ratings = self.indexed() if columns is None else columns
-        user_tokens, item_tokens = self.tokens()
         return RatingDataset._of(
-            (np.asarray(users, dtype=np.int64), user_tokens),
-            (np.asarray(items, dtype=np.int64), item_tokens),
+            (np.asarray(users, dtype=np.int64), self.user_table.tokens),
+            (np.asarray(items, dtype=np.int64), self.item_table.tokens),
             np.asarray(ratings, dtype=np.float64),
             self.kind,
             self.scale,
-            user_index=self.user_index if user_index is None else user_index,
-            item_index=self.item_index if item_index is None else item_index,
+            user_index=self.user_table if user_index is None else user_index,
+            item_index=self.item_table if item_index is None else item_index,
             metadata=self.metadata if metadata is None else metadata,
             allow_duplicate_pairs=allow_duplicate_pairs,
         )
@@ -639,12 +671,12 @@ def impute(matrix, mask, strategy="global"):
         MagnitudeError: a mean overflows float64, as the sum of ratings
             near the float maximum does.
         ValidationError: unknown strategy (metrics.check_choice).
-        ValueError: mismatched shapes.
+        ShapeError: mismatched shapes.
     """
     matrix = np.asarray(matrix, dtype=float)
     mask = np.asarray(mask, dtype=float)
     if matrix.shape != mask.shape:
-        raise ValueError(f"matrix {matrix.shape} and mask {mask.shape} differ in shape")
+        raise ShapeError(f"matrix {matrix.shape} and mask {mask.shape} differ in shape")
     check_choice(strategy, "imputation strategy", ("global", "user", "item"))
     observed = mask == 1.0
     if not observed.any():
@@ -742,11 +774,12 @@ def split(ds, fraction, seed=0):
     at least one training rating. When the caps make the global target
     unreachable the shortfall is recorded in both datasets' metadata under
     "stratification_short". Deterministic for a fixed seed; the two parts
-    are disjoint, their union is the input, and both keep the parent index
-    maps.
+    are disjoint, their union is the input, and both share the parent's
+    token tables. A fraction outside (0, 1), NaN included, raises
+    ValidationError.
     """
     if not 0.0 < fraction < 1.0:
-        raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
+        raise ValidationError(f"holdout fraction must be in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
     target = _round_half_up(fraction * len(ds))
 

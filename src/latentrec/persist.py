@@ -54,8 +54,10 @@ README's model-file paragraph is the one full account of the format
   version 9 front-coded (_front_coded: shared[k], the length of the
   prefix token k shares with token k - 1, and suffixes[k], the rest of
   it, as in a sorted lexicon), in versions 6 to 8 as two plain lists and
-  before as token -> index maps; ModelBundle keeps its index maps, built
-  from the lists on load.
+  before as token -> index maps. A ModelBundle holds one data.Tokens
+  table per role: a map given to it is checked once (Tokens.of), and load
+  hands it tables of the lists it decoded and checked (_token_list),
+  which pass no second check.
 - Models hold every per-user item list (svd rated, funk/svdpp N, itemcf
   ratings, fm/ffm observed) as a data.UserItems. Its form() is what the
   writer stores from version 6: each user's item count, every item as
@@ -88,7 +90,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import UserItems, check_cells, checked_scale, json_array, tokens_by_index
+from .data import Tokens, UserItems, check_cells, checked_scale, json_array
 from .ensemble import BlendModel
 from .errors import CapacityError, PersistenceError, ValidationError
 from .factor import FactorModel, ItemCfModel, cooccurrence
@@ -168,13 +170,12 @@ class IndexedModel(Scorer):
     benchmark patches it.
     """
 
-    def __init__(self, model, user_tokens, item_tokens, observed=None):
-        self.model, self.tokens = model, (user_tokens, item_tokens)
-        self.n_users, self.n_items = len(user_tokens), len(item_tokens)
+    def __init__(self, model, tokens, observed=None):
+        self.model, self.tokens = model, tokens
+        self.n_users, self.n_items = map(len, tokens)
         self.observed = UserItems.of(observed, self.n_users, self.n_items, "observed")
-        self.encoder = one_hot_layout(user_tokens, item_tokens)
-        self.user_features, self.item_features = one_hot_features(
-            model, self.encoder, user_tokens, item_tokens)
+        self.encoder = one_hot_layout(*tokens)
+        self.user_features, self.item_features = one_hot_features(model, self.encoder, *tokens)
 
     def scores(self, u, items):
         """Scores of user u for each item index in items, as an array:
@@ -189,12 +190,13 @@ class IndexedModel(Scorer):
         return [] if self.observed is None else self.observed[u]
 
 
-def _scorer(algorithm, user_tokens, item_tokens, model, observed=None):
-    """The index-space scorer of a model: an IndexedModel for fm and ffm,
-    the model itself for every other algorithm, whose scorer reads no
-    observed lists: it raises ValidationError when given some."""
+def _scorer(algorithm, tokens, model, observed=None):
+    """The index-space scorer of a model over tokens, the (user, item)
+    pair of token lists: an IndexedModel for fm and ffm, the model itself
+    for every other algorithm, whose scorer reads no observed lists: it
+    raises ValidationError when given some."""
     if algorithm in ("fm", "ffm"):
-        return IndexedModel(model, user_tokens, item_tokens, observed)
+        return IndexedModel(model, tokens, observed)
     if observed is not None:
         raise ValidationError(f"{algorithm} bundles take no observed lists; "
                               "only fm and ffm recommend from them")
@@ -211,9 +213,12 @@ class ModelBundle:
     Attributes:
         algorithm: one of svd, funk, svdpp, itemcf, fm, ffm, ensemble.
         model: the trained model object for the algorithm.
-        user_index / item_index: token -> index maps from training, each
-            mapping string tokens one to one onto 0..n-1
-            (data.tokens_by_index).
+        user_index / item_index: each role's tokens from training: a
+            token -> index map, which must map string tokens one to one
+            onto 0..n-1 (data.Tokens.of checks it), or a data.Tokens
+            table, taken as it is. The bundle keeps the table
+            (user_table, item_table) and its dict (user_index,
+            item_index).
         scale: rating bounds used for rounding and recommendation, two
             finite numbers lo < hi (data.checked_scale).
         observed: the items each user rated, fm and ffm only (ValidationError
@@ -241,21 +246,21 @@ class ModelBundle:
     def __post_init__(self):
         check_choice(self.algorithm, "algorithm tag", ALGORITHMS)
         scale = checked_scale(self.scale)
-        users = tokens_by_index(self.user_index, "user_index")
-        items = tokens_by_index(self.item_index, "item_index")
-        scorer = _scorer(self.algorithm, users, items, self.model, self.observed)
+        users = Tokens.of(self.user_index, "user_index")
+        items = Tokens.of(self.item_index, "item_index")
+        scorer = _scorer(self.algorithm, (users.tokens, items.tokens), self.model, self.observed)
         observed, encoder = ((scorer.observed, scorer.encoder)
                              if isinstance(scorer, IndexedModel) else (None, None))
         for name, value in (("scale", scale), ("observed", observed), ("encoder", encoder),
-                            ("_user_tokens", users), ("_item_tokens", items),
+                            ("user_table", users), ("item_table", items),
+                            ("user_index", users.index), ("item_index", items.index),
                             ("scorer", scorer)):
             object.__setattr__(self, name, value)
 
     def indices(self, user, item):
         """(user index, item index) of a token pair; raises ValidationError
         naming an unknown token, the user's first."""
-        return (self._lookup(self.user_index, user, "user"),
-                self._lookup(self.item_index, item, "item"))
+        return self.user_table.at(user, "user"), self.item_table.at(item, "item")
 
     def predict(self, user, item):
         """Raw prediction for a (user token, item token) pair."""
@@ -267,22 +272,15 @@ class ModelBundle:
         Raises ValidationError for an unknown user, a k that is not a
         count, or a score that is not finite, which it names by the user's
         and the item's tokens (a member's too, in a vote)."""
-        u = self._lookup(self.user_index, user, "user")
+        u, items = self.user_table.at(user, "user"), self.item_table.tokens
         try:
             ranked = self.scorer.recommend(u, k)
         except ValidationError as exc:
             if hasattr(exc, "where"):  # a non-finite score, placed by index
-                tokens = f"user {str(user)!r} at item {self._item_tokens[exc.item]!r}"
+                tokens = f"user {str(user)!r} at item {items[exc.item]!r}"
                 exc.args = (str(exc).replace(exc.where, tokens),)
             raise
-        return [(self._item_tokens[i], float(score)) for i, score in ranked]
-
-    @staticmethod
-    def _lookup(index, token, role):
-        token = str(token)
-        if token not in index:
-            raise ValidationError(f"unknown {role} {token!r}")
-        return index[token]
+        return [(items[i], float(score)) for i, score in ranked]
 
 
 def _floats(a):
@@ -353,7 +351,7 @@ def _token_list(raw, role, version):
     version 9, a list in versions 6 to 8, an index map before. Raises
     ValueError unless they decode to a list of distinct strings."""
     if version < 6:
-        return tokens_by_index(raw[f"{role}_index"], f"{role}_index")
+        return Tokens.of(raw[f"{role}_index"], f"{role}_index").tokens
     name = f"{role}_tokens"
     tokens = raw[name]
     if version >= 9:
@@ -525,9 +523,9 @@ def _model_from(algorithm, block, n_users, n_items, version, lists):
 _TAGS = {SvdCfModel: "svd", ItemCfModel: "itemcf", FmModel: "fm", FfmModel: "ffm"}
 
 
-def _member(member, user_tokens, item_tokens):
+def _member(member, tokens):
     """(algorithm, model, observed) of a scorer as a file holds it, for
-    the given token lists: a trained svd, funk, svdpp or itemcf model, or
+    tokens, the (user, item) pair of token lists: a trained svd, funk, svdpp or itemcf model, or
     the IndexedModel of an fm or ffm machine. Its tables must hold one row
     per token and an fm or ffm view must be built for these very tokens,
     in this order: load builds every view from the file's tokens, so a
@@ -538,33 +536,31 @@ def _member(member, user_tokens, item_tokens):
     # a machine scores only through its IndexedModel, and only a machine has one
     if algorithm is None or (algorithm in ("fm", "ffm")) != (model is not member):
         raise PersistenceError("only file-backed members can be persisted inside an ensemble")
-    for role, tokens in (("user", user_tokens), ("item", item_tokens)):
+    for role, listed in zip(("user", "item"), tokens):
         held = getattr(member, f"n_{role}s")
-        if held != len(tokens):
+        if held != len(listed):
             raise PersistenceError(f"{algorithm} tables hold {held} {role}s where "
-                                   f"the {role} index has {len(tokens)}")
-    if model is not member and member.tokens != (user_tokens, item_tokens):
+                                   f"the {role} index has {len(listed)}")
+    if model is not member and member.tokens != tokens:
         raise PersistenceError(f"{algorithm} member was built for another token order")
     return algorithm, model, None if model is member else member.observed
 
 
-def _member_doc(member, user_tokens, item_tokens, lists):
-    algorithm, model, observed = _member(member, user_tokens, item_tokens)
+def _member_doc(member, tokens, lists):
+    algorithm, model, observed = _member(member, tokens)
     return {"algorithm": algorithm,
-            "parameters": _parameters(algorithm, model, len(user_tokens), lists, observed)}
+            "parameters": _parameters(algorithm, model, len(tokens[0]), lists, observed)}
 
 
-def _member_from(doc, user_tokens, item_tokens, version, lists):
+def _member_from(doc, tokens, version, lists):
     """The model and, for fm and ffm, the observed lists of a member
     block, as ModelBundle takes them (the view checks the lists). An fm or
     ffm block before version 7 stores its encoder, which must be
     fm.one_hot_layout of the tokens, the one later files imply."""
     algorithm, block = doc["algorithm"], doc["parameters"]
-    parts = {"model": _model_from(algorithm, block, len(user_tokens), len(item_tokens),
-                                  version, lists)}
+    parts = {"model": _model_from(algorithm, block, *map(len, tokens), version, lists)}
     if algorithm in ("fm", "ffm"):
-        if version < 7 and _encoder_from(doc["encoder"]) != one_hot_layout(user_tokens,
-                                                                          item_tokens):
+        if version < 7 and _encoder_from(doc["encoder"]) != one_hot_layout(*tokens):
             raise PersistenceError(f"{algorithm} encoder must be a categorical user column, "
                                    "then an item column, each holding its sorted tokens")
         parts["observed"] = _field("items", block.get("observed"), version, "observed", lists)
@@ -580,17 +576,17 @@ def _document(bundle):
     """The bundle's document with float block data still arrays; runs every
     check and fills a creation timestamp."""
     created = bundle.created or datetime.now(timezone.utc).isoformat(timespec="seconds")
-    tokens, lists = (bundle._user_tokens, bundle._item_tokens), {}
+    tokens, lists = (bundle.user_table.tokens, bundle.item_table.tokens), {}
     doc = {
         "format_version": FORMAT_VERSION,
         "algorithm": bundle.algorithm,
         "created": created,
         "library": f"latentrec {__version__}",
         "scale": [bundle.scale[0], bundle.scale[1]],
-        "user_tokens": _front_coded([str(t) for t in tokens[0]]),
-        "item_tokens": _front_coded([str(t) for t in tokens[1]]),
+        "user_tokens": _front_coded(tokens[0]),
+        "item_tokens": _front_coded(tokens[1]),
     }
-    members = [_member_doc(m, *tokens, lists) for m in _members(bundle)]
+    members = [_member_doc(m, tokens, lists) for m in _members(bundle)]
     doc["lists"] = [form for _, form in lists.values()]
     if bundle.algorithm == "ensemble":
         model = bundle.model
@@ -779,12 +775,13 @@ def load_model(path):
         raise PersistenceError(f"unknown algorithm tag {algorithm!r}")
     try:
         scale = checked_scale(raw["scale"])
-        user_tokens, item_tokens = (_token_list(raw, role, version) for role in ("user", "item"))
-        lists = _lists_from(raw["lists"], len(item_tokens), version) if version >= 9 else ()
+        # the decoded lists are checked, so the tables take them unchecked
+        users, items = (Tokens(_token_list(raw, role, version)) for role in ("user", "item"))
+        tokens = users.tokens, items.tokens
+        lists = _lists_from(raw["lists"], len(tokens[1]), version) if version >= 9 else ()
         if algorithm == "ensemble":
             spec = raw["ensemble"]
-            members = [_scorer(m["algorithm"], user_tokens, item_tokens,
-                               **_member_from(m, user_tokens, item_tokens, version, lists))
+            members = [_scorer(m["algorithm"], tokens, **_member_from(m, tokens, version, lists))
                        for m in spec["members"]]
             parts = {"model": BlendModel(
                 members=members,
@@ -793,17 +790,11 @@ def load_model(path):
                 kind=spec["kind"],
             )}
         else:
-            parts = _member_from(raw, user_tokens, item_tokens, version, lists)
-        bundle = ModelBundle(
-            algorithm=algorithm,
-            user_index={token: at for at, token in enumerate(user_tokens)},
-            item_index={token: at for at, token in enumerate(item_tokens)},
-            scale=scale,
-            created=str(raw.get("created", "")),
-            **parts,
-        )
+            parts = _member_from(raw, tokens, version, lists)
+        bundle = ModelBundle(algorithm=algorithm, user_index=users, item_index=items,
+                             scale=scale, created=str(raw.get("created", "")), **parts)
         for member in _members(bundle):
-            _member(member, user_tokens, item_tokens)
+            _member(member, tokens)
     except CapacityError:
         raise
     except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:

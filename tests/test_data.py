@@ -24,6 +24,7 @@ from latentrec.errors import (
     MagnitudeError,
     NoDataError,
     ParseError,
+    ShapeError,
     ValidationError,
 )
 from tests.conftest import dataset_from_dense, form_of, rows_of
@@ -293,6 +294,10 @@ class TestImpute:
         filled = impute(matrix, mask, "user")
         np.testing.assert_allclose(filled[1], [3.0, 3.0])
 
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ShapeError, match=r"matrix \(2, 2\) and mask \(2, 3\) differ"):
+            impute(np.ones((2, 2)), np.ones((2, 3)))
+
     def test_empty_mask_rejected(self):
         with pytest.raises(NoDataError):
             impute(np.full((2, 2), np.nan), np.zeros((2, 2)))
@@ -465,12 +470,11 @@ class TestSplit:
         assert train.user_index == ds.user_index
         assert test.item_index == ds.item_index
 
-    def test_bad_fraction(self):
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, math.nan])
+    def test_bad_fraction(self, fraction):
         ds = parse_csv("u1,i1,3\nu1,i2,4")
-        with pytest.raises(ValueError):
-            split(ds, 0.0)
-        with pytest.raises(ValueError):
-            split(ds, 1.0)
+        with pytest.raises(ValidationError, match="holdout fraction must be in"):
+            split(ds, fraction)
 
 
 class TestDatasetInvariants:
@@ -527,6 +531,26 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError, match="outside scale"):
             ds.replace(([0], [1], [7.0]))
         assert ds.replace(([1], [0], [2.0])).triples == (("u2", "i1", 2.0),)
+
+    # each map covers the role's tokens, so before the check a dataset was
+    # built on it: {"a": 5, "b": 0} put user a's rating past the tables
+    @pytest.mark.parametrize("index", [{"a": 5, "b": 0}, {"a": True, "b": 0},
+                                       {"a": 0.0, "b": 1}, {"a": 0, "b": 1, 1: 2},
+                                       {1: 0, "b": 1}])
+    @pytest.mark.parametrize("role", ["user", "item"])
+    def test_index_map_that_is_not_one_to_one_is_refused(self, role, index):
+        if role == "item":  # the same map over the item tokens
+            index = {{"a": "x", "b": "y"}.get(token, token): at for token, at in index.items()}
+        with pytest.raises(ValidationError, match=f"^{role}_index must map its tokens one to one"):
+            RatingDataset([("a", "x", 1.0), ("b", "y", 2.0)], **{f"{role}_index": index})
+
+    def test_derived_datasets_share_the_token_tables(self):
+        ds = RatingDataset([("a", "x", 1.0), ("a", "y", 2.0), ("b", "y", 3.0)])
+        derived = [ds.replace(), *split(ds, 0.4)]
+        assert all(d.user_table is ds.user_table and d.item_table is ds.item_table
+                   for d in derived)
+        assert ds.tokens() == (["a", "b"], ["x", "y"])
+        assert ds.tokens()[0] is ds.user_table.tokens
 
     def test_replace_moves_ratings_to_new_maps(self):
         ds = RatingDataset([("b", "y", 3.0), ("a", "x", 4.0)])

@@ -2005,6 +2005,32 @@ class TestListsTableAndTokenCoding:
         for member, entry in zip(bundle.model.members, doc["lists"], strict=True):
             assert [row.tolist() for row in member.N] == rows_of(entry)
 
+    @pytest.mark.parametrize("kind", ["fm", "blend"])
+    def test_load_hands_the_bundle_the_decoded_token_lists(self, kind, tmp_path, monkeypatch):
+        # each role's list is decoded and checked once, then becomes the
+        # bundle's table and every fm view's tokens as it is: no token ->
+        # index map is built and checked again on the way
+        path = save_model(every_kind(small_dataset())[kind], tmp_path / "m.json")
+        decoded, table_of = [], data.Tokens.of
+
+        def decode(*args):
+            decoded.append(_token_list(*args))
+            return decoded[-1]
+
+        def tables_only(index, name):
+            assert isinstance(index, data.Tokens), f"{name} checked again as a map"
+            return table_of(index, name)
+
+        monkeypatch.setattr(persist, "_token_list", decode)
+        monkeypatch.setattr(data.Tokens, "of", tables_only)
+        bundle = load_model(path)
+        assert len(decoded) == 2
+        assert bundle.user_table.tokens is decoded[0] and bundle.item_table.tokens is decoded[1]
+        assert bundle.user_index is bundle.user_table.index
+        views = [m for m in _members(bundle) if isinstance(m, IndexedModel)]
+        assert views and all(v.tokens[0] is decoded[0] and v.tokens[1] is decoded[1]
+                             for v in views)
+
     @pytest.mark.parametrize("kind", ["svd", "funk", "itemcf", "fm", "ffm", "blend", "bag"])
     def test_inline_layout_is_a_version_8_file_of_the_same_model(self, kind, tmp_path):
         # the test helpers inline and outline are each other's inverse on

@@ -198,7 +198,7 @@ class TestScoreDigest:
         assert runs[0] == runs[1]
         cases = [name for name, _, _ in score_digest.CASES] + \
             [name for name, _ in score_digest.BLENDS + score_digest.DENSE]
-        assert len(cases) == 19
+        assert len(cases) == 21
         # each case's scores line, then its recommend line and its file's
         # byte count
         names = [line for name in cases

@@ -53,7 +53,10 @@ CASES = (
     ("fm-logistic", "implicit", ["--algo", "fm", "--kind", "implicit", "--scale", "0:1",
                                  "--loss", "logistic", "--neg-ratio", "2", "--epochs", "5"]),
     # wide factors reach numpy's 8-way pairwise sum and BLAS ddot's
-    # unrolled blocks, where a rewritten kernel could round differently
+    # unrolled blocks, where a rewritten kernel could round differently:
+    # a stacked matmul equals np.dot at f = 2, but not for svdpp at f = 12
+    ("funk-f12", "explicit", ["--algo", "funk", "--epochs", "5", "--factors", "12"]),
+    ("svdpp-f12", "explicit", ["--algo", "svdpp", "--epochs", "5", "--factors", "12"]),
     ("fm-f12", "explicit", ["--algo", "fm", "--epochs", "5", "--factors", "12"]),
     ("ffm-f12", "explicit", ["--algo", "ffm", "--epochs", "5", "--factors", "12"]),
     ("fm-logistic-f33", "implicit", ["--algo", "fm", "--kind", "implicit", "--scale", "0:1",

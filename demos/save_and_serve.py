@@ -1,18 +1,20 @@
-"""Train a model, save it as gzip-compressed JSON, reload it, and serve
-token queries.
+"""Train a model, save it as a gzip-compressed JSON header and block
+bytes, reload it, and serve token queries.
 
 A model file carries the algorithm tag, the rating scale, the user and
 item tokens in index order, front-coded (each token as the length of the
 prefix it shares with the token before it, then the rest), and every
-learned parameter at full precision: each float array is one block holding its little-endian
-float64 bytes in base64, grouped in byte planes (byte 0 of every value,
-then byte 1, ...), its dtype "<f8" and its shape, so a reloaded model
-predicts bit-for-bit what the original did. Each user's rated items are
-gap-coded: a count per user, then every item as its difference from the
-one before it in the same user's list; each distinct set of such lists is
-stored once in the file's "lists" table, which the model's "rated" names
-by index. The JSON line is stored in a gzip stream
-(inspect a file with ``zcat m.json | python -m json.tool``). The same
+learned parameter at full precision: each array is one block, its dtype
+("<f8" for floats, the narrowest of "<i1" ... "<i8" for ints), its shape
+and, as its "data", the offset of its little-endian bytes after the
+header line, grouped in byte planes (byte 0 of every value, then byte 1,
+...), so a reloaded model predicts bit-for-bit what the original did.
+Each user's rated items are gap-coded: a count per user, then every item
+as its difference from the one before it in the same user's list; each
+distinct set of such lists is stored once in the file's "lists" table,
+which the model's "rated" names by index. The JSON header line, a
+newline and the block bytes are stored in a gzip stream (inspect the
+header with ``zcat m.json | head -n 1 | python -m json.tool``). The same
 files back the command line:
 
     latentrec train --input ratings.csv --output m.json --algo funk
@@ -21,9 +23,9 @@ files back the command line:
     latentrec evaluate m.json --test holdout.csv
 """
 
-import base64
 import gzip
 import json
+import math
 import tempfile
 
 import numpy as np
@@ -72,11 +74,20 @@ def main():
         path = save_model(bundle, f"{outdir}/{name}")
         with open(path, "rb") as handle:
             packed = handle.read()
-        text = gzip.decompress(packed).decode("utf-8")
-        doc = json.loads(text)
-        print(f"wrote {name}: {len(packed)} bytes of gzip holding "
-              f"{len(text.encode('utf-8'))} bytes of JSON on one line "
-              "(inspect it with zcat | python -m json.tool)")
+        header, _, tail = gzip.decompress(packed).partition(b"\n")
+        doc = json.loads(header)
+
+        def array(block):
+            """The array of a block: its bytes at its offset in the tail,
+            in byte planes."""
+            dtype = np.dtype(block["dtype"])
+            size = dtype.itemsize * math.prod(block["shape"])
+            raw = np.frombuffer(tail, np.uint8, size, block["data"])
+            return raw.reshape(dtype.itemsize, -1).T.copy().view(dtype).reshape(block["shape"])
+
+        print(f"wrote {name}: {len(packed)} bytes of gzip holding a "
+              f"{len(header)}-byte JSON header line and {len(tail)} bytes of blocks "
+              "(inspect the header with zcat | head -n 1 | python -m json.tool)")
         for key in ("format_version", "algorithm", "library", "scale"):
             print(f"  {key}: {doc[key]}")
         print(f"  parameters: {', '.join(sorted(doc['parameters']))}")
@@ -84,14 +95,12 @@ def main():
         print(f"  user_tokens: shared {coded['shared']}, suffixes {coded['suffixes']}")
         rated = doc["lists"][doc["parameters"]["rated"]]
         print(f"  rated: lists[{doc['parameters']['rated']}], items per user "
-              f"{rated['lengths']}, gaps {rated['gaps']}")
+              f"{array(rated['lengths']).tolist()}, gaps {array(rated['gaps']).tolist()} "
+              f"({rated['gaps']['dtype']})")
         block = doc["parameters"]["q"]
-        raw = np.frombuffer(base64.b64decode(block["data"]), np.uint8)
-        planes = raw.reshape(8, -1)  # row k: byte k of every value
-        q = planes.T.copy().view(block["dtype"]).reshape(block["shape"])
         print(f"  q: {block['dtype']} block of shape {block['shape']}, "
-              f"{len(block['data'])} base64 characters in byte planes; "
-              f"equals the trained Q: {np.array_equal(q, model.Q)}")
+              f"its bytes at offset {block['data']} of the blocks, in byte planes; "
+              f"equals the trained Q: {np.array_equal(array(block), model.Q)}")
 
         reloaded = load_model(path)
 

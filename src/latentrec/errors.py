@@ -96,7 +96,8 @@ class ConditioningError(LatentRecError, ValueError):
 
 
 class PersistenceError(LatentRecError, ValueError):
-    """A model file is unreadable or has an unsupported format version."""
+    """A model file is unreadable, has an unsupported format version or
+    cannot be written."""
 
 
 class ConfigError(LatentRecError, ValueError):

@@ -1,23 +1,30 @@
 """Model files: save and load every trained model type.
 
 README's model-file paragraph is the one full account of the format
-(format_version 10). What the code here relies on:
+(format_version 11). What the code here relies on:
 
-- A file is one compact, key-sorted JSON line in a single gzip member
-  (level GZIP_LEVEL, mtime 0). A file without the gzip magic bytes is
-  read as plain UTF-8 JSON, as files were written before compression.
-- Every float array is a float block (_floats, _array): base64 of its
-  row-major "<f8" bytes, grouped in byte planes (byte 0 of every value,
-  then byte 1, ...) from version 5 and value by value in version 4.
-  Versions 1 to 3 hold nested decimal lists. Loading gives every bit back.
-  From version 10 a lists entry's lengths and gaps are int blocks (_ints),
-  the same layout with the narrowest of INT_DTYPES that holds the
-  array's least and greatest value; one writer and one reader (_planes,
-  _array) serve both kinds, and a field reads only its own kind.
+- A file is a single gzip member (level GZIP_LEVEL, mtime 0) that
+  inflates to one compact, key-sorted JSON header line, a newline, then
+  the tail: the raw bytes of every block, as a .npy file puts its data
+  after a text header (NEP 1). A block's "data" in the header is the
+  byte offset of its bytes in the tail, whose length its dtype and shape
+  give; load hands each block its slice (_tail_slices), and the blocks,
+  sorted by offset, must cover the tail with no gap, overlap or byte left
+  over. Before version 11 a file is one JSON document, each block's data
+  base64 text; a file without the gzip magic bytes is read as plain
+  UTF-8, as files were written before compression.
+- Every float array is a float block (_floats, _array): its row-major
+  "<f8" bytes, grouped in byte planes (byte 0 of every value, then byte
+  1, ...) from version 5 and value by value in version 4. Versions 1 to
+  3 hold nested decimal lists. Loading gives every bit back. From version
+  10 a lists entry's lengths and gaps are int blocks (_ints), the same
+  layout with the narrowest of INT_DTYPES that holds the array's least
+  and greatest value; one writer and one reader (_planes, _array) serve
+  both kinds, and a field reads only its own kind.
 - save_model builds and checks the whole document before it opens the
-  file, then deflates it in pieces (_json_chunks) that join to the one
-  json.dumps of document(); no string of the file or of a whole float
-  block is made.
+  file, then deflates the header in pieces (_json_chunks) that join to
+  its one json.dumps, and each block's byte planes PIECE_BYTES at a time;
+  no string of the header or copy of a whole block is made.
 - FIELDS is the one statement of each algorithm's parameter block:
   _parameters writes it and _model_from reads it, checking each scalar's
   JSON kind, by walking that table. Only svd's factors, itemcf's rating
@@ -65,10 +72,11 @@ README's model-file paragraph is the one full account of the format
   store posting lists), and itemcf's ratings. From version 9 the
   document's "lists" table holds each distinct lengths + gaps form once,
   in the order members first name it, and each item-list field is the
-  index of its entry; an itemcf block keeps its ratings as "values"
-  (a JSON list). The entry's lengths and gaps are int blocks from version
-  10 and JSON lists in version 9. Load decodes each entry once, so
-  members that name it share its arrays. UserItems.of, the one check of
+  index of its entry; an itemcf block keeps its ratings as "values", a
+  float block from version 11 and a JSON list before. The entry's lengths
+  and gaps are int blocks from version 10 and JSON lists in version 9.
+  Load decodes each entry once, so members that name it share its
+  arrays. UserItems.of, the one check of
   such lists (lengths >= 0 that sum to the gap count, each gap less than
   n_items away from 0), is the only way the loader reads them back: as
   table entries from version 9, in the form inside each field in
@@ -102,7 +110,7 @@ from .linalg import SvdResult
 from .metrics import Scorer, check_choice, in_range
 from .svdcf import SvdCfModel, reconstruct
 
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 # version 1 stored the svd block as the dense r_star and mask; version 2
 # stored the itemcf weights "w"; versions 1-3 store floats as nested lists,
 # and version 4 float blocks hold their bytes value by value; versions 1-5
@@ -112,8 +120,10 @@ FORMAT_VERSION = 10
 # table; versions 1-8 store tokens whole and each per-user list in its field,
 # where later ones front-code tokens and name an entry of the lists table;
 # versions 6-9 store a lists entry's lengths and gaps as JSON lists, where
-# later ones store int blocks
-READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8, 9, FORMAT_VERSION)
+# later ones store int blocks; versions 1-10 are one JSON document, each
+# block's data base64 text, where later ones put the bytes after the header
+# line, and versions 9-10 store itemcf values as a JSON list
+READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, FORMAT_VERSION)
 # the one dtype of a float block: little-endian IEEE 754 binary64
 FLOAT_DTYPE = "<f8"
 # the dtypes of an int block, narrowest first: little-endian signed ints
@@ -137,9 +147,11 @@ FIELDS = {
             ("n_fields", "n_fields", "int")),
 }
 ALGORITHMS = (*FIELDS, "ensemble")
-# list items or dict entries that one json.dumps call encodes; float
-# block data goes 3 * BLOCK_ROWS values (a multiple of 3 bytes) per piece
+# list items or dict entries that one json.dumps call encodes
 BLOCK_ROWS = 64
+# block bytes the writer deflates per piece: on a 500 x 300 fm file, save
+# peaks at 353 KB under tracemalloc with 4 KB pieces and 464 KB with 32 KB
+PIECE_BYTES = 4096
 # deflate level of saved files: on the benchmark's factor-train models,
 # level 9 saves 0.35% of the bytes for 1.3x the time, level 1 writes 4.9%
 # more bytes in 0.4x the time
@@ -284,12 +296,9 @@ class ModelBundle:
 
 
 def _floats(a):
-    """The float block of array a, its data still the array.
-
-    The data is a row-major little-endian float64 array (a itself when it
-    already is one), whose byte planes the writer encodes in base64 a
-    piece at a time and document() in one piece.
-    """
+    """The float block of array a, its data still the array: a row-major
+    little-endian float64 array (a itself when it already is one), whose
+    byte planes the writer puts in the tail."""
     a = np.ascontiguousarray(a, dtype=FLOAT_DTYPE)
     return {"data": a, "dtype": FLOAT_DTYPE, "shape": list(a.shape)}
 
@@ -309,18 +318,10 @@ def _planes(a):
     return a.reshape(-1).view(np.uint8).reshape(-1, a.itemsize).T
 
 
-def _array(value, version, dtypes=(FLOAT_DTYPE,)):
-    """A stored array as a writable native array: float64 from a float
-    block, int64 from an int block.
-
-    Versions 1 to 3 hold nested lists of floats; later versions a block
-    from _floats or _ints whose dtype is one of dtypes and whose shape
-    and data length agree, its bytes in value order in version 4 and in
-    byte planes from version 5. Raises ValueError (or TypeError,
-    KeyError) for anything else.
-    """
-    if version < 4:
-        return np.array(value, dtype=float)
+def _extent(value, dtypes):
+    """(dtype, shape, byte count) of a block whose dtype is one of dtypes
+    and whose shape is a list of sizes; raises ValueError (or KeyError)
+    for anything else."""
     dtype = value.get("dtype") if isinstance(value, dict) else None
     if dtype not in dtypes:
         raise ValueError(f"expected a {' or '.join(dtypes)} block, got {value!r:.60}")
@@ -328,14 +329,56 @@ def _array(value, version, dtypes=(FLOAT_DTYPE,)):
     if not (isinstance(shape, list) and all(
             type(d) is int and d >= 0 for d in shape)):
         raise ValueError(f"{dtype} block shape must be a list of sizes, got {shape!r}")
-    size = np.dtype(dtype).itemsize
-    raw = np.frombuffer(base64.b64decode(value["data"], validate=True), np.uint8)
-    if raw.size != size * math.prod(shape):
+    return dtype, shape, np.dtype(dtype).itemsize * math.prod(shape)
+
+
+def _array(value, version, dtypes=(FLOAT_DTYPE,)):
+    """A stored array as a writable native array: float64 from a float
+    block, int64 from an int block.
+
+    Versions 1 to 3 hold nested lists of floats; later versions a block
+    from _floats or _ints whose dtype is one of dtypes and whose shape
+    and data length agree (_extent): its bytes from the tail (a
+    memoryview _tail_slices hands it) from version 11 and base64 text
+    before, in value order in version 4 and in byte planes from version
+    5. Raises ValueError (or TypeError, KeyError) for anything else.
+    """
+    if version < 4:
+        return np.array(value, dtype=float)
+    dtype, shape, size = _extent(value, dtypes)
+    data = value["data"]
+    raw = np.frombuffer(data if version >= 11 else base64.b64decode(data, validate=True),
+                        np.uint8)
+    if raw.size != size:
         raise ValueError(f"{dtype} block of shape {shape} holds {raw.size} bytes")
-    values = raw.reshape(size, -1).T if version >= 5 else raw
+    values = raw.reshape(np.dtype(dtype).itemsize, -1).T if version >= 5 else raw
     # the one copy puts the bytes in value order, in memory the array owns
     return values.copy().view(dtype).reshape(shape).astype(
         float if dtype == FLOAT_DTYPE else np.int64, copy=False)
+
+
+def _tail_slices(blocks, tail):
+    """Hands each block of a version 11 header its bytes: the block's data,
+    the offset of its bytes in tail, becomes their memoryview. Sorted by
+    offset, the blocks must cover tail exactly: no gap, no overlap and no
+    byte left over. Raises ValueError for a tail they do not cover, no
+    tail (None: no newline ends the header), a data that is not an int or
+    a block whose size _extent refuses."""
+    if tail is None:
+        raise ValueError("no newline ends the header line")
+    for block in blocks:
+        if type(block["data"]) is not int:
+            raise ValueError(f"block data must be an int offset of its bytes after the "
+                             f"header line, got {block['data']!r:.60}")
+    end = 0
+    for block in sorted(blocks, key=lambda block: block["data"]):
+        if block["data"] != end:
+            raise ValueError(f"a block starts at byte {block['data']} after the header line, "
+                             f"where the blocks before it end at byte {end}")
+        size = _extent(block, (FLOAT_DTYPE, *INT_DTYPES))[2]
+        block["data"], end = tail[end:end + size], end + size
+    if end != len(tail):
+        raise ValueError(f"the blocks cover {end} bytes where {len(tail)} follow the header line")
 
 
 def _front_coded(tokens):
@@ -447,7 +490,7 @@ def _parameters(algorithm, model, n_users, lists, observed=None):
         block["rated"] = _listed(lists, UserItems.from_columns(*np.nonzero(model.mask),
                                                                *model.mask.shape))
     elif algorithm == "itemcf":
-        block["values"] = model.ratings.values.tolist()
+        block["values"] = _floats(model.ratings.values)
     elif algorithm in ("fm", "ffm"):
         block["observed"] = _listed(lists, observed)
     if algorithm == "ffm":
@@ -502,8 +545,9 @@ def _model_from(algorithm, block, n_users, n_items, version, lists):
         if fields["ratings"] is None:
             raise ValueError("itemcf ratings must be one list per user, got null")
         if version >= 9:  # the values of the lists entry's items
-            rated = fields["ratings"]
-            fields["ratings"] = UserItems(rated.offsets, rated.items, json_array(block["values"]))
+            rated, values = fields["ratings"], block["values"]
+            fields["ratings"] = UserItems(rated.offsets, rated.items, _array(values, version)
+                                          if version >= 11 else json_array(values))
         fields["n_items"] = n_items
     model = _MODELS[algorithm](**fields)
     # version 2 itemcf files store the n x n weights w, which load only as
@@ -604,44 +648,27 @@ def _document(bundle):
     return doc
 
 
-def document(bundle):
-    """The bundle as a JSON-ready dict; fills a creation timestamp."""
-    return _ready(_document(bundle))
+def _json_chunks(value, blocks):
+    """The compact, key-sorted JSON text of value, in consecutive pieces,
+    each block's data array written as the offset of its bytes in the
+    tail: blocks (a list) gains the arrays in the order the text names
+    them, so each one's bytes follow those of the one before.
 
-
-def _ready(value):
-    """value with the data array of each float block as its base64 text."""
-    if isinstance(value, np.ndarray):
-        return base64.b64encode(_planes(value).tobytes()).decode("ascii")
-    if isinstance(value, dict):
-        return {key: _ready(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_ready(item) for item in value]
-    return value
-
-
-def _json_chunks(value):
-    """The compact, key-sorted JSON text of value, in consecutive pieces.
-
-    The pieces join to exactly _dumps(_ready(value)). A dict is walked
-    key by key and a list of dicts item by item; any other list goes
-    BLOCK_ROWS items (rows, numbers) per _dumps call. The byte planes of
-    a float block's data go 24 * BLOCK_ROWS bytes per piece, read through
-    the plane view, so a piece may span two planes; each piece but the
-    last is a multiple of 3 bytes, so the base64 pieces join to the
-    base64 of all the planes.
+    A dict is walked key by key and a list of dicts item by item; any
+    other list goes BLOCK_ROWS items (rows, numbers) per _dumps call, so
+    the pieces join to the one _dumps of the header.
     """
     if isinstance(value, dict):
         yield "{"
         for n, (key, item) in enumerate(sorted(value.items())):
             yield ("," if n else "") + _dumps(key) + ":"
-            yield from _json_chunks(item)
+            yield from _json_chunks(item, blocks)
         yield "}"
     elif isinstance(value, list) and value and isinstance(value[0], dict):
         yield "["
         for n, item in enumerate(value):
             yield "," if n else ""
-            yield from _json_chunks(item)
+            yield from _json_chunks(item, blocks)
         yield "]"
     elif isinstance(value, list):
         yield "["
@@ -649,56 +676,93 @@ def _json_chunks(value):
             yield ("," if start else "") + _dumps(value[start:start + BLOCK_ROWS])[1:-1]
         yield "]"
     elif isinstance(value, np.ndarray):
-        planes, step = _planes(value), 24 * BLOCK_ROWS
-        yield '"'
-        for start in range(0, planes.size, step):
-            yield base64.b64encode(planes.flat[start:start + step]).decode("ascii")
-        yield '"'
+        yield str(sum(a.nbytes for a in blocks))
+        blocks.append(value)
     else:
         yield _dumps(value)
 
 
+def _tail_pieces(blocks):
+    """The byte planes of each array of blocks in turn, PIECE_BYTES per
+    piece, read through the plane view; a piece may span two planes."""
+    for planes in map(_planes, blocks):
+        for start in range(0, planes.size, PIECE_BYTES):
+            yield planes.flat[start:start + PIECE_BYTES]
+
+
 def save_model(bundle, path):
-    """Write the bundle to path as one gzip-compressed JSON line; returns
-    the path.
+    """Write the bundle to path as one gzip member; returns the path.
 
     The document is built and checked in full before the file is opened,
     so a refused save creates no file and leaves an existing one alone.
-    The line is then fed to one deflate stream a piece at a time (float
-    block byte planes 24 * BLOCK_ROWS bytes per piece, other lists
-    BLOCK_ROWS items per piece), so the memory a save takes beyond the
-    model is about
-    the document's index lists and token maps plus zlib's fixed state
-    (about 260 KB at these settings).
-    The file inflates to json.dumps(document(bundle), sort_keys=True,
-    separators=(",", ":")) plus a newline, UTF-8 encoded.
+    The file inflates to the compact, key-sorted JSON header line (each
+    block's data the offset of its bytes in the tail), a newline, then
+    the tail: each block's byte planes, in the order the header names
+    them. Both are fed to one deflate stream a piece at a time (other
+    lists BLOCK_ROWS items, block bytes PIECE_BYTES per piece), so the
+    memory a save takes beyond the model is about the document's index
+    lists and token lists plus zlib's fixed state (about 260 KB at these
+    settings).
 
     Raises PersistenceError for a model the file format cannot reproduce:
     a member _member refuses (a foreign type, tables that do not fit the
     token lists, an fm or ffm member built for another token order than
     the bundle's), a single-model bundle whose tag names another
     algorithm than its model, or an svd r_star that does not follow from
-    its factors.
+    its factors; and for a path that cannot be written, such as one in a
+    missing folder or a folder itself.
     """
-    doc = _document(bundle)
+    doc, blocks = _document(bundle), []
     deflate = zlib.compressobj(GZIP_LEVEL, zlib.DEFLATED, GZIP_WBITS)
-    with open(path, "wb") as handle:
-        for piece in _json_chunks(doc):
-            handle.write(deflate.compress(piece.encode("utf-8")))
-        handle.write(deflate.compress(b"\n"))
-        handle.write(deflate.flush())
+    try:
+        with open(path, "wb") as handle:
+            for piece in _json_chunks(doc, blocks):
+                handle.write(deflate.compress(piece.encode("utf-8")))
+            handle.write(deflate.compress(b"\n"))
+            for piece in _tail_pieces(blocks):
+                handle.write(deflate.compress(piece))
+            handle.write(deflate.flush())
+    except OSError as exc:
+        raise PersistenceError(f"cannot write model file {path}: "
+                               f"{exc.strerror or exc}") from exc
     return path
+
+
+def _parsed(data):
+    """(document, blocks, tail) of an inflated file: the JSON document of
+    its first line, the JSON objects in it that hold a "data" key (in
+    parse order) and the memoryview of the bytes after the line, None
+    when no newline ends it. A first line that is no JSON document starts
+    a document written across lines, as files before version 11 may be,
+    read whole, with no blocks and no tail."""
+    blocks, end = [], data.find(b"\n")
+
+    def collect(obj):
+        if "data" in obj:
+            blocks.append(obj)
+        return obj
+
+    try:
+        head = (data[:end] if end >= 0 else data).decode("utf-8")
+        return (json.loads(head, object_hook=collect), blocks,
+                None if end < 0 else memoryview(data)[end + 1:])
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        return json.loads(data.decode("utf-8")), [], None
 
 
 def load_model(path):
     """Read a model file of any readable format_version into a ModelBundle.
 
     A file that starts with the gzip magic bytes 1f 8b is inflated first;
-    any other file is read as plain UTF-8 JSON, as every version before
-    compression was written. Float arrays come back bit for bit as
+    any other file is read as it is, as every version before compression
+    was written. From version 11 the file is a JSON header line, a
+    newline and the tail of block bytes, which the header's blocks cover
+    exactly (_tail_slices); before, it is one UTF-8 JSON document whose
+    blocks hold base64 text. Float arrays come back bit for bit as
     writable float64 arrays: from byte-plane float blocks from version 5,
     from value-order blocks in version 4, from nested decimal lists in
-    versions 1-3. Front-coded token lists and the lists table, whose
+    versions 1-3; itemcf ratings from a float block from version 11 and a
+    JSON list in versions 9 and 10. Front-coded token lists and the lists table, whose
     entries the per-user list fields name by index, are read from version
     9, each entry's lengths and gaps int blocks from version 10 and JSON
     lists in version 9; plain token lists and gap-coded per-user lists in
@@ -712,19 +776,24 @@ def load_model(path):
     no score reads, are 0.0.
 
     Raises PersistenceError for a file that cannot be read, a gzip stream
-    that is corrupt, truncated or followed by other bytes, a document
-    that is not UTF-8 JSON, a format_version that is not one of the
-    readable ints (a JSON true or 4.0 is not), an unknown algorithm tag,
-    a malformed header (a scale that is not a list of two finite numbers
-    lo < hi; a user or item token list that is not a list of distinct
+    that is corrupt, truncated or followed by other bytes, a header or
+    document that is not UTF-8 JSON, a format_version that is not one of
+    the readable ints (a JSON true or 4.0 is not), an unknown algorithm
+    tag, a version 11 file with no newline after its header or whose
+    blocks do not cover its tail exactly (a block whose data is not an
+    int offset, or one at an offset other than where the blocks before it
+    end: a gap, an overlap or an offset past the end; or a tail shorter or
+    longer than the blocks), a document of an earlier version followed by
+    more than whitespace, a malformed header (a scale that is not a list
+    of two finite numbers lo < hi; a user or item token list that is not a list of distinct
     strings, from version 9 one whose front coding is not two lists of
     one length with each shared length an int from 0 to the length of the
     token before and each suffix a string, or before version 6 an index
     map that does not take its tokens one to one onto the JSON ints
     0..n-1; from version 9 a lists entry that is not the JSON object of
     its lengths and gaps, from version 10 each an int block whose dtype is
-    one of INT_DTYPES and whose base64 data holds exactly its shape's
-    product of values, or that UserItems.of refuses) or a malformed member
+    one of INT_DTYPES and whose data holds exactly its shape's product of
+    values, or that UserItems.of refuses) or a malformed member
     block (a missing key; a scalar of the wrong JSON kind for its FIELDS
     entry, such as an int field holding 1.5, "3" or true; a per-user
     index list in the layout of another version (from version 9 anything
@@ -740,7 +809,8 @@ def load_model(path):
     k) table); an svd,
     funk, svdpp or itemcf table that does not fit the token lists; a
     float array of version 4 or later that is not a block of dtype "<f8"
-    whose base64 data holds exactly its shape's product of 8-byte values;
+    whose data holds exactly its shape's product of 8-byte values (in
+    versions 4 to 10 base64 text, refused from version 11);
     a value the model refuses, such as an svd neighborhood below 1, a
     table metrics.check_table refuses or svd factors whose reconstruction
     overflows float64 (svdcf.reconstruct); a
@@ -758,7 +828,7 @@ def load_model(path):
             if not inflate.eof or inflate.unused_data:
                 raise zlib.error("gzip stream is truncated or followed by "
                                  "other bytes")
-        raw = json.loads(data.decode("utf-8"))
+        raw, blocks, tail = _parsed(data)
     except (OSError, UnicodeDecodeError, zlib.error,
             json.JSONDecodeError) as exc:
         raise PersistenceError(f"cannot read model file {path}: {exc}") from exc
@@ -774,6 +844,11 @@ def load_model(path):
     if algorithm not in ALGORITHMS:
         raise PersistenceError(f"unknown algorithm tag {algorithm!r}")
     try:
+        if version >= 11:
+            _tail_slices(blocks, tail)
+        elif tail and bytes(tail).strip(b" \t\n\r"):
+            raise ValueError(f"a format_version {version} document is followed by "
+                             f"{len(tail)} more bytes")
         scale = checked_scale(raw["scale"])
         # the decoded lists are checked, so the tables take them unchecked
         users, items = (Tokens(_token_list(raw, role, version)) for role in ("user", "item"))

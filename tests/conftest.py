@@ -11,7 +11,9 @@ and cross-checked with an independent implementation.
 import base64
 import gzip
 import json
+import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -219,13 +221,149 @@ def without_created(text):
     return kept
 
 
-def model_text(path):
-    """The JSON line a saved model file holds, inflated from its gzip stream.
+def model_bytes(path):
+    """What a saved model file holds, inflated from its gzip stream: from
+    format 11 a JSON header line, a newline and the block bytes.
 
     gzip.decompress raises for a file that is not gzip, so a test reading
     a saved file through this also checks that it was compressed.
     """
-    return gzip.decompress(Path(path).read_bytes()).decode("utf-8")
+    return gzip.decompress(Path(path).read_bytes())
+
+
+def model_text(path):
+    """The JSON line a saved model file holds: its header from format 11."""
+    return model_bytes(path).partition(b"\n")[0].decode("utf-8")
+
+
+def blocks_in(value):
+    """The blocks (JSON objects with a "data" key) of a document, in the
+    order its compact key-sorted text names them."""
+    if isinstance(value, dict):
+        if "data" in value:
+            yield value
+        for key in sorted(value):
+            yield from blocks_in(value[key])
+    elif isinstance(value, list):
+        for item in value:
+            yield from blocks_in(item)
+
+
+def model_doc(path):
+    """The document a model file holds, each block's data its bytes as
+    base64 text, as format 10 stored them; read apart from the code under
+    test. A format 11 file's header line names each block's bytes by
+    their offset in the tail after the line, and its dtype and shape give
+    their length; a file of an earlier version (gzip or plain) is one
+    JSON document. write_model writes such a document back."""
+    data = Path(path).read_bytes()
+    data = gzip.decompress(data) if data[:2] == b"\x1f\x8b" else data
+    head, _, tail = data.partition(b"\n")
+    try:
+        doc = json.loads(head)
+    except ValueError:  # a document written across lines
+        return json.loads(data)
+    if doc.get("format_version") == 11:
+        for block in blocks_in(doc):
+            start = block["data"]
+            end = start + np.dtype(block["dtype"]).itemsize * math.prod(block["shape"])
+            block["data"] = base64.b64encode(tail[start:end]).decode("ascii")
+    return doc
+
+
+def packed(doc):
+    """(header, tail) of doc, a document as model_doc gives it, laid out
+    as format 11, apart from the code under test: a copy of doc in which
+    each block whose data is base64 text holds the offset of those bytes
+    in the tail instead, and the tail, the bytes in header order."""
+    doc, tail = json.loads(json.dumps(doc)), bytearray()
+    for block in blocks_in(doc):
+        if isinstance(block["data"], str):
+            block["data"], raw = len(tail), base64.b64decode(block["data"])
+            tail += raw
+    return doc, bytes(tail)
+
+
+def compact(doc):
+    """The compact key-sorted JSON text of doc, UTF-8 encoded."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def write_model(path, doc):
+    """Write doc, a document as model_doc gives it, to path. A document of
+    format_version 1 to 10 is written as its JSON text, as those versions
+    could be; any other as a format 11 file: the header and tail of
+    packed(doc), a newline between them, gzip-compressed."""
+    if doc.get("format_version") in range(1, 11):
+        Path(path).write_text(json.dumps(doc))
+        return
+    header, tail = packed(doc)
+    Path(path).write_bytes(gzip.compress(compact(header) + b"\n" + tail, mtime=0))
+
+
+def _moved(header, tail, by, insert=b""):
+    """header and tail with the last block (by offset) of those that do
+    not start the tail moved by bytes, and insert put before its bytes."""
+    block = max((b for b in blocks_in(header) if b["data"] > 0), key=lambda b: b["data"])
+    start, block["data"] = block["data"], block["data"] + by
+    return compact(header) + b"\n" + tail[:start] + insert + tail[start:]
+
+
+def _damaged(doc, damage):
+    """What a format 11 file of doc inflates to with the fault damage,
+    one of DAMAGES."""
+    header, tail = packed(doc)
+    first = next(blocks_in(header))
+    if damage == "short tail":
+        return compact(header) + b"\n" + tail[:-1]
+    if damage == "long tail":
+        return compact(header) + b"\n" + tail + b"\0"
+    if damage == "overlap":
+        return _moved(header, tail, -1)
+    if damage == "gap":
+        return _moved(header, tail, 1, insert=b"\0")
+    if damage == "offset past the end":
+        return _moved(header, tail, len(tail))
+    if damage == "no newline":
+        return compact(header)
+    if damage == "text data":
+        first["data"] = base64.b64encode(tail).decode("ascii")
+        return compact(header) + b"\n" + tail
+    doc = format10(doc)  # "format 10 int data"
+    next(blocks_in(doc))["data"] = 0
+    return compact(doc) + b"\n"
+
+
+# each way a format 11 file's tail can fail its header, and a fragment of
+# the refusal load_model gives: a tail short or long of the blocks by a
+# byte, a block moved back onto the one before it, a byte between two
+# blocks, a block past the end, a header with no newline and no tail, a
+# block whose data is base64 text, and a format 10 block whose data is
+# an int offset
+DAMAGES = {
+    "short tail": "follow the header line",
+    "long tail": "follow the header line",
+    "overlap": "where the blocks before it end",
+    "gap": "where the blocks before it end",
+    "offset past the end": "where the blocks before it end",
+    "no newline": "no newline ends the header line",
+    "text data": "block data must be an int offset",
+    "format 10 int data": "not 'int'",
+}
+
+
+def write_damaged(path, doc, damage):
+    """Write doc (model_doc's layout) to path as a format 11 file with the
+    fault damage, one of DAMAGES, gzip-compressed."""
+    Path(path).write_bytes(gzip.compress(_damaged(doc, damage), mtime=0))
+
+
+def document(bundle):
+    """model_doc of the file save_model writes for bundle."""
+    from latentrec.persist import save_model
+
+    with tempfile.TemporaryDirectory() as folder:
+        return model_doc(save_model(bundle, Path(folder) / "m.json"))
 
 
 def rows_of(form):
@@ -321,10 +459,33 @@ def block_ints(block):
         block["dtype"]).reshape(-1).tolist()
 
 
-def flat(doc):
-    """A copy of a format 10 document in the layout of format 9: each
-    lists entry's lengths and gaps as JSON lists of ints."""
+def format10(doc):
+    """A copy of a format 11 document (model_doc's) in the layout of
+    format 10: each itemcf block's values as a JSON list of floats."""
     doc = json.loads(json.dumps(doc))
+    doc["format_version"] = 10
+    for algorithm, block in member_blocks(doc):
+        if algorithm == "itemcf":
+            block["values"] = block_array(block["values"]).tolist()
+    return doc
+
+
+def format11(doc):
+    """A copy of a format 10 document in the layout of format 11 (as
+    model_doc gives it), the inverse of format10: each itemcf block's
+    values as a float block."""
+    doc = json.loads(json.dumps(doc))
+    doc["format_version"] = 11
+    for algorithm, block in member_blocks(doc):
+        if algorithm == "itemcf":
+            block["values"] = array_block(block["values"])
+    return doc
+
+
+def flat(doc):
+    """A copy of a format 10 or 11 document in the layout of format 9:
+    each lists entry's lengths and gaps as JSON lists of ints."""
+    doc = format10(doc) if doc["format_version"] == 11 else json.loads(json.dumps(doc))
     doc["format_version"] = 9
     doc["lists"] = [{key: block_ints(block) for key, block in entry.items()}
                     for entry in doc["lists"]]
@@ -342,11 +503,11 @@ def blocked(doc):
 
 
 def inline(doc):
-    """A copy of a format 9 or 10 document in the layout of format 8: each
-    token list whole, each per-user list in the field that names its
+    """A copy of a format 9, 10 or 11 document in the layout of format 8:
+    each token list whole, each per-user list in the field that names its
     lists entry (an itemcf block's "values" back in its ratings), and no
     lists table."""
-    doc = flat(doc) if doc["format_version"] == 10 else json.loads(json.dumps(doc))
+    doc = flat(doc) if doc["format_version"] >= 10 else json.loads(json.dumps(doc))
     lists = doc.pop("lists")
     doc["format_version"] = 8
     for role in ("user", "item"):
@@ -362,7 +523,7 @@ def inline(doc):
 
 def outline(doc, version=10):
     """A copy of a document in inline's layout in that of format 10 (or,
-    with version 9, of format 9), the inverse of inline: tokens
+    with version 9 or 11, of that format), the inverse of inline: tokens
     front-coded, and each distinct per-user list (its lengths and gaps,
     int blocks from format 10) once in the lists table, in the order
     first named, where its field names it by index."""
@@ -379,7 +540,9 @@ def outline(doc, version=10):
                 lists.append(block[key])
             block[key] = lists.index(block[key])
     doc["lists"] = lists
-    return blocked(doc) if version == 10 else doc
+    if version == 9:
+        return doc
+    return format11(blocked(doc)) if version == 11 else blocked(doc)
 
 
 def block_array(block, planes=True):

@@ -25,26 +25,26 @@ from latentrec.data import (CsvSchema, RatingDataset, impute, negative_sample,
                             parse_csv, split, to_dense)
 from latentrec.fm import OneHotBatch, SampleBatch, encode
 from latentrec.metrics import mae, rmse
-from latentrec.persist import (
-    FORMAT_VERSION,
-    _array,
-    _floats,
-    _ready,
-    load_model,
-    save_model,
-)
+from latentrec.persist import FORMAT_VERSION, load_model, save_model
 from tests.conftest import (
+    DAMAGES,
     FOUR_BY_FOUR_CSV,
+    array_block,
+    block_array,
     edit_rows,
     form_of,
     inline,
     make_rank2_ratings,
+    model_bytes,
+    model_doc,
     model_text,
     outline,
     rows_of,
     tokens_of,
     with_encoders,
     without_created,
+    write_damaged,
+    write_model,
 )
 
 IMPLICIT_CSV = (
@@ -385,7 +385,7 @@ class TestTrain:
         values.update(epochs=3)
         bundle, _ = _train_bundle(algo, ds, values)
         path = save_model(bundle, tmp_path / "m.json")
-        assert "encoder" not in json.loads(model_text(path))
+        assert "encoder" not in model_doc(path)
         loaded = load_model(path)
         assert loaded.encoder == bundle.encoder
         for u in ds.user_index:
@@ -492,6 +492,7 @@ class TestTrain:
         text_a = model_text(first).replace(str(first), "MODEL")
         text_b = model_text(second).replace(str(second), "MODEL")
         assert without_created(text_a) == without_created(text_b)
+        assert model_bytes(first).partition(b"\n")[2] == model_bytes(second).partition(b"\n")[2]
 
     @pytest.mark.parametrize("algo, flag, value", [
         ("itemcf", "--neighborhood", "0"),
@@ -750,13 +751,12 @@ class TestPredict:
         # finite factors of 1e200 multiply to inf, which predict rounded
         # with a raw ValueError (exit 1)
         model = train_fixture_model(capsys, tmp_path, "funk")
-        doc = json.loads(model_text(model))
+        doc = model_doc(model)
         block = doc["parameters"]
         for key in ("p", "q"):
-            big = np.full_like(_array(block[key], FORMAT_VERSION), 1e200)
-            block[key] = _ready(_floats(big))
-        with open(model, "w") as handle:
-            json.dump(doc, handle)
+            big = np.full_like(block_array(block[key]), 1e200)
+            block[key] = array_block(big)
+        write_model(model, doc)
         # numpy warns of the overflow in np.dot; CI turns warnings into errors
         with np.errstate(over="ignore"):
             assert load_model(model).predict("1", "2") == np.inf
@@ -785,12 +785,11 @@ def overflowing_funk_model(capsys, tmp_path):
     """A trained funk file whose p and q are all 1e200: finite factors
     whose products overflow to inf."""
     model = train_fixture_model(capsys, tmp_path, "funk")
-    doc = json.loads(model_text(model))
+    doc = model_doc(model)
     block = doc["parameters"]
     for key in ("p", "q"):
-        block[key] = _ready(_floats(np.full_like(_array(block[key], FORMAT_VERSION), 1e200)))
-    with open(model, "w") as handle:
-        json.dump(doc, handle)
+        block[key] = array_block(np.full_like(block_array(block[key]), 1e200))
+    write_model(model, doc)
     return model
 
 
@@ -881,7 +880,7 @@ def huge_entry_models(tmp_path_factory):
         # with numpy's warning, an exception under -W error
         assert main(["train", "--algo", "svd", "--input", ratings,
                      "--output", str(folder / "svd")]) == 0
-    return folder, {name: json.loads(model_text(folder / name))
+    return folder, {name: model_doc(folder / name)
                     for name in (*algos, "blend", "svd")}
 
 
@@ -903,14 +902,14 @@ class TestHugeEntries:
         folder, docs = huge_entry_models
         doc = json.loads(json.dumps(docs[data.draw(st.sampled_from(sorted(docs)), label="file")]))
         for block in float_blocks(doc):
-            a = _array(block, FORMAT_VERSION)
+            a = block_array(block)
             peak = np.abs(a).max(initial=0.0)
             if peak > 0:
                 scale = data.draw(st.integers(150, 300), label="exponent")
                 sign = data.draw(st.sampled_from([1, -1]), label="sign")
-                block.update(_ready(_floats(a * (sign * 10.0 ** scale / peak))))
+                block.update(array_block(a * (sign * 10.0 ** scale / peak)))
         target = folder / "huge.json"
-        target.write_text(json.dumps(doc))
+        write_model(target, doc)
         user = data.draw(st.sampled_from(tokens_of(doc["user_tokens"])), label="user")
         item = data.draw(st.sampled_from(tokens_of(doc["item_tokens"])), label="item")
         ratings = str(folder / "ratings.csv")
@@ -931,6 +930,30 @@ class TestHugeEntries:
                 assert out == "" and err.startswith("error: "), (argv[0], out, err)
                 assert len(err.splitlines()) == 1, (argv[0], err)
 
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_huge_entries_behind_a_damaged_tail_exit_3(self, huge_entry_models, damage):
+        # the blend's blocks scaled to 1e300, in a file whose tail does not
+        # fit its header: the load refuses before any score is made
+        folder, docs = huge_entry_models
+        doc = json.loads(json.dumps(docs["blend"]))
+        for block in float_blocks(doc):
+            a = block_array(block)
+            peak = np.abs(a).max(initial=0.0)
+            block.update(array_block(a * (1e300 / peak) if peak > 0 else a))
+        target = folder / "damaged.json"
+        write_damaged(target, doc, damage)
+        for argv in (["predict", str(target), "1", "3"], ["recommend", str(target), "1"],
+                     ["evaluate", str(target), "--test", str(folder / "ratings.csv")]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 3, argv[0]
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: malformed model file")
+            assert DAMAGES[damage] in err.getvalue()
+            assert len(err.getvalue().splitlines()) == 1
+
     def test_svd_factors_whose_product_overflows_refused_on_load(self, huge_entry_models):
         # before, numpy's overflow warning, then "non-finite score nan" (exit
         # 3), or under -W error a traceback (exit 1)
@@ -938,9 +961,9 @@ class TestHugeEntries:
         doc = json.loads(json.dumps(docs["svd"]))
         for key in "uv":
             block = doc["parameters"][key]
-            block.update(_ready(_floats(_array(block, FORMAT_VERSION) * 1e200)))
+            block.update(array_block(block_array(block) * 1e200))
         target = folder / "overflowing-svd.json"
-        target.write_text(json.dumps(doc))
+        write_model(target, doc)
         refusal = (f"error: malformed model file {target}: the rank-{doc['parameters']['f']} "
                    "reconstruction overflows float64\n")
         for argv in (["predict", str(target), "1", "3"], ["recommend", str(target), "1"],
@@ -1009,10 +1032,9 @@ class TestRecommend:
 
     def test_truncated_observed_lists_exit_3(self, capsys, tmp_path):
         model = train_fixture_model(capsys, tmp_path, "fm")
-        doc = inline(json.loads(model_text(model)))
+        doc = inline(model_doc(model))
         doc["parameters"]["observed"] = form_of(rows_of(doc["parameters"]["observed"])[:2])
-        with open(model, "w") as handle:
-            json.dump(outline(doc), handle)
+        write_model(model, outline(doc, FORMAT_VERSION))
         code, stdout, err = run(capsys, "recommend", model, "4", "--k", "2")
         assert code == 3
         assert stdout == ""
@@ -1026,9 +1048,9 @@ class TestRecommend:
                                                                algo, edit):
         # a version 6 document, whose encoder block can be edited
         model = train_fixture_model(capsys, tmp_path, algo)
-        doc = with_encoders(json.loads(model_text(model)))
+        doc = with_encoders(model_doc(model))
         block = doc["parameters"]
-        w, v = (_array(block[key], FORMAT_VERSION) for key in ("w", "v"))
+        w, v = (block_array(block[key]) for key in ("w", "v"))
         if edit == "numeric item column":
             doc["encoder"]["columns"][1].update(kind="numeric", categories=None)
         elif edit == "1 field":
@@ -1036,7 +1058,7 @@ class TestRecommend:
         else:
             rows = slice(None, -3) if edit == "3 rows short" else [*range(len(w)), 0, 1, 2]
             w, v = w[rows], v[rows]
-        block["w"], block["v"] = _ready(_floats(w)), _ready(_floats(v))
+        block["w"], block["v"] = array_block(w), array_block(v)
         with open(model, "w") as handle:
             json.dump(doc, handle)
         for argv in (["recommend", model, "1"], ["predict", model, "1", "2"]):
@@ -1052,7 +1074,7 @@ class TestRecommend:
         # the last user's entries go from every per-user table; the user
         # index still names that user
         model = train_fixture_model(capsys, tmp_path, algo)
-        doc = inline(json.loads(model_text(model)))
+        doc = inline(model_doc(model))
         block = doc["parameters"]
         if algo == "itemcf":
             block["ratings"] = edit_rows(block["ratings"], list.pop)
@@ -1060,10 +1082,9 @@ class TestRecommend:
             block["rated"] = edit_rows(block["rated"], list.pop)
             user_axis = {"p": 1, "b_u": 0, "u": 0}
             for key in user_axis.keys() & block.keys():
-                a = _array(block[key], FORMAT_VERSION)
-                block[key] = _ready(_floats(np.delete(a, -1, axis=user_axis[key])))
-        with open(model, "w") as handle:
-            json.dump(outline(doc), handle)
+                a = block_array(block[key])
+                block[key] = array_block(np.delete(a, -1, axis=user_axis[key]))
+        write_model(model, outline(doc, FORMAT_VERSION))
         last = doc["user_tokens"][-1]
         code, stdout, err = run(capsys, "recommend", model, last, "--k", "2")
         assert code == 3
@@ -1085,7 +1106,7 @@ class TestRecommend:
         # an itemcf list that repeats an item was merged into one entry.
         # Only a format 9 list, JSON, can hold an entry of another kind
         model = train_fixture_model(capsys, tmp_path, algo)
-        doc = inline(json.loads(model_text(model)))
+        doc = inline(model_doc(model))
         block = doc["parameters"]
         if bad == "repeat":
             block[key] = edit_rows(block[key], lambda rows: rows[0].append(list(rows[0][-1])))
@@ -1093,8 +1114,7 @@ class TestRecommend:
             # the first gap of user 0's row is that row's first item
             assert block[key]["lengths"][0] > 0
             block[key]["gaps"][0] = bad
-        with open(model, "w") as handle:
-            json.dump(outline(doc, FORMAT_VERSION if bad == "repeat" else 9), handle)
+        write_model(model, outline(doc, FORMAT_VERSION if bad == "repeat" else 9))
         user = doc["user_tokens"][0]
         code, stdout, err = run(capsys, "recommend", model, user, "--k", "2")
         assert code == 3
@@ -1111,7 +1131,7 @@ class TestRecommend:
         # version 6 file, recommend exited 0 and predict scored it through
         # the unseen-category slot
         model = train_fixture_model(capsys, tmp_path, algo)
-        doc = with_encoders(json.loads(model_text(model)))
+        doc = with_encoders(model_doc(model))
         (encoded,) = [c for c in doc["encoder"]["columns"] if c["name"] == column]
         encoded["categories"][encoded["categories"].index("1")] = "zzz"
         with open(model, "w") as handle:
@@ -1223,6 +1243,42 @@ class TestEvaluate:
                              "user,item,rating\n1,1,3\nnobody,ghost,2\n")
         code, _, err = run(capsys, "evaluate", model, "--test", test)
         assert (code, err) == (3, "error: unknown user 'nobody'\n")
+
+
+class TestUnwritableOutput:
+    """An --output that cannot be written exits 3 with one error line, also
+    with warnings as errors, and leaves no file: train and ensemble blend
+    exited 1 with a FileNotFoundError or IsADirectoryError traceback."""
+
+    @staticmethod
+    def assert_refused(argv, output):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        # train reports its epochs on stderr before it saves
+        *epochs, last = err.getvalue().splitlines()
+        assert out.getvalue() == "" and all(line.startswith("epoch ") for line in epochs)
+        assert last in (f"error: cannot write model file {output}: {reason}"
+                        for reason in ("No such file or directory", "Is a directory"))
+
+    @pytest.mark.parametrize("where", ["missing folder", "folder"])
+    def test_train(self, tmp_path, where):
+        data = write_ratings(tmp_path)
+        output = tmp_path / "missing" / "m.json" if where == "missing folder" else tmp_path
+        self.assert_refused(["train", "--algo", "funk", "--input", data, "--output",
+                             str(output), "--epochs", "2"], output)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ratings.csv"]
+
+    @pytest.mark.parametrize("where", ["missing folder", "folder"])
+    def test_ensemble_blend(self, capsys, tmp_path, where):
+        members = [train_fixture_model(capsys, tmp_path, algo) for algo in ("funk", "svd")]
+        folder = tmp_path / "out"
+        folder.mkdir()
+        output = folder / "missing" / "b.json" if where == "missing folder" else folder
+        self.assert_refused(["ensemble", "blend", "--output", str(output), *members], output)
+        assert list(folder.iterdir()) == []
 
 
 class TestEnsemble:
@@ -1376,7 +1432,7 @@ class TestEnsemble:
                               "--holdout", data, "--output", out)
         assert code == 0
         assert "coefficients" in stdout
-        doc = json.loads(model_text(tmp_path / "stack.json"))
+        doc = model_doc(tmp_path / "stack.json")
         assert doc["ensemble"]["kind"] == "stack"
         assert len(doc["ensemble"]["weights"]) == 2
         assert "intercept" in doc["ensemble"]
@@ -1462,13 +1518,14 @@ class TestTransientMemory:
     def test_save_model_peak_stays_near_the_document(self, implicit_fm,
                                                      tmp_path):
         # writing one string of the whole file peaked at about 2.8 MB;
-        # the streamed writer stays within about five times the document
-        # the file inflates to (97,598 characters), zlib's deflate state
+        # the streamed writer stays within about five times what the file
+        # inflates to (97,598 characters at format 10, 73,516 bytes of
+        # header and block bytes at format 11), zlib's deflate state
         # (about 260 KB) included
         bundle, _ = implicit_fm
         path = tmp_path / "m.json"
         assert traced_peak(lambda: save_model(bundle, path)) < 2**19
-        assert len(model_text(path)) > 95_000
+        assert len(model_bytes(path)) > 70_000
 
     def test_itemcf_of_20000_items_trains_saves_loads_and_recommends(self, tmp_path, capsys):
         # 20,000 x 20,000 cells exceed DENSE_CELL_CAP, and the cap on the

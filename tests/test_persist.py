@@ -3,6 +3,7 @@
 import base64
 import contextlib
 import dataclasses
+import gzip
 import io
 import json
 import math
@@ -51,11 +52,8 @@ from latentrec.persist import (
     _floats,
     _front_coded,
     _ints,
-    _json_chunks,
     _members,
-    _ready,
     _token_list,
-    document,
     load_model,
     save_model,
 )
@@ -66,23 +64,33 @@ from tests.conftest import (
     block_ints,
     blocked,
     dataset_from_dense,
+    document,
     edit_rows,
     flat,
     form_of,
+    format10,
+    format11,
     int_block,
     make_rank2_ratings,
+    model_bytes,
+    model_doc,
     model_text,
     coded_of,
+    compact,
+    DAMAGES,
     LIST_FIELDS,
     inline,
     member_blocks,
     outline,
     overlap_weights,
+    packed,
     rows_of,
     tokens_of,
     whole_ffm_v,
     with_encoders,
     without_created,
+    write_damaged,
+    write_model,
 )
 
 FOUR_BY_FOUR = np.array([
@@ -180,7 +188,7 @@ class TestRoundTrip:
     def test_svd_stores_factors_and_rebuilds_exactly(self, tmp_path):
         bundle, ds = svd_bundle()
         path = save_model(bundle, tmp_path / "m.json")
-        block = json.loads(model_text(path))["parameters"]
+        block = model_doc(path)["parameters"]
         assert "r_star" not in block and "mask" not in block
         assert block["u"]["shape"] == [4, 2]
         assert block["v"]["shape"] == [4, 2]
@@ -222,7 +230,7 @@ class TestRoundTrip:
         # without factors the model is written back in the dense form
         resaved = document(loaded)
         assert resaved["format_version"] == FORMAT_VERSION
-        assert _array(resaved["parameters"]["r_star"], FORMAT_VERSION).tolist() == \
+        assert block_array(resaved["parameters"]["r_star"]).tolist() == \
             block["r_star"]
 
     def test_funk(self, tmp_path):
@@ -261,7 +269,7 @@ class TestRoundTrip:
             trained, model=dataclasses.replace(trained.model, N=None),
             created="2026-01-01T00:00:00+00:00")
         first = save_model(bundle, tmp_path / "a.json")
-        assert json.loads(model_text(first))["parameters"]["rated"] is None
+        assert model_doc(first)["parameters"]["rated"] is None
         loaded = load_model(first)
         assert loaded.model.N is None
         items = np.arange(ds.n_items)
@@ -388,7 +396,7 @@ class TestItemCfFiles:
     def test_round_trip_rebuilds_weights(self, make, kind, tmp_path):
         bundle, ds = make(kind)
         first = save_model(bundle, tmp_path / "a.json")
-        doc = json.loads(model_text(first))
+        doc = model_doc(first)
         blocks = [m["parameters"] for m in doc["ensemble"]["members"]] \
             if "ensemble" in doc else [doc["parameters"]]
         # the items of each list name a lists entry; the ratings stay in the block
@@ -484,7 +492,7 @@ class TestItemCfFiles:
                 assert loaded.predict(u, i) == bundle.predict(u, i)
         # it re-saves at the current format, as the model it was saved from
         resaved = save_model(loaded, tmp_path / "resaved.json")
-        assert json.loads(model_text(resaved))["format_version"] == FORMAT_VERSION
+        assert model_doc(resaved)["format_version"] == FORMAT_VERSION
         assert resaved.read_bytes() == save_model(bundle, tmp_path / "m.json").read_bytes()
 
     def test_version_2_w_the_ratings_do_not_give_exits_3(self, tmp_path, capsys):
@@ -492,7 +500,7 @@ class TestItemCfFiles:
         doc = old_layout(document(bundle), 2)
         doc["parameters"]["w"] = (weights(bundle.model) * 0.5).tolist()
         path = tmp_path / "v2.json"
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         assert main(["recommend", str(path), min(ds.user_index)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -553,14 +561,14 @@ class TestItemCfFiles:
             block = doc["parameters"]
             block["ratings"] = edit_rows(block["ratings"],
                                          lambda rows: rows[0].append([index, 3.0]))
-            doc = outline(doc)
+            doc = outline(doc, FORMAT_VERSION)
         else:
             doc = old_layout(doc, version)
             if version == 2:
                 doc["parameters"]["w"] = weights(bundle.model).tolist()
             doc["parameters"]["ratings"][0].append([index, 3.0])
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match="malformed"):
             load_model(path)
         user = next(iter(ds.user_index))
@@ -574,7 +582,7 @@ class TestItemCfFiles:
         block["ratings"] = edit_rows(block["ratings"],
                                      lambda rows: rows[0].append([ds.n_items, 3.0]))
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(outline(doc)))
+        write_model(path, outline(doc, FORMAT_VERSION))
         with pytest.raises(PersistenceError, match="malformed"):
             load_model(path)
 
@@ -583,7 +591,7 @@ class TestFileFormat:
     def test_header_fields(self):
         bundle, _ = funk_bundle()
         doc = document(bundle)
-        assert doc["format_version"] == FORMAT_VERSION == 10
+        assert doc["format_version"] == FORMAT_VERSION == 11
         assert doc["algorithm"] == "funk"
         assert doc["created"]
         assert doc["scale"] == [1.0, 5.0]
@@ -611,6 +619,7 @@ class TestFileFormat:
         save_model(fresh(), a)
         save_model(fresh(), b)
         assert without_created(model_text(a)) == without_created(model_text(b))
+        assert model_bytes(a).partition(b"\n")[2] == model_bytes(b).partition(b"\n")[2]
 
     def test_created_survives_reload(self, tmp_path):
         bundle, _ = funk_bundle()
@@ -618,15 +627,15 @@ class TestFileFormat:
         second = tmp_path / "b.json"
         save_model(bundle, first)
         save_model(load_model(first), second)
-        assert model_text(first) == model_text(second)
+        assert model_bytes(first) == model_bytes(second)
 
     def test_unknown_format_version_rejected(self, tmp_path):
         bundle, _ = funk_bundle()
         path = tmp_path / "m.json"
         save_model(bundle, path)
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         doc["format_version"] = FORMAT_VERSION + 1
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match="format_version"):
             load_model(path)
 
@@ -634,10 +643,10 @@ class TestFileFormat:
     def test_format_version_must_be_an_int(self, version, tmp_path):
         # True == 1 and 4.0 == 4, but neither names a format
         bundle, _ = funk_bundle()
-        doc = json.loads(model_text(save_model(bundle, tmp_path / "m.json")))
+        doc = model_doc(save_model(bundle, tmp_path / "m.json"))
         doc["format_version"] = version
         path = tmp_path / "edited.json"
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match="unsupported format_version"):
             load_model(path)
 
@@ -645,9 +654,9 @@ class TestFileFormat:
         bundle, _ = funk_bundle()
         path = tmp_path / "m.json"
         save_model(bundle, path)
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         doc["algorithm"] = "mystery"
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match="algorithm"):
             load_model(path)
 
@@ -671,9 +680,9 @@ class TestFileFormat:
         bundle, _ = funk_bundle()
         path = tmp_path / "m.json"
         save_model(bundle, path)
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         del doc["parameters"]
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match="malformed"):
             load_model(path)
 
@@ -689,7 +698,7 @@ class TestFileFormat:
             doc["parameters"]["v"] = whole_ffm_v(doc["parameters"]["v"], ds.n_users)
         doc["format_version"] = version
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match="malformed.*V must be shaped"):
             load_model(path)
 
@@ -697,10 +706,10 @@ class TestFileFormat:
     def test_observed_with_too_few_users_rejected(self, tmp_path, algo):
         bundle, _ = fm_bundle(algo)
         path = save_model(bundle, tmp_path / "m.json")
-        doc = inline(json.loads(model_text(path)))
+        doc = inline(model_doc(path))
         block = doc["parameters"]
         block["observed"] = form_of(rows_of(block["observed"])[:2])
-        path.write_text(json.dumps(outline(doc)))
+        write_model(path, outline(doc, FORMAT_VERSION))
         with pytest.raises(PersistenceError, match="malformed.*observed"):
             load_model(path)
 
@@ -709,10 +718,10 @@ class TestFileFormat:
         bundle, ds = fm_bundle()
         assert ds.n_items == 6
         path = save_model(bundle, tmp_path / "m.json")
-        doc = inline(json.loads(model_text(path)))
+        doc = inline(model_doc(path))
         block = doc["parameters"]
         block["observed"] = edit_rows(block["observed"], lambda rows: rows[0].append(bad))
-        path.write_text(json.dumps(outline(doc)))
+        write_model(path, outline(doc, FORMAT_VERSION))
         # the lists entry the observed field names holds the item
         with pytest.raises(PersistenceError, match=r"malformed.*lists\[0\] must be one list"):
             load_model(path)
@@ -726,20 +735,20 @@ class TestFileFormat:
             item_index=bundle.item_index,
         )
         path = save_model(blend, tmp_path / "m.json")
-        doc = inline(json.loads(model_text(path)))
+        doc = inline(model_doc(path))
         block = doc["ensemble"]["members"][0]["parameters"]
         block["observed"] = edit_rows(block["observed"], list.pop)
-        path.write_text(json.dumps(outline(doc)))
+        write_model(path, outline(doc, FORMAT_VERSION))
         with pytest.raises(PersistenceError, match="malformed.*observed"):
             load_model(path)
 
     def test_svd_negative_rated_index_rejected(self, tmp_path):
         bundle, _ = svd_bundle()
         path = save_model(bundle, tmp_path / "m.json")
-        doc = inline(json.loads(model_text(path)))
+        doc = inline(model_doc(path))
         block = doc["parameters"]
         block["rated"] = edit_rows(block["rated"], lambda rows: rows[0].append(-1))
-        path.write_text(json.dumps(outline(doc)))
+        write_model(path, outline(doc, FORMAT_VERSION))
         with pytest.raises(PersistenceError, match=r"malformed.*lists\[0\] must be one list"):
             load_model(path)
 
@@ -750,13 +759,13 @@ class TestFileFormat:
         # the last item's factors go, and no rated list names that item
         bundle, ds = make()
         path = save_model(bundle, tmp_path / "m.json")
-        doc = inline(json.loads(model_text(path)))
+        doc = inline(model_doc(path))
         block = doc["parameters"]
-        a = _array(block[key], FORMAT_VERSION)
-        block[key] = _ready(_floats(np.delete(a, -1, axis=axis)))
+        a = block_array(block[key])
+        block[key] = array_block(np.delete(a, -1, axis=axis))
         block["rated"] = form_of([[i for i in row if i < ds.n_items - 1]
                                   for row in rows_of(block["rated"])])
-        path.write_text(json.dumps(outline(doc)))
+        write_model(path, outline(doc, FORMAT_VERSION))
         with pytest.raises(PersistenceError, match=(
                 f"hold {ds.n_items - 1} items where the item index has {ds.n_items}")):
             load_model(path)
@@ -765,10 +774,10 @@ class TestFileFormat:
 def edited_funk_file(tmp_path, edit):
     """A saved funk file with edit applied to its document, and its dataset."""
     bundle, ds = funk_bundle()
-    doc = json.loads(model_text(save_model(bundle, tmp_path / "m.json")))
+    doc = model_doc(save_model(bundle, tmp_path / "m.json"))
     edit(doc)
     path = tmp_path / "edited.json"
-    path.write_text(json.dumps(doc))
+    write_model(path, doc)
     return str(path), ds
 
 
@@ -794,21 +803,20 @@ class TestPerUserListLayout:
     object in versions 6 to 8, nested lists before."""
 
     def edited_file(self, tmp_path, algo, edit, version=FORMAT_VERSION):
-        """A saved file in the layout of version (4, 5, 6, 8, 9 or the
+        """A saved file in the layout of version (4, 5, 6, 8, 9, 10 or the
         current one), with edit applied to its document."""
         ds = small_dataset()
-        doc = json.loads(model_text(save_model(trained_bundle(algo, ds),
-                                               tmp_path / "m.json")))
+        doc = model_doc(save_model(trained_bundle(algo, ds), tmp_path / "m.json"))
         if version < 6:
             doc = old_layout(doc, version)
-        elif version == 9:
-            doc = flat(doc)
+        elif version in (9, 10):
+            doc = flat(doc) if version == 9 else format10(doc)
         elif version < FORMAT_VERSION:
             doc = with_encoders(doc, version) if version == 6 else inline(doc)
             assert doc["format_version"] == version
         edit(doc)
         path = tmp_path / "edited.json"
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         return str(path), min(ds.user_index), min(ds.item_index)
 
     # the list name used to be missing from numpy's "inhomogeneous
@@ -873,7 +881,7 @@ class TestPerUserListLayout:
         assert_exits_3(capsys, path, user, item,
                        f"{key} must be a JSON array in format_version {version}")
 
-    @pytest.mark.parametrize("version", [5, 6, 8, FORMAT_VERSION])
+    @pytest.mark.parametrize("version", [5, 6, 8, 10, FORMAT_VERSION])
     @pytest.mark.parametrize("algo, key, name", PER_USER_LISTS)
     def test_layout_of_the_version_loads(self, algo, key, name, version, tmp_path):
         path, user, item = self.edited_file(tmp_path, algo, lambda doc: None, version)
@@ -890,13 +898,13 @@ class TestHeaderChecks:
         # read as 0) loaded and answered for the wrong user or item.
         # Versions 1 to 5 hold these maps, so the committed version 5 file
         # is edited.
-        doc = json.loads(model_text(FIXTURES / "format5_blend.json"))
+        doc = model_doc(FIXTURES / "format5_blend.json")
         token = min(doc[key], key=doc[key].get)
         doc[key][token] = 0 if bad == "repeat" else bad
         if bad == "repeat":
             doc[key][max(doc[key], key=doc[key].get)] = 0
         path = tmp_path / "edited.json"
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         assert_exits_3(capsys, str(path), token, token,
                        f"{key} must map its tokens one to one onto 0..n-1")
 
@@ -965,9 +973,9 @@ class TestParameterKinds:
         # int() read 1.5, "3" and true as 1, 3 and 1
         ds = small_dataset()
         path = save_model(trained_bundle(algo, ds), tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         doc["parameters"][key] = bad
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match=f"parameter {key} must be a JSON"):
             load_model(path)
 
@@ -984,9 +992,9 @@ class TestParameterKinds:
                              user_index=ds.user_index, item_index=ds.item_index,
                              scale=ds.scale)
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         doc["ensemble"][key] = bad
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match=f"parameter {key} must be a JSON number"):
             load_model(path)
 
@@ -1001,9 +1009,9 @@ class TestParameterKinds:
                                                      capsys):
         bundle, ds = svd_bundle()
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         doc["parameters"][key] = bad
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match=f"malformed model file .*{match}"):
             load_model(path)
         assert main(["predict", str(path), min(ds.user_index), min(ds.item_index)]) == 3
@@ -1015,9 +1023,9 @@ class TestParameterKinds:
         # an svd rated null ended in an AttributeError traceback
         ds = small_dataset()
         path = save_model(trained_bundle(algo, ds), tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         doc["parameters"][key] = None
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match=f"{algo} {key} must be one list per user"):
             load_model(path)
 
@@ -1027,23 +1035,37 @@ class TestParameterKinds:
         # NaN or inf made predict fail with "cannot round non-finite value"
         ds = small_dataset()
         path = save_model(trained_bundle("itemcf", ds), tmp_path / "m.json")
-        doc = json.loads(model_text(path))
-        doc["parameters"]["values"][0] = bad
-        path.write_text(json.dumps(doc))
+        doc = model_doc(path)
+        if bad is True:  # only a JSON list, as format 10 stores the values, holds a bool
+            doc = format10(doc)
+            doc["parameters"]["values"][0] = bad
+        else:
+            values = block_array(doc["parameters"]["values"]).copy()
+            values[0] = bad
+            doc["parameters"]["values"] = array_block(values)
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match="with finite values"):
             load_model(path)
         assert main(["predict", str(path), min(ds.user_index), min(ds.item_index)]) == 3
         assert capsys.readouterr().err.startswith("error: malformed model file")
 
+    @pytest.mark.parametrize("version", [10, FORMAT_VERSION])
     @pytest.mark.parametrize("width", [1, 2])
-    def test_itemcf_ratings_held_in_lists_rejected(self, width, tmp_path, capsys):
-        # [r] loaded as r, and [r, r] made predict exit 1 with a raw ValueError
+    def test_itemcf_ratings_held_in_lists_rejected(self, width, version, tmp_path, capsys):
+        # [r] loaded as r, and [r, r] made predict exit 1 with a raw ValueError;
+        # from format 11 the values are a float block, here of shape (n, width)
         ds = small_dataset()
         path = save_model(trained_bundle("itemcf", ds), tmp_path / "m.json")
-        doc = json.loads(model_text(path))
-        block = doc["parameters"]
-        block["values"] = [[r] * width for r in block["values"]]
-        path.write_text(json.dumps(doc))
+        doc = model_doc(path)
+        if version == 10:
+            doc = format10(doc)
+            block = doc["parameters"]
+            block["values"] = [[r] * width for r in block["values"]]
+        else:
+            block = doc["parameters"]
+            values = block_array(block["values"])
+            block["values"] = array_block(np.repeat(values[:, None], width, axis=1))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match="with finite values"):
             load_model(path)
         for argv in (["predict", str(path), min(ds.user_index), min(ds.item_index)],
@@ -1072,7 +1094,7 @@ class TestBootstrapRepeats:
         doc = document(bundle)
         assert flat(doc)["lists"] == [{"lengths": [2, 2], "gaps": [x, y - x, x, y - x]}]
         assert doc["parameters"]["ratings"] == 0
-        assert doc["parameters"]["values"] == [4.0, 1.0, 2.0, 3.0]
+        assert block_array(doc["parameters"]["values"]).tolist() == [4.0, 1.0, 2.0, 3.0]
         assert [int(i) for i in model.ratings[ds.user_index["a"]]] == [x, y]
 
     def test_funk_and_svdpp_keep_the_repeats(self):
@@ -1171,8 +1193,8 @@ class TestBundleQueries:
         doc = with_encoders(document(bundle))
         doc["encoder"]["columns"][1]["categories"] = columns[1][2]
         doc["parameters"]["w"], doc["parameters"]["v"] = (
-            _ready(_floats(a)) for a in (model.w, model.V))
-        path.write_text(json.dumps(doc))
+            array_block(a) for a in (model.w, model.V))
+        write_model(path, doc)
         assert_exits_3(capsys, str(path), min(ds.user_index), min(ds.item_index),
                        f"{algo} encoder must be a categorical user column")
 
@@ -1332,20 +1354,28 @@ def writer_bundles(ds):
 class TestStreamedWriter:
     @settings(max_examples=25, deadline=None)
     @given(grid=GRIDS, user=st.sampled_from(["u", "\u00fc", 'q"', "\\", "\u7528"]),
-           block_rows=st.integers(1, 4))
-    def test_property_file_is_the_one_dumps_line(self, grid, user, block_rows,
-                                                 tmp_path_factory):
+           block_rows=st.integers(1, 4), piece_bytes=st.integers(1, 20))
+    def test_property_file_is_the_header_line_then_the_block_bytes(
+            self, grid, user, block_rows, piece_bytes, tmp_path_factory):
         ds = grid_dataset(grid, user)
-        path = tmp_path_factory.mktemp("writer") / "m.json"
-        # blocks of a few rows, so the small grids cross block boundaries
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(persist, "BLOCK_ROWS", block_rows)
-            for bundle in writer_bundles(ds):
-                bundle = dataclasses.replace(bundle, created="2026-01-01T00:00:00+00:00")
-                save_model(bundle, path)
-                want = json.dumps(document(bundle), sort_keys=True,
-                                  separators=(",", ":")) + "\n"
-                assert model_text(path) == want, bundle.algorithm
+        folder = tmp_path_factory.mktemp("writer")
+        for bundle in writer_bundles(ds):
+            bundle = dataclasses.replace(bundle, created="2026-01-01T00:00:00+00:00")
+            # pieces so large that each list and block is one, then pieces
+            # of a few rows and bytes, so the small grids cross their ends
+            for name, rows, piece in (("whole", 10**9, 10**9),
+                                      ("pieces", block_rows, piece_bytes)):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(persist, "BLOCK_ROWS", rows)
+                    patch.setattr(persist, "PIECE_BYTES", piece)
+                    save_model(bundle, folder / name)
+            data = model_bytes(folder / "pieces")
+            assert data == model_bytes(folder / "whole"), bundle.algorithm
+            # the compact header, each block's data the offset of its bytes,
+            # a newline, then the bytes in header order: laid out again
+            # apart from the writer, from the blocks model_doc decodes
+            header, tail = packed(model_doc(folder / "pieces"))
+            assert data == compact(header) + b"\n" + tail, bundle.algorithm
 
 
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
@@ -1380,60 +1410,71 @@ MALFORMED_BLOCKS = {
 }
 
 
+def plane_bytes(a):
+    """The bytes of array a in byte planes, built apart from the writer:
+    byte 0 of every float64 in row-major order, then byte 1, and so on."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return b"".join(raw[k::8] for k in range(8))
+
+
 class TestFloatBlocks:
     @settings(max_examples=200, deadline=None)
     @given(a=st.one_of(BIT_PATTERNS, VALUES), transpose=st.booleans(),
-           block_rows=st.integers(1, 4))
-    @example(a=np.empty(0), transpose=False, block_rows=1)
-    @example(a=np.array([-0.0]), transpose=False, block_rows=1)
+           piece_bytes=st.integers(1, 20))
+    @example(a=np.empty(0), transpose=False, piece_bytes=1)
+    @example(a=np.array([-0.0]), transpose=False, piece_bytes=1)
     @example(a=np.array([np.inf, -np.inf, 5e-324, -0.0, 1.0, np.nan, -5e-324]),
-             transpose=False, block_rows=1)
+             transpose=False, piece_bytes=1)
     @example(a=np.array([[0x7FF0000000000001, 0xFFF8DEADBEEF0001, 0x000FFFFFFFFFFFFF],
                          [0x8000000000000000, 0x7FF0000000000000, 1]],
                         dtype=np.uint64).view(np.float64),
-             transpose=True, block_rows=2)
-    def test_property_block_round_trips_every_bit(self, a, transpose,
-                                                  block_rows):
+             transpose=True, piece_bytes=2)
+    def test_property_block_round_trips_every_bit(self, a, transpose, piece_bytes):
         if transpose:  # a non-contiguous view is stored in row-major order
             a = a.T
-        # the writer's pieces of 24 * block_rows bytes, and document()'s text
+        # the header names the block's bytes by offset, and the writer
+        # streams its byte planes in pieces of piece_bytes
+        blocks = []
+        text = "".join(persist._json_chunks({"x": _floats(a)}, blocks))
+        assert json.loads(text) == {"x": {"data": 0, "dtype": "<f8", "shape": list(a.shape)}}
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(persist, "BLOCK_ROWS", block_rows)
-            text = "".join(_json_chunks(_floats(a)))
-        assert text == json.dumps(_ready(_floats(a)), sort_keys=True,
-                                  separators=(",", ":"))
-        block = json.loads(text)
+            patch.setattr(persist, "PIECE_BYTES", piece_bytes)
+            tail = b"".join(persist._tail_pieces(blocks))
+        assert tail == plane_bytes(a)
+        # the same bytes are a version 5-10 block as base64 text, and in
+        # value order a version 4 block
         value_order = base64.b64encode(a.tobytes()).decode("ascii")
-        assert block["data"] == planes_text(value_order)
-        # the same bytes in value order are a version 4 block
-        for version, stored in ((FORMAT_VERSION, block),
-                                (4, dict(block, data=value_order))):
-            back = _array(stored, version)
+        planes = base64.b64encode(tail).decode("ascii")
+        block = {"dtype": "<f8", "shape": list(a.shape)}
+        for version, data in ((FORMAT_VERSION, memoryview(tail)), (10, planes),
+                              (4, value_order)):
+            back = _array(dict(block, data=data), version)
             assert back.shape == a.shape and back.dtype == np.float64
             assert back.tobytes() == a.tobytes()
             assert back.flags.writeable and back.flags.c_contiguous
 
     def test_block_layout(self):
         a = np.array([[1.0, -0.0], [0.5, 2.0]])
-        block = _ready(_floats(a))
         # bytes 0-5 of each value are zero; byte 6 is f0 00 e0 00 and
         # byte 7 (sign and high exponent) 3f 80 3f 40
-        assert block == {
-            "data": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA8ADgAD+AP0A=",
-            "dtype": "<f8",
-            "shape": [2, 2],
-        }
+        tail = bytes(24) + bytes.fromhex("f000e000") + bytes.fromhex("3f803f40")
+        assert b"".join(persist._tail_pieces([_floats(a)["data"]])) == tail
+        block = {"data": memoryview(tail), "dtype": "<f8", "shape": [2, 2]}
         assert _array(block, FORMAT_VERSION).tobytes() == a.tobytes()
-        # version 4 stored the same bytes value by value
+        # versions 5-10 held the planes as base64 text, and version 4 the
+        # same bytes value by value
+        v10 = dict(block, data="AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA8ADgAD+AP0A=")
+        assert _array(v10, 10).tobytes() == a.tobytes()
         v4 = dict(block, data="AAAAAAAA8D8AAAAAAAAAgAAAAAAAAOA/AAAAAAAAAEA=")
         assert _array(v4, 4).tobytes() == a.tobytes()
 
-    def test_writer_splits_block_data_at_whole_base64_groups(self, monkeypatch):
-        monkeypatch.setattr(persist, "BLOCK_ROWS", 1)
-        pieces = list(_json_chunks(np.arange(7.0)))
-        # 3 values are 24 bytes, 32 base64 characters with no padding
-        assert [len(p) for p in pieces] == [1, 32, 32, 12, 1]
-        assert "".join(pieces) == '"' + _ready(np.arange(7.0)) + '"'
+    def test_writer_splits_block_bytes_into_pieces(self, monkeypatch):
+        monkeypatch.setattr(persist, "PIECE_BYTES", 24)
+        a = np.arange(7.0)
+        pieces = list(persist._tail_pieces([a, a[:1]]))
+        # 56 bytes in pieces of 24, which span planes, then the second block
+        assert [len(p) for p in pieces] == [24, 24, 8, 8]
+        assert b"".join(pieces) == plane_bytes(a) + plane_bytes(a[:1])
 
     def test_earlier_versions_read_nested_lists(self):
         for version in (1, 2, 3):
@@ -1441,13 +1482,17 @@ class TestFloatBlocks:
             assert a.dtype == np.float64 and a.flags.writeable
             assert a.tobytes() == np.array([[1.5, -0.0], [2.0, 3.25]]).tobytes()
 
-    @pytest.mark.parametrize("edit", MALFORMED_BLOCKS.values(), ids=MALFORMED_BLOCKS)
-    def test_malformed_block_rejected(self, edit, tmp_path, capsys):
+    # at format 11 the edit is of the base64 text the block's bytes are
+    # written from, so only text that decodes applies
+    @pytest.mark.parametrize("name, version", [
+        (name, version) for name in MALFORMED_BLOCKS for version in (10, FORMAT_VERSION)
+        if version == 10 or name not in ("bad-base64", "unpadded")])
+    def test_malformed_block_rejected(self, name, version, tmp_path, capsys):
         bundle, ds = funk_bundle()
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
-        edit(doc["parameters"]["q"])
-        path.write_text(json.dumps(doc))
+        doc = model_doc(path) if version == FORMAT_VERSION else format10(model_doc(path))
+        MALFORMED_BLOCKS[name](doc["parameters"]["q"])
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match="malformed model file"):
             load_model(path)
         user, item = next(iter(ds.user_index)), next(iter(ds.item_index))
@@ -1457,9 +1502,9 @@ class TestFloatBlocks:
     def test_nested_list_in_version_4_file_rejected(self, tmp_path, capsys):
         bundle, ds = funk_bundle()
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         doc["parameters"]["q"] = bundle.model.Q.tolist()
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match="malformed model file"):
             load_model(path)
         assert main(["recommend", str(path), next(iter(ds.user_index))]) == 3
@@ -1467,7 +1512,7 @@ class TestFloatBlocks:
         # nested lists throughout are a valid version 3 file
         doc = old_layout(doc, 3)
         doc["parameters"]["p"] = bundle.model.P.tolist()
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         assert np.array_equal(load_model(path).model.Q, bundle.model.Q)
 
     def test_ensemble_member_block_checked(self, tmp_path):
@@ -1476,9 +1521,9 @@ class TestFloatBlocks:
                             model=BlendModel(members=[bundle.scorer], weights=[1.0]),
                             user_index=ds.user_index, item_index=ds.item_index)
         path = save_model(blend, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         doc["ensemble"]["members"][0]["parameters"]["v"]["dtype"] = "<f4"
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match="malformed model file"):
             load_model(path)
 
@@ -1558,7 +1603,7 @@ class TestIntBlocks:
         bundle = ModelBundle("funk", model, {f"u{u}": u for u in range(len(rows))},
                              {f"i{i}": i for i in range(n_items)})
         path = save_model(bundle, tmp_path_factory.mktemp("ints") / "m.json")
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         # each block is the narrowest dtype's, built apart from the writer
         entry, form = doc["lists"][doc["parameters"]["rated"]], form_of(rows)
         assert entry == {key: int_block(form[key]) for key in ("lengths", "gaps")}
@@ -1572,19 +1617,19 @@ class TestIntBlocks:
     def test_dtype_is_the_narrowest_that_holds_the_values(self, values, dtype):
         block = _ints(np.array(values, dtype=np.int64))
         assert block["dtype"] == dtype and block["shape"] == [len(values)]
-        text = json.loads(json.dumps(_ready(block)))
-        if dtype != "<i8":  # int_block and json hold Python ints
-            assert text == int_block(values)
-        back = _array(text, FORMAT_VERSION, persist.INT_DTYPES)
+        tail = b"".join(persist._tail_pieces([block["data"]]))
+        if dtype != "<i8":  # int_block holds Python ints
+            assert base64.b64encode(tail).decode("ascii") == int_block(values)["data"]
+        back = _array(dict(block, data=memoryview(tail)), FORMAT_VERSION, persist.INT_DTYPES)
         assert back.dtype == np.int64 and back.tolist() == values
 
     @pytest.mark.parametrize("edit", INT_BLOCK_EDITS.values(), ids=INT_BLOCK_EDITS)
     def test_malformed_int_block_exits_3(self, edit, tmp_path, capsys):
         bundle, ds = funk_bundle()
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         edit(doc)
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match="malformed model file"):
             load_model(path)
         assert main(["recommend", str(path), min(ds.user_index)]) == 3
@@ -1863,7 +1908,7 @@ class TestExactReload:
             assert loaded.recommend(user, ds.n_items) == \
                 bundle.recommend(user, ds.n_items)
         second = save_model(loaded, tmp_path / "b.json")
-        assert json.loads(model_text(first))["format_version"] == FORMAT_VERSION
+        assert model_doc(first)["format_version"] == FORMAT_VERSION
         assert model_text(second) == model_text(first)
         assert second.read_bytes() == first.read_bytes()
 
@@ -1970,7 +2015,7 @@ class TestListsTableAndTokenCoding:
         doc = document(bundle)
         edit(doc[key])
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(doc))
+        write_model(path, doc)
         with pytest.raises(PersistenceError, match=f"malformed model file .*{key} {match}"):
             load_model(path)
 
@@ -1980,7 +2025,7 @@ class TestListsTableAndTokenCoding:
         ds = small_dataset()
         bundle = every_kind(ds)["blend"]
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         assert len(doc["lists"]) == 1
         assert [block[LIST_FIELDS[algorithm]] for algorithm, block in member_blocks(doc)] \
             == [0] * 6
@@ -1988,8 +2033,9 @@ class TestListsTableAndTokenCoding:
         held = [member_lists(m) for m in load_model(path).model.members[1:]]
         assert all(np.shares_memory(rows.items, held[0].items) for rows in held)
         assert all(np.shares_memory(rows.offsets, held[0].offsets) for rows in held)
-        # the lists entry holds no values; itemcf's ratings stay in its block
-        assert doc["ensemble"]["members"][3]["parameters"]["values"] == \
+        # the lists entry holds no values; itemcf's ratings stay in its
+        # block, a float block from format 11
+        assert block_array(doc["ensemble"]["members"][3]["parameters"]["values"]).tolist() == \
             bundle.model.members[3].ratings.values.tolist()
 
     def test_bag_members_name_their_own_entries(self, tmp_path):
@@ -1997,7 +2043,7 @@ class TestListsTableAndTokenCoding:
         ds = small_dataset()
         bundle = every_kind(ds)["bag"]
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
+        doc = model_doc(path)
         assert [block["rated"] for _, block in member_blocks(doc)] == [0, 1, 2]
         assert len({json.dumps(entry) for entry in doc["lists"]}) == 3
         for member, entry in zip(load_model(path).model.members, doc["lists"], strict=True):
@@ -2038,10 +2084,10 @@ class TestListsTableAndTokenCoding:
         ds = small_dataset()
         bundle = dataclasses.replace(every_kind(ds)[kind], created="2026-01-01T00:00:00+00:00")
         path = save_model(bundle, tmp_path / "m.json")
-        doc = json.loads(model_text(path))
-        assert outline(inline(doc)) == doc
+        doc = model_doc(path)
+        assert outline(inline(doc), FORMAT_VERSION) == doc
         old = tmp_path / "v8.json"
-        old.write_text(json.dumps(inline(doc)))
+        write_model(old, inline(doc))
         assert save_model(load_model(old), tmp_path / "again.json").read_bytes() == \
             path.read_bytes()
 
@@ -2065,6 +2111,14 @@ def assert_stored_predictions(bundle, name):
             for u in range(m)] == want["blend"]
     assert [[list(p) for p in model.recommend(u, 3)]
             for u in range(m)] == want["vote"]
+
+
+def laid_out(doc):
+    """What a file of doc, a format 10 document, inflates to at format 11:
+    the header line and tail of format11(doc), laid out apart from the
+    writer."""
+    header, tail = packed(format11(doc))
+    return compact(header) + b"\n" + tail
 
 
 def current_layout(doc):
@@ -2122,8 +2176,7 @@ class TestFormat3File:
                 stored = np.array(before["parameters"][key], dtype=float)
                 if (before["algorithm"], key) == ("ffm", "v"):  # stored as its table
                     stored = ffm_blocks(stored, len(bundle.user_index))[0]
-                assert np.array_equal(_array(after["parameters"][key], FORMAT_VERSION),
-                                      stored)
+                assert np.array_equal(block_array(after["parameters"][key]), stored)
                 compared += 1
         assert compared == 16
         again = load_model(save_model(bundle, tmp_path / "current.json"))
@@ -2147,20 +2200,20 @@ class TestFormat4File:
         assert path.read_bytes()[:1] == b"{"
         bundle = load_model(path)
         assert_stored_predictions(bundle, "format4_blend_predictions.json")
-        # saved again, the file inflates to exactly the plain file's text
-        # at the current version: each float block holds the same bytes,
-        # in byte planes, and the header and per-user lists hold the same
-        # tokens and items in the current layout
+        # the plain file is one compact JSON line; saved again, the file
+        # inflates to exactly its document at the current version: each
+        # float block holds the same bytes, in byte planes, and the header
+        # and per-user lists hold the same tokens and items in the current
+        # layout
+        assert path.read_text() == json.dumps(json.loads(path.read_text()), sort_keys=True,
+                                              separators=(",", ":")) + "\n"
         again = save_model(bundle, tmp_path / "again.json")
         doc = current_layout(json.loads(path.read_text()))
         for member in doc["ensemble"]["members"]:
             block = member["parameters"]
             for key in FLOAT_KEYS & set(block):
                 block[key]["data"] = planes_text(block[key]["data"])
-        for text, plain in ((model_text(again), doc),
-                            (path.read_text(), json.loads(path.read_text()))):
-            assert text == json.dumps(plain, sort_keys=True,
-                                      separators=(",", ":")) + "\n"
+        assert model_bytes(again) == laid_out(doc)
 
 
 class TestFormat5File:
@@ -2174,16 +2227,15 @@ class TestFormat5File:
 
     def test_loads_and_predicts_bit_for_bit(self, tmp_path):
         path = FIXTURES / "format5_blend.json"
-        old = json.loads(model_text(path))
+        old = model_doc(path)
         assert old["format_version"] == 5
         bundle = load_model(path)
         assert_stored_predictions(bundle, "format5_blend_predictions.json")
-        # saved again, the file inflates to the version 5 text with only
-        # the header, per-user lists and encoders in the current layout:
-        # every float block keeps its text
+        # saved again, the file inflates to the version 5 document with
+        # only the header, per-user lists and encoders in the current
+        # layout: every float block keeps its bytes
         again = save_model(bundle, tmp_path / "again.json")
-        assert model_text(again) == json.dumps(
-            current_layout(old), sort_keys=True, separators=(",", ":")) + "\n"
+        assert model_bytes(again) == laid_out(current_layout(old))
         reloaded = load_model(again)
         assert_stored_predictions(reloaded, "format5_blend_predictions.json")
 
@@ -2200,11 +2252,11 @@ class TestFormat6File:
 
     def test_loads_and_predicts_bit_for_bit(self, tmp_path):
         path = FIXTURES / "format6_blend.json"
-        old = json.loads(model_text(path))
+        old = model_doc(path)
         assert old["format_version"] == 6
         bundle = load_model(path)
         assert_stored_predictions(bundle, "format6_blend_predictions.json")
-        # saved again, the file inflates to the version 6 text at the
+        # saved again, the file inflates to the version 6 document at the
         # current version without the two encoder blocks, with the ffm V
         # as its cross-field table, front-coded tokens and the lists table
         again = save_model(bundle, tmp_path / "again.json")
@@ -2213,8 +2265,7 @@ class TestFormat6File:
             == ["fm", "ffm"]
         members[5]["parameters"]["v"] = ffm_table(members[5]["parameters"]["v"],
                                                   len(old["user_tokens"]))
-        assert model_text(again) == json.dumps(
-            outline(old), sort_keys=True, separators=(",", ":")) + "\n"
+        assert model_bytes(again) == laid_out(outline(old))
         reloaded = load_model(again)
         assert_stored_predictions(reloaded, "format6_blend_predictions.json")
         assert [m.encoder for m in reloaded.model.members[4:6]] == \
@@ -2233,11 +2284,11 @@ class TestFormat7File:
 
     def test_loads_and_predicts_bit_for_bit(self, tmp_path):
         path = FIXTURES / "format7_blend.json"
-        old = json.loads(model_text(path))
+        old = model_doc(path)
         assert old["format_version"] == 7
         bundle = load_model(path)
         assert_stored_predictions(bundle, "format7_blend_predictions.json")
-        # saved again, the file inflates to the version 7 text at the
+        # saved again, the file inflates to the version 7 document at the
         # current version with each ffm v the cross-field table of its V,
         # front-coded tokens and the lists table
         again = save_model(bundle, tmp_path / "again.json")
@@ -2249,8 +2300,7 @@ class TestFormat7File:
                 block["v"] = ffm_table(block["v"], len(old["user_tokens"]))
                 tables += 1
         assert tables == 1
-        assert model_text(again) == json.dumps(
-            outline(old), sort_keys=True, separators=(",", ":")) + "\n"
+        assert model_bytes(again) == laid_out(outline(old))
         reloaded = load_model(again)
         assert_stored_predictions(reloaded, "format7_blend_predictions.json")
 
@@ -2267,18 +2317,17 @@ class TestFormat8File:
 
     def test_loads_and_predicts_bit_for_bit(self, tmp_path):
         path = FIXTURES / "format8_blend.json"
-        old = json.loads(model_text(path))
+        old = model_doc(path)
         assert old["format_version"] == 8
         assert isinstance(old["user_tokens"], list) and "lists" not in old
         bundle = load_model(path)
         assert_stored_predictions(bundle, "format8_blend_predictions.json")
-        # saved again, the file inflates to the version 8 text with tokens
-        # front-coded and each distinct per-user list once in the lists
-        # table: every float block keeps its text
+        # saved again, the file inflates to the version 8 document with
+        # tokens front-coded and each distinct per-user list once in the
+        # lists table: every float block keeps its bytes
         again = save_model(bundle, tmp_path / "again.json")
-        new = json.loads(model_text(again))
-        assert model_text(again) == json.dumps(
-            outline(old), sort_keys=True, separators=(",", ":")) + "\n"
+        new = model_doc(again)
+        assert model_bytes(again) == laid_out(outline(old))
         assert len(new["lists"]) < len(new["ensemble"]["members"])
         reloaded = load_model(again)
         assert_stored_predictions(reloaded, "format8_blend_predictions.json")
@@ -2296,19 +2345,49 @@ class TestFormat9File:
 
     def test_loads_and_predicts_bit_for_bit(self, tmp_path):
         path = FIXTURES / "format9_blend.json"
-        old = json.loads(model_text(path))
+        old = model_doc(path)
         assert old["format_version"] == 9
         assert all(type(part) is list for entry in old["lists"] for part in entry.values())
         bundle = load_model(path)
         assert_stored_predictions(bundle, "format9_blend_predictions.json")
-        # saved again, the file inflates to the version 9 text with each
-        # lists entry's lengths and gaps as int blocks: every other section
-        # keeps its text
+        # saved again, the file inflates to the version 9 document with
+        # each lists entry's lengths and gaps as int blocks: every other
+        # section keeps its value
         again = save_model(bundle, tmp_path / "again.json")
-        assert model_text(again) == json.dumps(
-            blocked(old), sort_keys=True, separators=(",", ":")) + "\n"
+        assert model_bytes(again) == laid_out(blocked(old))
         reloaded = load_model(again)
         assert_stored_predictions(reloaded, "format9_blend_predictions.json")
+
+
+class TestFormat10File:
+    """format10_blend.json is a gzip-compressed format_version 10 file,
+    written by the version 10 code when it loaded format9_blend.json and
+    saved it again: the same seven members, one compact JSON document
+    whose blocks hold their bytes as base64 text, each lists entry's
+    lengths and gaps as int blocks and itemcf's values as a JSON list.
+    Beside it are the predictions of each member and of the blend for
+    every (user, item) index pair, and each user's top-3 vote, that the
+    version 10 code computed from the file it had written.
+    """
+
+    def test_loads_and_predicts_bit_for_bit(self, tmp_path):
+        path = FIXTURES / "format10_blend.json"
+        text = model_bytes(path)
+        old = json.loads(text)
+        assert old["format_version"] == 10
+        assert text == compact(old) + b"\n"
+        assert all(part["dtype"] in persist.INT_DTYPES
+                   for entry in old["lists"] for part in entry.values())
+        bundle = load_model(path)
+        assert_stored_predictions(bundle, "format10_blend_predictions.json")
+        # saved again at format 11, the file inflates to the version 10
+        # document as a header line with the block bytes after it, and
+        # itemcf's values as a float block: every block keeps its bytes
+        again = save_model(bundle, tmp_path / "again.json")
+        assert model_doc(again)["format_version"] == FORMAT_VERSION == 11
+        assert model_bytes(again) == laid_out(old)
+        reloaded = load_model(again)
+        assert_stored_predictions(reloaded, "format10_blend_predictions.json")
 
 
 class TestGzipContainer:
@@ -2319,7 +2398,8 @@ class TestGzipContainer:
         # magic, deflate method, no flags (no name, no comment), mtime 0
         assert first[:8] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00"
         assert save_model(bundle, tmp_path / "b.json").read_bytes() == first
-        assert len(first) < 0.7 * len(model_text(tmp_path / "a.json"))
+        # raw block bytes deflate less than base64 text of them did (0.7)
+        assert len(first) < 0.75 * len(model_bytes(tmp_path / "a.json"))
 
     @pytest.mark.parametrize("damage", ["truncated", "byte-flipped", "trailing"])
     def test_damaged_stream_exits_3_without_traceback(self, damage, tmp_path,
@@ -2342,11 +2422,34 @@ class TestGzipContainer:
         assert captured.err.startswith("error: cannot read model file")
         assert "Traceback" not in captured.err
 
-    def test_plain_json_file_still_loads(self, tmp_path):
+    @pytest.mark.parametrize("version", [10, FORMAT_VERSION])
+    def test_plain_file_still_loads(self, version, tmp_path):
+        # a format 10 document as JSON text, or a format 11 file's header
+        # line and block bytes, without the gzip member around them
         bundle, ds = funk_bundle()
         path = tmp_path / "plain.json"
-        path.write_text(model_text(save_model(bundle, tmp_path / "m.json")))
+        saved = save_model(bundle, tmp_path / "m.json")
+        if version == 10:
+            write_model(path, format10(model_doc(saved)))
+        else:
+            path.write_bytes(model_bytes(saved))
+        assert path.read_bytes()[:1] == b"{"
         assert_predictions_match(bundle, load_model(path), ds, tol=0.0)
+
+    @pytest.mark.parametrize("after, loads", [(b"", True), (b" \n\t\r\n", True),
+                                              (b"\x00", False), (b"{}", False)])
+    def test_document_before_format_11_takes_only_whitespace_after_it(
+            self, after, loads, tmp_path):
+        # a format 10 document followed by bytes is no header line and tail
+        bundle, ds = funk_bundle()
+        doc = format10(document(bundle))
+        path = tmp_path / "m.json"
+        path.write_bytes(gzip.compress(compact(doc) + b"\n" + after))
+        if loads:
+            assert_predictions_match(bundle, load_model(path), ds, tol=0.0)
+        else:
+            with pytest.raises(PersistenceError, match="format_version 10 document is followed"):
+                load_model(path)
 
 
 # what the leaf property writes in place of one leaf of a model file;
@@ -2386,7 +2489,7 @@ def cli_trained(tmp_path_factory):
                  *(str(folder / algo) for algo in algos)]) == 0
     docs = {}
     for name in algos + ("blend",):
-        doc = json.loads(model_text(folder / name))
+        doc = model_doc(folder / name)
         docs[name] = doc, list(leaf_paths(doc))
     blend6 = with_encoders(docs["blend"][0])
     docs["blend6"] = blend6, list(leaf_paths(blend6))
@@ -2409,7 +2512,7 @@ class TestEditedLeaves:
             at = at[key]
         at[path[-1]] = value
         target = folder / "edited.json"
-        target.write_text(json.dumps(edited))
+        write_model(target, edited)
         # query the user and item whose index entry was edited, if any
         user = path[-1] if path[0] == "user_index" else "1"
         item = path[-1] if path[0] == "item_index" else "2"
@@ -2422,6 +2525,25 @@ class TestEditedLeaves:
             if code == 3:
                 assert err.getvalue().startswith("error: ")
                 assert len(err.getvalue().splitlines()) == 1
+
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    @pytest.mark.parametrize("name", ["svd", "funk", "svdpp", "itemcf", "fm", "ffm", "blend"])
+    def test_damaged_tail_exits_3(self, cli_trained, name, damage):
+        # a tail short or long of the blocks, two blocks that overlap, a
+        # gap between blocks, an offset past the end, no newline, and data
+        # of the other format's kind: each load refuses, naming the fault
+        folder, docs = cli_trained
+        target = folder / "damaged.json"
+        write_damaged(target, docs[name][0], damage)
+        for argv in (["predict", str(target), "1", "2"], ["recommend", str(target), "1"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) == 3, (name, damage, argv[0])
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: malformed model file")
+            assert DAMAGES[damage] in err.getvalue()
+            assert len(err.getvalue().splitlines()) == 1
 
 
 class TestTokenLists:
@@ -2449,7 +2571,7 @@ class TestTokenLists:
             doc[key]["suffixes"][at] = bad
             message = f"{key} shared[{at}] must be an int in"
         target = folder / "tokens.json"
-        target.write_text(json.dumps(doc))
+        write_model(target, doc)
         for argv in (["predict", str(target), "1", "2"],
                      ["recommend", str(target), "1"]):
             out, err = io.StringIO(), io.StringIO()
@@ -2459,6 +2581,26 @@ class TestTokenLists:
             assert err.getvalue().startswith("error: malformed model file")
             assert message in err.getvalue()
             assert len(err.getvalue().splitlines()) == 1
+
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_repeated_token_behind_a_damaged_tail_exits_3(self, cli_trained, damage):
+        # two faults in one file: a token list that repeats a token and a
+        # tail that does not fit the header; the refusal names one of them
+        folder, docs = cli_trained
+        doc = json.loads(json.dumps(docs["blend"][0]))
+        tokens = tokens_of(doc["user_tokens"])
+        doc["user_tokens"] = coded_of(tokens[:-1] + tokens[:1])
+        target = folder / "tokens-damaged.json"
+        write_damaged(target, doc, damage)
+        for argv in (["predict", str(target), "1", "2"], ["recommend", str(target), "1"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) == 3, (damage, argv[0])
+            assert err.getvalue().startswith("error: malformed model file")
+            assert DAMAGES[damage] in err.getvalue() or \
+                "user_tokens must be a list of distinct strings" in err.getvalue()
+            assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
 
 
 def key_paths(value, path=()):
@@ -2493,7 +2635,7 @@ class TestDeletedKeys:
             parent = parent[key]
         del parent[path[-1]]
         target = folder / "deleted.json"
-        target.write_text(json.dumps(doc))
+        write_model(target, doc)
         # query the user and item whose index entry was deleted, if any
         user = path[-1] if path[:1] == ("user_index",) else "1"
         item = path[-1] if path[:1] == ("item_index",) else "2"

@@ -1,5 +1,6 @@
 """Tests for the repository tools under tools/."""
 
+import base64
 import dataclasses
 import importlib.util
 import json
@@ -8,7 +9,7 @@ import zlib
 from pathlib import Path
 
 from latentrec.cli import main
-from tests.conftest import FOUR_BY_FOUR_CSV, model_text
+from tests.conftest import FOUR_BY_FOUR_CSV, compact, model_bytes, model_doc
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -87,12 +88,11 @@ class TestModelSizes:
         capsys.readouterr()
         assert model_sizes.main([str(blend)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        text = model_text(blend)
         assert lines[0] == f"{blend}: {blend.stat().st_size} bytes on disk"
         rows = {line.split()[0] if not line.startswith("  member") else
                 " ".join(line.split()[:3]): [int(n) for n in line.split()[-2:]]
                 for line in lines[2:]}
-        doc = json.loads(text)
+        doc = model_doc(blend)
         members = doc["ensemble"]["members"]
         # funk's rated lists and fm's observed lists hold the same items in
         # the same order, so the lists table has one entry
@@ -103,21 +103,25 @@ class TestModelSizes:
             "ensemble.intercept", "ensemble.kind", "ensemble.weights", "document",
             *(f"member {n} parameters.{key}" for n, member in enumerate(members)
               for key in member["parameters"])}
-        # raw is the section's compact JSON; deflated is a raw deflate stream
-        raw, packed = rows["lists[0].gaps"]
-        section = json.dumps(doc["lists"][0]["gaps"], sort_keys=True,
-                             separators=(",", ":")).encode()
-        assert raw == len(section)
-        assert packed == len(zlib.compress(section, 6)) - 6
-        assert rows["document"][0] == len(text.encode())
+        # raw is the section's compact JSON, or a block's bytes after the
+        # header line; deflated is a raw deflate stream of it
+        for name, section in (
+                ("item_tokens.suffixes", compact(doc["item_tokens"]["suffixes"])),
+                ("lists[0].gaps", base64.b64decode(doc["lists"][0]["gaps"]["data"])),
+                ("member 1 parameters.v",
+                 base64.b64decode(members[1]["parameters"]["v"]["data"]))):
+            assert rows[name] == [len(section), len(zlib.compress(section, 6)) - 6], name
+        assert rows["member 1 parameters.v"][0] == 8 * 10 * 2
+        assert rows["document"][0] == len(model_bytes(blend))
         # the file is the deflated document plus a gzip header and trailer
         assert blend.stat().st_size == rows["document"][1] + 18
 
-    def test_format_10_file_shows_each_lists_block_and_token_part(self, tmp_path, capsys):
+    def test_format_11_file_shows_each_lists_block_and_token_part(self, tmp_path, capsys):
         # a bag's members are trained on their own resamples, so each names
         # its own lists entry, whose lengths and gaps are int blocks; a
-        # version 9 entry holds JSON lists, and a version 8 file keeps each
-        # list in its block
+        # version 10 block is base64 text in the JSON document, a version 9
+        # entry holds JSON lists, and a version 8 file keeps each list in
+        # its block
         model_sizes = load_tool("model_sizes")
         ratings = tmp_path / "ratings.csv"
         ratings.write_text(FOUR_BY_FOUR_CSV)
@@ -125,14 +129,16 @@ class TestModelSizes:
         assert main(["ensemble", "bag", "--algo", "funk", "--members", "3", "--input",
                      str(ratings), "--output", str(bag), "--epochs", "2"]) == 0
         fixtures = Path(__file__).resolve().parent / "fixtures"
-        v9, v8 = fixtures / "format9_blend.json", fixtures / "format8_blend.json"
+        v10, v9, v8 = (fixtures / f"format{n}_blend.json" for n in (10, 9, 8))
         capsys.readouterr()
-        assert model_sizes.main([str(bag), str(v9), str(v8)]) == 0
+        assert model_sizes.main([str(bag), str(v10), str(v9), str(v8)]) == 0
         out = capsys.readouterr().out
-        bag_lines, v9_lines, v8_lines = (part.splitlines() for part in
-                                         out.replace(f"{v8}: ", f"{v9}: ").split(f"{v9}: "))
-        doc = json.loads(model_text(bag))
-        assert doc["format_version"] == 10 and len(doc["lists"]) == 3
+        for path in (v9, v8):
+            out = out.replace(f"{path}: ", f"{v10}: ")
+        bag_lines, v10_lines, v9_lines, v8_lines = (part.splitlines()
+                                                    for part in out.split(f"{v10}: "))
+        doc = model_doc(bag)
+        assert doc["format_version"] == 11 and len(doc["lists"]) == 3
         shapes = {line.split()[0]: line.split()[1] for line in bag_lines[2:]}
         assert [name for name in shapes if name.startswith(("lists", "user_tokens"))] == [
             *(f"lists[{n}].{part}" for n in range(3) for part in ("gaps", "lengths")),
@@ -141,10 +147,16 @@ class TestModelSizes:
         assert shapes["lists[0].lengths"] == "[4]<i1"
         assert shapes["lists[2].gaps"] == f"[{doc['lists'][2]['gaps']['shape'][0]}]<i1"
         rows = {line.split()[0]: [int(n) for n in line.split()[-2:]] for line in bag_lines[2:]}
-        for name, value in (("lists[2].gaps", doc["lists"][2]["gaps"]),
-                            ("item_tokens.suffixes", doc["item_tokens"]["suffixes"])):
-            section = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+        for name, section in (
+                ("lists[2].gaps", base64.b64decode(doc["lists"][2]["gaps"]["data"])),
+                ("item_tokens.suffixes", compact(doc["item_tokens"]["suffixes"]))):
             assert rows[name] == [len(section), len(zlib.compress(section, 6)) - 6]
+        # a version 10 block's raw size is its JSON text, base64 included
+        old = json.loads(model_bytes(v10))
+        v10_rows = {line.split()[0]: (line.split()[1], int(line.split()[-2]))
+                    for line in v10_lines[2:]}
+        block = old["lists"][0]["gaps"]
+        assert v10_rows["lists[0].gaps"] == (f"[{block['shape'][0]}]<i1", len(compact(block)))
         v9_shapes = {line.split()[0]: line.split()[1] for line in v9_lines[2:]}
         assert v9_shapes["lists[0].gaps"] == v9_shapes["lists[0].lengths"] == "-"
         v8_names = [line.split()[0] for line in v8_lines[2:]]
@@ -174,7 +186,7 @@ class TestModelSizes:
         lines = capsys.readouterr().out.splitlines()
         shapes = {" ".join(line.split()[:-3]): line.split()[-3] for line in lines
                   if line.startswith("  ")}
-        assert json.loads(model_text(ffm))["format_version"] == 10
+        assert model_doc(ffm)["format_version"] == 11
         # 4 users and 4 items, each block with its reserved slot
         assert shapes["parameters.v"] == "[10,3]<f8"
         assert shapes["parameters.w"] == "[10]<f8"
